@@ -12,7 +12,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import IterateTrace, ProgramSpec, QueueState
+from .core import IterateTrace, ProgramSpec
 from .dual_analysis import dual_value_and_gradient, theta_bound
 from .reference import KktSolution
 
@@ -188,7 +188,7 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
     if applicable:
         lam0 = np.asarray(config.q0, dtype=float) / V
         q_at_lam0, _ = dual_value_and_gradient(program, oracle, lam0)
-        x_at_star = oracle.argmin(QueueState(lam_star), 1.0)
+        x_at_star = oracle.argmin(lam_star, 1.0)
         q_at_star = program.f(x_at_star) + float(lam_star @ program.g(x_at_star))
         theta = theta_bound(V, gamma, lam0, lam_star, q_at_lam0, q_at_star)
         gaps = trace.column("dual_gap").astype(float)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProgramSpec, QueueState, _as_vector
+from .core import ProgramSpec, _as_vector
 from .oracles import NumInstance
 
 
@@ -43,7 +43,7 @@ def dual_value_and_gradient(program: ProgramSpec, oracle, lam) -> tuple[float, n
     lam = _as_vector(lam, program.m, "lambda")
     if np.any(lam < 0):
         raise ValueError("multiplier must be nonnegative")
-    x = oracle.argmin(QueueState(lam), 1.0)
+    x = oracle.argmin(lam, 1.0)
     gvals = program.g(x)
     return program.f(x) + float(lam @ gvals), gvals
 

@@ -1,7 +1,9 @@
 """Inner-minimization oracles: argmin over the box of V*f(x) + q.g(x).
 
 Two closed forms (log-utility rate allocation, unconstrained quadratic) and
-a generic projected-gradient fallback.  Oracles are pure given (q, V).
+a generic projected-gradient fallback.  Every oracle takes the queue as a
+raw nonnegative float array ``q`` and the penalty ``V``, and is pure given
+(q, V); the closed forms cache their per-V constants.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import DimensionError, ProgramSpec, QueueState, _as_vector
+from .core import DimensionError, ProgramSpec, _as_vector
 
 
 class InnerSolveError(RuntimeError):
@@ -20,6 +22,25 @@ class InnerSolveError(RuntimeError):
     def __init__(self, message: str, best_x: np.ndarray | None = None):
         super().__init__(message)
         self.best_x = best_x
+
+
+def _constraint_matrix(A) -> np.ndarray:
+    A = np.asarray(A, dtype=float)
+    if A.ndim in (1, 2) and A.shape[0] == 0:
+        raise ValueError("A needs at least one constraint row")
+    if A.ndim != 2:
+        raise DimensionError("A must be a matrix")
+    return A
+
+
+def _set_finite_readonly(inst, **fields: np.ndarray) -> None:
+    """Store each field on the frozen instance as a read-only array."""
+    for name, val in fields.items():
+        if not np.all(np.isfinite(val)):
+            raise ValueError(f"{name} must be finite (found NaN or inf)")
+        val = np.ascontiguousarray(val)
+        val.flags.writeable = False
+        object.__setattr__(inst, name, val)
 
 
 @dataclass(frozen=True)
@@ -37,13 +58,12 @@ class NumInstance:
     xmax: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        if A.ndim != 2:
-            raise DimensionError("A must be a matrix")
+        A = _constraint_matrix(self.A)
         m, n = A.shape
         c = _as_vector(self.c, n, "c")
         b = _as_vector(self.b, m, "b")
         xmax = _as_vector(self.xmax, n, "xmax")
+        _set_finite_readonly(self, A=A, b=b, c=c, xmax=xmax)
         if np.any(c <= 0):
             raise ValueError("utility weights c must be positive")
         if np.any(b <= 0):
@@ -54,10 +74,6 @@ class NumInstance:
             raise ValueError("A must be a 0-1 matrix")
         if np.any(A.sum(axis=0) < 1):
             raise ValueError("every column of A needs at least one nonzero")
-        for name, val in (("c", c), ("A", A), ("b", b), ("xmax", xmax)):
-            val = np.ascontiguousarray(val)
-            val.flags.writeable = False
-            object.__setattr__(self, name, val)
 
     @property
     def n(self) -> int:
@@ -79,23 +95,20 @@ class QpInstance:
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=float)
-        A = np.asarray(self.A, dtype=float)
+        A = _constraint_matrix(self.A)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise DimensionError("P must be square")
         n = P.shape[0]
-        if A.ndim != 2 or A.shape[1] != n:
+        if A.shape[1] != n:
             raise DimensionError("A must be m x n")
         m = A.shape[0]
         c = _as_vector(self.c, n, "c")
         b = _as_vector(self.b, m, "b")
+        _set_finite_readonly(self, A=A, b=b, c=c, P=P)
         if np.abs(P - P.T).max() > 1e-12:
             raise ValueError("P must be symmetric")
         if np.linalg.eigvalsh(2.0 * P).min() <= 0:
             raise ValueError("2P must be positive definite")
-        for name, val in (("P", P), ("c", c), ("A", A), ("b", b)):
-            val = np.ascontiguousarray(val)
-            val.flags.writeable = False
-            object.__setattr__(self, name, val)
 
     @property
     def n(self) -> int:
@@ -111,39 +124,27 @@ class QpInstance:
         return float(np.linalg.eigvalsh(2.0 * self.P).min())
 
 
-def log_utility_box_argmin(inst: NumInstance, q: QueueState, V: float) -> np.ndarray:
-    """Closed-form inner minimizer for the rate-allocation instance.
-
-    x_i = clip(c_i V / (q . a_i), 0, xmax_i), where a_i is the i-th column
-    of A.  A zero denominator means constraint pressure never touches flow
-    i, and the continuous limit of the clip is the upper cap.
-    """
-    if V <= 0:
-        raise ValueError("V must be positive")
-    qa = q.q @ inst.A  # length n, entries q . a_i
-    x = np.empty(inst.n)
-    pos = qa > 0
-    x[pos] = np.minimum(inst.c[pos] * V / qa[pos], inst.xmax[pos])
-    x[~pos] = inst.xmax[~pos]
-    return x
+def log_utility_box_argmin(inst: NumInstance, q: np.ndarray, V: float) -> np.ndarray:
+    """Closed-form inner minimizer (see :class:`ClosedFormNumOracle`)."""
+    return ClosedFormNumOracle(inst).argmin(q, V)
 
 
-def quadratic_argmin(inst: QpInstance, q: QueueState, V: float) -> np.ndarray:
+def quadratic_argmin(inst: QpInstance, q: np.ndarray, V: float) -> np.ndarray:
     """Inner minimizer for the QP on X = R^n: solve 2V P x = -(V c + A'q)."""
     if V <= 0:
         raise ValueError("V must be positive")
-    rhs = -(V * inst.c + inst.A.T @ q.q)
+    rhs = -(V * inst.c + inst.A.T @ q)
     M = 2.0 * V * inst.P
     if np.linalg.cond(M) > 1e12:
         raise InnerSolveError("inner quadratic system is ill-conditioned")
     x = np.linalg.solve(M, rhs)
     residual = np.linalg.norm(M @ x - rhs)
-    if residual > 1e-9 * (1.0 + q.norm()):
+    if residual > 1e-9 * (1.0 + np.linalg.norm(q)):
         raise InnerSolveError("inner quadratic solve residual too large", best_x=x)
     return x
 
 
-def projected_gradient_inner(program: ProgramSpec, q: QueueState, V: float,
+def projected_gradient_inner(program: ProgramSpec, q: np.ndarray, V: float,
                              tol: float = 1e-8, max_inner: int = 200_000) -> np.ndarray:
     """Generic fallback oracle: projected gradient with Barzilai-Borwein steps.
 
@@ -155,12 +156,13 @@ def projected_gradient_inner(program: ProgramSpec, q: QueueState, V: float,
         raise ValueError("V must be positive")
     if program.objective_grad is None or program.constraints_jac is None:
         raise InnerSolveError("generic oracle needs objective_grad and constraints_jac")
+    q = np.asarray(q, dtype=float)
 
     def phi(x):
-        return V * program.f(x) + float(q.q @ program.g(x))
+        return V * program.f(x) + float(q @ program.g(x))
 
     def grad(x):
-        return V * program.objective_grad(x) + program.constraints_jac(x).T @ q.q
+        return V * program.objective_grad(x) + program.constraints_jac(x).T @ q
 
     lo, hi = program.lower, program.upper
     finite_lo = np.where(np.isfinite(lo), lo, -1.0)
@@ -209,42 +211,59 @@ def projected_gradient_inner(program: ProgramSpec, q: QueueState, V: float,
 
 
 class ClosedFormNumOracle:
-    """Inner oracle backed by the log-utility closed form."""
+    """Inner oracle backed by the log-utility closed form.
+
+    x_i = min(c_i V / (q . a_i), xmax_i), where a_i is the i-th column of A
+    (x_i >= 0 because q, A and c are).  A zero q . a_i means constraint
+    pressure never touches flow i: the quotient is +inf and the clip gives
+    the cap, its continuous limit.  The products c_i V are cached per V.
+    """
 
     tag = "log-utility-box"
 
     def __init__(self, inst: NumInstance):
         self.inst = inst
+        self._cache = (None, None)  # (V, c * V), replaced as one tuple
 
-    def argmin(self, q: QueueState, V: float) -> np.ndarray:
-        return log_utility_box_argmin(self.inst, q, V)
+    @np.errstate(divide="ignore")
+    def argmin(self, q: np.ndarray, V: float) -> np.ndarray:
+        V_cached, cV = self._cache
+        if V != V_cached:
+            if V <= 0:
+                raise ValueError("V must be positive")
+            cV = self.inst.c * V
+            self._cache = (V, cV)
+        return np.minimum(cV / q.dot(self.inst.A), self.inst.xmax)
 
 
 class ClosedFormQpOracle:
     """Inner oracle backed by the linear-system closed form (X = R^n).
 
-    The system matrix 2VP is fixed for a given V, so its Cholesky factor
-    and condition check are cached per V instead of redone every call.
+    The minimizer solves 2VP x = -(V c + A'q), so at fixed V it is affine in
+    the queue: x(q) = x0 + K q with x0 = (2VP)^-1 (-V c) and
+    K = (2VP)^-1 (-A').  Both come from one Cholesky factor, after the
+    conditioning check, and are cached per V.
     """
 
     tag = "quadratic"
 
     def __init__(self, inst: QpInstance):
         self.inst = inst
-        self._cache_V: float | None = None
-        self._cache_cho = None
+        self._cache = (None, None, None)  # (V, x0, K), replaced as one tuple
 
-    def argmin(self, q: QueueState, V: float) -> np.ndarray:
-        if V <= 0:
-            raise ValueError("V must be positive")
-        if V != self._cache_V:
+    def argmin(self, q: np.ndarray, V: float) -> np.ndarray:
+        V_cached, x0, K = self._cache
+        if V != V_cached:
+            if V <= 0:
+                raise ValueError("V must be positive")
             M = 2.0 * V * self.inst.P
             if np.linalg.cond(M) > 1e12:
                 raise InnerSolveError("inner quadratic system is ill-conditioned")
-            self._cache_cho = scipy.linalg.cho_factor(M)
-            self._cache_V = V
-        rhs = -(V * self.inst.c + self.inst.A.T @ q.q)
-        return scipy.linalg.cho_solve(self._cache_cho, rhs)
+            cho = scipy.linalg.cho_factor(M)
+            x0 = scipy.linalg.cho_solve(cho, -(V * self.inst.c))
+            K = scipy.linalg.cho_solve(cho, -self.inst.A.T)
+            self._cache = (V, x0, K)
+        return x0 + K.dot(q)
 
 
 class ProjectedGradientOracle:
@@ -258,6 +277,6 @@ class ProjectedGradientOracle:
         self.tol = tol
         self.max_inner = max_inner
 
-    def argmin(self, q: QueueState, V: float) -> np.ndarray:
+    def argmin(self, q: np.ndarray, V: float) -> np.ndarray:
         return projected_gradient_inner(self.program, q, V,
                                         tol=self.tol, max_inner=self.max_inner)

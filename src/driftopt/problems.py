@@ -60,7 +60,7 @@ def _num_program(inst: NumInstance, alpha: float, beta: float) -> ProgramSpec:
     return ProgramSpec(
         n=inst.n, m=inst.m,
         objective=lambda x: float(-(c @ np.log(x))),
-        constraints=lambda x: A @ x - b,
+        constraints=lambda x: A.dot(x) - b,
         lower=np.zeros(inst.n), upper=inst.xmax,
         alpha=alpha, beta=beta,
         objective_grad=lambda x: -c / x,
@@ -73,7 +73,7 @@ def _qp_program(inst: QpInstance, alpha: float, beta: float) -> ProgramSpec:
     return ProgramSpec(
         n=inst.n, m=inst.m,
         objective=lambda x: float(x @ P @ x + c @ x),
-        constraints=lambda x: A @ x - b,
+        constraints=lambda x: A.dot(x) - b,
         lower=np.full(inst.n, -inf), upper=np.full(inst.n, inf),
         alpha=alpha, beta=beta,
         objective_grad=lambda x: 2.0 * (P @ x) + c,
@@ -201,7 +201,8 @@ def load_problem(path) -> ProblemBundle:
     Schema: {"kind": "num"|"qp", "A", "b", "c", "P" (qp), "xmax" (num),
     "alpha" (optional), "beta" (optional)}.  Missing alpha defaults to the
     smallest eigenvalue of 2P for QPs and min c_i / xmax_i^2 for rate
-    allocation; missing beta defaults to the largest row norm of A.
+    allocation; missing beta defaults to the largest row norm of A.  The
+    dual smoothness modulus gamma is computed as ||A||_F^2 / alpha.
     """
     path = Path(path)
     with open(path) as fh:
@@ -215,31 +216,30 @@ def load_problem(path) -> ProblemBundle:
         if key not in doc:
             raise ValueError(f"problem file missing required field {key!r}")
 
-    A = np.asarray(doc["A"], dtype=float)
-    beta = float(doc["beta"]) if "beta" in doc else float(
-        np.linalg.norm(A, axis=1).max())
-
     if kind == "num":
         if "xmax" not in doc:
             raise ValueError("rate-allocation problems need 'xmax'")
         inst = NumInstance(c=doc["c"], A=doc["A"], b=doc["b"], xmax=doc["xmax"])
         alpha = float(doc["alpha"]) if "alpha" in doc else float(
             min(inst.c / inst.xmax ** 2))
-        program = _num_program(inst, alpha, beta)
-        oracle = ClosedFormNumOracle(inst)
+        make_program, oracle = _num_program, ClosedFormNumOracle(inst)
     else:
         if "P" not in doc:
             raise ValueError("quadratic problems need 'P'")
         inst = QpInstance(P=doc["P"], c=doc["c"], A=doc["A"], b=doc["b"])
         alpha = float(doc["alpha"]) if "alpha" in doc else inst.alpha
-        program = _qp_program(inst, alpha, beta)
-        oracle = ClosedFormQpOracle(inst)
+        make_program, oracle = _qp_program, ClosedFormQpOracle(inst)
+    beta = float(doc["beta"]) if "beta" in doc else float(
+        np.linalg.norm(inst.A, axis=1).max())
+    program = make_program(inst, alpha, beta)
 
     reference, err = _reference_for(kind, inst)
     constants = (Constant("alpha", alpha,
                           "paper" if "alpha" in doc else "computed"),
                  Constant("beta", beta,
-                          "paper" if "beta" in doc else "computed"))
+                          "paper" if "beta" in doc else "computed"),
+                 Constant("gamma", float(np.sum(inst.A ** 2)) / alpha,
+                          "computed"))
     return ProblemBundle(tag=path.stem, kind=kind, program=program,
                          instance=inst, oracle=oracle, constants=constants,
                          reference=reference, reference_error=err)

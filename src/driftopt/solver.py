@@ -1,5 +1,10 @@
-"""Iterative solvers: drift-plus-penalty, its shifted-running-average variant,
-and the classical dual subgradient method.
+"""Iterative solvers: drift-plus-penalty (DPP), its shifted-running-average
+variant, and the classical dual subgradient method, all run by one loop.
+
+dpp_shifted reads its window average from prefix sums of the same run, so
+it makes one oracle call per iteration like dpp.  The dual subgradient
+method with step c is DPP at V = 1/c with Q = lambda / c: it runs as DPP
+and reports lambda = c Q.  Oracles take the queue as a raw float array.
 
 A run is strictly sequential; distinct runs share no mutable state and may
 execute concurrently.
@@ -8,12 +13,11 @@ execute concurrently.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (IterateTrace, ProgramSpec, QueueState, TraceSample,
-                   lyapunov, queue_update, sample_indices)
+from .core import IterateTrace, ProgramSpec, TraceSample, sample_indices
 from .oracles import InnerSolveError
 
 VARIANTS = ("dpp", "dpp_shifted", "dual_subgradient")
@@ -77,28 +81,6 @@ def shifted_average_window(t_plus_1: int):
     return (s, 2 * s - 1)
 
 
-@dataclass
-class _StepState:
-    """Mutable per-run state advanced by :func:`dpp_step`."""
-
-    t: int
-    q: QueueState
-    xbar: np.ndarray | None
-    sum_x: np.ndarray
-
-
-def dpp_step(program: ProgramSpec, oracle, config: SolverConfig,
-             state: _StepState) -> _StepState:
-    """Advance one drift-plus-penalty iteration (standard averaging)."""
-    x = oracle.argmin(state.q, config.V)
-    g = program.g(x)
-    q_next = queue_update(state.q, g)
-    t = state.t
-    sum_x = state.sum_x + x
-    xbar = sum_x / (t + 1)
-    return _StepState(t=t + 1, q=q_next, xbar=xbar, sum_x=sum_x)
-
-
 def run(program: ProgramSpec, oracle, config: SolverConfig,
         reference=None) -> IterateTrace:
     """Execute the configured solver and return a sampled trace.
@@ -106,7 +88,9 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
     When ``reference`` (a KktSolution) is given, each sample also records
     the dual-iterate distance ||lambda(t) - lambda*|| and the dual gap
     q(lambda*) - q(lambda(t)); the dual value at lambda(t) is exact because
-    x(t) attains the inner minimum defining q.
+    x(t) attains the inner minimum defining q.  The residual of the exact
+    drift identity is checked on every iteration; x-bar, f(x-bar) and
+    g(x-bar) are computed only at sampled t.
 
     Deterministic: identical inputs give identical traces.
     """
@@ -119,83 +103,76 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
     if config.q0.shape[0] != program.m:
         raise ValueError("initial queue length must equal the constraint count")
 
-    dual_sub = config.variant == "dual_subgradient"
+    V = 1.0 / config.c if config.variant == "dual_subgradient" else config.V
     shifted = config.variant == "dpp_shifted"
-    V, c = config.V, config.c
     samples = set(sample_indices(config.iters, config.sampling, config.stride))
+    # dpp_shifted: x-bar(t) = (S(2s) - S(s)) / s with s = t // 2 and
+    # S(k) = sum_{tau<k} x(tau).  S(k) is kept from iteration k until the
+    # last sample that reads it.
+    last_read = {}
+    if shifted:
+        for t in sorted(samples):
+            if t > 1:
+                last_read[t // 2] = last_read[t // 2 * 2] = t
+    saved = {}
 
     lam_star = None
     q_star = None
     if reference is not None:
         lam_star = np.asarray(reference.lambda_star, dtype=float)
-        x_at_star = oracle.argmin(QueueState(lam_star), 1.0)
+        x_at_star = oracle.argmin(lam_star, 1.0)
         q_star = program.f(x_at_star) + float(lam_star @ program.g(x_at_star))
 
-    if dual_sub:
-        lam = config.q0 * c  # lambda(0) = c * Q(0) so that Q/V == lambda at c=1/V
-    q_arr = config.q0.copy()
+    argmin, constraints = oracle.argmin, program.constraints
+    q = config.q0.copy()
+    qq = float(q @ q)
     sum_x = np.zeros(program.n)
-    xbar = None
-    # Delayed replica for the shifted window: tracks Q(s) and sum_{tau<s} x(tau).
-    slow_q = config.q0.copy()
-    slow_sum = np.zeros(program.n)
-    slow_idx = 0
-    trace = IterateTrace(V=V, variant=config.variant, iters=config.iters)
+    max_residual = 0.0
+    trace = IterateTrace(V=config.V, variant=config.variant, iters=config.iters)
 
     for t in range(config.iters + 1):
         try:
-            if dual_sub:
-                x = oracle.argmin(QueueState(lam), 1.0)
-            else:
-                x = oracle.argmin(QueueState(q_arr), V)
+            x = argmin(q, V)
         except InnerSolveError as exc:
+            trace.max_drift_residual = max_residual
             exc.partial_trace = trace  # everything recorded through t-1
             raise
-        g = program.g(x)
+        # program.g checks the shape of g(x) once; later steps call it raw.
+        g = constraints(x) if t else program.g(x)
+        if t in last_read:
+            saved[t] = sum_x.copy()
 
         if t in samples:
-            lam_t = lam if dual_sub else q_arr / V
+            if shifted and t > 1:
+                s = t // 2
+                xbar = (saved[2 * s] - saved[s]) / s
+                for k in (s, 2 * s):
+                    if last_read[k] == t:
+                        del saved[k]
+            else:
+                xbar = sum_x / t
             sample = TraceSample(
-                t=t, x=x.copy(), xbar=xbar.copy(), queue=(lam / c if dual_sub else q_arr).copy(),
+                t=t, x=x.copy(), xbar=xbar, queue=q.copy(),
                 f_xbar=program.f(xbar), g_xbar=program.g(xbar),
-                qnorm=float(np.linalg.norm(lam / c if dual_sub else q_arr)))
+                qnorm=float(np.linalg.norm(q)))
             if lam_star is not None:
+                lam_t = q / V
                 sample.lambda_dist = float(np.linalg.norm(lam_t - lam_star))
                 sample.dual_gap = q_star - (program.f(x) + float(lam_t @ g))
             trace.append(sample)
         if t == config.iters:
             break
 
-        # Queue / multiplier update and exact drift-identity residual.
-        if dual_sub:
-            lam_next = np.maximum(lam + c * g, 0.0)
-            qn, qc = lam_next / c, lam / c
-        else:
-            qn = np.maximum(q_arr + g, 0.0)
-            qc = q_arr
-        diff = qn - qc
-        residual = abs((0.5 * float(qn @ qn) - 0.5 * float(qc @ qc))
-                       - (float(qn @ g) - 0.5 * float(diff @ diff)))
-        if residual > trace.max_drift_residual:
-            trace.max_drift_residual = residual
-
+        # Queue update and the residual of the exact drift identity
+        # L(Q') - L(Q) = Q' . g - ||Q' - Q||^2 / 2, with L(Q) = ||Q||^2 / 2.
+        qn = np.maximum(q + g, 0.0)
+        diff = qn - q
+        qnqn = float(qn.dot(qn))
+        residual = abs((0.5 * qnqn - 0.5 * qq)
+                       - (float(qn.dot(g)) - 0.5 * float(diff.dot(diff))))
+        if residual > max_residual:
+            max_residual = residual
         sum_x += x
-        if shifted:
-            if (t + 1) % 2 == 0:
-                s = (t + 1) // 2
-                while slow_idx < s:
-                    xs = oracle.argmin(QueueState(slow_q), V)
-                    slow_sum += xs
-                    slow_q = np.maximum(slow_q + program.g(xs), 0.0)
-                    slow_idx += 1
-                xbar = (sum_x - slow_sum) / s
-            elif xbar is None:  # t+1 == 1: seed with x(0)
-                xbar = x.copy()
-        else:
-            xbar = sum_x / (t + 1)
-
-        if dual_sub:
-            lam = lam_next
-        else:
-            q_arr = qn
+        q, qq = qn, qnqn
+    trace.max_drift_residual = max_residual
     return trace

@@ -184,17 +184,25 @@ def test_criterion_8_rank_deficient_counterexample():
 
 
 def test_criterion_9_oracle_equivalences():
-    # (a) queue-based and multiplier-based updates coincide
+    # (a) the dual subgradient variant, which runs as DPP at V = 1/c,
+    # matches an independent multiplier loop lam <- max(lam + c g(x(lam)), 0)
+    # with x(lam) solving 2P x = -(c_obj + A' lam)
     b = builtin("qp_6_2")
-    k1 = SolverConfig(V=QP_V, q0=np.zeros(2), iters=10_000, variant="dpp",
-                      sampling="linear", stride=1)
+    c = 1.0 / QP_V
     k2 = SolverConfig(V=QP_V, q0=np.zeros(2), iters=10_000,
                       variant="dual_subgradient", sampling="linear", stride=1)
-    t1 = run(b.program, b.oracle, k1)
     t2 = run(b.program, b.oracle, k2)
-    worst_x = max(np.abs(a.x - c.x).max() for a, c in zip(t1.samples, t2.samples))
-    worst_lam = max(np.abs(a.queue - c.queue).max() / QP_V
-                    for a, c in zip(t1.samples, t2.samples))
+    P, c_obj, A, b_vec = (b.instance.P, b.instance.c, b.instance.A,
+                          b.instance.b)
+    lam = np.zeros(2)
+    worst_x = worst_lam = 0.0
+    for t in range(k2.iters + 1):
+        x = np.linalg.solve(2.0 * P, -(c_obj + A.T @ lam))
+        if t >= 1:  # sample t holds x(t) and Q(t) = lam(t) / c
+            s = t2.samples[t - 1]
+            worst_x = max(worst_x, np.abs(s.x - x).max())
+            worst_lam = max(worst_lam, np.abs(c * s.queue - lam).max())
+        lam = np.maximum(lam + c * (A @ x - b_vec), 0.0)
 
     # (b) closed-form vs generic inner oracle on random queues
     rng = np.random.default_rng(7)
@@ -204,7 +212,7 @@ def test_criterion_9_oracle_equivalences():
         bb = builtin(tag)
         gen = ProjectedGradientOracle(bb.program, tol=1e-10)
         for _ in range(100):
-            q = QueueState(rng.uniform(0, 50, bb.program.m))
+            q = rng.uniform(0, 50, bb.program.m)
             diff = np.abs(bb.oracle.argmin(q, V) - gen.argmin(q, V)).max()
             worst_oracle = max(worst_oracle, diff)
 

@@ -178,3 +178,54 @@ def test_solve_with_problem_file(tmp_path, capsys):
                          "--iters", "100", "--out", str(out))
     assert code == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("tag,field,value", [
+    ("num_6_1", "b", float("nan")),
+    ("num_6_1", "xmax", float("inf")),
+    ("num_6_1", "c", float("nan")),
+    ("qp_6_2", "A", float("-inf")),
+    ("qp_6_2", "P", float("nan")),
+])
+def test_problem_file_rejects_non_finite_data(tmp_path, capsys, tag, field, value):
+    from driftopt import builtin, serialize
+    doc = serialize(builtin(tag))
+    row = doc[field][0] if isinstance(doc[field][0], list) else doc[field]
+    row[0] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # NaN / Infinity tokens, as json writes them
+    code, _, err = run_cli(capsys, "solve", "--problem", str(path),
+                           "--iters", "10", "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert f"{field} must be finite" in err
+    assert not (tmp_path / "x.csv.summary.json").exists()
+
+
+@pytest.mark.parametrize("tag", ["num_6_1", "qp_6_2"])
+def test_problem_file_rejects_empty_constraint_matrix(tmp_path, capsys, tag):
+    from driftopt import builtin, serialize
+    doc = {**serialize(builtin(tag)), "A": [], "b": []}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "solve", "--problem", str(path),
+                           "--iters", "10", "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert "A needs at least one constraint row" in err
+
+
+@pytest.mark.parametrize("tag", ["num_6_1", "qp_6_2"])
+def test_audit_problem_file_without_gamma(tmp_path, capsys, tag):
+    # problem files carry the computed gamma = ||A||_F^2 / alpha
+    from driftopt import builtin, serialize
+    path = tmp_path / "mine.json"
+    path.write_text(json.dumps(serialize(builtin(tag))))
+    out = tmp_path / "mine.csv"
+    code, _, _ = run_cli(capsys, "solve", "--problem", str(path),
+                         "--iters", "5000", "--out", str(out))
+    assert code == 0
+    code, stdout, _ = run_cli(capsys, "audit", "--problem", str(path),
+                              "--trace", str(out))
+    assert code == 0
+    report = json.loads(stdout)
+    assert len(report) == 6
+    assert all(e["applicable"] and e["pass"] for e in report)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from driftopt import (ClosedFormQpOracle, InnerSolveError, NumInstance,
-                      ProjectedGradientOracle, QpInstance, QueueState,
-                      builtin, log_utility_box_argmin, projected_gradient_inner,
+                      ProjectedGradientOracle, QpInstance, builtin, log_utility_box_argmin, projected_gradient_inner,
                       quadratic_argmin)
 
 QP_V = 4.0 / 0.34
@@ -34,13 +33,13 @@ def test_qp_instance_validation():
 
 def test_log_utility_argmin_zero_queue_hits_caps():
     inst = builtin("num_6_1").instance
-    x = log_utility_box_argmin(inst, QueueState(np.zeros(3)), NUM_V)
+    x = log_utility_box_argmin(inst, np.zeros(3), NUM_V)
     assert np.allclose(x, inst.xmax)
 
 
 def test_log_utility_argmin_scalar_closed_form():
     inst = NumInstance(c=[1.0], A=[[1.0]], b=[2.0], xmax=[5.0])
-    x = log_utility_box_argmin(inst, QueueState(np.array([2.0])), 1.0)
+    x = log_utility_box_argmin(inst, np.array([2.0]), 1.0)
     assert np.allclose(x, [0.5])
 
 
@@ -48,20 +47,20 @@ def test_log_utility_argmin_at_optimal_multiplier():
     # at q = V * lam_star the minimizer is the primal optimum
     b = builtin("num_5_2_rank_deficient")
     lam = np.array([0.3858, 0.0903, 0.7833, 0.0805])
-    x = log_utility_box_argmin(b.instance, QueueState(NUM_V * lam), NUM_V)
+    x = log_utility_box_argmin(b.instance, NUM_V * lam, NUM_V)
     assert abs(x[0] - 0.8553) < 1e-3
     assert np.allclose(x, [0.8553, 2.1447, 1.1447, 5.8553], atol=1e-3)
 
 
 def test_quadratic_argmin_trivial():
     inst = QpInstance(P=[[0.5]], c=[0.0], A=[[1.0]], b=[1.0])
-    x = quadratic_argmin(inst, QueueState(np.zeros(1)), 1.0)
+    x = quadratic_argmin(inst, np.zeros(1), 1.0)
     assert np.allclose(x, [0.0])
 
 
 def test_quadratic_argmin_unconstrained_minimum():
     inst = builtin("qp_6_2").instance
-    x = quadratic_argmin(inst, QueueState(np.zeros(2)), 1.0)
+    x = quadratic_argmin(inst, np.zeros(2), 1.0)
     assert np.allclose(x, [-1.5, 0.5], atol=1e-12)
 
 
@@ -69,7 +68,7 @@ def test_quadratic_argmin_at_optimal_multiplier():
     b = builtin("qp_6_2")
     lam = b.reference.lambda_star
     for V in (1.0, QP_V, 100.0):
-        x = quadratic_argmin(b.instance, QueueState(V * lam), V)
+        x = quadratic_argmin(b.instance, V * lam, V)
         assert np.allclose(x, b.reference.x_star, atol=1e-9)
 
 
@@ -78,7 +77,7 @@ def test_qp_oracle_matches_direct_solve():
     oracle = ClosedFormQpOracle(b.instance)
     rng = np.random.default_rng(3)
     for _ in range(50):
-        q = QueueState(rng.uniform(0, 40, 2))
+        q = rng.uniform(0, 40, 2)
         assert np.allclose(oracle.argmin(q, QP_V),
                            quadratic_argmin(b.instance, q, QP_V), atol=1e-10)
 
@@ -86,10 +85,10 @@ def test_qp_oracle_matches_direct_solve():
 def test_oracle_rejects_nonpositive_V():
     b = builtin("qp_6_2")
     with pytest.raises(ValueError):
-        b.oracle.argmin(QueueState(np.zeros(2)), 0.0)
+        b.oracle.argmin(np.zeros(2), 0.0)
     n = builtin("num_6_1")
     with pytest.raises(ValueError):
-        log_utility_box_argmin(n.instance, QueueState(np.zeros(3)), -1.0)
+        log_utility_box_argmin(n.instance, np.zeros(3), -1.0)
 
 
 def test_oracle_optimality_certificate():
@@ -97,14 +96,14 @@ def test_oracle_optimality_certificate():
     rng = np.random.default_rng(11)
     for tag, V in (("num_6_1", NUM_V), ("qp_6_2", QP_V)):
         b = builtin(tag)
-        q = QueueState(rng.uniform(0, 20, b.program.m))
+        q = rng.uniform(0, 20, b.program.m)
         x = b.oracle.argmin(q, V)
-        val = V * b.program.f(x) + float(q.q @ b.program.g(x))
+        val = V * b.program.f(x) + float(q @ b.program.g(x))
         for _ in range(1000):
             xp = b.program.project(x + rng.uniform(-0.1, 0.1, b.program.n))
             if tag == "num_6_1" and np.any(xp <= 0):
                 continue
-            valp = V * b.program.f(xp) + float(q.q @ b.program.g(xp))
+            valp = V * b.program.f(xp) + float(q @ b.program.g(xp))
             assert val <= valp + 1e-8
 
 
@@ -114,18 +113,18 @@ def test_strong_convexity_inequality_at_minimizer():
     rng = np.random.default_rng(12)
     b = builtin("qp_6_2")
     alpha = b.constant("alpha_computed")
-    q = QueueState(np.array([3.0, 7.0]))
+    q = np.array([3.0, 7.0])
     x = b.oracle.argmin(q, QP_V)
-    val = QP_V * b.program.f(x) + float(q.q @ b.program.g(x))
+    val = QP_V * b.program.f(x) + float(q @ b.program.g(x))
     for _ in range(200):
         xp = x + rng.uniform(-2, 2, 2)
-        valp = QP_V * b.program.f(xp) + float(q.q @ b.program.g(xp))
+        valp = QP_V * b.program.f(xp) + float(q @ b.program.g(xp))
         assert val <= valp - 0.5 * QP_V * alpha * float((x - xp) @ (x - xp)) + 1e-8
 
 
 def test_projected_gradient_matches_qp_closed_form():
     b = builtin("qp_6_2")
-    x = projected_gradient_inner(b.program, QueueState(np.zeros(2)), 1.0,
+    x = projected_gradient_inner(b.program, np.zeros(2), 1.0,
                                  tol=1e-10)
     assert np.allclose(x, [-1.5, 0.5], atol=1e-8)
 
@@ -135,7 +134,7 @@ def test_projected_gradient_matches_num_closed_form():
     rng = np.random.default_rng(5)
     gen = ProjectedGradientOracle(b.program, tol=1e-10)
     for _ in range(10):
-        q = QueueState(rng.uniform(0, 30, 3))
+        q = rng.uniform(0, 30, 3)
         assert np.allclose(gen.argmin(q, NUM_V),
                            b.oracle.argmin(q, NUM_V), atol=1e-6)
 
@@ -150,7 +149,7 @@ def test_projected_gradient_constant_constraints():
                     alpha=1.0, beta=1.0,
                     objective_grad=lambda x: x,
                     constraints_jac=lambda x: np.zeros((1, 3)))
-    x = projected_gradient_inner(p, QueueState(np.array([7.0])), 1.0, tol=1e-10)
+    x = projected_gradient_inner(p, np.array([7.0]), 1.0, tol=1e-10)
     assert np.allclose(x, np.zeros(3), atol=1e-9)
 
 
@@ -161,4 +160,4 @@ def test_projected_gradient_needs_derivatives():
                     constraints=lambda x: np.array([x[0]]),
                     lower=[-1.0], upper=[1.0], alpha=2.0, beta=1.0)
     with pytest.raises(InnerSolveError):
-        projected_gradient_inner(p, QueueState(np.zeros(1)), 1.0)
+        projected_gradient_inner(p, np.zeros(1), 1.0)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from driftopt import (InfeasibleError, NumInstance, QpInstance, QueueState,
-                      builtin, dual_value_and_gradient, kkt_solve_num,
-                      kkt_solve_qp)
+from driftopt import (InfeasibleError, NumInstance, QpInstance, builtin,
+                      dual_value_and_gradient, kkt_solve_num, kkt_solve_qp)
 
 
 def test_qp_ground_truth():
@@ -81,7 +80,7 @@ def test_saddle_consistency():
     for tag in ("num_6_1", "qp_6_2", "num_5_2_rank_deficient"):
         b = builtin(tag)
         for V in (1.0, 10.0, 363.0):
-            x = b.oracle.argmin(QueueState(V * b.reference.lambda_star), V)
+            x = b.oracle.argmin(V * b.reference.lambda_star, V)
             assert np.abs(x - b.reference.x_star).max() <= 1e-6
 
 

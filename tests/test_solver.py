@@ -1,10 +1,22 @@
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from driftopt import (QueueState, SolverConfig, builtin, choose_V, lyapunov,
-                      run, shifted_average_window)
+from driftopt import (ProjectedGradientOracle, QueueState, SolverConfig,
+                      builtin, choose_V, lyapunov, run, shifted_average_window)
 
 QP_V = 4.0 / 0.34
+
+# Sampled traces recorded from the pre-rewrite run() (commit 8d7d459): every
+# builtin x variant at its default V, plus dual subgradient with c != 1/V
+# from nonzero queues and dpp_shifted at V = 422 from Q(0) = 3.  2000
+# iterations, linear sampling with stride 97.
+GOLDEN = json.loads(Path(__file__).with_name("golden_traces.json").read_text())
+GOLDEN_COLUMNS = ("f_xbar", "g_xbar", "qnorm", "lambda_dist", "dual_gap",
+                  "xbar", "queue")
 
 
 def test_config_validation():
@@ -164,3 +176,62 @@ def test_trace_records_dual_quantities_with_reference():
         assert s.lambda_dist is not None and s.lambda_dist >= 0
         assert s.dual_gap is not None and s.dual_gap >= -1e-9
     assert tr.samples[-1].dual_gap < tr.samples[0].dual_gap
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN,
+    ids=[f"{c['tag']}-{c['variant']}-V{c['V']:g}-c{c['step_c']}" for c in GOLDEN])
+def test_golden_trace(case):
+    b = builtin(case["tag"])
+    q0 = np.broadcast_to(np.asarray(case["q0"], dtype=float), (b.program.m,))
+    cfg = SolverConfig(V=case["V"], q0=q0, iters=2000, variant=case["variant"],
+                       step_c=case["step_c"], sampling="linear", stride=97)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # V = 422 is below m beta^2/alpha
+        tr = run(b.program, b.oracle, cfg, reference=b.reference)
+    assert [s.t for s in tr.samples] == case["t"]
+    # The NUM closed form and the DPP loop do the recording's arithmetic in
+    # the recording's order, so those traces are bitwise equal.  The QP
+    # oracle is now an affine map and dual subgradient runs as DPP at
+    # V = 1/c, which moves the last bits.
+    exact = b.kind == "num" and case["variant"] != "dual_subgradient"
+    for name in GOLDEN_COLUMNS:
+        new = np.array([getattr(s, name) for s in tr.samples], dtype=float)
+        old = np.array(case[name], dtype=float)
+        if exact:
+            assert np.array_equal(new, old), name
+        else:
+            scale = max(1.0, np.abs(old).max())
+            assert np.abs(new - old).max() <= 1e-12 * scale, name
+    if exact:
+        assert tr.max_drift_residual == case["max_drift_residual"]
+    else:
+        # a rounding-level residual of terms of size ||Q||^2 / 2
+        scale = 1.0 + 0.5 * max(case["qnorm"]) ** 2
+        assert abs(tr.max_drift_residual - case["max_drift_residual"]) <= 1e-12 * scale
+
+
+class CountingOracle:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def argmin(self, q, V):
+        self.calls += 1
+        return self.inner.argmin(q, V)
+
+
+def test_shifted_run_makes_one_oracle_call_per_iteration():
+    b = builtin("qp_6_2")
+    iters = 101
+    cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=iters,
+                       variant="dpp_shifted", sampling="linear", stride=1)
+    traces = []
+    for inner in (b.oracle, ProjectedGradientOracle(b.program, tol=1e-12)):
+        oracle = CountingOracle(inner)
+        traces.append(run(b.program, oracle, cfg, reference=b.reference))
+        assert oracle.calls == 1 + iters + 1  # x(lambda*), then x(0..iters)
+    closed, generic = traces
+    for a, c in zip(closed.samples, generic.samples):
+        assert np.abs(a.xbar - c.xbar).max() <= 1e-8
+        assert np.abs(a.queue - c.queue).max() <= 1e-8
