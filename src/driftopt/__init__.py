@@ -3,19 +3,16 @@ subgradient methods, with dual-function analysis, ground-truth KKT solves,
 and convergence-rate diagnostics."""
 
 from .core import (DimensionError, IterateTrace, ProgramSpec, QueueState,
-                   TraceSample, drift_identity_residual, lyapunov,
-                   queue_update, sample_indices)
+                   sample_indices)
 from .oracles import (ClosedFormNumOracle, ClosedFormQpOracle, InnerSolveError,
                       NumInstance, ProjectedGradientOracle, QpInstance,
-                      log_utility_box_argmin, projected_gradient_inner,
                       quadratic_argmin)
-from .solver import SolverConfig, VARIANTS, choose_V, run, shifted_average_window
+from .solver import SolverConfig, VARIANTS, choose_V, run
 from .reference import (InfeasibleError, KktSolution, kkt_solve_num,
                         kkt_solve_qp)
-from .dual_analysis import (DualReport, dual_report, dual_value_and_gradient,
-                            gamma_geq_Lc_check, general_dual_hessian,
-                            num_dual_hessian, qualification_check,
-                            smoothness_modulus, theta_bound, tq_tc_thresholds)
+from .dual_analysis import (dual_value_and_gradient, gamma_geq_Lc_check,
+                            general_dual_hessian, num_dual_hessian,
+                            qualification_check, theta_bound)
 from .diagnostics import (RateFit, audit_bounds, audit_passed, error_series,
                           fit_geometric, fit_power_decay)
 from .problems import (BUILTIN_TAGS, Constant, ProblemBundle, builtin,
@@ -25,16 +22,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_TAGS", "ClosedFormNumOracle", "ClosedFormQpOracle", "Constant",
-    "DimensionError", "DualReport", "InfeasibleError", "InnerSolveError",
-    "IterateTrace", "KktSolution", "NumInstance", "ProblemBundle",
-    "ProgramSpec", "ProjectedGradientOracle", "QpInstance", "QueueState",
-    "RateFit", "SolverConfig", "TraceSample", "VARIANTS", "audit_bounds",
-    "audit_passed", "builtin", "choose_V", "drift_identity_residual",
-    "dual_report", "dual_value_and_gradient", "error_series", "fit_geometric",
+    "DimensionError", "InfeasibleError", "InnerSolveError", "IterateTrace",
+    "KktSolution", "NumInstance", "ProblemBundle", "ProgramSpec",
+    "ProjectedGradientOracle", "QpInstance", "QueueState", "RateFit",
+    "SolverConfig", "VARIANTS", "audit_bounds", "audit_passed", "builtin",
+    "choose_V", "dual_value_and_gradient", "error_series", "fit_geometric",
     "fit_power_decay", "gamma_geq_Lc_check", "general_dual_hessian",
-    "kkt_solve_num", "kkt_solve_qp", "load_problem", "log_utility_box_argmin",
-    "lyapunov", "num_dual_hessian", "projected_gradient_inner",
-    "qualification_check", "quadratic_argmin", "queue_update", "run",
-    "sample_indices", "serialize", "shifted_average_window",
-    "smoothness_modulus", "theta_bound", "tq_tc_thresholds",
+    "kkt_solve_num", "kkt_solve_qp", "load_problem", "num_dual_hessian",
+    "qualification_check", "quadratic_argmin", "run", "sample_indices",
+    "serialize", "theta_bound",
 ]

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import IterateTrace, TraceSample
+from .core import IterateTrace
 from .diagnostics import audit_bounds, audit_passed, fit_geometric, fit_power_decay
 from .oracles import InnerSolveError
 from .problems import BUILTIN_TAGS, ProblemBundle, builtin, load_problem
@@ -80,21 +80,20 @@ def _parse_sampling(text: str) -> tuple[str, int]:
 
 def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> None:
     m = bundle.program.m
-    has_ref = bundle.reference is not None
     header = ["t", "f_avg", "f_err"] + [f"g_{k + 1}" for k in range(m)] + ["qnorm"]
-    if has_ref:
+    if bundle.reference is None:
+        f_err, dual = [None] * len(trace), []
+    else:
+        f_err = np.abs(trace.f_xbar - bundle.reference.f_star).tolist()
         header += ["lambda_dist", "dual_gap"]
+        dual = [trace.lambda_dist.tolist(), trace.dual_gap.tolist()]
+    columns = [trace.f_xbar.tolist(), f_err, *trace.g_xbar.T.tolist(),
+               trace.qnorm.tolist(), *dual]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for s in trace.samples:
-            f_err = abs(s.f_xbar - bundle.reference.f_star) if has_ref else None
-            row = [str(s.t), _fmt(s.f_xbar), _fmt(f_err)]
-            row += [_fmt(v) for v in s.g_xbar]
-            row.append(_fmt(s.qnorm))
-            if has_ref:
-                row += [_fmt(s.lambda_dist), _fmt(s.dual_gap)]
-            writer.writerow(row)
+        for t, *values in zip(trace.t.tolist(), *columns):
+            writer.writerow([str(t)] + [_fmt(v) for v in values])
 
 
 def _summary_path(out: Path) -> Path:
@@ -129,7 +128,6 @@ def cmd_solve(args) -> int:
         return EXIT_NUMERICAL
 
     _write_csv(out, trace, bundle)
-    last = trace.samples[-1]
     summary = {
         "problem": bundle.tag,
         "algorithm": args.algorithm,
@@ -140,14 +138,16 @@ def cmd_solve(args) -> int:
         "samples": len(trace),
         "max_drift_residual": trace.max_drift_residual,
         "final": {
-            "t": int(last.t),
-            "f_avg": last.f_xbar,
-            "f_err": (abs(last.f_xbar - bundle.reference.f_star)
+            "t": int(trace.t[-1]),
+            "f_avg": float(trace.f_xbar[-1]),
+            "f_err": (abs(float(trace.f_xbar[-1]) - bundle.reference.f_star)
                       if bundle.reference is not None else None),
-            "max_violation": float(np.maximum(last.g_xbar, 0.0).max()),
-            "qnorm": last.qnorm,
-            "lambda_dist": last.lambda_dist,
-            "dual_gap": last.dual_gap,
+            "max_violation": float(np.maximum(trace.g_xbar[-1], 0.0).max()),
+            "qnorm": float(trace.qnorm[-1]),
+            "lambda_dist": (float(trace.lambda_dist[-1])
+                            if trace.lambda_dist is not None else None),
+            "dual_gap": (float(trace.dual_gap[-1])
+                         if trace.dual_gap is not None else None),
         },
     }
     with open(_summary_path(out), "w") as fh:
@@ -226,36 +226,38 @@ def cmd_audit(args) -> int:
         header, cols = _read_trace_csv(path)
         with open(summary_path) as fh:
             summary = json.load(fh)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        problem, V, iters = summary["problem"], float(summary["V"]), int(summary["iters"])
+        q0 = np.array(summary["q0"], dtype=float)
+    except KeyError as exc:
+        print(f"error: the summary lacks the field {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (OSError, ValueError, TypeError) as exc:
         print(f"error: cannot read trace/summary: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if problem != bundle.tag:
+        print(f"error: the summary is for problem {problem!r}, not {bundle.tag!r}",
+              file=sys.stderr)
         return EXIT_USAGE
     if bundle.reference is None:
         print("error: no ground-truth solution for this problem", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    m = bundle.program.m
-    gcols = [f"g_{k + 1}" for k in range(m)]
+    gcols = [f"g_{k + 1}" for k in range(bundle.program.m)]
     needed = ["t", "f_avg", "qnorm"] + gcols
     if any(cols.get(name) is None for name in needed):
         print("error: trace CSV lacks required columns", file=sys.stderr)
         return EXIT_USAGE
 
-    # Rebuild a trace carrying the columns the audits read.
-    trace = IterateTrace(V=float(summary["V"]), variant="dpp",
-                         iters=int(summary["iters"]))
-    n = bundle.program.n
     have_dual = cols.get("lambda_dist") is not None and cols.get("dual_gap") is not None
-    for i, t in enumerate(cols["t"]):
-        trace.append(TraceSample(
-            t=int(t), x=np.zeros(n), xbar=np.zeros(n), queue=np.zeros(m),
-            f_xbar=float(cols["f_avg"][i]),
-            g_xbar=np.array([cols[name][i] for name in gcols]),
-            qnorm=float(cols["qnorm"][i]),
-            lambda_dist=float(cols["lambda_dist"][i]) if have_dual else None,
-            dual_gap=float(cols["dual_gap"][i]) if have_dual else None))
+    trace = IterateTrace(
+        t=cols["t"].astype(int), f_xbar=cols["f_avg"],
+        g_xbar=np.stack([cols[name] for name in gcols], axis=1),
+        qnorm=cols["qnorm"],
+        lambda_dist=cols["lambda_dist"] if have_dual else None,
+        dual_gap=cols["dual_gap"] if have_dual else None,
+        V=V, iters=iters)
 
-    config = SolverConfig(V=trace.V, q0=np.array(summary["q0"], dtype=float),
-                          iters=max(trace.iters, 1))
+    config = SolverConfig(V=V, q0=q0, iters=max(iters, 1))
     gamma = args.gamma if args.gamma is not None else bundle.constant("gamma")
     report = audit_bounds(trace, bundle.reference, bundle.program, config,
                           gamma=gamma, oracle=bundle.oracle)

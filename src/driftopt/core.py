@@ -1,4 +1,4 @@
-"""Shared domain types: programs, virtual queues, Lyapunov quantities, traces.
+"""Shared domain types: programs, virtual queues and sampled traces.
 
 All types are immutable value objects built on numpy arrays; operations are
 pure functions, so everything here is safe to share between threads.
@@ -6,8 +6,8 @@ pure functions, so everything here is safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -77,95 +77,52 @@ class ProgramSpec:
 
 @dataclass(frozen=True)
 class QueueState:
-    """Nonnegative virtual queue vector, one entry per inequality constraint."""
+    """Finite, nonnegative virtual queue vector, one entry per constraint."""
 
     q: np.ndarray
 
     def __post_init__(self):
         arr = _as_vector(self.q, name="queue")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("queue entries must be finite")
         if np.any(arr < 0):
             raise ValueError("queue entries must be nonnegative")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "q", arr)
 
-    @property
-    def m(self) -> int:
-        return self.q.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.q))
-
-
-def queue_update(q: QueueState, gvals) -> QueueState:
-    """Advance the virtual queues: max(q_k + g_k, 0) componentwise."""
-    g = _as_vector(gvals, q.m, "constraint values")
-    return QueueState(np.maximum(q.q + g, 0.0))
-
-
-def lyapunov(q: QueueState) -> float:
-    """Quadratic Lyapunov value: half the squared queue norm."""
-    return 0.5 * float(q.q @ q.q)
-
-
-def drift_identity_residual(q: QueueState, q_next: QueueState, gvals) -> float:
-    """Residual of the exact drift identity.
-
-    The one-step Lyapunov drift equals q_next . g - ||q_next - q||^2 / 2
-    whenever q_next is the queue update of q under g; the returned value is
-    the absolute mismatch between the two sides and should sit at floating
-    point rounding level (<= 1e-9 * (1 + L(q))).
-    """
-    g = _as_vector(gvals, q.m, "constraint values")
-    if q_next.m != q.m:
-        raise DimensionError("queue states have different lengths")
-    delta = lyapunov(q_next) - lyapunov(q)
-    diff = q_next.q - q.q
-    rhs = float(q_next.q @ g) - 0.5 * float(diff @ diff)
-    return abs(delta - rhs)
-
-
-@dataclass
-class TraceSample:
-    """One recorded point of a solver run (iteration index t >= 1)."""
-
-    t: int
-    x: np.ndarray
-    xbar: np.ndarray
-    queue: np.ndarray
-    f_xbar: float
-    g_xbar: np.ndarray
-    qnorm: float
-    lambda_dist: float | None = None
-    dual_gap: float | None = None
-
 
 @dataclass
 class IterateTrace:
-    """Sampled history of a solver run plus run-level summary quantities."""
+    """Sampled history of a solver run, one row per sampled iteration t >= 1,
+    plus run-level summary quantities.
 
-    samples: list[TraceSample] = field(default_factory=list)
+    ``g_xbar`` and ``queue`` are S x m, ``x`` and ``xbar`` S x n.  The dual
+    columns are None without a reference solution; ``x``, ``xbar`` and
+    ``queue`` are None for a trace read back from its CSV.
+    """
+
+    t: np.ndarray
+    f_xbar: np.ndarray
+    g_xbar: np.ndarray
+    qnorm: np.ndarray
+    lambda_dist: np.ndarray | None = None
+    dual_gap: np.ndarray | None = None
+    x: np.ndarray | None = None
+    xbar: np.ndarray | None = None
+    queue: np.ndarray | None = None
     V: float = 1.0
     variant: str = "dpp"
     max_drift_residual: float = 0.0
     iters: int = 0
 
-    def append(self, sample: TraceSample) -> None:
-        if self.samples and sample.t <= self.samples[-1].t:
+    def __post_init__(self):
+        self.t = np.asarray(self.t, dtype=int)
+        if np.any(np.diff(self.t) <= 0):
             raise ValueError("trace iteration indices must be strictly increasing")
-        if np.any(sample.queue < 0):
-            raise ValueError("trace queue must be nonnegative")
-        self.samples.append(sample)
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def ts(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples], dtype=int)
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(s, name) for s in self.samples])
+        return len(self.t)
 
 
 def sample_indices(iters: int, mode: str = "log", stride: int = 1,

@@ -47,11 +47,9 @@ def error_series(trace: IterateTrace, reference: KktSolution):
     """
     if len(trace) == 0:
         raise ValueError("trace is empty")
-    ts = trace.ts
-    obj_err = np.abs(trace.column("f_xbar") - reference.f_star)
-    gvals = np.stack([s.g_xbar for s in trace.samples])
-    violation = np.maximum(gvals, 0.0).max(axis=1)
-    return ts, obj_err, violation
+    obj_err = np.abs(trace.f_xbar - reference.f_star)
+    violation = np.maximum(trace.g_xbar, 0.0).max(axis=1)
+    return trace.t, obj_err, violation
 
 
 def _tail_window(ts: np.ndarray, window_fraction: float,
@@ -151,7 +149,7 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
     if len(trace) == 0:
         raise ValueError("trace is empty")
     V = trace.V
-    ts = trace.ts.astype(float)
+    ts = trace.t.astype(float)
     q0_norm2 = float(np.sum(np.asarray(config.q0, dtype=float) ** 2))
     lam_star = np.asarray(reference.lambda_star, dtype=float)
     lam_star_norm = float(np.linalg.norm(lam_star))
@@ -159,28 +157,24 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
     report: list[dict] = []
 
     # Objective bound (exact non-violation when the queue starts at zero).
-    f_xbar = trace.column("f_xbar")
     rhs = reference.f_star + q0_norm2 / (2.0 * V * ts)
-    margins = f_xbar - rhs
+    margins = trace.f_xbar - rhs
     worst = float(margins.max())
     tol = 1e-9 if q0_norm2 == 0 else 1e-9 * (1.0 + np.abs(rhs).max())
     report.append(_entry("objective_bound", True, worst <= tol, worst))
 
     # Constraint-violation bound, every component.
-    gvals = np.stack([s.g_xbar for s in trace.samples])
-    margins = gvals - (bound_B / ts)[:, None]
+    margins = trace.g_xbar - (bound_B / ts)[:, None]
     worst = float(margins.max())
     report.append(_entry("constraint_bound", True,
                          worst <= 1e-9 * (1.0 + bound_B), worst))
 
     # Queue-norm bound.
-    qnorm = trace.column("qnorm")
-    worst = float((qnorm - bound_B).max())
+    worst = float((trace.qnorm - bound_B).max())
     report.append(_entry("queue_bound", True,
                          worst <= 1e-9 * (1.0 + bound_B), worst))
 
-    dual_ok = (trace.samples[0].lambda_dist is not None
-               and trace.samples[0].dual_gap is not None)
+    dual_ok = trace.lambda_dist is not None and trace.dual_gap is not None
 
     # Dual-gap bound q(lam*) - q(lam(t)) <= theta / t.
     applicable = (gamma is not None and V >= gamma and dual_ok
@@ -191,8 +185,7 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
         x_at_star = oracle.argmin(lam_star, 1.0)
         q_at_star = program.f(x_at_star) + float(lam_star @ program.g(x_at_star))
         theta = theta_bound(V, gamma, lam0, lam_star, q_at_lam0, q_at_star)
-        gaps = trace.column("dual_gap").astype(float)
-        worst = float((gaps - theta / ts).max())
+        worst = float((trace.dual_gap - theta / ts).max())
         report.append(_entry("dual_gap_bound", True,
                              worst <= 1e-9 * (1.0 + theta), worst))
     else:
@@ -200,8 +193,7 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
 
     # Monotone multiplier distance (per consecutive sample).
     if gamma is not None and V >= gamma and dual_ok:
-        dist = trace.column("lambda_dist").astype(float)
-        steps = np.diff(dist)
+        steps = np.diff(trace.lambda_dist)
         worst = float(steps.max()) if len(steps) else 0.0
         report.append(_entry("multiplier_distance_monotone", True,
                              worst <= 1e-9, worst))
@@ -210,9 +202,10 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
 
     # Monotone dual value.
     if gamma is not None and V >= gamma / 2.0 and dual_ok:
-        q_vals = -trace.column("dual_gap").astype(float)  # q(lam(t)) up to a constant
-        steps = np.diff(q_vals)
-        worst = float((-steps).max()) if len(steps) else 0.0
+        # q(lam(t)) = q(lam*) - dual_gap: a nondecreasing dual value is a
+        # nonincreasing gap
+        steps = np.diff(trace.dual_gap)
+        worst = float(steps.max()) if len(steps) else 0.0
         report.append(_entry("dual_value_monotone", True,
                              worst <= 1e-9, worst))
     else:

@@ -8,29 +8,10 @@ a pure function of immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .core import ProgramSpec, _as_vector
 from .oracles import NumInstance
-
-
-@dataclass
-class DualReport:
-    """Snapshot of the dual function at one multiplier.
-
-    ``hessian``/``Lc_estimate`` are filled only when second-order data is
-    available; ``qualification`` carries the rank-condition booleans.
-    """
-
-    lam: np.ndarray
-    q_value: float
-    gradient: np.ndarray
-    hessian: np.ndarray | None = None
-    gamma: float | None = None
-    Lc_estimate: float | None = None
-    qualification: dict = field(default_factory=dict)
 
 
 def dual_value_and_gradient(program: ProgramSpec, oracle, lam) -> tuple[float, np.ndarray]:
@@ -46,17 +27,6 @@ def dual_value_and_gradient(program: ProgramSpec, oracle, lam) -> tuple[float, n
     x = oracle.argmin(lam, 1.0)
     gvals = program.g(x)
     return program.f(x) + float(lam @ gvals), gvals
-
-
-def smoothness_modulus(sigma_F: float, c_h: float) -> float:
-    """Lipschitz modulus of grad q: c_h^2 / sigma_F.
-
-    ``sigma_F`` is the strong-convexity modulus of the inner objective and
-    ``c_h`` a Frobenius-type bound on the constraint Jacobian.
-    """
-    if sigma_F <= 0 or c_h <= 0:
-        raise ValueError("sigma_F and c_h must be positive")
-    return c_h ** 2 / sigma_F
 
 
 def num_dual_hessian(inst: NumInstance, lam) -> np.ndarray:
@@ -142,63 +112,9 @@ def theta_bound(V: float, gamma: float, lambda0, lambda_star,
     return max(4.0 * V ** 2 * dist2 / (2.0 * V - gamma), q_at_star - q_at_lambda0)
 
 
-def tq_tc_thresholds(V: float, gamma: float, lambda0_dist: float,
-                     dual_gap0: float, Dq: float, Lq: float,
-                     Dc: float, Lc: float) -> tuple[float, float]:
-    """Iteration thresholds after which the local regimes kick in.
-
-    Tq = max(4 V^2 d / ((2V - gamma) Lq Dq^2), gap0 / (Lq Dq^2)) for the
-    locally quadratic regime; Tc = max(8 V^2 d / ((2V - gamma) Lc Dc^2),
-    2 gap0 / (Lc Dc^2)) for the locally strongly concave regime, with
-    d = ||lam(0) - lam*||.  Constants Dq, Lq, Dc, Lc are supplied by the
-    caller (they are existential, not computed here).
-    """
-    if min(Dq, Lq, Dc, Lc) <= 0:
-        raise ValueError("Dq, Lq, Dc, Lc must be positive")
-    if V < gamma:
-        raise ValueError("thresholds require V >= gamma")
-    if lambda0_dist < 0 or dual_gap0 < 0:
-        raise ValueError("distance and gap must be nonnegative")
-    tq = max(4.0 * V ** 2 * lambda0_dist / ((2.0 * V - gamma) * Lq * Dq ** 2),
-             dual_gap0 / (Lq * Dq ** 2))
-    tc = max(8.0 * V ** 2 * lambda0_dist / ((2.0 * V - gamma) * Lc * Dc ** 2),
-             2.0 * dual_gap0 / (Lc * Dc ** 2))
-    return tq, tc
-
-
 def gamma_geq_Lc_check(gamma: float, Lc: float) -> bool:
     """Consistency check: the smoothness modulus dominates the local
     strong-concavity modulus (gamma >= Lc up to rounding)."""
     if gamma <= 0 or Lc <= 0:
         raise ValueError("gamma and Lc must be positive")
     return gamma >= Lc - 1e-12
-
-
-def dual_report(program: ProgramSpec, oracle, lam, *,
-                hessian: np.ndarray | None = None,
-                gamma: float | None = None,
-                A_full: np.ndarray | None = None,
-                active_rows=None) -> DualReport:
-    """Assemble a DualReport at one multiplier.
-
-    ``hessian`` and ``gamma`` are attached verbatim when given; the local
-    strong-concavity estimate is the smallest-magnitude eigenvalue of the
-    (negated) Hessian when it is negative definite.
-    """
-    q_value, gradient = dual_value_and_gradient(program, oracle, lam)
-    Lc = None
-    if hessian is not None:
-        hessian = np.asarray(hessian, dtype=float)
-        if np.abs(hessian - hessian.T).max() > 1e-10:
-            raise ValueError("dual Hessian must be symmetric")
-        eig = np.linalg.eigvalsh(hessian)
-        if eig.max() > 1e-8:
-            raise ValueError("dual Hessian must be negative semidefinite")
-        if eig.max() < 0:
-            Lc = float(-eig.max())  # smallest-magnitude curvature
-    qual = {}
-    if A_full is not None and active_rows is not None:
-        qual = qualification_check(A_full, active_rows)
-    return DualReport(lam=np.asarray(lam, dtype=float), q_value=q_value,
-                      gradient=gradient, hessian=hessian, gamma=gamma,
-                      Lc_estimate=Lc, qualification=qual)

@@ -34,11 +34,14 @@ def _constraint_matrix(A) -> np.ndarray:
 
 
 def _set_finite_readonly(inst, **fields: np.ndarray) -> None:
-    """Store each field on the frozen instance as a read-only array."""
+    """Store a read-only copy of each field on the frozen instance.
+
+    The copy keeps the caller's own arrays writeable.
+    """
     for name, val in fields.items():
         if not np.all(np.isfinite(val)):
             raise ValueError(f"{name} must be finite (found NaN or inf)")
-        val = np.ascontiguousarray(val)
+        val = np.array(val, order="C")
         val.flags.writeable = False
         object.__setattr__(inst, name, val)
 
@@ -124,11 +127,6 @@ class QpInstance:
         return float(np.linalg.eigvalsh(2.0 * self.P).min())
 
 
-def log_utility_box_argmin(inst: NumInstance, q: np.ndarray, V: float) -> np.ndarray:
-    """Closed-form inner minimizer (see :class:`ClosedFormNumOracle`)."""
-    return ClosedFormNumOracle(inst).argmin(q, V)
-
-
 def quadratic_argmin(inst: QpInstance, q: np.ndarray, V: float) -> np.ndarray:
     """Inner minimizer for the QP on X = R^n: solve 2V P x = -(V c + A'q)."""
     if V <= 0:
@@ -142,72 +140,6 @@ def quadratic_argmin(inst: QpInstance, q: np.ndarray, V: float) -> np.ndarray:
     if residual > 1e-9 * (1.0 + np.linalg.norm(q)):
         raise InnerSolveError("inner quadratic solve residual too large", best_x=x)
     return x
-
-
-def projected_gradient_inner(program: ProgramSpec, q: np.ndarray, V: float,
-                             tol: float = 1e-8, max_inner: int = 200_000) -> np.ndarray:
-    """Generic fallback oracle: projected gradient with Barzilai-Borwein steps.
-
-    Minimizes phi(x) = V f(x) + q . g(x) over the box.  Requires analytic
-    derivatives on the program; terminates when the gradient-map norm
-    ||x - P(x - s grad)|| / s with reference step s drops below ``tol``.
-    """
-    if V <= 0:
-        raise ValueError("V must be positive")
-    if program.objective_grad is None or program.constraints_jac is None:
-        raise InnerSolveError("generic oracle needs objective_grad and constraints_jac")
-    q = np.asarray(q, dtype=float)
-
-    def phi(x):
-        return V * program.f(x) + float(q @ program.g(x))
-
-    def grad(x):
-        return V * program.objective_grad(x) + program.constraints_jac(x).T @ q
-
-    lo, hi = program.lower, program.upper
-    finite_lo = np.where(np.isfinite(lo), lo, -1.0)
-    finite_hi = np.where(np.isfinite(hi), hi, 1.0)
-    x = np.clip(0.5 * (finite_lo + finite_hi), lo, hi)
-    # Reference step from a local curvature probe along the gradient.
-    gx = grad(x)
-    h = 1e-6 * (1.0 + np.linalg.norm(x))
-    direction = gx / max(np.linalg.norm(gx), 1e-30)
-    curv = np.linalg.norm(grad(np.clip(x + h * direction, lo, hi)) - gx) / h
-    L_ref = max(curv, V * program.alpha, 1e-12)
-    s_ref = 1.0 / L_ref
-
-    fx = phi(x)
-    step = s_ref
-    best_x, best_gap = x, np.inf
-    for _ in range(max_inner):
-        gap = np.linalg.norm(x - np.clip(x - s_ref * gx, lo, hi)) / s_ref
-        if gap < best_gap:
-            best_x, best_gap = x, gap
-        if gap <= tol:
-            return x
-        # Backtrack from the BB step until the prox-descent condition holds.
-        s = step
-        for _ in range(200):
-            x_new = np.clip(x - s * gx, lo, hi)
-            dx = x_new - x
-            f_new = phi(x_new)
-            # The 1e-14 relative slack keeps rounding noise in phi from
-            # rejecting genuine descent steps near the optimum.
-            slack = 1e-14 * (1.0 + abs(fx))
-            if np.isfinite(f_new) and f_new <= fx + float(gx @ dx) + 0.5 / s * float(dx @ dx) + slack:
-                break
-            s *= 0.5
-        else:
-            raise InnerSolveError("line search failed in generic inner oracle", best_x=best_x)
-        g_new = grad(x_new)
-        dx, dg = x_new - x, g_new - gx
-        denom = float(dx @ dg)
-        step = float(dx @ dx) / denom if denom > 0 else s_ref
-        step = min(max(step, 1e-3 * s_ref), 1e6 * s_ref)
-        x, gx, fx = x_new, g_new, f_new
-    raise InnerSolveError(
-        f"generic inner oracle did not reach tol={tol} within {max_inner} steps",
-        best_x=best_x)
 
 
 class ClosedFormNumOracle:
@@ -267,7 +199,13 @@ class ClosedFormQpOracle:
 
 
 class ProjectedGradientOracle:
-    """Inner oracle running projected gradient on an arbitrary box program."""
+    """Generic inner oracle: projected gradient with Barzilai-Borwein steps.
+
+    Minimizes phi(x) = V f(x) + q . g(x) over the box of an arbitrary
+    program.  Requires analytic derivatives on the program; terminates when
+    the gradient-map norm ||x - P(x - s grad)|| / s with reference step s
+    drops below ``tol``.
+    """
 
     tag = "projected-gradient-generic"
 
@@ -278,5 +216,62 @@ class ProjectedGradientOracle:
         self.max_inner = max_inner
 
     def argmin(self, q: np.ndarray, V: float) -> np.ndarray:
-        return projected_gradient_inner(self.program, q, V,
-                                        tol=self.tol, max_inner=self.max_inner)
+        program, tol = self.program, self.tol
+        if V <= 0:
+            raise ValueError("V must be positive")
+        if program.objective_grad is None or program.constraints_jac is None:
+            raise InnerSolveError("generic oracle needs objective_grad and constraints_jac")
+        q = np.asarray(q, dtype=float)
+
+        def phi(x):
+            return V * program.f(x) + float(q @ program.g(x))
+
+        def grad(x):
+            return V * program.objective_grad(x) + program.constraints_jac(x).T @ q
+
+        lo, hi = program.lower, program.upper
+        finite_lo = np.where(np.isfinite(lo), lo, -1.0)
+        finite_hi = np.where(np.isfinite(hi), hi, 1.0)
+        x = np.clip(0.5 * (finite_lo + finite_hi), lo, hi)
+        # Reference step from a local curvature probe along the gradient.
+        gx = grad(x)
+        h = 1e-6 * (1.0 + np.linalg.norm(x))
+        direction = gx / max(np.linalg.norm(gx), 1e-30)
+        curv = np.linalg.norm(grad(np.clip(x + h * direction, lo, hi)) - gx) / h
+        L_ref = max(curv, V * program.alpha, 1e-12)
+        s_ref = 1.0 / L_ref
+
+        fx = phi(x)
+        step = s_ref
+        best_x, best_gap = x, np.inf
+        for _ in range(self.max_inner):
+            gap = np.linalg.norm(x - np.clip(x - s_ref * gx, lo, hi)) / s_ref
+            if gap < best_gap:
+                best_x, best_gap = x, gap
+            if gap <= tol:
+                return x
+            # Backtrack from the BB step until the prox-descent condition holds.
+            s = step
+            for _ in range(200):
+                x_new = np.clip(x - s * gx, lo, hi)
+                dx = x_new - x
+                f_new = phi(x_new)
+                # The 1e-14 relative slack keeps rounding noise in phi from
+                # rejecting genuine descent steps near the optimum.
+                slack = 1e-14 * (1.0 + abs(fx))
+                bound = fx + float(gx @ dx) + 0.5 / s * float(dx @ dx) + slack
+                if np.isfinite(f_new) and f_new <= bound:
+                    break
+                s *= 0.5
+            else:
+                raise InnerSolveError("line search failed in generic inner oracle",
+                                      best_x=best_x)
+            g_new = grad(x_new)
+            dx, dg = x_new - x, g_new - gx
+            denom = float(dx @ dg)
+            step = float(dx @ dx) / denom if denom > 0 else s_ref
+            step = min(max(step, 1e-3 * s_ref), 1e6 * s_ref)
+            x, gx, fx = x_new, g_new, f_new
+        raise InnerSolveError(
+            f"generic inner oracle did not reach tol={tol} within {self.max_inner} steps",
+            best_x=best_x)

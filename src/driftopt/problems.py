@@ -80,6 +80,11 @@ def _qp_program(inst: QpInstance, alpha: float, beta: float) -> ProgramSpec:
         constraints_jac=lambda x: A)
 
 
+def _gamma(A: np.ndarray, alpha: float) -> float:
+    """Dual smoothness modulus ||A||_F^2 / alpha."""
+    return float(np.sum(A ** 2)) / alpha
+
+
 def _reference_for(kind: str, inst) -> tuple[KktSolution | None, str | None]:
     if inst.m > 20:
         return None, "too many constraints for the enumeration oracle"
@@ -133,8 +138,7 @@ def builtin(tag: str) -> ProblemBundle:
             Constant("alpha_computed", min(inst.c / inst.xmax ** 2), "computed"),
             Constant("beta", beta, "computed"),
             Constant("gamma", gamma, "paper"),
-            Constant("gamma_computed",
-                     float(np.sum(inst.A ** 2)) / alpha, "computed"),
+            Constant("gamma_computed", _gamma(inst.A, alpha), "computed"),
             Constant("V_standard", 363.0, "paper"),
             Constant("V_shifted", 422.0, "paper"),
         )
@@ -151,7 +155,7 @@ def builtin(tag: str) -> ProblemBundle:
             Constant("alpha_computed", inst.alpha, "computed"),
             Constant("beta", beta, "computed"),
             Constant("gamma", gamma, "paper"),
-            Constant("gamma_computed", float(np.sum(inst.A ** 2)) / alpha, "computed"),
+            Constant("gamma_computed", _gamma(inst.A, alpha), "computed"),
             Constant("V_standard", 4.0 / 0.34, "paper"),
         )
         kind = "qp"
@@ -163,13 +167,13 @@ def builtin(tag: str) -> ProblemBundle:
                            b=[3.0, 7.0, 2.0, 8.0], xmax=[10.0, 10.0, 10.0, 10.0])
         alpha = float(min(inst.c / inst.xmax ** 2))
         beta = float(np.sqrt(2.0))
+        gamma = _gamma(inst.A, alpha)
         constants = (
             Constant("alpha", alpha, "computed"),
             Constant("beta", beta, "computed"),
-            Constant("gamma", float(np.sum(inst.A ** 2)) / alpha, "computed"),
+            Constant("gamma", gamma, "computed"),
         )
         kind = "num"
-        gamma = constants[2].value
         program = _num_program(inst, alpha, beta)
     else:
         raise ValueError(f"unknown builtin tag {tag!r}; choose from {BUILTIN_TAGS}")
@@ -238,8 +242,7 @@ def load_problem(path) -> ProblemBundle:
                           "paper" if "alpha" in doc else "computed"),
                  Constant("beta", beta,
                           "paper" if "beta" in doc else "computed"),
-                 Constant("gamma", float(np.sum(inst.A ** 2)) / alpha,
-                          "computed"))
+                 Constant("gamma", _gamma(inst.A, alpha), "computed"))
     return ProblemBundle(tag=path.stem, kind=kind, program=program,
                          instance=inst, oracle=oracle, constants=constants,
                          reference=reference, reference_error=err)

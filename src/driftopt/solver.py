@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IterateTrace, ProgramSpec, TraceSample, sample_indices
+from .core import IterateTrace, ProgramSpec, QueueState, sample_indices
 from .oracles import InnerSolveError
 
 VARIANTS = ("dpp", "dpp_shifted", "dual_subgradient")
@@ -40,15 +40,16 @@ class SolverConfig:
     stride: int = 1
 
     def __post_init__(self):
-        if self.V <= 0:
-            raise ValueError("V must be positive")
+        if not (np.isfinite(self.V) and self.V > 0):
+            raise ValueError("V must be positive and finite")
+        if self.step_c is not None and not (np.isfinite(self.step_c)
+                                            and self.step_c > 0):
+            raise ValueError("step_c must be positive and finite")
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        self.q0 = np.atleast_1d(np.asarray(self.q0, dtype=float))
-        if np.any(self.q0 < 0):
-            raise ValueError("initial queue must be nonnegative")
+        self.q0 = QueueState(self.q0).q
 
     @property
     def c(self) -> float:
@@ -65,20 +66,6 @@ def choose_V(program: ProgramSpec, gamma: float | None = None) -> float:
     if gamma is None:
         return base
     return max(base, gamma)
-
-
-def shifted_average_window(t_plus_1: int):
-    """Averaging window of the shifted scheme at iteration t+1.
-
-    Even 2s -> the index range [s, 2s-1]; odd -> "hold" (keep the previous
-    average unchanged).
-    """
-    if t_plus_1 < 1:
-        raise ValueError("t_plus_1 must be >= 1")
-    if t_plus_1 % 2 == 1:
-        return "hold"
-    s = t_plus_1 // 2
-    return (s, 2 * s - 1)
 
 
 def run(program: ProgramSpec, oracle, config: SolverConfig,
@@ -105,44 +92,58 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
 
     V = 1.0 / config.c if config.variant == "dual_subgradient" else config.V
     shifted = config.variant == "dpp_shifted"
-    samples = set(sample_indices(config.iters, config.sampling, config.stride))
+    ts = sample_indices(config.iters, config.sampling, config.stride)
     # dpp_shifted: x-bar(t) = (S(2s) - S(s)) / s with s = t // 2 and
     # S(k) = sum_{tau<k} x(tau).  S(k) is kept from iteration k until the
     # last sample that reads it.
     last_read = {}
     if shifted:
-        for t in sorted(samples):
+        for t in ts:
             if t > 1:
                 last_read[t // 2] = last_read[t // 2 * 2] = t
     saved = {}
 
-    lam_star = None
-    q_star = None
+    # Row i of every column holds sample ts[i].
+    S, n, m = len(ts), program.n, program.m
+    f_xbar, qnorm = np.empty(S), np.empty(S)
+    g_xbar, queue = np.empty((S, m)), np.empty((S, m))
+    xs, xbars = np.empty((S, n)), np.empty((S, n))
+    lambda_dist = dual_gap = lam_star = None
     if reference is not None:
+        lambda_dist, dual_gap = np.empty(S), np.empty(S)
         lam_star = np.asarray(reference.lambda_star, dtype=float)
         x_at_star = oracle.argmin(lam_star, 1.0)
         q_star = program.f(x_at_star) + float(lam_star @ program.g(x_at_star))
 
+    def trace(rows: int) -> IterateTrace:
+        return IterateTrace(
+            t=ts[:rows], f_xbar=f_xbar[:rows], g_xbar=g_xbar[:rows],
+            qnorm=qnorm[:rows],
+            lambda_dist=None if lambda_dist is None else lambda_dist[:rows],
+            dual_gap=None if dual_gap is None else dual_gap[:rows],
+            x=xs[:rows], xbar=xbars[:rows], queue=queue[:rows],
+            V=config.V, variant=config.variant,
+            max_drift_residual=max_residual, iters=config.iters)
+
     argmin, constraints = oracle.argmin, program.constraints
     q = config.q0.copy()
     qq = float(q @ q)
-    sum_x = np.zeros(program.n)
+    sum_x = np.zeros(n)
     max_residual = 0.0
-    trace = IterateTrace(V=config.V, variant=config.variant, iters=config.iters)
+    i, next_t = 0, ts[0]
 
     for t in range(config.iters + 1):
         try:
             x = argmin(q, V)
         except InnerSolveError as exc:
-            trace.max_drift_residual = max_residual
-            exc.partial_trace = trace  # everything recorded through t-1
+            exc.partial_trace = trace(i)  # everything recorded through t-1
             raise
         # program.g checks the shape of g(x) once; later steps call it raw.
         g = constraints(x) if t else program.g(x)
         if t in last_read:
             saved[t] = sum_x.copy()
 
-        if t in samples:
+        if t == next_t:
             if shifted and t > 1:
                 s = t // 2
                 xbar = (saved[2 * s] - saved[s]) / s
@@ -151,15 +152,15 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
                         del saved[k]
             else:
                 xbar = sum_x / t
-            sample = TraceSample(
-                t=t, x=x.copy(), xbar=xbar, queue=q.copy(),
-                f_xbar=program.f(xbar), g_xbar=program.g(xbar),
-                qnorm=float(np.linalg.norm(q)))
+            xs[i], xbars[i], queue[i] = x, xbar, q
+            f_xbar[i], g_xbar[i] = program.f(xbar), program.g(xbar)
+            qnorm[i] = np.linalg.norm(q)
             if lam_star is not None:
                 lam_t = q / V
-                sample.lambda_dist = float(np.linalg.norm(lam_t - lam_star))
-                sample.dual_gap = q_star - (program.f(x) + float(lam_t @ g))
-            trace.append(sample)
+                lambda_dist[i] = np.linalg.norm(lam_t - lam_star)
+                dual_gap[i] = q_star - (program.f(x) + float(lam_t @ g))
+            i += 1
+            next_t = ts[i] if i < S else -1
         if t == config.iters:
             break
 
@@ -174,5 +175,4 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
             max_residual = residual
         sum_x += x
         q, qq = qn, qnqn
-    trace.max_drift_residual = max_residual
-    return trace
+    return trace(S)

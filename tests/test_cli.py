@@ -229,3 +229,85 @@ def test_audit_problem_file_without_gamma(tmp_path, capsys, tag):
     report = json.loads(stdout)
     assert len(report) == 6
     assert all(e["applicable"] and e["pass"] for e in report)
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--V", "nan"), ("--V", "inf"), ("--q0", "nan"),
+])
+def test_solve_rejects_non_finite_parameters(tmp_path, capsys, flag, value):
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "solve", "--builtin", "num_6_1",
+                           "--iters", "50", flag, value, "--out", str(out))
+    assert code == 2
+    assert "finite" in err
+    assert not out.exists()
+    assert not (tmp_path / "x.csv.summary.json").exists()
+
+
+def test_audit_rejects_summary_of_another_problem(tmp_path, capsys):
+    # same data under another tag: only the summary's problem field differs
+    from driftopt import builtin, serialize
+    path = tmp_path / "mine.json"
+    path.write_text(json.dumps(serialize(builtin("qp_6_2"))))
+    out = tmp_path / "mine.csv"
+    code, _, _ = run_cli(capsys, "solve", "--problem", str(path),
+                         "--iters", "200", "--out", str(out))
+    assert code == 0
+    code, _, err = run_cli(capsys, "audit", "--builtin", "qp_6_2",
+                           "--trace", str(out))
+    assert code == 2
+    assert "'mine'" in err and "'qp_6_2'" in err
+
+
+@pytest.mark.parametrize("summary,message", [
+    ({"V": 1.0, "iters": 200, "q0": [0.0, 0.0]}, "lacks the field 'problem'"),
+    ({"problem": "qp_6_2", "iters": 200, "q0": [0.0, 0.0]}, "lacks the field 'V'"),
+    ([1, 2], "cannot read"),
+])
+def test_audit_rejects_malformed_summary(tmp_path, capsys, summary, message):
+    out, _ = solve_qp(tmp_path, capsys, iters=200)
+    (out.parent / (out.name + ".summary.json")).write_text(json.dumps(summary))
+    code, _, err = run_cli(capsys, "audit", "--builtin", "qp_6_2",
+                           "--trace", str(out))
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("edit", ["swap", "repeat"])
+def test_audit_rejects_non_increasing_t(tmp_path, capsys, edit):
+    out, _ = solve_qp(tmp_path, capsys, iters=200)
+    lines = out.read_text().splitlines()
+    if edit == "swap":
+        lines[3], lines[4] = lines[4], lines[3]
+    else:
+        lines[4] = lines[3]
+    out.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, "audit", "--builtin", "qp_6_2",
+                           "--trace", str(out))
+    assert code == 2
+    assert "strictly increasing" in err
+
+
+def test_solve_writes_partial_trace_on_inner_failure(tmp_path, capsys, monkeypatch):
+    from driftopt import InnerSolveError, builtin, cli
+    bundle = builtin("qp_6_2")
+    inner, calls = bundle.oracle, []
+
+    class FailingOracle:
+        def argmin(self, q, V):
+            calls.append(V)
+            if len(calls) > 22:  # x(lambda*) and x(0..20) succeed
+                raise InnerSolveError("inner solve failed")
+            return inner.argmin(q, V)
+
+    bundle.oracle = FailingOracle()
+    monkeypatch.setattr(cli, "builtin", lambda tag: bundle)
+    out = tmp_path / "p.csv"
+    code, _, err = run_cli(capsys, "solve", "--builtin", "qp_6_2", "--iters", "50",
+                           "--sample", "linear", "--out", str(out))
+    assert code == 3
+    assert "inner solve failed" in err
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [int(r[0]) for r in rows[1:]] == list(range(1, 21))
+    assert not (tmp_path / "p.csv.summary.json").exists()

@@ -1,37 +1,30 @@
 import numpy as np
 import pytest
 
-from driftopt import (IterateTrace, SolverConfig, TraceSample, audit_bounds,
-                      audit_passed, builtin, error_series, fit_geometric,
-                      fit_power_decay, run)
+from driftopt import (IterateTrace, SolverConfig, audit_bounds, audit_passed,
+                      builtin, error_series, fit_geometric, fit_power_decay,
+                      run)
 
 QP_V = 4.0 / 0.34
 
 
 def synthetic_trace(ts, f_vals, g_vals, qnorms, V=1.0, lambda_dist=None,
                     dual_gap=None):
-    tr = IterateTrace(V=V, iters=int(ts[-1]))
-    for i, t in enumerate(ts):
-        tr.append(TraceSample(
-            t=int(t), x=np.zeros(1), xbar=np.zeros(1),
-            queue=np.array([qnorms[i]]), f_xbar=float(f_vals[i]),
-            g_xbar=np.atleast_1d(g_vals[i]), qnorm=float(qnorms[i]),
-            lambda_dist=None if lambda_dist is None else float(lambda_dist[i]),
-            dual_gap=None if dual_gap is None else float(dual_gap[i])))
-    return tr
+    return IterateTrace(
+        t=ts, f_xbar=np.asarray(f_vals, dtype=float),
+        g_xbar=np.array([np.atleast_1d(g) for g in g_vals], dtype=float),
+        qnorm=np.asarray(qnorms, dtype=float),
+        lambda_dist=None if lambda_dist is None else np.asarray(lambda_dist, dtype=float),
+        dual_gap=None if dual_gap is None else np.asarray(dual_gap, dtype=float),
+        V=V, iters=int(ts[-1]))
 
 
 def test_error_series_zero_at_optimum():
     b = builtin("qp_6_2")
     ts = np.arange(1, 20)
-    tr = IterateTrace(V=1.0, iters=19)
-    for t in ts:
-        tr.append(TraceSample(t=int(t), x=b.reference.x_star,
-                              xbar=b.reference.x_star,
-                              queue=np.zeros(2),
-                              f_xbar=b.reference.f_star,
-                              g_xbar=b.program.g(b.reference.x_star),
-                              qnorm=0.0))
+    tr = IterateTrace(t=ts, f_xbar=np.full(len(ts), b.reference.f_star),
+                      g_xbar=np.tile(b.program.g(b.reference.x_star), (len(ts), 1)),
+                      qnorm=np.zeros(len(ts)), iters=19)
     _, obj, viol = error_series(tr, b.reference)
     assert np.all(obj == 0)
     assert np.all(viol <= 1e-12)

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from driftopt import (NumInstance, builtin, dual_report,
-                      dual_value_and_gradient, gamma_geq_Lc_check,
-                      general_dual_hessian, num_dual_hessian,
-                      qualification_check, smoothness_modulus, theta_bound,
-                      tq_tc_thresholds)
+from driftopt import (NumInstance, builtin, dual_value_and_gradient,
+                      gamma_geq_Lc_check, general_dual_hessian,
+                      num_dual_hessian, qualification_check, theta_bound)
 
 
 def test_dual_value_at_zero_multiplier():
@@ -68,20 +66,11 @@ def test_gradient_matches_finite_differences():
         assert abs(grad[k] - fd) <= 1e-5 * (1 + abs(fd))
 
 
-def test_smoothness_modulus_values():
-    assert smoothness_modulus(1.0, 1.0) == 1.0
-    assert smoothness_modulus(0.34, np.sqrt(3.0)) == pytest.approx(3 / 0.34)
-    assert smoothness_modulus(2 / 121, np.sqrt(7.0)) == pytest.approx(423.5)
-    with pytest.raises(ValueError):
-        smoothness_modulus(0.0, 1.0)
-    with pytest.raises(ValueError):
-        smoothness_modulus(1.0, -1.0)
-
-
 def test_gradient_lipschitz_within_smoothness_modulus():
     rng = np.random.default_rng(23)
     b = builtin("qp_6_2")
-    gamma = smoothness_modulus(b.constant("alpha_computed"), np.sqrt(3.0))
+    # smoothness modulus c_h^2 / sigma_F with c_h^2 = ||A||_F^2 = 3
+    gamma = 3.0 / b.constant("alpha_computed")
     for _ in range(100):
         l1 = rng.uniform(0, 10, 2)
         l2 = rng.uniform(0, 10, 2)
@@ -197,24 +186,6 @@ def test_theta_bound_values():
         theta_bound(1.0, 2.0, [0.0], [1.0], 0.0, 1.0)
 
 
-def test_tq_tc_threshold_arithmetic():
-    # second branch equal to 1 when Lq Dq^2 matches the initial gap and the
-    # first branch is smaller
-    tq, _ = tq_tc_thresholds(V=10.0, gamma=1.0, lambda0_dist=1e-6,
-                             dual_gap0=2.0, Dq=1.0, Lq=2.0, Dc=1.0, Lc=4.0)
-    assert tq == pytest.approx(1.0)
-    # doubling Lq halves Tq
-    a, _ = tq_tc_thresholds(10.0, 1.0, 3.0, 2.0, 1.0, 1.0, 1.0, 2.0)
-    c, _ = tq_tc_thresholds(10.0, 1.0, 3.0, 2.0, 1.0, 2.0, 1.0, 2.0)
-    assert c == pytest.approx(a / 2)
-    # with Lc = 2 Lq and Dc = Dq the two thresholds coincide branchwise:
-    # 8/(2 Lq) = 4/Lq and 2/(2 Lq) = 1/Lq
-    tq, tc = tq_tc_thresholds(10.0, 1.0, 3.0, 2.0, 1.0, 1.0, 1.0, 2.0)
-    assert tc == pytest.approx(tq)
-    with pytest.raises(ValueError):
-        tq_tc_thresholds(10.0, 1.0, 3.0, 2.0, 0.0, 1.0, 1.0, 2.0)
-
-
 def test_gamma_geq_Lc_check():
     assert gamma_geq_Lc_check(9.0, 1.0) is True
     assert gamma_geq_Lc_check(1.0, 2.0) is False
@@ -222,18 +193,6 @@ def test_gamma_geq_Lc_check():
     H = general_dual_hessian(b.instance.A, 2.0 * b.instance.P, None,
                              b.reference.lambda_star)
     Lc = -np.linalg.eigvalsh(H).max()
-    assert gamma_geq_Lc_check(smoothness_modulus(0.34, np.sqrt(3.0)), Lc)
+    assert gamma_geq_Lc_check(3.0 / 0.34, Lc)
     with pytest.raises(ValueError):
         gamma_geq_Lc_check(0.0, 1.0)
-
-
-def test_dual_report_assembly():
-    b = builtin("num_6_1")
-    lam = b.reference.lambda_star
-    H = num_dual_hessian(b.instance, lam)
-    rep = dual_report(b.program, b.oracle, lam, hessian=H, gamma=422.0,
-                      A_full=b.instance.A, active_rows=b.reference.active_set)
-    assert rep.q_value == pytest.approx(b.reference.f_star, abs=1e-7)
-    assert rep.Lc_estimate is not None and rep.Lc_estimate > 0
-    assert rep.qualification["strongly_concave"] is True
-    assert gamma_geq_Lc_check(422.0, rep.Lc_estimate)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from driftopt import (ClosedFormQpOracle, InnerSolveError, NumInstance,
-                      ProjectedGradientOracle, QpInstance, builtin, log_utility_box_argmin, projected_gradient_inner,
+from driftopt import (ClosedFormNumOracle, ClosedFormQpOracle, InnerSolveError,
+                      NumInstance, ProjectedGradientOracle, QpInstance, builtin,
                       quadratic_argmin)
 
 QP_V = 4.0 / 0.34
@@ -24,6 +24,19 @@ def test_num_instance_validation():
         NumInstance(c=[1.0, 1.0], A=[[1.0, 0.0]], b=[5.0], xmax=[10.0, 10.0])
 
 
+def test_instance_copies_caller_arrays():
+    b = np.array([10.0, 8.0, 8.0])
+    inst = NumInstance(c=[1.0, 2.0, 3.0], A=[[1, 1, 1], [1, 1, 0], [0, 1, 1]],
+                       b=b, xmax=[11.0] * 3)
+    assert b.flags.writeable
+    assert not inst.b.flags.writeable
+    b[0] = 1.0
+    assert inst.b[0] == 10.0
+    P = np.eye(2)
+    qp = QpInstance(P=P, c=[0.0, 0.0], A=[[1.0, 0.0]], b=[1.0])
+    assert P.flags.writeable and not qp.P.flags.writeable
+
+
 def test_qp_instance_validation():
     with pytest.raises(ValueError):
         QpInstance(P=[[1.0, 0.5], [0.0, 1.0]], c=[0, 0], A=[[1, 0]], b=[1])
@@ -33,13 +46,13 @@ def test_qp_instance_validation():
 
 def test_log_utility_argmin_zero_queue_hits_caps():
     inst = builtin("num_6_1").instance
-    x = log_utility_box_argmin(inst, np.zeros(3), NUM_V)
+    x = ClosedFormNumOracle(inst).argmin(np.zeros(3), NUM_V)
     assert np.allclose(x, inst.xmax)
 
 
 def test_log_utility_argmin_scalar_closed_form():
     inst = NumInstance(c=[1.0], A=[[1.0]], b=[2.0], xmax=[5.0])
-    x = log_utility_box_argmin(inst, np.array([2.0]), 1.0)
+    x = ClosedFormNumOracle(inst).argmin(np.array([2.0]), 1.0)
     assert np.allclose(x, [0.5])
 
 
@@ -47,7 +60,7 @@ def test_log_utility_argmin_at_optimal_multiplier():
     # at q = V * lam_star the minimizer is the primal optimum
     b = builtin("num_5_2_rank_deficient")
     lam = np.array([0.3858, 0.0903, 0.7833, 0.0805])
-    x = log_utility_box_argmin(b.instance, NUM_V * lam, NUM_V)
+    x = ClosedFormNumOracle(b.instance).argmin(NUM_V * lam, NUM_V)
     assert abs(x[0] - 0.8553) < 1e-3
     assert np.allclose(x, [0.8553, 2.1447, 1.1447, 5.8553], atol=1e-3)
 
@@ -88,7 +101,7 @@ def test_oracle_rejects_nonpositive_V():
         b.oracle.argmin(np.zeros(2), 0.0)
     n = builtin("num_6_1")
     with pytest.raises(ValueError):
-        log_utility_box_argmin(n.instance, np.zeros(3), -1.0)
+        ClosedFormNumOracle(n.instance).argmin(np.zeros(3), -1.0)
 
 
 def test_oracle_optimality_certificate():
@@ -124,8 +137,7 @@ def test_strong_convexity_inequality_at_minimizer():
 
 def test_projected_gradient_matches_qp_closed_form():
     b = builtin("qp_6_2")
-    x = projected_gradient_inner(b.program, np.zeros(2), 1.0,
-                                 tol=1e-10)
+    x = ProjectedGradientOracle(b.program, tol=1e-10).argmin(np.zeros(2), 1.0)
     assert np.allclose(x, [-1.5, 0.5], atol=1e-8)
 
 
@@ -149,7 +161,7 @@ def test_projected_gradient_constant_constraints():
                     alpha=1.0, beta=1.0,
                     objective_grad=lambda x: x,
                     constraints_jac=lambda x: np.zeros((1, 3)))
-    x = projected_gradient_inner(p, np.array([7.0]), 1.0, tol=1e-10)
+    x = ProjectedGradientOracle(p, tol=1e-10).argmin(np.array([7.0]), 1.0)
     assert np.allclose(x, np.zeros(3), atol=1e-9)
 
 
@@ -160,4 +172,4 @@ def test_projected_gradient_needs_derivatives():
                     constraints=lambda x: np.array([x[0]]),
                     lower=[-1.0], upper=[1.0], alpha=2.0, beta=1.0)
     with pytest.raises(InnerSolveError):
-        projected_gradient_inner(p, np.zeros(1), 1.0)
+        ProjectedGradientOracle(p).argmin(np.zeros(1), 1.0)

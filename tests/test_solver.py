@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftopt import (ProjectedGradientOracle, QueueState, SolverConfig,
-                      builtin, choose_V, lyapunov, run, shifted_average_window)
+from driftopt import (InnerSolveError, ProjectedGradientOracle, SolverConfig,
+                      builtin, choose_V, run)
 
 QP_V = 4.0 / 0.34
 
@@ -30,6 +30,17 @@ def test_config_validation():
         SolverConfig(V=1.0, q0=np.zeros(1), iters=10, variant="bogus")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("V", np.nan), ("V", np.inf), ("step_c", np.nan), ("step_c", np.inf),
+    ("step_c", 0.0), ("q0", [1.0, np.nan]), ("q0", [np.inf, 0.0]),
+], ids=str)
+def test_config_rejects_bad_parameters(field, value):
+    kw = dict(V=1.0, q0=np.zeros(2), iters=10, variant="dual_subgradient")
+    kw[field] = value
+    with pytest.raises(ValueError):
+        SolverConfig(**kw)
+
+
 def test_config_default_step():
     cfg = SolverConfig(V=4.0, q0=np.zeros(1), iters=10, variant="dual_subgradient")
     assert cfg.c == 0.25
@@ -46,14 +57,6 @@ def test_choose_V():
     assert choose_V(n.program) == pytest.approx(3 * 3 / (2 / 121))  # 544.5
 
 
-def test_shifted_average_window():
-    assert shifted_average_window(2) == (1, 1)
-    assert shifted_average_window(6) == (3, 5)
-    assert shifted_average_window(7) == "hold"
-    with pytest.raises(ValueError):
-        shifted_average_window(0)
-
-
 def test_first_iteration_from_zero_queue():
     # from Q(0)=0 the rate allocation starts at the caps
     b = builtin("num_6_1")
@@ -61,10 +64,9 @@ def test_first_iteration_from_zero_queue():
         cfg = SolverConfig(V=363.0, q0=np.zeros(3), iters=1,
                            sampling="linear", stride=1)
         tr = run(b.program, b.oracle, cfg)
-    s = tr.samples[0]
-    assert s.t == 1
-    assert np.allclose(s.xbar, [11.0, 11.0, 11.0])
-    assert np.allclose(s.queue, [23.0, 14.0, 14.0])
+    assert list(tr.t) == [1]
+    assert np.allclose(tr.xbar[0], [11.0, 11.0, 11.0])
+    assert np.allclose(tr.queue[0], [23.0, 14.0, 14.0])
 
 
 def test_zero_constraint_values_fix_the_queue():
@@ -73,8 +75,7 @@ def test_zero_constraint_values_fix_the_queue():
     q0 = QP_V * lam  # stationary point of the queue recursion
     cfg = SolverConfig(V=QP_V, q0=q0, iters=20, sampling="linear", stride=1)
     tr = run(b.program, b.oracle, cfg, reference=b.reference)
-    for s in tr.samples:
-        assert np.allclose(s.queue, q0, atol=1e-8)
+    assert np.allclose(tr.queue, q0, atol=1e-8)
 
 
 def test_dpp_equals_dual_subgradient():
@@ -87,9 +88,8 @@ def test_dpp_equals_dual_subgradient():
                       sampling="linear", stride=1)
     t1 = run(b.program, b.oracle, k1)
     t2 = run(b.program, b.oracle, k2)
-    for a, c in zip(t1.samples, t2.samples):
-        assert np.abs(a.x - c.x).max() <= 1e-12
-        assert np.abs(a.queue - c.queue).max() <= 1e-12
+    assert np.abs(t1.x - t2.x).max() <= 1e-12
+    assert np.abs(t1.queue - t2.queue).max() <= 1e-12
 
 
 def test_standard_average_matches_recomputation():
@@ -97,11 +97,10 @@ def test_standard_average_matches_recomputation():
     cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=100,
                        sampling="linear", stride=1)
     tr = run(b.program, b.oracle, cfg)
-    xs = [s.x for s in tr.samples]
     # x(0) is recoverable from xbar(1)
-    history = [tr.samples[0].xbar] + xs[:-1]
-    for s in tr.samples:
-        assert np.abs(s.xbar - np.mean(history[:s.t], axis=0)).max() <= 1e-10
+    history = [tr.xbar[0]] + list(tr.x[:-1])
+    for t, xbar in zip(tr.t, tr.xbar):
+        assert np.abs(xbar - np.mean(history[:t], axis=0)).max() <= 1e-10
 
 
 def test_shifted_average_matches_recomputation():
@@ -113,15 +112,15 @@ def test_shifted_average_matches_recomputation():
     base = SolverConfig(V=QP_V, q0=np.zeros(2), iters=101,
                         sampling="linear", stride=1)
     tb = run(b.program, b.oracle, base)
-    history = [tb.samples[0].xbar] + [s.x for s in tb.samples[:-1]]
-    for s in tr.samples:
-        even = s.t if s.t % 2 == 0 else s.t - 1
+    history = [tb.xbar[0]] + list(tb.x[:-1])
+    for t, xbar in zip(tr.t, tr.xbar):
+        even = t if t % 2 == 0 else t - 1
         if even == 0:
             expect = history[0]
         else:
             half = even // 2
             expect = np.mean(history[half:even], axis=0)
-        assert np.abs(s.xbar - expect).max() <= 1e-10
+        assert np.abs(xbar - expect).max() <= 1e-10
 
 
 def test_objective_and_constraint_bounds_hold():
@@ -133,10 +132,10 @@ def test_objective_and_constraint_bounds_hold():
         tr = run(b.program, b.oracle, cfg, reference=b.reference)
         lam_norm = np.linalg.norm(b.reference.lambda_star)
         B = np.sqrt(q0 @ q0 + QP_V ** 2 * lam_norm ** 2) + QP_V * lam_norm
-        for s in tr.samples:
-            assert s.f_xbar <= b.reference.f_star + (q0 @ q0) / (2 * QP_V * s.t) + 1e-8
-            assert s.g_xbar.max() <= B / s.t + 1e-8
-            assert s.qnorm <= B + 1e-8
+        assert np.all(tr.f_xbar <= b.reference.f_star
+                      + (q0 @ q0) / (2 * QP_V * tr.t) + 1e-8)
+        assert np.all(tr.g_xbar.max(axis=1) <= B / tr.t + 1e-8)
+        assert np.all(tr.qnorm <= B + 1e-8)
 
 
 def test_per_iteration_drift_plus_penalty_bound():
@@ -145,12 +144,12 @@ def test_per_iteration_drift_plus_penalty_bound():
     cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=300,
                        sampling="linear", stride=1)
     tr = run(b.program, b.oracle, cfg)
-    # sample i holds x(t) and Q(t) for t = i+1; the drift of step t needs
-    # Q(t+1), i.e. the next sample's queue
-    for cur, nxt in zip(tr.samples, tr.samples[1:]):
-        drift = (lyapunov(QueueState(nxt.queue))
-                 - lyapunov(QueueState(cur.queue)))
-        assert drift + QP_V * b.program.f(cur.x) <= QP_V * b.reference.f_star + 1e-8
+    # row i holds x(t) and Q(t) for t = i+1; the drift of step t needs
+    # Q(t+1), i.e. the next row's queue.  L(Q) = ||Q||^2 / 2.
+    for i in range(len(tr) - 1):
+        q, q_next = tr.queue[i], tr.queue[i + 1]
+        drift = 0.5 * (q_next @ q_next) - 0.5 * (q @ q)
+        assert drift + QP_V * b.program.f(tr.x[i]) <= QP_V * b.reference.f_star + 1e-8
 
 
 def test_warns_below_guarantee_threshold():
@@ -172,10 +171,9 @@ def test_trace_records_dual_quantities_with_reference():
     cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=50,
                        sampling="linear", stride=1)
     tr = run(b.program, b.oracle, cfg, reference=b.reference)
-    for s in tr.samples:
-        assert s.lambda_dist is not None and s.lambda_dist >= 0
-        assert s.dual_gap is not None and s.dual_gap >= -1e-9
-    assert tr.samples[-1].dual_gap < tr.samples[0].dual_gap
+    assert tr.lambda_dist is not None and np.all(tr.lambda_dist >= 0)
+    assert tr.dual_gap is not None and np.all(tr.dual_gap >= -1e-9)
+    assert tr.dual_gap[-1] < tr.dual_gap[0]
 
 
 @pytest.mark.parametrize(
@@ -189,14 +187,14 @@ def test_golden_trace(case):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # V = 422 is below m beta^2/alpha
         tr = run(b.program, b.oracle, cfg, reference=b.reference)
-    assert [s.t for s in tr.samples] == case["t"]
+    assert tr.t.tolist() == case["t"]
     # The NUM closed form and the DPP loop do the recording's arithmetic in
     # the recording's order, so those traces are bitwise equal.  The QP
     # oracle is now an affine map and dual subgradient runs as DPP at
     # V = 1/c, which moves the last bits.
     exact = b.kind == "num" and case["variant"] != "dual_subgradient"
     for name in GOLDEN_COLUMNS:
-        new = np.array([getattr(s, name) for s in tr.samples], dtype=float)
+        new = getattr(tr, name)
         old = np.array(case[name], dtype=float)
         if exact:
             assert np.array_equal(new, old), name
@@ -232,6 +230,32 @@ def test_shifted_run_makes_one_oracle_call_per_iteration():
         traces.append(run(b.program, oracle, cfg, reference=b.reference))
         assert oracle.calls == 1 + iters + 1  # x(lambda*), then x(0..iters)
     closed, generic = traces
-    for a, c in zip(closed.samples, generic.samples):
-        assert np.abs(a.xbar - c.xbar).max() <= 1e-8
-        assert np.abs(a.queue - c.queue).max() <= 1e-8
+    assert np.abs(closed.xbar - generic.xbar).max() <= 1e-8
+    assert np.abs(closed.queue - generic.queue).max() <= 1e-8
+
+
+class FailingOracle(CountingOracle):
+    def __init__(self, inner, succeed):
+        super().__init__(inner)
+        self.succeed = succeed
+
+    def argmin(self, q, V):
+        if self.calls == self.succeed:
+            raise InnerSolveError("inner solve failed")
+        return super().argmin(q, V)
+
+
+def test_inner_failure_carries_partial_trace():
+    b = builtin("qp_6_2")
+    cfg = SolverConfig(V=QP_V, q0=np.array([3.0, 1.0]), iters=50,
+                       sampling="linear", stride=1)
+    full = run(b.program, b.oracle, cfg, reference=b.reference)
+    # x(lambda*) and x(0..20) succeed; x(21) fails
+    with pytest.raises(InnerSolveError) as info:
+        run(b.program, FailingOracle(b.oracle, succeed=22), cfg,
+            reference=b.reference)
+    part = info.value.partial_trace
+    assert part.t.tolist() == list(range(1, 21))
+    for name in GOLDEN_COLUMNS + ("x",):
+        assert np.array_equal(getattr(part, name), getattr(full, name)[:20]), name
+    assert part.max_drift_residual <= full.max_drift_residual
