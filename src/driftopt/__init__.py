@@ -12,11 +12,11 @@ from .reference import (InfeasibleError, KktSolution, kkt_solve_num,
                         kkt_solve_qp)
 from .dual_analysis import (dual_value_and_gradient, gamma_geq_Lc_check,
                             general_dual_hessian, num_dual_hessian,
-                            qualification_check, theta_bound)
+                            theta_bound)
 from .diagnostics import (RateFit, audit_bounds, audit_passed, error_series,
                           fit_geometric, fit_power_decay)
 from .problems import (BUILTIN_TAGS, Constant, ProblemBundle, builtin,
-                       load_problem, serialize)
+                       load_problem)
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,5 @@ __all__ = [
     "choose_V", "dual_value_and_gradient", "error_series", "fit_geometric",
     "fit_power_decay", "gamma_geq_Lc_check", "general_dual_hessian",
     "kkt_solve_num", "kkt_solve_qp", "load_problem", "num_dual_hessian",
-    "qualification_check", "quadratic_argmin", "run", "sample_indices",
-    "serialize", "theta_bound",
+    "quadratic_argmin", "run", "sample_indices", "theta_bound",
 ]

@@ -20,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import IterateTrace
-from .diagnostics import audit_bounds, audit_passed, fit_geometric, fit_power_decay
+from .core import IterateTrace, QueueState
+from .diagnostics import (audit_bounds, audit_passed, error_series, fit_geometric,
+                          fit_power_decay)
 from .oracles import InnerSolveError
 from .problems import BUILTIN_TAGS, ProblemBundle, builtin, load_problem
 from .reference import InfeasibleError
@@ -31,8 +32,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+# The dual subgradient method with step c = 1/V is DPP at the same V.
 ALGORITHMS = {"dpp": "dpp", "dpp-shifted": "dpp_shifted",
-              "dual-subgradient": "dual_subgradient"}
+              "dual-subgradient": "dpp"}
 
 
 def _fmt(v) -> str:
@@ -84,7 +86,8 @@ def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> None:
     if bundle.reference is None:
         f_err, dual = [None] * len(trace), []
     else:
-        f_err = np.abs(trace.f_xbar - bundle.reference.f_star).tolist()
+        f_err = error_series(trace.f_xbar, trace.g_xbar,
+                             bundle.reference.f_star)[0].tolist()
         header += ["lambda_dist", "dual_gap"]
         dual = [trace.lambda_dist.tolist(), trace.dual_gap.tolist()]
     columns = [trace.f_xbar.tolist(), f_err, *trace.g_xbar.T.tolist(),
@@ -128,6 +131,8 @@ def cmd_solve(args) -> int:
         return EXIT_NUMERICAL
 
     _write_csv(out, trace, bundle)
+    f_star = bundle.reference.f_star if bundle.reference is not None else None
+    f_err, violation = error_series(trace.f_xbar[-1:], trace.g_xbar[-1:], f_star)
     summary = {
         "problem": bundle.tag,
         "algorithm": args.algorithm,
@@ -140,9 +145,8 @@ def cmd_solve(args) -> int:
         "final": {
             "t": int(trace.t[-1]),
             "f_avg": float(trace.f_xbar[-1]),
-            "f_err": (abs(float(trace.f_xbar[-1]) - bundle.reference.f_star)
-                      if bundle.reference is not None else None),
-            "max_violation": float(np.maximum(trace.g_xbar[-1], 0.0).max()),
+            "f_err": float(f_err[0]) if f_err is not None else None,
+            "max_violation": float(violation[0]),
             "qnorm": float(trace.qnorm[-1]),
             "lambda_dist": (float(trace.lambda_dist[-1])
                             if trace.lambda_dist is not None else None),
@@ -181,6 +185,14 @@ def _read_trace_csv(path: Path):
 
 
 def cmd_fit(args) -> int:
+    if not 0 < args.window_fraction <= 1:
+        print("error: --window-fraction must be in (0, 1]", file=sys.stderr)
+        return EXIT_USAGE
+    lo = args.t_lo if args.t_lo is not None else -np.inf
+    hi = args.t_hi if args.t_hi is not None else np.inf
+    if not lo <= hi:
+        print("error: need numbers with --t-lo <= --t-hi", file=sys.stderr)
+        return EXIT_USAGE
     path = Path(args.trace)
     try:
         header, cols = _read_trace_csv(path)
@@ -202,7 +214,7 @@ def cmd_fit(args) -> int:
             print("error: trace CSV lacks g_k columns", file=sys.stderr)
             return EXIT_USAGE
         stacked = np.stack([cols[name] for name in gcols], axis=1)
-        errors = np.maximum(stacked, 0.0).max(axis=1)
+        errors = error_series(None, stacked)[1]
     window = None
     if args.t_lo is not None or args.t_hi is not None:
         window = (args.t_lo if args.t_lo is not None else float(ts.min()),
@@ -219,6 +231,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if args.gamma is not None and not (np.isfinite(args.gamma) and args.gamma > 0):
+        print("error: --gamma must be positive and finite", file=sys.stderr)
+        return EXIT_USAGE
     bundle = _load_bundle(args)
     path = Path(args.trace)
     summary_path = Path(args.summary) if args.summary else _summary_path(path)
@@ -226,8 +241,10 @@ def cmd_audit(args) -> int:
         header, cols = _read_trace_csv(path)
         with open(summary_path) as fh:
             summary = json.load(fh)
-        problem, V, iters = summary["problem"], float(summary["V"]), int(summary["iters"])
-        q0 = np.array(summary["q0"], dtype=float)
+        problem, V = summary["problem"], float(summary["V"])
+        if not (np.isfinite(V) and V > 0):
+            raise ValueError("V must be positive and finite")
+        q0 = QueueState(np.array(summary["q0"], dtype=float)).q
     except KeyError as exc:
         print(f"error: the summary lacks the field {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -254,12 +271,10 @@ def cmd_audit(args) -> int:
         g_xbar=np.stack([cols[name] for name in gcols], axis=1),
         qnorm=cols["qnorm"],
         lambda_dist=cols["lambda_dist"] if have_dual else None,
-        dual_gap=cols["dual_gap"] if have_dual else None,
-        V=V, iters=iters)
+        dual_gap=cols["dual_gap"] if have_dual else None, V=V)
 
-    config = SolverConfig(V=V, q0=q0, iters=max(iters, 1))
     gamma = args.gamma if args.gamma is not None else bundle.constant("gamma")
-    report = audit_bounds(trace, bundle.reference, bundle.program, config,
+    report = audit_bounds(trace, bundle.reference, bundle.program, q0,
                           gamma=gamma, oracle=bundle.oracle)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK if audit_passed(report) else 1

@@ -63,10 +63,6 @@ class ProgramSpec:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean projection onto the box feasible set."""
-        return np.clip(x, self.lower, self.upper)
-
     def f(self, x: np.ndarray) -> float:
         return float(self.objective(np.asarray(x, dtype=float)))
 
@@ -112,9 +108,7 @@ class IterateTrace:
     xbar: np.ndarray | None = None
     queue: np.ndarray | None = None
     V: float = 1.0
-    variant: str = "dpp"
     max_drift_residual: float = 0.0
-    iters: int = 0
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=int)
@@ -125,8 +119,11 @@ class IterateTrace:
         return len(self.t)
 
 
-def sample_indices(iters: int, mode: str = "log", stride: int = 1,
-                   per_decade: int = 200) -> list[int]:
+# Samples per decade of t under log sampling.
+PER_DECADE = 200
+
+
+def sample_indices(iters: int, mode: str = "log", stride: int = 1) -> list[int]:
     """Iteration indices to record: every ``stride`` steps, or ~log-spaced."""
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -138,7 +135,7 @@ def sample_indices(iters: int, mode: str = "log", stride: int = 1,
     if mode != "log":
         raise ValueError(f"unknown sampling mode {mode!r}")
     decades = np.log10(max(iters, 2))
-    raw = np.unique(np.round(10 ** np.linspace(0, decades, int(per_decade * decades) + 1)))
+    raw = np.unique(np.round(10 ** np.linspace(0, decades, int(PER_DECADE * decades) + 1)))
     idx = [int(t) for t in raw if 1 <= t <= iters]
     if idx[-1] != iters:
         idx.append(iters)

@@ -39,17 +39,16 @@ class RateFit:
         return asdict(self)
 
 
-def error_series(trace: IterateTrace, reference: KktSolution):
+def error_series(f_xbar: np.ndarray | None, g_xbar: np.ndarray,
+                 f_star: float | None = None):
     """Objective error |f(xbar) - f*| and worst constraint violation
-    max_k g_k(xbar)^+ at the sampled iterations.
+    max_k g_k(xbar)^+, one entry per row of ``f_xbar`` (S) and ``g_xbar``
+    (S x m).
 
-    Returns (ts, obj_err, violation) as aligned arrays.
+    Returns (obj_err, violation); obj_err is None without f*.
     """
-    if len(trace) == 0:
-        raise ValueError("trace is empty")
-    obj_err = np.abs(trace.f_xbar - reference.f_star)
-    violation = np.maximum(trace.g_xbar, 0.0).max(axis=1)
-    return trace.t, obj_err, violation
+    obj_err = None if f_star is None else np.abs(f_xbar - f_star)
+    return obj_err, np.maximum(g_xbar, 0.0).max(axis=1)
 
 
 def _tail_window(ts: np.ndarray, window_fraction: float,
@@ -126,9 +125,10 @@ def _entry(name: str, applicable: bool, passed: bool | None = None,
 
 
 def audit_bounds(trace: IterateTrace, reference: KktSolution,
-                 program: ProgramSpec, config, gamma: float | None = None,
-                 oracle=None) -> list[dict]:
-    """Check every applicable convergence guarantee at every sampled t.
+                 program: ProgramSpec, q0: np.ndarray,
+                 gamma: float | None = None, oracle=None) -> list[dict]:
+    """Check every applicable convergence guarantee at every sampled t of
+    a run from the initial queue ``q0`` = Q(0).
 
     Audited bounds (each entry reports applicability, pass/fail, and the
     worst margin lhs - rhs over the samples; positive margin = violation):
@@ -150,7 +150,8 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
         raise ValueError("trace is empty")
     V = trace.V
     ts = trace.t.astype(float)
-    q0_norm2 = float(np.sum(np.asarray(config.q0, dtype=float) ** 2))
+    q0 = np.asarray(q0, dtype=float)
+    q0_norm2 = float(np.sum(q0 ** 2))
     lam_star = np.asarray(reference.lambda_star, dtype=float)
     lam_star_norm = float(np.linalg.norm(lam_star))
     bound_B = float(np.sqrt(q0_norm2 + V ** 2 * lam_star_norm ** 2)) + V * lam_star_norm
@@ -180,10 +181,9 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
     applicable = (gamma is not None and V >= gamma and dual_ok
                   and oracle is not None)
     if applicable:
-        lam0 = np.asarray(config.q0, dtype=float) / V
+        lam0 = q0 / V
         q_at_lam0, _ = dual_value_and_gradient(program, oracle, lam0)
-        x_at_star = oracle.argmin(lam_star, 1.0)
-        q_at_star = program.f(x_at_star) + float(lam_star @ program.g(x_at_star))
+        q_at_star, _ = dual_value_and_gradient(program, oracle, lam_star)
         theta = theta_bound(V, gamma, lam0, lam_star, q_at_lam0, q_at_star)
         worst = float((trace.dual_gap - theta / ts).max())
         report.append(_entry("dual_gap_bound", True,

@@ -1,5 +1,5 @@
-"""Dual-function machinery: values, gradients, Hessians, moduli and
-qualification checks for the Lagrange dual of a strongly convex program.
+"""Dual-function machinery: values, gradients, Hessians and moduli for the
+Lagrange dual of a strongly convex program.
 
 The dual q(lam) = min_x {f(x) + lam . g(x)} is concave and, under strong
 convexity of f, differentiable with gradient g(x(lam)).  Everything here is
@@ -68,33 +68,6 @@ def general_dual_hessian(grad_g: np.ndarray, hess_f: np.ndarray,
     if np.linalg.eigvalsh(0.5 * (H + H.T)).min() <= 0:
         raise ValueError("inner Hessian f + lam . g must be positive definite")
     return -(G @ np.linalg.solve(H, G.T))
-
-
-def qualification_check(A_full: np.ndarray, active_rows) -> dict:
-    """Rank conditions on the constraint matrix.
-
-    locally_quadratic: the active rows are linearly independent (the dual
-    grows quadratically near the optimum).  strongly_concave: the full
-    matrix has rank m (the dual Hessian is negative definite).  Numerical
-    rank uses singular values above 1e-10 times the largest.
-    """
-    A = np.asarray(A_full, dtype=float)
-    if A.ndim != 2 or A.size == 0:
-        raise ValueError("A_full must be a nonempty matrix")
-    m = A.shape[0]
-    active = sorted(int(k) for k in active_rows)
-    if any(k < 0 or k >= m for k in active):
-        raise ValueError("active_rows must index rows of A_full")
-
-    def _rank(M):
-        if M.size == 0:
-            return 0
-        sv = np.linalg.svd(M, compute_uv=False)
-        return int(np.sum(sv > 1e-10 * sv.max()))
-
-    locally_quadratic = (_rank(A[active, :]) == len(active)) if active else True
-    return {"locally_quadratic": bool(locally_quadratic),
-            "strongly_concave": bool(_rank(A) == m)}
 
 
 def theta_bound(V: float, gamma: float, lambda0, lambda_star,

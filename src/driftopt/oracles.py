@@ -17,11 +17,7 @@ from .core import DimensionError, ProgramSpec, _as_vector
 
 
 class InnerSolveError(RuntimeError):
-    """Inner minimization failed; carries the best iterate found."""
-
-    def __init__(self, message: str, best_x: np.ndarray | None = None):
-        super().__init__(message)
-        self.best_x = best_x
+    """Inner minimization failed."""
 
 
 def _constraint_matrix(A) -> np.ndarray:
@@ -138,7 +134,7 @@ def quadratic_argmin(inst: QpInstance, q: np.ndarray, V: float) -> np.ndarray:
     x = np.linalg.solve(M, rhs)
     residual = np.linalg.norm(M @ x - rhs)
     if residual > 1e-9 * (1.0 + np.linalg.norm(q)):
-        raise InnerSolveError("inner quadratic solve residual too large", best_x=x)
+        raise InnerSolveError("inner quadratic solve residual too large")
     return x
 
 
@@ -150,8 +146,6 @@ class ClosedFormNumOracle:
     pressure never touches flow i: the quotient is +inf and the clip gives
     the cap, its continuous limit.  The products c_i V are cached per V.
     """
-
-    tag = "log-utility-box"
 
     def __init__(self, inst: NumInstance):
         self.inst = inst
@@ -176,8 +170,6 @@ class ClosedFormQpOracle:
     K = (2VP)^-1 (-A').  Both come from one Cholesky factor, after the
     conditioning check, and are cached per V.
     """
-
-    tag = "quadratic"
 
     def __init__(self, inst: QpInstance):
         self.inst = inst
@@ -204,16 +196,14 @@ class ProjectedGradientOracle:
     Minimizes phi(x) = V f(x) + q . g(x) over the box of an arbitrary
     program.  Requires analytic derivatives on the program; terminates when
     the gradient-map norm ||x - P(x - s grad)|| / s with reference step s
-    drops below ``tol``.
+    drops below ``tol`` within ``MAX_STEPS`` steps.
     """
 
-    tag = "projected-gradient-generic"
+    MAX_STEPS = 200_000
 
-    def __init__(self, program: ProgramSpec, tol: float = 1e-10,
-                 max_inner: int = 200_000):
+    def __init__(self, program: ProgramSpec, tol: float = 1e-10):
         self.program = program
         self.tol = tol
-        self.max_inner = max_inner
 
     def argmin(self, q: np.ndarray, V: float) -> np.ndarray:
         program, tol = self.program, self.tol
@@ -243,11 +233,8 @@ class ProjectedGradientOracle:
 
         fx = phi(x)
         step = s_ref
-        best_x, best_gap = x, np.inf
-        for _ in range(self.max_inner):
+        for _ in range(self.MAX_STEPS):
             gap = np.linalg.norm(x - np.clip(x - s_ref * gx, lo, hi)) / s_ref
-            if gap < best_gap:
-                best_x, best_gap = x, gap
             if gap <= tol:
                 return x
             # Backtrack from the BB step until the prox-descent condition holds.
@@ -264,8 +251,7 @@ class ProjectedGradientOracle:
                     break
                 s *= 0.5
             else:
-                raise InnerSolveError("line search failed in generic inner oracle",
-                                      best_x=best_x)
+                raise InnerSolveError("line search failed in generic inner oracle")
             g_new = grad(x_new)
             dx, dg = x_new - x, g_new - gx
             denom = float(dx @ dg)
@@ -273,5 +259,4 @@ class ProjectedGradientOracle:
             step = min(max(step, 1e-3 * s_ref), 1e6 * s_ref)
             x, gx, fx = x_new, g_new, f_new
         raise InnerSolveError(
-            f"generic inner oracle did not reach tol={tol} within {self.max_inner} steps",
-            best_x=best_x)
+            f"generic inner oracle did not reach tol={tol} within {self.MAX_STEPS} steps")

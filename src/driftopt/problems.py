@@ -3,13 +3,15 @@
 Each bundle couples a concrete instance, its ProgramSpec view, the matching
 closed-form inner oracle, named constants (with a provenance flag telling
 whether the value is taken verbatim from the original experiment write-up
-or recomputed from the data), and the ground-truth KKT solution.
+or recomputed from the data), and the ground-truth KKT solution.  The
+builtins are problem documents like any problem file; both go through one
+constructor.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,31 @@ from .dual_analysis import gamma_geq_Lc_check, num_dual_hessian, general_dual_he
 from .oracles import ClosedFormNumOracle, ClosedFormQpOracle, NumInstance, QpInstance
 from .reference import InfeasibleError, KktSolution, kkt_solve_num, kkt_solve_qp
 
-BUILTIN_TAGS = ("num_6_1", "qp_6_2", "num_5_2_rank_deficient")
+# The built-in instances as problem documents (the problem-file schema).
+# num_6_1: 3-link, 3-flow proportional-fairness rate allocation.
+# qp_6_2: 2-variable strongly convex QP with two linear constraints.
+# num_5_2_rank_deficient: 4-link rate allocation whose constraint matrix
+# has rank 3 < 4, so the dual optimum is a face, not a point.
+BUILTINS = {
+    "num_6_1": {"kind": "num", "c": [1.0, 2.0, 3.0],
+                "A": [[1, 1, 1], [1, 1, 0], [0, 1, 1]],
+                "b": [10.0, 8.0, 8.0], "xmax": [11.0, 11.0, 11.0],
+                "alpha": 2.0 / 121.0},
+    "qp_6_2": {"kind": "qp", "P": [[1.0, 2.0], [2.0, 5.0]], "c": [1.0, 1.0],
+               "A": [[1.0, 1.0], [0.0, 1.0]], "b": [-2.0, -1.0],
+               "alpha": 0.34},
+    "num_5_2_rank_deficient": {
+        "kind": "num", "c": [1.0, 1.0, 1.0, 1.0],
+        "A": [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]],
+        "b": [3.0, 7.0, 2.0, 8.0], "xmax": [10.0, 10.0, 10.0, 10.0]},
+}
+# Constants the original experiment write-up reports for each builtin.
+PAPER_CONSTANTS = {
+    "num_6_1": {"gamma": 422.0, "V_standard": 363.0, "V_shifted": 422.0},
+    "qp_6_2": {"gamma": 9.0, "V_standard": 4.0 / 0.34},
+    "num_5_2_rank_deficient": {},
+}
+BUILTIN_TAGS = tuple(BUILTINS)
 
 
 @dataclass(frozen=True)
@@ -118,85 +144,66 @@ def _check_gamma_vs_Lc(kind: str, inst, reference: KktSolution | None,
             f"curvature Lc={Lc:g}")
 
 
-def builtin(tag: str) -> ProblemBundle:
-    """One of the three built-in instances.
+def _bundle(tag: str, doc, paper: dict) -> ProblemBundle:
+    """Build a bundle from a problem document and the write-up's constants
+    for it (none for a problem file).
 
-    num_6_1: 3-link, 3-flow proportional-fairness rate allocation.
-    qp_6_2: 2-variable strongly convex QP with two linear constraints.
-    num_5_2_rank_deficient: 4-link rate allocation whose constraint matrix
-    has rank 3 < 4, so the dual optimum is a face, not a point.
+    The document follows the problem-file schema (see ``load_problem``).
+    Given an alpha or beta, the bundle reports it as "paper" and, for
+    alpha, the computed default beside it; a paper gamma likewise comes
+    with the computed ||A||_F^2 / alpha and must dominate the local
+    curvature of the dual at the optimum.
     """
-    if tag == "num_6_1":
-        inst = NumInstance(c=[1.0, 2.0, 3.0],
-                           A=[[1, 1, 1], [1, 1, 0], [0, 1, 1]],
-                           b=[10.0, 8.0, 8.0], xmax=[11.0, 11.0, 11.0])
-        alpha = 2.0 / 121.0
-        beta = float(np.sqrt(3.0))
-        gamma = 422.0
-        constants = (
-            Constant("alpha", alpha, "paper"),
-            Constant("alpha_computed", min(inst.c / inst.xmax ** 2), "computed"),
-            Constant("beta", beta, "computed"),
-            Constant("gamma", gamma, "paper"),
-            Constant("gamma_computed", _gamma(inst.A, alpha), "computed"),
-            Constant("V_standard", 363.0, "paper"),
-            Constant("V_shifted", 422.0, "paper"),
-        )
-        kind = "num"
-        program = _num_program(inst, alpha, beta)
-    elif tag == "qp_6_2":
-        inst = QpInstance(P=[[1.0, 2.0], [2.0, 5.0]], c=[1.0, 1.0],
-                          A=[[1.0, 1.0], [0.0, 1.0]], b=[-2.0, -1.0])
-        alpha = 0.34
-        beta = float(np.sqrt(2.0))
-        gamma = 9.0
-        constants = (
-            Constant("alpha", alpha, "paper"),
-            Constant("alpha_computed", inst.alpha, "computed"),
-            Constant("beta", beta, "computed"),
-            Constant("gamma", gamma, "paper"),
-            Constant("gamma_computed", _gamma(inst.A, alpha), "computed"),
-            Constant("V_standard", 4.0 / 0.34, "paper"),
-        )
-        kind = "qp"
-        program = _qp_program(inst, alpha, beta)
-    elif tag == "num_5_2_rank_deficient":
-        inst = NumInstance(c=[1.0, 1.0, 1.0, 1.0],
-                           A=[[1, 1, 0, 0], [0, 0, 1, 1],
-                              [1, 0, 1, 0], [0, 1, 0, 1]],
-                           b=[3.0, 7.0, 2.0, 8.0], xmax=[10.0, 10.0, 10.0, 10.0])
-        alpha = float(min(inst.c / inst.xmax ** 2))
-        beta = float(np.sqrt(2.0))
-        gamma = _gamma(inst.A, alpha)
-        constants = (
-            Constant("alpha", alpha, "computed"),
-            Constant("beta", beta, "computed"),
-            Constant("gamma", gamma, "computed"),
-        )
-        kind = "num"
-        program = _num_program(inst, alpha, beta)
-    else:
-        raise ValueError(f"unknown builtin tag {tag!r}; choose from {BUILTIN_TAGS}")
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise ValueError("problem file must be a JSON object with a 'kind' field")
+    kind = doc["kind"]
+    if kind not in ("num", "qp"):
+        raise ValueError(f"unknown problem kind {kind!r}")
+    for key in ("A", "b", "c"):
+        if key not in doc:
+            raise ValueError(f"problem file missing required field {key!r}")
 
+    if kind == "num":
+        if "xmax" not in doc:
+            raise ValueError("rate-allocation problems need 'xmax'")
+        inst = NumInstance(c=doc["c"], A=doc["A"], b=doc["b"], xmax=doc["xmax"])
+        alpha_computed = float(min(inst.c / inst.xmax ** 2))
+        make_program, make_oracle = _num_program, ClosedFormNumOracle
+    else:
+        if "P" not in doc:
+            raise ValueError("quadratic problems need 'P'")
+        inst = QpInstance(P=doc["P"], c=doc["c"], A=doc["A"], b=doc["b"])
+        alpha_computed = inst.alpha
+        make_program, make_oracle = _qp_program, ClosedFormQpOracle
+    alpha = float(doc["alpha"]) if "alpha" in doc else alpha_computed
+    beta = float(doc["beta"]) if "beta" in doc else float(
+        np.linalg.norm(inst.A, axis=1).max())
+    program = make_program(inst, alpha, beta)
+    oracle = make_oracle(inst)
     reference, err = _reference_for(kind, inst)
-    _check_gamma_vs_Lc(kind, inst, reference, gamma)
-    oracle = ClosedFormNumOracle(inst) if kind == "num" else ClosedFormQpOracle(inst)
+
+    constants = [Constant("alpha", alpha, "paper" if "alpha" in doc else "computed")]
+    if "alpha" in doc:
+        constants.append(Constant("alpha_computed", alpha_computed, "computed"))
+    constants.append(Constant("beta", beta, "paper" if "beta" in doc else "computed"))
+    if "gamma" in paper:
+        _check_gamma_vs_Lc(kind, inst, reference, paper["gamma"])
+        constants += [Constant("gamma", paper["gamma"], "paper"),
+                      Constant("gamma_computed", _gamma(inst.A, alpha), "computed")]
+    else:
+        constants.append(Constant("gamma", _gamma(inst.A, alpha), "computed"))
+    constants += [Constant(name, value, "paper")
+                  for name, value in paper.items() if name != "gamma"]
     return ProblemBundle(tag=tag, kind=kind, program=program, instance=inst,
-                         oracle=oracle, constants=constants,
+                         oracle=oracle, constants=tuple(constants),
                          reference=reference, reference_error=err)
 
 
-def serialize(bundle: ProblemBundle) -> dict:
-    """JSON-compatible description of a bundle's defining data."""
-    inst = bundle.instance
-    doc = {"kind": bundle.kind,
-           "A": inst.A.tolist(), "b": inst.b.tolist(), "c": inst.c.tolist(),
-           "alpha": bundle.program.alpha, "beta": bundle.program.beta}
-    if bundle.kind == "num":
-        doc["xmax"] = inst.xmax.tolist()
-    else:
-        doc["P"] = inst.P.tolist()
-    return doc
+def builtin(tag: str) -> ProblemBundle:
+    """One of the three built-in instances (see ``BUILTINS``)."""
+    if tag not in BUILTINS:
+        raise ValueError(f"unknown builtin tag {tag!r}; choose from {BUILTIN_TAGS}")
+    return _bundle(tag, BUILTINS[tag], PAPER_CONSTANTS[tag])
 
 
 def load_problem(path) -> ProblemBundle:
@@ -211,38 +218,4 @@ def load_problem(path) -> ProblemBundle:
     path = Path(path)
     with open(path) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ValueError("problem file must be a JSON object with a 'kind' field")
-    kind = doc["kind"]
-    if kind not in ("num", "qp"):
-        raise ValueError(f"unknown problem kind {kind!r}")
-    for key in ("A", "b", "c"):
-        if key not in doc:
-            raise ValueError(f"problem file missing required field {key!r}")
-
-    if kind == "num":
-        if "xmax" not in doc:
-            raise ValueError("rate-allocation problems need 'xmax'")
-        inst = NumInstance(c=doc["c"], A=doc["A"], b=doc["b"], xmax=doc["xmax"])
-        alpha = float(doc["alpha"]) if "alpha" in doc else float(
-            min(inst.c / inst.xmax ** 2))
-        make_program, oracle = _num_program, ClosedFormNumOracle(inst)
-    else:
-        if "P" not in doc:
-            raise ValueError("quadratic problems need 'P'")
-        inst = QpInstance(P=doc["P"], c=doc["c"], A=doc["A"], b=doc["b"])
-        alpha = float(doc["alpha"]) if "alpha" in doc else inst.alpha
-        make_program, oracle = _qp_program, ClosedFormQpOracle(inst)
-    beta = float(doc["beta"]) if "beta" in doc else float(
-        np.linalg.norm(inst.A, axis=1).max())
-    program = make_program(inst, alpha, beta)
-
-    reference, err = _reference_for(kind, inst)
-    constants = (Constant("alpha", alpha,
-                          "paper" if "alpha" in doc else "computed"),
-                 Constant("beta", beta,
-                          "paper" if "beta" in doc else "computed"),
-                 Constant("gamma", _gamma(inst.A, alpha), "computed"))
-    return ProblemBundle(tag=path.stem, kind=kind, program=program,
-                         instance=inst, oracle=oracle, constants=constants,
-                         reference=reference, reference_error=err)
+    return _bundle(path.stem, doc, {})

@@ -1,10 +1,11 @@
-"""Iterative solvers: drift-plus-penalty (DPP), its shifted-running-average
-variant, and the classical dual subgradient method, all run by one loop.
+"""Iterative solvers: drift-plus-penalty (DPP) and its shifted-running-
+average variant, both run by one loop.
 
 dpp_shifted reads its window average from prefix sums of the same run, so
 it makes one oracle call per iteration like dpp.  The dual subgradient
-method with step c is DPP at V = 1/c with Q = lambda / c: it runs as DPP
-and reports lambda = c Q.  Oracles take the queue as a raw float array.
+method with step c is DPP at V = 1/c with Q = lambda / c, so it has no
+loop of its own: run DPP at V = 1/c and read lambda = Q / V.  Oracles take
+the queue as a raw float array.
 
 A run is strictly sequential; distinct runs share no mutable state and may
 execute concurrently.
@@ -18,54 +19,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import IterateTrace, ProgramSpec, QueueState, sample_indices
+from .dual_analysis import dual_value_and_gradient
 from .oracles import InnerSolveError
 
-VARIANTS = ("dpp", "dpp_shifted", "dual_subgradient")
+VARIANTS = ("dpp", "dpp_shifted")
 
 
 @dataclass
 class SolverConfig:
-    """Run parameters for a single solver invocation.
-
-    ``step_c`` only applies to the dual subgradient variant and defaults to
-    1/V, the choice under which it reproduces drift-plus-penalty exactly.
-    """
+    """Run parameters for a single solver invocation."""
 
     V: float
     q0: np.ndarray
     iters: int
     variant: str = "dpp"
-    step_c: float | None = None
     sampling: str = "log"
     stride: int = 1
 
     def __post_init__(self):
         if not (np.isfinite(self.V) and self.V > 0):
             raise ValueError("V must be positive and finite")
-        if self.step_c is not None and not (np.isfinite(self.step_c)
-                                            and self.step_c > 0):
-            raise ValueError("step_c must be positive and finite")
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         self.q0 = QueueState(self.q0).q
 
-    @property
-    def c(self) -> float:
-        return self.step_c if self.step_c is not None else 1.0 / self.V
 
-
-def choose_V(program: ProgramSpec, gamma: float | None = None) -> float:
-    """Smallest penalty parameter covered by the convergence guarantees.
-
-    m beta^2 / alpha for the plain guarantees; when a dual smoothness
-    modulus is supplied, the shifted-average guarantees also need V >= gamma.
-    """
-    base = program.m * program.beta ** 2 / program.alpha
-    if gamma is None:
-        return base
-    return max(base, gamma)
+def choose_V(program: ProgramSpec) -> float:
+    """Smallest penalty parameter covered by the convergence guarantees,
+    m beta^2 / alpha."""
+    return program.m * program.beta ** 2 / program.alpha
 
 
 def run(program: ProgramSpec, oracle, config: SolverConfig,
@@ -81,7 +65,7 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
 
     Deterministic: identical inputs give identical traces.
     """
-    floor = program.m * program.beta ** 2 / program.alpha
+    floor = choose_V(program)
     if config.V < floor * (1 - 1e-12):
         warnings.warn(
             f"V={config.V:g} is below the guarantee threshold "
@@ -90,7 +74,7 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
     if config.q0.shape[0] != program.m:
         raise ValueError("initial queue length must equal the constraint count")
 
-    V = 1.0 / config.c if config.variant == "dual_subgradient" else config.V
+    V = config.V
     shifted = config.variant == "dpp_shifted"
     ts = sample_indices(config.iters, config.sampling, config.stride)
     # dpp_shifted: x-bar(t) = (S(2s) - S(s)) / s with s = t // 2 and
@@ -112,8 +96,7 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
     if reference is not None:
         lambda_dist, dual_gap = np.empty(S), np.empty(S)
         lam_star = np.asarray(reference.lambda_star, dtype=float)
-        x_at_star = oracle.argmin(lam_star, 1.0)
-        q_star = program.f(x_at_star) + float(lam_star @ program.g(x_at_star))
+        q_star, _ = dual_value_and_gradient(program, oracle, lam_star)
 
     def trace(rows: int) -> IterateTrace:
         return IterateTrace(
@@ -122,8 +105,7 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
             lambda_dist=None if lambda_dist is None else lambda_dist[:rows],
             dual_gap=None if dual_gap is None else dual_gap[:rows],
             x=xs[:rows], xbar=xbars[:rows], queue=queue[:rows],
-            V=config.V, variant=config.variant,
-            max_drift_residual=max_residual, iters=config.iters)
+            V=V, max_drift_residual=max_residual)
 
     argmin, constraints = oracle.argmin, program.constraints
     q = config.q0.copy()

@@ -1,10 +1,17 @@
+import copy
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from driftopt.cli import main
+from driftopt.problems import BUILTINS
+
+# `info` and `kkt` output for each builtin, recorded before the builtins
+# became problem documents.
+PINNED = json.loads(Path(__file__).with_name("builtin_outputs.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -87,13 +94,18 @@ def test_solve_linear_sampling(tmp_path, capsys):
     assert ts == [5, 10, 15, 20]
 
 
-def test_fit_on_synthetic_csv(tmp_path, capsys):
+def synthetic_csv(tmp_path):
     path = tmp_path / "synthetic.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "f_avg", "f_err", "g_1", "qnorm"])
         for t in np.unique(np.round(np.logspace(0, 4, 100))).astype(int):
             w.writerow([t, 0.0, 1.0 / t, 0.5 / t, 0.0])
+    return path
+
+
+def test_fit_on_synthetic_csv(tmp_path, capsys):
+    path = synthetic_csv(tmp_path)
     code, stdout, _ = run_cli(capsys, "fit", "--trace", str(path),
                               "--series", "obj", "--model", "power")
     assert code == 0
@@ -103,6 +115,20 @@ def test_fit_on_synthetic_csv(tmp_path, capsys):
                               "--series", "constraint", "--model", "power")
     assert code == 0
     assert abs(json.loads(stdout)["p"] - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("flags", [
+    ("--window-fraction", "0"), ("--window-fraction", "1.5"),
+    ("--window-fraction", "nan"), ("--t-lo", "1000", "--t-hi", "10"),
+    ("--t-lo", "nan"), ("--t-hi", "nan"),
+], ids=" ".join)
+def test_fit_rejects_bad_window_flags(tmp_path, capsys, flags):
+    # usage errors, not numerical failures: exit 2 before any fit
+    code, stdout, err = run_cli(capsys, "fit", "--trace", str(synthetic_csv(tmp_path)),
+                                "--series", "obj", "--model", "power", *flags)
+    assert code == 2
+    assert stdout == ""
+    assert flags[0] in err
 
 
 def test_fit_missing_column(tmp_path, capsys):
@@ -141,6 +167,31 @@ def test_audit_truncated_csv(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("gamma", ["nan", "inf", "0", "-5"])
+def test_audit_rejects_bad_gamma(tmp_path, capsys, gamma):
+    out, _ = solve_qp(tmp_path, capsys, iters=200)
+    code, stdout, err = run_cli(capsys, "audit", "--builtin", "qp_6_2",
+                                "--trace", str(out), "--gamma", gamma)
+    assert code == 2
+    assert stdout == ""
+    assert "--gamma must be positive and finite" in err
+
+
+def test_info_matches_pinned_output(capsys):
+    # every constant's name, value, source and order, default_V and
+    # has_reference
+    code, stdout, err = run_cli(capsys, "info")
+    assert (code, err) == (0, "")
+    assert json.loads(stdout) == PINNED["info"]
+
+
+@pytest.mark.parametrize("tag", sorted(PINNED["kkt"]))
+def test_kkt_matches_pinned_output(capsys, tag):
+    code, stdout, err = run_cli(capsys, "kkt", "--builtin", tag)
+    assert (code, err) == (0, "")
+    assert json.loads(stdout) == PINNED["kkt"][tag]
+
+
 def test_kkt_outputs(capsys):
     code, stdout, _ = run_cli(capsys, "kkt", "--builtin", "num_6_1")
     assert code == 0
@@ -170,9 +221,8 @@ def test_info_lists_builtins(capsys):
 
 
 def test_solve_with_problem_file(tmp_path, capsys):
-    from driftopt import builtin, serialize
     path = tmp_path / "mine.json"
-    path.write_text(json.dumps(serialize(builtin("qp_6_2"))))
+    path.write_text(json.dumps(BUILTINS["qp_6_2"]))
     out = tmp_path / "mine.csv"
     code, _, _ = run_cli(capsys, "solve", "--problem", str(path),
                          "--iters", "100", "--out", str(out))
@@ -188,8 +238,7 @@ def test_solve_with_problem_file(tmp_path, capsys):
     ("qp_6_2", "P", float("nan")),
 ])
 def test_problem_file_rejects_non_finite_data(tmp_path, capsys, tag, field, value):
-    from driftopt import builtin, serialize
-    doc = serialize(builtin(tag))
+    doc = copy.deepcopy(BUILTINS[tag])
     row = doc[field][0] if isinstance(doc[field][0], list) else doc[field]
     row[0] = value
     path = tmp_path / "bad.json"
@@ -203,8 +252,7 @@ def test_problem_file_rejects_non_finite_data(tmp_path, capsys, tag, field, valu
 
 @pytest.mark.parametrize("tag", ["num_6_1", "qp_6_2"])
 def test_problem_file_rejects_empty_constraint_matrix(tmp_path, capsys, tag):
-    from driftopt import builtin, serialize
-    doc = {**serialize(builtin(tag)), "A": [], "b": []}
+    doc = {**BUILTINS[tag], "A": [], "b": []}
     path = tmp_path / "empty.json"
     path.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "solve", "--problem", str(path),
@@ -216,9 +264,8 @@ def test_problem_file_rejects_empty_constraint_matrix(tmp_path, capsys, tag):
 @pytest.mark.parametrize("tag", ["num_6_1", "qp_6_2"])
 def test_audit_problem_file_without_gamma(tmp_path, capsys, tag):
     # problem files carry the computed gamma = ||A||_F^2 / alpha
-    from driftopt import builtin, serialize
     path = tmp_path / "mine.json"
-    path.write_text(json.dumps(serialize(builtin(tag))))
+    path.write_text(json.dumps(BUILTINS[tag]))
     out = tmp_path / "mine.csv"
     code, _, _ = run_cli(capsys, "solve", "--problem", str(path),
                          "--iters", "5000", "--out", str(out))
@@ -246,9 +293,8 @@ def test_solve_rejects_non_finite_parameters(tmp_path, capsys, flag, value):
 
 def test_audit_rejects_summary_of_another_problem(tmp_path, capsys):
     # same data under another tag: only the summary's problem field differs
-    from driftopt import builtin, serialize
     path = tmp_path / "mine.json"
-    path.write_text(json.dumps(serialize(builtin("qp_6_2"))))
+    path.write_text(json.dumps(BUILTINS["qp_6_2"]))
     out = tmp_path / "mine.csv"
     code, _, _ = run_cli(capsys, "solve", "--problem", str(path),
                          "--iters", "200", "--out", str(out))

@@ -16,7 +16,7 @@ def synthetic_trace(ts, f_vals, g_vals, qnorms, V=1.0, lambda_dist=None,
         qnorm=np.asarray(qnorms, dtype=float),
         lambda_dist=None if lambda_dist is None else np.asarray(lambda_dist, dtype=float),
         dual_gap=None if dual_gap is None else np.asarray(dual_gap, dtype=float),
-        V=V, iters=int(ts[-1]))
+        V=V)
 
 
 def test_error_series_zero_at_optimum():
@@ -24,8 +24,8 @@ def test_error_series_zero_at_optimum():
     ts = np.arange(1, 20)
     tr = IterateTrace(t=ts, f_xbar=np.full(len(ts), b.reference.f_star),
                       g_xbar=np.tile(b.program.g(b.reference.x_star), (len(ts), 1)),
-                      qnorm=np.zeros(len(ts)), iters=19)
-    _, obj, viol = error_series(tr, b.reference)
+                      qnorm=np.zeros(len(ts)))
+    obj, viol = error_series(tr.f_xbar, tr.g_xbar, b.reference.f_star)
     assert np.all(obj == 0)
     assert np.all(viol <= 1e-12)
 
@@ -89,8 +89,7 @@ def test_audit_accepts_compliant_synthetic_trace():
         V=V,
         lambda_dist=lam_norm / ts,
         dual_gap=1.0 / ts)
-    cfg = SolverConfig(V=V, q0=np.zeros(2), iters=200)
-    report = audit_bounds(tr, b.reference, b.program, cfg, gamma=9.0,
+    report = audit_bounds(tr, b.reference, b.program, np.zeros(2), gamma=9.0,
                           oracle=b.oracle)
     assert audit_passed(report)
     assert all(e["applicable"] for e in report)
@@ -105,8 +104,7 @@ def test_audit_flags_single_monotonicity_violation():
         ts, f_vals=np.full(len(ts), b.reference.f_star - 1.0),
         g_vals=[np.zeros(2)] * len(ts), qnorms=np.zeros(len(ts)),
         V=QP_V, lambda_dist=dist, dual_gap=1.0 / ts)
-    cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=50)
-    report = audit_bounds(tr, b.reference, b.program, cfg, gamma=9.0,
+    report = audit_bounds(tr, b.reference, b.program, np.zeros(2), gamma=9.0,
                           oracle=b.oracle)
     entry = next(e for e in report if e["bound"] == "multiplier_distance_monotone")
     assert entry["applicable"] and entry["pass"] is False
@@ -120,8 +118,7 @@ def test_audit_gates_on_preconditions():
         ts, f_vals=np.full(len(ts), b.reference.f_star - 1.0),
         g_vals=[np.zeros(2)] * len(ts), qnorms=np.zeros(len(ts)),
         V=1.0, lambda_dist=1.0 / ts, dual_gap=1.0 / ts)
-    cfg = SolverConfig(V=1.0, q0=np.zeros(2), iters=30)
-    report = audit_bounds(tr, b.reference, b.program, cfg, gamma=9.0,
+    report = audit_bounds(tr, b.reference, b.program, np.zeros(2), gamma=9.0,
                           oracle=b.oracle)
     by_name = {e["bound"]: e for e in report}
     assert by_name["dual_gap_bound"]["applicable"] is False
@@ -134,7 +131,7 @@ def test_audit_on_real_run():
     b = builtin("qp_6_2")
     cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=3000, sampling="log")
     tr = run(b.program, b.oracle, cfg, reference=b.reference)
-    report = audit_bounds(tr, b.reference, b.program, cfg, gamma=9.0,
+    report = audit_bounds(tr, b.reference, b.program, cfg.q0, gamma=9.0,
                           oracle=b.oracle)
     assert audit_passed(report)
 
@@ -144,7 +141,7 @@ def test_audit_requires_reference():
     cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=10)
     tr = run(b.program, b.oracle, cfg, reference=b.reference)
     with pytest.raises(ValueError):
-        audit_bounds(tr, None, b.program, cfg)
+        audit_bounds(tr, None, b.program, cfg.q0)
 
 
 def test_report_is_json_serializable():
@@ -152,7 +149,7 @@ def test_report_is_json_serializable():
     b = builtin("qp_6_2")
     cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=100, sampling="log")
     tr = run(b.program, b.oracle, cfg, reference=b.reference)
-    report = audit_bounds(tr, b.reference, b.program, cfg, gamma=9.0,
+    report = audit_bounds(tr, b.reference, b.program, cfg.q0, gamma=9.0,
                           oracle=b.oracle)
     text = json.dumps(report)
     assert "objective_bound" in text

@@ -3,7 +3,7 @@ import pytest
 
 from driftopt import (NumInstance, builtin, dual_value_and_gradient,
                       gamma_geq_Lc_check, general_dual_hessian,
-                      num_dual_hessian, qualification_check, theta_bound)
+                      num_dual_hessian, theta_bound)
 
 
 def test_dual_value_at_zero_multiplier():
@@ -152,16 +152,23 @@ def test_general_dual_hessian_requires_pd_inner():
         general_dual_hessian(np.eye(2), -np.eye(2), None, np.zeros(2))
 
 
+def rank(M):
+    # numerical rank: singular values above 1e-10 times the largest
+    return np.linalg.matrix_rank(M, tol=1e-10 * np.linalg.norm(M, 2))
+
+
 def test_qualification_check_examples():
+    # locally quadratic dual: the active rows of A are independent;
+    # strongly concave dual: A has full row rank m
     n = builtin("num_6_1")
-    assert qualification_check(n.instance.A, n.reference.active_set) == {
-        "locally_quadratic": True, "strongly_concave": True}
+    A, active = n.instance.A, list(n.reference.active_set)
+    assert rank(A[active]) == len(active)
+    assert rank(A) == n.program.m
     c = builtin("num_5_2_rank_deficient")
-    res = qualification_check(c.instance.A, c.reference.active_set)
-    assert res["strongly_concave"] is False
-    assert res["locally_quadratic"] is False
-    assert qualification_check(np.eye(4), range(4)) == {
-        "locally_quadratic": True, "strongly_concave": True}
+    A, active = c.instance.A, list(c.reference.active_set)
+    assert rank(A) < c.program.m
+    assert rank(A[active]) < len(active)
+    assert rank(np.eye(4)) == 4
 
 
 def test_local_quadratic_growth_near_optimum():

@@ -113,7 +113,8 @@ def test_oracle_optimality_certificate():
         x = b.oracle.argmin(q, V)
         val = V * b.program.f(x) + float(q @ b.program.g(x))
         for _ in range(1000):
-            xp = b.program.project(x + rng.uniform(-0.1, 0.1, b.program.n))
+            xp = np.clip(x + rng.uniform(-0.1, 0.1, b.program.n),
+                         b.program.lower, b.program.upper)
             if tag == "num_6_1" and np.any(xp <= 0):
                 continue
             valp = V * b.program.f(xp) + float(q @ b.program.g(xp))

@@ -7,6 +7,7 @@ import pytest
 
 from driftopt import (InnerSolveError, ProjectedGradientOracle, SolverConfig,
                       builtin, choose_V, run)
+from driftopt.cli import main
 
 QP_V = 4.0 / 0.34
 
@@ -31,28 +32,18 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("V", np.nan), ("V", np.inf), ("step_c", np.nan), ("step_c", np.inf),
-    ("step_c", 0.0), ("q0", [1.0, np.nan]), ("q0", [np.inf, 0.0]),
+    ("V", np.nan), ("V", np.inf), ("q0", [1.0, np.nan]), ("q0", [np.inf, 0.0]),
 ], ids=str)
 def test_config_rejects_bad_parameters(field, value):
-    kw = dict(V=1.0, q0=np.zeros(2), iters=10, variant="dual_subgradient")
+    kw = dict(V=1.0, q0=np.zeros(2), iters=10)
     kw[field] = value
     with pytest.raises(ValueError):
         SolverConfig(**kw)
 
 
-def test_config_default_step():
-    cfg = SolverConfig(V=4.0, q0=np.zeros(1), iters=10, variant="dual_subgradient")
-    assert cfg.c == 0.25
-    cfg = SolverConfig(V=4.0, q0=np.zeros(1), iters=10,
-                       variant="dual_subgradient", step_c=0.1)
-    assert cfg.c == 0.1
-
-
 def test_choose_V():
     b = builtin("qp_6_2")
     assert choose_V(b.program) == pytest.approx(4.0 / 0.34)
-    assert choose_V(b.program, gamma=100.0) == 100.0
     n = builtin("num_6_1")
     assert choose_V(n.program) == pytest.approx(3 * 3 / (2 / 121))  # 544.5
 
@@ -78,18 +69,19 @@ def test_zero_constraint_values_fix_the_queue():
     assert np.allclose(tr.queue, q0, atol=1e-8)
 
 
-def test_dpp_equals_dual_subgradient():
-    # with c = 1/V and lam(0) = Q(0)/V the two variants coincide exactly
-    b = builtin("qp_6_2")
-    q0 = np.array([2.0, 5.0])
-    k1 = SolverConfig(V=QP_V, q0=q0, iters=500, variant="dpp",
-                      sampling="linear", stride=1)
-    k2 = SolverConfig(V=QP_V, q0=q0, iters=500, variant="dual_subgradient",
-                      sampling="linear", stride=1)
-    t1 = run(b.program, b.oracle, k1)
-    t2 = run(b.program, b.oracle, k2)
-    assert np.abs(t1.x - t2.x).max() <= 1e-12
-    assert np.abs(t1.queue - t2.queue).max() <= 1e-12
+def test_dpp_equals_dual_subgradient(tmp_path, capsys):
+    # dual subgradient with step c = 1/V from lam(0) = Q(0)/V is DPP at V:
+    # the CLI runs both through the same loop and writes the same trace
+    outputs = {}
+    for algorithm in ("dpp", "dual-subgradient"):
+        out = tmp_path / f"{algorithm}.csv"
+        assert main(["solve", "--builtin", "qp_6_2", "--algorithm", algorithm,
+                     "--q0", "2,5", "--iters", "500", "--sample", "linear",
+                     "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary.pop("algorithm") == algorithm
+        outputs[algorithm] = (out.read_bytes(), summary)
+    assert outputs["dpp"] == outputs["dual-subgradient"]
 
 
 def test_standard_average_matches_recomputation():
@@ -182,8 +174,12 @@ def test_trace_records_dual_quantities_with_reference():
 def test_golden_trace(case):
     b = builtin(case["tag"])
     q0 = np.broadcast_to(np.asarray(case["q0"], dtype=float), (b.program.m,))
-    cfg = SolverConfig(V=case["V"], q0=q0, iters=2000, variant=case["variant"],
-                       step_c=case["step_c"], sampling="linear", stride=97)
+    variant, V = case["variant"], case["V"]
+    if variant == "dual_subgradient":
+        # step c (default 1/V) from Q(0): DPP at V' = 1/c
+        variant, V = "dpp", 1.0 / (case["step_c"] or 1.0 / V)
+    cfg = SolverConfig(V=V, q0=q0, iters=2000, variant=variant,
+                       sampling="linear", stride=97)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # V = 422 is below m beta^2/alpha
         tr = run(b.program, b.oracle, cfg, reference=b.reference)
