@@ -123,11 +123,12 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     try:
         trace = run(program, bundle.oracle, config, reference=bundle.reference)
-    except InnerSolveError as exc:
+    except (InnerSolveError, FloatingPointError) as exc:
         partial = getattr(exc, "partial_trace", None)
         if partial is not None and len(partial):
             _write_csv(out, partial, bundle)
-        print(f"error: inner oracle failed: {exc}", file=sys.stderr)
+        what = "inner oracle failed: " if isinstance(exc, InnerSolveError) else ""
+        print(f"error: {what}{exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     _write_csv(out, trace, bundle)
@@ -154,10 +155,10 @@ def cmd_solve(args) -> int:
                          if trace.dual_gap is not None else None),
         },
     }
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     with open(_summary_path(out), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+        fh.write(text + "\n")
+    print(text)
     return EXIT_OK
 
 

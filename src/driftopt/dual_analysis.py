@@ -45,28 +45,21 @@ def num_dual_hessian(inst: NumInstance, lam) -> np.ndarray:
     return -(scaled @ inst.A.T)
 
 
-def general_dual_hessian(grad_g: np.ndarray, hess_f: np.ndarray,
-                         hess_g, lam) -> np.ndarray:
-    """Dual Hessian -G H^{-1} G^T with H = hess_f + sum_k lam_k hess_g_k.
+def general_dual_hessian(grad_g: np.ndarray, hess_f: np.ndarray) -> np.ndarray:
+    """Dual Hessian -G H^{-1} G^T of a program with affine constraints.
 
-    ``grad_g`` is the m x n constraint Jacobian G; ``hess_g`` a sequence of
-    n x n matrices (or None for affine constraints).  H must be positive
-    definite.
+    ``grad_g`` is the m x n constraint Jacobian G and ``hess_f`` the n x n
+    objective Hessian H, which must be positive definite.
     """
     G = np.asarray(grad_g, dtype=float)
     if G.ndim != 2:
         raise ValueError("grad_g must be an m x n matrix")
-    m, n = G.shape
-    lam = _as_vector(lam, m, "lambda")
-    H = np.asarray(hess_f, dtype=float).copy()
+    n = G.shape[1]
+    H = np.asarray(hess_f, dtype=float)
     if H.shape != (n, n):
         raise ValueError("hess_f must be n x n")
-    if hess_g is not None:
-        for k, Hk in enumerate(hess_g):
-            if Hk is not None:
-                H += lam[k] * np.asarray(Hk, dtype=float)
     if np.linalg.eigvalsh(0.5 * (H + H.T)).min() <= 0:
-        raise ValueError("inner Hessian f + lam . g must be positive definite")
+        raise ValueError("hess_f must be positive definite")
     return -(G @ np.linalg.solve(H, G.T))
 
 

@@ -112,12 +112,11 @@ def _gamma(A: np.ndarray, alpha: float) -> float:
 
 
 def _reference_for(kind: str, inst) -> tuple[KktSolution | None, str | None]:
-    if inst.m > 20:
-        return None, "too many constraints for the enumeration oracle"
     try:
         sol = kkt_solve_num(inst) if kind == "num" else kkt_solve_qp(inst)
         return sol, None
-    except (InfeasibleError, np.linalg.LinAlgError) as exc:
+    except (InfeasibleError, ValueError) as exc:
+        # ValueError: m above the enumeration limit, or a LinAlgError
         return None, str(exc)
 
 
@@ -126,12 +125,11 @@ def _check_gamma_vs_Lc(kind: str, inst, reference: KktSolution | None,
     """Validate the stored smoothness modulus against the local curvature."""
     if reference is None:
         return
-    lam = reference.lambda_star
     try:
         if kind == "num":
-            hess = num_dual_hessian(inst, lam)
+            hess = num_dual_hessian(inst, reference.lambda_star)
         else:
-            hess = general_dual_hessian(inst.A, 2.0 * inst.P, None, lam)
+            hess = general_dual_hessian(inst.A, 2.0 * inst.P)
     except ValueError:
         return  # multiplier outside the interior regime; nothing to check
     eig = np.linalg.eigvalsh(hess)

@@ -2,8 +2,10 @@
 
 Enumerates candidate active sets (by increasing cardinality, then
 lexicographically), solves the stationarity system for each, and returns
-the first candidate passing primal feasibility, dual nonnegativity and
-complementary slackness.  Global optimality follows from convexity.
+the first candidate passing dual nonnegativity, primal feasibility and
+complementary slackness.  Global optimality follows from convexity.  The
+problem kinds differ only in how they solve the stationarity system on a
+set; the certificate is the same for both.
 
 Kept deliberately independent of the iterative solvers so it can serve as
 the oracle in every convergence test.
@@ -22,6 +24,7 @@ from .oracles import NumInstance, QpInstance
 
 FEAS_TOL = 1e-8
 NEWTON_TOL = 1e-10
+MAX_CONSTRAINTS = 20  # enumeration visits up to 2^m active sets
 
 
 class InfeasibleError(RuntimeError):
@@ -43,25 +46,13 @@ class KktSolution:
     active_set: tuple[int, ...]
 
 
-def _subsets(m: int):
-    for size in range(m + 1):
-        yield from combinations(range(m), size)
-
-
-def _finish(x: np.ndarray, f_star: float, lam: np.ndarray, gvals: np.ndarray) -> KktSolution:
-    active = tuple(int(k) for k in range(len(gvals)) if abs(gvals[k]) <= FEAS_TOL)
-    return KktSolution(x_star=x, f_star=float(f_star), lambda_star=lam,
-                       active_set=active)
-
-
-def _analytic_center_multiplier(M: np.ndarray, w: np.ndarray,
-                                lam0: np.ndarray) -> np.ndarray:
-    """Pick the analytic center of the multiplier face {lam >= 0 : M lam = w}.
+def _analytic_center_multiplier(M: np.ndarray, lam0: np.ndarray) -> np.ndarray:
+    """Pick the analytic center of the multiplier face {lam >= 0 : M lam = M lam0}.
 
     When the active-constraint system is rank deficient the KKT multiplier
     is a nontrivial face; interior-point solvers land at its analytic
     center, so that is the deterministic representative we return.
-    ``lam0`` is any particular solution.
+    ``lam0`` is any nonnegative multiplier on the face.
     """
     ns = scipy.linalg.null_space(M)
     if ns.size == 0:
@@ -93,103 +84,105 @@ def _analytic_center_multiplier(M: np.ndarray, w: np.ndarray,
     return lam0 + ns @ z
 
 
+def _enumerate(inst, stationary, objective) -> KktSolution:
+    """The first active set whose stationary point is a KKT point.
+
+    ``stationary(S)`` solves the stationarity system with the constraints
+    in S (a list of indices) held at equality and returns (x, lambda_S), or
+    None when the system has no admissible solution; a LinAlgError skips
+    the set.  ``objective`` is f; the constraints are A x <= b.
+    """
+    m = inst.m
+    if m > MAX_CONSTRAINTS:
+        raise ValueError("too many constraints for the enumeration oracle")
+    for size in range(m + 1):
+        for S in map(list, combinations(range(m), size)):
+            try:
+                found = stationary(S)
+            except np.linalg.LinAlgError:
+                continue
+            if found is None:
+                continue
+            x, lam_S = found
+            if np.any(lam_S < -FEAS_TOL):
+                continue
+            lam = np.zeros(m)
+            lam[S] = np.maximum(lam_S, 0.0)
+            gvals = inst.A @ x - inst.b
+            if np.any(gvals > FEAS_TOL) or np.any(np.abs(lam * gvals) > FEAS_TOL):
+                continue
+            active = [k for k in range(m) if abs(gvals[k]) <= FEAS_TOL]
+            M = inst.A[active, :].T
+            # Rank-deficient active sets admit a multiplier face; normalize.
+            if active and len(active) > np.linalg.matrix_rank(M):
+                lam_face = _analytic_center_multiplier(M, lam[active])
+                lam = np.zeros(m)
+                lam[active] = lam_face
+            return KktSolution(x_star=x, f_star=objective(x), lambda_star=lam,
+                               active_set=tuple(active))
+    raise InfeasibleError("no active subset produced a KKT point")
+
+
 def kkt_solve_qp(inst: QpInstance) -> KktSolution:
-    """Global optimum of a small QP by active-set enumeration."""
-    if inst.m > 20:
-        raise ValueError("enumeration oracle limited to m <= 20")
-    n, m = inst.n, inst.m
+    """Global optimum of a small QP by active-set enumeration.
+
+    On each set the stationarity system is linear and solved in the
+    least-squares sense; a residual above rounding level rejects the set.
+    """
+    n = inst.n
     H = 2.0 * inst.P
-    for S in _subsets(m):
+
+    def stationary(S):
         s = len(S)
-        A_S = inst.A[list(S), :]
+        A_S = inst.A[S, :]
         K = np.zeros((n + s, n + s))
         K[:n, :n] = H
         K[:n, n:] = A_S.T
         K[n:, :n] = A_S
-        rhs = np.concatenate([-inst.c, inst.b[list(S)]])
-        try:
-            sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-        except np.linalg.LinAlgError:
-            continue
+        rhs = np.concatenate([-inst.c, inst.b[S]])
+        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
         if np.linalg.norm(K @ sol - rhs) > 1e-8 * (1 + np.linalg.norm(rhs)):
-            continue
-        x, lam_S = sol[:n], sol[n:]
-        if np.any(lam_S < -FEAS_TOL):
-            continue
-        gvals = inst.A @ x - inst.b
-        if np.any(gvals > FEAS_TOL):
-            continue
-        lam = np.zeros(m)
-        lam[list(S)] = np.maximum(lam_S, 0.0)
-        # Rank-deficient active sets admit a multiplier face; normalize.
-        active = [k for k in range(m) if abs(gvals[k]) <= FEAS_TOL]
-        if active and len(active) > np.linalg.matrix_rank(inst.A[active, :]):
-            M = inst.A[active, :].T
-            w = -(H @ x + inst.c)
-            lam_face, *_ = np.linalg.lstsq(M, w, rcond=None)
-            lam_face = _analytic_center_multiplier(M, w, _particular_nonneg(M, w, lam_face))
-            lam = np.zeros(m)
-            lam[active] = lam_face
-        f_star = float(x @ inst.P @ x + inst.c @ x)
-        return _finish(x, f_star, lam, gvals)
-    raise InfeasibleError("no active subset produced a KKT point")
+            return None
+        return sol[:n], sol[n:]
+
+    return _enumerate(inst, stationary,
+                      lambda x: float(x @ inst.P @ x + inst.c @ x))
 
 
-def _particular_nonneg(M: np.ndarray, w: np.ndarray, guess: np.ndarray) -> np.ndarray:
-    """A solution of M lam = w with lam >= 0, starting from ``guess``."""
-    if np.all(guess >= -FEAS_TOL):
-        return np.maximum(guess, 0.0)
-    k = M.shape[1]
-    res = scipy.optimize.linprog(c=np.zeros(k), A_eq=M, b_eq=w,
-                                 bounds=[(0, None)] * k, method="highs")
-    if not res.success:
-        raise InfeasibleError("no nonnegative multiplier solves the stationarity system")
-    return res.x
+def _num_newton(inst: NumInstance, S: list[int]):
+    """Stationary point of the rate-allocation program on active set S.
 
-
-def _num_newton(inst: NumInstance, S: tuple[int, ...]):
-    """Solve the active-set stationarity system for the rate-allocation dual.
-
-    Unknowns are lambda_k for k in S (zero elsewhere).  Flows whose routes
-    touch no active link sit at their cap and contribute a constant load.
-    Damped Newton from lambda_S = 1, halving steps (up to 60 times) so the
-    active multipliers stay strictly positive.
+    Solves A_S x(lambda_S) = b_S with x_i = c_i / (lambda_S . a_i) by
+    damped Newton from lambda_S = 1, halving steps (up to 60 times) only
+    to keep every lambda_S . a_i positive, the domain of that system; a
+    multiplier may turn negative on the way or at the end.  Returns
+    (x, lambda_S), or None when Newton fails or x is not interior to the
+    box (a flow no link in S carries would sit at its cap).
     """
-    A, b, c, xmax = inst.A, inst.b, inst.c, inst.xmax
-    S = list(S)
-    A_S = A[S, :]
-    touched = A_S.sum(axis=0) > 0          # flows seen by some active link
-    fixed_load = A_S[:, ~touched] @ xmax[~touched]
-    if not np.any(touched):
+    A_S = inst.A[S, :]
+    if not A_S.any(axis=0).all():
         return None
-    A_t = A_S[:, touched]
-    c_t = c[touched]
-
+    c, b_S = inst.c, inst.b[S]
     lam = np.ones(len(S))
+    denom = lam @ A_S                      # lambda_S . a_i per flow
     for _ in range(200):
-        denom = lam @ A_t                  # lambda . a_i per touched flow
-        if np.any(denom <= 0):
-            return None
-        x_t = c_t / denom
-        F = A_t @ x_t + fixed_load - b[S]
+        x = c / denom
+        F = A_S @ x - b_S
         if np.linalg.norm(F) <= NEWTON_TOL:
-            break
-        J = -(A_t * (c_t / denom ** 2)) @ A_t.T
-        try:
-            step = np.linalg.lstsq(J, -F, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            return None
+            return None if np.any(x >= inst.xmax) else (x, lam)
+        J = -(A_S * (c / denom ** 2)) @ A_S.T
+        step = np.linalg.lstsq(J, -F, rcond=None)[0]
         tau = 1.0
-        halvings = 0
-        while np.any(lam + tau * step <= 0) and halvings < 60:
+        for _ in range(60):
+            trial = lam + tau * step
+            trial_denom = trial @ A_S
+            if np.all(trial_denom > 0):
+                break
             tau *= 0.5
-            halvings += 1
-        if halvings >= 60:
+        else:
             return None
-        lam = lam + tau * step
-    else:
-        return None
-    return lam
+        lam, denom = trial, trial_denom
+    return None
 
 
 def kkt_solve_num(inst: NumInstance) -> KktSolution:
@@ -197,35 +190,8 @@ def kkt_solve_num(inst: NumInstance) -> KktSolution:
 
     Enumerates active subsets of the capacity constraints and solves each
     stationarity system by damped Newton.  Valid only when the optimum is
-    interior to the box (checked post hoc), which the instance invariant
-    xmax_i > max b_k guarantees.
+    interior to the box (checked on every set), which the instance
+    invariant xmax_i > max b_k guarantees.
     """
-    if inst.m > 20:
-        raise ValueError("enumeration oracle limited to m <= 20")
-    for S in _subsets(inst.m):
-        lam_S = _num_newton(inst, S) if S else None
-        if S and lam_S is None:
-            continue
-        lam = np.zeros(inst.m)
-        if S:
-            lam[list(S)] = lam_S
-        denom = lam @ inst.A
-        x = np.where(denom > 0, np.minimum(inst.c / np.maximum(denom, 1e-300), inst.xmax),
-                     inst.xmax)
-        gvals = inst.A @ x - inst.b
-        if np.any(gvals > FEAS_TOL):
-            continue
-        if np.any(np.abs(lam * gvals) > FEAS_TOL):
-            continue
-        if np.any(x <= 0) or np.any(x >= inst.xmax):
-            continue  # optimum must be interior to the box
-        active = [k for k in range(inst.m) if abs(gvals[k]) <= FEAS_TOL]
-        M = inst.A[active, :].T            # stationarity: lambda . a_i = c_i / x_i
-        if active and len(active) > np.linalg.matrix_rank(M):
-            w = inst.c / x
-            lam_face = _analytic_center_multiplier(M, w, _particular_nonneg(M, w, lam[active]))
-            lam = np.zeros(inst.m)
-            lam[active] = lam_face
-        f_star = float(-(inst.c @ np.log(x)))
-        return _finish(x, f_star, lam, gvals)
-    raise InfeasibleError("no active subset produced a KKT point")
+    return _enumerate(inst, lambda S: _num_newton(inst, S),
+                      lambda x: float(-(inst.c @ np.log(x))))

@@ -61,7 +61,9 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
     q(lambda*) - q(lambda(t)); the dual value at lambda(t) is exact because
     x(t) attains the inner minimum defining q.  The residual of the exact
     drift identity is checked on every iteration; x-bar, f(x-bar) and
-    g(x-bar) are computed only at sampled t.
+    g(x-bar) are computed only at sampled t.  A sample with a non-finite
+    value raises FloatingPointError carrying the rows before it as
+    ``partial_trace``, as an InnerSolveError does.
 
     Deterministic: identical inputs give identical traces.
     """
@@ -157,4 +159,14 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
             max_residual = residual
         sum_x += x
         q, qq = qn, qnqn
+
+    finite = np.ones(S, dtype=bool)
+    for column in (f_xbar, g_xbar, qnorm, lambda_dist, dual_gap, xs, xbars, queue):
+        if column is not None:
+            finite &= np.isfinite(column.reshape(S, -1)).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        exc = FloatingPointError(f"non-finite value in the sample at t = {ts[bad]}")
+        exc.partial_trace = trace(bad)
+        raise exc
     return trace(S)

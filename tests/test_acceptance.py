@@ -228,7 +228,7 @@ def test_criterion_9_oracle_equivalences():
         x = bb.reference.x_star
         H1 = num_dual_hessian(bb.instance, lam)
         H2 = general_dual_hessian(bb.instance.A,
-                                  np.diag(bb.instance.c / x ** 2), None, lam)
+                                  np.diag(bb.instance.c / x ** 2))
         worst_hess = max(worst_hess, np.abs(H1 - H2).max())
 
     ok = worst_x <= 1e-12 and worst_lam <= 1e-12 and worst_oracle <= 1e-6 \

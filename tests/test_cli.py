@@ -357,3 +357,30 @@ def test_solve_writes_partial_trace_on_inner_failure(tmp_path, capsys, monkeypat
         rows = list(csv.reader(fh))
     assert [int(r[0]) for r in rows[1:]] == list(range(1, 21))
     assert not (tmp_path / "p.csv.summary.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tag", ["qp_6_2", "num_6_1"])
+def test_solve_that_overflows_exits_3(tmp_path, capsys, tag):
+    # V is positive and finite, but x(t) or Q(t) / V leaves the doubles
+    out = tmp_path / "tiny.csv"
+    with pytest.warns(UserWarning):
+        code, stdout, err = run_cli(capsys, "solve", "--builtin", tag,
+                                    "--V", "1e-300", "--iters", "100",
+                                    "--out", str(out))
+    assert code == 3
+    assert "non-finite value in the sample at t = 1" in err
+    assert stdout == ""
+    # the first sample is already non-finite: no rows, no summary
+    assert not out.exists()
+    assert not (tmp_path / "tiny.csv.summary.json").exists()
+
+
+def test_kkt_refuses_more_than_20_constraints(tmp_path, capsys):
+    doc = {"kind": "qp", "P": [[1.0, 0.0], [0.0, 1.0]], "c": [0.0, 0.0],
+           "A": [[1.0, 0.0]] * 21, "b": [1.0] * 21}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "kkt", "--problem", str(path))
+    assert code == 3
+    assert "too many constraints for the enumeration oracle" in err

@@ -107,14 +107,14 @@ def test_num_dual_hessian_domain_error():
 
 
 def test_general_dual_hessian_identity_case():
-    H = general_dual_hessian(np.eye(3), np.eye(3), None, np.zeros(3))
+    H = general_dual_hessian(np.eye(3), np.eye(3))
     assert np.allclose(H, -np.eye(3))
 
 
 def test_general_dual_hessian_qp():
     b = builtin("qp_6_2")
     A, P = b.instance.A, b.instance.P
-    H = general_dual_hessian(A, 2.0 * P, None, b.reference.lambda_star)
+    H = general_dual_hessian(A, 2.0 * P)
     expect = -A @ np.linalg.inv(2.0 * P) @ A.T
     assert np.allclose(H, expect, atol=1e-12)
     assert np.linalg.eigvalsh(H).max() < 0
@@ -129,7 +129,7 @@ def test_hessian_cross_formula_agreement():
         x = b.reference.x_star
         H1 = num_dual_hessian(b.instance, lam)
         H2 = general_dual_hessian(b.instance.A,
-                                  np.diag(b.instance.c / x ** 2), None, lam)
+                                  np.diag(b.instance.c / x ** 2))
         assert np.abs(H1 - H2).max() <= 1e-8
 
 
@@ -149,7 +149,7 @@ def test_hessian_matches_finite_difference_gradient():
 
 def test_general_dual_hessian_requires_pd_inner():
     with pytest.raises(ValueError):
-        general_dual_hessian(np.eye(2), -np.eye(2), None, np.zeros(2))
+        general_dual_hessian(np.eye(2), -np.eye(2))
 
 
 def rank(M):
@@ -197,8 +197,7 @@ def test_gamma_geq_Lc_check():
     assert gamma_geq_Lc_check(9.0, 1.0) is True
     assert gamma_geq_Lc_check(1.0, 2.0) is False
     b = builtin("qp_6_2")
-    H = general_dual_hessian(b.instance.A, 2.0 * b.instance.P, None,
-                             b.reference.lambda_star)
+    H = general_dual_hessian(b.instance.A, 2.0 * b.instance.P)
     Lc = -np.linalg.eigvalsh(H).max()
     assert gamma_geq_Lc_check(3.0 / 0.34, Lc)
     with pytest.raises(ValueError):

@@ -102,3 +102,31 @@ def test_enumeration_size_limit():
     inst = QpInstance(P=np.eye(21), c=np.zeros(21), A=A, b=np.ones(21))
     with pytest.raises(ValueError):
         kkt_solve_qp(inst)
+
+
+def test_num_newton_crosses_zero_multiplier():
+    # Random rate-allocation file (benchmark seed 20, round 5, num_m8).  Its
+    # optimum has active set {3, 5, 7} (1-based).  Newton on that set from
+    # lambda_S = 1 passes through (0.60, -0.057, 2.93) at its second step;
+    # a solve that halves its steps to keep every multiplier positive
+    # pins the second one near 0, stalls at ||F|| = 3.84 and reports no
+    # KKT point at all.
+    inst = NumInstance(
+        A=[[1, 1, 0, 1, 1], [1, 0, 0, 0, 0], [0, 1, 0, 1, 1], [1, 0, 0, 0, 0],
+           [1, 0, 1, 1, 1], [0, 1, 0, 0, 1], [1, 1, 1, 0, 1], [1, 0, 0, 1, 0]],
+        b=[8.051140578857158, 6.42453758962214, 2.302601266232279,
+           7.517254954613977, 3.064805116229752, 9.428718050396629,
+           2.643734760173996, 6.8044158253510805],
+        c=[1.9857422135125837, 2.7285066363876567, 2.3707959492739246,
+           1.2249826737074614, 1.3970648086997728],
+        xmax=[12.209624166186995, 11.575966797346453, 12.680765216829577,
+              14.17606412533256, 12.751727699097124])
+    sol = kkt_solve_num(inst)
+    assert sol.active_set == (2, 4, 6)
+    g = inst.A @ sol.x_star - inst.b
+    assert g.max() <= 1e-8
+    assert sol.lambda_star.min() >= 0.0
+    assert np.abs(sol.lambda_star * g).max() <= 1e-8
+    resid = -inst.c / sol.x_star + inst.A.T @ sol.lambda_star
+    assert np.abs(resid).max() <= 1e-8
+    assert sol.f_star == pytest.approx(-(inst.c @ np.log(sol.x_star)), abs=1e-12)

@@ -255,3 +255,31 @@ def test_inner_failure_carries_partial_trace():
     for name in GOLDEN_COLUMNS + ("x",):
         assert np.array_equal(getattr(part, name), getattr(full, name)[:20]), name
     assert part.max_drift_residual <= full.max_drift_residual
+
+
+class OverflowingOracle(CountingOracle):
+    """Returns +inf coordinates from call number ``finite`` on."""
+
+    def __init__(self, inner, finite):
+        super().__init__(inner)
+        self.finite = finite
+
+    def argmin(self, q, V):
+        x = super().argmin(q, V)
+        return np.full_like(x, np.inf) if self.calls > self.finite else x
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_sample_carries_partial_trace():
+    b = builtin("qp_6_2")
+    cfg = SolverConfig(V=QP_V, q0=np.array([3.0, 1.0]), iters=50,
+                       sampling="linear", stride=1)
+    full = run(b.program, b.oracle, cfg, reference=b.reference)
+    # x(lambda*) and x(0..20) are finite; x(21) is not
+    with pytest.raises(FloatingPointError, match="t = 21") as info:
+        run(b.program, OverflowingOracle(b.oracle, finite=22), cfg,
+            reference=b.reference)
+    part = info.value.partial_trace
+    assert part.t.tolist() == list(range(1, 21))
+    for name in GOLDEN_COLUMNS + ("x",):
+        assert np.array_equal(getattr(part, name), getattr(full, name)[:20]), name
