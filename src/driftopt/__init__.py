@@ -5,14 +5,12 @@ and convergence-rate diagnostics."""
 from .core import (DimensionError, IterateTrace, ProgramSpec, QueueState,
                    sample_indices)
 from .oracles import (ClosedFormNumOracle, ClosedFormQpOracle, InnerSolveError,
-                      NumInstance, ProjectedGradientOracle, QpInstance,
-                      quadratic_argmin)
+                      NumInstance, ProjectedGradientOracle, QpInstance)
 from .solver import SolverConfig, VARIANTS, choose_V, run
 from .reference import (InfeasibleError, KktSolution, kkt_solve_num,
                         kkt_solve_qp)
-from .dual_analysis import (dual_value_and_gradient, gamma_geq_Lc_check,
-                            general_dual_hessian, num_dual_hessian,
-                            theta_bound)
+from .dual_analysis import (dual_value_and_gradient, general_dual_hessian,
+                            num_dual_hessian, theta_bound)
 from .diagnostics import (RateFit, audit_bounds, audit_passed, error_series,
                           fit_geometric, fit_power_decay)
 from .problems import (BUILTIN_TAGS, Constant, ProblemBundle, builtin,
@@ -27,7 +25,7 @@ __all__ = [
     "ProjectedGradientOracle", "QpInstance", "QueueState", "RateFit",
     "SolverConfig", "VARIANTS", "audit_bounds", "audit_passed", "builtin",
     "choose_V", "dual_value_and_gradient", "error_series", "fit_geometric",
-    "fit_power_decay", "gamma_geq_Lc_check", "general_dual_hessian",
-    "kkt_solve_num", "kkt_solve_qp", "load_problem", "num_dual_hessian",
-    "quadratic_argmin", "run", "sample_indices", "theta_bound",
+    "fit_power_decay", "general_dual_hessian", "kkt_solve_num",
+    "kkt_solve_qp", "load_problem", "num_dual_hessian", "run",
+    "sample_indices", "theta_bound",
 ]

@@ -25,7 +25,6 @@ from .diagnostics import (audit_bounds, audit_passed, error_series, fit_geometri
                           fit_power_decay)
 from .oracles import InnerSolveError
 from .problems import BUILTIN_TAGS, ProblemBundle, builtin, load_problem
-from .reference import InfeasibleError
 from .solver import SolverConfig, choose_V, run
 
 EXIT_OK = 0
@@ -373,9 +372,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.fn(args)
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,7 +12,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import IterateTrace, ProgramSpec
+from .core import IterateTrace, ProgramSpec, _as_vector
 from .dual_analysis import dual_value_and_gradient, theta_bound
 from .reference import KktSolution
 
@@ -125,10 +125,11 @@ def _entry(name: str, applicable: bool, passed: bool | None = None,
 
 
 def audit_bounds(trace: IterateTrace, reference: KktSolution,
-                 program: ProgramSpec, q0: np.ndarray,
-                 gamma: float | None = None, oracle=None) -> list[dict]:
+                 program: ProgramSpec, q0: np.ndarray, gamma: float,
+                 oracle) -> list[dict]:
     """Check every applicable convergence guarantee at every sampled t of
-    a run from the initial queue ``q0`` = Q(0).
+    a run from the initial queue ``q0`` = Q(0), given the dual smoothness
+    modulus ``gamma`` and the run's inner oracle.
 
     Audited bounds (each entry reports applicability, pass/fail, and the
     worst margin lhs - rhs over the samples; positive margin = violation):
@@ -138,8 +139,7 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
     - constraint: g_k(xbar(t)) <= (sqrt(||Q(0)||^2 + V^2 ||lam*||^2)
       + V ||lam*||) / t for every k.
     - queue: ||Q(t)|| <= sqrt(||Q(0)||^2 + V^2 ||lam*||^2) + V ||lam*||.
-    - dual gap: q(lam*) - q(lam(t)) <= theta / t (needs V >= gamma and an
-      oracle to evaluate q at lam(0)).
+    - dual gap: q(lam*) - q(lam(t)) <= theta / t (needs V >= gamma).
     - multiplier distance nonincreasing (needs V >= gamma), and dual value
       nondecreasing (needs V >= gamma / 2), both per consecutive sample
       with 1e-9 tolerance.
@@ -150,7 +150,7 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
         raise ValueError("trace is empty")
     V = trace.V
     ts = trace.t.astype(float)
-    q0 = np.asarray(q0, dtype=float)
+    q0 = _as_vector(q0, program.m, "q0")
     q0_norm2 = float(np.sum(q0 ** 2))
     lam_star = np.asarray(reference.lambda_star, dtype=float)
     lam_star_norm = float(np.linalg.norm(lam_star))
@@ -177,10 +177,9 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
 
     dual_ok = trace.lambda_dist is not None and trace.dual_gap is not None
 
-    # Dual-gap bound q(lam*) - q(lam(t)) <= theta / t.
-    applicable = (gamma is not None and V >= gamma and dual_ok
-                  and oracle is not None)
-    if applicable:
+    # Dual-gap bound q(lam*) - q(lam(t)) <= theta / t, and a monotone
+    # multiplier distance (per consecutive sample).
+    if V >= gamma and dual_ok:
         lam0 = q0 / V
         q_at_lam0, _ = dual_value_and_gradient(program, oracle, lam0)
         q_at_star, _ = dual_value_and_gradient(program, oracle, lam_star)
@@ -188,20 +187,16 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
         worst = float((trace.dual_gap - theta / ts).max())
         report.append(_entry("dual_gap_bound", True,
                              worst <= 1e-9 * (1.0 + theta), worst))
-    else:
-        report.append(_entry("dual_gap_bound", False))
-
-    # Monotone multiplier distance (per consecutive sample).
-    if gamma is not None and V >= gamma and dual_ok:
         steps = np.diff(trace.lambda_dist)
         worst = float(steps.max()) if len(steps) else 0.0
         report.append(_entry("multiplier_distance_monotone", True,
                              worst <= 1e-9, worst))
     else:
-        report.append(_entry("multiplier_distance_monotone", False))
+        report += [_entry("dual_gap_bound", False),
+                   _entry("multiplier_distance_monotone", False)]
 
     # Monotone dual value.
-    if gamma is not None and V >= gamma / 2.0 and dual_ok:
+    if V >= gamma / 2.0 and dual_ok:
         # q(lam(t)) = q(lam*) - dual_gap: a nondecreasing dual value is a
         # nonincreasing gap
         steps = np.diff(trace.dual_gap)

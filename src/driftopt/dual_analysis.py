@@ -77,10 +77,3 @@ def theta_bound(V: float, gamma: float, lambda0, lambda_star,
     dist2 = float(np.sum((lambda0 - lambda_star) ** 2))
     return max(4.0 * V ** 2 * dist2 / (2.0 * V - gamma), q_at_star - q_at_lambda0)
 
-
-def gamma_geq_Lc_check(gamma: float, Lc: float) -> bool:
-    """Consistency check: the smoothness modulus dominates the local
-    strong-concavity modulus (gamma >= Lc up to rounding)."""
-    if gamma <= 0 or Lc <= 0:
-        raise ValueError("gamma and Lc must be positive")
-    return gamma >= Lc - 1e-12

@@ -82,6 +82,9 @@ class NumInstance:
     def m(self) -> int:
         return self.A.shape[0]
 
+    def objective(self, x: np.ndarray) -> float:
+        return float(-(self.c @ np.log(x)))
+
 
 @dataclass(frozen=True)
 class QpInstance:
@@ -122,20 +125,8 @@ class QpInstance:
         """Strong-convexity modulus: smallest eigenvalue of 2P."""
         return float(np.linalg.eigvalsh(2.0 * self.P).min())
 
-
-def quadratic_argmin(inst: QpInstance, q: np.ndarray, V: float) -> np.ndarray:
-    """Inner minimizer for the QP on X = R^n: solve 2V P x = -(V c + A'q)."""
-    if V <= 0:
-        raise ValueError("V must be positive")
-    rhs = -(V * inst.c + inst.A.T @ q)
-    M = 2.0 * V * inst.P
-    if np.linalg.cond(M) > 1e12:
-        raise InnerSolveError("inner quadratic system is ill-conditioned")
-    x = np.linalg.solve(M, rhs)
-    residual = np.linalg.norm(M @ x - rhs)
-    if residual > 1e-9 * (1.0 + np.linalg.norm(q)):
-        raise InnerSolveError("inner quadratic solve residual too large")
-    return x
+    def objective(self, x: np.ndarray) -> float:
+        return float(x @ self.P @ x + self.c @ x)
 
 
 class ClosedFormNumOracle:

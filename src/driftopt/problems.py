@@ -11,13 +11,14 @@ constructor.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import ProgramSpec
-from .dual_analysis import gamma_geq_Lc_check, num_dual_hessian, general_dual_hessian
+from .dual_analysis import general_dual_hessian, num_dual_hessian
 from .oracles import ClosedFormNumOracle, ClosedFormQpOracle, NumInstance, QpInstance
 from .reference import InfeasibleError, KktSolution, kkt_solve_num, kkt_solve_qp
 
@@ -81,62 +82,49 @@ class ProblemBundle:
         raise KeyError(name)
 
 
-def _num_program(inst: NumInstance, alpha: float, beta: float) -> ProgramSpec:
-    c, A, b = inst.c, inst.A, inst.b
-    return ProgramSpec(
-        n=inst.n, m=inst.m,
-        objective=lambda x: float(-(c @ np.log(x))),
-        constraints=lambda x: A.dot(x) - b,
-        lower=np.zeros(inst.n), upper=inst.xmax,
-        alpha=alpha, beta=beta,
-        objective_grad=lambda x: -c / x,
-        constraints_jac=lambda x: A)
-
-
-def _qp_program(inst: QpInstance, alpha: float, beta: float) -> ProgramSpec:
-    P, c, A, b = inst.P, inst.c, inst.A, inst.b
-    inf = np.inf
-    return ProgramSpec(
-        n=inst.n, m=inst.m,
-        objective=lambda x: float(x @ P @ x + c @ x),
-        constraints=lambda x: A.dot(x) - b,
-        lower=np.full(inst.n, -inf), upper=np.full(inst.n, inf),
-        alpha=alpha, beta=beta,
-        objective_grad=lambda x: 2.0 * (P @ x) + c,
-        constraints_jac=lambda x: A)
-
-
 def _gamma(A: np.ndarray, alpha: float) -> float:
     """Dual smoothness modulus ||A||_F^2 / alpha."""
     return float(np.sum(A ** 2)) / alpha
 
 
-def _reference_for(kind: str, inst) -> tuple[KktSolution | None, str | None]:
+def _array(doc: dict, key: str) -> np.ndarray:
+    """The field ``key`` of a problem document, a number or a (nested)
+    array of numbers, as floats."""
+    if key not in doc:
+        raise ValueError(f"problem file missing required field {key!r}")
     try:
-        sol = kkt_solve_num(inst) if kind == "num" else kkt_solve_qp(inst)
-        return sol, None
-    except (InfeasibleError, ValueError) as exc:
-        # ValueError: m above the enumeration limit, or a LinAlgError
-        return None, str(exc)
+        arr = np.asarray(doc[key])
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":  # null, bool, string, object
+        raise ValueError(f"problem field {key!r} must be an array of numbers")
+    return arr.astype(float)
 
 
-def _check_gamma_vs_Lc(kind: str, inst, reference: KktSolution | None,
+def _number(doc: dict, key: str) -> float:
+    """The field ``key`` of a problem document, a finite number, as a float."""
+    val = doc[key]
+    try:
+        if not isinstance(val, bool) and math.isfinite(val):
+            return float(val)
+    except (TypeError, OverflowError):  # not a number, or an int past float
+        pass
+    raise ValueError(f"problem field {key!r} must be a finite number")
+
+
+def _check_gamma_vs_Lc(dual_hessian, reference: KktSolution | None,
                        gamma: float) -> None:
-    """Validate the stored smoothness modulus against the local curvature."""
+    """Validate the stored smoothness modulus against the local curvature
+    Lc, the smallest eigenvalue of -dual_hessian(lambda*)."""
     if reference is None:
         return
     try:
-        if kind == "num":
-            hess = num_dual_hessian(inst, reference.lambda_star)
-        else:
-            hess = general_dual_hessian(inst.A, 2.0 * inst.P)
+        hess = dual_hessian(reference.lambda_star)
     except ValueError:
         return  # multiplier outside the interior regime; nothing to check
-    eig = np.linalg.eigvalsh(hess)
-    if eig.max() >= 0:
-        return  # Hessian not negative definite; Lc undefined
-    Lc = float(-eig.max())
-    if not gamma_geq_Lc_check(gamma, Lc):
+    Lc = -float(np.linalg.eigvalsh(hess).max())
+    # Lc <= 0: the Hessian is not negative definite and Lc is undefined
+    if Lc > 0 and gamma < Lc - 1e-12:
         raise ValueError(
             f"stored smoothness modulus gamma={gamma:g} is below the local "
             f"curvature Lc={Lc:g}")
@@ -155,37 +143,46 @@ def _bundle(tag: str, doc, paper: dict) -> ProblemBundle:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("problem file must be a JSON object with a 'kind' field")
     kind = doc["kind"]
-    if kind not in ("num", "qp"):
-        raise ValueError(f"unknown problem kind {kind!r}")
-    for key in ("A", "b", "c"):
-        if key not in doc:
-            raise ValueError(f"problem file missing required field {key!r}")
-
+    data = {key: _array(doc, key) for key in ("A", "b", "c")}
+    # Everything kind-specific: the instance and its computed alpha, the
+    # objective gradient and box, the closed-form oracle, the ground-truth
+    # solver and the dual Hessian at a multiplier.
     if kind == "num":
-        if "xmax" not in doc:
-            raise ValueError("rate-allocation problems need 'xmax'")
-        inst = NumInstance(c=doc["c"], A=doc["A"], b=doc["b"], xmax=doc["xmax"])
+        inst = NumInstance(**data, xmax=_array(doc, "xmax"))
         alpha_computed = float(min(inst.c / inst.xmax ** 2))
-        make_program, make_oracle = _num_program, ClosedFormNumOracle
-    else:
-        if "P" not in doc:
-            raise ValueError("quadratic problems need 'P'")
-        inst = QpInstance(P=doc["P"], c=doc["c"], A=doc["A"], b=doc["b"])
+        grad, lower, upper = (lambda x: -inst.c / x), np.zeros(inst.n), inst.xmax
+        oracle, kkt_solve = ClosedFormNumOracle(inst), kkt_solve_num
+        dual_hessian = lambda lam: num_dual_hessian(inst, lam)
+    elif kind == "qp":
+        inst = QpInstance(**data, P=_array(doc, "P"))
         alpha_computed = inst.alpha
-        make_program, make_oracle = _qp_program, ClosedFormQpOracle
-    alpha = float(doc["alpha"]) if "alpha" in doc else alpha_computed
-    beta = float(doc["beta"]) if "beta" in doc else float(
+        grad = lambda x: 2.0 * (inst.P @ x) + inst.c
+        lower, upper = np.full(inst.n, -np.inf), np.full(inst.n, np.inf)
+        oracle, kkt_solve = ClosedFormQpOracle(inst), kkt_solve_qp
+        dual_hessian = lambda lam: general_dual_hessian(inst.A, 2.0 * inst.P)
+    else:
+        raise ValueError(f"unknown problem kind {kind!r}")
+
+    alpha = _number(doc, "alpha") if "alpha" in doc else alpha_computed
+    beta = _number(doc, "beta") if "beta" in doc else float(
         np.linalg.norm(inst.A, axis=1).max())
-    program = make_program(inst, alpha, beta)
-    oracle = make_oracle(inst)
-    reference, err = _reference_for(kind, inst)
+    A, b = inst.A, inst.b
+    program = ProgramSpec(n=inst.n, m=inst.m, objective=inst.objective,
+                          constraints=lambda x: A.dot(x) - b,
+                          lower=lower, upper=upper, alpha=alpha, beta=beta,
+                          objective_grad=grad, constraints_jac=lambda x: A)
+    try:
+        reference, err = kkt_solve(inst), None
+    except (InfeasibleError, ValueError) as exc:
+        # ValueError: m above the enumeration limit, or a LinAlgError
+        reference, err = None, str(exc)
 
     constants = [Constant("alpha", alpha, "paper" if "alpha" in doc else "computed")]
     if "alpha" in doc:
         constants.append(Constant("alpha_computed", alpha_computed, "computed"))
     constants.append(Constant("beta", beta, "paper" if "beta" in doc else "computed"))
     if "gamma" in paper:
-        _check_gamma_vs_Lc(kind, inst, reference, paper["gamma"])
+        _check_gamma_vs_Lc(dual_hessian, reference, paper["gamma"])
         constants += [Constant("gamma", paper["gamma"], "paper"),
                       Constant("gamma_computed", _gamma(inst.A, alpha), "computed")]
     else:

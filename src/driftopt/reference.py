@@ -84,13 +84,14 @@ def _analytic_center_multiplier(M: np.ndarray, lam0: np.ndarray) -> np.ndarray:
     return lam0 + ns @ z
 
 
-def _enumerate(inst, stationary, objective) -> KktSolution:
+def _enumerate(inst, stationary) -> KktSolution:
     """The first active set whose stationary point is a KKT point.
 
     ``stationary(S)`` solves the stationarity system with the constraints
     in S (a list of indices) held at equality and returns (x, lambda_S), or
     None when the system has no admissible solution; a LinAlgError skips
-    the set.  ``objective`` is f; the constraints are A x <= b.
+    the set.  The objective is ``inst.objective``; the constraints are
+    A x <= b.
     """
     m = inst.m
     if m > MAX_CONSTRAINTS:
@@ -118,7 +119,7 @@ def _enumerate(inst, stationary, objective) -> KktSolution:
                 lam_face = _analytic_center_multiplier(M, lam[active])
                 lam = np.zeros(m)
                 lam[active] = lam_face
-            return KktSolution(x_star=x, f_star=objective(x), lambda_star=lam,
+            return KktSolution(x_star=x, f_star=inst.objective(x), lambda_star=lam,
                                active_set=tuple(active))
     raise InfeasibleError("no active subset produced a KKT point")
 
@@ -145,8 +146,7 @@ def kkt_solve_qp(inst: QpInstance) -> KktSolution:
             return None
         return sol[:n], sol[n:]
 
-    return _enumerate(inst, stationary,
-                      lambda x: float(x @ inst.P @ x + inst.c @ x))
+    return _enumerate(inst, stationary)
 
 
 def _num_newton(inst: NumInstance, S: list[int]):
@@ -193,5 +193,4 @@ def kkt_solve_num(inst: NumInstance) -> KktSolution:
     interior to the box (checked on every set), which the instance
     invariant xmax_i > max b_k guarantees.
     """
-    return _enumerate(inst, lambda S: _num_newton(inst, S),
-                      lambda x: float(-(inst.c @ np.log(x))))
+    return _enumerate(inst, lambda S: _num_newton(inst, S))

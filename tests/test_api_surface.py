@@ -12,9 +12,6 @@ import driftopt
 
 # Public names whose only callers are tests, each with the reason it stays.
 TEST_ONLY = {
-    "quadratic_argmin": "the independent direct solve that "
-                        "test_qp_oracle_matches_direct_solve checks the QP "
-                        "closed-form oracle against",
     "ProjectedGradientOracle": "the generic oracle the closed forms are "
                                "checked against (acceptance criterion 9)",
 }

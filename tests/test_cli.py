@@ -250,6 +250,24 @@ def test_problem_file_rejects_non_finite_data(tmp_path, capsys, tag, field, valu
     assert not (tmp_path / "x.csv.summary.json").exists()
 
 
+@pytest.mark.parametrize("tag,field,value", [
+    ("num_6_1", "alpha", None),
+    ("num_6_1", "alpha", [1]),
+    ("qp_6_2", "beta", {"x": 1}),
+    ("qp_6_2", "P", {"a": 1}),
+    ("qp_6_2", "alpha", float("inf")),  # 1e400 parses to inf; gamma would be 0
+])
+def test_problem_file_rejects_wrong_json_types(tmp_path, capsys, tag, field, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**BUILTINS[tag], field: value}))
+    code, _, err = run_cli(capsys, "solve", "--problem", str(path),
+                           "--iters", "10", "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert f"problem field {field!r}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("tag", ["num_6_1", "qp_6_2"])
 def test_problem_file_rejects_empty_constraint_matrix(tmp_path, capsys, tag):
     doc = {**BUILTINS[tag], "A": [], "b": []}
@@ -303,6 +321,20 @@ def test_audit_rejects_summary_of_another_problem(tmp_path, capsys):
                            "--trace", str(out))
     assert code == 2
     assert "'mine'" in err and "'qp_6_2'" in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--gamma", "100")])
+def test_audit_rejects_q0_of_wrong_length(tmp_path, capsys, extra):
+    out, _ = solve_qp(tmp_path, capsys, iters=200, extra=("--q0", "1"))
+    summary_path = out.parent / (out.name + ".summary.json")
+    summary = json.loads(summary_path.read_text())
+    summary["q0"] = [1.0, 1.0, 50.0]  # qp_6_2 has m = 2
+    summary_path.write_text(json.dumps(summary))
+    code, stdout, err = run_cli(capsys, "audit", "--builtin", "qp_6_2",
+                                "--trace", str(out), *extra)
+    assert code == 2
+    assert stdout == ""
+    assert "q0 has length 3, expected 2" in err
 
 
 @pytest.mark.parametrize("summary,message", [

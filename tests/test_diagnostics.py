@@ -141,7 +141,7 @@ def test_audit_requires_reference():
     cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=10)
     tr = run(b.program, b.oracle, cfg, reference=b.reference)
     with pytest.raises(ValueError):
-        audit_bounds(tr, None, b.program, cfg.q0)
+        audit_bounds(tr, None, b.program, cfg.q0, gamma=9.0, oracle=b.oracle)
 
 
 def test_report_is_json_serializable():

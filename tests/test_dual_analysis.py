@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from driftopt import (NumInstance, builtin, dual_value_and_gradient,
-                      gamma_geq_Lc_check, general_dual_hessian,
-                      num_dual_hessian, theta_bound)
+                      general_dual_hessian, num_dual_hessian, theta_bound)
 
 
 def test_dual_value_at_zero_multiplier():
@@ -191,14 +190,3 @@ def test_theta_bound_values():
     assert theta_bound(1.0, 1.0, [0.0], [1.0], 0.0, 1.0) == 4.0
     with pytest.raises(ValueError):
         theta_bound(1.0, 2.0, [0.0], [1.0], 0.0, 1.0)
-
-
-def test_gamma_geq_Lc_check():
-    assert gamma_geq_Lc_check(9.0, 1.0) is True
-    assert gamma_geq_Lc_check(1.0, 2.0) is False
-    b = builtin("qp_6_2")
-    H = general_dual_hessian(b.instance.A, 2.0 * b.instance.P)
-    Lc = -np.linalg.eigvalsh(H).max()
-    assert gamma_geq_Lc_check(3.0 / 0.34, Lc)
-    with pytest.raises(ValueError):
-        gamma_geq_Lc_check(0.0, 1.0)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from driftopt import (ClosedFormNumOracle, ClosedFormQpOracle, InnerSolveError,
-                      NumInstance, ProjectedGradientOracle, QpInstance, builtin,
-                      quadratic_argmin)
+                      NumInstance, ProjectedGradientOracle, QpInstance, builtin)
 
 QP_V = 4.0 / 0.34
 NUM_V = 363.0
@@ -67,32 +66,35 @@ def test_log_utility_argmin_at_optimal_multiplier():
 
 def test_quadratic_argmin_trivial():
     inst = QpInstance(P=[[0.5]], c=[0.0], A=[[1.0]], b=[1.0])
-    x = quadratic_argmin(inst, np.zeros(1), 1.0)
+    x = ClosedFormQpOracle(inst).argmin(np.zeros(1), 1.0)
     assert np.allclose(x, [0.0])
 
 
 def test_quadratic_argmin_unconstrained_minimum():
     inst = builtin("qp_6_2").instance
-    x = quadratic_argmin(inst, np.zeros(2), 1.0)
+    x = ClosedFormQpOracle(inst).argmin(np.zeros(2), 1.0)
     assert np.allclose(x, [-1.5, 0.5], atol=1e-12)
 
 
 def test_quadratic_argmin_at_optimal_multiplier():
     b = builtin("qp_6_2")
     lam = b.reference.lambda_star
+    oracle = ClosedFormQpOracle(b.instance)
     for V in (1.0, QP_V, 100.0):
-        x = quadratic_argmin(b.instance, V * lam, V)
+        x = oracle.argmin(V * lam, V)
         assert np.allclose(x, b.reference.x_star, atol=1e-9)
 
 
 def test_qp_oracle_matches_direct_solve():
     b = builtin("qp_6_2")
+    P, c, A = b.instance.P, b.instance.c, b.instance.A
     oracle = ClosedFormQpOracle(b.instance)
     rng = np.random.default_rng(3)
     for _ in range(50):
         q = rng.uniform(0, 40, 2)
-        assert np.allclose(oracle.argmin(q, QP_V),
-                           quadratic_argmin(b.instance, q, QP_V), atol=1e-10)
+        # the minimizer of V f + q . g solves 2VP x = -(V c + A'q)
+        direct = np.linalg.solve(2.0 * QP_V * P, -(QP_V * c + A.T @ q))
+        assert np.allclose(oracle.argmin(q, QP_V), direct, atol=1e-10)
 
 
 def test_oracle_rejects_nonpositive_V():

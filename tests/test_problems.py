@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftopt import BUILTIN_TAGS, builtin, load_problem
-from driftopt.problems import BUILTINS
+from driftopt.problems import BUILTINS, PAPER_CONSTANTS
 
 
 def test_builtin_tags_complete():
@@ -36,6 +36,16 @@ def test_qp_6_2_bundle():
     assert b.constant("beta") == pytest.approx(np.sqrt(2.0))
     assert b.constant("gamma") == 9.0
     assert b.constant("gamma_computed") == pytest.approx(3 / 0.34)
+
+
+def test_paper_gamma_below_local_curvature_is_refused(monkeypatch):
+    # a paper gamma must dominate Lc, the strong-concavity modulus of the
+    # dual at lambda*: 0.19 for qp_6_2
+    monkeypatch.setitem(PAPER_CONSTANTS["qp_6_2"], "gamma", 0.2)
+    assert builtin("qp_6_2").constant("gamma") == 0.2
+    monkeypatch.setitem(PAPER_CONSTANTS["qp_6_2"], "gamma", 0.1)
+    with pytest.raises(ValueError, match="below the local curvature"):
+        builtin("qp_6_2")
 
 
 def test_rank_deficient_bundle():
