@@ -13,7 +13,6 @@ doubles round-trip exactly.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -34,12 +33,6 @@ EXIT_NUMERICAL = 3
 # The dual subgradient method with step c = 1/V is DPP at the same V.
 ALGORITHMS = {"dpp": "dpp", "dpp-shifted": "dpp_shifted",
               "dual-subgradient": "dpp"}
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    return f"{float(v):.17g}"
 
 
 def _load_bundle(args) -> ProblemBundle:
@@ -80,22 +73,19 @@ def _parse_sampling(text: str) -> tuple[str, int]:
 
 
 def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> None:
-    m = bundle.program.m
-    header = ["t", "f_avg", "f_err"] + [f"g_{k + 1}" for k in range(m)] + ["qnorm"]
-    if bundle.reference is None:
-        f_err, dual = [None] * len(trace), []
-    else:
-        f_err = error_series(trace.f_xbar, trace.g_xbar,
-                             bundle.reference.f_star)[0].tolist()
-        header += ["lambda_dist", "dual_gap"]
-        dual = [trace.lambda_dist.tolist(), trace.dual_gap.tolist()]
-    columns = [trace.f_xbar.tolist(), f_err, *trace.g_xbar.T.tolist(),
-               trace.qnorm.tolist(), *dual]
+    """Write the trace with CRLF line ends, as ``csv.writer`` does.  Without
+    a reference, ``f_err`` is blank and the dual columns are absent."""
+    cols = {"t": trace.t, "f_avg": trace.f_xbar, "f_err": None,
+            **{f"g_{k + 1}": g for k, g in enumerate(trace.g_xbar.T)}, "qnorm": trace.qnorm}
+    if bundle.reference is not None:
+        cols["f_err"] = error_series(trace.f_xbar, trace.g_xbar, bundle.reference.f_star)[0]
+        cols.update(lambda_dist=trace.lambda_dist, dual_gap=trace.dual_gap)
+    row = ",".join("%d" if name == "t" else "" if c is None else "%.17g"
+                   for name, c in cols.items()) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, *values in zip(trace.t.tolist(), *columns):
-            writer.writerow([str(t)] + [_fmt(v) for v in values])
+        fh.write(",".join(cols) + "\r\n")
+        fh.writelines(row % values for values in
+                      zip(*[c.tolist() for c in cols.values() if c is not None]))
 
 
 def _summary_path(out: Path) -> Path:
@@ -161,27 +151,32 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _read_trace_csv(path: Path):
-    """Parse a solve CSV back into aligned numpy columns."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
+def _read_trace_csv(path: Path, columns) -> dict:
+    """Parse the columns of a solve CSV whose names satisfy ``columns``.
+
+    Returns {name: float array} in header order; a column whose first data
+    cell is blank (``f_err`` without a reference) maps to None.  A row
+    whose field count differs from the header's, or a blank or non-numeric
+    cell in a parsed column, raises ValueError.
+    """
+    with open(path) as fh:
+        lines = [line.rstrip("\n") for line in fh]
+    if not lines:
         raise ValueError("trace CSV is empty")
-    header, data = rows[0], rows[1:]
+    header, data = lines[0].split(","), lines[1:]
     if not data:
         raise ValueError("trace CSV has no data rows")
-    ncol = len(header)
-    if any(len(r) != ncol for r in data):
+    commas = len(header) - 1
+    if any(line.count(",") != commas for line in data):
         raise ValueError("trace CSV is malformed (ragged rows)")
-    cols = {}
-    for j, name in enumerate(header):
-        vals = [r[j] for r in data]
-        if any(v == "" for v in vals):
-            cols[name] = None
-        else:
-            cols[name] = np.array([float(v) for v in vals])
-    return header, cols
+    first = data[0].split(",")
+    cols = {name: None for name in header if columns(name)}
+    usecols = [j for j, name in enumerate(header) if name in cols and first[j]]
+    if usecols:
+        parsed = np.loadtxt(data, delimiter=",", usecols=usecols, ndmin=2,
+                            comments=None).T.copy()
+        cols.update(zip([header[j] for j in usecols], parsed))
+    return cols
 
 
 def cmd_fit(args) -> int:
@@ -194,8 +189,9 @@ def cmd_fit(args) -> int:
         print("error: need numbers with --t-lo <= --t-hi", file=sys.stderr)
         return EXIT_USAGE
     path = Path(args.trace)
+    prefix = "f_err" if args.series == "obj" else "g_"
     try:
-        header, cols = _read_trace_csv(path)
+        cols = _read_trace_csv(path, lambda name: name == "t" or name.startswith(prefix))
     except (OSError, ValueError) as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -209,7 +205,7 @@ def cmd_fit(args) -> int:
             return EXIT_USAGE
         errors = cols["f_err"]
     else:
-        gcols = [name for name in header if name.startswith("g_")]
+        gcols = [name for name in cols if name.startswith("g_")]
         if not gcols:
             print("error: trace CSV lacks g_k columns", file=sys.stderr)
             return EXIT_USAGE
@@ -237,8 +233,10 @@ def cmd_audit(args) -> int:
     bundle = _load_bundle(args)
     path = Path(args.trace)
     summary_path = Path(args.summary) if args.summary else _summary_path(path)
+    gcols = [f"g_{k + 1}" for k in range(bundle.program.m)]
+    needed = ["t", "f_avg", "qnorm"] + gcols
     try:
-        header, cols = _read_trace_csv(path)
+        cols = _read_trace_csv(path, {*needed, "lambda_dist", "dual_gap"}.__contains__)
         with open(summary_path) as fh:
             summary = json.load(fh)
         problem, V = summary["problem"], float(summary["V"])
@@ -259,8 +257,6 @@ def cmd_audit(args) -> int:
         print("error: no ground-truth solution for this problem", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    gcols = [f"g_{k + 1}" for k in range(bundle.program.m)]
-    needed = ["t", "f_avg", "qnorm"] + gcols
     if any(cols.get(name) is None for name in needed):
         print("error: trace CSV lacks required columns", file=sys.stderr)
         return EXIT_USAGE

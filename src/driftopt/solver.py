@@ -13,6 +13,7 @@ execute concurrently.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -109,7 +110,7 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
             x=xs[:rows], xbar=xbars[:rows], queue=queue[:rows],
             V=V, max_drift_residual=max_residual)
 
-    argmin, constraints = oracle.argmin, program.constraints
+    argmin, objective, constraints = oracle.argmin, program.objective, program.constraints
     q = config.q0.copy()
     qq = float(q @ q)
     sum_x = np.zeros(n)
@@ -137,12 +138,14 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
             else:
                 xbar = sum_x / t
             xs[i], xbars[i], queue[i] = x, xbar, q
-            f_xbar[i], g_xbar[i] = program.f(xbar), program.g(xbar)
-            qnorm[i] = np.linalg.norm(q)
+            f_xbar[i], g_xbar[i] = objective(xbar), constraints(xbar)
+            # np.linalg.norm(v) of a 1-D float vector is sqrt(v.dot(v)).
+            qnorm[i] = math.sqrt(qq)
             if lam_star is not None:
                 lam_t = q / V
-                lambda_dist[i] = np.linalg.norm(lam_t - lam_star)
-                dual_gap[i] = q_star - (program.f(x) + float(lam_t @ g))
+                d = lam_t - lam_star
+                lambda_dist[i] = math.sqrt(d.dot(d))
+                dual_gap[i] = q_star - (objective(x) + float(lam_t @ g))
             i += 1
             next_t = ts[i] if i < S else -1
         if t == config.iters:

@@ -1,12 +1,15 @@
 import copy
 import csv
+import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from driftopt.cli import main
+from driftopt import SolverConfig, builtin, choose_V, error_series, load_problem, run
+from driftopt.cli import _read_trace_csv, main
 from driftopt.problems import BUILTINS
 
 # `info` and `kkt` output for each builtin, recorded before the builtins
@@ -416,3 +419,150 @@ def test_kkt_refuses_more_than_20_constraints(tmp_path, capsys):
     code, _, err = run_cli(capsys, "kkt", "--problem", str(path))
     assert code == 3
     assert "too many constraints for the enumeration oracle" in err
+
+
+def wide_qp_file(tmp_path):
+    # qp_6_2 plus 19 slack rows x_1 >= -10: 21 constraints, more than the
+    # KKT enumeration takes, so the problem has no reference solution
+    doc = copy.deepcopy(BUILTINS["qp_6_2"])
+    doc["A"] += [[-1.0, 0.0]] * 19
+    doc["b"] += [10.0] * 19
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def csv_module_bytes(trace, bundle) -> bytes:
+    """The trace CSV as ``csv.writer`` writes it, every number as
+    f"{v:.17g}" and ``f_err`` blank without a reference."""
+    m, ref = bundle.program.m, bundle.reference
+    header = ["t", "f_avg", "f_err"] + [f"g_{k + 1}" for k in range(m)] + ["qnorm"]
+    f_err = [None] * len(trace)
+    if ref is not None:
+        header += ["lambda_dist", "dual_gap"]
+        f_err = error_series(trace.f_xbar, trace.g_xbar, ref.f_star)[0]
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for i in range(len(trace)):
+        values = [trace.f_xbar[i], f_err[i], *trace.g_xbar[i], trace.qnorm[i]]
+        if ref is not None:
+            values += [trace.lambda_dist[i], trace.dual_gap[i]]
+        writer.writerow([str(trace.t[i])]
+                        + ["" if v is None else f"{v:.17g}" for v in values])
+    return buf.getvalue().encode()
+
+
+def solve_linear(tmp_path, capsys, source, bundle, iters, algorithm="dpp",
+                 V=None, q0=0.0):
+    """`solve --sample linear` through the CLI, and the same run through
+    ``run``; returns the CSV path and the trace."""
+    out = tmp_path / "dense.csv"
+    argv = ["solve", *source, "--algorithm", algorithm, "--iters", str(iters),
+            "--q0", repr(q0), "--sample", "linear", "--out", str(out)]
+    if V is not None:
+        argv += ["--V", repr(V)]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    config = SolverConfig(V=V if V is not None else choose_V(bundle.program),
+                          q0=np.full(bundle.program.m, q0), iters=iters,
+                          variant=algorithm.replace("-", "_"), sampling="linear")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # V = 422 is below m beta^2/alpha
+        trace = run(bundle.program, bundle.oracle, config, reference=bundle.reference)
+    return out, trace
+
+
+def test_csv_bytes_match_the_csv_module_with_reference(tmp_path, capsys):
+    out, trace = solve_linear(tmp_path, capsys, ["--builtin", "num_6_1"],
+                              builtin("num_6_1"), 500, "dpp-shifted", V=422.0, q0=3.0)
+    assert out.read_bytes() == csv_module_bytes(trace, builtin("num_6_1"))
+
+
+def test_csv_bytes_match_the_csv_module_without_reference(tmp_path, capsys):
+    path = wide_qp_file(tmp_path)
+    bundle = load_problem(path)
+    assert bundle.reference is None
+    out, trace = solve_linear(tmp_path, capsys, ["--problem", str(path)], bundle, 300)
+    assert out.read_bytes() == csv_module_bytes(trace, bundle)
+
+
+@pytest.mark.parametrize("tag,algorithm,V,q0", [
+    ("qp_6_2", "dpp", None, 0.0), ("num_6_1", "dpp-shifted", 422.0, 3.0),
+])
+def test_trace_csv_round_trips_bitwise(tmp_path, capsys, tag, algorithm, V, q0):
+    out, trace = solve_linear(tmp_path, capsys, ["--builtin", tag], builtin(tag),
+                              2000, algorithm, V=V, q0=q0)
+    cols = _read_trace_csv(out, lambda name: True)
+    assert np.array_equal(cols["t"], trace.t)
+    assert np.array_equal(cols["f_avg"], trace.f_xbar)
+    g = np.stack([cols[f"g_{k + 1}"] for k in range(trace.g_xbar.shape[1])], axis=1)
+    assert np.array_equal(g, trace.g_xbar)
+    for name in ("qnorm", "lambda_dist", "dual_gap"):
+        assert np.array_equal(cols[name], getattr(trace, name)), name
+
+
+def test_read_trace_csv_parses_only_the_selected_columns(tmp_path, capsys):
+    out, _ = solve_qp(tmp_path, capsys, iters=50)
+    lines = out.read_text().splitlines()
+    # a non-numeric cell in a column nobody asked for is not parsed
+    lines[5] = lines[5].replace(lines[5].split(",")[-1], "junk")
+    out.write_text("\n".join(lines) + "\n")
+    assert list(_read_trace_csv(out, {"t", "qnorm"}.__contains__)) == ["t", "qnorm"]
+    with pytest.raises(ValueError, match="junk"):
+        _read_trace_csv(out, {"t", "dual_gap"}.__contains__)
+
+
+def fit_and_audit_codes(capsys, out):
+    codes = [run_cli(capsys, "fit", "--trace", str(out), "--series", series,
+                     "--model", "power")[0] for series in ("obj", "constraint")]
+    return codes + [run_cli(capsys, "audit", "--builtin", "qp_6_2",
+                            "--trace", str(out))[0]]
+
+
+def test_row_missing_an_unread_field_exits_2(tmp_path, capsys):
+    # fit reads neither dual column, but a short row is malformed anyway
+    out, _ = solve_qp(tmp_path, capsys, iters=200)
+    assert fit_and_audit_codes(capsys, out) == [0, 0, 0]
+    lines = out.read_bytes().split(b"\r\n")
+    assert lines[-1] == b""
+    lines[-2] = lines[-2].rsplit(b",", 1)[0]  # drop the last row's dual_gap
+    out.write_bytes(b"\r\n".join(lines))
+    assert fit_and_audit_codes(capsys, out) == [2, 2, 2]
+
+
+def test_blank_cell_inside_f_err_exits_2(tmp_path, capsys):
+    out, _ = solve_qp(tmp_path, capsys, iters=200)
+    lines = out.read_text().splitlines()
+    cells = lines[10].split(",")
+    cells[2] = ""
+    lines[10] = ",".join(cells)
+    out.write_text("\n".join(lines) + "\n")
+    code, stdout, err = run_cli(capsys, "fit", "--trace", str(out),
+                                "--series", "obj", "--model", "power")
+    assert (code, stdout) == (2, "")
+    assert "cannot read trace" in err
+
+
+def test_pipeline_without_reference(tmp_path, capsys):
+    path = wide_qp_file(tmp_path)
+    out = tmp_path / "wide.csv"
+    code, _, _ = run_cli(capsys, "solve", "--problem", str(path),
+                         "--iters", "2000", "--out", str(out))
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "f_avg", "f_err"] + [f"g_{k}" for k in range(1, 22)] + ["qnorm"]
+    assert all(row[2] == "" for row in rows[1:])
+    code, stdout, _ = run_cli(capsys, "fit", "--trace", str(out),
+                              "--series", "constraint", "--model", "power")
+    assert code == 0
+    assert json.loads(stdout)["p"] > 0
+    code, _, err = run_cli(capsys, "fit", "--trace", str(out),
+                           "--series", "obj", "--model", "power")
+    assert code == 2
+    assert "f_err" in err
+    code, _, err = run_cli(capsys, "audit", "--problem", str(path),
+                           "--trace", str(out))
+    assert code == 3
+    assert "no ground-truth solution" in err

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftopt import (InnerSolveError, ProjectedGradientOracle, SolverConfig,
+from driftopt import (VARIANTS, InnerSolveError, ProjectedGradientOracle, SolverConfig,
                       builtin, choose_V, run)
 from driftopt.cli import main
+from driftopt.problems import BUILTIN_TAGS
 
 QP_V = 4.0 / 0.34
 
@@ -166,6 +167,23 @@ def test_trace_records_dual_quantities_with_reference():
     assert tr.lambda_dist is not None and np.all(tr.lambda_dist >= 0)
     assert tr.dual_gap is not None and np.all(tr.dual_gap >= -1e-9)
     assert tr.dual_gap[-1] < tr.dual_gap[0]
+
+
+@pytest.mark.parametrize("q0", [0.0, 3.0])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("tag", BUILTIN_TAGS)
+def test_recorded_norms_are_numpy_norms(tag, variant, q0):
+    # qnorm reuses the drift identity's Q.Q and lambda_dist is sqrt(d.d);
+    # np.linalg.norm of a 1-D vector is the same sqrt of the same dot
+    b = builtin(tag)
+    V = choose_V(b.program)
+    cfg = SolverConfig(V=V, q0=np.full(b.program.m, q0), iters=500,
+                       variant=variant, sampling="linear")
+    tr = run(b.program, b.oracle, cfg, reference=b.reference)
+    lam_star = b.reference.lambda_star
+    for i in range(len(tr)):
+        assert tr.qnorm[i] == np.linalg.norm(tr.queue[i]), i
+        assert tr.lambda_dist[i] == np.linalg.norm(tr.queue[i] / V - lam_star), i
 
 
 @pytest.mark.parametrize(
