@@ -23,7 +23,8 @@ from .core import IterateTrace, QueueState
 from .diagnostics import (audit_bounds, audit_passed, error_series, fit_geometric,
                           fit_power_decay)
 from .oracles import InnerSolveError
-from .problems import BUILTIN_TAGS, ProblemBundle, builtin, load_problem
+from .problems import (BUILTIN_TAGS, ProblemBundle, _array, _number, builtin,
+                       load_problem)
 from .solver import SolverConfig, choose_V, run
 
 EXIT_OK = 0
@@ -59,19 +60,6 @@ def _parse_q0(text: str | None, m: int) -> np.ndarray:
     return np.array(parts)
 
 
-def _parse_sampling(text: str) -> tuple[str, int]:
-    if text == "log":
-        return "log", 1
-    if text.startswith("linear"):
-        stride = 1
-        if ":" in text:
-            stride = int(text.split(":", 1)[1])
-        if stride < 1:
-            raise ValueError("linear sampling stride must be >= 1")
-        return "linear", stride
-    raise ValueError("--sample must be 'log' or 'linear[:<stride>]'")
-
-
 def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> None:
     """Write the trace with CRLF line ends, as ``csv.writer`` does.  Without
     a reference, ``f_err`` is blank and the dual columns are absent."""
@@ -95,16 +83,11 @@ def _summary_path(out: Path) -> Path:
 def cmd_solve(args) -> int:
     bundle = _load_bundle(args)
     program = bundle.program
-    if args.iters < 1:
-        print("error: --iters must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        sampling, stride = _parse_sampling(args.sample)
         q0 = _parse_q0(args.q0, program.m)
         V = args.V if args.V is not None else choose_V(program)
         config = SolverConfig(V=V, q0=q0, iters=args.iters,
-                              variant=ALGORITHMS[args.algorithm],
-                              sampling=sampling, stride=stride)
+                              variant=ALGORITHMS[args.algorithm], sample=args.sample)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -239,10 +222,10 @@ def cmd_audit(args) -> int:
         cols = _read_trace_csv(path, {*needed, "lambda_dist", "dual_gap"}.__contains__)
         with open(summary_path) as fh:
             summary = json.load(fh)
-        problem, V = summary["problem"], float(summary["V"])
-        if not (np.isfinite(V) and V > 0):
-            raise ValueError("V must be positive and finite")
-        q0 = QueueState(np.array(summary["q0"], dtype=float)).q
+        problem, V = summary["problem"], _number(summary, "V", "summary")
+        if not V > 0:
+            raise ValueError("summary field 'V' must be positive")
+        q0 = QueueState(_array(summary, "q0", "summary")).q
     except KeyError as exc:
         print(f"error: the summary lacks the field {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -329,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial queue: scalar or comma-separated vector (default 0)")
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--sample", default="log",
-                   help="'log' or 'linear[:<stride>]' (default log)")
+                   help="'log', 'linear' or 'linear:<k>' for every k-th "
+                        "iteration (default log)")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(fn=cmd_solve)
 

@@ -6,6 +6,7 @@ pure functions, so everything here is safe to share between threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -122,21 +123,26 @@ class IterateTrace:
 # Samples per decade of t under log sampling.
 PER_DECADE = 200
 
+_SAMPLE_SPEC = re.compile(r"log|linear(?::([0-9]+))?")
 
-def sample_indices(iters: int, mode: str = "log", stride: int = 1) -> list[int]:
-    """Iteration indices to record: every ``stride`` steps, or ~log-spaced."""
+
+def sample_indices(iters: int, sample: str = "log") -> list[int]:
+    """Iteration indices to record under the sample spec ``sample``: ~log-
+    spaced for "log", every k steps for "linear:<k>" (k = 1 for "linear"),
+    always ending at ``iters``.  Any other spec raises ValueError."""
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    if mode == "linear":
+    match = _SAMPLE_SPEC.fullmatch(sample)
+    stride = int(match[1] or 1) if match else 0
+    if stride < 1:
+        raise ValueError(f"sample spec must be 'log', 'linear' or 'linear:<k>' "
+                         f"with an integer k >= 1, not {sample!r}")
+    if sample == "log":
+        decades = np.log10(max(iters, 2))
+        raw = np.unique(np.round(10 ** np.linspace(0, decades, int(PER_DECADE * decades) + 1)))
+        idx = [int(t) for t in raw if 1 <= t <= iters]
+    else:
         idx = list(range(stride, iters + 1, stride))
-        if not idx or idx[-1] != iters:
-            idx.append(iters)
-        return idx
-    if mode != "log":
-        raise ValueError(f"unknown sampling mode {mode!r}")
-    decades = np.log10(max(iters, 2))
-    raw = np.unique(np.round(10 ** np.linspace(0, decades, int(PER_DECADE * decades) + 1)))
-    idx = [int(t) for t in raw if 1 <= t <= iters]
-    if idx[-1] != iters:
+    if not idx or idx[-1] != iters:
         idx.append(iters)
     return idx

@@ -87,29 +87,30 @@ def _gamma(A: np.ndarray, alpha: float) -> float:
     return float(np.sum(A ** 2)) / alpha
 
 
-def _array(doc: dict, key: str) -> np.ndarray:
-    """The field ``key`` of a problem document, a number or a (nested)
-    array of numbers, as floats."""
+def _array(doc: dict, key: str, source: str = "problem") -> np.ndarray:
+    """The field ``key`` of a problem (or other ``source``) document, a
+    number or a (nested) array of numbers, as floats."""
     if key not in doc:
-        raise ValueError(f"problem file missing required field {key!r}")
+        raise ValueError(f"{source} file missing required field {key!r}")
     try:
         arr = np.asarray(doc[key])
     except ValueError:  # ragged nesting
         arr = None
     if arr is None or arr.dtype.kind not in "iuf":  # null, bool, string, object
-        raise ValueError(f"problem field {key!r} must be an array of numbers")
+        raise ValueError(f"{source} field {key!r} must be an array of numbers")
     return arr.astype(float)
 
 
-def _number(doc: dict, key: str) -> float:
-    """The field ``key`` of a problem document, a finite number, as a float."""
+def _number(doc: dict, key: str, source: str = "problem") -> float:
+    """The field ``key`` of a problem (or other ``source``) document, a
+    finite number, as a float."""
     val = doc[key]
     try:
         if not isinstance(val, bool) and math.isfinite(val):
             return float(val)
     except (TypeError, OverflowError):  # not a number, or an int past float
         pass
-    raise ValueError(f"problem field {key!r} must be a finite number")
+    raise ValueError(f"{source} field {key!r} must be a finite number")
 
 
 def _check_gamma_vs_Lc(dual_hessian, reference: KktSolution | None,

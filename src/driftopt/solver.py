@@ -1,11 +1,14 @@
 """Iterative solvers: drift-plus-penalty (DPP) and its shifted-running-
 average variant, both run by one loop.
 
-dpp_shifted reads its window average from prefix sums of the same run, so
-it makes one oracle call per iteration like dpp.  The dual subgradient
-method with step c is DPP at V = 1/c with Q = lambda / c, so it has no
-loop of its own: run DPP at V = 1/c and read lambda = Q / V.  Oracles take
-the queue as a raw float array.
+The two variants differ only in the window [lo, hi) that sample t averages
+x over: [0, t) for dpp, and the second half [t//2, 2(t//2)) for
+dpp_shifted ([0, 1) at t = 1).  Both read x-bar = (S(hi) - S(lo)) / (hi - lo)
+from the prefix sums S(k) = sum_{tau<k} x(tau) of one run, so each makes
+one oracle call per iteration.  The dual subgradient method with step c
+is DPP at V = 1/c with Q = lambda / c, so it has no loop of its own: run
+DPP at V = 1/c and read lambda = Q / V.  Oracles take the queue as a raw
+float array.
 
 A run is strictly sequential; distinct runs share no mutable state and may
 execute concurrently.
@@ -34,8 +37,7 @@ class SolverConfig:
     q0: np.ndarray
     iters: int
     variant: str = "dpp"
-    sampling: str = "log"
-    stride: int = 1
+    sample: str = "log"
 
     def __post_init__(self):
         if not (np.isfinite(self.V) and self.V > 0):
@@ -44,6 +46,7 @@ class SolverConfig:
             raise ValueError("iters must be >= 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
+        sample_indices(1, self.sample)  # rejects a malformed spec up front
         self.q0 = QueueState(self.q0).q
 
 
@@ -78,20 +81,22 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
         raise ValueError("initial queue length must equal the constraint count")
 
     V = config.V
-    shifted = config.variant == "dpp_shifted"
-    ts = sample_indices(config.iters, config.sampling, config.stride)
-    # dpp_shifted: x-bar(t) = (S(2s) - S(s)) / s with s = t // 2 and
-    # S(k) = sum_{tau<k} x(tau).  S(k) is kept from iteration k until the
-    # last sample that reads it.
-    last_read = {}
-    if shifted:
-        for t in ts:
-            if t > 1:
-                last_read[t // 2] = last_read[t // 2 * 2] = t
-    saved = {}
+    ts = sample_indices(config.iters, config.sample)
+    # Sample i averages x over the window [lo[i], hi[i]).
+    hi = np.array(ts)
+    if config.variant == "dpp_shifted":
+        hi = np.maximum(hi // 2 * 2, 1)  # [t//2, 2(t//2)), and [0, 1) at t = 1
+        lo = hi // 2
+    else:
+        lo = np.zeros_like(hi)
+    # prefix[j] holds S(ends[j]) from iteration ends[j] on.
+    ends = np.unique(np.concatenate([lo, hi]))
+    lo_row, hi_row, width = np.searchsorted(ends, lo), np.searchsorted(ends, hi), hi - lo
+    ends = ends.tolist()
 
     # Row i of every column holds sample ts[i].
     S, n, m = len(ts), program.n, program.m
+    prefix = np.empty((len(ends), n))
     f_xbar, qnorm = np.empty(S), np.empty(S)
     g_xbar, queue = np.empty((S, m)), np.empty((S, m))
     xs, xbars = np.empty((S, n)), np.empty((S, n))
@@ -116,6 +121,7 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
     sum_x = np.zeros(n)
     max_residual = 0.0
     i, next_t = 0, ts[0]
+    j, next_end = 0, ends[0]
 
     for t in range(config.iters + 1):
         try:
@@ -125,18 +131,13 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
             raise
         # program.g checks the shape of g(x) once; later steps call it raw.
         g = constraints(x) if t else program.g(x)
-        if t in last_read:
-            saved[t] = sum_x.copy()
+        if t == next_end:
+            prefix[j] = sum_x
+            j += 1
+            next_end = ends[j] if j < len(ends) else -1
 
         if t == next_t:
-            if shifted and t > 1:
-                s = t // 2
-                xbar = (saved[2 * s] - saved[s]) / s
-                for k in (s, 2 * s):
-                    if last_read[k] == t:
-                        del saved[k]
-            else:
-                xbar = sum_x / t
+            xbar = (prefix[hi_row[i]] - prefix[lo_row[i]]) / width[i]
             xs[i], xbars[i], queue[i] = x, xbar, q
             f_xbar[i], g_xbar[i] = objective(xbar), constraints(xbar)
             # np.linalg.norm(v) of a 1-D float vector is sqrt(v.dot(v)).

@@ -26,7 +26,7 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def num_run_1e5():
     b = builtin("num_6_1")
-    cfg = SolverConfig(V=NUM_V, q0=np.zeros(3), iters=100_000, sampling="log")
+    cfg = SolverConfig(V=NUM_V, q0=np.zeros(3), iters=100_000, sample="log")
     t0 = time.perf_counter()
     tr = run(b.program, b.oracle, cfg, reference=b.reference)
     return b, cfg, tr, time.perf_counter() - t0
@@ -37,7 +37,7 @@ def qp_runs_1e5():
     b = builtin("qp_6_2")
     out = []
     for q0 in (np.zeros(2), np.array([10.0, 10.0])):
-        cfg = SolverConfig(V=QP_V, q0=q0, iters=100_000, sampling="log")
+        cfg = SolverConfig(V=QP_V, q0=q0, iters=100_000, sample="log")
         t0 = time.perf_counter()
         tr = run(b.program, b.oracle, cfg, reference=b.reference)
         out.append((cfg, tr, time.perf_counter() - t0))
@@ -110,7 +110,7 @@ def test_criterion_5_geometric_rate():
                                   ("qp_6_2", QP_V, 4_000, 0.985, 0.999)):
         b = builtin(tag)
         cfg = SolverConfig(V=V, q0=np.zeros(b.program.m), iters=iters,
-                           variant="dpp_shifted", sampling="log")
+                           variant="dpp_shifted", sample="log")
         tr = run(b.program, b.oracle, cfg, reference=b.reference)
         obj, _ = error_series(tr.f_xbar, tr.g_xbar, b.reference.f_star)
         geo = fit_geometric(tr.t, obj)
@@ -127,7 +127,7 @@ def test_criterion_6_dual_gap_and_monotonicity():
     gamma = b.constant("gamma_computed")  # 3 / 0.34
     V = max(QP_V, gamma)
     cfg = SolverConfig(V=V, q0=np.zeros(2), iters=10_000,
-                       sampling="linear", stride=1)
+                       sample="linear")
     tr = run(b.program, b.oracle, cfg, reference=b.reference)
     lam_star = b.reference.lambda_star
     from driftopt import dual_value_and_gradient
@@ -153,12 +153,12 @@ def test_criterion_7_drift_identity():
                    ("num_5_2_rank_deficient", 800.0)):
         b = builtin(tag)
         cfg = SolverConfig(V=V, q0=np.zeros(b.program.m), iters=10_000,
-                           sampling="log")
+                           sample="log")
         tr = run(b.program, b.oracle, cfg)
         worst = max(worst, tr.max_drift_residual)
         for _ in range(5):
             q0 = rng.uniform(0, 100, b.program.m)
-            cfg = SolverConfig(V=V, q0=q0, iters=2_000, sampling="log")
+            cfg = SolverConfig(V=V, q0=q0, iters=2_000, sample="log")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # NUM_V < m beta^2/alpha
                 tr = run(b.program, b.oracle, cfg)
@@ -195,7 +195,7 @@ def test_criterion_9_oracle_equivalences():
     b = builtin("qp_6_2")
     c = 1.0 / QP_V
     k2 = SolverConfig(V=1.0 / c, q0=np.zeros(2), iters=10_000,
-                      sampling="linear", stride=1)
+                      sample="linear")
     t2 = run(b.program, b.oracle, k2)
     P, c_obj, A, b_vec = (b.instance.P, b.instance.c, b.instance.A,
                           b.instance.b)

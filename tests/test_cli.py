@@ -62,10 +62,13 @@ def test_solve_rejects_zero_iters(tmp_path, capsys):
 
 
 def test_solve_rejects_bad_flags(tmp_path, capsys):
-    code, _, _ = run_cli(capsys, "solve", "--builtin", "qp_6_2",
-                         "--iters", "10", "--sample", "bogus",
-                         "--out", str(tmp_path / "x.csv"))
-    assert code == 2
+    out = tmp_path / "x.csv"
+    for sample in ("bogus", "linearfoo", "linear:", "linear:0", "log:3"):
+        code, _, err = run_cli(capsys, "solve", "--builtin", "qp_6_2",
+                               "--iters", "10", "--sample", sample, "--out", str(out))
+        assert code == 2, sample
+        assert repr(sample) in err
+        assert not out.exists(), sample
     code, _, _ = run_cli(capsys, "solve", "--builtin", "nope",
                          "--iters", "10", "--out", str(tmp_path / "x.csv"))
     assert code == 2
@@ -344,6 +347,11 @@ def test_audit_rejects_q0_of_wrong_length(tmp_path, capsys, extra):
     ({"V": 1.0, "iters": 200, "q0": [0.0, 0.0]}, "lacks the field 'problem'"),
     ({"problem": "qp_6_2", "iters": 200, "q0": [0.0, 0.0]}, "lacks the field 'V'"),
     ([1, 2], "cannot read"),
+    ({"problem": "qp_6_2", "V": True, "q0": [0.0, 0.0]}, "'V' must be a finite number"),
+    ({"problem": "qp_6_2", "V": "1e3", "q0": [0.0, 0.0]}, "'V' must be a finite number"),
+    ({"problem": "qp_6_2", "V": 0, "q0": [0.0, 0.0]}, "'V' must be positive"),
+    ({"problem": "qp_6_2", "V": 1.0, "q0": [True, False]}, "'q0' must be an array"),
+    ({"problem": "qp_6_2", "V": 1.0, "q0": ["0", "0"]}, "'q0' must be an array"),
 ])
 def test_audit_rejects_malformed_summary(tmp_path, capsys, summary, message):
     out, _ = solve_qp(tmp_path, capsys, iters=200)
@@ -466,7 +474,7 @@ def solve_linear(tmp_path, capsys, source, bundle, iters, algorithm="dpp",
     assert code == 0
     config = SolverConfig(V=V if V is not None else choose_V(bundle.program),
                           q0=np.full(bundle.program.m, q0), iters=iters,
-                          variant=algorithm.replace("-", "_"), sampling="linear")
+                          variant=algorithm.replace("-", "_"), sample="linear")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # V = 422 is below m beta^2/alpha
         trace = run(bundle.program, bundle.oracle, config, reference=bundle.reference)

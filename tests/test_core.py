@@ -48,7 +48,7 @@ def test_queue_update_clamps_at_zero():
     # Q_2 at zero
     b = builtin("num_6_1")
     q0 = np.array([1000.0, 0.0, 1000.0])
-    cfg = SolverConfig(V=544.5, q0=q0, iters=1, sampling="linear")
+    cfg = SolverConfig(V=544.5, q0=q0, iters=1, sample="linear")
     tr = run(b.program, b.oracle, cfg)
     g0 = b.program.g(b.oracle.argmin(q0, cfg.V))
     assert q0[1] + g0[1] < 0
@@ -89,8 +89,8 @@ def test_trace_columns():
 
 
 def test_sample_indices_linear():
-    assert sample_indices(10, "linear", stride=3) == [3, 6, 9, 10]
-    assert sample_indices(5, "linear", stride=1) == [1, 2, 3, 4, 5]
+    assert sample_indices(10, "linear:3") == [3, 6, 9, 10]
+    assert sample_indices(5, "linear") == sample_indices(5, "linear:1") == [1, 2, 3, 4, 5]
 
 
 def test_sample_indices_log():
@@ -104,5 +104,6 @@ def test_sample_indices_log():
 def test_sample_indices_rejects_bad_input():
     with pytest.raises(ValueError):
         sample_indices(0)
-    with pytest.raises(ValueError):
-        sample_indices(10, "bogus")
+    for sample in ("bogus", "linearfoo", "linear:", "linear:0", "log:3"):
+        with pytest.raises(ValueError, match=repr(sample)):
+            sample_indices(10, sample)

@@ -129,7 +129,7 @@ def test_audit_gates_on_preconditions():
 
 def test_audit_on_real_run():
     b = builtin("qp_6_2")
-    cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=3000, sampling="log")
+    cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=3000, sample="log")
     tr = run(b.program, b.oracle, cfg, reference=b.reference)
     report = audit_bounds(tr, b.reference, b.program, cfg.q0, gamma=9.0,
                           oracle=b.oracle)
@@ -147,7 +147,7 @@ def test_audit_requires_reference():
 def test_report_is_json_serializable():
     import json
     b = builtin("qp_6_2")
-    cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=100, sampling="log")
+    cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=100, sample="log")
     tr = run(b.program, b.oracle, cfg, reference=b.reference)
     report = audit_bounds(tr, b.reference, b.program, cfg.q0, gamma=9.0,
                           oracle=b.oracle)

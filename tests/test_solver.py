@@ -30,6 +30,8 @@ def test_config_validation():
         SolverConfig(V=1.0, q0=np.array([-1.0]), iters=10)
     with pytest.raises(ValueError):
         SolverConfig(V=1.0, q0=np.zeros(1), iters=10, variant="bogus")
+    with pytest.raises(ValueError, match="'linear:0'"):
+        SolverConfig(V=1.0, q0=np.zeros(1), iters=10, sample="linear:0")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -54,7 +56,7 @@ def test_first_iteration_from_zero_queue():
     b = builtin("num_6_1")
     with pytest.warns(UserWarning):
         cfg = SolverConfig(V=363.0, q0=np.zeros(3), iters=1,
-                           sampling="linear", stride=1)
+                           sample="linear")
         tr = run(b.program, b.oracle, cfg)
     assert list(tr.t) == [1]
     assert np.allclose(tr.xbar[0], [11.0, 11.0, 11.0])
@@ -65,7 +67,7 @@ def test_zero_constraint_values_fix_the_queue():
     b = builtin("qp_6_2")
     lam = b.reference.lambda_star
     q0 = QP_V * lam  # stationary point of the queue recursion
-    cfg = SolverConfig(V=QP_V, q0=q0, iters=20, sampling="linear", stride=1)
+    cfg = SolverConfig(V=QP_V, q0=q0, iters=20, sample="linear")
     tr = run(b.program, b.oracle, cfg, reference=b.reference)
     assert np.allclose(tr.queue, q0, atol=1e-8)
 
@@ -85,35 +87,39 @@ def test_dpp_equals_dual_subgradient(tmp_path, capsys):
     assert outputs["dpp"] == outputs["dual-subgradient"]
 
 
-def test_standard_average_matches_recomputation():
-    b = builtin("qp_6_2")
-    cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=100,
-                       sampling="linear", stride=1)
+# Sample specs whose window ends are all samples (linear), or mostly not.
+AVERAGE_SAMPLES = ("linear", "log", "linear:7")
+
+
+def iterate_history(b, iters):
+    """x(0), ..., x(iters - 1) of the qp_6_2 run from Q(0) = 0."""
+    cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=iters, sample="linear")
     tr = run(b.program, b.oracle, cfg)
     # x(0) is recoverable from xbar(1)
-    history = [tr.xbar[0]] + list(tr.x[:-1])
-    for t, xbar in zip(tr.t, tr.xbar):
-        assert np.abs(xbar - np.mean(history[:t], axis=0)).max() <= 1e-10
+    return np.array([tr.xbar[0]] + list(tr.x[:-1]))
+
+
+def test_standard_average_matches_recomputation():
+    b = builtin("qp_6_2")
+    history = iterate_history(b, 1001)
+    for sample in AVERAGE_SAMPLES:
+        cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=1001, sample=sample)
+        tr = run(b.program, b.oracle, cfg)
+        for t, xbar in zip(tr.t, tr.xbar):
+            assert np.abs(xbar - history[:t].mean(axis=0)).max() <= 1e-10, (sample, t)
 
 
 def test_shifted_average_matches_recomputation():
     b = builtin("qp_6_2")
-    cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=101,
-                       variant="dpp_shifted", sampling="linear", stride=1)
-    tr = run(b.program, b.oracle, cfg)
-    # raw iterate history from an identical standard run
-    base = SolverConfig(V=QP_V, q0=np.zeros(2), iters=101,
-                        sampling="linear", stride=1)
-    tb = run(b.program, b.oracle, base)
-    history = [tb.xbar[0]] + list(tb.x[:-1])
-    for t, xbar in zip(tr.t, tr.xbar):
-        even = t if t % 2 == 0 else t - 1
-        if even == 0:
-            expect = history[0]
-        else:
-            half = even // 2
-            expect = np.mean(history[half:even], axis=0)
-        assert np.abs(xbar - expect).max() <= 1e-10
+    history = iterate_history(b, 1001)
+    for sample in AVERAGE_SAMPLES:
+        cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=1001,
+                           variant="dpp_shifted", sample=sample)
+        tr = run(b.program, b.oracle, cfg)
+        for t, xbar in zip(tr.t, tr.xbar):
+            half = t // 2
+            expect = history[half:2 * half].mean(axis=0) if half else history[0]
+            assert np.abs(xbar - expect).max() <= 1e-10, (sample, t)
 
 
 def test_objective_and_constraint_bounds_hold():
@@ -121,7 +127,7 @@ def test_objective_and_constraint_bounds_hold():
     # g_k(xbar) <= (sqrt(||Q0||^2 + V^2 ||lam*||^2) + V ||lam*||) / t
     b = builtin("qp_6_2")
     for q0 in (np.zeros(2), np.array([10.0, 10.0])):
-        cfg = SolverConfig(V=QP_V, q0=q0, iters=2000, sampling="log")
+        cfg = SolverConfig(V=QP_V, q0=q0, iters=2000, sample="log")
         tr = run(b.program, b.oracle, cfg, reference=b.reference)
         lam_norm = np.linalg.norm(b.reference.lambda_star)
         B = np.sqrt(q0 @ q0 + QP_V ** 2 * lam_norm ** 2) + QP_V * lam_norm
@@ -135,7 +141,7 @@ def test_per_iteration_drift_plus_penalty_bound():
     # drift(t) + V f(x(t)) <= V f* at every step when V is above threshold
     b = builtin("qp_6_2")
     cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=300,
-                       sampling="linear", stride=1)
+                       sample="linear")
     tr = run(b.program, b.oracle, cfg)
     # row i holds x(t) and Q(t) for t = i+1; the drift of step t needs
     # Q(t+1), i.e. the next row's queue.  L(Q) = ||Q||^2 / 2.
@@ -162,7 +168,7 @@ def test_queue_dimension_mismatch():
 def test_trace_records_dual_quantities_with_reference():
     b = builtin("qp_6_2")
     cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=50,
-                       sampling="linear", stride=1)
+                       sample="linear")
     tr = run(b.program, b.oracle, cfg, reference=b.reference)
     assert tr.lambda_dist is not None and np.all(tr.lambda_dist >= 0)
     assert tr.dual_gap is not None and np.all(tr.dual_gap >= -1e-9)
@@ -178,7 +184,7 @@ def test_recorded_norms_are_numpy_norms(tag, variant, q0):
     b = builtin(tag)
     V = choose_V(b.program)
     cfg = SolverConfig(V=V, q0=np.full(b.program.m, q0), iters=500,
-                       variant=variant, sampling="linear")
+                       variant=variant, sample="linear")
     tr = run(b.program, b.oracle, cfg, reference=b.reference)
     lam_star = b.reference.lambda_star
     for i in range(len(tr)):
@@ -197,7 +203,7 @@ def test_golden_trace(case):
         # step c (default 1/V) from Q(0): DPP at V' = 1/c
         variant, V = "dpp", 1.0 / (case["step_c"] or 1.0 / V)
     cfg = SolverConfig(V=V, q0=q0, iters=2000, variant=variant,
-                       sampling="linear", stride=97)
+                       sample="linear:97")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # V = 422 is below m beta^2/alpha
         tr = run(b.program, b.oracle, cfg, reference=b.reference)
@@ -237,7 +243,7 @@ def test_shifted_run_makes_one_oracle_call_per_iteration():
     b = builtin("qp_6_2")
     iters = 101
     cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=iters,
-                       variant="dpp_shifted", sampling="linear", stride=1)
+                       variant="dpp_shifted", sample="linear")
     traces = []
     for inner in (b.oracle, ProjectedGradientOracle(b.program, tol=1e-12)):
         oracle = CountingOracle(inner)
@@ -262,7 +268,7 @@ class FailingOracle(CountingOracle):
 def test_inner_failure_carries_partial_trace():
     b = builtin("qp_6_2")
     cfg = SolverConfig(V=QP_V, q0=np.array([3.0, 1.0]), iters=50,
-                       sampling="linear", stride=1)
+                       sample="linear")
     full = run(b.program, b.oracle, cfg, reference=b.reference)
     # x(lambda*) and x(0..20) succeed; x(21) fails
     with pytest.raises(InnerSolveError) as info:
@@ -291,7 +297,7 @@ class OverflowingOracle(CountingOracle):
 def test_non_finite_sample_carries_partial_trace():
     b = builtin("qp_6_2")
     cfg = SolverConfig(V=QP_V, q0=np.array([3.0, 1.0]), iters=50,
-                       sampling="linear", stride=1)
+                       sample="linear")
     full = run(b.program, b.oracle, cfg, reference=b.reference)
     # x(lambda*) and x(0..20) are finite; x(21) is not
     with pytest.raises(FloatingPointError, match="t = 21") as info:
@@ -301,3 +307,21 @@ def test_non_finite_sample_carries_partial_trace():
     assert part.t.tolist() == list(range(1, 21))
     for name in GOLDEN_COLUMNS + ("x",):
         assert np.array_equal(getattr(part, name), getattr(full, name)[:20]), name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("failing", [FailingOracle, OverflowingOracle])
+def test_shifted_failure_between_samples_carries_partial_trace(failing):
+    # samples at t = 7, 14, 21, 28, ...; x(24) fails, inside the window
+    # [14, 28) of the next sample
+    b = builtin("qp_6_2")
+    cfg = SolverConfig(V=QP_V, q0=np.array([3.0, 1.0]), iters=50,
+                       variant="dpp_shifted", sample="linear:7")
+    full = run(b.program, b.oracle, cfg, reference=b.reference)
+    with pytest.raises((InnerSolveError, FloatingPointError)) as info:
+        run(b.program, failing(b.oracle, 1 + 24), cfg, reference=b.reference)
+    assert isinstance(info.value, InnerSolveError) == (failing is FailingOracle)
+    part = info.value.partial_trace
+    assert part.t.tolist() == [7, 14, 21]
+    for name in GOLDEN_COLUMNS + ("x",):
+        assert np.array_equal(getattr(part, name), getattr(full, name)[:3]), name
