@@ -5,7 +5,9 @@ fit (decay-rate fit over a trace CSV), audit (check convergence guarantees
 over a trace), kkt (print the ground-truth solution), info (list built-in
 problems).
 
-Exit codes: 0 success, 2 usage or parse error, 3 numerical failure.
+Exit codes: 0 success, 1 an audited bound failed, 2 usage or input error,
+3 numerical failure.  Commands raise; ``main`` alone maps a failure to its
+exit code and one stderr line.
 All output is deterministic; CSV numbers carry 17 significant digits so
 doubles round-trip exactly.
 """
@@ -30,6 +32,11 @@ from .solver import SolverConfig, choose_V, run
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+
+class _Failure(Exception):
+    """A numerical failure (exit 3) that no library exception names."""
+
 
 # The dual subgradient method with step c = 1/V is DPP at the same V.
 ALGORITHMS = {"dpp": "dpp", "dpp-shifted": "dpp_shifted",
@@ -80,18 +87,25 @@ def _summary_path(out: Path) -> Path:
     return out.with_name(out.name + ".summary.json")
 
 
+def _emit(doc, path: Path | None = None) -> int:
+    """Print ``doc`` as JSON (and write it to ``path`` first, if given)."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise _Failure("non-finite number in the result") from None
+    if path is not None:
+        path.write_text(text + "\n")
+    print(text)
+    return EXIT_OK
+
+
 def cmd_solve(args) -> int:
     bundle = _load_bundle(args)
     program = bundle.program
-    try:
-        q0 = _parse_q0(args.q0, program.m)
-        V = args.V if args.V is not None else choose_V(program)
-        config = SolverConfig(V=V, q0=q0, iters=args.iters,
-                              variant=ALGORITHMS[args.algorithm], sample=args.sample)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    q0 = _parse_q0(args.q0, program.m)
+    V = args.V if args.V is not None else choose_V(program)
+    config = SolverConfig(V=V, q0=q0, iters=args.iters,
+                          variant=ALGORITHMS[args.algorithm], sample=args.sample)
     out = Path(args.out)
     try:
         trace = run(program, bundle.oracle, config, reference=bundle.reference)
@@ -99,9 +113,7 @@ def cmd_solve(args) -> int:
         partial = getattr(exc, "partial_trace", None)
         if partial is not None and len(partial):
             _write_csv(out, partial, bundle)
-        what = "inner oracle failed: " if isinstance(exc, InnerSolveError) else ""
-        print(f"error: {what}{exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise
 
     _write_csv(out, trace, bundle)
     f_star = bundle.reference.f_star if bundle.reference is not None else None
@@ -127,11 +139,7 @@ def cmd_solve(args) -> int:
                          if trace.dual_gap is not None else None),
         },
     }
-    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-    with open(_summary_path(out), "w") as fh:
-        fh.write(text + "\n")
-    print(text)
-    return EXIT_OK
+    return _emit(summary, _summary_path(out))
 
 
 def _read_trace_csv(path: Path, columns) -> dict:
@@ -139,8 +147,9 @@ def _read_trace_csv(path: Path, columns) -> dict:
 
     Returns {name: float array} in header order; a column whose first data
     cell is blank (``f_err`` without a reference) maps to None.  A row
-    whose field count differs from the header's, or a blank or non-numeric
-    cell in a parsed column, raises ValueError.
+    whose field count differs from the header's, a blank, non-numeric or
+    non-finite cell in a parsed column, or a ``t`` that is not an integer
+    >= 1, raises ValueError.
     """
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
@@ -159,60 +168,52 @@ def _read_trace_csv(path: Path, columns) -> dict:
         parsed = np.loadtxt(data, delimiter=",", usecols=usecols, ndmin=2,
                             comments=None).T.copy()
         cols.update(zip([header[j] for j in usecols], parsed))
+    for name, col in cols.items():
+        if col is not None and not np.isfinite(col).all():
+            raise ValueError(f"trace CSV column {name!r} holds a non-finite number")
+    t = cols.get("t")
+    if t is not None and not (np.all(t >= 1) and np.array_equal(t, np.floor(t))):
+        raise ValueError("trace CSV column 't' must hold integers >= 1")
     return cols
 
 
 def cmd_fit(args) -> int:
     if not 0 < args.window_fraction <= 1:
-        print("error: --window-fraction must be in (0, 1]", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--window-fraction must be in (0, 1]")
     lo = args.t_lo if args.t_lo is not None else -np.inf
     hi = args.t_hi if args.t_hi is not None else np.inf
     if not lo <= hi:
-        print("error: need numbers with --t-lo <= --t-hi", file=sys.stderr)
-        return EXIT_USAGE
-    path = Path(args.trace)
+        raise ValueError("need numbers with --t-lo <= --t-hi")
     prefix = "f_err" if args.series == "obj" else "g_"
     try:
-        cols = _read_trace_csv(path, lambda name: name == "t" or name.startswith(prefix))
+        cols = _read_trace_csv(Path(args.trace),
+                               lambda name: name == "t" or name.startswith(prefix))
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read trace: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"cannot read trace: {exc}") from exc
     if "t" not in cols:
-        print("error: trace CSV lacks a 't' column", file=sys.stderr)
-        return EXIT_USAGE
-    ts = cols["t"]
+        raise ValueError("trace CSV lacks a 't' column")
     if args.series == "obj":
         if cols.get("f_err") is None:
-            print("error: trace CSV lacks an 'f_err' column", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("trace CSV lacks an 'f_err' column")
         errors = cols["f_err"]
     else:
         gcols = [name for name in cols if name.startswith("g_")]
         if not gcols:
-            print("error: trace CSV lacks g_k columns", file=sys.stderr)
-            return EXIT_USAGE
-        stacked = np.stack([cols[name] for name in gcols], axis=1)
-        errors = error_series(None, stacked)[1]
-    window = None
-    if args.t_lo is not None or args.t_hi is not None:
-        window = (args.t_lo if args.t_lo is not None else float(ts.min()),
-                  args.t_hi if args.t_hi is not None else float(ts.max()))
+            raise ValueError("trace CSV lacks g_k columns")
+        errors = error_series(None, np.stack([cols[name] for name in gcols], axis=1))[1]
+    window = None if args.t_lo is None and args.t_hi is None else (lo, hi)
+    fit_fn = fit_power_decay if args.model == "power" else fit_geometric
     try:
-        fit_fn = fit_power_decay if args.model == "power" else fit_geometric
-        fit = fit_fn(ts, errors, window_fraction=args.window_fraction,
+        fit = fit_fn(cols["t"], errors, window_fraction=args.window_fraction,
                      window=window)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    print(json.dumps(fit.to_dict(), indent=2, sort_keys=True))
-    return EXIT_OK
+        raise _Failure(str(exc)) from exc
+    return _emit(fit.to_dict())
 
 
 def cmd_audit(args) -> int:
     if args.gamma is not None and not (np.isfinite(args.gamma) and args.gamma > 0):
-        print("error: --gamma must be positive and finite", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--gamma must be positive and finite")
     bundle = _load_bundle(args)
     path = Path(args.trace)
     summary_path = Path(args.summary) if args.summary else _summary_path(path)
@@ -227,26 +228,19 @@ def cmd_audit(args) -> int:
             raise ValueError("summary field 'V' must be positive")
         q0 = QueueState(_array(summary, "q0", "summary")).q
     except KeyError as exc:
-        print(f"error: the summary lacks the field {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"the summary lacks the field {exc}") from exc
     except (OSError, ValueError, TypeError) as exc:
-        print(f"error: cannot read trace/summary: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"cannot read trace/summary: {exc}") from exc
     if problem != bundle.tag:
-        print(f"error: the summary is for problem {problem!r}, not {bundle.tag!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"the summary is for problem {problem!r}, not {bundle.tag!r}")
     if bundle.reference is None:
-        print("error: no ground-truth solution for this problem", file=sys.stderr)
-        return EXIT_NUMERICAL
-
+        raise _Failure("no ground-truth solution for this problem")
     if any(cols.get(name) is None for name in needed):
-        print("error: trace CSV lacks required columns", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("trace CSV lacks required columns")
 
     have_dual = cols.get("lambda_dist") is not None and cols.get("dual_gap") is not None
     trace = IterateTrace(
-        t=cols["t"].astype(int), f_xbar=cols["f_avg"],
+        t=cols["t"], f_xbar=cols["f_avg"],
         g_xbar=np.stack([cols[name] for name in gcols], axis=1),
         qnorm=cols["qnorm"],
         lambda_dist=cols["lambda_dist"] if have_dual else None,
@@ -255,16 +249,14 @@ def cmd_audit(args) -> int:
     gamma = args.gamma if args.gamma is not None else bundle.constant("gamma")
     report = audit_bounds(trace, bundle.reference, bundle.program, q0,
                           gamma=gamma, oracle=bundle.oracle)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _emit(report)
     return EXIT_OK if audit_passed(report) else 1
 
 
 def cmd_kkt(args) -> int:
     bundle = _load_bundle(args)
     if bundle.reference is None:
-        print(f"error: ground-truth solve failed: {bundle.reference_error}",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise _Failure(f"ground-truth solve failed: {bundle.reference_error}")
     ref = bundle.reference
     doc = {
         "problem": bundle.tag,
@@ -276,8 +268,7 @@ def cmd_kkt(args) -> int:
         "slack_constraints": [k + 1 for k in range(bundle.program.m)
                               if k not in ref.active_set],
     }
-    print(json.dumps(doc, indent=2, sort_keys=True))
-    return EXIT_OK
+    return _emit(doc)
 
 
 def cmd_info(args) -> int:
@@ -292,8 +283,7 @@ def cmd_info(args) -> int:
             "default_V": choose_V(b.program),
             "has_reference": b.reference is not None,
         })
-    print(json.dumps(docs, indent=2, sort_keys=True))
-    return EXIT_OK
+    return _emit(docs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,12 +339,17 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0,) else 0
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InnerSolveError as exc:
+        print(f"error: inner oracle failed: {exc}", file=sys.stderr)
+    except (ArithmeticError, _Failure) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":
