@@ -8,6 +8,7 @@ margins.  Everything is pure over immutable traces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -154,7 +155,8 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
     q0_norm2 = float(np.sum(q0 ** 2))
     lam_star = np.asarray(reference.lambda_star, dtype=float)
     lam_star_norm = float(np.linalg.norm(lam_star))
-    bound_B = float(np.sqrt(q0_norm2 + V ** 2 * lam_star_norm ** 2)) + V * lam_star_norm
+    # hypot keeps B finite where V^2 ||lam*||^2 alone would overflow.
+    bound_B = math.hypot(math.sqrt(q0_norm2), V * lam_star_norm) + V * lam_star_norm
     report: list[dict] = []
 
     # Objective bound (exact non-violation when the queue starts at zero).

@@ -75,5 +75,6 @@ def theta_bound(V: float, gamma: float, lambda0, lambda_star,
     lambda0 = np.atleast_1d(np.asarray(lambda0, dtype=float))
     lambda_star = np.atleast_1d(np.asarray(lambda_star, dtype=float))
     dist2 = float(np.sum((lambda0 - lambda_star) ** 2))
-    return max(4.0 * V ** 2 * dist2 / (2.0 * V - gamma), q_at_star - q_at_lambda0)
+    # V / (2V - gamma) <= 1 is formed first, so no V^2 overflows.
+    return max(4.0 * V * dist2 * (V / (2.0 * V - gamma)), q_at_star - q_at_lambda0)
 

@@ -10,13 +10,18 @@ is DPP at V = 1/c with Q = lambda / c, so it has no loop of its own: run
 DPP at V = 1/c and read lambda = Q / V.  Oracles take the queue as a raw
 float array.
 
+Only the recurrence x(t) = argmin V f + Q(t) . g, Q(t+1) = max(Q(t) +
+g(x(t)), 0) is sequential.  One kernel steps it over blocks of _BLOCK
+iterations into block buffers; at each block end the drift identity is
+checked for every iteration, once per block, and the prefix sums and the
+sampled rows are filled row-wise from those buffers.
+
 A run is strictly sequential; distinct runs share no mutable state and may
 execute concurrently.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -27,6 +32,9 @@ from .dual_analysis import dual_value_and_gradient
 from .oracles import InnerSolveError
 
 VARIANTS = ("dpp", "dpp_shifted")
+
+# Iterations per block of the kernel.
+_BLOCK = 1024
 
 
 @dataclass
@@ -64,10 +72,12 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
     the dual-iterate distance ||lambda(t) - lambda*|| and the dual gap
     q(lambda*) - q(lambda(t)); the dual value at lambda(t) is exact because
     x(t) attains the inner minimum defining q.  The residual of the exact
-    drift identity is checked on every iteration; x-bar, f(x-bar) and
-    g(x-bar) are computed only at sampled t.  A sample with a non-finite
-    value raises FloatingPointError carrying the rows before it as
-    ``partial_trace``, as an InnerSolveError does.
+    drift identity is checked on every iteration, once per block; x-bar,
+    f(x-bar) and g(x-bar) are computed only at sampled t.  An
+    InnerSolveError at step t carries the samples before t and the
+    residuals through t - 1 as ``partial_trace``; a sample with a
+    non-finite value raises FloatingPointError carrying the rows before it
+    the same way.
 
     Deterministic: identical inputs give identical traces.
     """
@@ -80,19 +90,18 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
     if config.q0.shape[0] != program.m:
         raise ValueError("initial queue length must equal the constraint count")
 
-    V = config.V
-    ts = sample_indices(config.iters, config.sample)
+    V, iters = config.V, config.iters
+    ts = np.array(sample_indices(iters, config.sample))
     # Sample i averages x over the window [lo[i], hi[i]).
-    hi = np.array(ts)
+    hi = ts
     if config.variant == "dpp_shifted":
         hi = np.maximum(hi // 2 * 2, 1)  # [t//2, 2(t//2)), and [0, 1) at t = 1
         lo = hi // 2
     else:
         lo = np.zeros_like(hi)
-    # prefix[j] holds S(ends[j]) from iteration ends[j] on.
+    # prefix[j] holds S(ends[j]) once a flush has passed ends[j].
     ends = np.unique(np.concatenate([lo, hi]))
     lo_row, hi_row, width = np.searchsorted(ends, lo), np.searchsorted(ends, hi), hi - lo
-    ends = ends.tolist()
 
     # Row i of every column holds sample ts[i].
     S, n, m = len(ts), program.n, program.m
@@ -115,54 +124,75 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
             x=xs[:rows], xbar=xbars[:rows], queue=queue[:rows],
             V=V, max_drift_residual=max_residual)
 
-    argmin, objective, constraints = oracle.argmin, program.objective, program.constraints
-    q = config.q0.copy()
-    qq = float(q @ q)
+    # Step t0 + k of a block stores x, g and Q(t0 + k + 1) in row k of X, G
+    # and row k + 1 of Q; Q[0] holds Q(t0).  The row views of Q are made
+    # once, and the update of the last step (t = iters) is never read.
+    block = min(_BLOCK, iters + 1)
+    X, G, Q = np.empty((block, n)), np.empty((block, m)), np.empty((block + 1, m))
+    Q_rows = list(Q)
+    Q[0] = config.q0
     sum_x = np.zeros(n)
     max_residual = 0.0
-    i, next_t = 0, ts[0]
-    j, next_end = 0, ends[0]
+    i = j = 0
+    argmin, objective, constraints = oracle.argmin, program.objective, program.constraints
 
-    for t in range(config.iters + 1):
+    def flush(t0: int, k: int) -> None:
+        """Record steps t0 .. t0 + k - 1 of the block: their drift
+        residuals, S at the window ends up to t0 + k, and the samples at
+        t < t0 + k."""
+        nonlocal sum_x, max_residual, i, j
+        qq = np.vecdot(Q[:k + 1], Q[:k + 1])
+        # Residual of the exact drift identity L(Q') - L(Q) = Q' . g -
+        # ||Q' - Q||^2 / 2, with L(Q) = ||Q||^2 / 2, for every step with a
+        # successor (t < iters).  fmax skips NaN residuals.
+        r = min(k, iters - t0)
+        Qn, Qo = Q[1:r + 1], Q[:r]
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = Qn - Qo
+            residual = np.abs((0.5 * qq[1:r + 1] - 0.5 * qq[:r])
+                              - (np.vecdot(Qn, G[:r]) - 0.5 * np.vecdot(D, D)))
+        max_residual = float(np.fmax.reduce(residual, initial=max_residual))
+
+        # cumsum adds the rows in order, as a running sum_x += x would.
+        C = np.cumsum(np.vstack([sum_x, X[:k]]), axis=0)  # C[c] = S(t0 + c)
+        sum_x = C[k]
+        j1 = np.searchsorted(ends, t0 + k, side="right")
+        prefix[j:j1] = C[ends[j:j1] - t0]
+        j = j1
+
+        i1 = np.searchsorted(ts, t0 + k)
+        new, rows = slice(i, i1), ts[i:i1] - t0
+        xs[new], queue[new] = X[rows], Q[rows]
+        # np.linalg.norm(v) of a 1-D float vector is sqrt(v.dot(v)), and
+        # vecdot of a row is bitwise its dot.
+        qnorm[new] = np.sqrt(qq[rows])
+        xbars[new] = (prefix[hi_row[new]] - prefix[lo_row[new]]) / width[new, None]
+        for s in range(i, i1):
+            f_xbar[s], g_xbar[s] = objective(xbars[s]), constraints(xbars[s])
+        if lam_star is not None:
+            lam_t = queue[new] / V
+            d = lam_t - lam_star
+            lambda_dist[new] = np.sqrt(np.vecdot(d, d))
+            f_x = np.array([objective(x) for x in xs[new]])
+            dual_gap[new] = q_star - (f_x + np.vecdot(lam_t, G[rows]))
+        i = i1
+
+    for t0 in range(0, iters + 1, block):
+        steps = min(block, iters + 1 - t0)
+        q = Q_rows[0]
         try:
-            x = argmin(q, V)
+            for k in range(steps):
+                x = argmin(q, V)
+                X[k] = x
+                # program.g checks the shape of g(x) once; later steps call it raw.
+                G[k] = g = constraints(x) if k or t0 else program.g(x)
+                q = np.maximum(q + g, 0.0, out=Q_rows[k + 1])
         except InnerSolveError as exc:
+            flush(t0, k)
             exc.partial_trace = trace(i)  # everything recorded through t-1
             raise
-        # program.g checks the shape of g(x) once; later steps call it raw.
-        g = constraints(x) if t else program.g(x)
-        if t == next_end:
-            prefix[j] = sum_x
-            j += 1
-            next_end = ends[j] if j < len(ends) else -1
-
-        if t == next_t:
-            xbar = (prefix[hi_row[i]] - prefix[lo_row[i]]) / width[i]
-            xs[i], xbars[i], queue[i] = x, xbar, q
-            f_xbar[i], g_xbar[i] = objective(xbar), constraints(xbar)
-            # np.linalg.norm(v) of a 1-D float vector is sqrt(v.dot(v)).
-            qnorm[i] = math.sqrt(qq)
-            if lam_star is not None:
-                lam_t = q / V
-                d = lam_t - lam_star
-                lambda_dist[i] = math.sqrt(d.dot(d))
-                dual_gap[i] = q_star - (objective(x) + float(lam_t @ g))
-            i += 1
-            next_t = ts[i] if i < S else -1
-        if t == config.iters:
-            break
-
-        # Queue update and the residual of the exact drift identity
-        # L(Q') - L(Q) = Q' . g - ||Q' - Q||^2 / 2, with L(Q) = ||Q||^2 / 2.
-        qn = np.maximum(q + g, 0.0)
-        diff = qn - q
-        qnqn = float(qn.dot(qn))
-        residual = abs((0.5 * qnqn - 0.5 * qq)
-                       - (float(qn.dot(g)) - 0.5 * float(diff.dot(diff))))
-        if residual > max_residual:
-            max_residual = residual
-        sum_x += x
-        q, qq = qn, qnqn
+        flush(t0, steps)
+        Q[0] = Q[steps]
 
     finite = np.ones(S, dtype=bool)
     for column in (f_xbar, g_xbar, qnorm, lambda_dist, dual_gap, xs, xbars, queue):

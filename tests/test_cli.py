@@ -419,6 +419,24 @@ def test_solve_that_overflows_exits_3(tmp_path, capsys, tag):
     assert not (tmp_path / "tiny.csv.summary.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv,t", [
+    (["--builtin", "qp_6_2", "--V", "1e-300"], 1),
+    (["--builtin", "num_6_1", "--algorithm", "dpp-shifted", "--V", "1e-100",
+      "--sample", "linear"], 2),
+], ids=["qp_6_2", "num_6_1-dpp-shifted"])
+def test_solve_that_overflows_over_several_blocks_exits_3(tmp_path, capsys, argv, t):
+    # 3000 iterations span three blocks of the kernel; the first non-finite
+    # sample is still the one reported, and the rows before it are written
+    out = tmp_path / "tiny.csv"
+    with pytest.warns(UserWarning):
+        code, stdout, err = run_cli(capsys, "solve", *argv, "--iters", "3000",
+                                    "--out", str(out))
+    assert (code, stdout, err) == (3, "", f"error: non-finite value in the sample at t = {t}\n")
+    rows = out.read_text().splitlines()[1:] if out.exists() else []
+    assert [int(r.split(",")[0]) for r in rows] == list(range(1, t))
+
+
 def test_kkt_refuses_more_than_20_constraints(tmp_path, capsys):
     doc = {"kind": "qp", "P": [[1.0, 0.0], [0.0, 1.0]], "c": [0.0, 0.0],
            "A": [[1.0, 0.0]] * 21, "b": [1.0] * 21}

@@ -1,14 +1,18 @@
 import json
+import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from driftopt import (VARIANTS, InnerSolveError, ProjectedGradientOracle, SolverConfig,
-                      builtin, choose_V, run)
+from driftopt import (VARIANTS, InnerSolveError, ProgramSpec, ProjectedGradientOracle,
+                      SolverConfig, builtin, choose_V, run)
 from driftopt.cli import main
+from driftopt.core import sample_indices
+from driftopt.dual_analysis import dual_value_and_gradient
 from driftopt.problems import BUILTIN_TAGS
+from driftopt.solver import _BLOCK
 
 QP_V = 4.0 / 0.34
 
@@ -229,6 +233,85 @@ def test_golden_trace(case):
         assert abs(tr.max_drift_residual - case["max_drift_residual"]) <= 1e-12 * scale
 
 
+def reference_run(b, V, iters, variant, sample):
+    """The DPP recurrence as a plain per-iteration loop: the sampled columns
+    and the largest drift-identity residual, as run() records them."""
+    ts, q = set(sample_indices(iters, sample)), np.zeros(b.program.m)
+    q_star, _ = dual_value_and_gradient(b.program, b.oracle, b.reference.lambda_star)
+    S, rows, max_residual = [np.zeros(b.program.n)], [], 0.0
+    for t in range(iters + 1):
+        x = b.oracle.argmin(q, V)
+        g = b.program.constraints(x)
+        if t in ts:
+            hi = max(t // 2 * 2, 1) if variant == "dpp_shifted" else t
+            lo = hi // 2 if variant == "dpp_shifted" else 0
+            xbar = (S[hi] - S[lo]) / (hi - lo)
+            lam, d = q / V, q / V - b.reference.lambda_star
+            rows.append((x, xbar, q, math.sqrt(q.dot(q)), b.program.objective(xbar),
+                         b.program.constraints(xbar), math.sqrt(d.dot(d)),
+                         q_star - (b.program.objective(x) + float(lam @ g))))
+        qn = np.maximum(q + g, 0.0)
+        if t < iters:
+            diff = qn - q
+            max_residual = max(max_residual, abs((0.5 * qn.dot(qn) - 0.5 * q.dot(q))
+                                                 - (qn.dot(g) - 0.5 * diff.dot(diff))))
+        S.append(S[-1] + x)
+        q = qn
+    return [np.array(column) for column in zip(*rows)], max_residual
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("tag", BUILTIN_TAGS)
+def test_blocks_match_the_per_iteration_loop(tag, variant):
+    # runs that end just before, at and just after a block boundary, and
+    # one that spans three blocks, are bitwise the plain loop's
+    b = builtin(tag)
+    V = choose_V(b.program)
+    names = ("x", "xbar", "queue", "qnorm", "f_xbar", "g_xbar", "lambda_dist", "dual_gap")
+    for iters in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
+        for sample in ("linear", "log"):
+            cfg = SolverConfig(V=V, q0=np.zeros(b.program.m), iters=iters,
+                               variant=variant, sample=sample)
+            tr = run(b.program, b.oracle, cfg, reference=b.reference)
+            columns, max_residual = reference_run(b, V, iters, variant, sample)
+            assert tr.t.tolist() == sample_indices(iters, sample)
+            for name, expect in zip(names, columns):
+                assert np.array_equal(getattr(tr, name), expect), (iters, sample, name)
+            assert tr.max_drift_residual == max_residual, (iters, sample)
+
+
+class ScriptedOracle:
+    """Returns x(t) = script[t] whatever the queue."""
+
+    def __init__(self, script):
+        self.script, self.calls = script, 0
+
+    def argmin(self, q, V):
+        self.calls += 1
+        return np.array([self.script[self.calls - 1]])
+
+
+@pytest.mark.parametrize("step", [_BLOCK - 1, _BLOCK])
+def test_drift_residual_of_a_step_at_a_block_edge(step):
+    # with g(x) = x: Q = 0 and g = -1 everywhere, except Q(step) = 1.1,
+    # g(step) = 2.3 and Q(step + 2) = 0 again.  Every residual is exactly 0
+    # but that of the step, which counts once Q(step + 1) exists.
+    program = ProgramSpec(n=1, m=1, objective=lambda x: float(x @ x),
+                          constraints=lambda x: x.copy(), lower=[-np.inf],
+                          upper=[np.inf], alpha=2.0, beta=1.0)
+    script = [-1.0] * (step + 3)
+    script[step - 1:step + 2] = 1.1, 2.3, -10.0
+    q, g = np.array([1.1]), np.array([2.3])
+    qn = np.maximum(q + g, 0.0)
+    diff = qn - q
+    expect = abs((0.5 * qn.dot(qn) - 0.5 * q.dot(q)) - (qn.dot(g) - 0.5 * diff.dot(diff)))
+    assert expect > 0
+    for iters, residual in ((step, 0.0), (step + 1, expect), (step + 2, expect)):
+        cfg = SolverConfig(V=1.0, q0=np.zeros(1), iters=iters)
+        tr = run(program, ScriptedOracle(script), cfg)
+        assert tr.max_drift_residual == residual, iters
+
+
 class CountingOracle:
     def __init__(self, inner):
         self.inner = inner
@@ -267,18 +350,23 @@ class FailingOracle(CountingOracle):
 
 def test_inner_failure_carries_partial_trace():
     b = builtin("qp_6_2")
-    cfg = SolverConfig(V=QP_V, q0=np.array([3.0, 1.0]), iters=50,
+    cfg = SolverConfig(V=QP_V, q0=np.array([3.0, 1.0]), iters=_BLOCK + 50,
                        sample="linear")
     full = run(b.program, b.oracle, cfg, reference=b.reference)
-    # x(lambda*) and x(0..20) succeed; x(21) fails
-    with pytest.raises(InnerSolveError) as info:
-        run(b.program, FailingOracle(b.oracle, succeed=22), cfg,
-            reference=b.reference)
-    part = info.value.partial_trace
-    assert part.t.tolist() == list(range(1, 21))
-    for name in GOLDEN_COLUMNS + ("x",):
-        assert np.array_equal(getattr(part, name), getattr(full, name)[:20]), name
-    assert part.max_drift_residual <= full.max_drift_residual
+    # x(lambda*) and x(0..succeed-2) succeed; x(succeed-1) fails, early in
+    # the first block, at its last two steps, or first in the second block
+    for succeed in (22, _BLOCK - 1, _BLOCK, _BLOCK + 1):
+        failed = succeed - 1
+        with pytest.raises(InnerSolveError) as info:
+            run(b.program, FailingOracle(b.oracle, succeed=succeed), cfg,
+                reference=b.reference)
+        part = info.value.partial_trace
+        assert part.t.tolist() == list(range(1, failed)), succeed
+        for name in GOLDEN_COLUMNS + ("x",):
+            assert np.array_equal(getattr(part, name), getattr(full, name)[:failed - 1]), name
+        # the residuals of steps 0..failed-1 are those of a run that ends at failed
+        upto = SolverConfig(V=QP_V, q0=cfg.q0, iters=failed, sample="linear")
+        assert part.max_drift_residual == run(b.program, b.oracle, upto).max_drift_residual
 
 
 class OverflowingOracle(CountingOracle):
@@ -307,6 +395,9 @@ def test_non_finite_sample_carries_partial_trace():
     assert part.t.tolist() == list(range(1, 21))
     for name in GOLDEN_COLUMNS + ("x",):
         assert np.array_equal(getattr(part, name), getattr(full, name)[:20]), name
+    # from step 21 on every residual is NaN (inf - inf), and NaN is skipped
+    upto = SolverConfig(V=QP_V, q0=cfg.q0, iters=21, sample="linear")
+    assert part.max_drift_residual == run(b.program, b.oracle, upto).max_drift_residual
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
