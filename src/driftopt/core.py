@@ -30,12 +30,13 @@ def _as_vector(v, length: int | None = None, name: str = "vector") -> np.ndarray
 class ProgramSpec:
     """A strongly convex program: min f(x) s.t. g(x) <= 0, x in a box.
 
-    ``objective`` maps an n-vector to a scalar; ``constraints`` maps an
-    n-vector to an m-vector.  ``lower``/``upper`` describe the box feasible
-    set (use +-inf entries for unbounded coordinates, so R^n is the
-    all-infinite box).  ``alpha`` is the strong-convexity modulus of the
-    objective on the box; ``beta`` is a common Lipschitz modulus of every
-    constraint component.
+    ``objective`` maps an n-vector to a scalar and ``constraints`` maps it
+    to an m-vector; each also maps a (k, n) block of rows to the k row
+    values, which the solver uses to evaluate a block's samples in one call.
+    ``lower``/``upper`` describe the box feasible set (use +-inf entries
+    for unbounded coordinates, so R^n is the all-infinite box).  ``alpha``
+    is the strong-convexity modulus of the objective on the box; ``beta``
+    is a common Lipschitz modulus of every constraint component.
 
     Optional analytic derivatives (``objective_grad``, ``constraints_jac``)
     are used by the generic inner-minimization oracle when present.
@@ -68,8 +69,7 @@ class ProgramSpec:
         return float(self.objective(np.asarray(x, dtype=float)))
 
     def g(self, x: np.ndarray) -> np.ndarray:
-        vals = _as_vector(self.constraints(np.asarray(x, dtype=float)), self.m, "g(x)")
-        return vals
+        return _as_vector(self.constraints(np.asarray(x, dtype=float)), self.m, "g(x)")
 
 
 @dataclass(frozen=True)

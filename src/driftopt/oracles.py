@@ -82,8 +82,9 @@ class NumInstance:
     def m(self) -> int:
         return self.A.shape[0]
 
-    def objective(self, x: np.ndarray) -> float:
-        return float(-(self.c @ np.log(x)))
+    def objective(self, x: np.ndarray):
+        # vecdot sums each row as a one-row call does; np.log(X) @ c would not
+        return -np.vecdot(np.log(x), self.c)
 
 
 @dataclass(frozen=True)
@@ -125,8 +126,8 @@ class QpInstance:
         """Strong-convexity modulus: smallest eigenvalue of 2P."""
         return float(np.linalg.eigvalsh(2.0 * self.P).min())
 
-    def objective(self, x: np.ndarray) -> float:
-        return float(x @ self.P @ x + self.c @ x)
+    def objective(self, x: np.ndarray):  # of an n-vector or of each row of a block
+        return np.vecdot(x @ self.P, x) + x @ self.c
 
 
 class ClosedFormNumOracle:
@@ -134,23 +135,25 @@ class ClosedFormNumOracle:
 
     x_i = min(c_i V / (q . a_i), xmax_i), where a_i is the i-th column of A
     (x_i >= 0 because q, A and c are).  A zero q . a_i means constraint
-    pressure never touches flow i: the quotient is +inf and the clip gives
-    the cap, its continuous limit.  The products c_i V are cached per V.
+    pressure never touches flow i, and the clip gives the cap, its
+    continuous limit.  q . a_i is raised to floor_i, just below
+    c_i V / xmax_i, so nothing divides by zero and the clip still gives the
+    same bits.  The products c_i V and the floors are cached per V.
     """
 
     def __init__(self, inst: NumInstance):
         self.inst = inst
-        self._cache = (None, None)  # (V, c * V), replaced as one tuple
+        self._cache = (None, None, None)  # (V, c * V, floor), replaced as one tuple
 
-    @np.errstate(divide="ignore")
     def argmin(self, q: np.ndarray, V: float) -> np.ndarray:
-        V_cached, cV = self._cache
+        V_cached, cV, floor = self._cache
         if V != V_cached:
             if V <= 0:
                 raise ValueError("V must be positive")
             cV = self.inst.c * V
-            self._cache = (V, cV)
-        return np.minimum(cV / q.dot(self.inst.A), self.inst.xmax)
+            floor = cV / self.inst.xmax * (1 - 4 * np.finfo(float).eps)
+            self._cache = (V, cV, floor)
+        return np.minimum(cV / np.maximum(q.dot(self.inst.A), floor), self.inst.xmax)
 
 
 class ClosedFormQpOracle:

@@ -169,7 +169,7 @@ def _bundle(tag: str, doc, paper: dict) -> ProblemBundle:
         np.linalg.norm(inst.A, axis=1).max())
     A, b = inst.A, inst.b
     program = ProgramSpec(n=inst.n, m=inst.m, objective=inst.objective,
-                          constraints=lambda x: A.dot(x) - b,
+                          constraints=lambda x: A.dot(x.T).T - b,
                           lower=lower, upper=upper, alpha=alpha, beta=beta,
                           objective_grad=grad, constraints_jac=lambda x: A)
     try:

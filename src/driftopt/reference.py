@@ -119,7 +119,7 @@ def _enumerate(inst, stationary) -> KktSolution:
                 lam_face = _analytic_center_multiplier(M, lam[active])
                 lam = np.zeros(m)
                 lam[active] = lam_face
-            return KktSolution(x_star=x, f_star=inst.objective(x), lambda_star=lam,
+            return KktSolution(x_star=x, f_star=float(inst.objective(x)), lambda_star=lam,
                                active_set=tuple(active))
     raise InfeasibleError("no active subset produced a KKT point")
 

@@ -12,9 +12,10 @@ float array.
 
 Only the recurrence x(t) = argmin V f + Q(t) . g, Q(t+1) = max(Q(t) +
 g(x(t)), 0) is sequential.  One kernel steps it over blocks of _BLOCK
-iterations into block buffers; at each block end the drift identity is
-checked for every iteration, once per block, and the prefix sums and the
-sampled rows are filled row-wise from those buffers.
+iterations into block buffers; at each block end it checks the drift
+identity of every step and fills the prefix sums and the sampled rows,
+calling f and g once each on the block's new x-bar rows.  A non-finite
+sample ends the run at the end of its block.
 
 A run is strictly sequential; distinct runs share no mutable state and may
 execute concurrently.
@@ -73,11 +74,11 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
     q(lambda*) - q(lambda(t)); the dual value at lambda(t) is exact because
     x(t) attains the inner minimum defining q.  The residual of the exact
     drift identity is checked on every iteration, once per block; x-bar,
-    f(x-bar) and g(x-bar) are computed only at sampled t.  An
-    InnerSolveError at step t carries the samples before t and the
-    residuals through t - 1 as ``partial_trace``; a sample with a
-    non-finite value raises FloatingPointError carrying the rows before it
-    the same way.
+    f(x-bar) and g(x-bar) are computed only at sampled t, with one call of
+    f and one of g per block.  An InnerSolveError at step t carries the
+    samples before t and the residuals through t - 1 as ``partial_trace``.
+    A sample with a non-finite value ends the run at the end of its block:
+    FloatingPointError carries the rows before it the same way.
 
     Deterministic: identical inputs give identical traces.
     """
@@ -135,6 +136,7 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
     max_residual = 0.0
     i = j = 0
     argmin, objective, constraints = oracle.argmin, program.objective, program.constraints
+    columns = (f_xbar, g_xbar, qnorm, lambda_dist, dual_gap, xs, xbars, queue)
 
     def flush(t0: int, k: int) -> None:
         """Record steps t0 .. t0 + k - 1 of the block: their drift
@@ -160,22 +162,27 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
         prefix[j:j1] = C[ends[j:j1] - t0]
         j = j1
 
-        i1 = np.searchsorted(ts, t0 + k)
-        new, rows = slice(i, i1), ts[i:i1] - t0
+        i0, i = i, np.searchsorted(ts, t0 + k)
+        if i == i0:
+            return
+        new, rows = slice(i0, i), ts[i0:i] - t0
         xs[new], queue[new] = X[rows], Q[rows]
         # np.linalg.norm(v) of a 1-D float vector is sqrt(v.dot(v)), and
         # vecdot of a row is bitwise its dot.
         qnorm[new] = np.sqrt(qq[rows])
         xbars[new] = (prefix[hi_row[new]] - prefix[lo_row[new]]) / width[new, None]
-        for s in range(i, i1):
-            f_xbar[s], g_xbar[s] = objective(xbars[s]), constraints(xbars[s])
+        f_xbar[new], g_xbar[new] = objective(xbars[new]), constraints(xbars[new])
         if lam_star is not None:
             lam_t = queue[new] / V
             d = lam_t - lam_star
             lambda_dist[new] = np.sqrt(np.vecdot(d, d))
-            f_x = np.array([objective(x) for x in xs[new]])
-            dual_gap[new] = q_star - (f_x + np.vecdot(lam_t, G[rows]))
-        i = i1
+            dual_gap[new] = q_star - (objective(xs[new]) + np.vecdot(lam_t, G[rows]))
+        finite = np.isfinite(np.column_stack([c[new] for c in columns if c is not None]))
+        if not finite.all():
+            bad = i0 + int(np.argmin(finite.all(axis=1)))
+            exc = FloatingPointError(f"non-finite value in the sample at t = {ts[bad]}")
+            exc.partial_trace = trace(bad)
+            raise exc
 
     for t0 in range(0, iters + 1, block):
         steps = min(block, iters + 1 - t0)
@@ -193,14 +200,4 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
             raise
         flush(t0, steps)
         Q[0] = Q[steps]
-
-    finite = np.ones(S, dtype=bool)
-    for column in (f_xbar, g_xbar, qnorm, lambda_dist, dual_gap, xs, xbars, queue):
-        if column is not None:
-            finite &= np.isfinite(column.reshape(S, -1)).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        exc = FloatingPointError(f"non-finite value in the sample at t = {ts[bad]}")
-        exc.partial_trace = trace(bad)
-        raise exc
     return trace(S)

@@ -8,8 +8,8 @@ from driftopt import (DimensionError, IterateTrace, ProgramSpec, QueueState,
 def make_program(**kw):
     defaults = dict(
         n=2, m=1,
-        objective=lambda x: float(x @ x),
-        constraints=lambda x: np.array([x[0] + x[1] - 1.0]),
+        objective=lambda x: np.vecdot(x, x),
+        constraints=lambda x: x @ np.ones((2, 1)) - 1.0,
         lower=[-1.0, -1.0], upper=[1.0, 1.0],
         alpha=2.0, beta=np.sqrt(2.0))
     defaults.update(kw)

@@ -158,8 +158,8 @@ def test_projected_gradient_constant_constraints():
     # constraints independent of x leave only the strongly convex objective
     from driftopt import ProgramSpec
     p = ProgramSpec(n=3, m=1,
-                    objective=lambda x: 0.5 * float(x @ x),
-                    constraints=lambda x: np.array([-1.0]),
+                    objective=lambda x: 0.5 * np.vecdot(x, x),
+                    constraints=lambda x: x @ np.zeros((3, 1)) - 1.0,
                     lower=np.full(3, -np.inf), upper=np.full(3, np.inf),
                     alpha=1.0, beta=1.0,
                     objective_grad=lambda x: x,
@@ -171,8 +171,30 @@ def test_projected_gradient_constant_constraints():
 def test_projected_gradient_needs_derivatives():
     from driftopt import ProgramSpec
     p = ProgramSpec(n=1, m=1,
-                    objective=lambda x: float(x @ x),
-                    constraints=lambda x: np.array([x[0]]),
+                    objective=lambda x: np.vecdot(x, x),
+                    constraints=lambda x: x[..., :1],
                     lower=[-1.0], upper=[1.0], alpha=2.0, beta=1.0)
     with pytest.raises(InnerSolveError):
         ProjectedGradientOracle(p).argmin(np.zeros(1), 1.0)
+
+
+def test_log_utility_argmin_floor_matches_plain_quotient():
+    # raising q . a_i to the cached floor is bitwise min(cV / (q . a_i), xmax)
+    # on queues with zero entries, over a wide range of V
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n, m = rng.integers(1, 9, size=2)
+        A = (rng.random((m, n)) < 0.5).astype(float)
+        A[rng.integers(0, m, size=n), np.arange(n)] = 1.0
+        b = rng.uniform(0.5, 10.0, m)
+        inst = NumInstance(c=rng.uniform(0.1, 10.0, n), A=A, b=b,
+                           xmax=b.max() * rng.uniform(1.01, 3.0, n))
+        oracle = ClosedFormNumOracle(inst)
+        V = 10.0 ** rng.uniform(-100, 100)
+        q = rng.uniform(0, 10.0, m) * 10.0 ** rng.uniform(-200, 200)
+        q[rng.random(m) < 0.3] = 0.0
+        with np.errstate(divide="ignore"):
+            plain = np.minimum(inst.c * V / q.dot(inst.A), inst.xmax)
+        assert np.array_equal(oracle.argmin(q, V), plain)
+        with np.errstate(all="raise"):
+            assert np.array_equal(oracle.argmin(np.zeros(m), V), inst.xmax)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from driftopt import BUILTIN_TAGS, builtin, load_problem
+from driftopt import BUILTIN_TAGS, SolverConfig, builtin, choose_V, load_problem, run
 from driftopt.problems import BUILTINS, PAPER_CONSTANTS
 
 
@@ -127,3 +127,56 @@ def test_load_computes_default_constants(tmp_path):
     by_name = {c.name: c for c in b.constants}
     assert by_name["alpha"].source == "computed"
     assert np.allclose(b.reference.x_star, [0.0, 0.0], atol=1e-10)
+
+
+@pytest.mark.parametrize("tag", BUILTIN_TAGS)
+def test_builtin_row_forms_match_one_row_calls(tag):
+    # a (k, n) block of iterates, averages and random points gives bitwise
+    # the values of the one-row calls
+    b = builtin(tag)
+    program = b.program
+    cfg = SolverConfig(V=choose_V(program), q0=np.zeros(program.m), iters=500,
+                       variant="dpp_shifted", sample="linear")
+    tr = run(program, b.oracle, cfg)
+    X = np.vstack([tr.x, tr.xbar,
+                   np.random.default_rng(3).uniform(0.01, 12.0, (200, program.n))])
+    f, g = program.objective(X), program.constraints(X)
+    assert f.shape == (len(X),) and g.shape == (len(X), program.m)
+    for i, x in enumerate(X):
+        assert f[i] == program.objective(x), i
+        assert np.array_equal(g[i], program.constraints(x)), i
+
+
+def random_document(rng, kind):
+    n, m = rng.integers(1, 9, size=2)
+    if kind == "num":
+        A = (rng.random((m, n)) < 0.5).astype(float)
+        A[rng.integers(0, m, size=n), np.arange(n)] = 1.0
+        b = rng.uniform(1.0, 10.0, m)
+        return {"kind": "num", "A": A.tolist(), "b": b.tolist(),
+                "c": rng.uniform(0.1, 5.0, n).tolist(),
+                "xmax": (b.max() * rng.uniform(1.1, 2.0, n)).tolist()}
+    M = rng.normal(size=(n, n))
+    return {"kind": "qp", "P": (M @ M.T + np.eye(n)).tolist(),
+            "c": rng.normal(size=n).tolist(), "A": rng.normal(size=(m, n)).tolist(),
+            "b": rng.uniform(0.5, 5.0, m).tolist()}
+
+
+@pytest.mark.parametrize("kind", ["num", "qp"])
+def test_random_row_forms_match_one_row_calls(tmp_path, kind):
+    # a block may sum in another order than one row: the two agree to 1e-12
+    # of the size of the terms summed
+    rng = np.random.default_rng(17)
+    for k in range(6):
+        path = tmp_path / f"{kind}{k}.json"
+        path.write_text(json.dumps(random_document(rng, kind)))
+        bundle = load_problem(path)
+        inst, program = bundle.instance, bundle.program
+        X = rng.uniform(0.01, 10.0, (300, inst.n))
+        f_size = (np.abs(np.log(X)) @ inst.c if kind == "num"
+                  else np.vecdot(X @ np.abs(inst.P), X) + X @ np.abs(inst.c))
+        g_size = X @ np.abs(inst.A).T + inst.b
+        f1 = np.array([program.objective(x) for x in X])
+        g1 = np.array([program.constraints(x) for x in X])
+        assert np.all(np.abs(program.objective(X) - f1) <= 1e-12 * f_size), k
+        assert np.all(np.abs(program.constraints(X) - g1) <= 1e-12 * g_size), k

@@ -296,7 +296,7 @@ def test_drift_residual_of_a_step_at_a_block_edge(step):
     # with g(x) = x: Q = 0 and g = -1 everywhere, except Q(step) = 1.1,
     # g(step) = 2.3 and Q(step + 2) = 0 again.  Every residual is exactly 0
     # but that of the step, which counts once Q(step + 1) exists.
-    program = ProgramSpec(n=1, m=1, objective=lambda x: float(x @ x),
+    program = ProgramSpec(n=1, m=1, objective=lambda x: np.vecdot(x, x),
                           constraints=lambda x: x.copy(), lower=[-np.inf],
                           upper=[np.inf], alpha=2.0, beta=1.0)
     script = [-1.0] * (step + 3)
@@ -398,6 +398,36 @@ def test_non_finite_sample_carries_partial_trace():
     # from step 21 on every residual is NaN (inf - inf), and NaN is skipped
     upto = SolverConfig(V=QP_V, q0=cfg.q0, iters=21, sample="linear")
     assert part.max_drift_residual == run(b.program, b.oracle, upto).max_drift_residual
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_stops_at_the_first_non_finite_block():
+    # at V = 1e-300 the sample at t = 1 is already non-finite: the run ends
+    # at the flush of the block that holds it, not after 1e5 iterations
+    b = builtin("qp_6_2")
+    oracle = CountingOracle(b.oracle)
+    cfg = SolverConfig(V=1e-300, q0=np.zeros(2), iters=100_000)
+    with pytest.warns(UserWarning), pytest.raises(FloatingPointError, match="t = 1$"):
+        run(b.program, oracle, cfg, reference=b.reference)
+    assert oracle.calls <= 1 + 2 * _BLOCK  # x(lambda*), then at most two blocks
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_sample_before_an_inner_failure_wins():
+    # x(21) overflows and x(40) fails, in the same block: the first failure
+    # in iteration order, the sample at t = 21, is the one raised
+    b = builtin("qp_6_2")
+    cfg = SolverConfig(V=QP_V, q0=np.array([3.0, 1.0]), iters=50, sample="linear")
+
+    class Oracle(OverflowingOracle):
+        def argmin(self, q, V):
+            if self.calls == 1 + 40:
+                raise InnerSolveError("inner solve failed")
+            return super().argmin(q, V)
+
+    with pytest.raises(FloatingPointError, match="t = 21$") as info:
+        run(b.program, Oracle(b.oracle, finite=22), cfg, reference=b.reference)
+    assert info.value.partial_trace.t.tolist() == list(range(1, 21))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
