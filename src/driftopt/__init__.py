@@ -5,7 +5,7 @@ and convergence-rate diagnostics."""
 from .core import (DimensionError, IterateTrace, ProgramSpec, QueueState,
                    sample_indices)
 from .oracles import (ClosedFormNumOracle, ClosedFormQpOracle, InnerSolveError,
-                      NumInstance, ProjectedGradientOracle, QpInstance)
+                      NumInstance, QpInstance)
 from .solver import SolverConfig, VARIANTS, choose_V, run
 from .reference import (InfeasibleError, KktSolution, kkt_solve_num,
                         kkt_solve_qp)
@@ -22,7 +22,7 @@ __all__ = [
     "BUILTIN_TAGS", "ClosedFormNumOracle", "ClosedFormQpOracle", "Constant",
     "DimensionError", "InfeasibleError", "InnerSolveError", "IterateTrace",
     "KktSolution", "NumInstance", "ProblemBundle", "ProgramSpec",
-    "ProjectedGradientOracle", "QpInstance", "QueueState", "RateFit",
+    "QpInstance", "QueueState", "RateFit",
     "SolverConfig", "VARIANTS", "audit_bounds", "audit_passed", "builtin",
     "choose_V", "dual_value_and_gradient", "error_series", "fit_geometric",
     "fit_power_decay", "general_dual_hessian", "kkt_solve_num",

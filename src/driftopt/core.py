@@ -37,9 +37,6 @@ class ProgramSpec:
     for unbounded coordinates, so R^n is the all-infinite box).  ``alpha``
     is the strong-convexity modulus of the objective on the box; ``beta``
     is a common Lipschitz modulus of every constraint component.
-
-    Optional analytic derivatives (``objective_grad``, ``constraints_jac``)
-    are used by the generic inner-minimization oracle when present.
     """
 
     n: int
@@ -50,8 +47,6 @@ class ProgramSpec:
     upper: np.ndarray
     alpha: float
     beta: float
-    objective_grad: Callable[[np.ndarray], np.ndarray] | None = None
-    constraints_jac: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:

@@ -22,8 +22,9 @@ from .reference import KktSolution
 class RateFit:
     """Fitted decay model for an error series.
 
-    power: e(t) ~ C * t^-p.  geometric: e(t) ~ (C/t) * r^t.  ``quality``
-    is an R^2-style score of the predicted log-error against the observed
+    power: e(t) ~ C * t^-p.  geometric: e(t) ~ (C/t) * r^(t - t_lo), so C
+    is the model's t * e(t) at the window start t_lo.  ``quality`` is an
+    R^2-style score of the predicted log-error against the observed
     log-error, clamped to [0, 1], so the two models are directly
     comparable on the same series.
     """
@@ -100,18 +101,20 @@ def fit_power_decay(ts, errors, window_fraction: float = 0.5,
 
 def fit_geometric(ts, errors, window_fraction: float = 0.5,
                   window: tuple[float, float] | None = None) -> RateFit:
-    """Fit e(t) ~ (C/t) * r^t by a least-squares line on (t, log(t*e)).
+    """Fit e(t) ~ (C/t) * r^(t - t_lo) by a least-squares line on
+    (t - t_lo, log(t*e)), where t_lo is the first sample of the fit window.
 
     The regression target includes the 1/t factor so that r captures only
-    the geometric part of the decay.
+    the geometric part of the decay.  C is t*e(t) of the model at the
+    window's start, so it stays finite for a window far from t = 0.
     """
     t, e = _prepare(ts, errors, window_fraction, window)
-    log_te = np.log(t * e)
-    slope, intercept = np.polyfit(t, log_te, 1)
+    dt, log_te = t - t.min(), np.log(t * e)
+    slope, intercept = np.polyfit(dt, log_te, 1)
     r = float(np.exp(slope))
     if not (0 < r < 1):
         raise ValueError(f"geometric fit produced ratio {r:g} outside (0, 1)")
-    predicted_log_e = intercept + slope * t - np.log(t)
+    predicted_log_e = intercept + slope * dt - np.log(t)
     return RateFit(model="geometric", p=None, r=r,
                    C=float(np.exp(intercept)),
                    quality=_quality(np.log(e), predicted_log_e),

@@ -1,9 +1,14 @@
 """Inner-minimization oracles: argmin over the box of V*f(x) + q.g(x).
 
-Two closed forms (log-utility rate allocation, unconstrained quadratic) and
-a generic projected-gradient fallback.  Every oracle takes the queue as a
-raw nonnegative float array ``q`` and the penalty ``V``, and is pure given
-(q, V); the closed forms cache their per-V constants.
+One closed form per problem kind: log-utility rate allocation and the
+unconstrained quadratic.  Every oracle takes the queue as a raw
+nonnegative float array and the penalty ``V``, is pure given (q, V), and
+caches its per-V constants.  It has two methods:
+
+- ``argmin(q, V)``: x(q) for one queue (m,), or the (k, n) rows x(q_i) of
+  a (k, m) block of queues;
+- ``step(q, V, out)``: one DPP queue update, Q(t+1) = max(q + g(x(q)), 0),
+  written into ``out`` and returned.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import DimensionError, ProgramSpec, _as_vector
+from .core import DimensionError, _as_vector
 
 
 class InnerSolveError(RuntimeError):
@@ -155,102 +160,47 @@ class ClosedFormNumOracle:
             self._cache = (V, cV, floor)
         return np.minimum(cV / np.maximum(q.dot(self.inst.A), floor), self.inst.xmax)
 
+    def step(self, q: np.ndarray, V: float, out: np.ndarray) -> np.ndarray:
+        x = self.argmin(q, V)
+        return np.maximum(q + (self.inst.A.dot(x) - self.inst.b), 0.0, out=out)
+
 
 class ClosedFormQpOracle:
     """Inner oracle backed by the linear-system closed form (X = R^n).
 
     The minimizer solves 2VP x = -(V c + A'q), so at fixed V it is affine in
     the queue: x(q) = x0 + K q with x0 = (2VP)^-1 (-V c) and
-    K = (2VP)^-1 (-A').  Both come from one Cholesky factor, after the
-    conditioning check, and are cached per V.
+    K = (2VP)^-1 (-A'); x0 + q K' maps one queue and a block of queue rows
+    alike.  So is g(x(q)) = A x(q) - b, and the queue update is the affine
+    map q' = max(M q + c0, 0) with M = I + A K and c0 = A x0 - b.  All of
+    them come from one Cholesky factor, after the conditioning check, and
+    are cached per V.
     """
 
     def __init__(self, inst: QpInstance):
         self.inst = inst
-        self._cache = (None, None, None)  # (V, x0, K), replaced as one tuple
+        self._cache = (None,) * 5  # (V, x0, K', M, c0), replaced as one tuple
 
-    def argmin(self, q: np.ndarray, V: float) -> np.ndarray:
-        V_cached, x0, K = self._cache
-        if V != V_cached:
-            if V <= 0:
-                raise ValueError("V must be positive")
-            M = 2.0 * V * self.inst.P
-            if np.linalg.cond(M) > 1e12:
-                raise InnerSolveError("inner quadratic system is ill-conditioned")
-            cho = scipy.linalg.cho_factor(M)
-            x0 = scipy.linalg.cho_solve(cho, -(V * self.inst.c))
-            K = scipy.linalg.cho_solve(cho, -self.inst.A.T)
-            self._cache = (V, x0, K)
-        return x0 + K.dot(q)
-
-
-class ProjectedGradientOracle:
-    """Generic inner oracle: projected gradient with Barzilai-Borwein steps.
-
-    Minimizes phi(x) = V f(x) + q . g(x) over the box of an arbitrary
-    program.  Requires analytic derivatives on the program; terminates when
-    the gradient-map norm ||x - P(x - s grad)|| / s with reference step s
-    drops below ``tol`` within ``MAX_STEPS`` steps.
-    """
-
-    MAX_STEPS = 200_000
-
-    def __init__(self, program: ProgramSpec, tol: float = 1e-10):
-        self.program = program
-        self.tol = tol
-
-    def argmin(self, q: np.ndarray, V: float) -> np.ndarray:
-        program, tol = self.program, self.tol
+    def _constants(self, V: float) -> tuple:
         if V <= 0:
             raise ValueError("V must be positive")
-        if program.objective_grad is None or program.constraints_jac is None:
-            raise InnerSolveError("generic oracle needs objective_grad and constraints_jac")
-        q = np.asarray(q, dtype=float)
+        H, A = 2.0 * V * self.inst.P, self.inst.A
+        if np.linalg.cond(H) > 1e12:
+            raise InnerSolveError("inner quadratic system is ill-conditioned")
+        cho = scipy.linalg.cho_factor(H)
+        x0 = scipy.linalg.cho_solve(cho, -(V * self.inst.c))
+        K = scipy.linalg.cho_solve(cho, -A.T)
+        self._cache = (V, x0, K.T.copy(), np.eye(len(A)) + A.dot(K), A.dot(x0) - self.inst.b)
+        return self._cache
 
-        def phi(x):
-            return V * program.f(x) + float(q @ program.g(x))
+    def argmin(self, q: np.ndarray, V: float) -> np.ndarray:
+        V_cached, x0, Kt, _, _ = self._cache
+        if V != V_cached:
+            _, x0, Kt, _, _ = self._constants(V)
+        return x0 + q.dot(Kt)
 
-        def grad(x):
-            return V * program.objective_grad(x) + program.constraints_jac(x).T @ q
-
-        lo, hi = program.lower, program.upper
-        finite_lo = np.where(np.isfinite(lo), lo, -1.0)
-        finite_hi = np.where(np.isfinite(hi), hi, 1.0)
-        x = np.clip(0.5 * (finite_lo + finite_hi), lo, hi)
-        # Reference step from a local curvature probe along the gradient.
-        gx = grad(x)
-        h = 1e-6 * (1.0 + np.linalg.norm(x))
-        direction = gx / max(np.linalg.norm(gx), 1e-30)
-        curv = np.linalg.norm(grad(np.clip(x + h * direction, lo, hi)) - gx) / h
-        L_ref = max(curv, V * program.alpha, 1e-12)
-        s_ref = 1.0 / L_ref
-
-        fx = phi(x)
-        step = s_ref
-        for _ in range(self.MAX_STEPS):
-            gap = np.linalg.norm(x - np.clip(x - s_ref * gx, lo, hi)) / s_ref
-            if gap <= tol:
-                return x
-            # Backtrack from the BB step until the prox-descent condition holds.
-            s = step
-            for _ in range(200):
-                x_new = np.clip(x - s * gx, lo, hi)
-                dx = x_new - x
-                f_new = phi(x_new)
-                # The 1e-14 relative slack keeps rounding noise in phi from
-                # rejecting genuine descent steps near the optimum.
-                slack = 1e-14 * (1.0 + abs(fx))
-                bound = fx + float(gx @ dx) + 0.5 / s * float(dx @ dx) + slack
-                if np.isfinite(f_new) and f_new <= bound:
-                    break
-                s *= 0.5
-            else:
-                raise InnerSolveError("line search failed in generic inner oracle")
-            g_new = grad(x_new)
-            dx, dg = x_new - x, g_new - gx
-            denom = float(dx @ dg)
-            step = float(dx @ dx) / denom if denom > 0 else s_ref
-            step = min(max(step, 1e-3 * s_ref), 1e6 * s_ref)
-            x, gx, fx = x_new, g_new, f_new
-        raise InnerSolveError(
-            f"generic inner oracle did not reach tol={tol} within {self.MAX_STEPS} steps")
+    def step(self, q: np.ndarray, V: float, out: np.ndarray) -> np.ndarray:
+        V_cached, _, _, M, c0 = self._cache
+        if V != V_cached:
+            _, _, _, M, c0 = self._constants(V)
+        return np.maximum(M.dot(q) + c0, 0.0, out=out)

@@ -146,18 +146,17 @@ def _bundle(tag: str, doc, paper: dict) -> ProblemBundle:
     kind = doc["kind"]
     data = {key: _array(doc, key) for key in ("A", "b", "c")}
     # Everything kind-specific: the instance and its computed alpha, the
-    # objective gradient and box, the closed-form oracle, the ground-truth
-    # solver and the dual Hessian at a multiplier.
+    # box, the closed-form oracle, the ground-truth solver and the dual
+    # Hessian at a multiplier.
     if kind == "num":
         inst = NumInstance(**data, xmax=_array(doc, "xmax"))
         alpha_computed = float(min(inst.c / inst.xmax ** 2))
-        grad, lower, upper = (lambda x: -inst.c / x), np.zeros(inst.n), inst.xmax
+        lower, upper = np.zeros(inst.n), inst.xmax
         oracle, kkt_solve = ClosedFormNumOracle(inst), kkt_solve_num
         dual_hessian = lambda lam: num_dual_hessian(inst, lam)
     elif kind == "qp":
         inst = QpInstance(**data, P=_array(doc, "P"))
         alpha_computed = inst.alpha
-        grad = lambda x: 2.0 * (inst.P @ x) + inst.c
         lower, upper = np.full(inst.n, -np.inf), np.full(inst.n, np.inf)
         oracle, kkt_solve = ClosedFormQpOracle(inst), kkt_solve_qp
         dual_hessian = lambda lam: general_dual_hessian(inst.A, 2.0 * inst.P)
@@ -170,8 +169,7 @@ def _bundle(tag: str, doc, paper: dict) -> ProblemBundle:
     A, b = inst.A, inst.b
     program = ProgramSpec(n=inst.n, m=inst.m, objective=inst.objective,
                           constraints=lambda x: A.dot(x.T).T - b,
-                          lower=lower, upper=upper, alpha=alpha, beta=beta,
-                          objective_grad=grad, constraints_jac=lambda x: A)
+                          lower=lower, upper=upper, alpha=alpha, beta=beta)
     try:
         reference, err = kkt_solve(inst), None
     except (InfeasibleError, ValueError) as exc:

@@ -4,18 +4,20 @@ average variant, both run by one loop.
 The two variants differ only in the window [lo, hi) that sample t averages
 x over: [0, t) for dpp, and the second half [t//2, 2(t//2)) for
 dpp_shifted ([0, 1) at t = 1).  Both read x-bar = (S(hi) - S(lo)) / (hi - lo)
-from the prefix sums S(k) = sum_{tau<k} x(tau) of one run, so each makes
-one oracle call per iteration.  The dual subgradient method with step c
-is DPP at V = 1/c with Q = lambda / c, so it has no loop of its own: run
-DPP at V = 1/c and read lambda = Q / V.  Oracles take the queue as a raw
-float array.
+from the prefix sums S(k) = sum_{tau<k} x(tau) of one run.  The dual
+subgradient method with step c is DPP at V = 1/c with Q = lambda / c, so
+it has no loop of its own: run DPP at V = 1/c and read lambda = Q / V.
+Oracles take the queue as a raw float array.
 
-Only the recurrence x(t) = argmin V f + Q(t) . g, Q(t+1) = max(Q(t) +
-g(x(t)), 0) is sequential.  One kernel steps it over blocks of _BLOCK
-iterations into block buffers; at each block end it checks the drift
-identity of every step and fills the prefix sums and the sampled rows,
-calling f and g once each on the block's new x-bar rows.  A non-finite
-sample ends the run at the end of its block.
+Only the queue of the recurrence x(t) = argmin V f + Q(t) . g,
+Q(t+1) = max(Q(t) + g(x(t)), 0) is sequential: x(t) and g(x(t)) are
+functions of Q(t).  One kernel steps Q alone over blocks of _BLOCK
+iterations, one ``oracle.step`` call per iteration.  At each block end it
+rebuilds the block's x and g rows with one ``oracle.argmin`` and one
+constraints call, checks the drift identity of every step, and fills the
+prefix sums and the sampled rows, calling f and g once each on the
+block's new x-bar rows.  A non-finite sample ends the run at the end of
+its block.
 
 A run is strictly sequential; distinct runs share no mutable state and may
 execute concurrently.
@@ -73,12 +75,15 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
     the dual-iterate distance ||lambda(t) - lambda*|| and the dual gap
     q(lambda*) - q(lambda(t)); the dual value at lambda(t) is exact because
     x(t) attains the inner minimum defining q.  The residual of the exact
-    drift identity is checked on every iteration, once per block; x-bar,
-    f(x-bar) and g(x-bar) are computed only at sampled t, with one call of
-    f and one of g per block.  An InnerSolveError at step t carries the
-    samples before t and the residuals through t - 1 as ``partial_trace``.
-    A sample with a non-finite value ends the run at the end of its block:
-    FloatingPointError carries the rows before it the same way.
+    drift identity, between the oracle's queue step and the constraint
+    values of the rebuilt x, is checked on every iteration, once per
+    block; x-bar, f(x-bar) and g(x-bar) are computed only at sampled t,
+    with one call of f and one of g per block.  The shape of g(x) is
+    checked once, at x(Q(0)), before the first step.  An InnerSolveError at
+    step t carries the samples before t and the residuals through t - 1 as
+    ``partial_trace``.  A sample with a non-finite value ends the run at
+    the end of its block: FloatingPointError carries the rows before it the
+    same way.
 
     Deterministic: identical inputs give identical traces.
     """
@@ -125,9 +130,11 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
             x=xs[:rows], xbar=xbars[:rows], queue=queue[:rows],
             V=V, max_drift_residual=max_residual)
 
-    # Step t0 + k of a block stores x, g and Q(t0 + k + 1) in row k of X, G
-    # and row k + 1 of Q; Q[0] holds Q(t0).  The row views of Q are made
-    # once, and the update of the last step (t = iters) is never read.
+    # Step t0 + k of a block writes Q(t0 + k + 1) into row k + 1 of Q; Q[0]
+    # holds Q(t0).  flush rebuilds x(t0 + k) and g(x(t0 + k)) in row k of X
+    # and G, C-ordered buffers, so the row-wise dots of the drift identity
+    # sum as one-row dots do.  The row views of Q are made once, and the
+    # update of the last step (t = iters) is never read.
     block = min(_BLOCK, iters + 1)
     X, G, Q = np.empty((block, n)), np.empty((block, m)), np.empty((block + 1, m))
     Q_rows = list(Q)
@@ -135,14 +142,17 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
     sum_x = np.zeros(n)
     max_residual = 0.0
     i = j = 0
-    argmin, objective, constraints = oracle.argmin, program.objective, program.constraints
+    argmin, step = oracle.argmin, oracle.step
+    objective, constraints = program.objective, program.constraints
     columns = (f_xbar, g_xbar, qnorm, lambda_dist, dual_gap, xs, xbars, queue)
 
     def flush(t0: int, k: int) -> None:
-        """Record steps t0 .. t0 + k - 1 of the block: their drift
-        residuals, S at the window ends up to t0 + k, and the samples at
-        t < t0 + k."""
+        """Record steps t0 .. t0 + k - 1 of the block: their x and g,
+        rebuilt from Q(t0 .. t0 + k - 1), their drift residuals, S at the
+        window ends up to t0 + k, and the samples at t < t0 + k."""
         nonlocal sum_x, max_residual, i, j
+        X[:k] = argmin(Q[:k], V)
+        G[:k] = constraints(X[:k])
         qq = np.vecdot(Q[:k + 1], Q[:k + 1])
         # Residual of the exact drift identity L(Q') - L(Q) = Q' . g -
         # ||Q' - Q||^2 / 2, with L(Q) = ||Q||^2 / 2, for every step with a
@@ -184,16 +194,13 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
             exc.partial_trace = trace(bad)
             raise exc
 
+    program.g(argmin(Q[0], V))  # checks the shape of g(x) once
     for t0 in range(0, iters + 1, block):
         steps = min(block, iters + 1 - t0)
         q = Q_rows[0]
         try:
             for k in range(steps):
-                x = argmin(q, V)
-                X[k] = x
-                # program.g checks the shape of g(x) once; later steps call it raw.
-                G[k] = g = constraints(x) if k or t0 else program.g(x)
-                q = np.maximum(q + g, 0.0, out=Q_rows[k + 1])
+                q = step(q, V, Q_rows[k + 1])
         except InnerSolveError as exc:
             flush(t0, k)
             exc.partial_trace = trace(i)  # everything recorded through t-1

@@ -380,14 +380,17 @@ def test_audit_rejects_non_increasing_t(tmp_path, capsys, edit):
 def test_solve_writes_partial_trace_on_inner_failure(tmp_path, capsys, monkeypatch):
     from driftopt import InnerSolveError, builtin, cli
     bundle = builtin("qp_6_2")
-    inner, calls = bundle.oracle, []
+    inner, steps = bundle.oracle, []
 
     class FailingOracle:
         def argmin(self, q, V):
-            calls.append(V)
-            if len(calls) > 22:  # x(lambda*) and x(0..20) succeed
-                raise InnerSolveError("inner solve failed")
             return inner.argmin(q, V)
+
+        def step(self, q, V, out):
+            steps.append(V)
+            if len(steps) > 21:  # x(0..20) succeed
+                raise InnerSolveError("inner solve failed")
+            return inner.step(q, V, out)
 
     bundle.oracle = FailingOracle()
     monkeypatch.setattr(cli, "builtin", lambda tag: bundle)

@@ -145,16 +145,37 @@ def test_audit_at_large_V_passes(tmp_path, capsys):
     assert all(entry["applicable"] and entry["pass"] for entry in report)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_fit_with_non_finite_result_exits_3(tmp_path, capsys):
-    # C = exp(intercept) of a line fitted at t ~ 1e5 overflows
+def far_window_trace(tmp_path):
+    # e(t) = 1e-3 exp(-0.05 (t - 1e5)) on t = 1e5 .. 1e5 + 49
     path = tmp_path / "geo.csv"
     ts = np.arange(100_000, 100_050)
     errors = 1e-3 * np.exp(-0.05 * (ts - 100_000))
     path.write_text("t,f_err\n" + "".join(f"{t},{e!r}\n" for t, e in
                                           zip(ts.tolist(), errors.tolist())))
-    code, out, err = run_cli(capsys, *fit_args(path, model="geometric"))
+    return path
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fit_with_non_finite_result_exits_3(tmp_path, capsys):
+    # the power law's C = exp(intercept) of a line fitted at t ~ 1e5 to a
+    # geometric decay overflows
+    path = far_window_trace(tmp_path)
+    code, out, err = run_cli(capsys, *fit_args(path, model="power"))
     assert (code, out, err) == (3, "", "error: non-finite number in the result\n")
+
+
+def test_geometric_fit_far_from_t0(tmp_path, capsys):
+    # the geometric C is anchored at the window start: t_lo e(t_lo) = 100
+    path = far_window_trace(tmp_path)
+    code, out, err = run_cli(capsys, *fit_args(path, model="geometric"),
+                             "--t-lo", "100000", "--t-hi", "100049")
+    assert (code, err) == (0, "")
+    fit = json.loads(out)
+    assert fit["C"] == pytest.approx(100.0, rel=1e-6)
+    assert fit["r"] == pytest.approx(np.exp(-0.05) * (1 + 1e-5), rel=1e-6)
+    assert fit["r"] == pytest.approx(0.9512, abs=1e-4)
+    assert (fit["t_lo"], fit["t_hi"]) == (100_000, 100_049)
+    assert fit["quality"] > 0.999
 
 
 # The trace reader rejects cells that parse but cannot be a trace.

@@ -50,6 +50,14 @@ def test_fit_geometric_exact():
     assert fit.quality > 0.999
 
 
+def test_fit_geometric_constant_is_at_the_window_start():
+    # e(t) = (C/t) r^(t - t_lo): C is t * e(t) at the first fitted sample
+    ts = np.arange(1, 500)
+    fit = fit_geometric(ts, (1.0 / ts) * 0.99 ** ts)
+    assert fit.t_lo > 1
+    assert fit.C == pytest.approx(0.99 ** fit.t_lo, rel=1e-9)
+
+
 def test_fit_window_selection():
     ts = np.unique(np.round(np.logspace(0, 4, 200))).astype(int)
     fit = fit_power_decay(ts, 1.0 / ts, window=(100, 10_000))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from driftopt import (ClosedFormNumOracle, ClosedFormQpOracle, InnerSolveError,
-                      NumInstance, ProjectedGradientOracle, QpInstance, builtin)
+                      NumInstance, ProgramSpec, QpInstance, builtin, choose_V)
+from generic_oracle import ProjectedGradientOracle, generic_oracle
 
 QP_V = 4.0 / 0.34
 NUM_V = 363.0
@@ -140,14 +141,14 @@ def test_strong_convexity_inequality_at_minimizer():
 
 def test_projected_gradient_matches_qp_closed_form():
     b = builtin("qp_6_2")
-    x = ProjectedGradientOracle(b.program, tol=1e-10).argmin(np.zeros(2), 1.0)
+    x = generic_oracle(b, tol=1e-10).argmin(np.zeros(2), 1.0)
     assert np.allclose(x, [-1.5, 0.5], atol=1e-8)
 
 
 def test_projected_gradient_matches_num_closed_form():
     b = builtin("num_6_1")
     rng = np.random.default_rng(5)
-    gen = ProjectedGradientOracle(b.program, tol=1e-10)
+    gen = generic_oracle(b, tol=1e-10)
     for _ in range(10):
         q = rng.uniform(0, 30, 3)
         assert np.allclose(gen.argmin(q, NUM_V),
@@ -156,20 +157,18 @@ def test_projected_gradient_matches_num_closed_form():
 
 def test_projected_gradient_constant_constraints():
     # constraints independent of x leave only the strongly convex objective
-    from driftopt import ProgramSpec
     p = ProgramSpec(n=3, m=1,
                     objective=lambda x: 0.5 * np.vecdot(x, x),
                     constraints=lambda x: x @ np.zeros((3, 1)) - 1.0,
                     lower=np.full(3, -np.inf), upper=np.full(3, np.inf),
-                    alpha=1.0, beta=1.0,
-                    objective_grad=lambda x: x,
-                    constraints_jac=lambda x: np.zeros((1, 3)))
-    x = ProjectedGradientOracle(p, tol=1e-10).argmin(np.array([7.0]), 1.0)
+                    alpha=1.0, beta=1.0)
+    x = ProjectedGradientOracle(p, objective_grad=lambda x: x,
+                                constraints_jac=lambda x: np.zeros((1, 3)),
+                                tol=1e-10).argmin(np.array([7.0]), 1.0)
     assert np.allclose(x, np.zeros(3), atol=1e-9)
 
 
 def test_projected_gradient_needs_derivatives():
-    from driftopt import ProgramSpec
     p = ProgramSpec(n=1, m=1,
                     objective=lambda x: np.vecdot(x, x),
                     constraints=lambda x: x[..., :1],
@@ -198,3 +197,59 @@ def test_log_utility_argmin_floor_matches_plain_quotient():
         assert np.array_equal(oracle.argmin(q, V), plain)
         with np.errstate(all="raise"):
             assert np.array_equal(oracle.argmin(np.zeros(m), V), inst.xmax)
+
+
+def random_queues(rng, k, m):
+    """k random queues over many magnitudes, about 30% of entries zero."""
+    Q = rng.uniform(0, 10.0, (k, m)) * 10.0 ** rng.uniform(-100, 100, (k, 1))
+    Q[rng.random((k, m)) < 0.3] = 0.0
+    return Q
+
+
+@pytest.mark.parametrize("tag", ["num_6_1", "num_5_2_rank_deficient"])
+def test_num_step_is_argmin_then_constraints(tag):
+    # bitwise max(q + g(x(q)), 0), the per-iteration update of the DPP loop
+    b = builtin(tag)
+    rng = np.random.default_rng(21)
+    out = np.empty(b.program.m)
+    for _ in range(200):
+        V = 10.0 ** rng.uniform(-100, 100)
+        for q in random_queues(rng, 10, b.program.m):
+            expect = np.maximum(q + b.program.constraints(b.oracle.argmin(q, V)), 0.0)
+            assert b.oracle.step(q, V, out) is out
+            assert np.array_equal(out, expect), (q, V)
+
+
+def test_qp_step_is_argmin_then_constraints():
+    # the affine map M q + c0 regroups the sums of A (x0 + K q) - b, so it
+    # agrees with argmin, then constraints, to rounding of the terms summed
+    b = builtin("qp_6_2")
+    P, c, A, b_vec = b.instance.P, b.instance.c, b.instance.A, b.instance.b
+    rng = np.random.default_rng(22)
+    out = np.empty(2)
+    for _ in range(200):
+        V = QP_V * 10.0 ** rng.uniform(-3, 3)
+        x0 = np.linalg.solve(2.0 * V * P, -V * c)
+        K = np.linalg.solve(2.0 * V * P, -A.T)
+        for q in rng.uniform(0, 100, (10, 2)) * (rng.random((10, 2)) > 0.3):
+            expect = np.maximum(q + b.program.constraints(b.oracle.argmin(q, V)), 0.0)
+            terms = q + np.abs(A) @ (np.abs(x0) + np.abs(K) @ q) + np.abs(b_vec)
+            assert b.oracle.step(q, V, out) is out
+            assert np.all(np.abs(out - expect) <= 1e-14 * (1.0 + terms)), (q, V)
+
+
+@pytest.mark.parametrize("tag", ["num_6_1", "qp_6_2", "num_5_2_rank_deficient"])
+def test_row_argmin_is_the_one_queue_argmin(tag):
+    # on the builtins, row i of a block's argmin is bitwise argmin(Q[i]),
+    # which lets the DPP loop rebuild x once per block from its queues
+    b = builtin(tag)
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        V = choose_V(b.program) * 10.0 ** rng.uniform(-3, 3)
+        Q = rng.uniform(0, 50, (300, b.program.m)) * 10.0 ** rng.uniform(-3, 3)
+        Q[rng.random(Q.shape) < 0.3] = 0.0
+        X = b.oracle.argmin(Q, V)
+        assert X.shape == (300, b.program.n)
+        for q, x in zip(Q, X):
+            assert np.array_equal(x, b.oracle.argmin(q, V))
+    assert b.oracle.argmin(Q[:0], V).shape == (0, b.program.n)

@@ -180,3 +180,37 @@ def test_random_row_forms_match_one_row_calls(tmp_path, kind):
         g1 = np.array([program.constraints(x) for x in X])
         assert np.all(np.abs(program.objective(X) - f1) <= 1e-12 * f_size), k
         assert np.all(np.abs(program.constraints(X) - g1) <= 1e-12 * g_size), k
+
+
+@pytest.mark.parametrize("kind", ["num", "qp"])
+def test_random_oracle_rows_and_steps(tmp_path, kind):
+    # a block of queues may sum in another order than one queue: row argmin
+    # agrees with the one-queue call to 1e-12 of the terms summed.  The NUM
+    # step is bitwise argmin, then constraints, then the clamp; the QP step
+    # agrees with that to 1e-14 of the terms summed.
+    rng = np.random.default_rng(19)
+    for k in range(6):
+        path = tmp_path / f"{kind}{k}.json"
+        path.write_text(json.dumps(random_document(rng, kind)))
+        bundle = load_problem(path)
+        inst, program, oracle = bundle.instance, bundle.program, bundle.oracle
+        V = choose_V(program) * 10.0 ** rng.uniform(-2, 2)
+        Q = rng.uniform(0, 20.0, (300, inst.m)) * (rng.random((300, inst.m)) > 0.3)
+        X1 = np.array([oracle.argmin(q, V) for q in Q])
+        if kind == "num":  # q . a_i sums nonnegative terms
+            x_size = X1
+            g_size = Q + X1 @ inst.A.T + inst.b
+        else:
+            x0 = np.linalg.solve(2.0 * V * inst.P, -V * inst.c)
+            K = np.linalg.solve(2.0 * V * inst.P, -inst.A.T)
+            x_size = np.abs(x0) + Q @ np.abs(K).T
+            g_size = Q + x_size @ np.abs(inst.A).T + inst.b
+        assert np.all(np.abs(oracle.argmin(Q, V) - X1) <= 1e-12 * x_size), k
+        out = np.empty(inst.m)
+        for q, x, size in zip(Q, X1, g_size):
+            expect = np.maximum(q + program.constraints(x), 0.0)
+            oracle.step(q, V, out)
+            if kind == "num":
+                assert np.array_equal(out, expect), k
+            else:
+                assert np.all(np.abs(out - expect) <= 1e-14 * (1.0 + size)), k

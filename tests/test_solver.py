@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -6,13 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftopt import (VARIANTS, InnerSolveError, ProgramSpec, ProjectedGradientOracle,
+from driftopt import (VARIANTS, DimensionError, InnerSolveError, ProgramSpec,
                       SolverConfig, builtin, choose_V, run)
 from driftopt.cli import main
 from driftopt.core import sample_indices
 from driftopt.dual_analysis import dual_value_and_gradient
 from driftopt.problems import BUILTIN_TAGS
 from driftopt.solver import _BLOCK
+from generic_oracle import generic_oracle
 
 QP_V = 4.0 / 0.34
 
@@ -169,6 +171,17 @@ def test_queue_dimension_mismatch():
         run(b.program, b.oracle, cfg)
 
 
+def test_mis_shaped_constraints_are_rejected():
+    # the kernel checks the shape of g(x(Q(0))) once, before the first step
+    b = builtin("qp_6_2")
+    program = dataclasses.replace(b.program, constraints=lambda x: b.program.constraints(x)[..., :1])
+    oracle = CountingOracle(b)
+    cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=5)
+    with pytest.raises(DimensionError, match="g\\(x\\) has length 1, expected 2"):
+        run(program, oracle, cfg)
+    assert oracle.calls == 0
+
+
 def test_trace_records_dual_quantities_with_reference():
     b = builtin("qp_6_2")
     cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=50,
@@ -234,8 +247,9 @@ def test_golden_trace(case):
 
 
 def reference_run(b, V, iters, variant, sample):
-    """The DPP recurrence as a plain per-iteration loop: the sampled columns
-    and the largest drift-identity residual, as run() records them."""
+    """The DPP recurrence as a plain per-iteration loop, one queue at a time:
+    the sampled columns and the largest drift-identity residual, as run()
+    records them."""
     ts, q = set(sample_indices(iters, sample)), np.zeros(b.program.m)
     q_star, _ = dual_value_and_gradient(b.program, b.oracle, b.reference.lambda_star)
     S, rows, max_residual = [np.zeros(b.program.n)], [], 0.0
@@ -250,7 +264,7 @@ def reference_run(b, V, iters, variant, sample):
             rows.append((x, xbar, q, math.sqrt(q.dot(q)), b.program.objective(xbar),
                          b.program.constraints(xbar), math.sqrt(d.dot(d)),
                          q_star - (b.program.objective(x) + float(lam @ g))))
-        qn = np.maximum(q + g, 0.0)
+        qn = b.oracle.step(q, V, np.empty_like(q))
         if t < iters:
             diff = qn - q
             max_residual = max(max_residual, abs((0.5 * qn.dot(qn) - 0.5 * q.dot(q))
@@ -280,15 +294,44 @@ def test_blocks_match_the_per_iteration_loop(tag, variant):
             assert tr.max_drift_residual == max_residual, (iters, sample)
 
 
-class ScriptedOracle:
-    """Returns x(t) = script[t] whatever the queue."""
+class ReplayingOracle:
+    """Base of the tests' oracles: counts its step calls, and keeps the x
+    that step t used, which its row argmin gives back by step index, one
+    flushed block after another.  A single queue (x(lambda*), or the shape
+    check of g(x(Q(0)))) goes to ``one``."""
 
-    def __init__(self, script):
-        self.script, self.calls = script, 0
+    def __init__(self, n):
+        self.n, self.xs, self.replayed = n, [], 0
+        self.calls = self.row_calls = self.queue_calls = 0
 
     def argmin(self, q, V):
+        if q.ndim == 1:
+            self.queue_calls += 1
+            return self.one(q, V)
+        self.row_calls += 1
+        rows = self.xs[self.replayed:self.replayed + len(q)]
+        self.replayed += len(q)
+        return np.reshape(rows, (len(q), self.n))
+
+    def record(self, x):
+        self.xs.append(x)
         self.calls += 1
-        return np.array([self.script[self.calls - 1]])
+
+
+class ScriptedOracle(ReplayingOracle):
+    """x(t) = script[t] whatever the queue, with g(x) = x."""
+
+    def __init__(self, script):
+        super().__init__(1)
+        self.script = script
+
+    def one(self, q, V):
+        return np.array([self.script[0]])
+
+    def step(self, q, V, out):
+        x = np.array([self.script[self.calls]])
+        self.record(x)
+        return np.maximum(q + x, 0.0, out=out)
 
 
 @pytest.mark.parametrize("step", [_BLOCK - 1, _BLOCK])
@@ -312,14 +355,19 @@ def test_drift_residual_of_a_step_at_a_block_edge(step):
         assert tr.max_drift_residual == residual, iters
 
 
-class CountingOracle:
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
+class CountingOracle(ReplayingOracle):
+    """Steps as ``inner`` (by default the bundle's own oracle) does."""
 
-    def argmin(self, q, V):
-        self.calls += 1
+    def __init__(self, b, inner=None):
+        super().__init__(b.program.n)
+        self.b, self.inner = b, inner or b.oracle
+
+    def one(self, q, V):
         return self.inner.argmin(q, V)
+
+    def step(self, q, V, out):
+        self.record(self.inner.argmin(q, V))
+        return self.inner.step(q, V, out)
 
 
 def test_shifted_run_makes_one_oracle_call_per_iteration():
@@ -328,24 +376,28 @@ def test_shifted_run_makes_one_oracle_call_per_iteration():
     cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=iters,
                        variant="dpp_shifted", sample="linear")
     traces = []
-    for inner in (b.oracle, ProjectedGradientOracle(b.program, tol=1e-12)):
-        oracle = CountingOracle(inner)
+    for inner in (b.oracle, generic_oracle(b, tol=1e-12)):
+        oracle = CountingOracle(b, inner)
         traces.append(run(b.program, oracle, cfg, reference=b.reference))
-        assert oracle.calls == 1 + iters + 1  # x(lambda*), then x(0..iters)
+        assert oracle.calls == iters + 1  # steps from Q(0..iters)
+        assert oracle.row_calls == 1  # x(0..iters), in one block
+        assert oracle.queue_calls == 2  # x(lambda*) and the shape check
     closed, generic = traces
     assert np.abs(closed.xbar - generic.xbar).max() <= 1e-8
     assert np.abs(closed.queue - generic.queue).max() <= 1e-8
 
 
 class FailingOracle(CountingOracle):
-    def __init__(self, inner, succeed):
-        super().__init__(inner)
-        self.succeed = succeed
+    """Fails at step ``at``."""
 
-    def argmin(self, q, V):
-        if self.calls == self.succeed:
+    def __init__(self, b, at):
+        super().__init__(b)
+        self.at = at
+
+    def step(self, q, V, out):
+        if self.calls == self.at:
             raise InnerSolveError("inner solve failed")
-        return super().argmin(q, V)
+        return super().step(q, V, out)
 
 
 def test_inner_failure_carries_partial_trace():
@@ -353,15 +405,13 @@ def test_inner_failure_carries_partial_trace():
     cfg = SolverConfig(V=QP_V, q0=np.array([3.0, 1.0]), iters=_BLOCK + 50,
                        sample="linear")
     full = run(b.program, b.oracle, cfg, reference=b.reference)
-    # x(lambda*) and x(0..succeed-2) succeed; x(succeed-1) fails, early in
-    # the first block, at its last two steps, or first in the second block
-    for succeed in (22, _BLOCK - 1, _BLOCK, _BLOCK + 1):
-        failed = succeed - 1
+    # x(0..failed-1) succeed; x(failed) fails, early in the first block, at
+    # its last two steps, or first in the second block
+    for failed in (21, _BLOCK - 2, _BLOCK - 1, _BLOCK):
         with pytest.raises(InnerSolveError) as info:
-            run(b.program, FailingOracle(b.oracle, succeed=succeed), cfg,
-                reference=b.reference)
+            run(b.program, FailingOracle(b, at=failed), cfg, reference=b.reference)
         part = info.value.partial_trace
-        assert part.t.tolist() == list(range(1, failed)), succeed
+        assert part.t.tolist() == list(range(1, failed)), failed
         for name in GOLDEN_COLUMNS + ("x",):
             assert np.array_equal(getattr(part, name), getattr(full, name)[:failed - 1]), name
         # the residuals of steps 0..failed-1 are those of a run that ends at failed
@@ -370,15 +420,18 @@ def test_inner_failure_carries_partial_trace():
 
 
 class OverflowingOracle(CountingOracle):
-    """Returns +inf coordinates from call number ``finite`` on."""
+    """Returns +inf coordinates from step ``at`` on."""
 
-    def __init__(self, inner, finite):
-        super().__init__(inner)
-        self.finite = finite
+    def __init__(self, b, at):
+        super().__init__(b)
+        self.at = at
 
-    def argmin(self, q, V):
-        x = super().argmin(q, V)
-        return np.full_like(x, np.inf) if self.calls > self.finite else x
+    def step(self, q, V, out):
+        if self.calls < self.at:
+            return super().step(q, V, out)
+        x = np.full(self.n, np.inf)
+        self.record(x)
+        return np.maximum(q + self.b.program.constraints(x), 0.0, out=out)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -387,10 +440,9 @@ def test_non_finite_sample_carries_partial_trace():
     cfg = SolverConfig(V=QP_V, q0=np.array([3.0, 1.0]), iters=50,
                        sample="linear")
     full = run(b.program, b.oracle, cfg, reference=b.reference)
-    # x(lambda*) and x(0..20) are finite; x(21) is not
+    # x(0..20) are finite; x(21) is not
     with pytest.raises(FloatingPointError, match="t = 21") as info:
-        run(b.program, OverflowingOracle(b.oracle, finite=22), cfg,
-            reference=b.reference)
+        run(b.program, OverflowingOracle(b, at=21), cfg, reference=b.reference)
     part = info.value.partial_trace
     assert part.t.tolist() == list(range(1, 21))
     for name in GOLDEN_COLUMNS + ("x",):
@@ -405,11 +457,11 @@ def test_run_stops_at_the_first_non_finite_block():
     # at V = 1e-300 the sample at t = 1 is already non-finite: the run ends
     # at the flush of the block that holds it, not after 1e5 iterations
     b = builtin("qp_6_2")
-    oracle = CountingOracle(b.oracle)
+    oracle = CountingOracle(b)
     cfg = SolverConfig(V=1e-300, q0=np.zeros(2), iters=100_000)
     with pytest.warns(UserWarning), pytest.raises(FloatingPointError, match="t = 1$"):
         run(b.program, oracle, cfg, reference=b.reference)
-    assert oracle.calls <= 1 + 2 * _BLOCK  # x(lambda*), then at most two blocks
+    assert oracle.calls <= 2 * _BLOCK and oracle.row_calls <= 2  # at most two blocks
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -420,13 +472,13 @@ def test_non_finite_sample_before_an_inner_failure_wins():
     cfg = SolverConfig(V=QP_V, q0=np.array([3.0, 1.0]), iters=50, sample="linear")
 
     class Oracle(OverflowingOracle):
-        def argmin(self, q, V):
-            if self.calls == 1 + 40:
+        def step(self, q, V, out):
+            if self.calls == 40:
                 raise InnerSolveError("inner solve failed")
-            return super().argmin(q, V)
+            return super().step(q, V, out)
 
     with pytest.raises(FloatingPointError, match="t = 21$") as info:
-        run(b.program, Oracle(b.oracle, finite=22), cfg, reference=b.reference)
+        run(b.program, Oracle(b, at=21), cfg, reference=b.reference)
     assert info.value.partial_trace.t.tolist() == list(range(1, 21))
 
 
@@ -440,7 +492,7 @@ def test_shifted_failure_between_samples_carries_partial_trace(failing):
                        variant="dpp_shifted", sample="linear:7")
     full = run(b.program, b.oracle, cfg, reference=b.reference)
     with pytest.raises((InnerSolveError, FloatingPointError)) as info:
-        run(b.program, failing(b.oracle, 1 + 24), cfg, reference=b.reference)
+        run(b.program, failing(b, at=24), cfg, reference=b.reference)
     assert isinstance(info.value, InnerSolveError) == (failing is FailingOracle)
     part = info.value.partial_trace
     assert part.t.tolist() == [7, 14, 21]
