@@ -26,25 +26,28 @@ def _as_vector(v, length: int | None = None, name: str = "vector") -> np.ndarray
     return arr
 
 
+def _check_V(V: float) -> float:
+    if not (np.isfinite(V) and V > 0):
+        raise ValueError("V must be positive and finite")
+    return V
+
+
 @dataclass(frozen=True)
 class ProgramSpec:
-    """A strongly convex program: min f(x) s.t. g(x) <= 0, x in a box.
+    """A strongly convex program: min f(x) s.t. g(x) <= 0, x in a set X.
 
     ``objective`` maps an n-vector to a scalar and ``constraints`` maps it
     to an m-vector; each also maps a (k, n) block of rows to the k row
     values, which the solver uses to evaluate a block's samples in one call.
-    ``lower``/``upper`` describe the box feasible set (use +-inf entries
-    for unbounded coordinates, so R^n is the all-infinite box).  ``alpha``
-    is the strong-convexity modulus of the objective on the box; ``beta``
-    is a common Lipschitz modulus of every constraint component.
+    X is not stored: the inner oracle of each problem kind encodes it.
+    ``alpha`` is the strong-convexity modulus of the objective on X;
+    ``beta`` is a common Lipschitz modulus of every constraint component.
     """
 
     n: int
     m: int
     objective: Callable[[np.ndarray], float]
     constraints: Callable[[np.ndarray], np.ndarray]
-    lower: np.ndarray
-    upper: np.ndarray
     alpha: float
     beta: float
 
@@ -53,12 +56,6 @@ class ProgramSpec:
             raise ValueError("need n >= 1 and m >= 1")
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be positive")
-        lo = _as_vector(self.lower, self.n, "lower")
-        hi = _as_vector(self.upper, self.n, "upper")
-        if np.any(lo > hi):
-            raise ValueError("box bounds must satisfy lower <= upper")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
 
     def f(self, x: np.ndarray) -> float:
         return float(self.objective(np.asarray(x, dtype=float)))
@@ -89,9 +86,9 @@ class IterateTrace:
     """Sampled history of a solver run, one row per sampled iteration t >= 1,
     plus run-level summary quantities.
 
-    ``g_xbar`` and ``queue`` are S x m, ``x`` and ``xbar`` S x n.  The dual
-    columns are None without a reference solution; ``x``, ``xbar`` and
-    ``queue`` are None for a trace read back from its CSV.
+    ``g_xbar`` and ``queue`` are S x m, ``x`` is S x n.  The dual columns
+    are None without a reference solution; ``x`` and ``queue`` are None
+    for a trace read back from its CSV.
     """
 
     t: np.ndarray
@@ -101,7 +98,6 @@ class IterateTrace:
     lambda_dist: np.ndarray | None = None
     dual_gap: np.ndarray | None = None
     x: np.ndarray | None = None
-    xbar: np.ndarray | None = None
     queue: np.ndarray | None = None
     V: float = 1.0
     max_drift_residual: float = 0.0

@@ -133,7 +133,7 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
                  oracle) -> list[dict]:
     """Check every applicable convergence guarantee at every sampled t of
     a run from the initial queue ``q0`` = Q(0), given the dual smoothness
-    modulus ``gamma`` and the run's inner oracle.
+    modulus ``gamma`` and the run's oracle factory, V -> inner oracle.
 
     Audited bounds (each entry reports applicability, pass/fail, and the
     worst margin lhs - rhs over the samples; positive margin = violation):

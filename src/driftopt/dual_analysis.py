@@ -17,14 +17,14 @@ from .oracles import NumInstance
 def dual_value_and_gradient(program: ProgramSpec, oracle, lam) -> tuple[float, np.ndarray]:
     """Evaluate (q(lam), grad q(lam)) via the inner-minimization oracle.
 
-    Since the oracle minimizes V f + q . g, calling it with q = lam and
-    V = 1 yields the argmin defining q(lam), whose constraint values are
-    the gradient.
+    ``oracle`` is the factory V -> oracle.  Since the oracle minimizes
+    V f + q . g, the one built at V = 1, called with q = lam, yields the
+    argmin defining q(lam), whose constraint values are the gradient.
     """
     lam = _as_vector(lam, program.m, "lambda")
     if np.any(lam < 0):
         raise ValueError("multiplier must be nonnegative")
-    x = oracle.argmin(lam, 1.0)
+    x = oracle(1.0).argmin(lam)
     gvals = program.g(x)
     return program.f(x) + float(lam @ gvals), gvals
 

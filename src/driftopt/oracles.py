@@ -1,13 +1,14 @@
 """Inner-minimization oracles: argmin over the box of V*f(x) + q.g(x).
 
 One closed form per problem kind: log-utility rate allocation and the
-unconstrained quadratic.  Every oracle takes the queue as a raw
-nonnegative float array and the penalty ``V``, is pure given (q, V), and
-caches its per-V constants.  It has two methods:
+unconstrained quadratic.  An oracle is built for one instance and one
+penalty ``V``, a constant of the DPP run, and computes its per-V
+constants then.  It takes the queue as a raw nonnegative float array, is
+pure in it, and has two methods:
 
-- ``argmin(q, V)``: x(q) for one queue (m,), or the (k, n) rows x(q_i) of
-  a (k, m) block of queues;
-- ``step(q, V, out)``: one DPP queue update, Q(t+1) = max(q + g(x(q)), 0),
+- ``argmin(q)``: x(q) for one queue (m,), or the (k, n) rows x(q_i) of a
+  (k, m) block of queues;
+- ``step(q, out)``: one DPP queue update, Q(t+1) = max(q + g(x(q)), 0),
   written into ``out`` and returned.
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import DimensionError, _as_vector
+from .core import DimensionError, _as_vector, _check_V
 
 
 class InnerSolveError(RuntimeError):
@@ -143,64 +144,45 @@ class ClosedFormNumOracle:
     pressure never touches flow i, and the clip gives the cap, its
     continuous limit.  q . a_i is raised to floor_i, just below
     c_i V / xmax_i, so nothing divides by zero and the clip still gives the
-    same bits.  The products c_i V and the floors are cached per V.
+    same bits.
     """
 
-    def __init__(self, inst: NumInstance):
+    def __init__(self, inst: NumInstance, V: float):
         self.inst = inst
-        self._cache = (None, None, None)  # (V, c * V, floor), replaced as one tuple
+        self.cV = inst.c * _check_V(V)
+        self.floor = self.cV / inst.xmax * (1 - 4 * np.finfo(float).eps)
 
-    def argmin(self, q: np.ndarray, V: float) -> np.ndarray:
-        V_cached, cV, floor = self._cache
-        if V != V_cached:
-            if V <= 0:
-                raise ValueError("V must be positive")
-            cV = self.inst.c * V
-            floor = cV / self.inst.xmax * (1 - 4 * np.finfo(float).eps)
-            self._cache = (V, cV, floor)
-        return np.minimum(cV / np.maximum(q.dot(self.inst.A), floor), self.inst.xmax)
+    def argmin(self, q: np.ndarray) -> np.ndarray:
+        return np.minimum(self.cV / np.maximum(q.dot(self.inst.A), self.floor), self.inst.xmax)
 
-    def step(self, q: np.ndarray, V: float, out: np.ndarray) -> np.ndarray:
-        x = self.argmin(q, V)
+    def step(self, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+        x = self.argmin(q)
         return np.maximum(q + (self.inst.A.dot(x) - self.inst.b), 0.0, out=out)
 
 
 class ClosedFormQpOracle:
     """Inner oracle backed by the linear-system closed form (X = R^n).
 
-    The minimizer solves 2VP x = -(V c + A'q), so at fixed V it is affine in
-    the queue: x(q) = x0 + K q with x0 = (2VP)^-1 (-V c) and
-    K = (2VP)^-1 (-A'); x0 + q K' maps one queue and a block of queue rows
-    alike.  So is g(x(q)) = A x(q) - b, and the queue update is the affine
-    map q' = max(M q + c0, 0) with M = I + A K and c0 = A x0 - b.  All of
-    them come from one Cholesky factor, after the conditioning check, and
-    are cached per V.
+    The minimizer solves 2VP x = -(V c + A'q), so it is affine in the
+    queue: x(q) = x0 + K q with x0 = (2VP)^-1 (-V c) and K = (2VP)^-1 (-A');
+    x0 + q K' maps one queue and a block of queue rows alike.  So is
+    g(x(q)) = A x(q) - b, and the queue update is the affine map
+    q' = max(M q + c0, 0) with M = I + A K and c0 = A x0 - b.  All of them
+    come from one Cholesky factor, after the conditioning check.
     """
 
-    def __init__(self, inst: QpInstance):
-        self.inst = inst
-        self._cache = (None,) * 5  # (V, x0, K', M, c0), replaced as one tuple
-
-    def _constants(self, V: float) -> tuple:
-        if V <= 0:
-            raise ValueError("V must be positive")
-        H, A = 2.0 * V * self.inst.P, self.inst.A
+    def __init__(self, inst: QpInstance, V: float):
+        H, A = 2.0 * _check_V(V) * inst.P, inst.A
         if np.linalg.cond(H) > 1e12:
             raise InnerSolveError("inner quadratic system is ill-conditioned")
         cho = scipy.linalg.cho_factor(H)
-        x0 = scipy.linalg.cho_solve(cho, -(V * self.inst.c))
         K = scipy.linalg.cho_solve(cho, -A.T)
-        self._cache = (V, x0, K.T.copy(), np.eye(len(A)) + A.dot(K), A.dot(x0) - self.inst.b)
-        return self._cache
+        self.x0 = scipy.linalg.cho_solve(cho, -(V * inst.c))
+        self.Kt, self.M = K.T.copy(), np.eye(len(A)) + A.dot(K)
+        self.c0 = A.dot(self.x0) - inst.b
 
-    def argmin(self, q: np.ndarray, V: float) -> np.ndarray:
-        V_cached, x0, Kt, _, _ = self._cache
-        if V != V_cached:
-            _, x0, Kt, _, _ = self._constants(V)
-        return x0 + q.dot(Kt)
+    def argmin(self, q: np.ndarray) -> np.ndarray:
+        return self.x0 + q.dot(self.Kt)
 
-    def step(self, q: np.ndarray, V: float, out: np.ndarray) -> np.ndarray:
-        V_cached, _, _, M, c0 = self._cache
-        if V != V_cached:
-            _, _, _, M, c0 = self._constants(V)
-        return np.maximum(M.dot(q) + c0, 0.0, out=out)
+    def step(self, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.maximum(self.M.dot(q) + self.c0, 0.0, out=out)

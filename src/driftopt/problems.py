@@ -1,15 +1,16 @@
 """Built-in benchmark instances and a JSON problem loader.
 
-Each bundle couples a concrete instance, its ProgramSpec view, the matching
-closed-form inner oracle, named constants (with a provenance flag telling
-whether the value is taken verbatim from the original experiment write-up
-or recomputed from the data), and the ground-truth KKT solution.  The
-builtins are problem documents like any problem file; both go through one
-constructor.
+Each bundle couples a concrete instance, its ProgramSpec view, the factory
+V -> closed-form inner oracle, named constants (with a provenance flag
+telling whether the value is taken verbatim from the original experiment
+write-up or recomputed from the data), and the ground-truth KKT solution.
+The builtins are problem documents like any problem file; both go through
+one constructor.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -70,7 +71,7 @@ class ProblemBundle:
     kind: str  # "num" or "qp"
     program: ProgramSpec
     instance: object
-    oracle: object
+    oracle: object  # V -> the instance's closed-form oracle at penalty V
     constants: tuple[Constant, ...] = ()
     reference: KktSolution | None = None
     reference_error: str | None = None
@@ -146,19 +147,17 @@ def _bundle(tag: str, doc, paper: dict) -> ProblemBundle:
     kind = doc["kind"]
     data = {key: _array(doc, key) for key in ("A", "b", "c")}
     # Everything kind-specific: the instance and its computed alpha, the
-    # box, the closed-form oracle, the ground-truth solver and the dual
-    # Hessian at a multiplier.
+    # closed-form oracle, the ground-truth solver and the dual Hessian at
+    # a multiplier.
     if kind == "num":
         inst = NumInstance(**data, xmax=_array(doc, "xmax"))
         alpha_computed = float(min(inst.c / inst.xmax ** 2))
-        lower, upper = np.zeros(inst.n), inst.xmax
-        oracle, kkt_solve = ClosedFormNumOracle(inst), kkt_solve_num
+        oracle, kkt_solve = functools.partial(ClosedFormNumOracle, inst), kkt_solve_num
         dual_hessian = lambda lam: num_dual_hessian(inst, lam)
     elif kind == "qp":
         inst = QpInstance(**data, P=_array(doc, "P"))
         alpha_computed = inst.alpha
-        lower, upper = np.full(inst.n, -np.inf), np.full(inst.n, np.inf)
-        oracle, kkt_solve = ClosedFormQpOracle(inst), kkt_solve_qp
+        oracle, kkt_solve = functools.partial(ClosedFormQpOracle, inst), kkt_solve_qp
         dual_hessian = lambda lam: general_dual_hessian(inst.A, 2.0 * inst.P)
     else:
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -169,7 +168,7 @@ def _bundle(tag: str, doc, paper: dict) -> ProblemBundle:
     A, b = inst.A, inst.b
     program = ProgramSpec(n=inst.n, m=inst.m, objective=inst.objective,
                           constraints=lambda x: A.dot(x.T).T - b,
-                          lower=lower, upper=upper, alpha=alpha, beta=beta)
+                          alpha=alpha, beta=beta)
     try:
         reference, err = kkt_solve(inst), None
     except (InfeasibleError, ValueError) as exc:

@@ -19,8 +19,8 @@ prefix sums and the sampled rows, calling f and g once each on the
 block's new x-bar rows.  A non-finite sample ends the run at the end of
 its block.
 
-A run is strictly sequential; distinct runs share no mutable state and may
-execute concurrently.
+A run is strictly sequential and steps an oracle of its own, built at its
+V; distinct runs share no mutable state and may execute concurrently.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IterateTrace, ProgramSpec, QueueState, sample_indices
+from .core import IterateTrace, ProgramSpec, QueueState, _check_V, sample_indices
 from .dual_analysis import dual_value_and_gradient
 from .oracles import InnerSolveError
 
@@ -51,8 +51,7 @@ class SolverConfig:
     sample: str = "log"
 
     def __post_init__(self):
-        if not (np.isfinite(self.V) and self.V > 0):
-            raise ValueError("V must be positive and finite")
+        _check_V(self.V)
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
         if self.variant not in VARIANTS:
@@ -69,7 +68,8 @@ def choose_V(program: ProgramSpec) -> float:
 
 def run(program: ProgramSpec, oracle, config: SolverConfig,
         reference=None) -> IterateTrace:
-    """Execute the configured solver and return a sampled trace.
+    """Execute the configured solver and return a sampled trace, stepping
+    the inner oracle that the factory ``oracle`` builds at ``config.V``.
 
     When ``reference`` (a KktSolution) is given, each sample also records
     the dual-iterate distance ||lambda(t) - lambda*|| and the dual gap
@@ -114,7 +114,7 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
     prefix = np.empty((len(ends), n))
     f_xbar, qnorm = np.empty(S), np.empty(S)
     g_xbar, queue = np.empty((S, m)), np.empty((S, m))
-    xs, xbars = np.empty((S, n)), np.empty((S, n))
+    xs = np.empty((S, n))
     lambda_dist = dual_gap = lam_star = None
     if reference is not None:
         lambda_dist, dual_gap = np.empty(S), np.empty(S)
@@ -127,7 +127,7 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
             qnorm=qnorm[:rows],
             lambda_dist=None if lambda_dist is None else lambda_dist[:rows],
             dual_gap=None if dual_gap is None else dual_gap[:rows],
-            x=xs[:rows], xbar=xbars[:rows], queue=queue[:rows],
+            x=xs[:rows], queue=queue[:rows],
             V=V, max_drift_residual=max_residual)
 
     # Step t0 + k of a block writes Q(t0 + k + 1) into row k + 1 of Q; Q[0]
@@ -142,16 +142,17 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
     sum_x = np.zeros(n)
     max_residual = 0.0
     i = j = 0
-    argmin, step = oracle.argmin, oracle.step
+    inner = oracle(V)
+    argmin, step = inner.argmin, inner.step
     objective, constraints = program.objective, program.constraints
-    columns = (f_xbar, g_xbar, qnorm, lambda_dist, dual_gap, xs, xbars, queue)
+    columns = (f_xbar, g_xbar, qnorm, lambda_dist, dual_gap, xs, queue)
 
     def flush(t0: int, k: int) -> None:
         """Record steps t0 .. t0 + k - 1 of the block: their x and g,
         rebuilt from Q(t0 .. t0 + k - 1), their drift residuals, S at the
         window ends up to t0 + k, and the samples at t < t0 + k."""
         nonlocal sum_x, max_residual, i, j
-        X[:k] = argmin(Q[:k], V)
+        X[:k] = argmin(Q[:k])
         G[:k] = constraints(X[:k])
         qq = np.vecdot(Q[:k + 1], Q[:k + 1])
         # Residual of the exact drift identity L(Q') - L(Q) = Q' . g -
@@ -180,8 +181,8 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
         # np.linalg.norm(v) of a 1-D float vector is sqrt(v.dot(v)), and
         # vecdot of a row is bitwise its dot.
         qnorm[new] = np.sqrt(qq[rows])
-        xbars[new] = (prefix[hi_row[new]] - prefix[lo_row[new]]) / width[new, None]
-        f_xbar[new], g_xbar[new] = objective(xbars[new]), constraints(xbars[new])
+        xbar = (prefix[hi_row[new]] - prefix[lo_row[new]]) / width[new, None]
+        f_xbar[new], g_xbar[new] = objective(xbar), constraints(xbar)
         if lam_star is not None:
             lam_t = queue[new] / V
             d = lam_t - lam_star
@@ -194,13 +195,13 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
             exc.partial_trace = trace(bad)
             raise exc
 
-    program.g(argmin(Q[0], V))  # checks the shape of g(x) once
+    program.g(argmin(Q[0]))  # checks the shape of g(x) once
     for t0 in range(0, iters + 1, block):
         steps = min(block, iters + 1 - t0)
         q = Q_rows[0]
         try:
             for k in range(steps):
-                q = step(q, V, Q_rows[k + 1])
+                q = step(q, Q_rows[k + 1])
         except InnerSolveError as exc:
             flush(t0, k)
             exc.partial_trace = trace(i)  # everything recorded through t-1

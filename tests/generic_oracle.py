@@ -8,31 +8,34 @@ from driftopt import InnerSolveError
 
 
 class ProjectedGradientOracle:
-    """Minimizes phi(x) = V f(x) + q . g(x) over the box of ``program``,
-    given the gradient of f and the Jacobian of g.  Terminates when the
-    gradient-map norm ||x - P(x - s grad)|| / s with reference step s drops
-    below ``tol`` within ``MAX_STEPS`` steps.
+    """Minimizes phi(x) = V f(x) + q . g(x) over the box [lower, upper]
+    (use +-inf entries for unbounded coordinates), given the gradient of f
+    and the Jacobian of g of ``program``.  Terminates when the gradient-map
+    norm ||x - P(x - s grad)|| / s with reference step s drops below
+    ``tol`` within ``MAX_STEPS`` steps.
 
-    Like the closed forms it takes one queue or a (k, m) block of queues
-    (one solve per row), and steps the queue by argmin, then constraints,
-    then the clamp at 0.
+    Like the closed forms it is built for one V, takes one queue or a
+    (k, m) block of queues (one solve per row), and steps the queue by
+    argmin, then constraints, then the clamp at 0.
     """
 
     MAX_STEPS = 200_000
 
-    def __init__(self, program, objective_grad=None, constraints_jac=None,
-                 tol: float = 1e-10):
-        self.program = program
+    def __init__(self, program, V: float, lower, upper, objective_grad=None,
+                 constraints_jac=None, tol: float = 1e-10):
+        if not (np.isfinite(V) and V > 0):
+            raise ValueError("V must be positive and finite")
+        self.program, self.V = program, V
+        self.lower = np.broadcast_to(np.asarray(lower, dtype=float), (program.n,))
+        self.upper = np.broadcast_to(np.asarray(upper, dtype=float), (program.n,))
         self.objective_grad, self.constraints_jac = objective_grad, constraints_jac
         self.tol = tol
 
-    def argmin(self, q: np.ndarray, V: float) -> np.ndarray:
+    def argmin(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         if q.ndim == 2:
-            return np.array([self.argmin(row, V) for row in q]).reshape(len(q), self.program.n)
-        program, tol = self.program, self.tol
-        if V <= 0:
-            raise ValueError("V must be positive")
+            return np.array([self.argmin(row) for row in q]).reshape(len(q), self.program.n)
+        program, tol, V = self.program, self.tol, self.V
         if self.objective_grad is None or self.constraints_jac is None:
             raise InnerSolveError("generic oracle needs objective_grad and constraints_jac")
 
@@ -42,7 +45,7 @@ class ProjectedGradientOracle:
         def grad(x):
             return V * self.objective_grad(x) + self.constraints_jac(x).T @ q
 
-        lo, hi = program.lower, program.upper
+        lo, hi = self.lower, self.upper
         finite_lo = np.where(np.isfinite(lo), lo, -1.0)
         finite_hi = np.where(np.isfinite(hi), hi, 1.0)
         x = np.clip(0.5 * (finite_lo + finite_hi), lo, hi)
@@ -84,17 +87,21 @@ class ProjectedGradientOracle:
         raise InnerSolveError(
             f"generic inner oracle did not reach tol={tol} within {self.MAX_STEPS} steps")
 
-    def step(self, q: np.ndarray, V: float, out: np.ndarray) -> np.ndarray:
-        g = self.program.constraints(self.argmin(q, V))
+    def step(self, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+        g = self.program.constraints(self.argmin(q))
         return np.maximum(q + g, 0.0, out=out)
 
 
-def generic_oracle(bundle, tol: float = 1e-10) -> ProjectedGradientOracle:
-    """The generic oracle on a builtin or problem-file bundle, with the
-    analytic derivatives of its kind."""
+def generic_oracle(bundle, tol: float = 1e-10):
+    """The factory V -> generic oracle on a builtin or problem-file bundle,
+    with the box and the analytic derivatives of its kind: NUM rates in
+    [0, xmax], QP points in R^n."""
     inst = bundle.instance
     if bundle.kind == "num":
+        lower, upper = 0.0, inst.xmax
         grad = lambda x: -inst.c / x
     else:
+        lower, upper = -np.inf, np.inf
         grad = lambda x: 2.0 * (inst.P @ x) + inst.c
-    return ProjectedGradientOracle(bundle.program, grad, lambda x: inst.A, tol=tol)
+    return lambda V: ProjectedGradientOracle(bundle.program, V, lower, upper, grad,
+                                             lambda x: inst.A, tol=tol)

@@ -383,14 +383,18 @@ def test_solve_writes_partial_trace_on_inner_failure(tmp_path, capsys, monkeypat
     inner, steps = bundle.oracle, []
 
     class FailingOracle:
-        def argmin(self, q, V):
-            return inner.argmin(q, V)
+        def __call__(self, V):
+            self.V, self.inner = V, inner(V)
+            return self
 
-        def step(self, q, V, out):
-            steps.append(V)
+        def argmin(self, q):
+            return self.inner.argmin(q)
+
+        def step(self, q, out):
+            steps.append(self.V)
             if len(steps) > 21:  # x(0..20) succeed
                 raise InnerSolveError("inner solve failed")
-            return inner.step(q, V, out)
+            return self.inner.step(q, out)
 
     bundle.oracle = FailingOracle()
     monkeypatch.setattr(cli, "builtin", lambda tag: bundle)

@@ -131,15 +131,14 @@ def test_load_computes_default_constants(tmp_path):
 
 @pytest.mark.parametrize("tag", BUILTIN_TAGS)
 def test_builtin_row_forms_match_one_row_calls(tag):
-    # a (k, n) block of iterates, averages and random points gives bitwise
-    # the values of the one-row calls
+    # a (k, n) block of iterates and random points gives bitwise the
+    # values of the one-row calls
     b = builtin(tag)
     program = b.program
     cfg = SolverConfig(V=choose_V(program), q0=np.zeros(program.m), iters=500,
                        variant="dpp_shifted", sample="linear")
     tr = run(program, b.oracle, cfg)
-    X = np.vstack([tr.x, tr.xbar,
-                   np.random.default_rng(3).uniform(0.01, 12.0, (200, program.n))])
+    X = np.vstack([tr.x, np.random.default_rng(3).uniform(0.01, 12.0, (200, program.n))])
     f, g = program.objective(X), program.constraints(X)
     assert f.shape == (len(X),) and g.shape == (len(X), program.m)
     for i, x in enumerate(X):
@@ -193,10 +192,11 @@ def test_random_oracle_rows_and_steps(tmp_path, kind):
         path = tmp_path / f"{kind}{k}.json"
         path.write_text(json.dumps(random_document(rng, kind)))
         bundle = load_problem(path)
-        inst, program, oracle = bundle.instance, bundle.program, bundle.oracle
+        inst, program = bundle.instance, bundle.program
         V = choose_V(program) * 10.0 ** rng.uniform(-2, 2)
+        oracle = bundle.oracle(V)
         Q = rng.uniform(0, 20.0, (300, inst.m)) * (rng.random((300, inst.m)) > 0.3)
-        X1 = np.array([oracle.argmin(q, V) for q in Q])
+        X1 = np.array([oracle.argmin(q) for q in Q])
         if kind == "num":  # q . a_i sums nonnegative terms
             x_size = X1
             g_size = Q + X1 @ inst.A.T + inst.b
@@ -205,11 +205,11 @@ def test_random_oracle_rows_and_steps(tmp_path, kind):
             K = np.linalg.solve(2.0 * V * inst.P, -inst.A.T)
             x_size = np.abs(x0) + Q @ np.abs(K).T
             g_size = Q + x_size @ np.abs(inst.A).T + inst.b
-        assert np.all(np.abs(oracle.argmin(Q, V) - X1) <= 1e-12 * x_size), k
+        assert np.all(np.abs(oracle.argmin(Q) - X1) <= 1e-12 * x_size), k
         out = np.empty(inst.m)
         for q, x, size in zip(Q, X1, g_size):
             expect = np.maximum(q + program.constraints(x), 0.0)
-            oracle.step(q, V, out)
+            oracle.step(q, out)
             if kind == "num":
                 assert np.array_equal(out, expect), k
             else:

@@ -80,7 +80,7 @@ def test_saddle_consistency():
     for tag in ("num_6_1", "qp_6_2", "num_5_2_rank_deficient"):
         b = builtin(tag)
         for V in (1.0, 10.0, 363.0):
-            x = b.oracle.argmin(V * b.reference.lambda_star, V)
+            x = b.oracle(V).argmin(V * b.reference.lambda_star)
             assert np.abs(x - b.reference.x_star).max() <= 1e-6
 
 

@@ -24,7 +24,7 @@ QP_V = 4.0 / 0.34
 # iterations, linear sampling with stride 97.
 GOLDEN = json.loads(Path(__file__).with_name("golden_traces.json").read_text())
 GOLDEN_COLUMNS = ("f_xbar", "g_xbar", "qnorm", "lambda_dist", "dual_gap",
-                  "xbar", "queue")
+                  "queue")
 
 
 def test_config_validation():
@@ -65,7 +65,9 @@ def test_first_iteration_from_zero_queue():
                            sample="linear")
         tr = run(b.program, b.oracle, cfg)
     assert list(tr.t) == [1]
-    assert np.allclose(tr.xbar[0], [11.0, 11.0, 11.0])
+    caps = np.full(3, 11.0)  # xbar(1) = x(0)
+    assert np.isclose(tr.f_xbar[0], b.program.objective(caps))
+    assert np.allclose(tr.g_xbar[0], b.program.constraints(caps))
     assert np.allclose(tr.queue[0], [23.0, 14.0, 14.0])
 
 
@@ -101,8 +103,14 @@ def iterate_history(b, iters):
     """x(0), ..., x(iters - 1) of the qp_6_2 run from Q(0) = 0."""
     cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=iters, sample="linear")
     tr = run(b.program, b.oracle, cfg)
-    # x(0) is recoverable from xbar(1)
-    return np.array([tr.xbar[0]] + list(tr.x[:-1]))
+    return np.array([b.oracle(QP_V).argmin(cfg.q0)] + list(tr.x[:-1]))
+
+
+def assert_average_values(b, tr, t, xbar, sample):
+    """f_xbar and g_xbar of sample t are f and g of the average ``xbar``."""
+    i = tr.t.tolist().index(t)
+    assert abs(tr.f_xbar[i] - b.program.objective(xbar)) <= 1e-9, (sample, t)
+    assert np.abs(tr.g_xbar[i] - b.program.constraints(xbar)).max() <= 1e-10, (sample, t)
 
 
 def test_standard_average_matches_recomputation():
@@ -111,8 +119,8 @@ def test_standard_average_matches_recomputation():
     for sample in AVERAGE_SAMPLES:
         cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=1001, sample=sample)
         tr = run(b.program, b.oracle, cfg)
-        for t, xbar in zip(tr.t, tr.xbar):
-            assert np.abs(xbar - history[:t].mean(axis=0)).max() <= 1e-10, (sample, t)
+        for t in tr.t:
+            assert_average_values(b, tr, t, history[:t].mean(axis=0), sample)
 
 
 def test_shifted_average_matches_recomputation():
@@ -122,10 +130,10 @@ def test_shifted_average_matches_recomputation():
         cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=1001,
                            variant="dpp_shifted", sample=sample)
         tr = run(b.program, b.oracle, cfg)
-        for t, xbar in zip(tr.t, tr.xbar):
+        for t in tr.t:
             half = t // 2
             expect = history[half:2 * half].mean(axis=0) if half else history[0]
-            assert np.abs(xbar - expect).max() <= 1e-10, (sample, t)
+            assert_average_values(b, tr, t, expect, sample)
 
 
 def test_objective_and_constraint_bounds_hold():
@@ -253,18 +261,19 @@ def reference_run(b, V, iters, variant, sample):
     ts, q = set(sample_indices(iters, sample)), np.zeros(b.program.m)
     q_star, _ = dual_value_and_gradient(b.program, b.oracle, b.reference.lambda_star)
     S, rows, max_residual = [np.zeros(b.program.n)], [], 0.0
+    oracle = b.oracle(V)
     for t in range(iters + 1):
-        x = b.oracle.argmin(q, V)
+        x = oracle.argmin(q)
         g = b.program.constraints(x)
         if t in ts:
             hi = max(t // 2 * 2, 1) if variant == "dpp_shifted" else t
             lo = hi // 2 if variant == "dpp_shifted" else 0
             xbar = (S[hi] - S[lo]) / (hi - lo)
             lam, d = q / V, q / V - b.reference.lambda_star
-            rows.append((x, xbar, q, math.sqrt(q.dot(q)), b.program.objective(xbar),
+            rows.append((x, q, math.sqrt(q.dot(q)), b.program.objective(xbar),
                          b.program.constraints(xbar), math.sqrt(d.dot(d)),
                          q_star - (b.program.objective(x) + float(lam @ g))))
-        qn = b.oracle.step(q, V, np.empty_like(q))
+        qn = oracle.step(q, np.empty_like(q))
         if t < iters:
             diff = qn - q
             max_residual = max(max_residual, abs((0.5 * qn.dot(qn) - 0.5 * q.dot(q))
@@ -281,7 +290,7 @@ def test_blocks_match_the_per_iteration_loop(tag, variant):
     # one that spans three blocks, are bitwise the plain loop's
     b = builtin(tag)
     V = choose_V(b.program)
-    names = ("x", "xbar", "queue", "qnorm", "f_xbar", "g_xbar", "lambda_dist", "dual_gap")
+    names = ("x", "queue", "qnorm", "f_xbar", "g_xbar", "lambda_dist", "dual_gap")
     for iters in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
         for sample in ("linear", "log"):
             cfg = SolverConfig(V=V, q0=np.zeros(b.program.m), iters=iters,
@@ -298,16 +307,21 @@ class ReplayingOracle:
     """Base of the tests' oracles: counts its step calls, and keeps the x
     that step t used, which its row argmin gives back by step index, one
     flushed block after another.  A single queue (x(lambda*), or the shape
-    check of g(x(Q(0)))) goes to ``one``."""
+    check of g(x(Q(0)))) goes to ``one``.  It is its own factory: built at
+    V, it keeps its counts and returns itself."""
 
     def __init__(self, n):
         self.n, self.xs, self.replayed = n, [], 0
         self.calls = self.row_calls = self.queue_calls = 0
 
-    def argmin(self, q, V):
+    def __call__(self, V):
+        self.V = V
+        return self
+
+    def argmin(self, q):
         if q.ndim == 1:
             self.queue_calls += 1
-            return self.one(q, V)
+            return self.one(q)
         self.row_calls += 1
         rows = self.xs[self.replayed:self.replayed + len(q)]
         self.replayed += len(q)
@@ -325,10 +339,10 @@ class ScriptedOracle(ReplayingOracle):
         super().__init__(1)
         self.script = script
 
-    def one(self, q, V):
+    def one(self, q):
         return np.array([self.script[0]])
 
-    def step(self, q, V, out):
+    def step(self, q, out):
         x = np.array([self.script[self.calls]])
         self.record(x)
         return np.maximum(q + x, 0.0, out=out)
@@ -340,8 +354,7 @@ def test_drift_residual_of_a_step_at_a_block_edge(step):
     # g(step) = 2.3 and Q(step + 2) = 0 again.  Every residual is exactly 0
     # but that of the step, which counts once Q(step + 1) exists.
     program = ProgramSpec(n=1, m=1, objective=lambda x: np.vecdot(x, x),
-                          constraints=lambda x: x.copy(), lower=[-np.inf],
-                          upper=[np.inf], alpha=2.0, beta=1.0)
+                          constraints=lambda x: x.copy(), alpha=2.0, beta=1.0)
     script = [-1.0] * (step + 3)
     script[step - 1:step + 2] = 1.1, 2.3, -10.0
     q, g = np.array([1.1]), np.array([2.3])
@@ -356,18 +369,23 @@ def test_drift_residual_of_a_step_at_a_block_edge(step):
 
 
 class CountingOracle(ReplayingOracle):
-    """Steps as ``inner`` (by default the bundle's own oracle) does."""
+    """Steps as the oracle that the factory ``inner`` (by default the
+    bundle's own) builds at the same V does."""
 
     def __init__(self, b, inner=None):
         super().__init__(b.program.n)
         self.b, self.inner = b, inner or b.oracle
 
-    def one(self, q, V):
-        return self.inner.argmin(q, V)
+    def __call__(self, V):
+        self.at_V = self.inner(V)
+        return super().__call__(V)
 
-    def step(self, q, V, out):
-        self.record(self.inner.argmin(q, V))
-        return self.inner.step(q, V, out)
+    def one(self, q):
+        return self.at_V.argmin(q)
+
+    def step(self, q, out):
+        self.record(self.at_V.argmin(q))
+        return self.at_V.step(q, out)
 
 
 def test_shifted_run_makes_one_oracle_call_per_iteration():
@@ -383,7 +401,8 @@ def test_shifted_run_makes_one_oracle_call_per_iteration():
         assert oracle.row_calls == 1  # x(0..iters), in one block
         assert oracle.queue_calls == 2  # x(lambda*) and the shape check
     closed, generic = traces
-    assert np.abs(closed.xbar - generic.xbar).max() <= 1e-8
+    assert np.abs(closed.f_xbar - generic.f_xbar).max() <= 1e-7
+    assert np.abs(closed.g_xbar - generic.g_xbar).max() <= 1e-8
     assert np.abs(closed.queue - generic.queue).max() <= 1e-8
 
 
@@ -394,10 +413,10 @@ class FailingOracle(CountingOracle):
         super().__init__(b)
         self.at = at
 
-    def step(self, q, V, out):
+    def step(self, q, out):
         if self.calls == self.at:
             raise InnerSolveError("inner solve failed")
-        return super().step(q, V, out)
+        return super().step(q, out)
 
 
 def test_inner_failure_carries_partial_trace():
@@ -426,9 +445,9 @@ class OverflowingOracle(CountingOracle):
         super().__init__(b)
         self.at = at
 
-    def step(self, q, V, out):
+    def step(self, q, out):
         if self.calls < self.at:
-            return super().step(q, V, out)
+            return super().step(q, out)
         x = np.full(self.n, np.inf)
         self.record(x)
         return np.maximum(q + self.b.program.constraints(x), 0.0, out=out)
@@ -472,10 +491,10 @@ def test_non_finite_sample_before_an_inner_failure_wins():
     cfg = SolverConfig(V=QP_V, q0=np.array([3.0, 1.0]), iters=50, sample="linear")
 
     class Oracle(OverflowingOracle):
-        def step(self, q, V, out):
+        def step(self, q, out):
             if self.calls == 40:
                 raise InnerSolveError("inner solve failed")
-            return super().step(q, V, out)
+            return super().step(q, out)
 
     with pytest.raises(FloatingPointError, match="t = 21$") as info:
         run(b.program, Oracle(b, at=21), cfg, reference=b.reference)
