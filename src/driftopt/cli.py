@@ -109,7 +109,7 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     try:
         trace = run(program, bundle.oracle, config, reference=bundle.reference)
-    except (InnerSolveError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         partial = getattr(exc, "partial_trace", None)
         if partial is not None and len(partial):
             _write_csv(out, partial, bundle)

@@ -57,12 +57,6 @@ class ProgramSpec:
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be positive")
 
-    def f(self, x: np.ndarray) -> float:
-        return float(self.objective(np.asarray(x, dtype=float)))
-
-    def g(self, x: np.ndarray) -> np.ndarray:
-        return _as_vector(self.constraints(np.asarray(x, dtype=float)), self.m, "g(x)")
-
 
 @dataclass(frozen=True)
 class QueueState:

@@ -22,11 +22,11 @@ from .reference import KktSolution
 class RateFit:
     """Fitted decay model for an error series.
 
-    power: e(t) ~ C * t^-p.  geometric: e(t) ~ (C/t) * r^(t - t_lo), so C
-    is the model's t * e(t) at the window start t_lo.  ``quality`` is an
-    R^2-style score of the predicted log-error against the observed
-    log-error, clamped to [0, 1], so the two models are directly
-    comparable on the same series.
+    power: e(t) ~ C * (t/t_lo)^-p; geometric: e(t) ~ (C/t) * r^(t - t_lo).
+    C is the model's e(t), or t * e(t), at the window start t_lo.
+    ``quality`` is an R^2-style score of the predicted log-error against
+    the observed log-error, clamped to [0, 1], so the two models are
+    directly comparable on the same series.
     """
 
     model: str
@@ -84,14 +84,15 @@ def _prepare(ts, errors, window_fraction, window):
 
 def fit_power_decay(ts, errors, window_fraction: float = 0.5,
                     window: tuple[float, float] | None = None) -> RateFit:
-    """Fit e(t) ~ C * t^-p by a least-squares line on (log t, log e).
+    """Fit e(t) ~ C * (t/t_lo)^-p by a least-squares line on (log(t/t_lo),
+    log e), with t_lo the window's first sample: C is the model's e(t_lo).
 
     Zero/negative entries are dropped; the fit uses the tail window (last
     ``window_fraction`` of the logarithmic time range, or an explicit
     [t_lo, t_hi] window).
     """
     t, e = _prepare(ts, errors, window_fraction, window)
-    log_t, log_e = np.log(t), np.log(e)
+    log_t, log_e = np.log(t / t.min()), np.log(e)
     slope, intercept = np.polyfit(log_t, log_e, 1)
     predicted = slope * log_t + intercept
     return RateFit(model="power", p=float(-slope), r=None,

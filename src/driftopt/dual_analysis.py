@@ -25,8 +25,8 @@ def dual_value_and_gradient(program: ProgramSpec, oracle, lam) -> tuple[float, n
     if np.any(lam < 0):
         raise ValueError("multiplier must be nonnegative")
     x = oracle(1.0).argmin(lam)
-    gvals = program.g(x)
-    return program.f(x) + float(lam @ gvals), gvals
+    gvals = program.constraints(x)
+    return float(program.objective(x)) + float(lam @ gvals), gvals
 
 
 def num_dual_hessian(inst: NumInstance, lam) -> np.ndarray:

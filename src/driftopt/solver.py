@@ -30,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IterateTrace, ProgramSpec, QueueState, _check_V, sample_indices
+from .core import IterateTrace, ProgramSpec, QueueState, _as_vector, _check_V, sample_indices
 from .dual_analysis import dual_value_and_gradient
-from .oracles import InnerSolveError
 
 VARIANTS = ("dpp", "dpp_shifted")
 
@@ -79,11 +78,11 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
     values of the rebuilt x, is checked on every iteration, once per
     block; x-bar, f(x-bar) and g(x-bar) are computed only at sampled t,
     with one call of f and one of g per block.  The shape of g(x) is
-    checked once, at x(Q(0)), before the first step.  An InnerSolveError at
-    step t carries the samples before t and the residuals through t - 1 as
-    ``partial_trace``.  A sample with a non-finite value ends the run at
-    the end of its block: FloatingPointError carries the rows before it the
-    same way.
+    checked once, at x(Q(0)), before the first step.  An oracle that
+    cannot be built at ``config.V`` raises before the first step.  A sample
+    with a non-finite value ends the run at the end of its block: the
+    FloatingPointError carries the samples before it and the residuals of
+    the steps through that block as ``partial_trace``.
 
     Deterministic: identical inputs give identical traces.
     """
@@ -130,28 +129,34 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
             x=xs[:rows], queue=queue[:rows],
             V=V, max_drift_residual=max_residual)
 
-    # Step t0 + k of a block writes Q(t0 + k + 1) into row k + 1 of Q; Q[0]
-    # holds Q(t0).  flush rebuilds x(t0 + k) and g(x(t0 + k)) in row k of X
-    # and G, C-ordered buffers, so the row-wise dots of the drift identity
-    # sum as one-row dots do.  The row views of Q are made once, and the
-    # update of the last step (t = iters) is never read.
+    # Step t0 + s of a block writes Q(t0 + s + 1) into row s + 1 of Q; Q[0]
+    # holds Q(t0).  X and G, rebuilt from Q, hold x(t0 + s) and g(x(t0 + s))
+    # in row s; they are C-ordered, so the row-wise dots of the drift
+    # identity sum as one-row dots do.  The row views of Q are made once,
+    # and the update of the last step (t = iters) is never read.
     block = min(_BLOCK, iters + 1)
     X, G, Q = np.empty((block, n)), np.empty((block, m)), np.empty((block + 1, m))
     Q_rows = list(Q)
     Q[0] = config.q0
     sum_x = np.zeros(n)
     max_residual = 0.0
-    i = j = 0
+    i = j = k = 0
     inner = oracle(V)
     argmin, step = inner.argmin, inner.step
     objective, constraints = program.objective, program.constraints
     columns = (f_xbar, g_xbar, qnorm, lambda_dist, dual_gap, xs, queue)
 
-    def flush(t0: int, k: int) -> None:
-        """Record steps t0 .. t0 + k - 1 of the block: their x and g,
-        rebuilt from Q(t0 .. t0 + k - 1), their drift residuals, S at the
-        window ends up to t0 + k, and the samples at t < t0 + k."""
-        nonlocal sum_x, max_residual, i, j
+    _as_vector(constraints(argmin(Q[0])), m, "g(x)")  # checks the shape of g(x) once
+    for t0 in range(0, iters + 1, block):
+        Q[0] = Q[k]
+        k = min(block, iters + 1 - t0)
+        q = Q_rows[0]
+        for out in Q_rows[1:k + 1]:
+            q = step(q, out)
+
+        # Record steps t0 .. t0 + k - 1: their x and g, rebuilt from
+        # Q(t0 .. t0 + k - 1), their drift residuals, S at the window ends
+        # up to t0 + k, and the samples at t < t0 + k.
         X[:k] = argmin(Q[:k])
         G[:k] = constraints(X[:k])
         qq = np.vecdot(Q[:k + 1], Q[:k + 1])
@@ -175,7 +180,7 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
 
         i0, i = i, np.searchsorted(ts, t0 + k)
         if i == i0:
-            return
+            continue
         new, rows = slice(i0, i), ts[i0:i] - t0
         xs[new], queue[new] = X[rows], Q[rows]
         # np.linalg.norm(v) of a 1-D float vector is sqrt(v.dot(v)), and
@@ -194,18 +199,4 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
             exc = FloatingPointError(f"non-finite value in the sample at t = {ts[bad]}")
             exc.partial_trace = trace(bad)
             raise exc
-
-    program.g(argmin(Q[0]))  # checks the shape of g(x) once
-    for t0 in range(0, iters + 1, block):
-        steps = min(block, iters + 1 - t0)
-        q = Q_rows[0]
-        try:
-            for k in range(steps):
-                q = step(q, Q_rows[k + 1])
-        except InnerSolveError as exc:
-            flush(t0, k)
-            exc.partial_trace = trace(i)  # everything recorded through t-1
-            raise
-        flush(t0, steps)
-        Q[0] = Q[steps]
     return trace(S)

@@ -40,7 +40,7 @@ class ProjectedGradientOracle:
             raise InnerSolveError("generic oracle needs objective_grad and constraints_jac")
 
         def phi(x):
-            return V * program.f(x) + float(q @ program.g(x))
+            return V * program.objective(x) + float(q @ program.constraints(x))
 
         def grad(x):
             return V * self.objective_grad(x) + self.constraints_jac(x).T @ q

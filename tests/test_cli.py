@@ -377,38 +377,6 @@ def test_audit_rejects_non_increasing_t(tmp_path, capsys, edit):
     assert "strictly increasing" in err
 
 
-def test_solve_writes_partial_trace_on_inner_failure(tmp_path, capsys, monkeypatch):
-    from driftopt import InnerSolveError, builtin, cli
-    bundle = builtin("qp_6_2")
-    inner, steps = bundle.oracle, []
-
-    class FailingOracle:
-        def __call__(self, V):
-            self.V, self.inner = V, inner(V)
-            return self
-
-        def argmin(self, q):
-            return self.inner.argmin(q)
-
-        def step(self, q, out):
-            steps.append(self.V)
-            if len(steps) > 21:  # x(0..20) succeed
-                raise InnerSolveError("inner solve failed")
-            return self.inner.step(q, out)
-
-    bundle.oracle = FailingOracle()
-    monkeypatch.setattr(cli, "builtin", lambda tag: bundle)
-    out = tmp_path / "p.csv"
-    code, _, err = run_cli(capsys, "solve", "--builtin", "qp_6_2", "--iters", "50",
-                           "--sample", "linear", "--out", str(out))
-    assert code == 3
-    assert "inner solve failed" in err
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert [int(r[0]) for r in rows[1:]] == list(range(1, 21))
-    assert not (tmp_path / "p.csv.summary.json").exists()
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("tag", ["qp_6_2", "num_6_1"])
 def test_solve_that_overflows_exits_3(tmp_path, capsys, tag):

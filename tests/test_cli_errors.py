@@ -131,6 +131,19 @@ def test_audit_with_failing_inner_oracle_exits_3(tmp_path, capsys):
         3, "", "error: inner oracle failed: inner quadratic system is ill-conditioned\n")
 
 
+def test_solve_with_failing_inner_oracle_exits_3(tmp_path, capsys):
+    # the oracle at V cannot be built, so no step runs and nothing is written
+    doc = {**BUILTINS["qp_6_2"], "P": [[1.0, 0.0], [0.0, 1e-13]]}
+    path = problem_file(tmp_path, doc)
+    out = tmp_path / "t.csv"
+    code, stdout, err = run_cli(capsys, "solve", "--problem", path, "--iters", 100,
+                                "--out", out)
+    assert (code, stdout, err) == (
+        3, "", "error: inner oracle failed: inner quadratic system is ill-conditioned\n")
+    assert not out.exists()
+    assert not (tmp_path / "t.csv.summary.json").exists()
+
+
 def test_audit_at_large_V_passes(tmp_path, capsys):
     # V^2 overflows above V ~ 1.3e154, but the queue bound B ~ 2 V ||lam*||
     # and the dual-gap constant theta are representable
@@ -155,12 +168,29 @@ def far_window_trace(tmp_path):
     return path
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_fit_with_non_finite_result_exits_3(tmp_path, capsys):
-    # the power law's C = exp(intercept) of a line fitted at t ~ 1e5 to a
-    # geometric decay overflows
+def test_power_fit_far_from_t0(tmp_path, capsys):
+    # the power C is anchored at the window start too: it is the model's
+    # e(t_lo), where its value at t = 1 would overflow
     path = far_window_trace(tmp_path)
     code, out, err = run_cli(capsys, *fit_args(path, model="power"))
+    assert (code, err) == (0, "")
+    fit = json.loads(out)
+    assert (fit["t_lo"], fit["t_hi"]) == (100_025, 100_049)
+    assert fit["C"] == pytest.approx(1e-3 * np.exp(-0.05 * 25), rel=1e-4)
+    assert fit["quality"] > 0.999
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_audit_with_non_finite_result_exits_3(tmp_path, capsys):
+    # ||Q(0)||^2 / (2 V t) of the objective bound overflows at V = 1e-300
+    trace = tmp_path / "t.csv"
+    trace.write_text("t,f_avg,f_err,g_1,g_2,g_3,qnorm,lambda_dist,dual_gap\n"
+                     "1,0,0,0,0,0,0,0,0\n2,0,0,0,0,0,0,0,0\n")
+    summary = tmp_path / "s.json"
+    summary.write_text(json.dumps({"problem": "num_6_1", "V": 1e-300,
+                                   "q0": [1e10, 1e10, 1e10]}))
+    code, out, err = run_cli(capsys, "audit", "--builtin", "num_6_1", "--trace", trace,
+                             "--summary", summary)
     assert (code, out, err) == (3, "", "error: non-finite number in the result\n")
 
 

@@ -22,8 +22,8 @@ def test_program_validates_dimensions():
 
 def test_program_evaluation():
     p = make_program()
-    assert p.f(np.array([1.0, 2.0])) == 5.0
-    assert np.allclose(p.g(np.array([1.0, 2.0])), [2.0])
+    assert p.objective(np.array([1.0, 2.0])) == 5.0
+    assert np.allclose(p.constraints(np.array([1.0, 2.0])), [2.0])
 
 
 def test_queue_state_rejects_negative():
@@ -45,7 +45,7 @@ def test_queue_update_clamps_at_zero():
     q0 = np.array([1000.0, 0.0, 1000.0])
     cfg = SolverConfig(V=544.5, q0=q0, iters=1, sample="linear")
     tr = run(b.program, b.oracle, cfg)
-    g0 = b.program.g(b.oracle(cfg.V).argmin(q0))
+    g0 = b.program.constraints(b.oracle(cfg.V).argmin(q0))
     assert q0[1] + g0[1] < 0
     assert np.array_equal(tr.queue[0], np.maximum(q0 + g0, 0.0))
     assert tr.queue[0][1] == 0.0

@@ -23,7 +23,7 @@ def test_error_series_zero_at_optimum():
     b = builtin("qp_6_2")
     ts = np.arange(1, 20)
     tr = IterateTrace(t=ts, f_xbar=np.full(len(ts), b.reference.f_star),
-                      g_xbar=np.tile(b.program.g(b.reference.x_star), (len(ts), 1)),
+                      g_xbar=np.tile(b.program.constraints(b.reference.x_star), (len(ts), 1)),
                       qnorm=np.zeros(len(ts)))
     obj, viol = error_series(tr.f_xbar, tr.g_xbar, b.reference.f_star)
     assert np.all(obj == 0)
@@ -35,7 +35,7 @@ def test_fit_power_exact():
     fit = fit_power_decay(ts, 5.0 / ts)
     assert fit.model == "power"
     assert fit.p == pytest.approx(1.0, abs=1e-6)
-    assert fit.C == pytest.approx(5.0, rel=1e-6)
+    assert fit.C == pytest.approx(5.0 / fit.t_lo, rel=1e-6)
     assert fit.quality == pytest.approx(1.0, abs=1e-9)
 
     fit = fit_power_decay(ts, ts ** -1.5)

@@ -10,7 +10,7 @@ def test_dual_value_at_zero_multiplier():
     q0, grad = dual_value_and_gradient(b.program, b.oracle, [0.0, 0.0])
     assert q0 == pytest.approx(-0.5, abs=1e-12)
     # gradient is g at the unconstrained minimizer (-1.5, 0.5)
-    assert np.allclose(grad, b.program.g(np.array([-1.5, 0.5])), atol=1e-12)
+    assert np.allclose(grad, b.program.constraints(np.array([-1.5, 0.5])), atol=1e-12)
 
 
 def test_dual_value_at_optimal_multiplier():

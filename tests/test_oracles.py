@@ -114,14 +114,14 @@ def test_oracle_optimality_certificate():
         b = builtin(tag)
         q = rng.uniform(0, 20, b.program.m)
         x = b.oracle(V).argmin(q)
-        val = V * b.program.f(x) + float(q @ b.program.g(x))
+        val = V * b.program.objective(x) + float(q @ b.program.constraints(x))
         # the box X: rates in [0, xmax], QP points in R^n
         lower, upper = (0.0, b.instance.xmax) if b.kind == "num" else (-np.inf, np.inf)
         for _ in range(1000):
             xp = np.clip(x + rng.uniform(-0.1, 0.1, b.program.n), lower, upper)
             if tag == "num_6_1" and np.any(xp <= 0):
                 continue
-            valp = V * b.program.f(xp) + float(q @ b.program.g(xp))
+            valp = V * b.program.objective(xp) + float(q @ b.program.constraints(xp))
             assert val <= valp + 1e-8
 
 
@@ -133,10 +133,10 @@ def test_strong_convexity_inequality_at_minimizer():
     alpha = b.constant("alpha_computed")
     q = np.array([3.0, 7.0])
     x = b.oracle(QP_V).argmin(q)
-    val = QP_V * b.program.f(x) + float(q @ b.program.g(x))
+    val = QP_V * b.program.objective(x) + float(q @ b.program.constraints(x))
     for _ in range(200):
         xp = x + rng.uniform(-2, 2, 2)
-        valp = QP_V * b.program.f(xp) + float(q @ b.program.g(xp))
+        valp = QP_V * b.program.objective(xp) + float(q @ b.program.constraints(xp))
         assert val <= valp - 0.5 * QP_V * alpha * float((x - xp) @ (x - xp)) + 1e-8
 
 

@@ -60,7 +60,7 @@ def test_solution_invariants():
     for tag in ("num_6_1", "qp_6_2", "num_5_2_rank_deficient"):
         b = builtin(tag)
         sol = b.reference
-        g = b.program.g(sol.x_star)
+        g = b.program.constraints(sol.x_star)
         assert g.max() <= 1e-8
         assert sol.lambda_star.min() >= -1e-12
         assert np.abs(sol.lambda_star * g).max() <= 1e-8
