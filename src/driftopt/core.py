@@ -1,7 +1,7 @@
 """Shared domain types: programs, virtual queues and sampled traces.
 
-All types are immutable value objects built on numpy arrays; operations are
-pure functions, so everything here is safe to share between threads.
+Programs and queues are immutable value objects and the functions are pure;
+a trace is a mutable record whose constructor normalizes its ``t`` column.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ class ProgramSpec:
 
     ``objective`` maps an n-vector to a scalar and ``constraints`` maps it
     to an m-vector; each also maps a (k, n) block of rows to the k row
-    values, which the solver uses to evaluate a block's samples in one call.
+    values, k = 0 included, which the solver uses to evaluate a block's
+    samples in one call.
     X is not stored: the inner oracle of each problem kind encodes it.
     ``alpha`` is the strong-convexity modulus of the objective on X;
     ``beta`` is a common Lipschitz modulus of every constraint component.

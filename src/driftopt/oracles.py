@@ -26,20 +26,9 @@ class InnerSolveError(RuntimeError):
     """Inner minimization failed."""
 
 
-def _constraint_matrix(A) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim in (1, 2) and A.shape[0] == 0:
-        raise ValueError("A needs at least one constraint row")
-    if A.ndim != 2:
-        raise DimensionError("A must be a matrix")
-    return A
-
-
 def _set_finite_readonly(inst, **fields: np.ndarray) -> None:
-    """Store a read-only copy of each field on the frozen instance.
-
-    The copy keeps the caller's own arrays writeable.
-    """
+    """Store a read-only copy of each finite field on the frozen instance;
+    the caller's own arrays stay writeable."""
     for name, val in fields.items():
         if not np.all(np.isfinite(val)):
             raise ValueError(f"{name} must be finite (found NaN or inf)")
@@ -48,8 +37,39 @@ def _set_finite_readonly(inst, **fields: np.ndarray) -> None:
         object.__setattr__(inst, name, val)
 
 
+class _LinearlyConstrained:
+    """What both problem kinds share: costs c and linear constraints
+    g(x) = Ax - b <= 0, with A a finite m x n matrix (m, n >= 1), stored
+    read-only.  It has no fields: each kind is a frozen dataclass that
+    declares A, b and c in its own order and runs this check first."""
+
+    def __post_init__(self):
+        A = np.asarray(self.A, dtype=float)
+        if A.ndim in (1, 2) and A.shape[0] == 0:
+            raise ValueError("A needs at least one constraint row")
+        if A.ndim != 2:
+            raise DimensionError("A must be a matrix")
+        m, n = A.shape
+        if n == 0:
+            raise ValueError("A needs at least one column")
+        c, b = _as_vector(self.c, n, "c"), _as_vector(self.b, m, "b")
+        _set_finite_readonly(self, A=A, b=b, c=c)
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[1]
+
+    @property
+    def m(self) -> int:
+        return self.A.shape[0]
+
+    def constraints(self, x: np.ndarray) -> np.ndarray:
+        """g(x) = Ax - b of an n-vector, or of each row of a (k, n) block."""
+        return self.A.dot(x.T).T - self.b
+
+
 @dataclass(frozen=True)
-class NumInstance:
+class NumInstance(_LinearlyConstrained):
     """Rate-allocation instance: min sum -c_i log x_i s.t. Ax <= b, 0 <= x <= xmax.
 
     A is a 0-1 routing matrix (m x n) with at least one nonzero per column,
@@ -63,30 +83,18 @@ class NumInstance:
     xmax: np.ndarray
 
     def __post_init__(self):
-        A = _constraint_matrix(self.A)
-        m, n = A.shape
-        c = _as_vector(self.c, n, "c")
-        b = _as_vector(self.b, m, "b")
-        xmax = _as_vector(self.xmax, n, "xmax")
-        _set_finite_readonly(self, A=A, b=b, c=c, xmax=xmax)
-        if np.any(c <= 0):
+        super().__post_init__()
+        _set_finite_readonly(self, xmax=_as_vector(self.xmax, self.n, "xmax"))
+        if np.any(self.c <= 0):
             raise ValueError("utility weights c must be positive")
-        if np.any(b <= 0):
+        if np.any(self.b <= 0):
             raise ValueError("capacities b must be positive")
-        if np.any(xmax <= b.max()):
+        if np.any(self.xmax <= self.b.max()):
             raise ValueError("need xmax_i > max_k b_k for every flow")
-        if not np.all((A == 0) | (A == 1)):
+        if not np.all((self.A == 0) | (self.A == 1)):
             raise ValueError("A must be a 0-1 matrix")
-        if np.any(A.sum(axis=0) < 1):
+        if np.any(self.A.sum(axis=0) < 1):
             raise ValueError("every column of A needs at least one nonzero")
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
 
     def objective(self, x: np.ndarray):
         # vecdot sums each row as a one-row call does; np.log(X) @ c would not
@@ -94,7 +102,7 @@ class NumInstance:
 
 
 @dataclass(frozen=True)
-class QpInstance:
+class QpInstance(_LinearlyConstrained):
     """Quadratic program: min x'Px + c'x s.t. Ax <= b, with P symmetric PD."""
 
     P: np.ndarray
@@ -103,29 +111,15 @@ class QpInstance:
     b: np.ndarray
 
     def __post_init__(self):
+        super().__post_init__()
         P = np.asarray(self.P, dtype=float)
-        A = _constraint_matrix(self.A)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise DimensionError("P must be square")
-        n = P.shape[0]
-        if A.shape[1] != n:
-            raise DimensionError("A must be m x n")
-        m = A.shape[0]
-        c = _as_vector(self.c, n, "c")
-        b = _as_vector(self.b, m, "b")
-        _set_finite_readonly(self, A=A, b=b, c=c, P=P)
+        if P.shape != (self.n, self.n):
+            raise DimensionError("P must be n x n, for A m x n")
+        _set_finite_readonly(self, P=P)
         if np.abs(P - P.T).max() > 1e-12:
             raise ValueError("P must be symmetric")
         if np.linalg.eigvalsh(2.0 * P).min() <= 0:
             raise ValueError("2P must be positive definite")
-
-    @property
-    def n(self) -> int:
-        return self.P.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
 
     @property
     def alpha(self) -> float:

@@ -165,10 +165,8 @@ def _bundle(tag: str, doc, paper: dict) -> ProblemBundle:
     alpha = _number(doc, "alpha") if "alpha" in doc else alpha_computed
     beta = _number(doc, "beta") if "beta" in doc else float(
         np.linalg.norm(inst.A, axis=1).max())
-    A, b = inst.A, inst.b
     program = ProgramSpec(n=inst.n, m=inst.m, objective=inst.objective,
-                          constraints=lambda x: A.dot(x.T).T - b,
-                          alpha=alpha, beta=beta)
+                          constraints=inst.constraints, alpha=alpha, beta=beta)
     try:
         reference, err = kkt_solve(inst), None
     except (InfeasibleError, ValueError) as exc:

@@ -91,7 +91,7 @@ def _enumerate(inst, stationary) -> KktSolution:
     in S (a list of indices) held at equality and returns (x, lambda_S), or
     None when the system has no admissible solution; a LinAlgError skips
     the set.  The objective is ``inst.objective``; the constraints are
-    A x <= b.
+    ``inst.constraints`` <= 0.
     """
     m = inst.m
     if m > MAX_CONSTRAINTS:
@@ -109,7 +109,7 @@ def _enumerate(inst, stationary) -> KktSolution:
                 continue
             lam = np.zeros(m)
             lam[S] = np.maximum(lam_S, 0.0)
-            gvals = inst.A @ x - inst.b
+            gvals = inst.constraints(x)
             if np.any(gvals > FEAS_TOL) or np.any(np.abs(lam * gvals) > FEAS_TOL):
                 continue
             active = [k for k in range(m) if abs(gvals[k]) <= FEAS_TOL]

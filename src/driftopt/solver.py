@@ -178,9 +178,7 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
         prefix[j:j1] = C[ends[j:j1] - t0]
         j = j1
 
-        i0, i = i, np.searchsorted(ts, t0 + k)
-        if i == i0:
-            continue
+        i0, i = i, np.searchsorted(ts, t0 + k)  # a block may hold no sample
         new, rows = slice(i0, i), ts[i0:i] - t0
         xs[new], queue[new] = X[rows], Q[rows]
         # np.linalg.norm(v) of a 1-D float vector is sqrt(v.dot(v)), and

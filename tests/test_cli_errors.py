@@ -108,7 +108,19 @@ def test_audit_trace_without_required_columns(tmp_path, capsys):
     ({**BUILTINS["qp_6_2"], "kind": "lp"}, "unknown problem kind 'lp'"),
     ({**BUILTINS["qp_6_2"], "A": [[1.0, 1.0], [0.0]]},
      "problem field 'A' must be an array of numbers"),
-], ids=["not-an-object", "unknown-kind", "ragged-array"])
+    # shapes: A, b and c are checked first, for both kinds, then P or xmax
+    ({**BUILTINS["qp_6_2"], "A": [[[1.0, 1.0]], [[0.0, 1.0]]]}, "A must be a matrix"),
+    ({**BUILTINS["num_6_1"], "A": [[]], "b": [1.0], "c": [], "xmax": []},
+     "A needs at least one column"),
+    ({**BUILTINS["qp_6_2"], "P": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+     "P must be n x n, for A m x n"),
+    ({**BUILTINS["qp_6_2"], "A": [[1.0, 1.0, 1.0]], "b": [1.0]},
+     "c has length 2, expected 3"),
+    ({**BUILTINS["num_6_1"], "c": [1.0, 2.0]}, "c has length 2, expected 3"),
+    ({**BUILTINS["qp_6_2"], "b": [1.0]}, "b has length 1, expected 2"),
+    ({**BUILTINS["num_6_1"], "xmax": [11.0]}, "xmax has length 1, expected 3"),
+], ids=["not-an-object", "unknown-kind", "ragged-array", "A-3d", "A-no-column",
+        "P-2x3", "A-1x3-P-2x2", "c-length", "b-length", "xmax-length"])
 def test_bad_problem_file(tmp_path, capsys, doc, message):
     code, out, err = run_cli(capsys, "kkt", "--problem", problem_file(tmp_path, doc))
     assert (code, out, err) == (2, "", f"error: {message}\n")

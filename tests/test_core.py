@@ -15,15 +15,13 @@ def make_program(**kw):
     return ProgramSpec(**defaults)
 
 
-def test_program_validates_dimensions():
-    with pytest.raises(ValueError):
-        make_program(alpha=0.0)
-
-
-def test_program_evaluation():
-    p = make_program()
-    assert p.objective(np.array([1.0, 2.0])) == 5.0
-    assert np.allclose(p.constraints(np.array([1.0, 2.0])), [2.0])
+@pytest.mark.parametrize("field,message", [
+    ("n", "need n >= 1 and m >= 1"), ("m", "need n >= 1 and m >= 1"),
+    ("alpha", "alpha and beta must be positive"),
+    ("beta", "alpha and beta must be positive")], ids=["n", "m", "alpha", "beta"])
+def test_program_validates_dimensions(field, message):
+    with pytest.raises(ValueError, match=message):
+        make_program(**{field: 0})
 
 
 def test_queue_state_rejects_negative():

@@ -287,12 +287,13 @@ def reference_run(b, V, iters, variant, sample):
 @pytest.mark.parametrize("tag", BUILTIN_TAGS)
 def test_blocks_match_the_per_iteration_loop(tag, variant):
     # runs that end just before, at and just after a block boundary, and
-    # one that spans three blocks, are bitwise the plain loop's
+    # one that spans three blocks, are bitwise the plain loop's; at stride
+    # 1500 the first block of all but the shortest run holds no sample
     b = builtin(tag)
     V = choose_V(b.program)
     names = ("x", "queue", "qnorm", "f_xbar", "g_xbar", "lambda_dist", "dual_gap")
     for iters in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
-        for sample in ("linear", "log"):
+        for sample in ("linear", "log", "linear:1500"):
             cfg = SolverConfig(V=V, q0=np.zeros(b.program.m), iters=iters,
                                variant=variant, sample=sample)
             tr = run(b.program, b.oracle, cfg, reference=b.reference)
