@@ -10,6 +10,11 @@ pure in it, and has two methods:
   (k, m) block of queues;
 - ``step(q, out)``: one DPP queue update, Q(t+1) = max(q + g(x(q)), 0),
   written into ``out`` and returned.
+
+Only the QP oracle needs scipy: it imports ``scipy.linalg`` when it is
+built, for the Cholesky factor of 2VP.  The instances and the NUM oracle
+need numpy alone, so importing this module or building a problem bundle
+(which keeps the oracle factory, not an oracle) loads no scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import DimensionError, _as_vector, _check_V
 
@@ -166,6 +170,10 @@ class ClosedFormQpOracle:
     """
 
     def __init__(self, inst: QpInstance, V: float):
+        # imported here so that nothing else loads scipy; the Cholesky
+        # solve stays, as np.linalg.solve rounds x0, K and M differently
+        import scipy.linalg
+
         H, A = 2.0 * _check_V(V) * inst.P, inst.A
         if np.linalg.cond(H) > 1e12:
             raise InnerSolveError("inner quadratic system is ill-conditioned")

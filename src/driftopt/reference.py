@@ -9,6 +9,11 @@ set; the certificate is the same for both.
 
 Kept deliberately independent of the iterative solvers so it can serve as
 the oracle in every convergence test.
+
+scipy is imported only for the analytic centre of a rank-deficient
+multiplier face (``null_space`` and ``linprog``), when more constraints
+are active than the rank of their system; every other KKT solve needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .oracles import NumInstance, QpInstance
 
@@ -54,6 +57,9 @@ def _analytic_center_multiplier(M: np.ndarray, lam0: np.ndarray) -> np.ndarray:
     center, so that is the deterministic representative we return.
     ``lam0`` is any nonnegative multiplier on the face.
     """
+    import scipy.linalg
+    import scipy.optimize
+
     ns = scipy.linalg.null_space(M)
     if ns.size == 0:
         return lam0
