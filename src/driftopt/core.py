@@ -1,14 +1,16 @@
 """Shared domain types: programs, virtual queues and sampled traces.
 
-Programs and queues are immutable value objects and the functions are pure;
-a trace is a mutable record whose constructor normalizes its ``t`` column.
+``ProgramSpec`` is the base of every problem kind: it checks and stores
+the linear constraints and the moduli alpha and beta that the guarantees
+need.  Programs and queues are immutable value objects and the functions
+are pure; a trace is a mutable record whose constructor normalizes its
+``t`` column.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,31 +34,70 @@ def _check_V(V: float) -> float:
     return V
 
 
+def _set_finite_readonly(obj, **fields: np.ndarray) -> None:
+    """Store a read-only copy of each finite field on the frozen ``obj``;
+    the caller's own arrays stay writeable."""
+    for name, val in fields.items():
+        if not np.all(np.isfinite(val)):
+            raise ValueError(f"{name} must be finite (found NaN or inf)")
+        val = np.array(val, order="C")
+        val.flags.writeable = False
+        object.__setattr__(obj, name, val)
+
+
 @dataclass(frozen=True)
 class ProgramSpec:
-    """A strongly convex program: min f(x) s.t. g(x) <= 0, x in a set X.
+    """A strongly convex program: min f(x) s.t. g(x) = Ax - b <= 0, x in a
+    set X, with costs c, and A a finite m x n matrix (m, n >= 1); A, b and
+    c are stored read-only.
 
-    ``objective`` maps an n-vector to a scalar and ``constraints`` maps it
-    to an m-vector; each also maps a (k, n) block of rows to the k row
-    values, k = 0 included, which the solver uses to evaluate a block's
-    samples in one call.
-    X is not stored: the inner oracle of each problem kind encodes it.
-    ``alpha`` is the strong-convexity modulus of the objective on X;
-    ``beta`` is a common Lipschitz modulus of every constraint component.
+    Each problem kind is a frozen subclass that declares A, b and c in its
+    own order, defines ``objective`` and checks its own fields in
+    ``_check_kind``, which runs after the A, b and c checks.  ``objective``
+    maps an n-vector to a scalar and ``constraints`` maps it to an
+    m-vector; each also maps a (k, n) block of rows to the k row values,
+    k = 0 included, which the solver uses to evaluate a block's samples in
+    one call.  X is not stored: the inner oracle of each kind encodes it.
+
+    ``alpha`` is the strong-convexity modulus of the objective on X and
+    ``beta`` a common Lipschitz modulus of every constraint component.
+    None, their default, means the computed value: the kind's
+    ``alpha_computed`` and the largest row norm of A.
     """
 
-    n: int
-    m: int
-    objective: Callable[[np.ndarray], float]
-    constraints: Callable[[np.ndarray], np.ndarray]
-    alpha: float
-    beta: float
+    alpha: float | None = field(default=None, kw_only=True)
+    beta: float | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError("need n >= 1 and m >= 1")
+        A = np.asarray(self.A, dtype=float)
+        if A.ndim in (1, 2) and A.shape[0] == 0:
+            raise ValueError("A needs at least one constraint row")
+        if A.ndim != 2:
+            raise DimensionError("A must be a matrix")
+        m, n = A.shape
+        if n == 0:
+            raise ValueError("A needs at least one column")
+        c, b = _as_vector(self.c, n, "c"), _as_vector(self.b, m, "b")
+        _set_finite_readonly(self, A=A, b=b, c=c)
+        self._check_kind()
+        if self.alpha is None:
+            object.__setattr__(self, "alpha", self.alpha_computed)
+        if self.beta is None:
+            object.__setattr__(self, "beta", float(np.linalg.norm(self.A, axis=1).max()))
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be positive")
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[1]
+
+    @property
+    def m(self) -> int:
+        return self.A.shape[0]
+
+    def constraints(self, x: np.ndarray) -> np.ndarray:
+        """g(x) = Ax - b of an n-vector, or of each row of a (k, n) block."""
+        return self.A.dot(x.T).T - self.b
 
 
 @dataclass(frozen=True)

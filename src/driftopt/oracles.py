@@ -1,10 +1,11 @@
 """Inner-minimization oracles: argmin over the box of V*f(x) + q.g(x).
 
 One closed form per problem kind: log-utility rate allocation and the
-unconstrained quadratic.  An oracle is built for one instance and one
-penalty ``V``, a constant of the DPP run, and computes its per-V
-constants then.  It takes the queue as a raw nonnegative float array, is
-pure in it, and has two methods:
+unconstrained quadratic.  Each kind's instance is a ``core.ProgramSpec``
+that adds its own fields, checks and objective, and its computed alpha.
+An oracle is built for one instance and one penalty ``V``, a constant of
+the DPP run, and computes its per-V constants then.  It takes the queue
+as a raw nonnegative float array, is pure in it, and has two methods:
 
 - ``argmin(q)``: x(q) for one queue (m,), or the (k, n) rows x(q_i) of a
   (k, m) block of queues;
@@ -23,57 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionError, _as_vector, _check_V
+from .core import DimensionError, ProgramSpec, _as_vector, _check_V, _set_finite_readonly
 
 
 class InnerSolveError(RuntimeError):
     """Inner minimization failed."""
 
 
-def _set_finite_readonly(inst, **fields: np.ndarray) -> None:
-    """Store a read-only copy of each finite field on the frozen instance;
-    the caller's own arrays stay writeable."""
-    for name, val in fields.items():
-        if not np.all(np.isfinite(val)):
-            raise ValueError(f"{name} must be finite (found NaN or inf)")
-        val = np.array(val, order="C")
-        val.flags.writeable = False
-        object.__setattr__(inst, name, val)
-
-
-class _LinearlyConstrained:
-    """What both problem kinds share: costs c and linear constraints
-    g(x) = Ax - b <= 0, with A a finite m x n matrix (m, n >= 1), stored
-    read-only.  It has no fields: each kind is a frozen dataclass that
-    declares A, b and c in its own order and runs this check first."""
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        if A.ndim in (1, 2) and A.shape[0] == 0:
-            raise ValueError("A needs at least one constraint row")
-        if A.ndim != 2:
-            raise DimensionError("A must be a matrix")
-        m, n = A.shape
-        if n == 0:
-            raise ValueError("A needs at least one column")
-        c, b = _as_vector(self.c, n, "c"), _as_vector(self.b, m, "b")
-        _set_finite_readonly(self, A=A, b=b, c=c)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
-
-    def constraints(self, x: np.ndarray) -> np.ndarray:
-        """g(x) = Ax - b of an n-vector, or of each row of a (k, n) block."""
-        return self.A.dot(x.T).T - self.b
-
-
 @dataclass(frozen=True)
-class NumInstance(_LinearlyConstrained):
+class NumInstance(ProgramSpec):
     """Rate-allocation instance: min sum -c_i log x_i s.t. Ax <= b, 0 <= x <= xmax.
 
     A is a 0-1 routing matrix (m x n) with at least one nonzero per column,
@@ -86,8 +45,7 @@ class NumInstance(_LinearlyConstrained):
     b: np.ndarray
     xmax: np.ndarray
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check_kind(self):
         _set_finite_readonly(self, xmax=_as_vector(self.xmax, self.n, "xmax"))
         if np.any(self.c <= 0):
             raise ValueError("utility weights c must be positive")
@@ -100,13 +58,18 @@ class NumInstance(_LinearlyConstrained):
         if np.any(self.A.sum(axis=0) < 1):
             raise ValueError("every column of A needs at least one nonzero")
 
+    @property
+    def alpha_computed(self) -> float:
+        """Strong-convexity modulus on the box: min c_i / xmax_i^2."""
+        return float(min(self.c / self.xmax ** 2))
+
     def objective(self, x: np.ndarray):
         # vecdot sums each row as a one-row call does; np.log(X) @ c would not
         return -np.vecdot(np.log(x), self.c)
 
 
 @dataclass(frozen=True)
-class QpInstance(_LinearlyConstrained):
+class QpInstance(ProgramSpec):
     """Quadratic program: min x'Px + c'x s.t. Ax <= b, with P symmetric PD."""
 
     P: np.ndarray
@@ -114,8 +77,7 @@ class QpInstance(_LinearlyConstrained):
     A: np.ndarray
     b: np.ndarray
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check_kind(self):
         P = np.asarray(self.P, dtype=float)
         if P.shape != (self.n, self.n):
             raise DimensionError("P must be n x n, for A m x n")
@@ -126,7 +88,7 @@ class QpInstance(_LinearlyConstrained):
             raise ValueError("2P must be positive definite")
 
     @property
-    def alpha(self) -> float:
+    def alpha_computed(self) -> float:
         """Strong-convexity modulus: smallest eigenvalue of 2P."""
         return float(np.linalg.eigvalsh(2.0 * self.P).min())
 

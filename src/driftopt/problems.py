@@ -1,9 +1,10 @@
 """Built-in benchmark instances and a JSON problem loader.
 
-Each bundle couples a concrete instance, its ProgramSpec view, the factory
-V -> closed-form inner oracle, named constants (with a provenance flag
-telling whether the value is taken verbatim from the original experiment
-write-up or recomputed from the data), and the ground-truth KKT solution.
+Each bundle couples a program (an instance of one problem kind, which is
+a ProgramSpec with its alpha and beta), the factory V -> closed-form inner
+oracle, named constants (with a provenance flag telling whether the value
+is taken verbatim from the original experiment write-up or recomputed
+from the data), and the ground-truth KKT solution.
 The builtins are problem documents like any problem file; both go through
 one constructor.
 """
@@ -65,13 +66,12 @@ class Constant:
 
 @dataclass
 class ProblemBundle:
-    """A ready-to-run problem: spec, instance, oracle, constants, ground truth."""
+    """A ready-to-run problem: program, oracle, constants, ground truth."""
 
     tag: str
     kind: str  # "num" or "qp"
-    program: ProgramSpec
-    instance: object
-    oracle: object  # V -> the instance's closed-form oracle at penalty V
+    program: ProgramSpec  # a NumInstance or a QpInstance
+    oracle: object  # V -> the program's closed-form oracle at penalty V
     constants: tuple[Constant, ...] = ()
     reference: KktSolution | None = None
     reference_error: str | None = None
@@ -146,48 +146,41 @@ def _bundle(tag: str, doc, paper: dict) -> ProblemBundle:
         raise ValueError("problem file must be a JSON object with a 'kind' field")
     kind = doc["kind"]
     data = {key: _array(doc, key) for key in ("A", "b", "c")}
-    # Everything kind-specific: the instance and its computed alpha, the
-    # closed-form oracle, the ground-truth solver and the dual Hessian at
-    # a multiplier.
+    moduli = {key: _number(doc, key) for key in ("alpha", "beta") if key in doc}
+    # Everything kind-specific: the instance, the closed-form oracle, the
+    # ground-truth solver and the dual Hessian at a multiplier.
     if kind == "num":
-        inst = NumInstance(**data, xmax=_array(doc, "xmax"))
-        alpha_computed = float(min(inst.c / inst.xmax ** 2))
+        inst = NumInstance(**data, xmax=_array(doc, "xmax"), **moduli)
         oracle, kkt_solve = functools.partial(ClosedFormNumOracle, inst), kkt_solve_num
         dual_hessian = lambda lam: num_dual_hessian(inst, lam)
     elif kind == "qp":
-        inst = QpInstance(**data, P=_array(doc, "P"))
-        alpha_computed = inst.alpha
+        inst = QpInstance(**data, P=_array(doc, "P"), **moduli)
         oracle, kkt_solve = functools.partial(ClosedFormQpOracle, inst), kkt_solve_qp
         dual_hessian = lambda lam: general_dual_hessian(inst.A, 2.0 * inst.P)
     else:
         raise ValueError(f"unknown problem kind {kind!r}")
 
-    alpha = _number(doc, "alpha") if "alpha" in doc else alpha_computed
-    beta = _number(doc, "beta") if "beta" in doc else float(
-        np.linalg.norm(inst.A, axis=1).max())
-    program = ProgramSpec(n=inst.n, m=inst.m, objective=inst.objective,
-                          constraints=inst.constraints, alpha=alpha, beta=beta)
     try:
         reference, err = kkt_solve(inst), None
     except (InfeasibleError, ValueError) as exc:
         # ValueError: m above the enumeration limit, or a LinAlgError
         reference, err = None, str(exc)
 
-    constants = [Constant("alpha", alpha, "paper" if "alpha" in doc else "computed")]
+    constants = [Constant("alpha", inst.alpha, "paper" if "alpha" in doc else "computed")]
     if "alpha" in doc:
-        constants.append(Constant("alpha_computed", alpha_computed, "computed"))
-    constants.append(Constant("beta", beta, "paper" if "beta" in doc else "computed"))
+        constants.append(Constant("alpha_computed", inst.alpha_computed, "computed"))
+    constants.append(Constant("beta", inst.beta, "paper" if "beta" in doc else "computed"))
     if "gamma" in paper:
         _check_gamma_vs_Lc(dual_hessian, reference, paper["gamma"])
         constants += [Constant("gamma", paper["gamma"], "paper"),
-                      Constant("gamma_computed", _gamma(inst.A, alpha), "computed")]
+                      Constant("gamma_computed", _gamma(inst.A, inst.alpha), "computed")]
     else:
-        constants.append(Constant("gamma", _gamma(inst.A, alpha), "computed"))
+        constants.append(Constant("gamma", _gamma(inst.A, inst.alpha), "computed"))
     constants += [Constant(name, value, "paper")
                   for name, value in paper.items() if name != "gamma"]
-    return ProblemBundle(tag=tag, kind=kind, program=program, instance=inst,
-                         oracle=oracle, constants=tuple(constants),
-                         reference=reference, reference_error=err)
+    return ProblemBundle(tag=tag, kind=kind, program=inst, oracle=oracle,
+                         constants=tuple(constants), reference=reference,
+                         reference_error=err)
 
 
 def builtin(tag: str) -> ProblemBundle:

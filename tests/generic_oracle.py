@@ -1,10 +1,27 @@
 """A generic inner oracle, the independent check the closed forms are tested
 against: projected gradient with Barzilai-Borwein steps on any program
-with analytic derivatives."""
+with analytic derivatives; and a generic program given by callables."""
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from driftopt import InnerSolveError
+
+
+@dataclass(frozen=True)
+class GenericProgram:
+    """A program given by its callables and moduli: the members that the
+    solver and the generic oracle read, with no problem kind behind them.
+    ``objective`` and ``constraints`` take an n-vector or a (k, n) block."""
+
+    n: int
+    m: int
+    objective: Callable[[np.ndarray], float]
+    constraints: Callable[[np.ndarray], np.ndarray]
+    alpha: float
+    beta: float
 
 
 class ProjectedGradientOracle:
@@ -96,7 +113,7 @@ def generic_oracle(bundle, tol: float = 1e-10):
     """The factory V -> generic oracle on a builtin or problem-file bundle,
     with the box and the analytic derivatives of its kind: NUM rates in
     [0, xmax], QP points in R^n."""
-    inst = bundle.instance
+    inst = bundle.program
     if bundle.kind == "num":
         lower, upper = 0.0, inst.xmax
         grad = lambda x: -inst.c / x

@@ -47,13 +47,13 @@ def qp_runs_1e5():
 
 def test_criterion_1_ground_truth():
     t0 = time.perf_counter()
-    num = kkt_solve_num(builtin("num_6_1").instance)
+    num = kkt_solve_num(builtin("num_6_1").program)
     t_num = time.perf_counter() - t0
     t0 = time.perf_counter()
-    qp = kkt_solve_qp(builtin("qp_6_2").instance)
+    qp = kkt_solve_qp(builtin("qp_6_2").program)
     t_qp = time.perf_counter() - t0
     t0 = time.perf_counter()
-    deg = kkt_solve_num(builtin("num_5_2_rank_deficient").instance)
+    deg = kkt_solve_num(builtin("num_5_2_rank_deficient").program)
     t_deg = time.perf_counter() - t0
 
     # optimal value implied by the stated optimum (2, 3.2, 4.8)
@@ -172,15 +172,15 @@ def test_criterion_7_drift_identity():
 def test_criterion_8_rank_deficient_counterexample():
     b = builtin("num_5_2_rank_deficient")
     mu = np.array([1.0, 1.0, -1.0, -1.0])
-    H = num_dual_hessian(b.instance, b.reference.lambda_star)
+    H = num_dual_hessian(b.program, b.reference.lambda_star)
     n = builtin("num_6_1")
     # the dual is strongly concave iff A has full row rank m (numerical
     # rank: singular values above 1e-10 times the largest)
     rank_deg, rank_full = (
         np.linalg.matrix_rank(A, tol=1e-10 * np.linalg.norm(A, 2))
-        for A in (b.instance.A, n.instance.A))
-    ok = (np.all(mu @ b.instance.A == 0)
-          and mu @ b.instance.b == 0
+        for A in (b.program.A, n.program.A))
+    ok = (np.all(mu @ b.program.A == 0)
+          and mu @ b.program.b == 0
           and np.linalg.norm(H @ mu) <= 1e-6
           and rank_deg < b.program.m
           and rank_full == n.program.m)
@@ -198,8 +198,8 @@ def test_criterion_9_oracle_equivalences():
     k2 = SolverConfig(V=1.0 / c, q0=np.zeros(2), iters=10_000,
                       sample="linear")
     t2 = run(b.program, b.oracle, k2)
-    P, c_obj, A, b_vec = (b.instance.P, b.instance.c, b.instance.A,
-                          b.instance.b)
+    P, c_obj, A, b_vec = (b.program.P, b.program.c, b.program.A,
+                          b.program.b)
     lam = np.zeros(2)
     worst_x = worst_lam = 0.0
     for t in range(k2.iters + 1):
@@ -227,9 +227,9 @@ def test_criterion_9_oracle_equivalences():
         bb = builtin(tag)
         lam = bb.reference.lambda_star
         x = bb.reference.x_star
-        H1 = num_dual_hessian(bb.instance, lam)
-        H2 = general_dual_hessian(bb.instance.A,
-                                  np.diag(bb.instance.c / x ** 2))
+        H1 = num_dual_hessian(bb.program, lam)
+        H2 = general_dual_hessian(bb.program.A,
+                                  np.diag(bb.program.c / x ** 2))
         worst_hess = max(worst_hess, np.abs(H1 - H2).max())
 
     ok = worst_x <= 1e-12 and worst_lam <= 1e-12 and worst_oracle <= 1e-6 \

@@ -1,15 +1,17 @@
-"""Every name in ``driftopt.__all__`` is used by the package itself, and
-every oracle in ``driftopt.oracles`` has the full oracle protocol: built
-from (inst, V), with ``argmin(q)`` and ``step(q, out)`` that leave it as
-it was.
+"""Every name in ``driftopt.__all__``, and every field of its dataclasses,
+is used by the package itself; every problem kind is a ``ProgramSpec``;
+and every oracle in ``driftopt.oracles`` has the full oracle protocol:
+built from (inst, V), with ``argmin(q)`` and ``step(q, out)`` that leave
+it as it was.
 
-The first check parses ``src/driftopt`` with ``ast`` and counts a name as
+The usage checks parse ``src/driftopt`` with ``ast`` and count a name as
 used when some module other than ``__init__`` loads it (as a bare name or
 an attribute) outside the statement that defines it.  Imports do not
 count.
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -18,10 +20,15 @@ import pytest
 
 import driftopt
 import driftopt.oracles
-from driftopt import builtin, choose_V
+from driftopt import NumInstance, ProgramSpec, QpInstance, builtin, choose_V
 
 # Public names whose only callers are tests, each with the reason it stays.
 TEST_ONLY: dict[str, str] = {}
+
+# Public dataclasses whose fields need no reader by name, with the reason.
+UNREAD_FIELDS: dict[str, str] = {
+    "RateFit": "to_dict writes every field through asdict",
+}
 
 
 def _defined_names(stmt) -> set[str]:
@@ -64,6 +71,44 @@ def test_test_only_list_is_current():
     used = used_names()
     for name in TEST_ONLY:
         assert name in driftopt.__all__ and name not in used, name
+
+
+def test_every_dataclass_field_is_read_by_the_package():
+    used = used_names()
+    classes = {name: getattr(driftopt, name) for name in driftopt.__all__
+               if dataclasses.is_dataclass(getattr(driftopt, name))}
+    assert set(UNREAD_FIELDS) <= set(classes)
+    unread = sorted(f"{name}.{f.name}" for name, cls in classes.items()
+                    if name not in UNREAD_FIELDS
+                    for f in dataclasses.fields(cls) if f.name not in used)
+    assert unread == [], f"dataclass fields only tests read: {unread}"
+
+
+PROBLEM_KINDS = [cls for name, cls in vars(driftopt.oracles).items()
+                 if isinstance(cls, type) and name.endswith("Instance")]
+
+
+def test_every_problem_kind_is_a_program():
+    # the instance is the program the solver runs: alpha and beta are
+    # keyword-only, and None (the default) means the computed modulus
+    assert PROBLEM_KINDS
+    for cls in PROBLEM_KINDS:
+        assert issubclass(cls, ProgramSpec), cls.__name__
+        params = inspect.signature(cls).parameters
+        for name in ("alpha", "beta"):
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY, cls.__name__
+            assert params[name].default is None, cls.__name__
+    P = np.array([[2.0, 1.0], [1.0, 3.0]])
+    qp = QpInstance(P=P, c=[1.0, 0.0], A=[[3.0, 4.0], [1.0, 1.0]], b=[1.0, 1.0])
+    assert qp.alpha == np.linalg.eigvalsh(2.0 * P).min()
+    assert qp.beta == 5.0
+    c, xmax = np.array([1.0, 8.0, 3.0]), np.array([4.0, 5.0, 6.0])
+    num = NumInstance(c=c, A=[[1, 1, 0], [0, 1, 1]], b=[1.0, 2.0], xmax=xmax)
+    assert num.alpha == np.min(c / xmax ** 2) == 1.0 / 16.0
+    assert num.beta == np.sqrt(2.0)
+    given = NumInstance(c=c, A=[[1, 1, 0], [0, 1, 1]], b=[1.0, 2.0], xmax=xmax,
+                        alpha=0.5, beta=3.0)
+    assert (given.alpha, given.beta, given.alpha_computed) == (0.5, 3.0, 1.0 / 16.0)
 
 
 ORACLES = [cls for name, cls in vars(driftopt.oracles).items()

@@ -119,8 +119,18 @@ def test_audit_trace_without_required_columns(tmp_path, capsys):
     ({**BUILTINS["num_6_1"], "c": [1.0, 2.0]}, "c has length 2, expected 3"),
     ({**BUILTINS["qp_6_2"], "b": [1.0]}, "b has length 1, expected 2"),
     ({**BUILTINS["num_6_1"], "xmax": [11.0]}, "xmax has length 1, expected 3"),
+    # the moduli: read before the instance is built, checked after it
+    ({**BUILTINS["num_6_1"], "alpha": 0}, "alpha and beta must be positive"),
+    ({**BUILTINS["qp_6_2"], "beta": -1}, "alpha and beta must be positive"),
+    ({**BUILTINS["qp_6_2"], "alpha": "x"}, "problem field 'alpha' must be a finite number"),
+    ({**BUILTINS["qp_6_2"], "A": [[[1.0, 1.0]], [[0.0, 1.0]]], "alpha": "x"},
+     "problem field 'alpha' must be a finite number"),
+    ({**BUILTINS["qp_6_2"], "A": [[[1.0, 1.0]], [[0.0, 1.0]]], "alpha": 0},
+     "A must be a matrix"),
 ], ids=["not-an-object", "unknown-kind", "ragged-array", "A-3d", "A-no-column",
-        "P-2x3", "A-1x3-P-2x2", "c-length", "b-length", "xmax-length"])
+        "P-2x3", "A-1x3-P-2x2", "c-length", "b-length", "xmax-length",
+        "alpha-zero", "beta-negative", "alpha-string", "A-3d-alpha-string",
+        "A-3d-alpha-zero"])
 def test_bad_problem_file(tmp_path, capsys, doc, message):
     code, out, err = run_cli(capsys, "kkt", "--problem", problem_file(tmp_path, doc))
     assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -1,27 +1,23 @@
 import numpy as np
 import pytest
 
-from driftopt import (DimensionError, IterateTrace, ProgramSpec, QueueState,
-                      SolverConfig, builtin, run, sample_indices)
+from driftopt import (IterateTrace, QpInstance, QueueState, SolverConfig,
+                      builtin, run, sample_indices)
+
+# min x'x s.t. x_1 + x_2 <= 1
+QP = dict(P=np.eye(2), c=np.zeros(2), A=[[1.0, 1.0]], b=[1.0])
 
 
-def make_program(**kw):
-    defaults = dict(
-        n=2, m=1,
-        objective=lambda x: np.vecdot(x, x),
-        constraints=lambda x: x @ np.ones((2, 1)) - 1.0,
-        alpha=2.0, beta=np.sqrt(2.0))
-    defaults.update(kw)
-    return ProgramSpec(**defaults)
-
-
-@pytest.mark.parametrize("field,message", [
-    ("n", "need n >= 1 and m >= 1"), ("m", "need n >= 1 and m >= 1"),
-    ("alpha", "alpha and beta must be positive"),
-    ("beta", "alpha and beta must be positive")], ids=["n", "m", "alpha", "beta"])
-def test_program_validates_dimensions(field, message):
+@pytest.mark.parametrize("field,value,message", [
+    ("A", np.zeros((1, 0)), "A needs at least one column"),
+    ("A", np.zeros((0, 2)), "A needs at least one constraint row"),
+    ("alpha", 0.0, "alpha and beta must be positive"),
+    ("beta", 0.0, "alpha and beta must be positive")], ids=["n", "m", "alpha", "beta"])
+def test_program_validates_dimensions(field, value, message):
+    # the program's n and m are A's shape; alpha and beta, given or
+    # computed, must be positive
     with pytest.raises(ValueError, match=message):
-        make_program(**{field: 0})
+        QpInstance(**{**QP, field: value})
 
 
 def test_queue_state_rejects_negative():

@@ -87,7 +87,7 @@ def test_num_dual_hessian_scalar():
 
 def test_num_dual_hessian_rank_deficient_null_direction():
     b = builtin("num_5_2_rank_deficient")
-    H = num_dual_hessian(b.instance, b.reference.lambda_star)
+    H = num_dual_hessian(b.program, b.reference.lambda_star)
     mu = np.array([1.0, 1.0, -1.0, -1.0])
     assert float(mu @ H @ mu) == pytest.approx(0.0, abs=1e-10)
     assert np.linalg.norm(H @ mu) <= 1e-6
@@ -95,14 +95,14 @@ def test_num_dual_hessian_rank_deficient_null_direction():
 
 def test_num_dual_hessian_negative_definite_full_rank():
     b = builtin("num_6_1")
-    H = num_dual_hessian(b.instance, b.reference.lambda_star)
+    H = num_dual_hessian(b.program, b.reference.lambda_star)
     assert np.linalg.eigvalsh(H).max() < -1e-6
 
 
 def test_num_dual_hessian_domain_error():
     b = builtin("num_6_1")
     with pytest.raises(ValueError):
-        num_dual_hessian(b.instance, [0.0, 0.0, 0.0])
+        num_dual_hessian(b.program, [0.0, 0.0, 0.0])
 
 
 def test_general_dual_hessian_identity_case():
@@ -112,7 +112,7 @@ def test_general_dual_hessian_identity_case():
 
 def test_general_dual_hessian_qp():
     b = builtin("qp_6_2")
-    A, P = b.instance.A, b.instance.P
+    A, P = b.program.A, b.program.P
     H = general_dual_hessian(A, 2.0 * P)
     expect = -A @ np.linalg.inv(2.0 * P) @ A.T
     assert np.allclose(H, expect, atol=1e-12)
@@ -126,16 +126,16 @@ def test_hessian_cross_formula_agreement():
         b = builtin(tag)
         lam = b.reference.lambda_star
         x = b.reference.x_star
-        H1 = num_dual_hessian(b.instance, lam)
-        H2 = general_dual_hessian(b.instance.A,
-                                  np.diag(b.instance.c / x ** 2))
+        H1 = num_dual_hessian(b.program, lam)
+        H2 = general_dual_hessian(b.program.A,
+                                  np.diag(b.program.c / x ** 2))
         assert np.abs(H1 - H2).max() <= 1e-8
 
 
 def test_hessian_matches_finite_difference_gradient():
     b = builtin("num_6_1")
     lam = b.reference.lambda_star + 0.05  # interior point
-    H = num_dual_hessian(b.instance, lam)
+    H = num_dual_hessian(b.program, lam)
     h = 1e-5
     for k in range(3):
         e = np.zeros(3)
@@ -160,11 +160,11 @@ def test_qualification_check_examples():
     # locally quadratic dual: the active rows of A are independent;
     # strongly concave dual: A has full row rank m
     n = builtin("num_6_1")
-    A, active = n.instance.A, list(n.reference.active_set)
+    A, active = n.program.A, list(n.reference.active_set)
     assert rank(A[active]) == len(active)
     assert rank(A) == n.program.m
     c = builtin("num_5_2_rank_deficient")
-    A, active = c.instance.A, list(c.reference.active_set)
+    A, active = c.program.A, list(c.reference.active_set)
     assert rank(A) < c.program.m
     assert rank(A[active]) < len(active)
     assert rank(np.eye(4)) == 4
@@ -175,7 +175,7 @@ def test_local_quadratic_growth_near_optimum():
     # smallest-magnitude Hessian curvature
     b = builtin("num_6_1")
     lam_star = b.reference.lambda_star
-    H = num_dual_hessian(b.instance, lam_star)
+    H = num_dual_hessian(b.program, lam_star)
     Lq = 0.5 * (-np.linalg.eigvalsh(H).max())
     q_star, _ = dual_value_and_gradient(b.program, b.oracle, lam_star)
     rng = np.random.default_rng(24)

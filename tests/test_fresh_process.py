@@ -60,7 +60,7 @@ for argv in (["solve", "--builtin", "num_6_1", "--iters", "200", "--out", csv],
     assert code == 0, argv
 scipy_modules()
 bundle = driftopt.builtin("qp_6_2")
-driftopt.ClosedFormQpOracle(bundle.instance, 4.0)
+driftopt.ClosedFormQpOracle(bundle.program, 4.0)
 scipy_modules()
 """
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from driftopt import (ClosedFormNumOracle, ClosedFormQpOracle, InnerSolveError,
-                      NumInstance, ProgramSpec, QpInstance, builtin, choose_V)
-from generic_oracle import ProjectedGradientOracle, generic_oracle
+                      NumInstance, QpInstance, builtin, choose_V)
+from generic_oracle import GenericProgram, ProjectedGradientOracle, generic_oracle
 
 QP_V = 4.0 / 0.34
 NUM_V = 363.0
@@ -45,7 +45,7 @@ def test_qp_instance_validation():
 
 
 def test_log_utility_argmin_zero_queue_hits_caps():
-    inst = builtin("num_6_1").instance
+    inst = builtin("num_6_1").program
     x = ClosedFormNumOracle(inst, NUM_V).argmin(np.zeros(3))
     assert np.allclose(x, inst.xmax)
 
@@ -60,7 +60,7 @@ def test_log_utility_argmin_at_optimal_multiplier():
     # at q = V * lam_star the minimizer is the primal optimum
     b = builtin("num_5_2_rank_deficient")
     lam = np.array([0.3858, 0.0903, 0.7833, 0.0805])
-    x = ClosedFormNumOracle(b.instance, NUM_V).argmin(NUM_V * lam)
+    x = ClosedFormNumOracle(b.program, NUM_V).argmin(NUM_V * lam)
     assert abs(x[0] - 0.8553) < 1e-3
     assert np.allclose(x, [0.8553, 2.1447, 1.1447, 5.8553], atol=1e-3)
 
@@ -72,7 +72,7 @@ def test_quadratic_argmin_trivial():
 
 
 def test_quadratic_argmin_unconstrained_minimum():
-    inst = builtin("qp_6_2").instance
+    inst = builtin("qp_6_2").program
     x = ClosedFormQpOracle(inst, 1.0).argmin(np.zeros(2))
     assert np.allclose(x, [-1.5, 0.5], atol=1e-12)
 
@@ -81,14 +81,14 @@ def test_quadratic_argmin_at_optimal_multiplier():
     b = builtin("qp_6_2")
     lam = b.reference.lambda_star
     for V in (1.0, QP_V, 100.0):
-        x = ClosedFormQpOracle(b.instance, V).argmin(V * lam)
+        x = ClosedFormQpOracle(b.program, V).argmin(V * lam)
         assert np.allclose(x, b.reference.x_star, atol=1e-9)
 
 
 def test_qp_oracle_matches_direct_solve():
     b = builtin("qp_6_2")
-    P, c, A = b.instance.P, b.instance.c, b.instance.A
-    oracle = ClosedFormQpOracle(b.instance, QP_V)
+    P, c, A = b.program.P, b.program.c, b.program.A
+    oracle = ClosedFormQpOracle(b.program, QP_V)
     rng = np.random.default_rng(3)
     for _ in range(50):
         q = rng.uniform(0, 40, 2)
@@ -101,7 +101,7 @@ def test_oracle_rejects_nonpositive_V():
     # the oracle is built at one V and checks it there, as SolverConfig
     # does: a NaN or infinite V is refused too
     for cls, tag in ((ClosedFormNumOracle, "num_6_1"), (ClosedFormQpOracle, "qp_6_2")):
-        inst = builtin(tag).instance
+        inst = builtin(tag).program
         for V in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="^V must be positive and finite$"):
                 cls(inst, V)
@@ -116,7 +116,7 @@ def test_oracle_optimality_certificate():
         x = b.oracle(V).argmin(q)
         val = V * b.program.objective(x) + float(q @ b.program.constraints(x))
         # the box X: rates in [0, xmax], QP points in R^n
-        lower, upper = (0.0, b.instance.xmax) if b.kind == "num" else (-np.inf, np.inf)
+        lower, upper = (0.0, b.program.xmax) if b.kind == "num" else (-np.inf, np.inf)
         for _ in range(1000):
             xp = np.clip(x + rng.uniform(-0.1, 0.1, b.program.n), lower, upper)
             if tag == "num_6_1" and np.any(xp <= 0):
@@ -158,10 +158,10 @@ def test_projected_gradient_matches_num_closed_form():
 
 def test_projected_gradient_constant_constraints():
     # constraints independent of x leave only the strongly convex objective
-    p = ProgramSpec(n=3, m=1,
-                    objective=lambda x: 0.5 * np.vecdot(x, x),
-                    constraints=lambda x: x @ np.zeros((3, 1)) - 1.0,
-                    alpha=1.0, beta=1.0)
+    p = GenericProgram(n=3, m=1,
+                       objective=lambda x: 0.5 * np.vecdot(x, x),
+                       constraints=lambda x: x @ np.zeros((3, 1)) - 1.0,
+                       alpha=1.0, beta=1.0)
     x = ProjectedGradientOracle(p, 1.0, lower=-np.inf, upper=np.inf,
                                 objective_grad=lambda x: x,
                                 constraints_jac=lambda x: np.zeros((1, 3)),
@@ -170,10 +170,10 @@ def test_projected_gradient_constant_constraints():
 
 
 def test_projected_gradient_needs_derivatives():
-    p = ProgramSpec(n=1, m=1,
-                    objective=lambda x: np.vecdot(x, x),
-                    constraints=lambda x: x[..., :1],
-                    alpha=2.0, beta=1.0)
+    p = GenericProgram(n=1, m=1,
+                       objective=lambda x: np.vecdot(x, x),
+                       constraints=lambda x: x[..., :1],
+                       alpha=2.0, beta=1.0)
     with pytest.raises(InnerSolveError):
         ProjectedGradientOracle(p, 1.0, lower=[-1.0], upper=[1.0]).argmin(np.zeros(1))
 
@@ -226,7 +226,7 @@ def test_qp_step_is_argmin_then_constraints():
     # the affine map M q + c0 regroups the sums of A (x0 + K q) - b, so it
     # agrees with argmin, then constraints, to rounding of the terms summed
     b = builtin("qp_6_2")
-    P, c, A, b_vec = b.instance.P, b.instance.c, b.instance.A, b.instance.b
+    P, c, A, b_vec = b.program.P, b.program.c, b.program.A, b.program.b
     rng = np.random.default_rng(22)
     out = np.empty(2)
     for _ in range(200):

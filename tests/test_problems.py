@@ -54,7 +54,7 @@ def test_rank_deficient_bundle():
                        [0.3858, 0.0903, 0.7833, 0.0805], atol=1e-3)
     # rank 3 < m = 4 (singular values above 1e-10 times the largest): the
     # dual is not strongly concave
-    A = b.instance.A
+    A = b.program.A
     assert np.linalg.matrix_rank(A, tol=1e-10 * np.linalg.norm(A, 2)) == 3
 
 
@@ -72,8 +72,8 @@ def test_rank_deficiency_witness():
     # mu = (1,1,-1,-1) kills both the rows of A and the right-hand side
     b = builtin("num_5_2_rank_deficient")
     mu = np.array([1.0, 1.0, -1.0, -1.0])
-    assert np.all(mu @ b.instance.A == 0)
-    assert mu @ b.instance.b == 0
+    assert np.all(mu @ b.program.A == 0)
+    assert mu @ b.program.b == 0
 
 
 def test_round_trip_through_json(tmp_path):
@@ -83,9 +83,9 @@ def test_round_trip_through_json(tmp_path):
         path.write_text(json.dumps(BUILTINS[tag]))
         loaded = load_problem(path)
         assert loaded.kind == b.kind
-        assert np.array_equal(loaded.instance.A, b.instance.A)
-        assert np.array_equal(loaded.instance.b, b.instance.b)
-        assert np.array_equal(loaded.instance.c, b.instance.c)
+        assert np.array_equal(loaded.program.A, b.program.A)
+        assert np.array_equal(loaded.program.b, b.program.b)
+        assert np.array_equal(loaded.program.c, b.program.c)
         assert loaded.program.alpha == b.program.alpha
         assert loaded.program.beta == b.program.beta
         assert np.allclose(loaded.reference.x_star, b.reference.x_star,
@@ -170,15 +170,15 @@ def test_random_row_forms_match_one_row_calls(tmp_path, kind):
         path = tmp_path / f"{kind}{k}.json"
         path.write_text(json.dumps(random_document(rng, kind)))
         bundle = load_problem(path)
-        inst, program = bundle.instance, bundle.program
+        inst = bundle.program
         X = rng.uniform(0.01, 10.0, (300, inst.n))
         f_size = (np.abs(np.log(X)) @ inst.c if kind == "num"
                   else np.vecdot(X @ np.abs(inst.P), X) + X @ np.abs(inst.c))
         g_size = X @ np.abs(inst.A).T + inst.b
-        f1 = np.array([program.objective(x) for x in X])
-        g1 = np.array([program.constraints(x) for x in X])
-        assert np.all(np.abs(program.objective(X) - f1) <= 1e-12 * f_size), k
-        assert np.all(np.abs(program.constraints(X) - g1) <= 1e-12 * g_size), k
+        f1 = np.array([inst.objective(x) for x in X])
+        g1 = np.array([inst.constraints(x) for x in X])
+        assert np.all(np.abs(inst.objective(X) - f1) <= 1e-12 * f_size), k
+        assert np.all(np.abs(inst.constraints(X) - g1) <= 1e-12 * g_size), k
 
 
 @pytest.mark.parametrize("kind", ["num", "qp"])
@@ -192,8 +192,8 @@ def test_random_oracle_rows_and_steps(tmp_path, kind):
         path = tmp_path / f"{kind}{k}.json"
         path.write_text(json.dumps(random_document(rng, kind)))
         bundle = load_problem(path)
-        inst, program = bundle.instance, bundle.program
-        V = choose_V(program) * 10.0 ** rng.uniform(-2, 2)
+        inst = bundle.program
+        V = choose_V(inst) * 10.0 ** rng.uniform(-2, 2)
         oracle = bundle.oracle(V)
         Q = rng.uniform(0, 20.0, (300, inst.m)) * (rng.random((300, inst.m)) > 0.3)
         X1 = np.array([oracle.argmin(q) for q in Q])
@@ -208,7 +208,7 @@ def test_random_oracle_rows_and_steps(tmp_path, kind):
         assert np.all(np.abs(oracle.argmin(Q) - X1) <= 1e-12 * x_size), k
         out = np.empty(inst.m)
         for q, x, size in zip(Q, X1, g_size):
-            expect = np.maximum(q + program.constraints(x), 0.0)
+            expect = np.maximum(q + inst.constraints(x), 0.0)
             oracle.step(q, out)
             if kind == "num":
                 assert np.array_equal(out, expect), k

@@ -6,7 +6,7 @@ from driftopt import (InfeasibleError, NumInstance, QpInstance, builtin,
 
 
 def test_qp_ground_truth():
-    sol = kkt_solve_qp(builtin("qp_6_2").instance)
+    sol = kkt_solve_qp(builtin("qp_6_2").program)
     assert np.allclose(sol.x_star, [-1.0, -1.0], atol=1e-9)
     assert sol.f_star == pytest.approx(8.0, abs=1e-9)
     assert np.allclose(sol.lambda_star, [5.0, 8.0], atol=1e-8)
@@ -30,7 +30,7 @@ def test_qp_infeasible_reported():
 
 
 def test_num_ground_truth():
-    sol = kkt_solve_num(builtin("num_6_1").instance)
+    sol = kkt_solve_num(builtin("num_6_1").program)
     assert np.allclose(sol.x_star, [2.0, 3.2, 4.8], atol=1e-9)
     # objective value at the optimum (the closed-form log-utility sum)
     expect = -(np.log(2.0) + 2 * np.log(3.2) + 3 * np.log(4.8))
@@ -42,7 +42,7 @@ def test_num_ground_truth():
 def test_num_rank_deficient_face_normalization():
     # all four constraints active, constraint matrix rank 3: the multiplier
     # is a face and the analytic center is reported
-    sol = kkt_solve_num(builtin("num_5_2_rank_deficient").instance)
+    sol = kkt_solve_num(builtin("num_5_2_rank_deficient").program)
     assert np.allclose(sol.x_star, [0.8553, 2.1447, 1.1447, 5.8553], atol=1e-3)
     assert np.allclose(sol.lambda_star, [0.3858, 0.0903, 0.7833, 0.0805],
                        atol=1e-3)
@@ -87,13 +87,13 @@ def test_saddle_consistency():
 def test_stationarity_residual():
     b = builtin("qp_6_2")
     sol = b.reference
-    resid = (2.0 * b.instance.P @ sol.x_star + b.instance.c
-             + b.instance.A.T @ sol.lambda_star)
+    resid = (2.0 * b.program.P @ sol.x_star + b.program.c
+             + b.program.A.T @ sol.lambda_star)
     assert np.abs(resid).max() <= 1e-8
 
     n = builtin("num_6_1")
     sol = n.reference
-    resid = -n.instance.c / sol.x_star + n.instance.A.T @ sol.lambda_star
+    resid = -n.program.c / sol.x_star + n.program.A.T @ sol.lambda_star
     assert np.abs(resid).max() <= 1e-8
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import warnings
@@ -7,14 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftopt import (VARIANTS, DimensionError, ProgramSpec,
-                      SolverConfig, builtin, choose_V, run)
+from driftopt import (VARIANTS, DimensionError, SolverConfig, builtin,
+                      choose_V, run)
 from driftopt.cli import main
 from driftopt.core import sample_indices
 from driftopt.dual_analysis import dual_value_and_gradient
 from driftopt.problems import BUILTIN_TAGS
 from driftopt.solver import _BLOCK
-from generic_oracle import generic_oracle
+from generic_oracle import GenericProgram, generic_oracle
 
 QP_V = 4.0 / 0.34
 
@@ -182,7 +181,10 @@ def test_queue_dimension_mismatch():
 def test_mis_shaped_constraints_are_rejected():
     # the kernel checks the shape of g(x(Q(0))) once, before the first step
     b = builtin("qp_6_2")
-    program = dataclasses.replace(b.program, constraints=lambda x: b.program.constraints(x)[..., :1])
+    p = b.program
+    program = GenericProgram(n=p.n, m=p.m, objective=p.objective,
+                             constraints=lambda x: p.constraints(x)[..., :1],
+                             alpha=p.alpha, beta=p.beta)
     oracle = CountingOracle(b)
     cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=5)
     with pytest.raises(DimensionError, match="g\\(x\\) has length 1, expected 2"):
@@ -354,8 +356,8 @@ def test_drift_residual_of_a_step_at_a_block_edge(step):
     # with g(x) = x: Q = 0 and g = -1 everywhere, except Q(step) = 1.1,
     # g(step) = 2.3 and Q(step + 2) = 0 again.  Every residual is exactly 0
     # but that of the step, which counts once Q(step + 1) exists.
-    program = ProgramSpec(n=1, m=1, objective=lambda x: np.vecdot(x, x),
-                          constraints=lambda x: x.copy(), alpha=2.0, beta=1.0)
+    program = GenericProgram(n=1, m=1, objective=lambda x: np.vecdot(x, x),
+                             constraints=lambda x: x.copy(), alpha=2.0, beta=1.0)
     script = [-1.0] * (step + 3)
     script[step - 1:step + 2] = 1.1, 2.3, -10.0
     q, g = np.array([1.1]), np.array([2.3])
