@@ -6,7 +6,7 @@ from .core import (DimensionError, IterateTrace, ProgramSpec, QueueState,
                    sample_indices)
 from .oracles import (ClosedFormNumOracle, ClosedFormQpOracle, InnerSolveError,
                       NumInstance, QpInstance)
-from .solver import SolverConfig, VARIANTS, choose_V, run
+from .solver import VARIANTS, choose_V, run
 from .reference import (InfeasibleError, KktSolution, kkt_solve_num,
                         kkt_solve_qp)
 from .dual_analysis import (dual_value_and_gradient, general_dual_hessian,
@@ -22,10 +22,9 @@ __all__ = [
     "BUILTIN_TAGS", "ClosedFormNumOracle", "ClosedFormQpOracle", "Constant",
     "DimensionError", "InfeasibleError", "InnerSolveError", "IterateTrace",
     "KktSolution", "NumInstance", "ProblemBundle", "ProgramSpec",
-    "QpInstance", "QueueState", "RateFit",
-    "SolverConfig", "VARIANTS", "audit_bounds", "audit_passed", "builtin",
-    "choose_V", "dual_value_and_gradient", "error_series", "fit_geometric",
-    "fit_power_decay", "general_dual_hessian", "kkt_solve_num",
-    "kkt_solve_qp", "load_problem", "num_dual_hessian", "run",
-    "sample_indices", "theta_bound",
+    "QpInstance", "QueueState", "RateFit", "VARIANTS", "audit_bounds",
+    "audit_passed", "builtin", "choose_V", "dual_value_and_gradient",
+    "error_series", "fit_geometric", "fit_power_decay",
+    "general_dual_hessian", "kkt_solve_num", "kkt_solve_qp", "load_problem",
+    "num_dual_hessian", "run", "sample_indices", "theta_bound",
 ]

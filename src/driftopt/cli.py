@@ -27,7 +27,7 @@ from .diagnostics import (audit_bounds, audit_passed, error_series, fit_geometri
 from .oracles import InnerSolveError
 from .problems import (BUILTIN_TAGS, ProblemBundle, _array, _number, builtin,
                        load_problem)
-from .solver import SolverConfig, choose_V, run
+from .solver import choose_V, run
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -104,11 +104,11 @@ def cmd_solve(args) -> int:
     program = bundle.program
     q0 = _parse_q0(args.q0, program.m)
     V = args.V if args.V is not None else choose_V(program)
-    config = SolverConfig(V=V, q0=q0, iters=args.iters,
-                          variant=ALGORITHMS[args.algorithm], sample=args.sample)
     out = Path(args.out)
     try:
-        trace = run(program, bundle.oracle, config, reference=bundle.reference)
+        trace = run(program, bundle.oracle, V=V, q0=q0, iters=args.iters,
+                    variant=ALGORITHMS[args.algorithm], sample=args.sample,
+                    reference=bundle.reference)
     except FloatingPointError as exc:
         partial = getattr(exc, "partial_trace", None)
         if partial is not None and len(partial):
@@ -149,7 +149,7 @@ def _read_trace_csv(path: Path, columns) -> dict:
     cell is blank (``f_err`` without a reference) maps to None.  A row
     whose field count differs from the header's, a blank, non-numeric or
     non-finite cell in a parsed column, or a ``t`` that is not an integer
-    >= 1, raises ValueError.
+    >= 1 or not strictly increasing, raises ValueError.
     """
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
@@ -174,6 +174,8 @@ def _read_trace_csv(path: Path, columns) -> dict:
     t = cols.get("t")
     if t is not None and not (np.all(t >= 1) and np.array_equal(t, np.floor(t))):
         raise ValueError("trace CSV column 't' must hold integers >= 1")
+    if t is not None and np.any(np.diff(t) <= 0):
+        raise ValueError("trace CSV column 't' must be strictly increasing")
     return cols
 
 

@@ -129,6 +129,7 @@ def _entry(name: str, applicable: bool, passed: bool | None = None,
             "worst_margin": worst_margin}
 
 
+@np.errstate(all="ignore")  # a non-finite margin is returned, not warned about
 def audit_bounds(trace: IterateTrace, reference: KktSolution,
                  program: ProgramSpec, q0: np.ndarray, gamma: float,
                  oracle) -> list[dict]:

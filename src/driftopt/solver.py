@@ -26,7 +26,6 @@ V; distinct runs share no mutable state and may execute concurrently.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,36 +38,19 @@ VARIANTS = ("dpp", "dpp_shifted")
 _BLOCK = 1024
 
 
-@dataclass
-class SolverConfig:
-    """Run parameters for a single solver invocation."""
-
-    V: float
-    q0: np.ndarray
-    iters: int
-    variant: str = "dpp"
-    sample: str = "log"
-
-    def __post_init__(self):
-        _check_V(self.V)
-        if self.iters < 1:
-            raise ValueError("iters must be >= 1")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        sample_indices(1, self.sample)  # rejects a malformed spec up front
-        self.q0 = QueueState(self.q0).q
-
-
 def choose_V(program: ProgramSpec) -> float:
     """Smallest penalty parameter covered by the convergence guarantees,
     m beta^2 / alpha."""
     return program.m * program.beta ** 2 / program.alpha
 
 
-def run(program: ProgramSpec, oracle, config: SolverConfig,
-        reference=None) -> IterateTrace:
-    """Execute the configured solver and return a sampled trace, stepping
-    the inner oracle that the factory ``oracle`` builds at ``config.V``.
+def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
+        variant: str = "dpp", sample: str = "log", reference=None) -> IterateTrace:
+    """Run ``variant`` for ``iters`` steps from the initial queue ``q0`` at
+    the penalty ``V``, stepping the inner oracle that the factory
+    ``oracle`` builds at V, and return the trace sampled where the spec
+    ``sample`` says.  Each parameter is checked once, before the first
+    step, and a V below the guarantee threshold warns.
 
     When ``reference`` (a KktSolution) is given, each sample also records
     the dual-iterate distance ||lambda(t) - lambda*|| and the dual gap
@@ -79,27 +61,31 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
     block; x-bar, f(x-bar) and g(x-bar) are computed only at sampled t,
     with one call of f and one of g per block.  The shape of g(x) is
     checked once, at x(Q(0)), before the first step.  An oracle that
-    cannot be built at ``config.V`` raises before the first step.  A sample
-    with a non-finite value ends the run at the end of its block: the
-    FloatingPointError carries the samples before it and the residuals of
-    the steps through that block as ``partial_trace``.
+    cannot be built at V raises before the first step.  The arithmetic
+    runs with numpy's floating-point warnings off: a sample with a
+    non-finite value ends the run at the end of its block, and the
+    FloatingPointError carries the samples before it and the residuals
+    of the steps through that block as ``partial_trace``.
 
     Deterministic: identical inputs give identical traces.
     """
+    _check_V(V)
+    ts = np.array(sample_indices(iters, sample))
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    q0 = QueueState(q0).q
     floor = choose_V(program)
-    if config.V < floor * (1 - 1e-12):
+    if V < floor * (1 - 1e-12):
         warnings.warn(
-            f"V={config.V:g} is below the guarantee threshold "
+            f"V={V:g} is below the guarantee threshold "
             f"m*beta^2/alpha={floor:g}; convergence bounds may not apply",
             stacklevel=2)
-    if config.q0.shape[0] != program.m:
+    if q0.shape[0] != program.m:
         raise ValueError("initial queue length must equal the constraint count")
 
-    V, iters = config.V, config.iters
-    ts = np.array(sample_indices(iters, config.sample))
     # Sample i averages x over the window [lo[i], hi[i]).
     hi = ts
-    if config.variant == "dpp_shifted":
+    if variant == "dpp_shifted":
         hi = np.maximum(hi // 2 * 2, 1)  # [t//2, 2(t//2)), and [0, 1) at t = 1
         lo = hi // 2
     else:
@@ -118,7 +104,6 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
     if reference is not None:
         lambda_dist, dual_gap = np.empty(S), np.empty(S)
         lam_star = np.asarray(reference.lambda_star, dtype=float)
-        q_star, _ = dual_value_and_gradient(program, oracle, lam_star)
 
     def trace(rows: int) -> IterateTrace:
         return IterateTrace(
@@ -137,64 +122,67 @@ def run(program: ProgramSpec, oracle, config: SolverConfig,
     block = min(_BLOCK, iters + 1)
     X, G, Q = np.empty((block, n)), np.empty((block, m)), np.empty((block + 1, m))
     Q_rows = list(Q)
-    Q[0] = config.q0
+    Q[0] = q0
     sum_x = np.zeros(n)
     max_residual = 0.0
     i = j = k = 0
-    inner = oracle(V)
-    argmin, step = inner.argmin, inner.step
     objective, constraints = program.objective, program.constraints
     columns = (f_xbar, g_xbar, qnorm, lambda_dist, dual_gap, xs, queue)
+    # numpy's floating-point warnings are off from here on: the sample
+    # check reports a non-finite value as a FloatingPointError.
+    with np.errstate(all="ignore"):
+        if lam_star is not None:
+            q_star, _ = dual_value_and_gradient(program, oracle, lam_star)
+        inner = oracle(V)
+        argmin, step = inner.argmin, inner.step
+        _as_vector(constraints(argmin(Q[0])), m, "g(x)")  # checks the shape of g(x) once
+        for t0 in range(0, iters + 1, block):
+            Q[0] = Q[k]
+            k = min(block, iters + 1 - t0)
+            q = Q_rows[0]
+            for out in Q_rows[1:k + 1]:
+                q = step(q, out)
 
-    _as_vector(constraints(argmin(Q[0])), m, "g(x)")  # checks the shape of g(x) once
-    for t0 in range(0, iters + 1, block):
-        Q[0] = Q[k]
-        k = min(block, iters + 1 - t0)
-        q = Q_rows[0]
-        for out in Q_rows[1:k + 1]:
-            q = step(q, out)
-
-        # Record steps t0 .. t0 + k - 1: their x and g, rebuilt from
-        # Q(t0 .. t0 + k - 1), their drift residuals, S at the window ends
-        # up to t0 + k, and the samples at t < t0 + k.
-        X[:k] = argmin(Q[:k])
-        G[:k] = constraints(X[:k])
-        qq = np.vecdot(Q[:k + 1], Q[:k + 1])
-        # Residual of the exact drift identity L(Q') - L(Q) = Q' . g -
-        # ||Q' - Q||^2 / 2, with L(Q) = ||Q||^2 / 2, for every step with a
-        # successor (t < iters).  fmax skips NaN residuals.
-        r = min(k, iters - t0)
-        Qn, Qo = Q[1:r + 1], Q[:r]
-        with np.errstate(over="ignore", invalid="ignore"):
+            # Record steps t0 .. t0 + k - 1: their x and g, rebuilt from
+            # Q(t0 .. t0 + k - 1), their drift residuals, S at the window ends
+            # up to t0 + k, and the samples at t < t0 + k.
+            X[:k] = argmin(Q[:k])
+            G[:k] = constraints(X[:k])
+            qq = np.vecdot(Q[:k + 1], Q[:k + 1])
+            # Residual of the exact drift identity L(Q') - L(Q) = Q' . g -
+            # ||Q' - Q||^2 / 2, with L(Q) = ||Q||^2 / 2, for every step with a
+            # successor (t < iters).  fmax skips NaN residuals.
+            r = min(k, iters - t0)
+            Qn, Qo = Q[1:r + 1], Q[:r]
             D = Qn - Qo
             residual = np.abs((0.5 * qq[1:r + 1] - 0.5 * qq[:r])
                               - (np.vecdot(Qn, G[:r]) - 0.5 * np.vecdot(D, D)))
-        max_residual = float(np.fmax.reduce(residual, initial=max_residual))
+            max_residual = float(np.fmax.reduce(residual, initial=max_residual))
 
-        # cumsum adds the rows in order, as a running sum_x += x would.
-        C = np.cumsum(np.vstack([sum_x, X[:k]]), axis=0)  # C[c] = S(t0 + c)
-        sum_x = C[k]
-        j1 = np.searchsorted(ends, t0 + k, side="right")
-        prefix[j:j1] = C[ends[j:j1] - t0]
-        j = j1
+            # cumsum adds the rows in order, as a running sum_x += x would.
+            C = np.cumsum(np.vstack([sum_x, X[:k]]), axis=0)  # C[c] = S(t0 + c)
+            sum_x = C[k]
+            j1 = np.searchsorted(ends, t0 + k, side="right")
+            prefix[j:j1] = C[ends[j:j1] - t0]
+            j = j1
 
-        i0, i = i, np.searchsorted(ts, t0 + k)  # a block may hold no sample
-        new, rows = slice(i0, i), ts[i0:i] - t0
-        xs[new], queue[new] = X[rows], Q[rows]
-        # np.linalg.norm(v) of a 1-D float vector is sqrt(v.dot(v)), and
-        # vecdot of a row is bitwise its dot.
-        qnorm[new] = np.sqrt(qq[rows])
-        xbar = (prefix[hi_row[new]] - prefix[lo_row[new]]) / width[new, None]
-        f_xbar[new], g_xbar[new] = objective(xbar), constraints(xbar)
-        if lam_star is not None:
-            lam_t = queue[new] / V
-            d = lam_t - lam_star
-            lambda_dist[new] = np.sqrt(np.vecdot(d, d))
-            dual_gap[new] = q_star - (objective(xs[new]) + np.vecdot(lam_t, G[rows]))
-        finite = np.isfinite(np.column_stack([c[new] for c in columns if c is not None]))
-        if not finite.all():
-            bad = i0 + int(np.argmin(finite.all(axis=1)))
-            exc = FloatingPointError(f"non-finite value in the sample at t = {ts[bad]}")
-            exc.partial_trace = trace(bad)
-            raise exc
+            i0, i = i, np.searchsorted(ts, t0 + k)  # a block may hold no sample
+            new, rows = slice(i0, i), ts[i0:i] - t0
+            xs[new], queue[new] = X[rows], Q[rows]
+            # np.linalg.norm(v) of a 1-D float vector is sqrt(v.dot(v)), and
+            # vecdot of a row is bitwise its dot.
+            qnorm[new] = np.sqrt(qq[rows])
+            xbar = (prefix[hi_row[new]] - prefix[lo_row[new]]) / width[new, None]
+            f_xbar[new], g_xbar[new] = objective(xbar), constraints(xbar)
+            if lam_star is not None:
+                lam_t = queue[new] / V
+                d = lam_t - lam_star
+                lambda_dist[new] = np.sqrt(np.vecdot(d, d))
+                dual_gap[new] = q_star - (objective(xs[new]) + np.vecdot(lam_t, G[rows]))
+            finite = np.isfinite(np.column_stack([c[new] for c in columns if c is not None]))
+            if not finite.all():
+                bad = i0 + int(np.argmin(finite.all(axis=1)))
+                exc = FloatingPointError(f"non-finite value in the sample at t = {ts[bad]}")
+                exc.partial_trace = trace(bad)
+                raise exc
     return trace(S)

@@ -8,10 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from driftopt import (SolverConfig, audit_bounds, audit_passed, builtin,
-                      error_series, fit_geometric, fit_power_decay,
-                      general_dual_hessian, kkt_solve_num, kkt_solve_qp,
-                      num_dual_hessian, run, theta_bound)
+from driftopt import (audit_bounds, audit_passed, builtin, error_series,
+                      fit_geometric, fit_power_decay, general_dual_hessian,
+                      kkt_solve_num, kkt_solve_qp, num_dual_hessian, run,
+                      theta_bound)
 from generic_oracle import generic_oracle
 
 QP_V = 4.0 / 0.34
@@ -27,10 +27,10 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def num_run_1e5():
     b = builtin("num_6_1")
-    cfg = SolverConfig(V=NUM_V, q0=np.zeros(3), iters=100_000, sample="log")
     t0 = time.perf_counter()
-    tr = run(b.program, b.oracle, cfg, reference=b.reference)
-    return b, cfg, tr, time.perf_counter() - t0
+    tr = run(b.program, b.oracle, V=NUM_V, q0=np.zeros(3), iters=100_000, sample="log",
+             reference=b.reference)
+    return b, tr, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +38,10 @@ def qp_runs_1e5():
     b = builtin("qp_6_2")
     out = []
     for q0 in (np.zeros(2), np.array([10.0, 10.0])):
-        cfg = SolverConfig(V=QP_V, q0=q0, iters=100_000, sample="log")
         t0 = time.perf_counter()
-        tr = run(b.program, b.oracle, cfg, reference=b.reference)
-        out.append((cfg, tr, time.perf_counter() - t0))
+        tr = run(b.program, b.oracle, V=QP_V, q0=q0, iters=100_000, sample="log",
+                 reference=b.reference)
+        out.append((q0, tr, time.perf_counter() - t0))
     return b, out
 
 
@@ -71,7 +71,7 @@ def test_criterion_1_ground_truth():
 
 
 def test_criterion_2_objective_never_exceeds_optimum(num_run_1e5):
-    b, cfg, tr, elapsed = num_run_1e5
+    b, tr, elapsed = num_run_1e5
     worst = float((tr.f_xbar - b.reference.f_star).max())
     ok = worst <= 1e-9 and elapsed < 10.0
     report("criterion 2: zero-queue objective non-violation", ok,
@@ -82,17 +82,17 @@ def test_criterion_3_bound_audits(qp_runs_1e5):
     b, runs = qp_runs_1e5
     ok = True
     details = []
-    for cfg, tr, elapsed in runs:
-        rep = audit_bounds(tr, b.reference, b.program, cfg.q0,
+    for q0, tr, elapsed in runs:
+        rep = audit_bounds(tr, b.reference, b.program, q0,
                            gamma=b.constant("gamma"), oracle=b.oracle)
         ok = ok and audit_passed(rep) and elapsed < 10.0
-        details.append(f"q0={cfg.q0.tolist()} {elapsed:.2f}s")
+        details.append(f"q0={q0.tolist()} {elapsed:.2f}s")
     report("criterion 3: objective/constraint/queue bound audits", ok,
            "; ".join(details))
 
 
 def test_criterion_4_power_rate(num_run_1e5, qp_runs_1e5):
-    b_num, _, tr_num, _ = num_run_1e5
+    b_num, tr_num, _ = num_run_1e5
     b_qp, runs = qp_runs_1e5
     tr_qp = runs[0][1]
     ps = []
@@ -110,9 +110,8 @@ def test_criterion_5_geometric_rate():
     for tag, V, iters, lo, hi in (("num_6_1", 422.0, 10_000, 0.995, 0.9995),
                                   ("qp_6_2", QP_V, 4_000, 0.985, 0.999)):
         b = builtin(tag)
-        cfg = SolverConfig(V=V, q0=np.zeros(b.program.m), iters=iters,
-                           variant="dpp_shifted", sample="log")
-        tr = run(b.program, b.oracle, cfg, reference=b.reference)
+        tr = run(b.program, b.oracle, V=V, q0=np.zeros(b.program.m), iters=iters,
+                 variant="dpp_shifted", sample="log", reference=b.reference)
         obj, _ = error_series(tr.f_xbar, tr.g_xbar, b.reference.f_star)
         geo = fit_geometric(tr.t, obj)
         pw = fit_power_decay(tr.t, obj)
@@ -127,9 +126,8 @@ def test_criterion_6_dual_gap_and_monotonicity():
     b = builtin("qp_6_2")
     gamma = b.constant("gamma_computed")  # 3 / 0.34
     V = max(QP_V, gamma)
-    cfg = SolverConfig(V=V, q0=np.zeros(2), iters=10_000,
-                       sample="linear")
-    tr = run(b.program, b.oracle, cfg, reference=b.reference)
+    tr = run(b.program, b.oracle, V=V, q0=np.zeros(2), iters=10_000,
+             sample="linear", reference=b.reference)
     lam_star = b.reference.lambda_star
     from driftopt import dual_value_and_gradient
     q_at_0, _ = dual_value_and_gradient(b.program, b.oracle, np.zeros(2))
@@ -153,16 +151,14 @@ def test_criterion_7_drift_identity():
     for tag, V in (("num_6_1", NUM_V), ("qp_6_2", QP_V),
                    ("num_5_2_rank_deficient", 800.0)):
         b = builtin(tag)
-        cfg = SolverConfig(V=V, q0=np.zeros(b.program.m), iters=10_000,
-                           sample="log")
-        tr = run(b.program, b.oracle, cfg)
+        tr = run(b.program, b.oracle, V=V, q0=np.zeros(b.program.m), iters=10_000,
+                 sample="log")
         worst = max(worst, tr.max_drift_residual)
         for _ in range(5):
             q0 = rng.uniform(0, 100, b.program.m)
-            cfg = SolverConfig(V=V, q0=q0, iters=2_000, sample="log")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # NUM_V < m beta^2/alpha
-                tr = run(b.program, b.oracle, cfg)
+                tr = run(b.program, b.oracle, V=V, q0=q0, iters=2_000, sample="log")
             scale = 1.0 + 0.5 * max(tr.qnorm.max(), np.linalg.norm(q0)) ** 2
             worst = max(worst, tr.max_drift_residual / scale)
     ok = worst <= 1e-9
@@ -194,15 +190,14 @@ def test_criterion_9_oracle_equivalences():
     # lam <- max(lam + c g(x(lam)), 0) with x(lam) solving
     # 2P x = -(c_obj + A' lam)
     b = builtin("qp_6_2")
-    c = 1.0 / QP_V
-    k2 = SolverConfig(V=1.0 / c, q0=np.zeros(2), iters=10_000,
-                      sample="linear")
-    t2 = run(b.program, b.oracle, k2)
+    c, iters = 1.0 / QP_V, 10_000
+    t2 = run(b.program, b.oracle, V=1.0 / c, q0=np.zeros(2), iters=iters,
+             sample="linear")
     P, c_obj, A, b_vec = (b.program.P, b.program.c, b.program.A,
                           b.program.b)
     lam = np.zeros(2)
     worst_x = worst_lam = 0.0
-    for t in range(k2.iters + 1):
+    for t in range(iters + 1):
         x = np.linalg.solve(2.0 * P, -(c_obj + A.T @ lam))
         if t >= 1:  # sample t holds x(t) and Q(t) = lam(t) / c
             worst_x = max(worst_x, np.abs(t2.x[t - 1] - x).max())

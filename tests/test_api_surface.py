@@ -1,8 +1,8 @@
 """Every name in ``driftopt.__all__``, and every field of its dataclasses,
 is used by the package itself; every problem kind is a ``ProgramSpec``;
-and every oracle in ``driftopt.oracles`` has the full oracle protocol:
+every oracle in ``driftopt.oracles`` has the full oracle protocol:
 built from (inst, V), with ``argmin(q)`` and ``step(q, out)`` that leave
-it as it was.
+it as it was; and ``run`` takes the run's parameters by keyword.
 
 The usage checks parse ``src/driftopt`` with ``ast`` and count a name as
 used when some module other than ``__init__`` loads it (as a bare name or
@@ -20,7 +20,7 @@ import pytest
 
 import driftopt
 import driftopt.oracles
-from driftopt import NumInstance, ProgramSpec, QpInstance, builtin, choose_V
+from driftopt import NumInstance, ProgramSpec, QpInstance, builtin, choose_V, run
 
 # Public names whose only callers are tests, each with the reason it stays.
 TEST_ONLY: dict[str, str] = {}
@@ -154,3 +154,15 @@ def test_oracle_calls_leave_the_oracle_as_built(tag):
         assert after[name] is value, name
     for name, value in arrays.items():
         assert np.array_equal(after[name], value), name
+
+
+def test_run_takes_its_parameters_by_keyword():
+    # no parameter object stands between a caller and run: every
+    # parameter after the program and the oracle factory is keyword-only
+    params = list(inspect.signature(run).parameters.values())
+    assert [p.name for p in params[:2]] == ["program", "oracle"]
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params[:2])
+    assert [p.name for p in params[2:]] == ["V", "q0", "iters", "variant", "sample",
+                                            "reference"]
+    assert all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in params[2:])
+    assert not hasattr(driftopt, "SolverConfig")

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftopt import SolverConfig, builtin, choose_V, error_series, load_problem, run
+from driftopt import builtin, choose_V, error_series, load_problem, run
 from driftopt.cli import _read_trace_csv, main
 from driftopt.problems import BUILTINS
 
@@ -377,7 +377,6 @@ def test_audit_rejects_non_increasing_t(tmp_path, capsys, edit):
     assert "strictly increasing" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("tag", ["qp_6_2", "num_6_1"])
 def test_solve_that_overflows_exits_3(tmp_path, capsys, tag):
     # V is positive and finite, but x(t) or Q(t) / V leaves the doubles
@@ -394,7 +393,6 @@ def test_solve_that_overflows_exits_3(tmp_path, capsys, tag):
     assert not (tmp_path / "tiny.csv.summary.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv,t", [
     (["--builtin", "qp_6_2", "--V", "1e-300"], 1),
     (["--builtin", "num_6_1", "--algorithm", "dpp-shifted", "--V", "1e-100",
@@ -465,12 +463,13 @@ def solve_linear(tmp_path, capsys, source, bundle, iters, algorithm="dpp",
         argv += ["--V", repr(V)]
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    config = SolverConfig(V=V if V is not None else choose_V(bundle.program),
-                          q0=np.full(bundle.program.m, q0), iters=iters,
-                          variant=algorithm.replace("-", "_"), sample="linear")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # V = 422 is below m beta^2/alpha
-        trace = run(bundle.program, bundle.oracle, config, reference=bundle.reference)
+        trace = run(bundle.program, bundle.oracle,
+                    V=V if V is not None else choose_V(bundle.program),
+                    q0=np.full(bundle.program.m, q0), iters=iters,
+                    variant=algorithm.replace("-", "_"), sample="linear",
+                    reference=bundle.reference)
     return out, trace
 
 

@@ -202,7 +202,6 @@ def test_power_fit_far_from_t0(tmp_path, capsys):
     assert fit["quality"] > 0.999
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_audit_with_non_finite_result_exits_3(tmp_path, capsys):
     # ||Q(0)||^2 / (2 V t) of the objective bound overflows at V = 1e-300
     trace = tmp_path / "t.csv"
@@ -238,6 +237,8 @@ def test_geometric_fit_far_from_t0(tmp_path, capsys):
     ("audit", "f_avg", "nan", "column 'f_avg' holds a non-finite number"),
     ("fit", "f_err", "nan", "column 'f_err' holds a non-finite number"),
     ("fit", "f_err", "inf", "column 'f_err' holds a non-finite number"),
+    ("audit", "t", "2", "column 't' must be strictly increasing"),  # repeats row 1
+    ("fit", "t", "2", "column 't' must be strictly increasing"),
 ], ids=lambda v: str(v))
 def test_trace_reader_rejects_bad_cells(tmp_path, capsys, command, column, value,
                                         message):
@@ -272,14 +273,19 @@ def test_only_main_writes_stderr_or_returns_failure_codes():
     assert sorted(offenders) == []
 
 
-def test_module_entry_point_exit_codes(tmp_path, capsys):
-    out = qp_trace(tmp_path, capsys, iters=200)
+def run_module(*argv, python_flags=()) -> subprocess.CompletedProcess:
+    """``python -m driftopt.cli argv`` in a fresh process."""
     paths = [str(Path(driftopt.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run([sys.executable, *python_flags, "-m", "driftopt.cli",
+                           *map(str, argv)], env=env, capture_output=True, text=True)
+
+
+def test_module_entry_point_exit_codes(tmp_path, capsys):
+    out = qp_trace(tmp_path, capsys, iters=200)
 
     def status(*argv):
-        return subprocess.run([sys.executable, "-m", "driftopt.cli", *map(str, argv)],
-                              env=env, capture_output=True).returncode
+        return run_module(*argv).returncode
 
     assert status("info") == 0
     edit_cell(out, 5, "f_avg", "1e6")  # breaks the objective bound
@@ -288,3 +294,19 @@ def test_module_entry_point_exit_codes(tmp_path, capsys):
     few = tmp_path / "few.csv"
     few.write_text("t,f_err\n1,1.0\n")
     assert status(*fit_args(few)) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("--builtin", "num_6_1", "--q0", "1e308"),
+    ("--builtin", "qp_6_2", "--q0", "1e300"),
+    ("--builtin", "qp_6_2", "--V", "1e-300"),
+], ids=" ".join)
+def test_overflow_exits_3_with_warnings_as_errors(tmp_path, argv):
+    # numpy's floating-point warnings stay inside the run, and the sample
+    # check reports the failure in one line; before it comes at most the
+    # V warning with its source line
+    proc = run_module("solve", *argv, "--iters", 100, "--out", tmp_path / "x.csv",
+                      python_flags=("-W", "error::RuntimeWarning"))
+    lines = proc.stderr.splitlines()
+    assert (proc.returncode, lines[-1]) == (3, "error: non-finite value in the sample at t = 1")
+    assert "Traceback" not in proc.stderr and len(lines) == (3 if "--V" in argv else 1)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from driftopt import (IterateTrace, QpInstance, QueueState, SolverConfig,
-                      builtin, run, sample_indices)
+from driftopt import (IterateTrace, QpInstance, QueueState, builtin, run,
+                      sample_indices)
 
 # min x'x s.t. x_1 + x_2 <= 1
 QP = dict(P=np.eye(2), c=np.zeros(2), A=[[1.0, 1.0]], b=[1.0])
@@ -37,9 +37,9 @@ def test_queue_update_clamps_at_zero():
     # Q_2 at zero
     b = builtin("num_6_1")
     q0 = np.array([1000.0, 0.0, 1000.0])
-    cfg = SolverConfig(V=544.5, q0=q0, iters=1, sample="linear")
-    tr = run(b.program, b.oracle, cfg)
-    g0 = b.program.constraints(b.oracle(cfg.V).argmin(q0))
+    V = 544.5
+    tr = run(b.program, b.oracle, V=V, q0=q0, iters=1, sample="linear")
+    g0 = b.program.constraints(b.oracle(V).argmin(q0))
     assert q0[1] + g0[1] < 0
     assert np.array_equal(tr.queue[0], np.maximum(q0 + g0, 0.0))
     assert tr.queue[0][1] == 0.0
@@ -53,8 +53,7 @@ def test_drift_identity_exact_on_updates():
         b = builtin(tag)
         for variant in ("dpp", "dpp_shifted"):
             q0 = rng.uniform(0, 100, b.program.m)
-            cfg = SolverConfig(V=1000.0, q0=q0, iters=500, variant=variant)
-            tr = run(b.program, b.oracle, cfg)
+            tr = run(b.program, b.oracle, V=1000.0, q0=q0, iters=500, variant=variant)
             scale = 1.0 + 0.5 * max(tr.qnorm.max(), np.linalg.norm(q0)) ** 2
             assert tr.max_drift_residual <= 1e-9 * scale
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from driftopt import (IterateTrace, SolverConfig, audit_bounds, audit_passed,
-                      builtin, error_series, fit_geometric, fit_power_decay,
-                      run)
+from driftopt import (IterateTrace, audit_bounds, audit_passed, builtin,
+                      error_series, fit_geometric, fit_power_decay, run)
 
 QP_V = 4.0 / 0.34
 
@@ -137,27 +136,29 @@ def test_audit_gates_on_preconditions():
 
 def test_audit_on_real_run():
     b = builtin("qp_6_2")
-    cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=3000, sample="log")
-    tr = run(b.program, b.oracle, cfg, reference=b.reference)
-    report = audit_bounds(tr, b.reference, b.program, cfg.q0, gamma=9.0,
+    q0 = np.zeros(2)
+    tr = run(b.program, b.oracle, V=QP_V, q0=q0, iters=3000, sample="log",
+             reference=b.reference)
+    report = audit_bounds(tr, b.reference, b.program, q0, gamma=9.0,
                           oracle=b.oracle)
     assert audit_passed(report)
 
 
 def test_audit_requires_reference():
     b = builtin("qp_6_2")
-    cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=10)
-    tr = run(b.program, b.oracle, cfg, reference=b.reference)
+    q0 = np.zeros(2)
+    tr = run(b.program, b.oracle, V=QP_V, q0=q0, iters=10, reference=b.reference)
     with pytest.raises(ValueError):
-        audit_bounds(tr, None, b.program, cfg.q0, gamma=9.0, oracle=b.oracle)
+        audit_bounds(tr, None, b.program, q0, gamma=9.0, oracle=b.oracle)
 
 
 def test_report_is_json_serializable():
     import json
     b = builtin("qp_6_2")
-    cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=100, sample="log")
-    tr = run(b.program, b.oracle, cfg, reference=b.reference)
-    report = audit_bounds(tr, b.reference, b.program, cfg.q0, gamma=9.0,
+    q0 = np.zeros(2)
+    tr = run(b.program, b.oracle, V=QP_V, q0=q0, iters=100, sample="log",
+             reference=b.reference)
+    report = audit_bounds(tr, b.reference, b.program, q0, gamma=9.0,
                           oracle=b.oracle)
     text = json.dumps(report)
     assert "objective_bound" in text

@@ -98,8 +98,8 @@ def test_qp_oracle_matches_direct_solve():
 
 
 def test_oracle_rejects_nonpositive_V():
-    # the oracle is built at one V and checks it there, as SolverConfig
-    # does: a NaN or infinite V is refused too
+    # the oracle is built at one V and checks it there, as run does: a
+    # NaN or infinite V is refused too
     for cls, tag in ((ClosedFormNumOracle, "num_6_1"), (ClosedFormQpOracle, "qp_6_2")):
         inst = builtin(tag).program
         for V in (0.0, -1.0, np.nan, np.inf):

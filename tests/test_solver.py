@@ -6,8 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftopt import (VARIANTS, DimensionError, SolverConfig, builtin,
-                      choose_V, run)
+from driftopt import VARIANTS, DimensionError, builtin, choose_V, run
 from driftopt.cli import main
 from driftopt.core import sample_indices
 from driftopt.dual_analysis import dual_value_and_gradient
@@ -26,27 +25,54 @@ GOLDEN_COLUMNS = ("f_xbar", "g_xbar", "qnorm", "lambda_dist", "dual_gap",
                   "queue")
 
 
+def run_qp(**kw):
+    """run() on qp_6_2 with the parameters ``kw``, and an oracle that
+    fails the test if the run gets as far as building it."""
+    b = builtin("qp_6_2")
+    return run(b.program, unbuildable_oracle, **kw)
+
+
+def unbuildable_oracle(V):
+    raise AssertionError("run built the oracle before it checked its parameters")
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(V=0.0, q0=np.zeros(1), iters=10)
+        run_qp(V=0.0, q0=np.zeros(1), iters=10)
     with pytest.raises(ValueError):
-        SolverConfig(V=1.0, q0=np.zeros(1), iters=0)
+        run_qp(V=1.0, q0=np.zeros(1), iters=0)
     with pytest.raises(ValueError):
-        SolverConfig(V=1.0, q0=np.array([-1.0]), iters=10)
+        run_qp(V=1.0, q0=np.array([-1.0]), iters=10)
     with pytest.raises(ValueError):
-        SolverConfig(V=1.0, q0=np.zeros(1), iters=10, variant="bogus")
+        run_qp(V=1.0, q0=np.zeros(1), iters=10, variant="bogus")
     with pytest.raises(ValueError, match="'linear:0'"):
-        SolverConfig(V=1.0, q0=np.zeros(1), iters=10, sample="linear:0")
+        run_qp(V=1.0, q0=np.zeros(1), iters=10, sample="linear:0")
 
 
 @pytest.mark.parametrize("field,value", [
     ("V", np.nan), ("V", np.inf), ("q0", [1.0, np.nan]), ("q0", [np.inf, 0.0]),
+    ("variant", "dpp-shifted"), ("q0", [-5.0, 1.0]),
 ], ids=str)
 def test_config_rejects_bad_parameters(field, value):
+    # the CLI's spelling of a variant, and a negative queue, are refused
+    # as a NaN V is
     kw = dict(V=1.0, q0=np.zeros(2), iters=10)
     kw[field] = value
     with pytest.raises(ValueError):
-        SolverConfig(**kw)
+        run_qp(**kw)
+
+
+def test_parameters_are_checked_in_order():
+    # V, iters, the sample spec, the variant, then q0; a wrong q0 length
+    # is found last
+    for kw, match in ((dict(V=np.nan, iters=0), "^V must"),
+                      (dict(iters=0, sample="bogus"), "^iters must"),
+                      (dict(sample="bogus", variant="bogus"), "^sample spec"),
+                      (dict(variant="bogus", q0=[-1.0, 0.0]), "^variant must"),
+                      (dict(q0=[-1.0]), "nonnegative"),
+                      (dict(q0=[1.0]), "^initial queue length")):
+        with pytest.raises(ValueError, match=match):
+            run_qp(**{**dict(V=QP_V, q0=np.zeros(2), iters=10), **kw})
 
 
 def test_choose_V():
@@ -60,9 +86,8 @@ def test_first_iteration_from_zero_queue():
     # from Q(0)=0 the rate allocation starts at the caps
     b = builtin("num_6_1")
     with pytest.warns(UserWarning):
-        cfg = SolverConfig(V=363.0, q0=np.zeros(3), iters=1,
-                           sample="linear")
-        tr = run(b.program, b.oracle, cfg)
+        tr = run(b.program, b.oracle, V=363.0, q0=np.zeros(3), iters=1,
+                 sample="linear")
     assert list(tr.t) == [1]
     caps = np.full(3, 11.0)  # xbar(1) = x(0)
     assert np.isclose(tr.f_xbar[0], b.program.objective(caps))
@@ -74,8 +99,8 @@ def test_zero_constraint_values_fix_the_queue():
     b = builtin("qp_6_2")
     lam = b.reference.lambda_star
     q0 = QP_V * lam  # stationary point of the queue recursion
-    cfg = SolverConfig(V=QP_V, q0=q0, iters=20, sample="linear")
-    tr = run(b.program, b.oracle, cfg, reference=b.reference)
+    tr = run(b.program, b.oracle, V=QP_V, q0=q0, iters=20, sample="linear",
+             reference=b.reference)
     assert np.allclose(tr.queue, q0, atol=1e-8)
 
 
@@ -100,9 +125,9 @@ AVERAGE_SAMPLES = ("linear", "log", "linear:7")
 
 def iterate_history(b, iters):
     """x(0), ..., x(iters - 1) of the qp_6_2 run from Q(0) = 0."""
-    cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=iters, sample="linear")
-    tr = run(b.program, b.oracle, cfg)
-    return np.array([b.oracle(QP_V).argmin(cfg.q0)] + list(tr.x[:-1]))
+    q0 = np.zeros(2)
+    tr = run(b.program, b.oracle, V=QP_V, q0=q0, iters=iters, sample="linear")
+    return np.array([b.oracle(QP_V).argmin(q0)] + list(tr.x[:-1]))
 
 
 def assert_average_values(b, tr, t, xbar, sample):
@@ -116,8 +141,7 @@ def test_standard_average_matches_recomputation():
     b = builtin("qp_6_2")
     history = iterate_history(b, 1001)
     for sample in AVERAGE_SAMPLES:
-        cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=1001, sample=sample)
-        tr = run(b.program, b.oracle, cfg)
+        tr = run(b.program, b.oracle, V=QP_V, q0=np.zeros(2), iters=1001, sample=sample)
         for t in tr.t:
             assert_average_values(b, tr, t, history[:t].mean(axis=0), sample)
 
@@ -126,9 +150,8 @@ def test_shifted_average_matches_recomputation():
     b = builtin("qp_6_2")
     history = iterate_history(b, 1001)
     for sample in AVERAGE_SAMPLES:
-        cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=1001,
-                           variant="dpp_shifted", sample=sample)
-        tr = run(b.program, b.oracle, cfg)
+        tr = run(b.program, b.oracle, V=QP_V, q0=np.zeros(2), iters=1001,
+                 variant="dpp_shifted", sample=sample)
         for t in tr.t:
             half = t // 2
             expect = history[half:2 * half].mean(axis=0) if half else history[0]
@@ -140,8 +163,8 @@ def test_objective_and_constraint_bounds_hold():
     # g_k(xbar) <= (sqrt(||Q0||^2 + V^2 ||lam*||^2) + V ||lam*||) / t
     b = builtin("qp_6_2")
     for q0 in (np.zeros(2), np.array([10.0, 10.0])):
-        cfg = SolverConfig(V=QP_V, q0=q0, iters=2000, sample="log")
-        tr = run(b.program, b.oracle, cfg, reference=b.reference)
+        tr = run(b.program, b.oracle, V=QP_V, q0=q0, iters=2000, sample="log",
+                 reference=b.reference)
         lam_norm = np.linalg.norm(b.reference.lambda_star)
         B = np.sqrt(q0 @ q0 + QP_V ** 2 * lam_norm ** 2) + QP_V * lam_norm
         assert np.all(tr.f_xbar <= b.reference.f_star
@@ -153,9 +176,8 @@ def test_objective_and_constraint_bounds_hold():
 def test_per_iteration_drift_plus_penalty_bound():
     # drift(t) + V f(x(t)) <= V f* at every step when V is above threshold
     b = builtin("qp_6_2")
-    cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=300,
-                       sample="linear")
-    tr = run(b.program, b.oracle, cfg)
+    tr = run(b.program, b.oracle, V=QP_V, q0=np.zeros(2), iters=300,
+             sample="linear")
     # row i holds x(t) and Q(t) for t = i+1; the drift of step t needs
     # Q(t+1), i.e. the next row's queue.  L(Q) = ||Q||^2 / 2.
     for i in range(len(tr) - 1):
@@ -167,15 +189,13 @@ def test_per_iteration_drift_plus_penalty_bound():
 def test_warns_below_guarantee_threshold():
     b = builtin("num_6_1")
     with pytest.warns(UserWarning, match="below the guarantee threshold"):
-        cfg = SolverConfig(V=363.0, q0=np.zeros(3), iters=5)
-        run(b.program, b.oracle, cfg)
+        run(b.program, b.oracle, V=363.0, q0=np.zeros(3), iters=5)
 
 
 def test_queue_dimension_mismatch():
     b = builtin("qp_6_2")
-    cfg = SolverConfig(V=QP_V, q0=np.zeros(3), iters=5)
     with pytest.raises(ValueError):
-        run(b.program, b.oracle, cfg)
+        run(b.program, b.oracle, V=QP_V, q0=np.zeros(3), iters=5)
 
 
 def test_mis_shaped_constraints_are_rejected():
@@ -186,17 +206,15 @@ def test_mis_shaped_constraints_are_rejected():
                              constraints=lambda x: p.constraints(x)[..., :1],
                              alpha=p.alpha, beta=p.beta)
     oracle = CountingOracle(b)
-    cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=5)
     with pytest.raises(DimensionError, match="g\\(x\\) has length 1, expected 2"):
-        run(program, oracle, cfg)
+        run(program, oracle, V=QP_V, q0=np.zeros(2), iters=5)
     assert oracle.calls == 0
 
 
 def test_trace_records_dual_quantities_with_reference():
     b = builtin("qp_6_2")
-    cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=50,
-                       sample="linear")
-    tr = run(b.program, b.oracle, cfg, reference=b.reference)
+    tr = run(b.program, b.oracle, V=QP_V, q0=np.zeros(2), iters=50,
+             sample="linear", reference=b.reference)
     assert tr.lambda_dist is not None and np.all(tr.lambda_dist >= 0)
     assert tr.dual_gap is not None and np.all(tr.dual_gap >= -1e-9)
     assert tr.dual_gap[-1] < tr.dual_gap[0]
@@ -210,9 +228,8 @@ def test_recorded_norms_are_numpy_norms(tag, variant, q0):
     # np.linalg.norm of a 1-D vector is the same sqrt of the same dot
     b = builtin(tag)
     V = choose_V(b.program)
-    cfg = SolverConfig(V=V, q0=np.full(b.program.m, q0), iters=500,
-                       variant=variant, sample="linear")
-    tr = run(b.program, b.oracle, cfg, reference=b.reference)
+    tr = run(b.program, b.oracle, V=V, q0=np.full(b.program.m, q0), iters=500,
+             variant=variant, sample="linear", reference=b.reference)
     lam_star = b.reference.lambda_star
     for i in range(len(tr)):
         assert tr.qnorm[i] == np.linalg.norm(tr.queue[i]), i
@@ -229,11 +246,10 @@ def test_golden_trace(case):
     if variant == "dual_subgradient":
         # step c (default 1/V) from Q(0): DPP at V' = 1/c
         variant, V = "dpp", 1.0 / (case["step_c"] or 1.0 / V)
-    cfg = SolverConfig(V=V, q0=q0, iters=2000, variant=variant,
-                       sample="linear:97")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # V = 422 is below m beta^2/alpha
-        tr = run(b.program, b.oracle, cfg, reference=b.reference)
+        tr = run(b.program, b.oracle, V=V, q0=q0, iters=2000, variant=variant,
+                 sample="linear:97", reference=b.reference)
     assert tr.t.tolist() == case["t"]
     # The NUM closed form and the DPP loop do the recording's arithmetic in
     # the recording's order, so those traces are bitwise equal.  The QP
@@ -296,9 +312,8 @@ def test_blocks_match_the_per_iteration_loop(tag, variant):
     names = ("x", "queue", "qnorm", "f_xbar", "g_xbar", "lambda_dist", "dual_gap")
     for iters in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
         for sample in ("linear", "log", "linear:1500"):
-            cfg = SolverConfig(V=V, q0=np.zeros(b.program.m), iters=iters,
-                               variant=variant, sample=sample)
-            tr = run(b.program, b.oracle, cfg, reference=b.reference)
+            tr = run(b.program, b.oracle, V=V, q0=np.zeros(b.program.m), iters=iters,
+                     variant=variant, sample=sample, reference=b.reference)
             columns, max_residual = reference_run(b, V, iters, variant, sample)
             assert tr.t.tolist() == sample_indices(iters, sample)
             for name, expect in zip(names, columns):
@@ -366,8 +381,7 @@ def test_drift_residual_of_a_step_at_a_block_edge(step):
     expect = abs((0.5 * qn.dot(qn) - 0.5 * q.dot(q)) - (qn.dot(g) - 0.5 * diff.dot(diff)))
     assert expect > 0
     for iters, residual in ((step, 0.0), (step + 1, expect), (step + 2, expect)):
-        cfg = SolverConfig(V=1.0, q0=np.zeros(1), iters=iters)
-        tr = run(program, ScriptedOracle(script), cfg)
+        tr = run(program, ScriptedOracle(script), V=1.0, q0=np.zeros(1), iters=iters)
         assert tr.max_drift_residual == residual, iters
 
 
@@ -394,12 +408,11 @@ class CountingOracle(ReplayingOracle):
 def test_shifted_run_makes_one_oracle_call_per_iteration():
     b = builtin("qp_6_2")
     iters = 101
-    cfg = SolverConfig(V=QP_V, q0=np.zeros(2), iters=iters,
-                       variant="dpp_shifted", sample="linear")
     traces = []
     for inner in (b.oracle, generic_oracle(b, tol=1e-12)):
         oracle = CountingOracle(b, inner)
-        traces.append(run(b.program, oracle, cfg, reference=b.reference))
+        traces.append(run(b.program, oracle, V=QP_V, q0=np.zeros(2), iters=iters,
+                          variant="dpp_shifted", sample="linear", reference=b.reference))
         assert oracle.calls == iters + 1  # steps from Q(0..iters)
         assert oracle.row_calls == 1  # x(0..iters), in one block
         assert oracle.queue_calls == 2  # x(lambda*) and the shape check
@@ -424,47 +437,44 @@ class OverflowingOracle(CountingOracle):
         return np.maximum(q + self.b.program.constraints(x), 0.0, out=out)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_sample_carries_partial_trace():
     b = builtin("qp_6_2")
-    cfg = SolverConfig(V=QP_V, q0=np.array([3.0, 1.0]), iters=50,
-                       sample="linear")
-    full = run(b.program, b.oracle, cfg, reference=b.reference)
+    q0 = np.array([3.0, 1.0])
+    cfg = dict(V=QP_V, q0=q0, iters=50, sample="linear")
+    full = run(b.program, b.oracle, **cfg, reference=b.reference)
     # x(0..20) are finite; x(21) is not
     with pytest.raises(FloatingPointError, match="t = 21") as info:
-        run(b.program, OverflowingOracle(b, at=21), cfg, reference=b.reference)
+        run(b.program, OverflowingOracle(b, at=21), **cfg, reference=b.reference)
     part = info.value.partial_trace
     assert part.t.tolist() == list(range(1, 21))
     for name in GOLDEN_COLUMNS + ("x",):
         assert np.array_equal(getattr(part, name), getattr(full, name)[:20]), name
     # from step 21 on every residual is NaN (inf - inf), and NaN is skipped
-    upto = SolverConfig(V=QP_V, q0=cfg.q0, iters=21, sample="linear")
-    assert part.max_drift_residual == run(b.program, b.oracle, upto).max_drift_residual
+    upto = run(b.program, b.oracle, V=QP_V, q0=q0, iters=21, sample="linear")
+    assert part.max_drift_residual == upto.max_drift_residual
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_stops_at_the_first_non_finite_block():
     # at V = 1e-300 the sample at t = 1 is already non-finite: the run ends
     # at the flush of the block that holds it, not after 1e5 iterations
     b = builtin("qp_6_2")
     oracle = CountingOracle(b)
-    cfg = SolverConfig(V=1e-300, q0=np.zeros(2), iters=100_000)
     with pytest.warns(UserWarning), pytest.raises(FloatingPointError, match="t = 1$"):
-        run(b.program, oracle, cfg, reference=b.reference)
+        run(b.program, oracle, V=1e-300, q0=np.zeros(2), iters=100_000,
+            reference=b.reference)
     assert oracle.calls <= 2 * _BLOCK and oracle.row_calls <= 2  # at most two blocks
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("failing", [OverflowingOracle])
 def test_shifted_failure_between_samples_carries_partial_trace(failing):
     # samples at t = 7, 14, 21, 28, ...; x(24) overflows, inside the window
     # [14, 28) of the next sample
     b = builtin("qp_6_2")
-    cfg = SolverConfig(V=QP_V, q0=np.array([3.0, 1.0]), iters=50,
-                       variant="dpp_shifted", sample="linear:7")
-    full = run(b.program, b.oracle, cfg, reference=b.reference)
+    cfg = dict(V=QP_V, q0=np.array([3.0, 1.0]), iters=50,
+               variant="dpp_shifted", sample="linear:7")
+    full = run(b.program, b.oracle, **cfg, reference=b.reference)
     with pytest.raises(FloatingPointError) as info:
-        run(b.program, failing(b, at=24), cfg, reference=b.reference)
+        run(b.program, failing(b, at=24), **cfg, reference=b.reference)
     part = info.value.partial_trace
     assert part.t.tolist() == [7, 14, 21]
     for name in GOLDEN_COLUMNS + ("x",):
