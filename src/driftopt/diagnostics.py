@@ -82,6 +82,7 @@ def _prepare(ts, errors, window_fraction, window):
     return ts[mask], errors[mask]
 
 
+@np.errstate(all="ignore")  # an overflow shows as a non-finite fit, which is rejected
 def fit_power_decay(ts, errors, window_fraction: float = 0.5,
                     window: tuple[float, float] | None = None) -> RateFit:
     """Fit e(t) ~ C * (t/t_lo)^-p by a least-squares line on (log(t/t_lo),
@@ -93,13 +94,14 @@ def fit_power_decay(ts, errors, window_fraction: float = 0.5,
     """
     t, e = _prepare(ts, errors, window_fraction, window)
     log_t, log_e = np.log(t / t.min()), np.log(e)
-    slope, intercept = np.polyfit(log_t, log_e, 1)
+    (slope, intercept), *_ = np.polyfit(log_t, log_e, 1, full=True)  # full: no RankWarning
     predicted = slope * log_t + intercept
     return RateFit(model="power", p=float(-slope), r=None,
                    C=float(np.exp(intercept)), quality=_quality(log_e, predicted),
                    t_lo=int(t.min()), t_hi=int(t.max()))
 
 
+@np.errstate(all="ignore")  # an overflow shows as a non-finite fit, which is rejected
 def fit_geometric(ts, errors, window_fraction: float = 0.5,
                   window: tuple[float, float] | None = None) -> RateFit:
     """Fit e(t) ~ (C/t) * r^(t - t_lo) by a least-squares line on
@@ -111,7 +113,7 @@ def fit_geometric(ts, errors, window_fraction: float = 0.5,
     """
     t, e = _prepare(ts, errors, window_fraction, window)
     dt, log_te = t - t.min(), np.log(t * e)
-    slope, intercept = np.polyfit(dt, log_te, 1)
+    (slope, intercept), *_ = np.polyfit(dt, log_te, 1, full=True)
     r = float(np.exp(slope))
     if not (0 < r < 1):
         raise ValueError(f"geometric fit produced ratio {r:g} outside (0, 1)")

@@ -8,12 +8,8 @@ problem kinds differ only in how they solve the stationarity system on a
 set; the certificate is the same for both.
 
 Kept deliberately independent of the iterative solvers so it can serve as
-the oracle in every convergence test.
-
-scipy is imported only for the analytic centre of a rank-deficient
-multiplier face (``null_space`` and ``linprog``), when more constraints
-are active than the rank of their system; every other KKT solve needs
-numpy alone.
+the oracle in every convergence test.  It needs numpy alone, the analytic
+centre of a rank-deficient multiplier face included.
 """
 
 from __future__ import annotations
@@ -49,32 +45,51 @@ class KktSolution:
     active_set: tuple[int, ...]
 
 
+def _strictly_inside(r0: np.ndarray, B: np.ndarray) -> np.ndarray | None:
+    """A z with r0 + B z > 1e-12 componentwise, or None if none is found.
+
+    Phase I for r0 of unit scale and orthonormal B: damped Newton on the
+    barrier t s + sum log(r0 + B z - s) of max s s.t. r0 + B z >= s, with
+    t raised tenfold a step up to 1e15, from the point of r0 + range(B)
+    nearest all-ones.  Steps stay in the Dikin ellipsoid, so slacks stay > 0.
+    """
+    z = B.T @ (1.0 - r0)
+    s = (r0 + B @ z).min() - 1.0
+    C = np.hstack([B, -np.ones((len(r0), 1))])
+    for k in range(40):
+        r = r0 + B @ z
+        if r.min() > 1e-12:
+            return z
+        w = 1.0 / (r - s)
+        grad = C.T @ w
+        grad[-1] += 10.0 ** min(k, 15)
+        step = np.linalg.solve((C.T * w ** 2) @ C, grad)
+        step /= 1.0 + np.sqrt(step @ grad)
+        z, s = z + step[:-1], s + step[-1]
+    return None
+
+
 def _analytic_center_multiplier(M: np.ndarray, lam0: np.ndarray) -> np.ndarray:
     """Pick the analytic center of the multiplier face {lam >= 0 : M lam = M lam0}.
 
     When the active-constraint system is rank deficient the KKT multiplier
     is a nontrivial face; interior-point solvers land at its analytic
     center, so that is the deterministic representative we return.
-    ``lam0`` is any nonnegative multiplier on the face.
+    ``lam0`` is any nonnegative multiplier on the face, and is returned
+    when the face has no interior or is unbounded (no center).
     """
-    import scipy.linalg
-    import scipy.optimize
-
-    ns = scipy.linalg.null_space(M)
-    if ns.size == 0:
+    # scipy's null_space: the right singular vectors past the numerical rank
+    _, sv, vh = np.linalg.svd(M, full_matrices=True)
+    rank = int(np.sum(sv > sv.max(initial=0.0) * np.finfo(float).eps * max(M.shape)))
+    ns = vh[rank:].T
+    if ns.size == 0 or not lam0.any():
         return lam0
-    k = ns.shape[1]
-
-    # Interior starting point: maximize the minimum coordinate over the face.
-    res = scipy.optimize.linprog(
-        c=np.concatenate([np.zeros(k), [-1.0]]),
-        A_ub=np.hstack([-ns, np.ones((len(lam0), 1))]),
-        b_ub=lam0, bounds=[(None, None)] * k + [(None, None)],
-        method="highs")
-    if not res.success or res.x[-1] <= 0:
-        return lam0  # face has empty interior; keep the particular solution
-    z = res.x[:k]
-
+    # Bounded iff no d >= 0, d != 0 has M d = 0, iff some M^T y > 0 (Gordan).
+    bounded = _strictly_inside(np.zeros(len(lam0)), vh[:rank].T) is not None
+    z = _strictly_inside(lam0 / lam0.max(), ns) if bounded else None
+    if z is None:
+        return lam0  # no interior or no center: keep the particular solution
+    z = lam0.max() * z
     # Damped Newton on z -> -sum log(lam0 + ns z).
     for _ in range(200):
         lam = lam0 + ns @ z

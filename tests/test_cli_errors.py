@@ -310,3 +310,14 @@ def test_overflow_exits_3_with_warnings_as_errors(tmp_path, argv):
     lines = proc.stderr.splitlines()
     assert (proc.returncode, lines[-1]) == (3, "error: non-finite value in the sample at t = 1")
     assert "Traceback" not in proc.stderr and len(lines) == (3 if "--V" in argv else 1)
+
+
+def test_geometric_fit_overflow_exits_3_with_warnings_as_errors(tmp_path):
+    # t e(t) overflows at t ~ 1e300 and the regression is rank deficient;
+    # neither numpy warning may escape the fit
+    path = tmp_path / "huge_t.csv"
+    path.write_text("t,f_err\n" + "".join(f"{10 ** 300 * k},{1.0 / k!r}\n"
+                                          for k in range(1, 31)))
+    proc = run_module(*fit_args(path, model="geometric"), python_flags=("-W", "error"))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: geometric fit produced ratio 1 outside (0, 1)\n"

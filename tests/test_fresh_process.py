@@ -2,9 +2,9 @@
 modules a command loads, and the benchmark's set-up probe
 (perfbench/setup_probe.py) run on this checkout.
 
-scipy is imported only by the QP oracle (its Cholesky factor) and by the
-analytic centre of a rank-deficient KKT multiplier face, so every other
-path starts with numpy alone.
+scipy is imported only by the QP oracle (its Cholesky factor), so every
+other path starts with numpy alone, the rank-deficient builtin's KKT
+multiplier face included.
 """
 
 import json
@@ -47,17 +47,18 @@ out = Path(sys.argv[1])
 import driftopt
 from driftopt import cli
 scipy_modules()
-driftopt.builtin("num_6_1")
-driftopt.builtin("qp_6_2")
+for tag in ("num_6_1", "qp_6_2", "num_5_2_rank_deficient"):
+    driftopt.builtin(tag)
 scipy_modules()
 csv = str(out / "num.csv")
-for argv in (["solve", "--builtin", "num_6_1", "--iters", "200", "--out", csv],
-             ["audit", "--builtin", "num_6_1", "--trace", csv],
-             ["kkt", "--builtin", "num_6_1"],
-             ["fit", "--trace", csv, "--series", "obj", "--model", "power"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    assert code == 0, argv
+for tag in ("num_6_1", "num_5_2_rank_deficient"):
+    for argv in (["solve", "--builtin", tag, "--iters", "200", "--out", csv],
+                 ["audit", "--builtin", tag, "--trace", csv],
+                 ["kkt", "--builtin", tag],
+                 ["fit", "--trace", csv, "--series", "obj", "--model", "power"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        assert code == 0, argv
 scipy_modules()
 bundle = driftopt.builtin("qp_6_2")
 driftopt.ClosedFormQpOracle(bundle.program, 4.0)
@@ -70,11 +71,13 @@ def test_only_the_qp_oracle_imports_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
     assert len(lines) == 4
-    # import, the NUM and QP bundles, and NUM solve/audit/kkt/fit: numpy only
+    # import, the three builtin bundles, and NUM solve/audit/kkt/fit (the
+    # rank-deficient multiplier face included): numpy only
     assert lines[:3] == [[], [], []]
-    # the QP oracle's Cholesky factor needs scipy.linalg, not scipy.optimize
+    # the QP oracle's Cholesky factor needs scipy.linalg; no step loads
+    # scipy.optimize
     assert "scipy.linalg" in lines[3]
-    assert "scipy.optimize" not in lines[3]
+    assert not any("scipy.optimize" in line for line in lines)
 
 
 @pytest.mark.parametrize("source", ["builtin", "problem"])

@@ -3,6 +3,7 @@ import pytest
 
 from driftopt import (InfeasibleError, NumInstance, QpInstance, builtin,
                       dual_value_and_gradient, kkt_solve_num, kkt_solve_qp)
+from driftopt import reference
 
 
 def test_qp_ground_truth():
@@ -130,3 +131,113 @@ def test_num_newton_crosses_zero_multiplier():
     resid = -inst.c / sol.x_star + inst.A.T @ sol.lambda_star
     assert np.abs(resid).max() <= 1e-8
     assert sol.f_star == pytest.approx(-(inst.c @ np.log(sol.x_star)), abs=1e-12)
+
+
+def scipy_analytic_center(M, lam0):
+    """The analytic center of {lam >= 0 : M lam = M lam0} computed with
+    scipy: ``null_space``, an interior start from ``linprog`` (HiGHS) that
+    maximizes the smallest entry, and the library's damped Newton.  The
+    independent cross-check of ``reference._analytic_center_multiplier``.
+    """
+    import scipy.linalg
+    import scipy.optimize
+
+    ns = scipy.linalg.null_space(M)
+    if ns.size == 0:
+        return lam0
+    k = ns.shape[1]
+    res = scipy.optimize.linprog(
+        c=np.concatenate([np.zeros(k), [-1.0]]),
+        A_ub=np.hstack([-ns, np.ones((len(lam0), 1))]),
+        b_ub=lam0, bounds=[(None, None)] * k + [(None, None)],
+        method="highs")
+    if not res.success or res.x[-1] <= 0:
+        return lam0
+    z = res.x[:k]
+    for _ in range(200):
+        lam = lam0 + ns @ z
+        grad = -ns.T @ (1.0 / lam)
+        hess = ns.T @ ((ns.T / lam ** 2).T)
+        step = np.linalg.solve(hess, -grad)
+        tau = 1.0
+        while np.any(lam0 + ns @ (z + tau * step) <= 0) and tau > 1e-18:
+            tau *= 0.5
+        z = z + tau * step
+        if np.linalg.norm(tau * step) < 1e-14:
+            break
+    return lam0 + ns @ z
+
+
+def faces_reached(monkeypatch, instances):
+    """The multiplier faces (M, lam0) that kkt_solve_num reaches on ``instances``."""
+    faces, center = [], reference._analytic_center_multiplier
+    monkeypatch.setattr(reference, "_analytic_center_multiplier",
+                        lambda M, lam0: faces.append((M, lam0)) or center(M, lam0))
+    for inst in instances:
+        kkt_solve_num(inst)
+    monkeypatch.undo()
+    return faces
+
+
+def grid_instances(seed, count):
+    """Seeded p x q grid rate allocations: one link per row and one per
+    column of flows, so A has rank p + q - 1, and every link is tight at
+    the planted optimum x0 > 0 with multipliers in [0.1, 2].
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p, q = rng.integers(2, 4, size=2)
+        A = np.vstack([np.kron(np.eye(p), np.ones(q)), np.kron(np.ones(p), np.eye(q))])
+        x0 = rng.uniform(0.5, 4.0, p * q)
+        c = x0 * (A.T @ rng.uniform(0.1, 2.0, p + q))
+        yield NumInstance(c=c, A=A, b=A @ x0, xmax=[4.0 * max(p, q) + 1] * (p * q))
+
+
+def test_rank_deficient_face_matches_scipy_bitwise(monkeypatch):
+    inst = builtin("num_5_2_rank_deficient").program
+    [(M, lam0)] = faces_reached(monkeypatch, [inst])
+    assert np.array_equal(kkt_solve_num(inst).lambda_star, scipy_analytic_center(M, lam0))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_face_center_optimality_and_scipy_agreement(monkeypatch, seed):
+    faces = faces_reached(monkeypatch, grid_instances(seed, 40))
+    assert len(faces) == 40
+    for M, lam0 in faces:
+        lam = reference._analytic_center_multiplier(M, lam0)
+        assert lam.min() > 0
+        scale = np.abs(M).max() * np.abs(lam0).max()
+        assert np.abs(M @ (lam - lam0)).max() <= 1e-14 * scale
+        _, _, vh = np.linalg.svd(M)
+        inv = 1.0 / lam
+        assert np.abs(vh[np.linalg.matrix_rank(M):] @ inv).max() <= 1e-12 * np.linalg.norm(inv)
+        expect = scipy_analytic_center(M, lam0)
+        assert np.abs(lam - expect).max() <= 1e-14 * np.abs(expect).max()
+        for scale in (1e-6, 1e6):  # the face and its center scale with lam0
+            scaled = reference._analytic_center_multiplier(M, scale * lam0)
+            assert np.abs(scaled - scale * lam).max() <= 1e-14 * scale * lam.max()
+
+
+def test_face_without_interior_keeps_lam0():
+    # lam1 + lam2 = 0 pins both at 0: the face is the single point lam0
+    M, lam0 = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.array([0.0, 0.0, 1.0])
+    assert np.array_equal(reference._analytic_center_multiplier(M, lam0), lam0)
+    assert np.array_equal(scipy_analytic_center(M, lam0), lam0)
+    # x* = 0 makes x <= 0 and 2x <= 0 active with lam = 0, the face's only point
+    sol = kkt_solve_qp(QpInstance(P=[[1.0]], c=[0.0], A=[[1.0], [2.0]], b=[0.0, 0.0]))
+    assert sol.active_set == (0, 1)
+    assert np.array_equal(sol.lambda_star, [0.0, 0.0])
+
+
+def test_unbounded_face_keeps_lam0():
+    # x1 = 1 written as x1 <= 1 and -x1 <= -1: lam + t (1, 1, 0) stays on
+    # the face for every t >= 0, so it has no analytic center (a Newton
+    # run from an interior point heads off to lam ~ 1e60)
+    inst = QpInstance(P=np.eye(2), c=[0.0, -2.0], A=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
+                      b=[1.0, -1.0, 0.0])
+    sol = kkt_solve_qp(inst)
+    assert sol.active_set == (0, 1, 2)
+    assert np.allclose(sol.x_star, [1.0, 0.0], atol=1e-12)
+    assert np.allclose(sol.lambda_star, [0.0, 2.0, 2.0], atol=1e-12)
+    for M, lam0 in ((inst.A.T, sol.lambda_star), (np.array([[1.0, -1.0]]), np.array([0.0, 2.0]))):
+        assert np.array_equal(reference._analytic_center_multiplier(M, lam0), lam0)
