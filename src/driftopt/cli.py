@@ -15,6 +15,7 @@ doubles round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -288,7 +289,10 @@ def cmd_info(args) -> int:
     return _emit(docs)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and then shared: parsing leaves
+    it unchanged and reads sys.stdout/stderr only when it prints."""
     parser = argparse.ArgumentParser(
         prog="driftopt",
         description="Constrained convex optimization via drift-plus-penalty "

@@ -100,7 +100,7 @@ def _analytic_center_multiplier(M: np.ndarray, lam0: np.ndarray) -> np.ndarray:
         while np.any(lam0 + ns @ (z + tau * step) <= 0) and tau > 1e-18:
             tau *= 0.5
         z = z + tau * step
-        if np.linalg.norm(tau * step) < 1e-14:
+        if np.linalg.norm(tau * step) <= 1e-14 * lam0.max():
             break
     return lam0 + ns @ z
 

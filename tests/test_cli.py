@@ -1,5 +1,7 @@
+import argparse
 import copy
 import csv
+import functools
 import io
 import json
 import warnings
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from driftopt import builtin, choose_V, error_series, load_problem, run
+from driftopt import cli
 from driftopt.cli import _read_trace_csv, main
 from driftopt.problems import BUILTINS
 
@@ -566,3 +569,50 @@ def test_pipeline_without_reference(tmp_path, capsys):
                            "--trace", str(out))
     assert code == 3
     assert "no ground-truth solution" in err
+
+
+# `main` builds its parser on the first call and reuses it for every later
+# call in the process; no call may see what an earlier one parsed or printed.
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+    # a parser cache of this test's own, empty at its start
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
+    assert run_cli(capsys, "kkt", "--builtin", "qp_6_2")[0] == 0
+    assert len(built) == 6  # the top-level parser and one per subcommand
+    assert run_cli(capsys, "kkt", "--builtin", "num_6_1")[0] == 0
+    assert run_cli(capsys, "nope")[0] == 2
+    assert len(built) == 6
+
+
+def test_solve_flags_do_not_carry_over(tmp_path, capsys):
+    _, summary = solve_qp(tmp_path, capsys, iters=50,
+                          extra=("--q0", "3", "--V", "500", "--sample", "linear"))
+    assert (summary["q0"], summary["V"], summary["sampling"]) == ([3.0, 3.0], 500.0, "linear")
+    assert summary["samples"] == 50
+    _, summary = solve_qp(tmp_path, capsys, iters=50)
+    V = choose_V(builtin("qp_6_2").program)
+    assert (summary["q0"], summary["V"], summary["sampling"]) == ([0.0, 0.0], V, "log")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "--builtin", "qp_6_2", "--iters", "ten", "--out", "x.csv"], 2),
+    (["kkt"], 2),
+    (["audit", "--builtin", "qp_6_2"], 2),
+    (["--help"], 0),
+    (["solve", "--help"], 0),
+])
+def test_valid_call_after_usage_error_or_help(capsys, argv, code):
+    got, stdout, err = run_cli(capsys, *argv)
+    assert got == code
+    if code:  # one usage and one error message, on stderr
+        assert stdout == "" and err.count("usage: driftopt") == 1
+        assert "error:" in err.splitlines()[-1]
+    else:
+        assert err == "" and stdout.count("usage: driftopt") == 1
+    got, stdout, err = run_cli(capsys, "kkt", "--builtin", "qp_6_2")
+    assert (got, err) == (0, "")
+    assert json.loads(stdout) == PINNED["kkt"]["qp_6_2"]

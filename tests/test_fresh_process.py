@@ -1,6 +1,6 @@
 """Checks that need a fresh interpreter: ``python -m driftopt``, which
-modules a command loads, and the benchmark's set-up probe
-(perfbench/setup_probe.py) run on this checkout.
+modules a command loads, when the CLI builds its parser, and the
+benchmark's set-up probe (perfbench/setup_probe.py) run on this checkout.
 
 scipy is imported only by the QP oracle (its Cholesky factor), so every
 other path starts with numpy alone, the rank-deficient builtin's KKT
@@ -78,6 +78,29 @@ def test_only_the_qp_oracle_imports_scipy(tmp_path):
     # scipy.optimize
     assert "scipy.linalg" in lines[3]
     assert not any("scipy.optimize" in line for line in lines)
+
+
+# Counts the argparse parsers built by importing the CLI, then by two commands.
+PARSER_PROBE = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **kw: built.append(self) or init(self, *a, **kw)
+from driftopt import cli
+counts = [len(built)]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["kkt", "--builtin", "num_6_1"]) == 0
+    counts.append(len(built))
+print(counts)
+"""
+
+
+def test_importing_the_cli_builds_no_parser(tmp_path):
+    # the benchmark's setup_s times the import; the parser (the top-level
+    # one and one per subcommand) is built by the first command
+    proc = python("-c", PARSER_PROBE, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (0, "[0, 6, 6]\n"), proc.stderr
 
 
 @pytest.mark.parametrize("source", ["builtin", "problem"])

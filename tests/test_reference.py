@@ -143,17 +143,19 @@ def scipy_analytic_center(M, lam0):
     import scipy.optimize
 
     ns = scipy.linalg.null_space(M)
-    if ns.size == 0:
+    if ns.size == 0 or not lam0.any():
         return lam0
     k = ns.shape[1]
+    # on lam0 / max(lam0): HiGHS's absolute tolerances would fail a face
+    # whose multipliers are about 1e-14
     res = scipy.optimize.linprog(
         c=np.concatenate([np.zeros(k), [-1.0]]),
         A_ub=np.hstack([-ns, np.ones((len(lam0), 1))]),
-        b_ub=lam0, bounds=[(None, None)] * k + [(None, None)],
+        b_ub=lam0 / lam0.max(), bounds=[(None, None)] * k + [(None, None)],
         method="highs")
     if not res.success or res.x[-1] <= 0:
         return lam0
-    z = res.x[:k]
+    z = lam0.max() * res.x[:k]
     for _ in range(200):
         lam = lam0 + ns @ z
         grad = -ns.T @ (1.0 / lam)
@@ -163,9 +165,21 @@ def scipy_analytic_center(M, lam0):
         while np.any(lam0 + ns @ (z + tau * step) <= 0) and tau > 1e-18:
             tau *= 0.5
         z = z + tau * step
-        if np.linalg.norm(tau * step) < 1e-14:
+        if np.linalg.norm(tau * step) <= 1e-14 * lam0.max():
             break
     return lam0 + ns @ z
+
+
+def assert_face_center(M, lam0, lam):
+    """``lam`` is the analytic center of {lam >= 0 : M lam = M lam0}: it is
+    positive, on the face to rounding, and N^T (1/lam) = 0 for a null-space
+    basis N of M, relative to |1/lam|."""
+    assert lam.min() > 0
+    scale = np.abs(M).max() * np.abs(lam0).max()
+    assert np.abs(M @ (lam - lam0)).max() <= 1e-14 * scale
+    _, _, vh = np.linalg.svd(M)
+    inv = 1.0 / lam
+    assert np.abs(vh[np.linalg.matrix_rank(M):] @ inv).max() <= 1e-12 * np.linalg.norm(inv)
 
 
 def faces_reached(monkeypatch, instances):
@@ -205,17 +219,27 @@ def test_face_center_optimality_and_scipy_agreement(monkeypatch, seed):
     assert len(faces) == 40
     for M, lam0 in faces:
         lam = reference._analytic_center_multiplier(M, lam0)
-        assert lam.min() > 0
-        scale = np.abs(M).max() * np.abs(lam0).max()
-        assert np.abs(M @ (lam - lam0)).max() <= 1e-14 * scale
-        _, _, vh = np.linalg.svd(M)
-        inv = 1.0 / lam
-        assert np.abs(vh[np.linalg.matrix_rank(M):] @ inv).max() <= 1e-12 * np.linalg.norm(inv)
+        assert_face_center(M, lam0, lam)
         expect = scipy_analytic_center(M, lam0)
         assert np.abs(lam - expect).max() <= 1e-14 * np.abs(expect).max()
-        for scale in (1e-6, 1e6):  # the face and its center scale with lam0
+        for scale in (1e-14, 1e-6, 1e6):  # the face and its center scale with lam0
             scaled = reference._analytic_center_multiplier(M, scale * lam0)
             assert np.abs(scaled - scale * lam).max() <= 1e-14 * scale * lam.max()
+        # the cross-check finds the same center on a face near 1e-14
+        expect = scipy_analytic_center(M, 1e-14 * lam0)
+        assert np.abs(expect - 1e-14 * lam).max() <= 1e-14 * 1e-14 * lam.max()
+
+
+def test_face_of_tiny_multipliers_reaches_its_center():
+    # multipliers near 1e-14: a stopping rule in absolute terms ends one
+    # Newton step from lam0, at (1.211e-14, 6.24e-15), with N^T (1/lam) at
+    # 3% of |1/lam|
+    M, lam0 = np.array([[0.6095, 1.2877]]), np.array([3.53e-15, 1.03e-14])
+    lam = reference._analytic_center_multiplier(M, lam0)
+    assert_face_center(M, lam0, lam)
+    expect = scipy_analytic_center(M, lam0)
+    assert np.abs(lam - expect).max() <= 1e-14 * np.abs(expect).max()
+    assert lam == pytest.approx([1.2645e-14, 5.9854e-15], rel=1e-4)
 
 
 def test_face_without_interior_keeps_lam0():
