@@ -4,8 +4,7 @@ and convergence-rate diagnostics."""
 
 from .core import (DimensionError, IterateTrace, ProgramSpec, QueueState,
                    sample_indices)
-from .oracles import (ClosedFormNumOracle, ClosedFormQpOracle, InnerSolveError,
-                      NumInstance, QpInstance)
+from .oracles import ClosedFormNumOracle, ClosedFormQpOracle, NumInstance, QpInstance
 from .solver import VARIANTS, choose_V, run
 from .reference import (InfeasibleError, KktSolution, kkt_solve_num,
                         kkt_solve_qp)
@@ -20,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_TAGS", "ClosedFormNumOracle", "ClosedFormQpOracle", "Constant",
-    "DimensionError", "InfeasibleError", "InnerSolveError", "IterateTrace",
+    "DimensionError", "InfeasibleError", "IterateTrace",
     "KktSolution", "NumInstance", "ProblemBundle", "ProgramSpec",
     "QpInstance", "QueueState", "RateFit", "VARIANTS", "audit_bounds",
     "audit_passed", "builtin", "choose_V", "dual_value_and_gradient",

@@ -25,7 +25,6 @@ import numpy as np
 from .core import IterateTrace, QueueState
 from .diagnostics import (audit_bounds, audit_passed, error_series, fit_geometric,
                           fit_power_decay)
-from .oracles import InnerSolveError
 from .problems import (BUILTIN_TAGS, ProblemBundle, _array, _number, builtin,
                        load_problem)
 from .solver import choose_V, run
@@ -232,7 +231,7 @@ def cmd_audit(args) -> int:
         q0 = QueueState(_array(summary, "q0", "summary")).q
     except KeyError as exc:
         raise ValueError(f"the summary lacks the field {exc}") from exc
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError) as exc:  # RecursionError: deep JSON
         raise ValueError(f"cannot read trace/summary: {exc}") from exc
     if problem != bundle.tag:
         raise ValueError(f"the summary is for problem {problem!r}, not {bundle.tag!r}")
@@ -351,8 +350,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InnerSolveError as exc:
-        print(f"error: inner oracle failed: {exc}", file=sys.stderr)
     except (ArithmeticError, _Failure) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return EXIT_NUMERICAL

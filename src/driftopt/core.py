@@ -122,9 +122,9 @@ class IterateTrace:
     """Sampled history of a solver run, one row per sampled iteration t >= 1,
     plus run-level summary quantities.
 
-    ``g_xbar`` and ``queue`` are S x m, ``x`` is S x n.  The dual columns
-    are None without a reference solution; ``x`` and ``queue`` are None
-    for a trace read back from its CSV.
+    ``g_xbar`` is S x m, the other columns have length S; the dual columns
+    are None without a reference solution.  These are the CSV's columns, so
+    a trace read back from its CSV is whole.
     """
 
     t: np.ndarray
@@ -133,8 +133,6 @@ class IterateTrace:
     qnorm: np.ndarray
     lambda_dist: np.ndarray | None = None
     dual_gap: np.ndarray | None = None
-    x: np.ndarray | None = None
-    queue: np.ndarray | None = None
     V: float = 1.0
     max_drift_residual: float = 0.0
 

@@ -4,8 +4,10 @@ One closed form per problem kind: log-utility rate allocation and the
 unconstrained quadratic.  Each kind's instance is a ``core.ProgramSpec``
 that adds its own fields, checks and objective, and its computed alpha.
 An oracle is built for one instance and one penalty ``V``, a constant of
-the DPP run, and computes its per-V constants then.  It takes the queue
-as a raw nonnegative float array, is pure in it, and has two methods:
+the DPP run, and computes its per-V constants then; only a bad V can make
+that fail, as the instance checks what holds at every V, such as the
+QP's conditioning.  It takes the queue as a raw nonnegative float array,
+is pure in it, and has two methods:
 
 - ``argmin(q)``: x(q) for one queue (m,), or the (k, n) rows x(q_i) of a
   (k, m) block of queues;
@@ -25,10 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionError, ProgramSpec, _as_vector, _check_V, _set_finite_readonly
-
-
-class InnerSolveError(RuntimeError):
-    """Inner minimization failed."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ class NumInstance(ProgramSpec):
 
 @dataclass(frozen=True)
 class QpInstance(ProgramSpec):
-    """Quadratic program: min x'Px + c'x s.t. Ax <= b, with P symmetric PD."""
+    """Quadratic program: min x'Px + c'x s.t. Ax <= b, P symmetric PD, cond(2P) <= 1e12."""
 
     P: np.ndarray
     c: np.ndarray
@@ -84,8 +82,11 @@ class QpInstance(ProgramSpec):
         _set_finite_readonly(self, P=P)
         if np.abs(P - P.T).max() > 1e-12:
             raise ValueError("P must be symmetric")
-        if np.linalg.eigvalsh(2.0 * P).min() <= 0:
+        eig = np.linalg.eigvalsh(2.0 * P)
+        if eig.min() <= 0:
             raise ValueError("2P must be positive definite")
+        if eig.max() > 1e12 * eig.min():
+            raise ValueError("P is ill-conditioned: cond(2P) is above 1e12")
 
     @property
     def alpha_computed(self) -> float:
@@ -128,7 +129,7 @@ class ClosedFormQpOracle:
     x0 + q K' maps one queue and a block of queue rows alike.  So is
     g(x(q)) = A x(q) - b, and the queue update is the affine map
     q' = max(M q + c0, 0) with M = I + A K and c0 = A x0 - b.  All of them
-    come from one Cholesky factor, after the conditioning check.
+    come from one Cholesky factor; only a V at which 2VP overflows is refused.
     """
 
     def __init__(self, inst: QpInstance, V: float):
@@ -136,9 +137,10 @@ class ClosedFormQpOracle:
         # solve stays, as np.linalg.solve rounds x0, K and M differently
         import scipy.linalg
 
-        H, A = 2.0 * _check_V(V) * inst.P, inst.A
-        if np.linalg.cond(H) > 1e12:
-            raise InnerSolveError("inner quadratic system is ill-conditioned")
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            H, A = 2.0 * _check_V(V) * inst.P, inst.A
+        if not np.isfinite(H).all():
+            raise ValueError(f"V={V:g} is too large for this program: 2VP overflows")
         cho = scipy.linalg.cho_factor(H)
         K = scipy.linalg.cho_solve(cho, -A.T)
         self.x0 = scipy.linalg.cho_solve(cho, -(V * inst.c))

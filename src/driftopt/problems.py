@@ -201,5 +201,8 @@ def load_problem(path) -> ProblemBundle:
     """
     path = Path(path)
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:  # nested past the parser's limit
+            raise ValueError("problem file is nested too deeply") from None
     return _bundle(path.stem, doc, {})

@@ -50,7 +50,8 @@ def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
     the penalty ``V``, stepping the inner oracle that the factory
     ``oracle`` builds at V, and return the trace sampled where the spec
     ``sample`` says.  Each parameter is checked once, before the first
-    step, and a V below the guarantee threshold warns.
+    step, and a V below the guarantee threshold warns.  The trace keeps
+    ||Q(t)||, not x(t) or Q(t), which the oracle's steps from q0 give again.
 
     When ``reference`` (a KktSolution) is given, each sample also records
     the dual-iterate distance ||lambda(t) - lambda*|| and the dual gap
@@ -98,8 +99,7 @@ def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
     S, n, m = len(ts), program.n, program.m
     prefix = np.empty((len(ends), n))
     f_xbar, qnorm = np.empty(S), np.empty(S)
-    g_xbar, queue = np.empty((S, m)), np.empty((S, m))
-    xs = np.empty((S, n))
+    g_xbar = np.empty((S, m))
     lambda_dist = dual_gap = lam_star = None
     if reference is not None:
         lambda_dist, dual_gap = np.empty(S), np.empty(S)
@@ -111,7 +111,6 @@ def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
             qnorm=qnorm[:rows],
             lambda_dist=None if lambda_dist is None else lambda_dist[:rows],
             dual_gap=None if dual_gap is None else dual_gap[:rows],
-            x=xs[:rows], queue=queue[:rows],
             V=V, max_drift_residual=max_residual)
 
     # Step t0 + s of a block writes Q(t0 + s + 1) into row s + 1 of Q; Q[0]
@@ -127,7 +126,7 @@ def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
     max_residual = 0.0
     i = j = k = 0
     objective, constraints = program.objective, program.constraints
-    columns = (f_xbar, g_xbar, qnorm, lambda_dist, dual_gap, xs, queue)
+    columns = (f_xbar, g_xbar, qnorm, lambda_dist, dual_gap)
     # numpy's floating-point warnings are off from here on: the sample
     # check reports a non-finite value as a FloatingPointError.
     with np.errstate(all="ignore"):
@@ -168,17 +167,16 @@ def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
 
             i0, i = i, np.searchsorted(ts, t0 + k)  # a block may hold no sample
             new, rows = slice(i0, i), ts[i0:i] - t0
-            xs[new], queue[new] = X[rows], Q[rows]
             # np.linalg.norm(v) of a 1-D float vector is sqrt(v.dot(v)), and
             # vecdot of a row is bitwise its dot.
             qnorm[new] = np.sqrt(qq[rows])
             xbar = (prefix[hi_row[new]] - prefix[lo_row[new]]) / width[new, None]
             f_xbar[new], g_xbar[new] = objective(xbar), constraints(xbar)
             if lam_star is not None:
-                lam_t = queue[new] / V
+                lam_t = Q[rows] / V
                 d = lam_t - lam_star
                 lambda_dist[new] = np.sqrt(np.vecdot(d, d))
-                dual_gap[new] = q_star - (objective(xs[new]) + np.vecdot(lam_t, G[rows]))
+                dual_gap[new] = q_star - (objective(X[rows]) + np.vecdot(lam_t, G[rows]))
             finite = np.isfinite(np.column_stack([c[new] for c in columns if c is not None]))
             if not finite.all():
                 bad = i0 + int(np.argmin(finite.all(axis=1)))

@@ -7,7 +7,10 @@ from typing import Callable
 
 import numpy as np
 
-from driftopt import InnerSolveError
+
+class GenericOracleError(RuntimeError):
+    """The generic oracle lacks derivatives, or found no minimizer to its
+    tolerance."""
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ class ProjectedGradientOracle:
             return np.array([self.argmin(row) for row in q]).reshape(len(q), self.program.n)
         program, tol, V = self.program, self.tol, self.V
         if self.objective_grad is None or self.constraints_jac is None:
-            raise InnerSolveError("generic oracle needs objective_grad and constraints_jac")
+            raise GenericOracleError("generic oracle needs objective_grad and constraints_jac")
 
         def phi(x):
             return V * program.objective(x) + float(q @ program.constraints(x))
@@ -94,14 +97,14 @@ class ProjectedGradientOracle:
                     break
                 s *= 0.5
             else:
-                raise InnerSolveError("line search failed in generic inner oracle")
+                raise GenericOracleError("line search failed in generic inner oracle")
             g_new = grad(x_new)
             dx, dg = x_new - x, g_new - gx
             denom = float(dx @ dg)
             step = float(dx @ dx) / denom if denom > 0 else s_ref
             step = min(max(step, 1e-3 * s_ref), 1e6 * s_ref)
             x, gx, fx = x_new, g_new, f_new
-        raise InnerSolveError(
+        raise GenericOracleError(
             f"generic inner oracle did not reach tol={tol} within {self.MAX_STEPS} steps")
 
     def step(self, q: np.ndarray, out: np.ndarray) -> np.ndarray:

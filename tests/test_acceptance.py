@@ -13,6 +13,7 @@ from driftopt import (audit_bounds, audit_passed, builtin, error_series,
                       kkt_solve_num, kkt_solve_qp, num_dual_hessian, run,
                       theta_bound)
 from generic_oracle import generic_oracle
+from replay import replay
 
 QP_V = 4.0 / 0.34
 NUM_V = 363.0
@@ -188,11 +189,14 @@ def test_criterion_9_oracle_equivalences():
     # (a) the dual subgradient method with step c is DPP at V = 1/c: the
     # dpp run matches an independent multiplier loop
     # lam <- max(lam + c g(x(lam)), 0) with x(lam) solving
-    # 2P x = -(c_obj + A' lam)
+    # 2P x = -(c_obj + A' lam).  The run keeps ||Q(t)||, not x(t) or Q(t):
+    # those are replayed from its oracle, and their norms are the run's.
     b = builtin("qp_6_2")
     c, iters = 1.0 / QP_V, 10_000
     t2 = run(b.program, b.oracle, V=1.0 / c, q0=np.zeros(2), iters=iters,
              sample="linear")
+    xs, queues = replay(b.oracle(1.0 / c), np.zeros(2), t2.t)
+    same_run = np.array_equal(t2.qnorm, np.sqrt(np.vecdot(queues, queues)))
     P, c_obj, A, b_vec = (b.program.P, b.program.c, b.program.A,
                           b.program.b)
     lam = np.zeros(2)
@@ -200,8 +204,8 @@ def test_criterion_9_oracle_equivalences():
     for t in range(iters + 1):
         x = np.linalg.solve(2.0 * P, -(c_obj + A.T @ lam))
         if t >= 1:  # sample t holds x(t) and Q(t) = lam(t) / c
-            worst_x = max(worst_x, np.abs(t2.x[t - 1] - x).max())
-            worst_lam = max(worst_lam, np.abs(c * t2.queue[t - 1] - lam).max())
+            worst_x = max(worst_x, np.abs(xs[t - 1] - x).max())
+            worst_lam = max(worst_lam, np.abs(c * queues[t - 1] - lam).max())
         lam = np.maximum(lam + c * (A @ x - b_vec), 0.0)
 
     # (b) closed-form vs generic inner oracle on random queues
@@ -227,8 +231,8 @@ def test_criterion_9_oracle_equivalences():
                                   np.diag(bb.program.c / x ** 2))
         worst_hess = max(worst_hess, np.abs(H1 - H2).max())
 
-    ok = worst_x <= 1e-12 and worst_lam <= 1e-12 and worst_oracle <= 1e-6 \
-        and worst_hess <= 1e-8
+    ok = same_run and worst_x <= 1e-12 and worst_lam <= 1e-12 \
+        and worst_oracle <= 1e-6 and worst_hess <= 1e-8
     report("criterion 9: oracle equivalences", ok,
            f"iterates {worst_x:.1e}, oracles {worst_oracle:.1e}, "
            f"hessians {worst_hess:.1e}")

@@ -138,32 +138,45 @@ def test_bad_problem_file(tmp_path, capsys, doc, message):
 
 # Failures that once ended in a traceback or printed non-JSON.
 
-def test_audit_with_failing_inner_oracle_exits_3(tmp_path, capsys):
-    # cond(2VP) = 1e13 at every V: the oracle refuses the dual evaluation
-    doc = {**BUILTINS["qp_6_2"], "P": [[1.0, 0.0], [0.0, 1e-13]]}
-    path = problem_file(tmp_path, doc)
-    trace = tmp_path / "t.csv"
-    trace.write_text("t,f_avg,f_err,g_1,g_2,qnorm,lambda_dist,dual_gap\n"
-                     "1,0,0,0,0,0,0,0\n2,0,0,0,0,0,0,0\n")
-    summary = tmp_path / "s.json"
-    summary.write_text(json.dumps({"problem": path.stem, "V": 1.0, "q0": [0.0, 0.0]}))
-    code, out, err = run_cli(capsys, "audit", "--problem", path, "--trace", trace,
-                             "--summary", summary, "--gamma", 1)
-    assert (code, out, err) == (
-        3, "", "error: inner oracle failed: inner quadratic system is ill-conditioned\n")
-
-
-def test_solve_with_failing_inner_oracle_exits_3(tmp_path, capsys):
-    # the oracle at V cannot be built, so no step runs and nothing is written
+@pytest.mark.parametrize("command", ["solve", "kkt", "audit"])
+def test_ill_conditioned_P_exits_2_at_load(tmp_path, capsys, command):
+    # cond(2VP) = cond(2P) = 1e13 at every V: the instance refuses the file
+    # before any command runs, and nothing is written
     doc = {**BUILTINS["qp_6_2"], "P": [[1.0, 0.0], [0.0, 1e-13]]}
     path = problem_file(tmp_path, doc)
     out = tmp_path / "t.csv"
-    code, stdout, err = run_cli(capsys, "solve", "--problem", path, "--iters", 100,
-                                "--out", out)
+    argv = {"solve": ("--iters", 100, "--out", out), "kkt": (),
+            "audit": ("--trace", out, "--gamma", 1)}[command]
+    code, stdout, err = run_cli(capsys, command, "--problem", path, *argv)
+    assert (code, stdout, err) == (2, "", "error: P is ill-conditioned: cond(2P) is above 1e12\n")
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_V_at_which_2VP_overflows_exits_2(tmp_path, capsys):
+    # 2VP overflows, so no oracle exists at V: refused before the first
+    # step, with nothing written
+    out = tmp_path / "t.csv"
+    code, stdout, err = run_cli(capsys, "solve", "--builtin", "qp_6_2", "--V", "1e308",
+                                "--iters", 100, "--out", out)
     assert (code, stdout, err) == (
-        3, "", "error: inner oracle failed: inner quadratic system is ill-conditioned\n")
-    assert not out.exists()
-    assert not (tmp_path / "t.csv.summary.json").exists()
+        2, "", "error: V=1e+308 is too large for this program: 2VP overflows\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["kkt", "audit"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    # past the parser's recursion limit: an input error, not a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    if command == "kkt":
+        argv, message = ("--problem", deep), "problem file is nested too deeply\n"
+    else:
+        trace = qp_trace(tmp_path, capsys, iters=50)
+        argv = ("--builtin", "qp_6_2", "--trace", trace, "--summary", deep)
+        message = "cannot read trace/summary: maximum recursion depth exceeded"
+    code, out, err = run_cli(capsys, command, *argv)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith(f"error: {message}"), err
 
 
 def test_audit_at_large_V_passes(tmp_path, capsys):

@@ -38,11 +38,14 @@ def test_queue_update_clamps_at_zero():
     b = builtin("num_6_1")
     q0 = np.array([1000.0, 0.0, 1000.0])
     V = 544.5
-    tr = run(b.program, b.oracle, V=V, q0=q0, iters=1, sample="linear")
-    g0 = b.program.constraints(b.oracle(V).argmin(q0))
+    oracle = b.oracle(V)
+    g0 = b.program.constraints(oracle.argmin(q0))
     assert q0[1] + g0[1] < 0
-    assert np.array_equal(tr.queue[0], np.maximum(q0 + g0, 0.0))
-    assert tr.queue[0][1] == 0.0
+    q1 = oracle.step(q0, np.empty(3))
+    assert np.array_equal(q1, np.maximum(q0 + g0, 0.0))
+    assert q1[1] == 0.0
+    tr = run(b.program, b.oracle, V=V, q0=q0, iters=1, sample="linear")
+    assert tr.qnorm[0] == np.linalg.norm(q1)
 
 
 def test_drift_identity_exact_on_updates():
@@ -73,7 +76,7 @@ def test_trace_columns():
     assert len(tr) == 2
     assert tr.t.dtype.kind == "i" and list(tr.t) == [1, 3]
     assert np.allclose(tr.f_xbar, [2.0, 4.0])
-    assert tr.lambda_dist is None and tr.x is None and tr.queue is None
+    assert tr.lambda_dist is None and tr.dual_gap is None
 
 
 def test_sample_indices_linear():

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
-from driftopt import (ClosedFormNumOracle, ClosedFormQpOracle, InnerSolveError,
-                      NumInstance, QpInstance, builtin, choose_V)
-from generic_oracle import GenericProgram, ProjectedGradientOracle, generic_oracle
+from driftopt import (ClosedFormNumOracle, ClosedFormQpOracle, NumInstance, QpInstance,
+                      builtin, choose_V)
+from generic_oracle import (GenericOracleError, GenericProgram, ProjectedGradientOracle,
+                            generic_oracle)
 
 QP_V = 4.0 / 0.34
 NUM_V = 363.0
@@ -42,6 +45,23 @@ def test_qp_instance_validation():
         QpInstance(P=[[1.0, 0.5], [0.0, 1.0]], c=[0, 0], A=[[1, 0]], b=[1])
     with pytest.raises(ValueError):
         QpInstance(P=[[0.0]], c=[0.0], A=[[1.0]], b=[1.0])  # 2P not PD
+
+
+def test_qp_instance_checks_the_conditioning_of_P():
+    # cond(2VP) = cond(2P) at every V, so the instance refuses what no
+    # oracle built from it could factor well
+    QpInstance(P=[[1.0, 0.0], [0.0, 1e-11]], c=[0, 0], A=[[1, 0]], b=[1])
+    with pytest.raises(ValueError, match="P is ill-conditioned: cond\\(2P\\) is above 1e12"):
+        QpInstance(P=[[1.0, 0.0], [0.0, 1e-13]], c=[0, 0], A=[[1, 0]], b=[1])
+
+
+@pytest.mark.parametrize("V", [1e308, 1e300])
+def test_qp_oracle_refuses_a_V_at_which_2VP_overflows(V):
+    P = [[1.0, 0.0], [0.0, 1e8]]  # 2VP overflows from V ~ 9e299
+    inst = QpInstance(P=P, c=[0.0, 0.0], A=[[1.0, 0.0]], b=[1.0])
+    with pytest.raises(ValueError, match=re.escape(f"V={V:g} is too large for this program")):
+        ClosedFormQpOracle(inst, V)
+    ClosedFormQpOracle(inst, 1e299)
 
 
 def test_log_utility_argmin_zero_queue_hits_caps():
@@ -174,7 +194,7 @@ def test_projected_gradient_needs_derivatives():
                        objective=lambda x: np.vecdot(x, x),
                        constraints=lambda x: x[..., :1],
                        alpha=2.0, beta=1.0)
-    with pytest.raises(InnerSolveError):
+    with pytest.raises(GenericOracleError):
         ProjectedGradientOracle(p, 1.0, lower=[-1.0], upper=[1.0]).argmin(np.zeros(1))
 
 

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from driftopt import BUILTIN_TAGS, builtin, choose_V, load_problem, run
+from driftopt import BUILTIN_TAGS, builtin, choose_V, load_problem
 from driftopt.problems import BUILTINS, PAPER_CONSTANTS
+from replay import replay
 
 
 def test_builtin_tags_complete():
@@ -135,9 +136,8 @@ def test_builtin_row_forms_match_one_row_calls(tag):
     # values of the one-row calls
     b = builtin(tag)
     program = b.program
-    tr = run(program, b.oracle, V=choose_V(program), q0=np.zeros(program.m), iters=500,
-             variant="dpp_shifted", sample="linear")
-    X = np.vstack([tr.x, np.random.default_rng(3).uniform(0.01, 12.0, (200, program.n))])
+    xs, _ = replay(b.oracle(choose_V(program)), np.zeros(program.m), np.arange(1, 501))
+    X = np.vstack([xs, np.random.default_rng(3).uniform(0.01, 12.0, (200, program.n))])
     f, g = program.objective(X), program.constraints(X)
     assert f.shape == (len(X),) and g.shape == (len(X), program.m)
     for i, x in enumerate(X):

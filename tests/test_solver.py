@@ -13,6 +13,7 @@ from driftopt.dual_analysis import dual_value_and_gradient
 from driftopt.problems import BUILTIN_TAGS
 from driftopt.solver import _BLOCK
 from generic_oracle import GenericProgram, generic_oracle
+from replay import replay
 
 QP_V = 4.0 / 0.34
 
@@ -21,8 +22,7 @@ QP_V = 4.0 / 0.34
 # from nonzero queues and dpp_shifted at V = 422 from Q(0) = 3.  2000
 # iterations, linear sampling with stride 97.
 GOLDEN = json.loads(Path(__file__).with_name("golden_traces.json").read_text())
-GOLDEN_COLUMNS = ("f_xbar", "g_xbar", "qnorm", "lambda_dist", "dual_gap",
-                  "queue")
+GOLDEN_COLUMNS = ("f_xbar", "g_xbar", "qnorm", "lambda_dist", "dual_gap")
 
 
 def run_qp(**kw):
@@ -92,7 +92,7 @@ def test_first_iteration_from_zero_queue():
     caps = np.full(3, 11.0)  # xbar(1) = x(0)
     assert np.isclose(tr.f_xbar[0], b.program.objective(caps))
     assert np.allclose(tr.g_xbar[0], b.program.constraints(caps))
-    assert np.allclose(tr.queue[0], [23.0, 14.0, 14.0])
+    assert tr.qnorm[0] == np.linalg.norm([23.0, 14.0, 14.0])
 
 
 def test_zero_constraint_values_fix_the_queue():
@@ -101,7 +101,9 @@ def test_zero_constraint_values_fix_the_queue():
     q0 = QP_V * lam  # stationary point of the queue recursion
     tr = run(b.program, b.oracle, V=QP_V, q0=q0, iters=20, sample="linear",
              reference=b.reference)
-    assert np.allclose(tr.queue, q0, atol=1e-8)
+    _, queue = replay(b.oracle(QP_V), q0, tr.t)
+    assert np.allclose(queue, q0, atol=1e-8)
+    assert np.allclose(tr.qnorm, np.linalg.norm(q0), rtol=0, atol=1e-8)
 
 
 def test_dpp_equals_dual_subgradient(tmp_path, capsys):
@@ -125,9 +127,7 @@ AVERAGE_SAMPLES = ("linear", "log", "linear:7")
 
 def iterate_history(b, iters):
     """x(0), ..., x(iters - 1) of the qp_6_2 run from Q(0) = 0."""
-    q0 = np.zeros(2)
-    tr = run(b.program, b.oracle, V=QP_V, q0=q0, iters=iters, sample="linear")
-    return np.array([b.oracle(QP_V).argmin(q0)] + list(tr.x[:-1]))
+    return replay(b.oracle(QP_V), np.zeros(2), np.arange(iters))[0]
 
 
 def assert_average_values(b, tr, t, xbar, sample):
@@ -180,10 +180,11 @@ def test_per_iteration_drift_plus_penalty_bound():
              sample="linear")
     # row i holds x(t) and Q(t) for t = i+1; the drift of step t needs
     # Q(t+1), i.e. the next row's queue.  L(Q) = ||Q||^2 / 2.
+    x, queue = replay(b.oracle(QP_V), np.zeros(2), tr.t)
     for i in range(len(tr) - 1):
-        q, q_next = tr.queue[i], tr.queue[i + 1]
+        q, q_next = queue[i], queue[i + 1]
         drift = 0.5 * (q_next @ q_next) - 0.5 * (q @ q)
-        assert drift + QP_V * b.program.objective(tr.x[i]) <= QP_V * b.reference.f_star + 1e-8
+        assert drift + QP_V * b.program.objective(x[i]) <= QP_V * b.reference.f_star + 1e-8
 
 
 def test_warns_below_guarantee_threshold():
@@ -231,9 +232,10 @@ def test_recorded_norms_are_numpy_norms(tag, variant, q0):
     tr = run(b.program, b.oracle, V=V, q0=np.full(b.program.m, q0), iters=500,
              variant=variant, sample="linear", reference=b.reference)
     lam_star = b.reference.lambda_star
+    _, queue = replay(b.oracle(V), np.full(b.program.m, q0), tr.t)
     for i in range(len(tr)):
-        assert tr.qnorm[i] == np.linalg.norm(tr.queue[i]), i
-        assert tr.lambda_dist[i] == np.linalg.norm(tr.queue[i] / V - lam_star), i
+        assert tr.qnorm[i] == np.linalg.norm(queue[i]), i
+        assert tr.lambda_dist[i] == np.linalg.norm(queue[i] / V - lam_star), i
 
 
 @pytest.mark.parametrize(
@@ -256,8 +258,10 @@ def test_golden_trace(case):
     # oracle is now an affine map and dual subgradient runs as DPP at
     # V = 1/c, which moves the last bits.
     exact = b.kind == "num" and case["variant"] != "dual_subgradient"
-    for name in GOLDEN_COLUMNS:
-        new = getattr(tr, name)
+    # the trace keeps no queue: the recording's is checked against the replay
+    columns = {name: getattr(tr, name) for name in GOLDEN_COLUMNS}
+    columns["queue"] = replay(b.oracle(V), q0, tr.t)[1]
+    for name, new in columns.items():
         old = np.array(case[name], dtype=float)
         if exact:
             assert np.array_equal(new, old), name
@@ -288,7 +292,7 @@ def reference_run(b, V, iters, variant, sample):
             lo = hi // 2 if variant == "dpp_shifted" else 0
             xbar = (S[hi] - S[lo]) / (hi - lo)
             lam, d = q / V, q / V - b.reference.lambda_star
-            rows.append((x, q, math.sqrt(q.dot(q)), b.program.objective(xbar),
+            rows.append((math.sqrt(q.dot(q)), b.program.objective(xbar),
                          b.program.constraints(xbar), math.sqrt(d.dot(d)),
                          q_star - (b.program.objective(x) + float(lam @ g))))
         qn = oracle.step(q, np.empty_like(q))
@@ -309,7 +313,7 @@ def test_blocks_match_the_per_iteration_loop(tag, variant):
     # 1500 the first block of all but the shortest run holds no sample
     b = builtin(tag)
     V = choose_V(b.program)
-    names = ("x", "queue", "qnorm", "f_xbar", "g_xbar", "lambda_dist", "dual_gap")
+    names = ("qnorm", "f_xbar", "g_xbar", "lambda_dist", "dual_gap")
     for iters in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
         for sample in ("linear", "log", "linear:1500"):
             tr = run(b.program, b.oracle, V=V, q0=np.zeros(b.program.m), iters=iters,
@@ -408,7 +412,7 @@ class CountingOracle(ReplayingOracle):
 def test_shifted_run_makes_one_oracle_call_per_iteration():
     b = builtin("qp_6_2")
     iters = 101
-    traces = []
+    traces, steps = [], []
     for inner in (b.oracle, generic_oracle(b, tol=1e-12)):
         oracle = CountingOracle(b, inner)
         traces.append(run(b.program, oracle, V=QP_V, q0=np.zeros(2), iters=iters,
@@ -416,10 +420,13 @@ def test_shifted_run_makes_one_oracle_call_per_iteration():
         assert oracle.calls == iters + 1  # steps from Q(0..iters)
         assert oracle.row_calls == 1  # x(0..iters), in one block
         assert oracle.queue_calls == 2  # x(lambda*) and the shape check
+        steps.append(np.array(oracle.xs))  # the x(t) that stepped Q(t)
     closed, generic = traces
     assert np.abs(closed.f_xbar - generic.f_xbar).max() <= 1e-7
     assert np.abs(closed.g_xbar - generic.g_xbar).max() <= 1e-8
-    assert np.abs(closed.queue - generic.queue).max() <= 1e-8
+    assert np.abs(steps[0] - steps[1]).max() <= 1e-8
+    assert np.abs(closed.qnorm - generic.qnorm).max() <= 1e-8
+    assert np.abs(closed.lambda_dist - generic.lambda_dist).max() <= 1e-8 / QP_V
 
 
 class OverflowingOracle(CountingOracle):
@@ -447,7 +454,7 @@ def test_non_finite_sample_carries_partial_trace():
         run(b.program, OverflowingOracle(b, at=21), **cfg, reference=b.reference)
     part = info.value.partial_trace
     assert part.t.tolist() == list(range(1, 21))
-    for name in GOLDEN_COLUMNS + ("x",):
+    for name in GOLDEN_COLUMNS:
         assert np.array_equal(getattr(part, name), getattr(full, name)[:20]), name
     # from step 21 on every residual is NaN (inf - inf), and NaN is skipped
     upto = run(b.program, b.oracle, V=QP_V, q0=q0, iters=21, sample="linear")
@@ -477,5 +484,5 @@ def test_shifted_failure_between_samples_carries_partial_trace(failing):
         run(b.program, failing(b, at=24), **cfg, reference=b.reference)
     part = info.value.partial_trace
     assert part.t.tolist() == [7, 14, 21]
-    for name in GOLDEN_COLUMNS + ("x",):
+    for name in GOLDEN_COLUMNS:
         assert np.array_equal(getattr(part, name), getattr(full, name)[:3]), name
