@@ -12,7 +12,7 @@ Oracles take the queue as a raw float array.
 Only the queue of the recurrence x(t) = argmin V f + Q(t) . g,
 Q(t+1) = max(Q(t) + g(x(t)), 0) is sequential: x(t) and g(x(t)) are
 functions of Q(t).  One kernel steps Q alone over blocks of _BLOCK
-iterations, one ``oracle.step`` call per iteration.  At each block end it
+iterations, one ``oracle.steps`` call per block.  At each block end it
 rebuilds the block's x and g rows with one ``oracle.argmin`` and one
 constraints call, checks the drift identity of every step, and fills the
 prefix sums and the sampled rows, calling f and g once each on the
@@ -116,11 +116,10 @@ def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
     # Step t0 + s of a block writes Q(t0 + s + 1) into row s + 1 of Q; Q[0]
     # holds Q(t0).  X and G, rebuilt from Q, hold x(t0 + s) and g(x(t0 + s))
     # in row s; they are C-ordered, so the row-wise dots of the drift
-    # identity sum as one-row dots do.  The row views of Q are made once,
-    # and the update of the last step (t = iters) is never read.
+    # identity sum as one-row dots do.  The update of the last step
+    # (t = iters) is never read.
     block = min(_BLOCK, iters + 1)
     X, G, Q = np.empty((block, n)), np.empty((block, m)), np.empty((block + 1, m))
-    Q_rows = list(Q)
     Q[0] = q0
     sum_x = np.zeros(n)
     max_residual = 0.0
@@ -133,14 +132,12 @@ def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
         if lam_star is not None:
             q_star, _ = dual_value_and_gradient(program, oracle, lam_star)
         inner = oracle(V)
-        argmin, step = inner.argmin, inner.step
+        argmin = inner.argmin
         _as_vector(constraints(argmin(Q[0])), m, "g(x)")  # checks the shape of g(x) once
         for t0 in range(0, iters + 1, block):
             Q[0] = Q[k]
             k = min(block, iters + 1 - t0)
-            q = Q_rows[0]
-            for out in Q_rows[1:k + 1]:
-                q = step(q, out)
+            inner.steps(Q[:k + 1])
 
             # Record steps t0 .. t0 + k - 1: their x and g, rebuilt from
             # Q(t0 .. t0 + k - 1), their drift residuals, S at the window ends

@@ -1,6 +1,8 @@
 """A generic inner oracle, the independent check the closed forms are tested
 against: projected gradient with Barzilai-Borwein steps on any program
-with analytic derivatives; and a generic program given by callables."""
+with analytic derivatives; a generic program given by callables; and the
+NUM queue step written as loops over Python floats, the check of the step
+that the NUM oracle generates."""
 
 from dataclasses import dataclass
 from typing import Callable
@@ -107,9 +109,10 @@ class ProjectedGradientOracle:
         raise GenericOracleError(
             f"generic inner oracle did not reach tol={tol} within {self.MAX_STEPS} steps")
 
-    def step(self, q: np.ndarray, out: np.ndarray) -> np.ndarray:
-        g = self.program.constraints(self.argmin(q))
-        return np.maximum(q + g, 0.0, out=out)
+    def steps(self, Q: np.ndarray) -> None:
+        for t in range(len(Q) - 1):
+            g = self.program.constraints(self.argmin(Q[t]))
+            np.maximum(Q[t] + g, 0.0, out=Q[t + 1])
 
 
 def generic_oracle(bundle, tol: float = 1e-10):
@@ -125,3 +128,26 @@ def generic_oracle(bundle, tol: float = 1e-10):
         grad = lambda x: 2.0 * (inst.P @ x) + inst.c
     return lambda V: ProjectedGradientOracle(bundle.program, V, lower, upper, grad,
                                              lambda x: inst.A, tol=tol)
+
+
+def num_step_in_index_order(oracle, q):
+    """One NUM queue step max(q + A x(q) - b, 0) of the closed-form oracle
+    ``oracle``, on Python floats with every sum taken in index order."""
+    A, b, xmax = oracle.inst.A.tolist(), oracle.inst.b.tolist(), oracle.inst.xmax.tolist()
+    cV, floor, q = oracle.cV.tolist(), oracle.floor.tolist(), list(map(float, q))
+    m, n = len(A), len(A[0])
+    x = []
+    for i in range(n):
+        s = 0.0
+        for k in range(m):
+            if A[k][i]:
+                s += q[k]
+        x.append(min(cV[i] / max(s, floor[i]), xmax[i]))
+    out = []
+    for k in range(m):
+        load = 0.0
+        for i in range(n):
+            if A[k][i]:
+                load += x[i]
+        out.append(max(q[k] + (load - b[k]), 0.0))
+    return np.array(out)

@@ -1,18 +1,41 @@
-"""The iterates behind a trace, replayed one oracle call at a time: the
-trace keeps f(x-bar), g(x-bar) and ||Q(t)|| per sample, not x(t) or Q(t)."""
+"""The iterates behind a trace, replayed by the oracle's own steps: the
+trace keeps f(x-bar), g(x-bar) and ||Q(t)|| per sample, not x(t) or Q(t).
+Also one step of an oracle, and a count of the NUM steps generated."""
 
 import numpy as np
+
+import driftopt.oracles
+
+
+def step(oracle, q):
+    """Q(t+1) for Q(t) = ``q``: the oracle's ``steps`` on a two-row block."""
+    Q = np.empty((2, len(q)))
+    Q[0] = q
+    oracle.steps(Q)
+    return Q[1]
 
 
 def replay(oracle, q0, ts):
     """x(t) and Q(t) at each t in the increasing ``ts``, for the recurrence
-    Q(t+1) = oracle.step(Q(t)) from Q(0) = ``q0`` with x(t) =
-    oracle.argmin(Q(t)), where ``oracle`` is built at the run's V.  Row i
-    of each array holds sample ts[i], as a trace's row i does."""
-    wanted, q, queues = {int(t) for t in ts}, np.array(q0, dtype=float), []
-    for t in range(int(ts[-1]) + 1):
-        if t in wanted:
-            queues.append(q)
-        q = oracle.step(q, np.empty_like(q))
-    queues = np.array(queues)
+    Q(t+1) = max(Q(t) + g(x(Q(t))), 0) from Q(0) = ``q0`` with x(t) =
+    oracle.argmin(Q(t)), where ``oracle`` is built at the run's V and steps
+    Q(0..ts[-1]) in one block.  Row i of each array holds sample ts[i], as
+    a trace's row i does."""
+    Q = np.empty((int(ts[-1]) + 1, len(q0)))
+    Q[0] = q0
+    oracle.steps(Q)
+    queues = Q[np.asarray(ts, dtype=int)]
     return oracle.argmin(queues), queues
+
+
+def count_generations(monkeypatch):
+    """The list that gets one entry for each NUM step the oracles generate
+    from here on, for the rest of the test."""
+    made, generate = [], driftopt.oracles._generate_num_steps
+
+    def counting(*args):
+        made.append(args)
+        return generate(*args)
+
+    monkeypatch.setattr(driftopt.oracles, "_generate_num_steps", counting)
+    return made

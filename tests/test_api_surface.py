@@ -1,8 +1,8 @@
 """Every name in ``driftopt.__all__``, and every field of its dataclasses,
 is used by the package itself; every problem kind is a ``ProgramSpec``;
 every oracle in ``driftopt.oracles`` has the full oracle protocol:
-built from (inst, V), with ``argmin(q)`` and ``step(q, out)`` that leave
-it as it was; and ``run`` takes the run's parameters by keyword.
+built from (inst, V), with ``argmin(q)`` and ``steps(Q)`` that leave it as
+it was, and no other public method; and ``run`` takes the run's parameters by keyword.
 
 The usage checks parse ``src/driftopt`` with ``ast`` and count a name as
 used when some module other than ``__init__`` loads it (as a bare name or
@@ -127,12 +127,15 @@ ORACLES = [cls for name, cls in vars(driftopt.oracles).items()
 
 
 def test_every_oracle_steps_the_queue():
-    # the DPP kernel calls step in its loop and argmin on a block's queue
-    # rows, with no fallback for an oracle that lacks either
+    # the DPP kernel calls steps once per block and argmin on a block's
+    # queue rows, with no fallback for an oracle that lacks either; no
+    # oracle keeps a second step method beside them
     assert ORACLES
     for cls in ORACLES:
         assert callable(getattr(cls, "argmin", None)), cls.__name__
-        assert callable(getattr(cls, "step", None)), cls.__name__
+        assert callable(getattr(cls, "steps", None)), cls.__name__
+        public = [name for name in vars(cls) if not name.startswith("_")]
+        assert sorted(public) == ["argmin", "steps"], cls.__name__
 
 
 def _parameters(function) -> list[str]:
@@ -144,7 +147,7 @@ def test_every_oracle_is_built_at_one_V():
     for cls in ORACLES:
         assert _parameters(cls.__init__) == ["self", "inst", "V"], cls.__name__
         assert _parameters(cls.argmin) == ["self", "q"], cls.__name__
-        assert _parameters(cls.step) == ["self", "q", "out"], cls.__name__
+        assert _parameters(cls.steps) == ["self", "Q"], cls.__name__
 
 
 @pytest.mark.parametrize("tag", ["num_6_1", "qp_6_2"])
@@ -156,8 +159,9 @@ def test_oracle_calls_leave_the_oracle_as_built(tag):
               if isinstance(value, np.ndarray)}
     Q = np.random.default_rng(4).uniform(0, 50, (8, b.program.m))
     oracle.argmin(Q)
+    for _ in range(2):  # the NUM oracle generates its step at the first call
+        oracle.steps(Q.copy())
     for q in Q:
-        oracle.step(q, np.empty(b.program.m))
         oracle.argmin(q)
     after = vars(oracle)
     assert after.keys() == before.keys()

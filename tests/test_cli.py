@@ -14,6 +14,7 @@ from driftopt import builtin, choose_V, error_series, load_problem, run
 from driftopt import cli
 from driftopt.cli import _read_trace_csv, main
 from driftopt.problems import BUILTINS
+from replay import count_generations
 
 # `info` and `kkt` output for each builtin, recorded before the builtins
 # became problem documents.
@@ -616,3 +617,21 @@ def test_valid_call_after_usage_error_or_help(capsys, argv, code):
     got, stdout, err = run_cli(capsys, "kkt", "--builtin", "qp_6_2")
     assert (got, err) == (0, "")
     assert json.loads(stdout) == PINNED["kkt"]["qp_6_2"]
+
+
+def test_only_solve_generates_a_num_step(tmp_path, capsys, monkeypatch):
+    # a solve generates its NUM step once, at its first block; audit's
+    # oracles only call argmin, and fit, kkt and info step no oracle
+    made = count_generations(monkeypatch)
+    out = tmp_path / "num.csv"
+    assert main(["solve", "--builtin", "num_6_1", "--iters", "3000", "--out", str(out)]) == 0
+    assert len(made) == 1
+    path = tmp_path / "num_6_1.json"
+    path.write_text(json.dumps(BUILTINS["num_6_1"]))
+    for argv in (["audit", "--builtin", "num_6_1", "--trace", out],
+                 ["audit", "--problem", path, "--trace", out, "--gamma", "422"],
+                 ["fit", "--trace", out, "--series", "obj", "--model", "power"],
+                 ["kkt", "--builtin", "num_6_1"], ["kkt", "--problem", path], ["info"]):
+        assert main([str(a) for a in argv]) == 0, argv
+    capsys.readouterr()
+    assert len(made) == 1

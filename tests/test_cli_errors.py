@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import driftopt
+import driftopt.oracles
 from driftopt import cli
 from driftopt.cli import main
 from driftopt.problems import BUILTINS
@@ -334,3 +335,48 @@ def test_geometric_fit_overflow_exits_3_with_warnings_as_errors(tmp_path):
     proc = run_module(*fit_args(path, model="geometric"), python_flags=("-W", "error"))
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == "error: geometric fit produced ratio 1 outside (0, 1)\n"
+
+
+def test_P_too_large_for_floats_exits_2_with_warnings_as_errors(tmp_path):
+    # 2P overflows: one line, no numpy warning and no traceback
+    doc = {**BUILTINS["qp_6_2"], "P": [[1e308, 0.0], [0.0, 1e308]]}
+    proc = run_module("kkt", "--problem", problem_file(tmp_path, doc),
+                      python_flags=("-W", "error"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: P is too large: 2P or its eigenvalues overflow\n"
+
+
+# Extreme V on num_6_1: c V overflows at 1e308 and the floor underflows to
+# 0 at 5e-324, where the NUM oracle steps with numpy; at 1e-300 and 1e-100
+# it generates its step.  Each fails at the sample the numpy row update
+# fails at, with its line and its partial CSV (one row at 1e-100, none
+# at the others).
+EXTREME_V = [(("--V", "1e308"), 1), (("--V", "5e-324"), 1), (("--V", "1e-300"), 1),
+             (("--algorithm", "dpp-shifted", "--V", "1e-100", "--sample", "linear"), 2)]
+
+
+@pytest.mark.parametrize("argv,t", EXTREME_V, ids=[" ".join(a) for a, _ in EXTREME_V])
+def test_extreme_V_fails_as_the_numpy_row_update_does(tmp_path, capsys, monkeypatch,
+                                                      argv, t):
+    solve = ("solve", "--builtin", "num_6_1", *argv, "--iters", 100, "--out")
+    line = f"error: non-finite value in the sample at t = {t}"
+    with monkeypatch.context() as patch:  # a size bound of 0: numpy steps
+        patch.setattr(driftopt.oracles, "_MAX_GENERATED_ONES", 0)
+        code, out, err = run_cli(capsys, *solve, tmp_path / "numpy.csv")
+    assert (code, out, err.splitlines()[-1]) == (3, "", line)
+    csvs = [tmp_path / "numpy.csv"]
+    code, out, err = run_cli(capsys, *solve, tmp_path / "in_process.csv")
+    assert (code, out, err.splitlines()[-1]) == (3, "", line)
+    csvs.append(tmp_path / "in_process.csv")
+    # every warning an error, but the documented one that V is below the
+    # guarantee threshold
+    proc = run_module(*solve, tmp_path / "fresh.csv",
+                      python_flags=("-W", "error", "-W", "default::UserWarning"))
+    assert (proc.returncode, proc.stdout, proc.stderr.splitlines()[-1]) == (3, "", line)
+    assert "Traceback" not in proc.stderr
+    csvs.append(tmp_path / "fresh.csv")
+    written = [path.read_bytes() if path.exists() else None for path in csvs]
+    assert written == [written[0]] * 3
+    assert (written[0] is not None) == (t == 2)
+    if t == 2:
+        assert written[0].count(b"\r\n") == 2  # the header and the sample at t = 1

@@ -3,6 +3,7 @@ import pytest
 
 from driftopt import (IterateTrace, QpInstance, QueueState, builtin, run,
                       sample_indices)
+from replay import step
 
 # min x'x s.t. x_1 + x_2 <= 1
 QP = dict(P=np.eye(2), c=np.zeros(2), A=[[1.0, 1.0]], b=[1.0])
@@ -41,7 +42,7 @@ def test_queue_update_clamps_at_zero():
     oracle = b.oracle(V)
     g0 = b.program.constraints(oracle.argmin(q0))
     assert q0[1] + g0[1] < 0
-    q1 = oracle.step(q0, np.empty(3))
+    q1 = step(oracle, q0)
     assert np.array_equal(q1, np.maximum(q0 + g0, 0.0))
     assert q1[1] == 0.0
     tr = run(b.program, b.oracle, V=V, q0=q0, iters=1, sample="linear")

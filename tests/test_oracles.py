@@ -2,11 +2,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftopt import (ClosedFormNumOracle, ClosedFormQpOracle, NumInstance, QpInstance,
                       builtin, choose_V)
 from generic_oracle import (GenericOracleError, GenericProgram, ProjectedGradientOracle,
-                            generic_oracle)
+                            generic_oracle, num_step_in_index_order)
+from replay import count_generations, step
 
 QP_V = 4.0 / 0.34
 NUM_V = 363.0
@@ -53,6 +56,31 @@ def test_qp_instance_checks_the_conditioning_of_P():
     QpInstance(P=[[1.0, 0.0], [0.0, 1e-11]], c=[0, 0], A=[[1, 0]], b=[1])
     with pytest.raises(ValueError, match="P is ill-conditioned: cond\\(2P\\) is above 1e12"):
         QpInstance(P=[[1.0, 0.0], [0.0, 1e-13]], c=[0, 0], A=[[1, 0]], b=[1])
+
+
+TOO_LARGE = "P is too large: 2P or its eigenvalues overflow"
+
+
+@pytest.mark.parametrize("P,message", [
+    ([[1e308, 0.0], [0.0, 1e308]], TOO_LARGE),  # 2P overflows
+    ([[9e307, 4.5e307], [4.5e307, 9e307]], TOO_LARGE),  # 2P does not, its top eigenvalue does
+    ([[1e308, 1e308], [-1e308, 1e308]], "P must be symmetric"),  # P - P' overflows
+], ids=["2P", "eigenvalue", "asymmetric"])
+def test_qp_instance_refuses_a_P_too_large_for_floats(P, message):
+    # one ValueError, and no numpy warning (warnings are errors in the tests)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        QpInstance(P=P, c=[0.0, 0.0], A=[[1.0, 1.0]], b=[1.0])
+    QpInstance(P=[[8e307, 0.0], [0.0, 8e307]], c=[0.0, 0.0], A=[[1.0, 1.0]], b=[1.0])
+
+
+def test_qp_instance_takes_the_eigenvalues_of_2P_once(monkeypatch):
+    # the checks and the computed alpha share one eigvalsh(2P)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: calls.append(H) or eigvalsh(H))
+    inst = QpInstance(P=[[1.0, 2.0], [2.0, 5.0]], c=[1.0, 1.0], A=[[1.0, 1.0]], b=[1.0])
+    assert inst.alpha == inst.alpha_computed == eigvalsh(2.0 * inst.P).min()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("V", [1e308, 1e300])
@@ -232,14 +260,12 @@ def test_num_step_is_argmin_then_constraints(tag):
     # bitwise max(q + g(x(q)), 0), the per-iteration update of the DPP loop
     b = builtin(tag)
     rng = np.random.default_rng(21)
-    out = np.empty(b.program.m)
     for _ in range(200):
         V = 10.0 ** rng.uniform(-100, 100)
         oracle = b.oracle(V)
         for q in random_queues(rng, 10, b.program.m):
             expect = np.maximum(q + b.program.constraints(oracle.argmin(q)), 0.0)
-            assert oracle.step(q, out) is out
-            assert np.array_equal(out, expect), (q, V)
+            assert np.array_equal(step(oracle, q), expect), (q, V)
 
 
 def test_qp_step_is_argmin_then_constraints():
@@ -248,7 +274,6 @@ def test_qp_step_is_argmin_then_constraints():
     b = builtin("qp_6_2")
     P, c, A, b_vec = b.program.P, b.program.c, b.program.A, b.program.b
     rng = np.random.default_rng(22)
-    out = np.empty(2)
     for _ in range(200):
         V = QP_V * 10.0 ** rng.uniform(-3, 3)
         x0 = np.linalg.solve(2.0 * V * P, -V * c)
@@ -257,8 +282,93 @@ def test_qp_step_is_argmin_then_constraints():
         for q in rng.uniform(0, 100, (10, 2)) * (rng.random((10, 2)) > 0.3):
             expect = np.maximum(q + b.program.constraints(oracle.argmin(q)), 0.0)
             terms = q + np.abs(A) @ (np.abs(x0) + np.abs(K) @ q) + np.abs(b_vec)
-            assert oracle.step(q, out) is out
-            assert np.all(np.abs(out - expect) <= 1e-14 * (1.0 + terms)), (q, V)
+            assert np.all(np.abs(step(oracle, q) - expect) <= 1e-14 * (1.0 + terms)), (q, V)
+
+
+def numpy_num_steps(oracle, q0, k):
+    """Q(0..k) from ``q0`` by the numpy NUM row update, the one the oracle
+    makes above its size bound: argmin, then A x - b, then the clamp."""
+    A, b = oracle.inst.A, oracle.inst.b
+    Q = [np.asarray(q0, dtype=float)]
+    for _ in range(k):
+        q = Q[-1]
+        Q.append(np.maximum(q + (A.dot(oracle.argmin(q)) - b), 0.0))
+    return np.array(Q)
+
+
+def blockwise_steps(oracle, q0, blocks, size):
+    """Q(0..blocks * size) from ``q0`` by ``blocks`` steps calls of
+    ``size`` steps each, each block starting from the last row of the one
+    before, as the DPP kernel chains them."""
+    Q = np.empty((blocks * size + 1, len(q0)))
+    Q[0] = q0
+    for j in range(blocks):
+        oracle.steps(Q[j * size:(j + 1) * size + 1])
+    return Q
+
+
+@pytest.mark.parametrize("q0", [0.0, 2.0])
+@pytest.mark.parametrize("tag", ["num_6_1", "num_5_2_rank_deficient"])
+def test_generated_num_steps_are_the_numpy_row_update_on_the_builtins(
+        monkeypatch, tag, q0):
+    # 20 blocks of 1024 steps at the default V, bitwise; the step is
+    # generated once, at the first block
+    made = count_generations(monkeypatch)
+    b = builtin(tag)
+    oracle = b.oracle(choose_V(b.program))
+    start = np.full(b.program.m, q0)
+    Q = blockwise_steps(oracle, start, 20, 1024)
+    assert len(made) == 1
+    assert np.array_equal(Q, numpy_num_steps(oracle, start, 20 * 1024))
+
+
+def random_num_instance(rng, n, m, zero_row):
+    """A random NUM instance; with ``zero_row`` (and m > 1) the last row of
+    A is all zero."""
+    rows = m - 1 if zero_row and m > 1 else m
+    A = np.zeros((m, n))
+    A[:rows] = rng.random((rows, n)) < 0.5
+    A[rng.integers(0, rows, size=n), np.arange(n)] = 1.0  # every column needs a one
+    b = rng.uniform(0.1, 10.0, m)
+    return NumInstance(c=rng.uniform(0.1, 10.0, n), A=A, b=b,
+                       xmax=b.max() * rng.uniform(1.01, 3.0, n))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), m=st.integers(1, 8),
+       zero_row=st.booleans())
+@example(seed=0, n=1, m=1, zero_row=False)
+@example(seed=1, n=3, m=4, zero_row=True)
+def test_generated_num_steps_on_random_files(seed, n, m, zero_row):
+    # the generated step sums in index order, numpy's BLAS in an order of
+    # its own on some shapes: the two trajectories agree to 1e-12, and each
+    # generated step is bitwise the index-order loop's
+    rng = np.random.default_rng(seed)
+    inst = random_num_instance(rng, n, m, zero_row)
+    oracle = ClosedFormNumOracle(inst, choose_V(inst) * 10.0 ** rng.uniform(-2, 2))
+    q0 = rng.uniform(0.0, 100.0, m) * (rng.random(m) < 0.7)
+    with pytest.MonkeyPatch.context() as patch:
+        made = count_generations(patch)
+        Q = blockwise_steps(oracle, q0, 3, 100)
+    assert len(made) == 1
+    for q, q_next in zip(Q, Q[1:]):
+        assert np.array_equal(num_step_in_index_order(oracle, q), q_next)
+    expect = numpy_num_steps(oracle, q0, 300)
+    assert np.all(np.abs(Q - expect) <= 1e-12 * (np.abs(expect) + inst.b.max()))
+
+
+@pytest.mark.parametrize("n,generates", [(12, True), (13, False)])
+def test_num_oracle_above_the_size_bound_steps_with_numpy(monkeypatch, n, generates):
+    # an 8 x 12 all-ones A holds 96 ones, the bound; 8 x 13 holds 104, and
+    # its oracle makes the numpy row update's bits without generating
+    made = count_generations(monkeypatch)
+    inst = NumInstance(c=np.linspace(1.0, 2.0, n), A=np.ones((8, n)),
+                       b=np.linspace(5.0, 12.0, 8), xmax=np.full(n, 20.0))
+    oracle = ClosedFormNumOracle(inst, choose_V(inst))
+    Q = blockwise_steps(oracle, np.full(8, 3.0), 2, 300)
+    assert len(made) == int(generates)
+    if not generates:
+        assert np.array_equal(Q, numpy_num_steps(oracle, np.full(8, 3.0), 600))
 
 
 @pytest.mark.parametrize("tag", ["num_6_1", "qp_6_2", "num_5_2_rank_deficient"])

@@ -13,7 +13,7 @@ from driftopt.dual_analysis import dual_value_and_gradient
 from driftopt.problems import BUILTIN_TAGS
 from driftopt.solver import _BLOCK
 from generic_oracle import GenericProgram, generic_oracle
-from replay import replay
+from replay import replay, step
 
 QP_V = 4.0 / 0.34
 
@@ -295,7 +295,7 @@ def reference_run(b, V, iters, variant, sample):
             rows.append((math.sqrt(q.dot(q)), b.program.objective(xbar),
                          b.program.constraints(xbar), math.sqrt(d.dot(d)),
                          q_star - (b.program.objective(x) + float(lam @ g))))
-        qn = oracle.step(q, np.empty_like(q))
+        qn = step(oracle, q)
         if t < iters:
             diff = qn - q
             max_residual = max(max_residual, abs((0.5 * qn.dot(qn) - 0.5 * q.dot(q))
@@ -326,14 +326,14 @@ def test_blocks_match_the_per_iteration_loop(tag, variant):
 
 
 class ReplayingOracle:
-    """Base of the tests' oracles: counts its step calls, and keeps the x
-    that step t used, which its row argmin gives back by step index, one
-    flushed block after another.  A single queue (x(lambda*), or the shape
-    check of g(x(Q(0)))) goes to ``one``.  It is its own factory: built at
-    V, it keeps its counts and returns itself."""
+    """Base of the tests' oracles: keeps the size of the block each steps
+    call covers, and the x that step t used, which its row argmin gives
+    back by step index, one flushed block after another.  A single queue
+    (x(lambda*), or the shape check of g(x(Q(0)))) goes to ``one``.  It is
+    its own factory: built at V, it keeps its counts and returns itself."""
 
     def __init__(self, n):
-        self.n, self.xs, self.replayed = n, [], 0
+        self.n, self.xs, self.replayed, self.blocks = n, [], 0, []
         self.calls = self.row_calls = self.queue_calls = 0
 
     def __call__(self, V):
@@ -348,6 +348,9 @@ class ReplayingOracle:
         rows = self.xs[self.replayed:self.replayed + len(q)]
         self.replayed += len(q)
         return np.reshape(rows, (len(q), self.n))
+
+    def steps(self, Q):
+        self.blocks.append(len(Q) - 1)
 
     def record(self, x):
         self.xs.append(x)
@@ -364,10 +367,12 @@ class ScriptedOracle(ReplayingOracle):
     def one(self, q):
         return np.array([self.script[0]])
 
-    def step(self, q, out):
-        x = np.array([self.script[self.calls]])
-        self.record(x)
-        return np.maximum(q + x, 0.0, out=out)
+    def steps(self, Q):
+        super().steps(Q)
+        for t in range(len(Q) - 1):
+            x = np.array([self.script[self.calls]])
+            self.record(x)
+            np.maximum(Q[t] + x, 0.0, out=Q[t + 1])
 
 
 @pytest.mark.parametrize("step", [_BLOCK - 1, _BLOCK])
@@ -404,12 +409,14 @@ class CountingOracle(ReplayingOracle):
     def one(self, q):
         return self.at_V.argmin(q)
 
-    def step(self, q, out):
-        self.record(self.at_V.argmin(q))
-        return self.at_V.step(q, out)
+    def steps(self, Q):
+        super().steps(Q)
+        self.at_V.steps(Q)
+        for q in Q[:-1]:  # the queue each step started from
+            self.record(self.at_V.argmin(q))
 
 
-def test_shifted_run_makes_one_oracle_call_per_iteration():
+def test_shifted_run_makes_one_steps_call_per_block():
     b = builtin("qp_6_2")
     iters = 101
     traces, steps = [], []
@@ -417,7 +424,8 @@ def test_shifted_run_makes_one_oracle_call_per_iteration():
         oracle = CountingOracle(b, inner)
         traces.append(run(b.program, oracle, V=QP_V, q0=np.zeros(2), iters=iters,
                           variant="dpp_shifted", sample="linear", reference=b.reference))
-        assert oracle.calls == iters + 1  # steps from Q(0..iters)
+        assert oracle.blocks == [iters + 1]  # steps from Q(0..iters), in one call
+        assert oracle.calls == iters + 1
         assert oracle.row_calls == 1  # x(0..iters), in one block
         assert oracle.queue_calls == 2  # x(lambda*) and the shape check
         steps.append(np.array(oracle.xs))  # the x(t) that stepped Q(t)
@@ -429,6 +437,21 @@ def test_shifted_run_makes_one_oracle_call_per_iteration():
     assert np.abs(closed.lambda_dist - generic.lambda_dist).max() <= 1e-8 / QP_V
 
 
+@pytest.mark.parametrize("tag", ["num_6_1", "qp_6_2"])
+def test_each_block_is_one_steps_call_covering_every_iteration(tag):
+    b = builtin(tag)
+    iters = 2 * _BLOCK + 3
+    oracle = CountingOracle(b)
+    tr = run(b.program, oracle, V=choose_V(b.program), q0=np.zeros(b.program.m),
+             iters=iters, reference=b.reference)
+    assert oracle.blocks == [_BLOCK, _BLOCK, 4]  # steps from Q(0..iters)
+    assert oracle.calls == iters + 1 and oracle.row_calls == 3
+    plain = run(b.program, b.oracle, V=choose_V(b.program), q0=np.zeros(b.program.m),
+                iters=iters, reference=b.reference)
+    for name in GOLDEN_COLUMNS:
+        assert np.array_equal(getattr(tr, name), getattr(plain, name)), name
+
+
 class OverflowingOracle(CountingOracle):
     """Returns +inf coordinates from step ``at`` on."""
 
@@ -436,12 +459,14 @@ class OverflowingOracle(CountingOracle):
         super().__init__(b)
         self.at = at
 
-    def step(self, q, out):
-        if self.calls < self.at:
-            return super().step(q, out)
-        x = np.full(self.n, np.inf)
-        self.record(x)
-        return np.maximum(q + self.b.program.constraints(x), 0.0, out=out)
+    def steps(self, Q):
+        k = min(len(Q) - 1, max(self.at - self.calls, 0))  # steps before ``at``
+        super().steps(Q[:k + 1])
+        self.blocks[-1] = len(Q) - 1  # the call covers the whole block
+        for t in range(k, len(Q) - 1):
+            x = np.full(self.n, np.inf)
+            self.record(x)
+            np.maximum(Q[t] + self.b.program.constraints(x), 0.0, out=Q[t + 1])
 
 
 def test_non_finite_sample_carries_partial_trace():
@@ -470,6 +495,7 @@ def test_run_stops_at_the_first_non_finite_block():
         run(b.program, oracle, V=1e-300, q0=np.zeros(2), iters=100_000,
             reference=b.reference)
     assert oracle.calls <= 2 * _BLOCK and oracle.row_calls <= 2  # at most two blocks
+    assert len(oracle.blocks) <= 2 and oracle.calls == sum(oracle.blocks)
 
 
 @pytest.mark.parametrize("failing", [OverflowingOracle])
