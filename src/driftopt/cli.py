@@ -347,7 +347,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, UserWarning) as exc:  # a warning raised by -W error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, _Failure) as exc:

@@ -20,10 +20,7 @@ finite nonzero float.  Otherwise the NUM oracle's first ``steps`` call
 generates a straight-line Python step for its instance and V.  Only the
 DPP kernel calls ``steps``, so nothing else generates one.
 
-Only the QP oracle needs scipy: it imports ``scipy.linalg`` when it is
-built, for the Cholesky factor of 2VP.  The instances and the NUM oracle
-need numpy alone, so importing this module or building a problem bundle
-(which keeps the oracle factory, not an oracle) loads no scipy.
+The QP oracle's per-V constants come from one solve with 2VP.
 """
 
 from __future__ import annotations
@@ -206,21 +203,16 @@ class ClosedFormQpOracle:
     x0 + q K' maps one queue and a block of queue rows alike.  So is
     g(x(q)) = A x(q) - b, and the queue update is the affine map
     q' = max(M q + c0, 0) with M = I + A K and c0 = A x0 - b.  All of them
-    come from one Cholesky factor; only a V at which 2VP overflows is refused.
+    come from one solve with 2VP; only a V at which 2VP overflows is refused.
     """
 
     def __init__(self, inst: QpInstance, V: float):
-        # imported here so that nothing else loads scipy; the Cholesky
-        # solve stays, as np.linalg.solve rounds x0, K and M differently
-        import scipy.linalg
-
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             H, A = 2.0 * _check_V(V) * inst.P, inst.A
         if not np.isfinite(H).all():
             raise ValueError(f"V={V:g} is too large for this program: 2VP overflows")
-        cho = scipy.linalg.cho_factor(H)
-        K = scipy.linalg.cho_solve(cho, -A.T)
-        self.x0 = scipy.linalg.cho_solve(cho, -(V * inst.c))
+        X = np.linalg.solve(H, np.column_stack([-(V * inst.c), -A.T]))
+        self.x0, K = X[:, 0].copy(), X[:, 1:]
         self.Kt, self.M = K.T.copy(), np.eye(len(A)) + A.dot(K)
         self.c0 = A.dot(self.x0) - inst.b
 

@@ -8,8 +8,7 @@ problem kinds differ only in how they solve the stationarity system on a
 set; the certificate is the same for both.
 
 Kept deliberately independent of the iterative solvers so it can serve as
-the oracle in every convergence test.  It needs numpy alone, the analytic
-centre of a rank-deficient multiplier face included.
+the oracle in every convergence test.
 """
 
 from __future__ import annotations

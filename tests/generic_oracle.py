@@ -62,7 +62,10 @@ class ProjectedGradientOracle:
             raise GenericOracleError("generic oracle needs objective_grad and constraints_jac")
 
         def phi(x):
-            return V * program.objective(x) + float(q @ program.constraints(x))
+            # f is +inf where a NUM rate is 0 (log 0); the line search
+            # rejects such a step
+            with np.errstate(divide="ignore"):
+                return V * program.objective(x) + float(q @ program.constraints(x))
 
         def grad(x):
             return V * self.objective_grad(x) + self.constraints_jac(x).T @ q

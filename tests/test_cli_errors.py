@@ -337,6 +337,17 @@ def test_geometric_fit_overflow_exits_3_with_warnings_as_errors(tmp_path):
     assert proc.stderr == "error: geometric fit produced ratio 1 outside (0, 1)\n"
 
 
+def test_V_below_the_threshold_exits_2_with_warnings_as_errors(tmp_path):
+    # -W error raises the guarantee-threshold warning: one line, and
+    # nothing written
+    proc = run_module("solve", "--builtin", "num_6_1", "--V", "1e-300", "--iters", 100,
+                      "--out", tmp_path / "x.csv", python_flags=("-W", "error"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: V=1e-300 is below the guarantee threshold "
+                           "m*beta^2/alpha=544.5; convergence bounds may not apply\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_P_too_large_for_floats_exits_2_with_warnings_as_errors(tmp_path):
     # 2P overflows: one line, no numpy warning and no traceback
     doc = {**BUILTINS["qp_6_2"], "P": [[1e308, 0.0], [0.0, 1e308]]}

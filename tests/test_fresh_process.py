@@ -2,8 +2,8 @@
 modules a command loads, when the CLI builds its parser, and the
 benchmark's set-up probe (perfbench/setup_probe.py) run on this checkout.
 
-scipy is imported only by the QP oracle (its Cholesky factor), so every
-other path starts with numpy alone, the rank-deficient builtin's KKT
+driftopt needs numpy alone: with scipy blocked, every command runs on
+every builtin, the QP oracle and the rank-deficient builtin's KKT
 multiplier face included.
 """
 
@@ -35,23 +35,17 @@ def test_python_m_driftopt_info(tmp_path):
     assert json.loads(proc.stdout) == PINNED["info"]
 
 
-# Prints the sorted scipy modules loaded after each step, one JSON list a line.
+# Blocks scipy, so that importing it raises, then runs every command on
+# every builtin and prints the scipy modules loaded.
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from pathlib import Path
 
-def scipy_modules():
-    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
-
+sys.modules["scipy"] = None
 out = Path(sys.argv[1])
-import driftopt
 from driftopt import cli
-scipy_modules()
 for tag in ("num_6_1", "qp_6_2", "num_5_2_rank_deficient"):
-    driftopt.builtin(tag)
-scipy_modules()
-csv = str(out / "num.csv")
-for tag in ("num_6_1", "num_5_2_rank_deficient"):
+    csv = str(out / f"{tag}.csv")
     for argv in (["solve", "--builtin", tag, "--iters", "200", "--out", csv],
                  ["audit", "--builtin", tag, "--trace", csv],
                  ["kkt", "--builtin", tag],
@@ -59,25 +53,16 @@ for tag in ("num_6_1", "num_5_2_rank_deficient"):
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv)
         assert code == 0, argv
-scipy_modules()
-bundle = driftopt.builtin("qp_6_2")
-driftopt.ClosedFormQpOracle(bundle.program, 4.0)
-scipy_modules()
+print(json.dumps(sorted(name for name, module in sys.modules.items()
+                        if name.split(".")[0] == "scipy" and module is not None)))
 """
 
 
-def test_only_the_qp_oracle_imports_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
+    # solve/audit/kkt/fit on all three builtins, the QP oracle's solve with
+    # 2VP and the rank-deficient multiplier face included: numpy only
     proc = python("-c", IMPORT_PROBE, str(tmp_path), cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    lines = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert len(lines) == 4
-    # import, the three builtin bundles, and NUM solve/audit/kkt/fit (the
-    # rank-deficient multiplier face included): numpy only
-    assert lines[:3] == [[], [], []]
-    # the QP oracle's Cholesky factor needs scipy.linalg; no step loads
-    # scipy.optimize
-    assert "scipy.linalg" in lines[3]
-    assert not any("scipy.optimize" in line for line in lines)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 # Counts the argparse parsers built by importing the CLI, then by two commands.

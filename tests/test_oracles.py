@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -143,6 +144,30 @@ def test_qp_oracle_matches_direct_solve():
         # the minimizer of V f + q . g solves 2VP x = -(V c + A'q)
         direct = np.linalg.solve(2.0 * QP_V * P, -(QP_V * c + A.T @ q))
         assert np.allclose(oracle.argmin(q), direct, atol=1e-10)
+
+
+def test_qp_oracle_solve_is_backward_stable():
+    # x0 and K solve 2VP [x0 K] = [-Vc -A'] with a normwise backward error
+    # of a few eps, up to the cond(2P) <= 1e12 that the instance allows
+    rng = np.random.default_rng(23)
+    norm = functools.partial(np.linalg.norm, ord=2)
+    worst = 0.0
+    for _ in range(300):
+        n, m = rng.integers(1, 21, size=2)
+        top = rng.uniform(0, 12)  # log10 cond(2P)
+        eig = 10.0 ** rng.uniform(0, top, n)
+        eig[0], eig[-1] = 1.0, 10.0 ** top
+        U = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        P = U @ np.diag(eig * 10.0 ** rng.uniform(-3, 3)) @ U.T
+        inst = QpInstance(P=(P + P.T) / 2, c=rng.normal(size=n), A=rng.normal(size=(m, n)),
+                          b=rng.uniform(0.5, 5.0, m))
+        V = 10.0 ** rng.uniform(-3, 3)
+        oracle = ClosedFormQpOracle(inst, V)
+        H = 2.0 * V * inst.P
+        X = np.column_stack([oracle.x0, oracle.Kt.T])
+        rhs = np.column_stack([-(V * inst.c), -inst.A.T])
+        worst = max(worst, norm(H @ X - rhs) / (norm(H) * norm(X) + norm(rhs)))
+    assert worst <= 1e-14
 
 
 def test_oracle_rejects_nonpositive_V():

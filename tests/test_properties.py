@@ -5,8 +5,9 @@ hypothesis draws NUM and QP problem files from ``random_document``
 Q(0) = 0 at V = m beta^2 / alpha with the ground-truth reference.  At
 every sample the run must keep f(x-bar) <= f*, the queue bound
 ||Q(t)|| <= 2 V ||lambda*||, the exact drift identity and weak duality,
-and pass the audit with the file's computed gamma.  The profile is
-derandomized, so the examples are the same on every run.
+and pass the audit with the file's computed gamma.  On other files of
+both kinds the closed-form oracles agree with the generic oracle.  The
+profile is derandomized, so the examples are the same on every run.
 """
 
 import json
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftopt import audit_bounds, audit_passed, choose_V, load_problem, run
+from generic_oracle import generic_oracle
 from test_problems import random_document
 
 
@@ -38,3 +40,20 @@ def test_dpp_keeps_the_papers_bounds_on_random_files(tmp_path_factory, seed, kin
     report = audit_bounds(tr, ref, program, q0, gamma=bundle.constant("gamma"),
                           oracle=bundle.oracle)
     assert audit_passed(report), report
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["num", "qp"]))
+def test_closed_form_oracles_match_the_generic_oracle_on_random_files(
+        tmp_path_factory, seed, kind):
+    # argmin on a block of queues q = V lambda, lambda in [0, 0.5]^m, to the
+    # tolerance the acceptance criterion on the builtins uses; the generic
+    # oracle's gradient map scales with V, and so does its stopping rule
+    rng = np.random.default_rng(seed)
+    path = tmp_path_factory.mktemp("doc") / f"{kind}.json"
+    path.write_text(json.dumps(random_document(rng, kind)))
+    bundle = load_problem(path)
+    V = choose_V(bundle.program) * 10.0 ** rng.uniform(-1, 1)
+    Q = V * rng.uniform(0, 0.5, (5, bundle.program.m))
+    closed, generic = bundle.oracle(V), generic_oracle(bundle, tol=1e-10 * V)(V)
+    assert np.abs(closed.argmin(Q) - generic.argmin(Q)).max() <= 1e-6
