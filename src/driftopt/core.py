@@ -48,8 +48,8 @@ def _set_finite_readonly(obj, **fields: np.ndarray) -> None:
 @dataclass(frozen=True)
 class ProgramSpec:
     """A strongly convex program: min f(x) s.t. g(x) = Ax - b <= 0, x in a
-    set X, with costs c, and A a finite m x n matrix (m, n >= 1); A, b and
-    c are stored read-only.
+    set X, with costs c, and A a finite m x n matrix (m, n >= 1) whose
+    ||A||_F^2 is a finite float; A, b and c are stored read-only.
 
     Each problem kind is a frozen subclass that declares A, b and c in its
     own order, defines ``objective`` and checks its own fields in
@@ -79,6 +79,11 @@ class ProgramSpec:
             raise ValueError("A needs at least one column")
         c, b = _as_vector(self.c, n, "c"), _as_vector(self.b, m, "b")
         _set_finite_readonly(self, A=A, b=b, c=c)
+        # beta and the dual modulus gamma are sums of squares of A: an A
+        # too large for them is refused, not warned of
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.sum(A ** 2)):
+                raise ValueError("A is too large: ||A||_F^2 overflows")
         self._check_kind()
         if self.alpha is None:
             object.__setattr__(self, "alpha", self.alpha_computed)

@@ -14,11 +14,11 @@ has two methods, which leave it as built:
 - ``steps(Q)``: the DPP queue updates Q(t+1) = max(Q(t) + g(x(Q(t))), 0)
   of a (k + 1, m) block, filling rows 1..k from row 0.
 
-The QP oracle steps with numpy, one row at a time, as does the NUM oracle
-above ``_MAX_GENERATED_ONES`` ones in A or where c V or the floor is not a
-finite nonzero float.  Otherwise the NUM oracle's first ``steps`` call
-generates a straight-line Python step for its instance and V.  Only the
-DPP kernel calls ``steps``, so nothing else generates one.
+An oracle's first ``steps`` call generates a straight-line Python step
+for its instance and V, except above a size bound or where a constant is
+not a finite float (the NUM floor must also be nonzero): then it steps with
+numpy, one row at a time.  Only the DPP kernel calls ``steps``, so nothing
+else generates one.
 
 The QP oracle's per-V constants come from one solve with 2VP.
 """
@@ -117,45 +117,48 @@ class QpInstance(ProgramSpec):
 # 7.8-8.8 against 7.4-9.1 at 156; generating took 1.0-1.5 ms at 84-96.
 _MAX_GENERATED_ONES = 96
 
+# Entries of the QP's m x m M above which its generated step stops paying,
+# on the same machine, medians of 9 alternating runs of 10 x 1024 steps,
+# generated against numpy: 1.70 against 3.46 us at m = 6, 2.60 against
+# 3.10 at m = 8, 3.67 against 3.54 at m = 9 and 4.32 against 3.56 at
+# m = 10; generating took 0.4 ms at m = 2 and 0.8-1.5 ms at m = 6..10.
+_MAX_GENERATED_ENTRIES = 64
 
-def _row_loop(Q: np.ndarray, step) -> None:
-    """Fill rows 1.. of the block Q from row 0 by the numpy row update
-    ``step(q, out)``, which writes the successor of q into out and returns it."""
-    q = Q[0]
-    for out in Q[1:]:
-        q = step(q, out)
 
+def _generate_steps(m: int, body: list[str]):
+    """The function ``steps(q0, .., q{m-1}, k)``: k queue steps on Python
+    floats, each the straight-line ``body``, which reads and rebinds
+    q0..q{m-1}; it returns the k queues row after row in one flat list.
 
-def _generate_num_steps(A: np.ndarray, b: np.ndarray, cV: np.ndarray,
-                        floor: np.ndarray, xmax: np.ndarray):
-    """The function ``steps(q0, .., q{m-1}, k)``: k NUM queue steps on
-    Python floats, returning the k queues row after row in one flat list.
-
-    Its source holds only integer indices and the float reprs of the
-    finite constants.  It makes the numpy row update's float operations,
-    with the sums over the 0-1 A written out in index order; numpy's BLAS
-    sums some shapes in another order, so the two agree bitwise on the
-    builtins and to rounding elsewhere.  ``f if s < f else s`` and
-    ``0.0 if y < 0.0 else y`` propagate NaN as np.maximum and np.minimum
-    do, and every floor is positive, so nothing divides by zero.
+    A body holds only integer indices and the float reprs of finite
+    constants.  Its sums run in index order, where numpy's BLAS sums some
+    shapes in another order or fuses a product into the sum, so the two
+    agree to rounding and generated queues do not depend on the BLAS.
+    ``0.0 if y < 0.0 else y`` propagates NaN as np.maximum does.
     """
-    m, n = A.shape
-    lit = lambda v: repr(float(v))
     qs = ", ".join(f"q{k}" for k in range(m))
-    lines = [f"def steps({qs}, k):", "    rows = []", "    for _ in range(k):"]
-    for i in range(n):
-        f, cap = lit(floor[i]), lit(xmax[i])
-        lines += [f"        s = {' + '.join(f'q{k}' for k in range(m) if A[k, i])}",
-                  f"        y = {lit(cV[i])} / ({f} if s < {f} else s)",
-                  f"        x{i} = {cap} if y > {cap} else y"]
-    for k in range(m):
-        load = " + ".join(f"x{i}" for i in range(n) if A[k, i]) or "0.0"
-        lines += [f"        y = q{k} + (({load}) - {lit(b[k])})",
-                  f"        q{k} = 0.0 if y < 0.0 else y"]
-    lines += [f"        rows += {qs},", "    return rows"]
+    lines = [f"def steps({qs}, k):", "    rows = []", "    for _ in range(k):",
+             *(f"        {line}" for line in body), f"        rows += {qs},", "    return rows"]
     namespace = {}
-    exec(compile("\n".join(lines), "<driftopt NUM step>", "exec"), namespace)
+    exec(compile("\n".join(lines), "<driftopt queue step>", "exec"), namespace)
     return namespace["steps"]
+
+
+def _steps(self, Q: np.ndarray) -> None:
+    """The ``steps`` of both closed forms.  An oracle whose ``_generated``
+    is a list generates its step from ``_step_body()`` at the first call and
+    keeps it in that list; one whose ``_generated`` is None steps with
+    numpy's row update ``_row_update(q, out)``, which writes the successor
+    of q into out and returns it."""
+    if self._generated is None:
+        q = Q[0]
+        for out in Q[1:]:
+            q = self._row_update(q, out)
+        return
+    if not self._generated:
+        self._generated.append(_generate_steps(Q.shape[1], self._step_body()))
+    rows = self._generated[0](*Q[0].tolist(), len(Q) - 1)
+    Q[1:] = np.fromiter(rows, float, len(rows)).reshape(-1, Q.shape[1])
 
 
 class ClosedFormNumOracle:
@@ -182,17 +185,29 @@ class ClosedFormNumOracle:
     def argmin(self, q: np.ndarray) -> np.ndarray:
         return np.minimum(self.cV / np.maximum(q.dot(self.inst.A), self.floor), self.inst.xmax)
 
-    def steps(self, Q: np.ndarray) -> None:
-        A, b = self.inst.A, self.inst.b
-        if self._generated is None:
-            _row_loop(Q, lambda q, out: np.maximum(q + (A.dot(self.argmin(q)) - b), 0.0,
-                                                   out=out))
-            return
-        if not self._generated:
-            self._generated.append(
-                _generate_num_steps(A, b, self.cV, self.floor, self.inst.xmax))
-        rows = self._generated[0](*Q[0].tolist(), len(Q) - 1)
-        Q[1:] = np.fromiter(rows, float, len(rows)).reshape(-1, len(b))
+    steps = _steps
+
+    def _row_update(self, q, out):
+        return np.maximum(q + (self.inst.A.dot(self.argmin(q)) - self.inst.b), 0.0, out=out)
+
+    def _step_body(self) -> list[str]:
+        # the numpy row update's float operations, with the sums over the
+        # 0-1 A written out; ``f if s < f else s`` propagates NaN as
+        # np.maximum and np.minimum do, and every floor is positive, so
+        # nothing divides by zero
+        A = self.inst.A
+        cV, floor, xmax, b = (v.tolist() for v in
+                              (self.cV, self.floor, self.inst.xmax, self.inst.b))
+        m, n = A.shape
+        body = []
+        for i in range(n):
+            body += [f"s = {' + '.join(f'q{k}' for k in range(m) if A[k, i])}",
+                     f"y = {cV[i]!r} / ({floor[i]!r} if s < {floor[i]!r} else s)",
+                     f"x{i} = {xmax[i]!r} if y > {xmax[i]!r} else y"]
+        for k in range(m):
+            load = " + ".join(f"x{i}" for i in range(n) if A[k, i]) or "0.0"
+            body += [f"y = q{k} + (({load}) - {b[k]!r})", f"q{k} = 0.0 if y < 0.0 else y"]
+        return body
 
 
 class ClosedFormQpOracle:
@@ -204,6 +219,7 @@ class ClosedFormQpOracle:
     g(x(q)) = A x(q) - b, and the queue update is the affine map
     q' = max(M q + c0, 0) with M = I + A K and c0 = A x0 - b.  All of them
     come from one solve with 2VP; only a V at which 2VP overflows is refused.
+    Its generated step writes M q + c0 out in index order.
     """
 
     def __init__(self, inst: QpInstance, V: float):
@@ -215,10 +231,22 @@ class ClosedFormQpOracle:
         self.x0, K = X[:, 0].copy(), X[:, 1:]
         self.Kt, self.M = K.T.copy(), np.eye(len(A)) + A.dot(K)
         self.c0 = A.dot(self.x0) - inst.b
+        generates = (self.M.size <= _MAX_GENERATED_ENTRIES and np.isfinite(self.M).all()
+                     and np.isfinite(self.c0).all())
+        self._generated = [] if generates else None
 
     def argmin(self, q: np.ndarray) -> np.ndarray:
         return self.x0 + q.dot(self.Kt)
 
-    def steps(self, Q: np.ndarray) -> None:
-        M, c0 = self.M, self.c0
-        _row_loop(Q, lambda q, out: np.maximum(M.dot(q) + c0, 0.0, out=out))
+    steps = _steps
+
+    def _row_update(self, q, out):
+        return np.maximum(self.M.dot(q) + self.c0, 0.0, out=out)
+
+    def _step_body(self) -> list[str]:
+        # every y_k before any queue moves; every entry of M is summed, so
+        # an inf queue gives NaN as numpy's dot does
+        M, c0 = self.M.tolist(), self.c0.tolist()
+        return ([f"y{k} = {' + '.join(f'{v!r} * q{j}' for j, v in enumerate(row))} + {c!r}"
+                 for k, (row, c) in enumerate(zip(M, c0))]
+                + [f"q{k} = 0.0 if y{k} < 0.0 else y{k}" for k in range(len(c0))])

@@ -1,8 +1,8 @@
 """A generic inner oracle, the independent check the closed forms are tested
 against: projected gradient with Barzilai-Borwein steps on any program
 with analytic derivatives; a generic program given by callables; and the
-NUM queue step written as loops over Python floats, the check of the step
-that the NUM oracle generates."""
+NUM and QP queue steps written as loops over Python floats, the checks of
+the steps that the closed-form oracles generate."""
 
 from dataclasses import dataclass
 from typing import Callable
@@ -153,4 +153,18 @@ def num_step_in_index_order(oracle, q):
             if A[k][i]:
                 load += x[i]
         out.append(max(q[k] + (load - b[k]), 0.0))
+    return np.array(out)
+
+
+def qp_step_in_index_order(oracle, q):
+    """One QP queue step max(M q + c0, 0) of the closed-form oracle
+    ``oracle``, on Python floats with every sum taken in index order over
+    every entry of M."""
+    M, c0, q = oracle.M.tolist(), oracle.c0.tolist(), list(map(float, q))
+    out = []
+    for row, c in zip(M, c0):
+        y = row[0] * q[0]
+        for j in range(1, len(q)):
+            y += row[j] * q[j]
+        out.append(max(y + c, 0.0))
     return np.array(out)

@@ -1,6 +1,6 @@
 """The iterates behind a trace, replayed by the oracle's own steps: the
 trace keeps f(x-bar), g(x-bar) and ||Q(t)|| per sample, not x(t) or Q(t).
-Also one step of an oracle, and a count of the NUM steps generated."""
+Also one step of an oracle, and a count of the queue steps generated."""
 
 import numpy as np
 
@@ -29,13 +29,13 @@ def replay(oracle, q0, ts):
 
 
 def count_generations(monkeypatch):
-    """The list that gets one entry for each NUM step the oracles generate
-    from here on, for the rest of the test."""
-    made, generate = [], driftopt.oracles._generate_num_steps
+    """The list that gets one entry for each queue step, NUM or QP, that the
+    oracles generate from here on, for the rest of the test."""
+    made, generate = [], driftopt.oracles._generate_steps
 
     def counting(*args):
         made.append(args)
         return generate(*args)
 
-    monkeypatch.setattr(driftopt.oracles, "_generate_num_steps", counting)
+    monkeypatch.setattr(driftopt.oracles, "_generate_steps", counting)
     return made

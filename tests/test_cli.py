@@ -620,18 +620,22 @@ def test_valid_call_after_usage_error_or_help(capsys, argv, code):
 
 
 def test_only_solve_generates_a_num_step(tmp_path, capsys, monkeypatch):
-    # a solve generates its NUM step once, at its first block; audit's
-    # oracles only call argmin, and fit, kkt and info step no oracle
+    # a solve generates its NUM or QP step once, at its first block;
+    # audit's oracles only call argmin, and fit, kkt and info step no oracle
     made = count_generations(monkeypatch)
-    out = tmp_path / "num.csv"
+    out, qp_out = tmp_path / "num.csv", tmp_path / "qp.csv"
     assert main(["solve", "--builtin", "num_6_1", "--iters", "3000", "--out", str(out)]) == 0
     assert len(made) == 1
+    assert main(["solve", "--builtin", "qp_6_2", "--iters", "3000", "--out", str(qp_out)]) == 0
+    assert len(made) == 2
     path = tmp_path / "num_6_1.json"
     path.write_text(json.dumps(BUILTINS["num_6_1"]))
     for argv in (["audit", "--builtin", "num_6_1", "--trace", out],
                  ["audit", "--problem", path, "--trace", out, "--gamma", "422"],
+                 ["audit", "--builtin", "qp_6_2", "--trace", qp_out],
                  ["fit", "--trace", out, "--series", "obj", "--model", "power"],
-                 ["kkt", "--builtin", "num_6_1"], ["kkt", "--problem", path], ["info"]):
+                 ["kkt", "--builtin", "num_6_1"], ["kkt", "--problem", path],
+                 ["kkt", "--builtin", "qp_6_2"], ["info"]):
         assert main([str(a) for a in argv]) == 0, argv
     capsys.readouterr()
-    assert len(made) == 1
+    assert len(made) == 2

@@ -104,6 +104,10 @@ def test_audit_trace_without_required_columns(tmp_path, capsys):
     assert (code, stdout, err) == (2, "", "error: trace CSV lacks required columns\n")
 
 
+# ||A||_F^2 = 1e400 overflows, though A is finite
+BIG_A = {"kind": "qp", "P": [[1.0]], "c": [0.0], "A": [[1e200]], "b": [1.0]}
+
+
 @pytest.mark.parametrize("doc,message", [
     ([1, 2], "problem file must be a JSON object with a 'kind' field"),
     ({**BUILTINS["qp_6_2"], "kind": "lp"}, "unknown problem kind 'lp'"),
@@ -128,10 +132,11 @@ def test_audit_trace_without_required_columns(tmp_path, capsys):
      "problem field 'alpha' must be a finite number"),
     ({**BUILTINS["qp_6_2"], "A": [[[1.0, 1.0]], [[0.0, 1.0]]], "alpha": 0},
      "A must be a matrix"),
+    (BIG_A, "A is too large: ||A||_F^2 overflows"),
 ], ids=["not-an-object", "unknown-kind", "ragged-array", "A-3d", "A-no-column",
         "P-2x3", "A-1x3-P-2x2", "c-length", "b-length", "xmax-length",
         "alpha-zero", "beta-negative", "alpha-string", "A-3d-alpha-string",
-        "A-3d-alpha-zero"])
+        "A-3d-alpha-zero", "A-overflows"])
 def test_bad_problem_file(tmp_path, capsys, doc, message):
     code, out, err = run_cli(capsys, "kkt", "--problem", problem_file(tmp_path, doc))
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -357,6 +362,18 @@ def test_P_too_large_for_floats_exits_2_with_warnings_as_errors(tmp_path):
     assert proc.stderr == "error: P is too large: 2P or its eigenvalues overflow\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "kkt"])
+def test_A_too_large_for_floats_exits_2_with_warnings_as_errors(tmp_path, command):
+    # refused at load: one line, no numpy warning and no traceback, and
+    # nothing written
+    path = problem_file(tmp_path, BIG_A)
+    argv = ("--iters", 100, "--out", tmp_path / "t.csv") if command == "solve" else ()
+    proc = run_module(command, "--problem", path, *argv, python_flags=("-W", "error"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: A is too large: ||A||_F^2 overflows\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 # Extreme V on num_6_1: c V overflows at 1e308 and the floor underflows to
 # 0 at 5e-324, where the NUM oracle steps with numpy; at 1e-300 and 1e-100
 # it generates its step.  Each fails at the sample the numpy row update
@@ -366,28 +383,61 @@ EXTREME_V = [(("--V", "1e308"), 1), (("--V", "5e-324"), 1), (("--V", "1e-300"), 
              (("--algorithm", "dpp-shifted", "--V", "1e-100", "--sample", "linear"), 2)]
 
 
+def solve_three_ways(tmp_path, capsys, monkeypatch, bound, *solve):
+    """``solve`` (argv up to ``--out``) run three ways: in process with the
+    size bound named ``bound`` at 0, so that numpy steps; in process as it
+    is; and in a fresh process where every warning is an error but the
+    documented one that V is below the guarantee threshold.  Returns each
+    run's exit code, stdout and last stderr line, and each run's CSV bytes,
+    None where it wrote none."""
+    runs = []
+    with monkeypatch.context() as patch:
+        patch.setattr(driftopt.oracles, bound, 0)
+        code, out, err = run_cli(capsys, *solve, tmp_path / "numpy.csv")
+    runs.append((code, out, err.splitlines()[-1:]))
+    code, out, err = run_cli(capsys, *solve, tmp_path / "in_process.csv")
+    runs.append((code, out, err.splitlines()[-1:]))
+    proc = run_module(*solve, tmp_path / "fresh.csv",
+                      python_flags=("-W", "error", "-W", "default::UserWarning"))
+    assert "Traceback" not in proc.stderr
+    runs.append((proc.returncode, proc.stdout, proc.stderr.splitlines()[-1:]))
+    paths = [tmp_path / f"{name}.csv" for name in ("numpy", "in_process", "fresh")]
+    written = [path.read_bytes() if path.exists() else None for path in paths]
+    return runs, written
+
+
 @pytest.mark.parametrize("argv,t", EXTREME_V, ids=[" ".join(a) for a, _ in EXTREME_V])
 def test_extreme_V_fails_as_the_numpy_row_update_does(tmp_path, capsys, monkeypatch,
                                                       argv, t):
     solve = ("solve", "--builtin", "num_6_1", *argv, "--iters", 100, "--out")
     line = f"error: non-finite value in the sample at t = {t}"
-    with monkeypatch.context() as patch:  # a size bound of 0: numpy steps
-        patch.setattr(driftopt.oracles, "_MAX_GENERATED_ONES", 0)
-        code, out, err = run_cli(capsys, *solve, tmp_path / "numpy.csv")
-    assert (code, out, err.splitlines()[-1]) == (3, "", line)
-    csvs = [tmp_path / "numpy.csv"]
-    code, out, err = run_cli(capsys, *solve, tmp_path / "in_process.csv")
-    assert (code, out, err.splitlines()[-1]) == (3, "", line)
-    csvs.append(tmp_path / "in_process.csv")
-    # every warning an error, but the documented one that V is below the
-    # guarantee threshold
-    proc = run_module(*solve, tmp_path / "fresh.csv",
-                      python_flags=("-W", "error", "-W", "default::UserWarning"))
-    assert (proc.returncode, proc.stdout, proc.stderr.splitlines()[-1]) == (3, "", line)
-    assert "Traceback" not in proc.stderr
-    csvs.append(tmp_path / "fresh.csv")
-    written = [path.read_bytes() if path.exists() else None for path in csvs]
+    runs, written = solve_three_ways(tmp_path, capsys, monkeypatch, "_MAX_GENERATED_ONES",
+                                     *solve)
+    assert runs == [(3, "", [line])] * 3
     assert written == [written[0]] * 3
     assert (written[0] is not None) == (t == 2)
     if t == 2:
         assert written[0].count(b"\r\n") == 2  # the header and the sample at t = 1
+
+
+# Extreme V on qp_6_2: M and c0 are NaN at 5e-324, where the QP oracle
+# steps with numpy, and M is about 1e300 at 1e-300, where it generates its
+# step; both fail at t = 1, with no CSV.  At 1e307 the run ends, and at
+# 1.7e308 2VP overflows and no oracle is built.
+QP_EXTREME_V = [("5e-324", 3, "error: non-finite value in the sample at t = 1"),
+                ("1e-300", 3, "error: non-finite value in the sample at t = 1"),
+                ("1e307", 0, None),
+                ("1.7e308", 2, "error: V=1.7e+308 is too large for this program: 2VP overflows")]
+
+
+@pytest.mark.parametrize("V,code,line", QP_EXTREME_V, ids=[v for v, _, _ in QP_EXTREME_V])
+def test_qp_extreme_V_ends_as_the_numpy_row_update_does(tmp_path, capsys, monkeypatch,
+                                                        V, code, line):
+    solve = ("solve", "--builtin", "qp_6_2", "--V", V, "--iters", 100, "--out")
+    runs, written = solve_three_ways(tmp_path, capsys, monkeypatch, "_MAX_GENERATED_ENTRIES",
+                                     *solve)
+    assert runs == [runs[0]] * 3
+    assert runs[0][0] == code and runs[0][2] == ([line] if line else [])
+    assert (runs[0][1] == "") == (code != 0)  # a summary only on success
+    assert written == [written[0]] * 3
+    assert (written[0] is not None) == (code == 0)

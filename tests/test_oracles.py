@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from driftopt import (ClosedFormNumOracle, ClosedFormQpOracle, NumInstance, QpInstance,
                       builtin, choose_V)
 from generic_oracle import (GenericOracleError, GenericProgram, ProjectedGradientOracle,
-                            generic_oracle, num_step_in_index_order)
+                            generic_oracle, num_step_in_index_order,
+                            qp_step_in_index_order)
 from replay import count_generations, step
 
 QP_V = 4.0 / 0.34
@@ -394,6 +395,92 @@ def test_num_oracle_above_the_size_bound_steps_with_numpy(monkeypatch, n, genera
     assert len(made) == int(generates)
     if not generates:
         assert np.array_equal(Q, numpy_num_steps(oracle, np.full(8, 3.0), 600))
+
+
+def numpy_qp_steps(oracle, q0, k):
+    """Q(0..k) from ``q0`` by the numpy QP row update max(M q + c0, 0), the
+    one the oracle makes above its size bound."""
+    Q = [np.asarray(q0, dtype=float)]
+    for _ in range(k):
+        Q.append(np.maximum(oracle.M.dot(Q[-1]) + oracle.c0, 0.0))
+    return np.array(Q)
+
+
+def assert_generated_qp_steps(oracle, Q):
+    """Each step of the block Q is bitwise the index-order loop's, and the
+    block is within 1e-12 of the numpy row update's from the same start;
+    numpy's BLAS may fuse a product into its sum."""
+    for q, q_next in zip(Q, Q[1:]):
+        assert np.array_equal(qp_step_in_index_order(oracle, q), q_next)
+    expect = numpy_qp_steps(oracle, Q[0], len(Q) - 1)
+    assert np.all(np.abs(Q - expect) <= 1e-12 * (np.abs(expect) + np.abs(oracle.c0).max()))
+
+
+@pytest.mark.parametrize("q0", [0.0, 2.0])
+def test_generated_qp_steps_on_qp_6_2(monkeypatch, q0):
+    # 20 blocks of 1024 steps at the default V; the step is generated
+    # once, at the first block
+    made = count_generations(monkeypatch)
+    b = builtin("qp_6_2")
+    oracle = b.oracle(choose_V(b.program))
+    Q = blockwise_steps(oracle, np.full(2, q0), 20, 1024)
+    assert len(made) == 1
+    assert Q[1:].min() > 0.0  # both constraints bind: the queues grow to V lambda*
+    assert_generated_qp_steps(oracle, Q)
+
+
+def test_generated_qp_step_sums_the_zeros_of_M():
+    # M = (1 - 1/2V) I: its zeros are summed too, so an inf queue gives
+    # NaN where numpy's dot does (0 * inf)
+    inst = QpInstance(P=np.eye(2), c=[1.0, 1.0], A=np.eye(2), b=[1.0, 1.0])
+    oracle = ClosedFormQpOracle(inst, choose_V(inst))
+    assert oracle.M[0, 1] == oracle.M[1, 0] == 0.0
+    q = np.array([np.inf, 0.0])
+    with np.errstate(invalid="ignore"):
+        expect = numpy_qp_steps(oracle, q, 1)[1]
+    assert np.isnan(expect[1])
+    np.testing.assert_array_equal(step(oracle, q), expect)
+
+
+def random_qp_instance(rng, n, m):
+    """A random QP whose unconstrained minimum violates each constraint
+    with probability 1/2, by up to 1."""
+    B = rng.normal(size=(n, n))
+    P = B @ B.T + np.eye(n)
+    c, A = rng.normal(size=n), rng.normal(size=(m, n))
+    x_free = np.linalg.solve(2.0 * P, -c)
+    return QpInstance(P=P, c=c, A=A, b=A @ x_free + rng.uniform(-1.0, 1.0, m))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), m=st.integers(1, 8))
+@example(seed=0, n=1, m=1)
+@example(seed=1, n=2, m=8)
+def test_generated_qp_steps_on_random_files(seed, n, m):
+    # from a random q0 > 0, at V from the guarantee threshold up, where
+    # M's eigenvalues lie in [0, 1] and rounding does not grow
+    rng = np.random.default_rng(seed)
+    inst = random_qp_instance(rng, n, m)
+    oracle = ClosedFormQpOracle(inst, choose_V(inst) * 10.0 ** rng.uniform(0, 2))
+    q0 = rng.uniform(0.0, 100.0, m) * (rng.random(m) < 0.7)
+    with pytest.MonkeyPatch.context() as patch:
+        made = count_generations(patch)
+        Q = blockwise_steps(oracle, q0, 3, 100)
+    assert len(made) == 1
+    assert_generated_qp_steps(oracle, Q)
+
+
+@pytest.mark.parametrize("m,generates", [(8, True), (9, False)])
+def test_qp_oracle_above_the_size_bound_steps_with_numpy(monkeypatch, m, generates):
+    # an 8 x 8 M holds 64 entries, the bound; 9 x 9 holds 81, and its
+    # oracle makes the numpy row update's bits without generating
+    made = count_generations(monkeypatch)
+    inst = random_qp_instance(np.random.default_rng(m), m, m)
+    oracle = ClosedFormQpOracle(inst, choose_V(inst))
+    Q = blockwise_steps(oracle, np.full(m, 3.0), 2, 300)
+    assert len(made) == int(generates)
+    if not generates:
+        assert np.array_equal(Q, numpy_qp_steps(oracle, np.full(m, 3.0), 600))
 
 
 @pytest.mark.parametrize("tag", ["num_6_1", "qp_6_2", "num_5_2_rank_deficient"])

@@ -5,7 +5,7 @@ import pytest
 
 from driftopt import BUILTIN_TAGS, builtin, choose_V, load_problem
 from driftopt.problems import BUILTINS, PAPER_CONSTANTS
-from generic_oracle import num_step_in_index_order
+from generic_oracle import num_step_in_index_order, qp_step_in_index_order
 from replay import replay, step
 
 
@@ -185,10 +185,10 @@ def test_random_row_forms_match_one_row_calls(tmp_path, kind):
 def test_random_oracle_rows_and_steps(tmp_path, kind):
     # a block of queues may sum in another order than one queue: row argmin
     # agrees with the one-queue call to 1e-12 of the terms summed.  The NUM
-    # step is bitwise argmin, then constraints, then the clamp, with every
-    # sum in index order; numpy's BLAS may sum in another order, so the NUM
-    # and the QP step agree with numpy's argmin, then constraints, then the
-    # clamp to 1e-14 of the terms summed.
+    # step is bitwise argmin, then constraints, then the clamp, and the QP
+    # step bitwise max(M q + c0, 0), with every sum in index order; numpy's
+    # BLAS may sum in another order, so both agree with numpy's argmin,
+    # then constraints, then the clamp to 1e-14 of the terms summed.
     rng = np.random.default_rng(19)
     for k in range(6):
         path = tmp_path / f"{kind}{k}.json"
@@ -211,6 +211,6 @@ def test_random_oracle_rows_and_steps(tmp_path, kind):
         for q, x, size in zip(Q, X1, g_size):
             expect = np.maximum(q + inst.constraints(x), 0.0)
             out = step(oracle, q)
-            if kind == "num":
-                assert np.array_equal(out, num_step_in_index_order(oracle, q)), k
+            in_index_order = num_step_in_index_order if kind == "num" else qp_step_in_index_order
+            assert np.array_equal(out, in_index_order(oracle, q)), k
             assert np.all(np.abs(out - expect) <= 1e-14 * (1.0 + size)), k

@@ -255,8 +255,9 @@ def test_golden_trace(case):
     assert tr.t.tolist() == case["t"]
     # The NUM closed form and the DPP loop do the recording's arithmetic in
     # the recording's order, so those traces are bitwise equal.  The QP
-    # oracle is now an affine map and dual subgradient runs as DPP at
-    # V = 1/c, which moves the last bits.
+    # oracle is now an affine map whose generated step sums M q in index
+    # order, where the recording's BLAS could fuse a product into a sum,
+    # and dual subgradient runs as DPP at V = 1/c; both move the last bits.
     exact = b.kind == "num" and case["variant"] != "dual_subgradient"
     # the trace keeps no queue: the recording's is checked against the replay
     columns = {name: getattr(tr, name) for name in GOLDEN_COLUMNS}
