@@ -18,7 +18,10 @@ An oracle's first ``steps`` call generates a straight-line Python step
 for its instance and V, except above a size bound or where a constant is
 not a finite float (the NUM floor must also be nonzero): then it steps with
 numpy, one row at a time.  Only the DPP kernel calls ``steps``, so nothing
-else generates one.
+else generates one.  Either way ``steps`` stops at the queue's fixed
+point, the first row that a step leaves bitwise unchanged, and fills the
+rest of the block with it: a step is a pure function of the bits of q, so
+those are the rows that stepping on would make.
 
 The QP oracle's per-V constants come from one solve with 2VP.
 """
@@ -125,6 +128,14 @@ _MAX_GENERATED_ONES = 96
 _MAX_GENERATED_ENTRIES = 64
 
 
+# Steps between two checks of ``_steps`` for the queue's fixed point.  Per
+# generated step over 4096-step blocks before any fixed point, on the
+# machine above, medians of 15 interleaved runs, against one call per
+# block: +10% at 64, +4% at 128, +1% at 256 and 512 on num_6_1 and
+# num_5_2_rank_deficient; a larger chunk steps further past the point.
+_CHUNK = 256
+
+
 def _generate_steps(m: int, body: list[str]):
     """The function ``steps(q0, .., q{m-1}, k)``: k queue steps on Python
     floats, each the straight-line ``body``, which reads and rebinds
@@ -149,16 +160,31 @@ def _steps(self, Q: np.ndarray) -> None:
     is a list generates its step from ``_step_body()`` at the first call and
     keeps it in that list; one whose ``_generated`` is None steps with
     numpy's row update ``_row_update(q, out)``, which writes the successor
-    of q into out and returns it."""
-    if self._generated is None:
-        q = Q[0]
-        for out in Q[1:]:
-            q = self._row_update(q, out)
-        return
-    if not self._generated:
+    of q into out and returns it.
+
+    A step is a pure function of the bits of q, so once a step leaves the
+    queue bitwise unchanged every later row is that row: the block is
+    stepped one step, then ``_CHUNK`` steps at a time, and at each of those
+    ends a row equal in its bytes to the row before it (0.0 and -0.0 differ,
+    as they do as inputs to the step) fills the rest of the block.
+    """
+    if self._generated == []:
         self._generated.append(_generate_steps(Q.shape[1], self._step_body()))
-    rows = self._generated[0](*Q[0].tolist(), len(Q) - 1)
-    Q[1:] = np.fromiter(rows, float, len(rows)).reshape(-1, Q.shape[1])
+    t, c = 0, 1
+    while t < len(Q) - 1:
+        chunk = Q[t:t + c + 1]
+        if self._generated is None:
+            q = chunk[0]
+            for out in chunk[1:]:
+                q = self._row_update(q, out)
+        else:
+            rows = self._generated[0](*chunk[0].tolist(), len(chunk) - 1)
+            chunk[1:] = np.fromiter(rows, float, len(rows)).reshape(-1, Q.shape[1])
+        t += len(chunk) - 1
+        if Q[t].tobytes() == Q[t - 1].tobytes():
+            Q[t + 1:] = Q[t]
+            return
+        c = _CHUNK
 
 
 class ClosedFormNumOracle:

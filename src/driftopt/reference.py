@@ -23,6 +23,11 @@ from .oracles import NumInstance, QpInstance
 FEAS_TOL = 1e-8
 NEWTON_TOL = 1e-10
 MAX_CONSTRAINTS = 20  # enumeration visits up to 2^m active sets
+# Newton iterations on a NUM active set before it is tested for having no
+# solution.  Of the sets that the enumeration visits on 252 random NUM
+# files shaped as the benchmark's, every one that converged took fewer; a
+# converging set that gets this far pays only the test.
+CERTIFY_AFTER = 20
 
 
 class InfeasibleError(RuntimeError):
@@ -169,6 +174,52 @@ def kkt_solve_qp(inst: QpInstance) -> KktSolution:
     return _enumerate(inst, stationary)
 
 
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """An x >= 0 that minimizes ||A x - b||, by Lawson and Hanson's
+    active-set method: add the column of largest gradient to the passive
+    set, solve on it, and step back to x >= 0 when the solve leaves it.
+    Stops at 3n additions, so a near-minimizer is possible."""
+    n = A.shape[1]
+    x, passive = np.zeros(n), np.zeros(n, dtype=bool)
+    tol = 10 * np.finfo(float).eps * np.abs(A).sum(axis=0).max() * max(A.shape)
+    for _ in range(3 * n):
+        w = A.T @ (b - A @ x)
+        if passive.all() or w[~passive].max() <= tol:
+            break
+        passive[np.argmax(np.where(passive, -np.inf, w))] = True
+        while True:
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+            bad = np.flatnonzero(passive & (s <= 0))
+            if not len(bad):
+                break
+            # the largest step from x towards s that keeps x >= 0; the
+            # column that stops it leaves the passive set
+            steps = np.where(x[bad] > 0, x[bad] / (x[bad] - s[bad]), 0.0)
+            x += steps.min() * (s - x)
+            passive[bad[steps.argmin()]] = False
+            passive &= x > tol
+        x = s
+    return x
+
+
+def _unsolvable(A_S: np.ndarray, b_S: np.ndarray) -> bool:
+    """Whether a Farkas certificate shows that no x > 0 has ||A_S x - b_S||
+    <= NEWTON_TOL, for the 0-1 A_S of _num_newton, whose every column holds
+    a 1.  Such an x has x_i <= max b_S + NEWTON_TOL, so for any unit d,
+    ||A_S x - b_S|| >= d.b_S - (A_S'd).x >= L = d.b_S - (max b_S + 1)
+    sum_i max((A_S'd)_i, 0).  d is the direction of the residual of the
+    nonnegative least-squares x, and L must clear the tolerance by 1e-8 of
+    the scale of b_S, far above the rounding of ||A_S x - b_S||."""
+    r = b_S - A_S @ _nnls(A_S, b_S)
+    size = np.linalg.norm(r)
+    if size == 0.0:
+        return False
+    d = r / size
+    L = d @ b_S - (b_S.max() + 1.0) * np.maximum(A_S.T @ d, 0.0).sum()
+    return bool(L > 1e-8 * (1.0 + b_S.max()))
+
+
 def _num_newton(inst: NumInstance, S: list[int]):
     """Stationary point of the rate-allocation program on active set S.
 
@@ -177,7 +228,10 @@ def _num_newton(inst: NumInstance, S: list[int]):
     to keep every lambda_S . a_i positive, the domain of that system; a
     multiplier may turn negative on the way or at the end.  Returns
     (x, lambda_S), or None when Newton fails or x is not interior to the
-    box (a flow no link in S carries would sit at its cap).
+    box (a flow no link in S carries would sit at its cap).  After
+    CERTIFY_AFTER iterations without success it returns None at once when
+    ``_unsolvable`` shows that no x > 0 solves the system: there its
+    multipliers diverge, and Newton would fail after all its iterations.
     """
     A_S = inst.A[S, :]
     if not A_S.any(axis=0).all():
@@ -185,11 +239,13 @@ def _num_newton(inst: NumInstance, S: list[int]):
     c, b_S = inst.c, inst.b[S]
     lam = np.ones(len(S))
     denom = lam @ A_S                      # lambda_S . a_i per flow
-    for _ in range(200):
+    for k in range(200):
         x = c / denom
         F = A_S @ x - b_S
         if np.linalg.norm(F) <= NEWTON_TOL:
             return None if np.any(x >= inst.xmax) else (x, lam)
+        if k == CERTIFY_AFTER and _unsolvable(A_S, b_S):
+            return None
         J = -(A_S * (c / denom ** 2)) @ A_S.T
         step = np.linalg.lstsq(J, -F, rcond=None)[0]
         tau = 1.0

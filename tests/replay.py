@@ -1,6 +1,7 @@
 """The iterates behind a trace, replayed by the oracle's own steps: the
 trace keeps f(x-bar), g(x-bar) and ||Q(t)|| per sample, not x(t) or Q(t).
-Also one step of an oracle, and a count of the queue steps generated."""
+Also one step of an oracle, a count of the queue steps generated, and a
+count of the steps that they make."""
 
 import numpy as np
 
@@ -36,6 +37,23 @@ def count_generations(monkeypatch):
     def counting(*args):
         made.append(args)
         return generate(*args)
+
+    monkeypatch.setattr(driftopt.oracles, "_generate_steps", counting)
+    return made
+
+
+def count_steps(monkeypatch):
+    """The list that gets, for each call of a queue step that the oracles
+    generate from here on, the number of steps that call makes."""
+    made, generate = [], driftopt.oracles._generate_steps
+
+    def counting(*args):
+        steps = generate(*args)
+
+        def counted(*qs_and_k):
+            made.append(qs_and_k[-1])
+            return steps(*qs_and_k)
+        return counted
 
     monkeypatch.setattr(driftopt.oracles, "_generate_steps", counting)
     return made

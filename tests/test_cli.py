@@ -14,6 +14,7 @@ from driftopt import builtin, choose_V, error_series, load_problem, run
 from driftopt import cli
 from driftopt.cli import _read_trace_csv, main
 from driftopt.problems import BUILTINS
+from driftopt.solver import _BLOCK
 from replay import count_generations
 
 # `info` and `kkt` output for each builtin, recorded before the builtins
@@ -403,11 +404,11 @@ def test_solve_that_overflows_exits_3(tmp_path, capsys, tag):
       "--sample", "linear"], 2),
 ], ids=["qp_6_2", "num_6_1-dpp-shifted"])
 def test_solve_that_overflows_over_several_blocks_exits_3(tmp_path, capsys, argv, t):
-    # 3000 iterations span three blocks of the kernel; the first non-finite
+    # the run spans three blocks of the kernel; the first non-finite
     # sample is still the one reported, and the rows before it are written
     out = tmp_path / "tiny.csv"
     with pytest.warns(UserWarning):
-        code, stdout, err = run_cli(capsys, "solve", *argv, "--iters", "3000",
+        code, stdout, err = run_cli(capsys, "solve", *argv, "--iters", str(3 * _BLOCK - 1),
                                     "--out", str(out))
     assert (code, stdout, err) == (3, "", f"error: non-finite value in the sample at t = {t}\n")
     rows = out.read_text().splitlines()[1:] if out.exists() else []

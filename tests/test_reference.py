@@ -207,6 +207,140 @@ def grid_instances(seed, count):
         yield NumInstance(c=c, A=A, b=A @ x0, xmax=[4.0 * max(p, q) + 1] * (p * q))
 
 
+def newton_without_certificate(inst, S):
+    """_num_newton's damped Newton loop with no certificate: (x, lambda_S),
+    or None, and how it ended: "solved", "search" (no step keeps every
+    lambda_S . a_i positive) or "stalled" (all 200 iterations ran)."""
+    A_S = inst.A[S, :]
+    if not A_S.any(axis=0).all():
+        return None, "no flow"
+    c, b_S = inst.c, inst.b[S]
+    lam = np.ones(len(S))
+    denom = lam @ A_S
+    for _ in range(200):
+        x = c / denom
+        F = A_S @ x - b_S
+        if np.linalg.norm(F) <= reference.NEWTON_TOL:
+            return (None if np.any(x >= inst.xmax) else (x, lam)), "solved"
+        J = -(A_S * (c / denom ** 2)) @ A_S.T
+        step = np.linalg.lstsq(J, -F, rcond=None)[0]
+        tau = 1.0
+        for _ in range(60):
+            trial = lam + tau * step
+            trial_denom = trial @ A_S
+            if np.all(trial_denom > 0):
+                break
+            tau *= 0.5
+        else:
+            return None, "search"
+        lam, denom = trial, trial_denom
+    return None, "stalled"
+
+
+def random_num_file(rng, m, n):
+    """A random rate-allocation instance shaped as the benchmark's: a 0-1 A
+    with density 1/2 and a one in every row and column, b in [2, 10]."""
+    A = (rng.random((m, n)) < 0.5).astype(float)
+    A[rng.integers(0, m, size=n), np.arange(n)] = 1.0
+    A[np.arange(m), rng.integers(0, n, size=m)] = 1.0
+    b = rng.uniform(2.0, 10.0, m)
+    return NumInstance(A=A, b=b, c=rng.uniform(0.5, 3.0, n),
+                       xmax=b.max() + rng.uniform(0.5, 5.0, n))
+
+
+def assert_same_solution(got, expect):
+    assert got.x_star.tobytes() == expect.x_star.tobytes()
+    assert got.lambda_star.tobytes() == expect.lambda_star.tobytes()
+    assert repr(got.f_star) == repr(expect.f_star) and got.active_set == expect.active_set
+
+
+def test_certified_num_sets_are_sets_newton_fails_on(monkeypatch):
+    # every set the enumeration certifies is one on which Newton without
+    # the certificate runs all its iterations and fails, and the
+    # enumeration finds bitwise the same KKT point as with that Newton
+    certified, visiting = [], []
+    newton, unsolvable = reference._num_newton, reference._unsolvable
+
+    def tracking(inst, S):
+        visiting[:] = [S]
+        return newton(inst, S)
+
+    def recording(A_S, b_S):
+        found = unsolvable(A_S, b_S)
+        if found:
+            certified.append(visiting[0])
+        return found
+
+    monkeypatch.setattr(reference, "_num_newton", tracking)
+    monkeypatch.setattr(reference, "_unsolvable", recording)
+    rng = np.random.default_rng(5)
+    for m in (4, 5, 6, 7, 8) * 4:
+        inst = random_num_file(rng, m, int(rng.integers(2, 7)))
+        before = len(certified)
+        sol = kkt_solve_num(inst)
+        for S in certified[before:]:
+            assert newton_without_certificate(inst, S) == (None, "stalled")
+        assert_same_solution(sol, reference._enumerate(
+            inst, lambda S: newton_without_certificate(inst, S)[0]))
+    assert len(certified) > 0
+
+
+@pytest.mark.parametrize("A,b", [([[1, 1], [1, 1]], [9.24, 8.9]),
+                                 ([[1, 1], [1, 0]], [9.24, 9.55])])
+def test_inconsistent_num_set_ends_at_the_certificate(monkeypatch, A, b):
+    # x1 + x2 cannot be both 9.24 and 8.9, nor x1 + x2 = 9.24 with
+    # x1 = 9.55 > 9.24 at x2 >= 0: the multipliers diverge, Newton without
+    # the certificate runs all its iterations, and with it the set ends
+    # after CERTIFY_AFTER iterations and one NNLS
+    inst = NumInstance(A=A, b=b, c=[1.0, 2.0], xmax=[12.0, 12.0])
+    assert newton_without_certificate(inst, [0, 1]) == (None, "stalled")
+    solves, lstsq = [], np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        solves.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    assert reference._num_newton(inst, [0, 1]) is None
+    # the Jacobian is 2 x 2; the NNLS solves on columns of A_S, 2 x 1 or 2 x 2
+    assert len(solves) <= reference.CERTIFY_AFTER + 2 * 3 * 2
+    assert solves[:reference.CERTIFY_AFTER] == [(2, 2)] * reference.CERTIFY_AFTER
+
+
+def test_num_set_that_newton_solves_after_the_test_keeps_its_solution(monkeypatch):
+    # rows 3 and 7 of a benchmark file (seed 1, round 4, num_m7): x1 = 6.65
+    # and x1 + x2 + x3 = 9.36 have a solution x > 0, which Newton reaches in
+    # 21 iterations, so the set is tested at CERTIFY_AFTER, is not
+    # certified, and Newton goes on to bitwise the same solution
+    inst = NumInstance(A=[[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]],
+                       b=[9.356219749151403, 6.6492966362176125],
+                       c=[0.5452135712966697, 2.275546654161073, 1.1970782963899145],
+                       xmax=[13.419733104577233, 11.514411567083553, 10.572526133718117])
+    expect, ended = newton_without_certificate(inst, [0, 1])
+    assert ended == "solved" and expect is not None
+    tested, unsolvable = [], reference._unsolvable
+    monkeypatch.setattr(reference, "_unsolvable",
+                        lambda A_S, b_S: tested.append(unsolvable(A_S, b_S)) or tested[-1])
+    found = reference._num_newton(inst, [0, 1])
+    assert tested == [False]
+    x, lam = found
+    assert x.tobytes() == expect[0].tobytes() and lam.tobytes() == expect[1].tobytes()
+
+
+def test_nnls_meets_its_optimality_conditions():
+    # x >= 0 and the gradient A'(b - A x) is 0 where x > 0 and <= 0 where
+    # x = 0, on 0-1 matrices like the NUM active sets', consistent or not
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        m, n = rng.integers(1, 9, size=2)
+        A = (rng.random((m, n)) < 0.5).astype(float)
+        b = rng.uniform(0.0, 10.0, m)
+        x = reference._nnls(A, b)
+        w = A.T @ (b - A @ x)
+        assert x.min() >= 0.0
+        assert np.all(np.abs(w[x > 0]) <= 1e-9) and np.all(w[x == 0] <= 1e-9)
+
+
 def test_rank_deficient_face_matches_scipy_bitwise(monkeypatch):
     inst = builtin("num_5_2_rank_deficient").program
     [(M, lam0)] = faces_reached(monkeypatch, [inst])

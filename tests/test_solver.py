@@ -277,13 +277,14 @@ def test_golden_trace(case):
         assert abs(tr.max_drift_residual - case["max_drift_residual"]) <= 1e-12 * scale
 
 
-def reference_run(b, V, iters, variant, sample):
-    """The DPP recurrence as a plain per-iteration loop, one queue at a time:
-    the sampled columns and the largest drift-identity residual, as run()
-    records them."""
-    ts, q = set(sample_indices(iters, sample)), np.zeros(b.program.m)
+def reference_run(b, V, iters, variant, ts):
+    """The DPP recurrence as a plain per-iteration loop, one queue at a time,
+    over ``iters`` steps: the sampled columns at each t in ``ts``, by t, as
+    run() records them, and the largest drift-identity residual of the
+    steps before t, for each t <= iters, which is a run's to horizon t."""
+    q = np.zeros(b.program.m)
     q_star, _ = dual_value_and_gradient(b.program, b.oracle, b.reference.lambda_star)
-    S, rows, max_residual = [np.zeros(b.program.n)], [], 0.0
+    S, rows, max_residual = [np.zeros(b.program.n)], {}, [0.0]
     oracle = b.oracle(V)
     for t in range(iters + 1):
         x = oracle.argmin(q)
@@ -293,37 +294,43 @@ def reference_run(b, V, iters, variant, sample):
             lo = hi // 2 if variant == "dpp_shifted" else 0
             xbar = (S[hi] - S[lo]) / (hi - lo)
             lam, d = q / V, q / V - b.reference.lambda_star
-            rows.append((math.sqrt(q.dot(q)), b.program.objective(xbar),
-                         b.program.constraints(xbar), math.sqrt(d.dot(d)),
-                         q_star - (b.program.objective(x) + float(lam @ g))))
+            rows[t] = (math.sqrt(q.dot(q)), b.program.objective(xbar),
+                       b.program.constraints(xbar), math.sqrt(d.dot(d)),
+                       q_star - (b.program.objective(x) + float(lam @ g)))
         qn = step(oracle, q)
-        if t < iters:
-            diff = qn - q
-            max_residual = max(max_residual, abs((0.5 * qn.dot(qn) - 0.5 * q.dot(q))
-                                                 - (qn.dot(g) - 0.5 * diff.dot(diff))))
+        diff = qn - q
+        max_residual.append(max(max_residual[-1], abs((0.5 * qn.dot(qn) - 0.5 * q.dot(q))
+                                                      - (qn.dot(g) - 0.5 * diff.dot(diff)))))
         S.append(S[-1] + x)
         q = qn
-    return [np.array(column) for column in zip(*rows)], max_residual
+    return rows, max_residual
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("tag", BUILTIN_TAGS)
 def test_blocks_match_the_per_iteration_loop(tag, variant):
     # runs that end just before, at and just after a block boundary, and
-    # one that spans three blocks, are bitwise the plain loop's; at stride
-    # 1500 the first block of all but the shortest run holds no sample
+    # one that spans three blocks, are bitwise the plain loop's; at a
+    # stride of 1.5 blocks the first block of all but the shortest run holds
+    # no sample.
+    # A sample's row and a step's residual do not depend on the horizon, so
+    # one plain loop over the longest run serves every run.
     b = builtin(tag)
     V = choose_V(b.program)
     names = ("qnorm", "f_xbar", "g_xbar", "lambda_dist", "dual_gap")
-    for iters in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
-        for sample in ("linear", "log", "linear:1500"):
+    horizons = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+    specs = ("linear", "log", f"linear:{_BLOCK * 3 // 2}")
+    ts = {t for iters in horizons for sample in specs for t in sample_indices(iters, sample)}
+    rows, max_residual = reference_run(b, V, horizons[-1], variant, ts)
+    for iters in horizons:
+        for sample in specs:
             tr = run(b.program, b.oracle, V=V, q0=np.zeros(b.program.m), iters=iters,
                      variant=variant, sample=sample, reference=b.reference)
-            columns, max_residual = reference_run(b, V, iters, variant, sample)
             assert tr.t.tolist() == sample_indices(iters, sample)
+            columns = [np.array(column) for column in zip(*(rows[t] for t in tr.t))]
             for name, expect in zip(names, columns):
                 assert np.array_equal(getattr(tr, name), expect), (iters, sample, name)
-            assert tr.max_drift_residual == max_residual, (iters, sample)
+            assert tr.max_drift_residual == max_residual[iters], (iters, sample)
 
 
 class ReplayingOracle:
