@@ -170,7 +170,7 @@ def sample_indices(iters: int, sample: str = "log") -> list[int]:
     if sample == "log":
         decades = np.log10(max(iters, 2))
         raw = np.unique(np.round(10 ** np.linspace(0, decades, int(PER_DECADE * decades) + 1)))
-        idx = [int(t) for t in raw if 1 <= t <= iters]
+        idx = raw[(raw >= 1) & (raw <= iters)].astype(int).tolist()
     else:
         idx = list(range(stride, iters + 1, stride))
     if not idx or idx[-1] != iters:

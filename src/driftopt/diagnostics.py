@@ -128,7 +128,7 @@ def _entry(name: str, applicable: bool, passed: bool | None = None,
            worst_margin: float | None = None) -> dict:
     return {"bound": name, "applicable": applicable,
             "pass": bool(passed) if applicable else None,
-            "worst_margin": worst_margin}
+            "worst_margin": worst_margin if applicable else None}
 
 
 @np.errstate(all="ignore")  # a non-finite margin is returned, not warned about
@@ -151,6 +151,10 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
     - multiplier distance nonincreasing (needs V >= gamma), and dual value
       nondecreasing (needs V >= gamma / 2), both per consecutive sample
       with 1e-9 tolerance.
+
+    A B or theta that overflows the floats (at V near the float limit)
+    bounds every finite trace but cannot be checked against one: the
+    bounds built on it report not applicable.
     """
     if reference is None:
         raise ValueError("audit needs a reference solution")
@@ -176,12 +180,12 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
     # Constraint-violation bound, every component.
     margins = trace.g_xbar - (bound_B / ts)[:, None]
     worst = float(margins.max())
-    report.append(_entry("constraint_bound", True,
+    report.append(_entry("constraint_bound", math.isfinite(bound_B),
                          worst <= 1e-9 * (1.0 + bound_B), worst))
 
     # Queue-norm bound.
     worst = float((trace.qnorm - bound_B).max())
-    report.append(_entry("queue_bound", True,
+    report.append(_entry("queue_bound", math.isfinite(bound_B),
                          worst <= 1e-9 * (1.0 + bound_B), worst))
 
     dual_ok = trace.lambda_dist is not None and trace.dual_gap is not None
@@ -194,7 +198,7 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
         q_at_star, _ = dual_value_and_gradient(program, oracle, lam_star)
         theta = theta_bound(V, gamma, lam0, lam_star, q_at_lam0, q_at_star)
         worst = float((trace.dual_gap - theta / ts).max())
-        report.append(_entry("dual_gap_bound", True,
+        report.append(_entry("dual_gap_bound", math.isfinite(theta),
                              worst <= 1e-9 * (1.0 + theta), worst))
         steps = np.diff(trace.lambda_dist)
         worst = float(steps.max()) if len(steps) else 0.0

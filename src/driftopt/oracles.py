@@ -12,16 +12,18 @@ has two methods, which leave it as built:
 - ``argmin(q)``: x(q) for one queue (m,), or the (k, n) rows x(q_i) of a
   (k, m) block of queues;
 - ``steps(Q)``: the DPP queue updates Q(t+1) = max(Q(t) + g(x(Q(t))), 0)
-  of a (k + 1, m) block, filling rows 1..k from row 0.
+  of a (k + 1, m) block, filling rows 1..k from row 0; it returns the
+  block's first row p at the queue's fixed point (every later row is
+  bitwise row p), or None.
 
 An oracle's first ``steps`` call generates a straight-line Python step
 for its instance and V, except above a size bound or where a constant is
 not a finite float (the NUM floor must also be nonzero): then it steps with
 numpy, one row at a time.  Only the DPP kernel calls ``steps``, so nothing
 else generates one.  Either way ``steps`` stops at the queue's fixed
-point, the first row that a step leaves bitwise unchanged, and fills the
-rest of the block with it: a step is a pure function of the bits of q, so
-those are the rows that stepping on would make.
+point, the first row that a step leaves bitwise unchanged, fills the
+rest of the block with it and returns its index: a step is a pure function
+of the bits of q, so those are the rows that stepping on would make.
 
 The QP oracle's per-V constants come from one solve with 2VP.
 """
@@ -155,7 +157,7 @@ def _generate_steps(m: int, body: list[str]):
     return namespace["steps"]
 
 
-def _steps(self, Q: np.ndarray) -> None:
+def _steps(self, Q: np.ndarray) -> int | None:
     """The ``steps`` of both closed forms.  An oracle whose ``_generated``
     is a list generates its step from ``_step_body()`` at the first call and
     keeps it in that list; one whose ``_generated`` is None steps with
@@ -166,7 +168,9 @@ def _steps(self, Q: np.ndarray) -> None:
     queue bitwise unchanged every later row is that row: the block is
     stepped one step, then ``_CHUNK`` steps at a time, and at each of those
     ends a row equal in its bytes to the row before it (0.0 and -0.0 differ,
-    as they do as inputs to the step) fills the rest of the block.
+    as they do as inputs to the step) fills the rest of the block.  The
+    first row of that chunk that its successor repeats is the fixed point's
+    first row p, which is returned; None if the block never reaches it.
     """
     if self._generated == []:
         self._generated.append(_generate_steps(Q.shape[1], self._step_body()))
@@ -180,11 +184,14 @@ def _steps(self, Q: np.ndarray) -> None:
         else:
             rows = self._generated[0](*chunk[0].tolist(), len(chunk) - 1)
             chunk[1:] = np.fromiter(rows, float, len(rows)).reshape(-1, Q.shape[1])
+        if chunk[-1].tobytes() == chunk[-2].tobytes():
+            bits = chunk.view(np.int64)
+            p = t + int((bits[1:] == bits[:-1]).all(axis=1).argmax())
+            Q[t + len(chunk):] = chunk[-1]
+            return p
         t += len(chunk) - 1
-        if Q[t].tobytes() == Q[t - 1].tobytes():
-            Q[t + 1:] = Q[t]
-            return
         c = _CHUNK
+    return None
 
 
 class ClosedFormNumOracle:

@@ -6,7 +6,11 @@ oracle, named constants (with a provenance flag telling whether the value
 is taken verbatim from the original experiment write-up or recomputed
 from the data), and the ground-truth KKT solution.
 The builtins are problem documents like any problem file; both go through
-one constructor.
+one constructor, which keeps the bundles it built last, keyed on what each
+is made from, so that one process builds each problem once.  A bundle is
+immutable and so may be shared: its program, constants and ground truth
+are frozen, with read-only arrays, and its oracle factory builds a fresh
+oracle on every call.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ class Constant:
             raise ValueError("source must be 'paper' or 'computed'")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemBundle:
     """A ready-to-run problem: program, oracle, constants, ground truth."""
 
@@ -132,16 +136,31 @@ def _check_gamma_vs_Lc(dual_hessian, reference: KktSolution | None,
             f"curvature Lc={Lc:g}")
 
 
-def _bundle(tag: str, doc, paper: dict) -> ProblemBundle:
+# Bundles that ``_bundle`` keeps, the least recently used going first: the
+# 3 builtins and the current problem file.  A file serves the kkt, solve
+# and audit of one pipeline back to back, and the benchmark's ``run_round``
+# runs its pipelines one after another.  A bundle of m, n <= 20 is a few KiB.
+_CACHED_BUNDLES = 4
+
+
+@functools.lru_cache(maxsize=_CACHED_BUNDLES)
+def _bundle(tag: str, doc_json: str, paper_json: str) -> ProblemBundle:
     """Build a bundle from a problem document and the write-up's constants
-    for it (none for a problem file).
+    for it (none for a problem file), each given as its JSON text.
 
     The document follows the problem-file schema (see ``load_problem``).
     Given an alpha or beta, the bundle reports it as "paper" and, for
     alpha, the computed default beside it; a paper gamma likewise comes
     with the computed ||A||_F^2 / alpha and must dominate the local
     curvature of the dual at the optimum.
+
+    The tag and the two texts are the key of the cache of bundles, so an
+    edited file or constant is built afresh; a build that raises is not kept.
     """
+    try:
+        doc, paper = json.loads(doc_json), json.loads(paper_json)
+    except RecursionError:  # nested past the parser's limit
+        raise ValueError("problem file is nested too deeply") from None
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("problem file must be a JSON object with a 'kind' field")
     kind = doc["kind"]
@@ -187,7 +206,7 @@ def builtin(tag: str) -> ProblemBundle:
     """One of the three built-in instances (see ``BUILTINS``)."""
     if tag not in BUILTINS:
         raise ValueError(f"unknown builtin tag {tag!r}; choose from {BUILTIN_TAGS}")
-    return _bundle(tag, BUILTINS[tag], PAPER_CONSTANTS[tag])
+    return _bundle(tag, json.dumps(BUILTINS[tag]), json.dumps(PAPER_CONSTANTS[tag]))
 
 
 def load_problem(path) -> ProblemBundle:
@@ -198,11 +217,10 @@ def load_problem(path) -> ProblemBundle:
     smallest eigenvalue of 2P for QPs and min c_i / xmax_i^2 for rate
     allocation; missing beta defaults to the largest row norm of A.  The
     dual smoothness modulus gamma is computed as ||A||_F^2 / alpha.
+    The file is read on every call; an unchanged file gives back the bundle
+    built before while ``_bundle``'s cache keeps it.
     """
     path = Path(path)
     with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:  # nested past the parser's limit
-            raise ValueError("problem file is nested too deeply") from None
-    return _bundle(path.stem, doc, {})
+        text = fh.read()
+    return _bundle(path.stem, text, "{}")

@@ -40,13 +40,20 @@ class KktSolution:
 
     ``active_set`` holds the (0-based) indices k with g_k(x*) = 0 within
     FEAS_TOL.  Invariants: g(x*) <= FEAS_TOL componentwise, lambda* >= 0,
-    and lambda*_k g_k(x*) = 0 within FEAS_TOL.
+    and lambda*_k g_k(x*) = 0 within FEAS_TOL.  x* and lambda* are stored
+    as read-only copies, so a shared solution cannot change.
     """
 
     x_star: np.ndarray
     f_star: float
     lambda_star: np.ndarray
     active_set: tuple[int, ...]
+
+    def __post_init__(self):
+        for name in ("x_star", "lambda_star"):
+            val = np.array(getattr(self, name), dtype=float)
+            val.flags.writeable = False
+            object.__setattr__(self, name, val)
 
 
 def _strictly_inside(r0: np.ndarray, B: np.ndarray) -> np.ndarray | None:

@@ -12,14 +12,20 @@ Oracles take the queue as a raw float array.
 Only the queue of the recurrence x(t) = argmin V f + Q(t) . g,
 Q(t+1) = max(Q(t) + g(x(t)), 0) is sequential: x(t) and g(x(t)) are
 functions of Q(t).  One kernel steps Q alone over blocks of _BLOCK
-iterations, one ``oracle.steps`` call per block; the closed forms' steps
-stop at the queue's fixed point and fill the rest of the block with it,
-so a block past that point costs one step and its flush.  At each block
-end it rebuilds the block's x and g rows with one ``oracle.argmin`` and one
+iterations, one ``oracle.steps`` call per block.  At each block end it
+rebuilds the block's x and g rows with one ``oracle.argmin`` and one
 constraints call, checks the drift identity of every step, and fills the
 prefix sums and the sampled rows, calling f and g once each on the
-block's new x-bar rows.  A non-finite sample ends the run at the end of
-its block.
+block's new x-bar rows.  The closed forms' steps stop at the queue's
+fixed point, fill the rest of the block with it and return its first
+row: x, g and the drift residual are rebuilt only through that row (two
+rows at least) and copied on, so a block past the fixed point costs one
+step, two rows rebuilt, and the block's cumsum, samples and copies.  A
+full rebuild computes each row past the fixed point anew, and BLAS may
+round a row apart with its place in the call and the call's row count,
+so a copy may differ from it in the last bits (the builtins' traces are
+bitwise the same).  A non-finite sample ends the run at the end of its
+block.
 
 A run is strictly sequential and steps an oracle of its own, built at its
 V; distinct runs share no mutable state and may execute concurrently.
@@ -36,13 +42,15 @@ from .dual_analysis import dual_value_and_gradient
 
 VARIANTS = ("dpp", "dpp_shifted")
 
-# Iterations per block of the kernel.  Each block pays one flush, about
-# 0.3-0.4 ms, also once the queue sits at its fixed point.  In-process run
-# time summed over the 3 builtins x {dpp, dpp_shifted} (2-core x86-64,
-# Python 3.11.7, numpy 2.4.6, medians of 9 interleaved runs) at blocks of
-# 1024 / 2048 / 4096 / 8192: 62.7 / 55.3 / 55.7 / 56.5 ms at 1e4
-# log-sampled iterations, 97.4 / 90.4 / 93.2 / 92.5 ms at 1e4 linear ones
-# and 225 / 182 / 158 / 154 ms at 1e5 log-sampled ones.
+# Iterations per block of the kernel.  Each block pays one flush.  A block
+# past the queue's fixed point, whose flush rebuilds two rows, took
+# 0.26-0.40 ms of run on num_6_1 and qp_6_2, against 0.50-0.84 ms when it
+# rebuilt all 4096 (2-core x86-64, Python 3.11.7, numpy 2.4.6, 5 medians
+# of 9 each).  In-process run time when every flush rebuilt every row, summed over
+# the 3 builtins x {dpp, dpp_shifted} on the same machine, medians of 9
+# interleaved runs, at blocks of 1024 / 2048 / 4096 / 8192: 62.7 / 55.3 /
+# 55.7 / 56.5 ms at 1e4 log-sampled iterations, 97.4 / 90.4 / 93.2 / 92.5
+# ms at 1e4 linear ones and 225 / 182 / 158 / 154 ms at 1e5 log-sampled ones.
 _BLOCK = 4096
 
 
@@ -145,18 +153,30 @@ def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
         for t0 in range(0, iters + 1, block):
             Q[0] = Q[k]
             k = min(block, iters + 1 - t0)
-            inner.steps(Q[:k + 1])
+            p = inner.steps(Q[:k + 1])
+            # Rows from the fixed point's first row p on are bitwise row p,
+            # so their x, g and ||Q||^2 are taken as row p's: rows 0..b - 1
+            # of X and G and 0..b of qq are rebuilt, and the last of them
+            # copied on.  b is
+            # at least 2 where the block has 2 rows: numpy sends a one-row
+            # block to gemv, whose sums may round apart from the k-row
+            # gemm's of a full rebuild.
+            b = k if p is None else min(k, max(p + 1, 2))
 
             # Record steps t0 .. t0 + k - 1: their x and g, rebuilt from
             # Q(t0 .. t0 + k - 1), their drift residuals, S at the window ends
             # up to t0 + k, and the samples at t < t0 + k.
-            X[:k] = argmin(Q[:k])
-            G[:k] = constraints(X[:k])
-            qq = np.vecdot(Q[:k + 1], Q[:k + 1])
+            X[:b] = argmin(Q[:b])
+            G[:b] = constraints(X[:b])
+            X[b:k], G[b:k] = X[b - 1], G[b - 1]
+            qq = np.empty(k + 1)
+            qq[:b + 1] = np.vecdot(Q[:b + 1], Q[:b + 1])
+            qq[b + 1:] = qq[b]
             # Residual of the exact drift identity L(Q') - L(Q) = Q' . g -
             # ||Q' - Q||^2 / 2, with L(Q) = ||Q||^2 / 2, for every step with a
-            # successor (t < iters).  fmax skips NaN residuals.
-            r = min(k, iters - t0)
+            # successor (t < iters); from the fixed point on, every step's is
+            # step p's.  fmax skips NaN residuals.
+            r = min(b, iters - t0)
             Qn, Qo = Q[1:r + 1], Q[:r]
             D = Qn - Qo
             residual = np.abs((0.5 * qq[1:r + 1] - 0.5 * qq[:r])

@@ -199,6 +199,26 @@ def test_audit_at_large_V_passes(tmp_path, capsys):
     assert all(entry["applicable"] and entry["pass"] for entry in report)
 
 
+def test_audit_at_V_near_the_float_limit(tmp_path, capsys):
+    # at V = 1e307 the queue bound B ~ 2 V ||lam*|| and the dual-gap
+    # constant theta overflow: the bounds built on them hold for every
+    # finite trace but cannot be checked in floats, so they report not
+    # applicable, and the other three pass
+    out = tmp_path / "huge.csv"
+    code, _, _ = run_cli(capsys, "solve", "--builtin", "qp_6_2", "--V", "1e307",
+                         "--iters", 2000, "--out", out)
+    assert code == 0
+    code, stdout, err = run_cli(capsys, "audit", "--builtin", "qp_6_2", "--trace", out)
+    assert (code, err) == (0, "")
+    report = {entry["bound"]: entry for entry in json.loads(stdout)}
+    skipped = {"constraint_bound", "queue_bound", "dual_gap_bound"}
+    assert {name for name, entry in report.items() if not entry["applicable"]} == skipped
+    for name in skipped:
+        assert report[name]["pass"] is None and report[name]["worst_margin"] is None
+    assert len(report) == 6
+    assert all(entry["pass"] for entry in report.values() if entry["applicable"])
+
+
 def far_window_trace(tmp_path):
     # e(t) = 1e-3 exp(-0.05 (t - 1e5)) on t = 1e5 .. 1e5 + 49
     path = tmp_path / "geo.csv"

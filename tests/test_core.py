@@ -3,6 +3,7 @@ import pytest
 
 from driftopt import (IterateTrace, QpInstance, QueueState, builtin, run,
                       sample_indices)
+from driftopt.core import PER_DECADE
 from replay import step
 
 # min x'x s.t. x_1 + x_2 <= 1
@@ -91,6 +92,19 @@ def test_sample_indices_log():
     assert idx[-1] == 100_000
     assert all(a < b for a, b in zip(idx, idx[1:]))
     assert len(idx) < 2000  # stays bounded for long runs
+
+
+@pytest.mark.parametrize("iters", [1, 2, 3, 10, 999, 2000, 12345, 100_000])
+def test_sample_indices_log_keeps_the_grid_points_in_range(iters):
+    # the rounded log grid filtered one element at a time, as a list
+    decades = np.log10(max(iters, 2))
+    grid = np.unique(np.round(10 ** np.linspace(0, decades, int(PER_DECADE * decades) + 1)))
+    expect = [int(t) for t in grid if 1 <= t <= iters]
+    if expect[-1] != iters:
+        expect.append(iters)
+    idx = sample_indices(iters, "log")
+    assert idx == expect
+    assert all(type(t) is int for t in idx)
 
 
 def test_sample_indices_rejects_bad_input():

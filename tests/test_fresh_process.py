@@ -1,5 +1,6 @@
 """Checks that need a fresh interpreter: ``python -m driftopt``, which
-modules a command loads, when the CLI builds its parser, and the
+modules a command loads, when the CLI builds its parser, that a one-shot
+command prints and writes what a warm in-process one does, and the
 benchmark's set-up probe (perfbench/setup_probe.py) run on this checkout.
 
 driftopt needs numpy alone: with scipy blocked, every command runs on
@@ -16,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from driftopt import cli, problems
 from driftopt.problems import BUILTINS
+from test_perfbench_checks import load
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -86,6 +89,48 @@ def test_importing_the_cli_builds_no_parser(tmp_path):
     # one and one per subcommand) is built by the first command
     proc = python("-c", PARSER_PROBE, cwd=tmp_path)
     assert (proc.returncode, proc.stdout) == (0, "[0, 6, 6]\n"), proc.stderr
+
+
+@pytest.mark.parametrize("source", ["builtin", "problem"])
+def test_one_shot_and_in_process_commands_agree(tmp_path, capsys, source):
+    # a one-shot `python -m driftopt` builds its bundle afresh for each of
+    # kkt, solve and audit; in process, solve and audit reuse the bundle
+    # that kkt built, and a second pass hits the cache for all three.  All
+    # print the same bytes and write the same CSV and summary.
+    if source == "builtin":
+        problem, gamma = ["--builtin", "num_5_2_rank_deficient"], []
+    else:
+        workloads = load("workloads")
+        [(path, doc)] = [(path, doc) for name, path, doc in
+                         workloads.random_problems(5, 0, tmp_path) if name == "qp_m5"]
+        problem, gamma = ["--problem", str(path)], ["--gamma", repr(workloads.audit_gamma(doc))]
+
+    def commands(out):
+        trace = str(out / "trace.csv")
+        return [["kkt", *problem],
+                ["solve", *problem, "--iters", "2000", "--out", trace],
+                ["audit", *problem, "--trace", trace, *gamma]]
+
+    def written(out):
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    one_shot = tmp_path / "one_shot"
+    one_shot.mkdir()
+    printed = []
+    for argv in commands(one_shot):
+        proc = python("-m", "driftopt", *argv, cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        printed.append(proc.stdout)
+    problems._bundle.cache_clear()
+    for warm in ("cold", "warm"):
+        out = tmp_path / warm
+        out.mkdir()
+        hits = problems._bundle.cache_info().hits
+        for argv, expect in zip(commands(out), printed):
+            assert cli.main(argv) == 0, argv
+            assert capsys.readouterr().out == expect, (warm, argv)
+        assert problems._bundle.cache_info().hits - hits == (2 if warm == "cold" else 3)
+        assert written(out) == written(one_shot), warm
 
 
 @pytest.mark.parametrize("source", ["builtin", "problem"])

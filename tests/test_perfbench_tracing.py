@@ -7,7 +7,7 @@ renamed or deleted shows here as a failed install or a zero count.
 import importlib.util
 from pathlib import Path
 
-from driftopt import cli
+from driftopt import cli, problems
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -23,6 +23,8 @@ def test_tracer_counts_solve_and_audit(tmp_path, capsys):
     tracer = load_tracer()
     main = cli.main
     out = tmp_path / "qp.csv"
+    # a bundle built by an earlier test would hide the reference layer
+    problems._bundle.cache_clear()
     tracer.install()
     try:
         solved = cli.main(["solve", "--builtin", "qp_6_2", "--iters", "50",

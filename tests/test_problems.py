@@ -1,9 +1,11 @@
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from driftopt import BUILTIN_TAGS, builtin, choose_V, load_problem
+from driftopt import BUILTIN_TAGS, builtin, choose_V, load_problem, problems
 from driftopt.problems import BUILTINS, PAPER_CONSTANTS
 from generic_oracle import num_step_in_index_order, qp_step_in_index_order
 from replay import replay, step
@@ -48,6 +50,81 @@ def test_paper_gamma_below_local_curvature_is_refused(monkeypatch):
     monkeypatch.setitem(PAPER_CONSTANTS["qp_6_2"], "gamma", 0.1)
     with pytest.raises(ValueError, match="below the local curvature"):
         builtin("qp_6_2")
+
+
+def test_a_bundle_is_built_once_per_content(tmp_path, monkeypatch):
+    # a builtin, or a file read again unchanged, gives back the bundle
+    # built before, KKT solution included; a rewritten file is built afresh
+    problems._bundle.cache_clear()
+    solved, solve = [], problems.kkt_solve_qp
+    monkeypatch.setattr(problems, "kkt_solve_qp", lambda inst: solved.append(inst) or solve(inst))
+    assert builtin("qp_6_2") is builtin("qp_6_2")
+    path = tmp_path / "qp.json"
+    path.write_text(json.dumps(BUILTINS["qp_6_2"]))
+    first = load_problem(path)
+    assert load_problem(path) is first
+    assert first is not builtin("qp_6_2")  # another tag and no paper constants
+    assert len(solved) == 2
+    path.write_text(json.dumps({**BUILTINS["qp_6_2"], "c": [1.0, 2.0]}))
+    rewritten = load_problem(path)
+    assert rewritten is not first and rewritten.program.c.tolist() == [1.0, 2.0]
+    assert len(solved) == 3
+
+
+def test_the_builtins_and_the_current_file_stay_cached(tmp_path):
+    # files run one after another, each through kkt, solve and audit: the
+    # cache keeps every builtin and the file in use, and drops a file done
+    # with once the next file comes
+    problems._bundle.cache_clear()
+    kept = {tag: builtin(tag) for tag in BUILTIN_TAGS}
+    paths = [tmp_path / f"qp{i}.json" for i in range(3)]
+    for i, path in enumerate(paths):
+        path.write_text(json.dumps({**BUILTINS["qp_6_2"], "c": [float(i), 1.0]}))
+        bundle = load_problem(path)
+        assert load_problem(path) is bundle and load_problem(path) is bundle
+        assert all(builtin(tag) is kept[tag] for tag in BUILTIN_TAGS)
+    assert problems._bundle.cache_info().currsize == problems._CACHED_BUNDLES == 4
+    misses = problems._bundle.cache_info().misses
+    load_problem(paths[1])
+    assert problems._bundle.cache_info().misses == misses + 1
+
+
+def test_a_bad_file_raises_on_every_call(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**BUILTINS["num_6_1"], "b": [-1.0, 8.0, 8.0]}))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="capacities b must be positive"):
+            load_problem(path)
+    path.write_text(json.dumps(BUILTINS["num_6_1"]))
+    assert load_problem(path).tag == "bad"
+
+
+def test_a_shared_bundle_cannot_change():
+    b = builtin("qp_6_2")
+    for field in dataclasses.fields(b):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(b, field.name, getattr(b, field.name))
+    for arr in (b.reference.x_star, b.reference.lambda_star, b.program.A, b.program.P):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    assert builtin("qp_6_2").reference.x_star.tolist() == b.reference.x_star.tolist()
+
+
+def test_building_bundles_warns_of_nothing(tmp_path):
+    # a bundle given back from the cache does not repeat the warnings of
+    # its build, so no build may warn: every builtin, and the benchmark's
+    # random files of a warm-up round and of 4 rounds of each of two seeds
+    from test_perfbench_checks import load
+    workloads = load("workloads")
+    problems._bundle.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tag in BUILTIN_TAGS:
+            builtin(tag)
+        for seed, rounds in ((0, range(-1, 4)), (1, range(4))):
+            for r in rounds:
+                for _, path, _ in workloads.random_problems(seed, r, tmp_path):
+                    load_problem(path)
 
 
 def test_rank_deficient_bundle():

@@ -1,12 +1,13 @@
 import json
 import math
+import random
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from driftopt import VARIANTS, DimensionError, builtin, choose_V, run
+from driftopt import VARIANTS, DimensionError, builtin, choose_V, load_problem, run
 from driftopt.cli import main
 from driftopt.core import sample_indices
 from driftopt.dual_analysis import dual_value_and_gradient
@@ -458,6 +459,119 @@ def test_each_block_is_one_steps_call_covering_every_iteration(tag):
                 iters=iters, reference=b.reference)
     for name in GOLDEN_COLUMNS:
         assert np.array_equal(getattr(tr, name), getattr(plain, name)), name
+
+
+class FixedPointOracle:
+    """The oracle that the bundle's factory builds at V, keeping the rows
+    of each block argmin and what each steps call returned.  With
+    ``hide``, steps returns None, so the run rebuilds every row."""
+
+    def __init__(self, b, hide=False):
+        self.b, self.hide, self.rows, self.fixed = b, hide, [], []
+
+    def __call__(self, V):
+        self.inner = self.b.oracle(V)
+        return self
+
+    def argmin(self, q):
+        if q.ndim == 2:
+            self.rows.append(len(q))
+        return self.inner.argmin(q)
+
+    def steps(self, Q):
+        self.fixed.append(self.inner.steps(Q))
+        return None if self.hide else self.fixed[-1]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("tag", BUILTIN_TAGS)
+def test_a_block_at_the_fixed_point_rebuilds_two_rows(tag, variant):
+    # from Q(0) = 0 at the default V each builtin reaches the queue's fixed
+    # point within 4 blocks (at t* = 2002, 8970 and 12763): its block
+    # rebuilds x and g through t*, each later full block two rows and the
+    # last, of one row, its row, and the trace is bitwise the one that
+    # rebuilds every row
+    b = builtin(tag)
+    iters = 4 * _BLOCK
+    seen, hidden = FixedPointOracle(b), FixedPointOracle(b, hide=True)
+    traces = [run(b.program, oracle, V=choose_V(b.program), q0=np.zeros(b.program.m),
+                  iters=iters, variant=variant, reference=b.reference)
+              for oracle in (seen, hidden)]
+    first = next(j for j, p in enumerate(seen.fixed) if p is not None)
+    assert seen.fixed[first + 1:] == [0] * (4 - first)
+    assert seen.rows == ([_BLOCK] * first + [max(seen.fixed[first] + 1, 2)]
+                         + [2] * (3 - first) + [1])
+    assert hidden.rows == [_BLOCK] * 4 + [1]
+    for name in GOLDEN_COLUMNS:
+        assert np.array_equal(getattr(traces[0], name), getattr(traces[1], name)), name
+    assert traces[0].max_drift_residual == traces[1].max_drift_residual
+
+
+@pytest.mark.parametrize("m, seed", [(8, 0), (8, 7), (8, 10), (12, 38)])
+def test_a_random_qp_past_the_fixed_point_agrees_with_a_full_rebuild(tmp_path, m, seed):
+    # x(Q*) comes from a gemm of two rows or more, as in a full rebuild;
+    # numpy sends one row to gemv, which rounds these m = 8 files' dual
+    # gaps apart.  A gemm row may still round apart with its position and
+    # the call's row count (the m = 12 file's dual gap does), so beyond
+    # the builtins a trace agrees with a full rebuild to 1e-14 of
+    # max(|f*|, 1), not always bitwise
+    from test_perfbench_checks import load
+    rng = random.Random(f"qp:{m}:{seed}")
+    path = tmp_path / "qp.json"
+    path.write_text(json.dumps(load("workloads")._qp_instance(rng, m, rng.randint(2, 8))))
+    b = load_problem(path)
+    seen, hidden = FixedPointOracle(b), FixedPointOracle(b, hide=True)
+    traces = [run(b.program, oracle, V=choose_V(b.program), q0=np.zeros(m),
+                  iters=3 * _BLOCK, reference=b.reference)
+              for oracle in (seen, hidden)]
+    assert seen.fixed[-1] == 0  # the last block opens at the fixed point
+    scale = 1e-14 * max(abs(b.reference.f_star), 1.0)
+    for name in GOLDEN_COLUMNS:
+        a, h = getattr(traces[0], name), getattr(traces[1], name)
+        if m == 8:
+            assert np.array_equal(a, h), name
+        np.testing.assert_allclose(a, h, rtol=1e-14, atol=scale, err_msg=name)
+
+
+class HoldingOracle(FixedPointOracle):
+    """Steps as the bundle's oracle does up to Q(at), then holds the queue
+    there and reports that row as the fixed point, which it is not: g at
+    x(Q(at)) is not 0."""
+
+    def __init__(self, b, at):
+        super().__init__(b)
+        self.at, self.t0 = at, 0
+
+    def steps(self, Q):
+        k = len(Q) - 1
+        held = min(max(self.at - self.t0, 0), k)  # rows stepped before the hold
+        self.inner.steps(Q[:held + 1])
+        Q[held + 1:] = Q[held]
+        self.t0 += k
+        return held if held < k else None
+
+
+@pytest.mark.parametrize("iters", [50, 51, _BLOCK + 100])
+def test_drift_residual_of_a_false_fixed_point(iters):
+    # the held step's residual |Q(at) . g(x(Q(at)))| is the drift
+    # identity's only large one; every later step repeats it, in the hold's
+    # block and after
+    b = builtin("qp_6_2")
+    V = choose_V(b.program)
+    tr = run(b.program, HoldingOracle(b, at=50), V=V, q0=np.zeros(2), iters=iters)
+    inner = b.oracle(V)
+    Q = np.empty((iters + 1, 2))
+    Q[0] = 0.0
+    inner.steps(Q[:51])
+    Q[51:] = Q[50]
+    expect = 0.0
+    for q, qn in zip(Q[:-1], Q[1:]):
+        g = b.program.constraints(inner.argmin(q))
+        diff = qn - q
+        expect = max(expect, abs((0.5 * qn.dot(qn) - 0.5 * q.dot(q))
+                                 - (qn.dot(g) - 0.5 * diff.dot(diff))))
+    assert tr.max_drift_residual == expect
+    assert (expect > 1.0) == (iters > 50)
 
 
 class OverflowingOracle(CountingOracle):
