@@ -9,13 +9,15 @@ Exit codes: 0 success, 1 an audited bound failed, 2 usage or input error,
 3 numerical failure.  Commands raise; ``main`` alone maps a failure to its
 exit code and one stderr line.
 All output is deterministic; CSV numbers carry 17 significant digits so
-doubles round-trip exactly.
+doubles round-trip exactly.  In one process, ``audit`` and ``fit`` of the
+trace that ``solve`` wrote last match its bytes and skip the parse.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 from pathlib import Path
@@ -67,9 +69,23 @@ def _parse_q0(text: str | None, m: int) -> np.ndarray:
     return np.array(parts)
 
 
+# The trace this process wrote last: the sha256 of its bytes and its read-only
+# float columns by header name (None for a blank f_err), bitwise what a parse
+# gives, as "%.17g" round-trips a double and t is an integer below 2**53.
+_last_written: tuple[bytes, dict] | None = None
+
+
+def _sha256(data: bytes):
+    import hashlib  # loads OpenSSL, about 4 MiB, which kkt, info and a fresh audit skip
+    return hashlib.sha256(data)
+
+
 def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> None:
     """Write the trace with CRLF line ends, as ``csv.writer`` does.  Without
-    a reference, ``f_err`` is blank and the dual columns are absent."""
+    a reference, ``f_err`` is blank and the dual columns are absent.  Once
+    the file is closed, the trace is ``_last_written``."""
+    global _last_written
+    _last_written = None
     cols = {"t": trace.t, "f_avg": trace.f_xbar, "f_err": None,
             **{f"g_{k + 1}": g for k, g in enumerate(trace.g_xbar.T)}, "qnorm": trace.qnorm}
     if bundle.reference is not None:
@@ -77,10 +93,19 @@ def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> None:
         cols.update(lambda_dist=trace.lambda_dist, dual_gap=trace.dual_gap)
     row = ",".join("%d" if name == "t" else "" if c is None else "%.17g"
                    for name, c in cols.items()) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\r\n")
-        fh.writelines(row % values for values in
-                      zip(*[c.tolist() for c in cols.values() if c is not None]))
+    present = {name: c for name, c in cols.items() if c is not None}
+    block = np.array(list(present.values()), dtype=float)  # one row per column
+    block.flags.writeable = False
+    header = (",".join(cols) + "\r\n").encode()
+    digest = _sha256(header)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for start in range(0, block.shape[1], 1024):  # 1024 rows at a time
+            data = "".join([row % values for values in
+                            zip(*block[:, start:start + 1024].tolist())]).encode()
+            digest.update(data)
+            fh.write(data)
+    _last_written = digest.digest(), {**dict.fromkeys(cols), **dict(zip(present, block))}
 
 
 def _summary_path(out: Path) -> Path:
@@ -143,16 +168,37 @@ def cmd_solve(args) -> int:
 
 
 def _read_trace_csv(path: Path, columns) -> dict:
-    """Parse the columns of a solve CSV whose names satisfy ``columns``.
+    """Read the columns of a solve CSV whose names satisfy ``columns``.
 
-    Returns {name: float array} in header order; a column whose first data
-    cell is blank (``f_err`` without a reference) maps to None.  A row
-    whose field count differs from the header's, a blank, non-numeric or
-    non-finite cell in a parsed column, or a ``t`` that is not an integer
-    >= 1 or not strictly increasing, raises ValueError.
+    Returns {name: read-only float array} in header order; a column whose
+    first data cell is blank (``f_err`` without a reference) maps to None.
+    The bytes this process wrote last give the columns in ``_last_written``;
+    other files are parsed as UTF-8.  A row whose field count differs from
+    the header's, a blank, non-numeric or non-finite cell in a parsed column,
+    or a ``t`` that is not an integer >= 1 or not strictly increasing, raises
+    ValueError.
     """
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if _last_written is not None and _sha256(raw).digest() == _last_written[0]:
+        cols = {name: col for name, col in _last_written[1].items() if columns(name)}
+    else:
+        cols = _parse_trace_csv(raw, columns)
+    for name, col in cols.items():
+        if col is not None and not np.isfinite(col).all():
+            raise ValueError(f"trace CSV column {name!r} holds a non-finite number")
+    t = cols.get("t")
+    if t is not None and not (np.all(t >= 1) and np.array_equal(t, np.floor(t))):
+        raise ValueError("trace CSV column 't' must hold integers >= 1")
+    if t is not None and np.any(np.diff(t) <= 0):
+        raise ValueError("trace CSV column 't' must be strictly increasing")
+    return cols
+
+
+def _parse_trace_csv(raw: bytes, columns) -> dict:
+    # read as open(path, encoding="utf-8") would: lines end at \r\n, \n or \r
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    lines = [line.rstrip("\n") for line in text]
     if not lines:
         raise ValueError("trace CSV is empty")
     header, data = lines[0].split(","), lines[1:]
@@ -167,15 +213,8 @@ def _read_trace_csv(path: Path, columns) -> dict:
     if usecols:
         parsed = np.loadtxt(data, delimiter=",", usecols=usecols, ndmin=2,
                             comments=None).T.copy()
+        parsed.flags.writeable = False
         cols.update(zip([header[j] for j in usecols], parsed))
-    for name, col in cols.items():
-        if col is not None and not np.isfinite(col).all():
-            raise ValueError(f"trace CSV column {name!r} holds a non-finite number")
-    t = cols.get("t")
-    if t is not None and not (np.all(t >= 1) and np.array_equal(t, np.floor(t))):
-        raise ValueError("trace CSV column 't' must hold integers >= 1")
-    if t is not None and np.any(np.diff(t) <= 0):
-        raise ValueError("trace CSV column 't' must be strictly increasing")
     return cols
 
 

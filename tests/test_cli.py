@@ -518,6 +518,110 @@ def test_read_trace_csv_parses_only_the_selected_columns(tmp_path, capsys):
         _read_trace_csv(out, {"t", "dual_gap"}.__contains__)
 
 
+# In one process, a read of the trace that solve wrote last takes its
+# columns from ``cli._last_written``; they must be bitwise what a parse of
+# the file gives.
+
+def assert_same_columns(got, want):
+    assert list(got) == list(want)
+    for name, col in want.items():
+        if col is None:
+            assert got[name] is None, name
+        else:
+            assert (got[name].dtype, got[name].tobytes()) == (col.dtype, col.tobytes()), name
+
+
+def read_all(path):
+    return _read_trace_csv(path, lambda name: True)
+
+
+SOLVES = {f"{tag}-{algorithm}-{sample}": ["--builtin", tag, "--algorithm", algorithm,
+                                          "--sample", sample, "--iters", "300"]
+          for tag in BUILTINS for algorithm in sorted(cli.ALGORITHMS)
+          for sample in ("log", "linear:7")}
+# the partial trace of a run that overflows at t = 2: one row
+SOLVES["num_6_1-overflow"] = ["--builtin", "num_6_1", "--algorithm", "dpp-shifted",
+                              "--V", "1e-100", "--sample", "linear", "--iters", "100"]
+
+
+@pytest.mark.parametrize("solve", [*SOLVES, "no-reference"])
+def test_reading_the_trace_just_written_equals_a_parse(tmp_path, capsys, monkeypatch,
+                                                       solve):
+    out = tmp_path / "trace.csv"
+    argv = ["--problem", str(wide_qp_file(tmp_path)), "--iters", "300"] \
+        if solve == "no-reference" else SOLVES[solve]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # V = 1e-100 is below the threshold
+        code, _, _ = run_cli(capsys, "solve", *argv, "--out", str(out))
+    assert code == (3 if solve.endswith("overflow") else 0)
+    # the selections audit and both fits make, recorded as they read
+    reads = []
+
+    def recorded(path, columns):
+        reads.append((columns, _read_trace_csv(path, columns)))
+        return reads[-1][1]
+
+    monkeypatch.setattr(cli, "_read_trace_csv", recorded)
+    tag = "qp_6_2" if solve == "no-reference" else argv[1]
+    run_cli(capsys, "audit", "--builtin", tag, "--trace", str(out))
+    for series in ("obj", "constraint"):
+        run_cli(capsys, "fit", "--trace", str(out), "--series", series, "--model", "power")
+    reads.append((lambda name: True, read_all(out)))
+    assert len(reads) == 4
+    entry = cli._last_written[1]
+    for columns, hit in reads:
+        assert all(col is entry[name] for name, col in hit.items())
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_last_written", None)
+            assert_same_columns(hit, _read_trace_csv(out, columns))
+    assert (entry["f_err"] is None) == (solve == "no-reference")
+
+
+def test_the_entry_follows_the_bytes_not_the_path(tmp_path, capsys):
+    first, _ = solve_qp(tmp_path, capsys, iters=200)
+    want = read_all(first)
+    copy = tmp_path / "copy.csv"
+    copy.write_bytes(first.read_bytes())
+    assert all(col is want[name] for name, col in read_all(copy).items())
+    # a second solve to another path replaces the entry: the first file is parsed
+    code, _, _ = run_cli(capsys, "solve", "--builtin", "num_6_1", "--iters", "200",
+                         "--out", str(tmp_path / "num.csv"))
+    assert code == 0
+    got = read_all(first)
+    assert got["t"] is not want["t"]
+    assert_same_columns(got, want)
+    # a write that fails leaves no entry
+    code, _, _ = run_cli(capsys, "solve", "--builtin", "qp_6_2", "--iters", "200",
+                         "--out", str(tmp_path / "missing" / "qp.csv"))
+    assert code == 2
+    assert cli._last_written is None
+
+
+def test_read_columns_are_read_only(tmp_path, capsys, monkeypatch):
+    out, _ = solve_qp(tmp_path, capsys, iters=200)
+    hit = read_all(out)
+    monkeypatch.setattr(cli, "_last_written", None)
+    for cols in (hit, read_all(out)):
+        for col in cols.values():
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 1.0
+
+
+def test_lines_end_as_in_text_mode(tmp_path, capsys, monkeypatch):
+    out, _ = solve_qp(tmp_path, capsys, iters=200)
+    monkeypatch.setattr(cli, "_last_written", None)
+    want, crlf = read_all(out), out.read_bytes()
+    copy = tmp_path / "copy.csv"
+    for end in (b"\n", b"\r"):
+        copy.write_bytes(crlf.replace(b"\r\n", end))
+        assert_same_columns(read_all(copy), want)
+    # a separator that str.splitlines knows but text mode does not joins two rows
+    lines = crlf.split(b"\r\n")
+    copy.write_bytes(b"\r\n".join([*lines[:2], "\u2028".encode().join(lines[2:4]), *lines[4:]]))
+    with pytest.raises(ValueError, match="ragged"):
+        read_all(copy)
+
+
 def fit_and_audit_codes(capsys, out):
     codes = [run_cli(capsys, "fit", "--trace", str(out), "--series", series,
                      "--model", "power")[0] for series in ("obj", "constraint")]

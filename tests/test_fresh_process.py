@@ -1,6 +1,7 @@
 """Checks that need a fresh interpreter: ``python -m driftopt``, which
 modules a command loads, when the CLI builds its parser, that a one-shot
-command prints and writes what a warm in-process one does, and the
+command prints and writes what a warm in-process one does (with the
+bundle cache and the columns of the trace just written), and the
 benchmark's set-up probe (perfbench/setup_probe.py) run on this checkout.
 
 driftopt needs numpy alone: with scipy blocked, every command runs on
@@ -131,6 +132,25 @@ def test_one_shot_and_in_process_commands_agree(tmp_path, capsys, source):
             assert capsys.readouterr().out == expect, (warm, argv)
         assert problems._bundle.cache_info().hits - hits == (2 if warm == "cold" else 3)
         assert written(out) == written(one_shot), warm
+
+
+@pytest.mark.parametrize("tag", ["num_6_1", "qp_6_2"])
+def test_reads_of_the_trace_just_written_print_what_a_fresh_process_does(
+        tmp_path, capsys, monkeypatch, tag):
+    # in process, audit and both fits take the columns that solve wrote; a
+    # fresh `python -m driftopt` parses the file.  Both print the same bytes.
+    trace = str(tmp_path / "trace.csv")
+    assert cli.main(["solve", "--builtin", tag, "--iters", "2000", "--sample", "linear:7",
+                     "--out", trace]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_parse_trace_csv", None)  # a parse would raise
+    for argv in (["audit", "--builtin", tag, "--trace", trace],
+                 *(["fit", "--trace", trace, "--series", series, "--model", "power"]
+                   for series in ("obj", "constraint"))):
+        code = cli.main(argv)
+        warm = capsys.readouterr()
+        proc = python("-m", "driftopt", *argv, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, warm.out, warm.err), argv
 
 
 @pytest.mark.parametrize("source", ["builtin", "problem"])
