@@ -5,7 +5,9 @@ lexicographically), solves the stationarity system for each, and returns
 the first candidate passing dual nonnegativity, primal feasibility and
 complementary slackness.  Global optimality follows from convexity.  The
 problem kinds differ only in how they solve the stationarity system on a
-set; the certificate is the same for both.
+set; the certificate is the same for both.  On a face of multipliers the
+least-norm point is reported: the paper's bounds hold on the whole face,
+and those that grow with ||lambda*|| are tightest there.
 
 Kept deliberately independent of the iterative solvers so it can serve as
 the oracle in every convergence test.
@@ -56,64 +58,27 @@ class KktSolution:
             object.__setattr__(self, name, val)
 
 
-def _strictly_inside(r0: np.ndarray, B: np.ndarray) -> np.ndarray | None:
-    """A z with r0 + B z > 1e-12 componentwise, or None if none is found.
+def _min_norm_multiplier(M: np.ndarray, lam0: np.ndarray) -> np.ndarray:
+    """The least-norm point of the multiplier face {lam >= 0 : M lam = M lam0}.
 
-    Phase I for r0 of unit scale and orthonormal B: damped Newton on the
-    barrier t s + sum log(r0 + B z - s) of max s s.t. r0 + B z >= s, with
-    t raised tenfold a step up to 1e15, from the point of r0 + range(B)
-    nearest all-ones.  Steps stay in the Dikin ellipsoid, so slacks stay > 0.
+    ``lam0``, any point of the face, is returned as it is when M has full
+    column rank.  Otherwise, with N an orthonormal null-space basis of M,
+    base = lam0 - N N' lam0 is the least-norm point of the face's affine
+    hull, and min ||z|| s.t. base + N z >= 0 is a least-distance program:
+    for u >= 0 minimizing ||G u - e||, with G = [N'; -base'] and e the
+    last unit vector, r = G u - e gives z = -r[:-1] / r[-1] (Lawson and
+    Hanson, ch. 23).  base is scaled to a largest entry of 1 first, so the
+    NNLS's tolerance serves a face near 1e-14 as it does one near 1.
     """
-    z = B.T @ (1.0 - r0)
-    s = (r0 + B @ z).min() - 1.0
-    C = np.hstack([B, -np.ones((len(r0), 1))])
-    for k in range(40):
-        r = r0 + B @ z
-        if r.min() > 1e-12:
-            return z
-        w = 1.0 / (r - s)
-        grad = C.T @ w
-        grad[-1] += 10.0 ** min(k, 15)
-        step = np.linalg.solve((C.T * w ** 2) @ C, grad)
-        step /= 1.0 + np.sqrt(step @ grad)
-        z, s = z + step[:-1], s + step[-1]
-    return None
-
-
-def _analytic_center_multiplier(M: np.ndarray, lam0: np.ndarray) -> np.ndarray:
-    """Pick the analytic center of the multiplier face {lam >= 0 : M lam = M lam0}.
-
-    When the active-constraint system is rank deficient the KKT multiplier
-    is a nontrivial face; interior-point solvers land at its analytic
-    center, so that is the deterministic representative we return.
-    ``lam0`` is any nonnegative multiplier on the face, and is returned
-    when the face has no interior or is unbounded (no center).
-    """
-    # scipy's null_space: the right singular vectors past the numerical rank
-    _, sv, vh = np.linalg.svd(M, full_matrices=True)
-    rank = int(np.sum(sv > sv.max(initial=0.0) * np.finfo(float).eps * max(M.shape)))
-    ns = vh[rank:].T
-    if ns.size == 0 or not lam0.any():
+    _, sv, vh = np.linalg.svd(M)
+    N = vh[np.sum(sv > sv.max() * np.finfo(float).eps * max(M.shape)):].T
+    if not N.size:
         return lam0
-    # Bounded iff no d >= 0, d != 0 has M d = 0, iff some M^T y > 0 (Gordan).
-    bounded = _strictly_inside(np.zeros(len(lam0)), vh[:rank].T) is not None
-    z = _strictly_inside(lam0 / lam0.max(), ns) if bounded else None
-    if z is None:
-        return lam0  # no interior or no center: keep the particular solution
-    z = lam0.max() * z
-    # Damped Newton on z -> -sum log(lam0 + ns z).
-    for _ in range(200):
-        lam = lam0 + ns @ z
-        grad = -ns.T @ (1.0 / lam)
-        hess = ns.T @ ((ns.T / lam ** 2).T)
-        step = np.linalg.solve(hess, -grad)
-        tau = 1.0
-        while np.any(lam0 + ns @ (z + tau * step) <= 0) and tau > 1e-18:
-            tau *= 0.5
-        z = z + tau * step
-        if np.linalg.norm(tau * step) <= 1e-14 * lam0.max():
-            break
-    return lam0 + ns @ z
+    base = lam0 - N @ (N.T @ lam0)
+    scale = np.abs(base).max() or 1.0
+    G, e = np.vstack([N.T, -base / scale]), np.eye(N.shape[1] + 1)[-1]
+    r = G @ _nnls(G, e) - e
+    return np.maximum(base - scale * (N @ r[:-1]) / r[-1], 0.0)
 
 
 def _enumerate(inst, stationary) -> KktSolution:
@@ -145,12 +110,10 @@ def _enumerate(inst, stationary) -> KktSolution:
             if np.any(gvals > FEAS_TOL) or np.any(np.abs(lam * gvals) > FEAS_TOL):
                 continue
             active = [k for k in range(m) if abs(gvals[k]) <= FEAS_TOL]
-            M = inst.A[active, :].T
-            # Rank-deficient active sets admit a multiplier face; normalize.
-            if active and len(active) > np.linalg.matrix_rank(M):
-                lam_face = _analytic_center_multiplier(M, lam[active])
-                lam = np.zeros(m)
-                lam[active] = lam_face
+            # A rank-deficient active set admits a face of multipliers:
+            # take its least-norm point.
+            if active:
+                lam[active] = _min_norm_multiplier(inst.A[active, :].T, lam[active])
             return KktSolution(x_star=x, f_star=float(inst.objective(x)), lambda_star=lam,
                                active_set=tuple(active))
     raise InfeasibleError("no active subset produced a KKT point")

@@ -64,8 +64,8 @@ def test_criterion_1_ground_truth():
           and np.allclose(qp.x_star, [-1.0, -1.0], atol=1e-6)
           and abs(qp.f_star - 8.0) < 1e-6
           and np.allclose(deg.x_star, [0.8553, 2.1447, 1.1447, 5.8553], atol=1e-3)
-          and np.allclose(deg.lambda_star, [0.3858, 0.0903, 0.7833, 0.0805],
-                          atol=1e-3)
+          and np.allclose(deg.lambda_star, [0.46628, 0.17078, 0.70284, 0.0],
+                          atol=1e-5)
           and max(t_num, t_qp, t_deg) < 1.0)
     report("criterion 1: ground-truth solutions", ok,
            f"times {t_num:.3f}/{t_qp:.3f}/{t_deg:.3f}s")
@@ -236,3 +236,25 @@ def test_criterion_9_oracle_equivalences():
     report("criterion 9: oracle equivalences", ok,
            f"iterates {worst_x:.1e}, oracles {worst_oracle:.1e}, "
            f"hessians {worst_hess:.1e}")
+
+
+def test_criterion_10_rank_deficient_run_reaches_its_multiplier():
+    # On num_5_2's rank-deficient face the reference reports the
+    # least-norm multiplier, the vertex that lambda(t) = Q(t)/V reaches:
+    # lambda_dist goes to rounding, and every bound, the two dual ones
+    # included, is applicable and passes.  The dual subgradient method at
+    # step c = 1/V is DPP at V = 1/c.
+    b = builtin("num_5_2_rank_deficient")
+    V, q0 = 800.0, np.zeros(4)
+    details, ok = [], True
+    for name, variant, V_run in (("dpp", "dpp", V), ("dpp-shifted", "dpp_shifted", V),
+                                 ("dual-subgradient", "dpp", 1.0 / (1.0 / V))):
+        tr = run(b.program, b.oracle, V=V_run, q0=q0, iters=100_000, variant=variant,
+                 sample="log", reference=b.reference)
+        rep = audit_bounds(tr, b.reference, b.program, q0, gamma=b.constant("gamma"),
+                           oracle=b.oracle)
+        ok = (ok and tr.lambda_dist[-1] <= 1e-12 and audit_passed(rep)
+              and all(entry["applicable"] for entry in rep))
+        details.append(f"{name} lambda_dist {tr.lambda_dist[-1]:.1e}")
+    report("criterion 10: the rank-deficient run reaches its multiplier", ok,
+           "; ".join(details))

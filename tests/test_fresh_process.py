@@ -6,9 +6,12 @@ benchmark's set-up probe (perfbench/setup_probe.py) run on this checkout.
 
 driftopt needs numpy alone: with scipy blocked, every command runs on
 every builtin, the QP oracle and the rank-deficient builtin's KKT
-multiplier face included.
+multiplier face included.  Beside that probe, a parse of every test
+module (no fresh interpreter needed) finds no scipy import, so the tests
+need none either.
 """
 
+import ast
 import json
 import math
 import os
@@ -67,6 +70,20 @@ def test_no_command_imports_scipy(tmp_path):
     # 2VP and the rank-deficient multiplier face included: numpy only
     proc = python("-c", IMPORT_PROBE, str(tmp_path), cwd=tmp_path)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_no_test_module_imports_scipy():
+    # the test extra is pytest and hypothesis: an import of scipy in any
+    # test module would make scipy necessary again
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "scipy" for name in names), (path.name, node.lineno)
 
 
 # Counts the argparse parsers built by importing the CLI, then by two commands.

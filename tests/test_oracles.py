@@ -110,7 +110,7 @@ def test_log_utility_argmin_scalar_closed_form():
 def test_log_utility_argmin_at_optimal_multiplier():
     # at q = V * lam_star the minimizer is the primal optimum
     b = builtin("num_5_2_rank_deficient")
-    lam = np.array([0.3858, 0.0903, 0.7833, 0.0805])
+    lam = np.array([0.46628, 0.17078, 0.70284, 0.0])
     x = ClosedFormNumOracle(b.program, NUM_V).argmin(NUM_V * lam)
     assert abs(x[0] - 0.8553) < 1e-3
     assert np.allclose(x, [0.8553, 2.1447, 1.1447, 5.8553], atol=1e-3)

@@ -130,7 +130,7 @@ def test_building_bundles_warns_of_nothing(tmp_path):
 def test_rank_deficient_bundle():
     b = builtin("num_5_2_rank_deficient")
     assert np.allclose(b.reference.lambda_star,
-                       [0.3858, 0.0903, 0.7833, 0.0805], atol=1e-3)
+                       [0.46628, 0.17078, 0.70284, 0.0], atol=1e-5)
     # rank 3 < m = 4 (singular values above 1e-10 times the largest): the
     # dual is not strongly concave
     A = b.program.A

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -42,11 +44,11 @@ def test_num_ground_truth():
 
 def test_num_rank_deficient_face_normalization():
     # all four constraints active, constraint matrix rank 3: the multiplier
-    # is a face and the analytic center is reported
+    # is a face and its least-norm point, a vertex, is reported
     sol = kkt_solve_num(builtin("num_5_2_rank_deficient").program)
     assert np.allclose(sol.x_star, [0.8553, 2.1447, 1.1447, 5.8553], atol=1e-3)
-    assert np.allclose(sol.lambda_star, [0.3858, 0.0903, 0.7833, 0.0805],
-                       atol=1e-3)
+    assert np.allclose(sol.lambda_star, [0.46628, 0.17078, 0.70284, 0.0],
+                       atol=1e-5)
     assert sol.active_set == (0, 1, 2, 3)
 
 
@@ -133,60 +135,49 @@ def test_num_newton_crosses_zero_multiplier():
     assert sol.f_star == pytest.approx(-(inst.c @ np.log(sol.x_star)), abs=1e-12)
 
 
-def scipy_analytic_center(M, lam0):
-    """The analytic center of {lam >= 0 : M lam = M lam0} computed with
-    scipy: ``null_space``, an interior start from ``linprog`` (HiGHS) that
-    maximizes the smallest entry, and the library's damped Newton.  The
-    independent cross-check of ``reference._analytic_center_multiplier``.
-    """
-    import scipy.linalg
-    import scipy.optimize
-
-    ns = scipy.linalg.null_space(M)
-    if ns.size == 0 or not lam0.any():
-        return lam0
-    k = ns.shape[1]
-    # on lam0 / max(lam0): HiGHS's absolute tolerances would fail a face
-    # whose multipliers are about 1e-14
-    res = scipy.optimize.linprog(
-        c=np.concatenate([np.zeros(k), [-1.0]]),
-        A_ub=np.hstack([-ns, np.ones((len(lam0), 1))]),
-        b_ub=lam0 / lam0.max(), bounds=[(None, None)] * k + [(None, None)],
-        method="highs")
-    if not res.success or res.x[-1] <= 0:
-        return lam0
-    z = lam0.max() * res.x[:k]
-    for _ in range(200):
-        lam = lam0 + ns @ z
-        grad = -ns.T @ (1.0 / lam)
-        hess = ns.T @ ((ns.T / lam ** 2).T)
-        step = np.linalg.solve(hess, -grad)
-        tau = 1.0
-        while np.any(lam0 + ns @ (z + tau * step) <= 0) and tau > 1e-18:
-            tau *= 0.5
-        z = z + tau * step
-        if np.linalg.norm(tau * step) <= 1e-14 * lam0.max():
-            break
-    return lam0 + ns @ z
+def face_points(M, lam0):
+    """The points of the face {lam >= 0 : M lam = M lam0} that solve
+    M lam = M lam0 with least norm on a support T, pinv(M[:, T]) M lam0
+    and 0 off T, by increasing norm.  The first is the face's least-norm
+    point: on its support T, the optimality conditions of min ||lam|| put
+    lam_T in the row space of M[:, T].  numpy only, by brute force over
+    every T: the reference for ``reference._min_norm_multiplier``."""
+    k = M.shape[1]
+    target = M @ lam0
+    tol = 1e-14 * np.abs(lam0).max()
+    points = []
+    for size in range(k + 1):
+        for T in map(list, combinations(range(k), size)):
+            lam = np.zeros(k)
+            lam[T] = np.linalg.pinv(M[:, T]) @ target
+            if lam.min() >= -tol and np.abs(M @ lam - target).max() <= np.abs(M).max() * tol:
+                points.append(lam)
+    return sorted(points, key=np.linalg.norm)
 
 
-def assert_face_center(M, lam0, lam):
-    """``lam`` is the analytic center of {lam >= 0 : M lam = M lam0}: it is
-    positive, on the face to rounding, and N^T (1/lam) = 0 for a null-space
-    basis N of M, relative to |1/lam|."""
-    assert lam.min() > 0
-    scale = np.abs(M).max() * np.abs(lam0).max()
-    assert np.abs(M @ (lam - lam0)).max() <= 1e-14 * scale
-    _, _, vh = np.linalg.svd(M)
-    inv = 1.0 / lam
-    assert np.abs(vh[np.linalg.matrix_rank(M):] @ inv).max() <= 1e-12 * np.linalg.norm(inv)
+def assert_least_norm_point(M, lam0, same_within=1e-14):
+    """``_min_norm_multiplier`` finds the least-norm point of the face
+    {lam >= 0 : M lam = M lam0}: nonnegative, on the face to rounding,
+    equal to the brute-force reference within 1e-14 of its scale, and the
+    same from the face's farthest point as from lam0, within
+    ``same_within`` of its scale (that point is on the face to the
+    rounding of a pseudoinverse)."""
+    lam = reference._min_norm_multiplier(M, lam0)
+    points = face_points(M, lam0)
+    assert lam.min() >= 0.0
+    assert np.abs(M @ (lam - lam0)).max() <= 1e-14 * np.abs(M).max() * np.abs(lam0).max()
+    assert np.abs(lam - points[0]).max() <= 1e-14 * np.abs(points[0]).max()
+    other = reference._min_norm_multiplier(M, np.maximum(points[-1], 0.0))
+    assert np.abs(other - lam).max() <= same_within * np.abs(lam).max()
+    return lam
 
 
 def faces_reached(monkeypatch, instances):
-    """The multiplier faces (M, lam0) that kkt_solve_num reaches on ``instances``."""
-    faces, center = [], reference._analytic_center_multiplier
-    monkeypatch.setattr(reference, "_analytic_center_multiplier",
-                        lambda M, lam0: faces.append((M, lam0)) or center(M, lam0))
+    """The multiplier faces (M, lam0) that kkt_solve_num reaches on
+    ``instances``, one per instance whose active set is not empty."""
+    faces, least_norm = [], reference._min_norm_multiplier
+    monkeypatch.setattr(reference, "_min_norm_multiplier",
+                        lambda M, lam0: faces.append((M, lam0)) or least_norm(M, lam0))
     for inst in instances:
         kkt_solve_num(inst)
     monkeypatch.undo()
@@ -341,56 +332,61 @@ def test_nnls_meets_its_optimality_conditions():
         assert np.all(np.abs(w[x > 0]) <= 1e-9) and np.all(w[x == 0] <= 1e-9)
 
 
-def test_rank_deficient_face_matches_scipy_bitwise(monkeypatch):
+def test_rank_deficient_face_matches_the_brute_force(monkeypatch):
     inst = builtin("num_5_2_rank_deficient").program
     [(M, lam0)] = faces_reached(monkeypatch, [inst])
-    assert np.array_equal(kkt_solve_num(inst).lambda_star, scipy_analytic_center(M, lam0))
+    lam = assert_least_norm_point(M, lam0)
+    assert np.array_equal(kkt_solve_num(inst).lambda_star, lam)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_face_center_optimality_and_scipy_agreement(monkeypatch, seed):
+def test_least_norm_multiplier_matches_the_brute_force(monkeypatch, seed):
     faces = faces_reached(monkeypatch, grid_instances(seed, 40))
     assert len(faces) == 40
     for M, lam0 in faces:
-        lam = reference._analytic_center_multiplier(M, lam0)
-        assert_face_center(M, lam0, lam)
-        expect = scipy_analytic_center(M, lam0)
-        assert np.abs(lam - expect).max() <= 1e-14 * np.abs(expect).max()
-        for scale in (1e-14, 1e-6, 1e6):  # the face and its center scale with lam0
-            scaled = reference._analytic_center_multiplier(M, scale * lam0)
-            assert np.abs(scaled - scale * lam).max() <= 1e-14 * scale * lam.max()
-        # the cross-check finds the same center on a face near 1e-14
-        expect = scipy_analytic_center(M, 1e-14 * lam0)
-        assert np.abs(expect - 1e-14 * lam).max() <= 1e-14 * 1e-14 * lam.max()
+        assert M.shape[1] > np.linalg.matrix_rank(M)
+        for scale in (1.0, 1e-14, 1e-6, 1e6):
+            assert_least_norm_point(M, scale * lam0)
 
 
-def test_face_of_tiny_multipliers_reaches_its_center():
-    # multipliers near 1e-14: a stopping rule in absolute terms ends one
-    # Newton step from lam0, at (1.211e-14, 6.24e-15), with N^T (1/lam) at
-    # 3% of |1/lam|
+def test_least_norm_multiplier_on_faces_of_several_dimensions():
+    # mixed-sign gradients, as a QP's, and faces of dimension 3 to 6: the
+    # hull's least-norm point has up to 5 negative entries, so the NNLS
+    # adds several columns, and one that stops early is caught
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        k = int(rng.integers(4, 8))
+        M = rng.normal(size=(int(rng.integers(1, k - 2)), k))
+        lam0 = rng.uniform(0.0, 2.0, k) * (rng.random(k) < 0.6)
+        assert_least_norm_point(M, lam0, same_within=1e-13)
+
+
+def test_face_of_tiny_multipliers_reaches_its_least_norm_point():
+    # multipliers near 1e-14, far below the rounding of a unit-scale face
     M, lam0 = np.array([[0.6095, 1.2877]]), np.array([3.53e-15, 1.03e-14])
-    lam = reference._analytic_center_multiplier(M, lam0)
-    assert_face_center(M, lam0, lam)
-    expect = scipy_analytic_center(M, lam0)
-    assert np.abs(lam - expect).max() <= 1e-14 * np.abs(expect).max()
-    assert lam == pytest.approx([1.2645e-14, 5.9854e-15], rel=1e-4)
+    lam = assert_least_norm_point(M, lam0)
+    assert lam == pytest.approx([4.6290e-15, 9.7798e-15], rel=1e-4, abs=0.0)
 
 
-def test_face_without_interior_keeps_lam0():
-    # lam1 + lam2 = 0 pins both at 0: the face is the single point lam0
-    M, lam0 = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.array([0.0, 0.0, 1.0])
-    assert np.array_equal(reference._analytic_center_multiplier(M, lam0), lam0)
-    assert np.array_equal(scipy_analytic_center(M, lam0), lam0)
+def test_zero_face_gives_zero():
+    # lam0 = 0 lies on the face and has the least norm
+    M = np.array([[1.0, -1.0, 0.5], [0.0, 1.0, 1.0]])
+    assert np.array_equal(assert_least_norm_point(M, np.zeros(3)), np.zeros(3))
     # x* = 0 makes x <= 0 and 2x <= 0 active with lam = 0, the face's only point
     sol = kkt_solve_qp(QpInstance(P=[[1.0]], c=[0.0], A=[[1.0], [2.0]], b=[0.0, 0.0]))
     assert sol.active_set == (0, 1)
     assert np.array_equal(sol.lambda_star, [0.0, 0.0])
 
 
+def test_face_without_interior_keeps_lam0():
+    # lam1 + lam2 = 0 pins both at 0: the face is the single point lam0
+    M, lam0 = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.array([0.0, 0.0, 1.0])
+    assert np.array_equal(assert_least_norm_point(M, lam0), lam0)
+
+
 def test_unbounded_face_keeps_lam0():
     # x1 = 1 written as x1 <= 1 and -x1 <= -1: lam + t (1, 1, 0) stays on
-    # the face for every t >= 0, so it has no analytic center (a Newton
-    # run from an interior point heads off to lam ~ 1e60)
+    # the face for every t >= 0, and t = 0 has the least norm
     inst = QpInstance(P=np.eye(2), c=[0.0, -2.0], A=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
                       b=[1.0, -1.0, 0.0])
     sol = kkt_solve_qp(inst)
@@ -398,4 +394,7 @@ def test_unbounded_face_keeps_lam0():
     assert np.allclose(sol.x_star, [1.0, 0.0], atol=1e-12)
     assert np.allclose(sol.lambda_star, [0.0, 2.0, 2.0], atol=1e-12)
     for M, lam0 in ((inst.A.T, sol.lambda_star), (np.array([[1.0, -1.0]]), np.array([0.0, 2.0]))):
-        assert np.array_equal(reference._analytic_center_multiplier(M, lam0), lam0)
+        assert np.allclose(assert_least_norm_point(M, lam0), lam0, rtol=0, atol=1e-14)
+        # from a point up the unbounded direction, back to lam0
+        up = lam0 + np.append([3.0, 3.0], np.zeros(len(lam0) - 2))
+        assert np.allclose(reference._min_norm_multiplier(M, up), lam0, rtol=0, atol=1e-14)
