@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 an audited bound failed, 2 usage or input error,
 exit code and one stderr line.
 All output is deterministic; CSV numbers carry 17 significant digits so
 doubles round-trip exactly.  In one process, ``audit`` and ``fit`` of the
-trace that ``solve`` wrote last match its bytes and skip the parse.
+trace that ``solve`` wrote last compare the file with the bytes it wrote and,
+when they are equal, skip the parse.
 """
 
 from __future__ import annotations
@@ -69,21 +70,17 @@ def _parse_q0(text: str | None, m: int) -> np.ndarray:
     return np.array(parts)
 
 
-# The trace this process wrote last: the sha256 of its bytes and its read-only
+# The trace this process wrote last: the chunks of its bytes and its read-only
 # float columns by header name (None for a blank f_err), bitwise what a parse
 # gives, as "%.17g" round-trips a double and t is an integer below 2**53.
-_last_written: tuple[bytes, dict] | None = None
-
-
-def _sha256(data: bytes):
-    import hashlib  # loads OpenSSL, about 4 MiB, which kkt, info and a fresh audit skip
-    return hashlib.sha256(data)
+_last_written: tuple[list[bytes], dict] | None = None
 
 
 def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> None:
     """Write the trace with CRLF line ends, as ``csv.writer`` does.  Without
-    a reference, ``f_err`` is blank and the dual columns are absent.  Once
-    the file is closed, the trace is ``_last_written``."""
+    a reference, ``f_err`` is blank and the dual columns are absent.  The
+    header and each 1,024 formatted rows are one chunk; once the file is
+    closed, the chunks and the columns are ``_last_written``."""
     global _last_written
     _last_written = None
     cols = {"t": trace.t, "f_avg": trace.f_xbar, "f_err": None,
@@ -96,16 +93,13 @@ def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> None:
     present = {name: c for name, c in cols.items() if c is not None}
     block = np.array(list(present.values()), dtype=float)  # one row per column
     block.flags.writeable = False
-    header = (",".join(cols) + "\r\n").encode()
-    digest = _sha256(header)
+    chunks = [(",".join(cols) + "\r\n").encode()]
+    for start in range(0, block.shape[1], 1024):
+        chunks.append("".join([row % values for values in
+                               zip(*block[:, start:start + 1024].tolist())]).encode())
     with open(path, "wb") as fh:
-        fh.write(header)
-        for start in range(0, block.shape[1], 1024):  # 1024 rows at a time
-            data = "".join([row % values for values in
-                            zip(*block[:, start:start + 1024].tolist())]).encode()
-            digest.update(data)
-            fh.write(data)
-    _last_written = digest.digest(), {**dict.fromkeys(cols), **dict(zip(present, block))}
+        fh.writelines(chunks)
+    _last_written = chunks, {**dict.fromkeys(cols), **dict(zip(present, block))}
 
 
 def _summary_path(out: Path) -> Path:
@@ -172,18 +166,20 @@ def _read_trace_csv(path: Path, columns) -> dict:
 
     Returns {name: read-only float array} in header order; a column whose
     first data cell is blank (``f_err`` without a reference) maps to None.
-    The bytes this process wrote last give the columns in ``_last_written``;
-    other files are parsed as UTF-8.  A row whose field count differs from
-    the header's, a blank, non-numeric or non-finite cell in a parsed column,
-    or a ``t`` that is not an integer >= 1 or not strictly increasing, raises
-    ValueError.
+    A file read in the lengths of the chunks this process wrote last, and
+    equal to them one by one, takes the columns in ``_last_written``; other
+    files are parsed as UTF-8.  A row whose field count differs from the
+    header's, a blank, non-numeric or non-finite cell in a parsed column,
+    or a ``t`` that is not an integer >= 1 or not strictly increasing,
+    raises ValueError.
     """
+    written, entry = _last_written or ((), None)
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if _last_written is not None and _sha256(raw).digest() == _last_written[0]:
-        cols = {name: col for name, col in _last_written[1].items() if columns(name)}
+        parts = [fh.read(len(chunk)) for chunk in written] + [fh.read()]
+    if entry is not None and parts == [*written, b""]:
+        cols = {name: col for name, col in entry.items() if columns(name)}
     else:
-        cols = _parse_trace_csv(raw, columns)
+        cols = _parse_trace_csv(b"".join(parts), columns)
     for name, col in cols.items():
         if col is not None and not np.isfinite(col).all():
             raise ValueError(f"trace CSV column {name!r} holds a non-finite number")

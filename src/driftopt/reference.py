@@ -67,8 +67,10 @@ def _min_norm_multiplier(M: np.ndarray, lam0: np.ndarray) -> np.ndarray:
     hull, and min ||z|| s.t. base + N z >= 0 is a least-distance program:
     for u >= 0 minimizing ||G u - e||, with G = [N'; -base'] and e the
     last unit vector, r = G u - e gives z = -r[:-1] / r[-1] (Lawson and
-    Hanson, ch. 23).  base is scaled to a largest entry of 1 first, so the
-    NNLS's tolerance serves a face near 1e-14 as it does one near 1.
+    Hanson, ch. 23).  A positive u_k makes lam_k >= 0 tight (complementary
+    slackness), so that entry is exactly 0.  base is scaled to a largest
+    entry of 1 first, so the NNLS's tolerance serves a face near 1e-14 as
+    it does one near 1.
     """
     _, sv, vh = np.linalg.svd(M)
     N = vh[np.sum(sv > sv.max() * np.finfo(float).eps * max(M.shape)):].T
@@ -77,8 +79,9 @@ def _min_norm_multiplier(M: np.ndarray, lam0: np.ndarray) -> np.ndarray:
     base = lam0 - N @ (N.T @ lam0)
     scale = np.abs(base).max() or 1.0
     G, e = np.vstack([N.T, -base / scale]), np.eye(N.shape[1] + 1)[-1]
-    r = G @ _nnls(G, e) - e
-    return np.maximum(base - scale * (N @ r[:-1]) / r[-1], 0.0)
+    u = _nnls(G, e)
+    r = G @ u - e
+    return np.where(u > 0, 0.0, np.maximum(base - scale * (N @ r[:-1]) / r[-1], 0.0))
 
 
 def _enumerate(inst, stationary) -> KktSolution:

@@ -597,6 +597,28 @@ def test_the_entry_follows_the_bytes_not_the_path(tmp_path, capsys):
     assert cli._last_written is None
 
 
+def test_only_the_whole_of_the_bytes_written_is_a_hit(tmp_path, capsys, monkeypatch):
+    # 2,501 rows: the header and three chunks of at most 1,024 rows.  A file
+    # that runs past the bytes written, stops short of them or has another
+    # header is parsed, and so is an empty file when there is no entry.
+    out, _ = solve_qp(tmp_path, capsys, iters=2500, extra=("--sample", "linear"))
+    raw, want = out.read_bytes(), read_all(out)
+    last = raw[raw.rindex(b"\r\n", 0, len(raw) - 2) + 2:]
+    out.write_bytes(raw + last)  # the last row twice: t stops increasing
+    with pytest.raises(ValueError, match="strictly increasing"):
+        read_all(out)
+    out.write_bytes(raw[:-len(last)])
+    got = read_all(out)
+    assert all(col is not want[name] for name, col in got.items())
+    assert_same_columns(got, {name: col[:-1] for name, col in want.items()})
+    out.write_bytes(raw.replace(b"qnorm", b"Qnorm", 1))
+    assert list(read_all(out)) == [name.replace("qnorm", "Qnorm") for name in want]
+    monkeypatch.setattr(cli, "_last_written", None)
+    out.write_bytes(b"")
+    with pytest.raises(ValueError, match="empty"):
+        read_all(out)
+
+
 def test_read_columns_are_read_only(tmp_path, capsys, monkeypatch):
     out, _ = solve_qp(tmp_path, capsys, iters=200)
     hit = read_all(out)

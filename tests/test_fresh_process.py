@@ -2,19 +2,22 @@
 modules a command loads, when the CLI builds its parser, that a one-shot
 command prints and writes what a warm in-process one does (with the
 bundle cache and the columns of the trace just written), and the
-benchmark's set-up probe (perfbench/setup_probe.py) run on this checkout.
+benchmark's set-up probe (perfbench/setup_probe.py) and runner
+(perfbench/run.py) run on this checkout.
 
 driftopt needs numpy alone: with scipy blocked, every command runs on
 every builtin, the QP oracle and the rank-deficient builtin's KKT
-multiplier face included.  Beside that probe, a parse of every test
-module (no fresh interpreter needed) finds no scipy import, so the tests
-need none either.
+multiplier face included, and none loads hashlib.  Beside that probe, a
+parse of every test module (no fresh interpreter needed) finds no scipy
+import, so the tests need none either.
 """
 
 import ast
+import importlib.util
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -43,7 +46,7 @@ def test_python_m_driftopt_info(tmp_path):
 
 
 # Blocks scipy, so that importing it raises, then runs every command on
-# every builtin and prints the scipy modules loaded.
+# every builtin and prints the scipy and hashlib modules loaded.
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from pathlib import Path
@@ -61,13 +64,15 @@ for tag in ("num_6_1", "qp_6_2", "num_5_2_rank_deficient"):
             code = cli.main(argv)
         assert code == 0, argv
 print(json.dumps(sorted(name for name, module in sys.modules.items()
-                        if name.split(".")[0] == "scipy" and module is not None)))
+                        if module is not None and (name.split(".")[0] == "scipy"
+                                                   or name in ("hashlib", "_hashlib")))))
 """
 
 
 def test_no_command_imports_scipy(tmp_path):
     # solve/audit/kkt/fit on all three builtins, the QP oracle's solve with
-    # 2VP and the rank-deficient multiplier face included: numpy only
+    # 2VP and the rank-deficient multiplier face included: numpy only; and
+    # no hashlib, so no OpenSSL: the trace cache compares bytes
     proc = python("-c", IMPORT_PROBE, str(tmp_path), cwd=tmp_path)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
@@ -185,3 +190,17 @@ def test_setup_probe_smoke(tmp_path, source):
     assert len(lines) == 1
     setup_s = json.loads(lines[0])["setup_s"]
     assert math.isfinite(setup_s) and setup_s > 0
+
+
+@pytest.mark.skipif(importlib.util.find_spec("scipy") is None,
+                    reason="perfbench/run.py imports scipy")
+def test_benchmark_runner_smoke(tmp_path):
+    # a copy of src/ and perfbench/, so that .perfbench_work/ lands in tmp_path
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    proc = python(str(tmp_path / "perfbench" / "run.py"), "--workload", "dense_trace",
+                  "--seed", "1", "--seconds", "1", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0), proc.stdout

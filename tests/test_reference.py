@@ -349,16 +349,32 @@ def test_least_norm_multiplier_matches_the_brute_force(monkeypatch, seed):
             assert_least_norm_point(M, scale * lam0)
 
 
-def test_least_norm_multiplier_on_faces_of_several_dimensions():
-    # mixed-sign gradients, as a QP's, and faces of dimension 3 to 6: the
-    # hull's least-norm point has up to 5 negative entries, so the NNLS
-    # adds several columns, and one that stops early is caught
+def faces_of_several_dimensions():
+    """40 seeded faces (M, lam0) with mixed-sign gradients, as a QP's, and
+    dimension 3 to 6: the hull's least-norm point has up to 5 negative
+    entries, so the NNLS adds several columns."""
     rng = np.random.default_rng(3)
     for _ in range(40):
         k = int(rng.integers(4, 8))
         M = rng.normal(size=(int(rng.integers(1, k - 2)), k))
-        lam0 = rng.uniform(0.0, 2.0, k) * (rng.random(k) < 0.6)
+        yield M, rng.uniform(0.0, 2.0, k) * (rng.random(k) < 0.6)
+
+
+def test_least_norm_multiplier_on_faces_of_several_dimensions():
+    # an NNLS that stops early is caught
+    for M, lam0 in faces_of_several_dimensions():
         assert_least_norm_point(M, lam0, same_within=1e-13)
+
+
+def test_least_norm_multiplier_is_exactly_zero_off_its_support():
+    # the entries the reference puts at 0 (93 over the 40 faces) are 0.0,
+    # not rounding residue, so a support test on lambda* needs no threshold
+    zeros = 0
+    for M, lam0 in faces_of_several_dimensions():
+        off = face_points(M, lam0)[0] == 0.0
+        assert np.all(reference._min_norm_multiplier(M, lam0)[off] == 0.0)
+        zeros += off.sum()
+    assert zeros == 93
 
 
 def test_face_of_tiny_multipliers_reaches_its_least_norm_point():
