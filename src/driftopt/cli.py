@@ -8,10 +8,12 @@ problems).
 Exit codes: 0 success, 1 an audited bound failed, 2 usage or input error,
 3 numerical failure.  Commands raise; ``main`` alone maps a failure to its
 exit code and one stderr line.
-All output is deterministic; CSV numbers carry 17 significant digits so
-doubles round-trip exactly.  In one process, ``audit`` and ``fit`` of the
-trace that ``solve`` wrote last compare the file with the bytes it wrote and,
-when they are equal, skip the parse.
+All output is deterministic.  A CSV number is printed exactly as
+``"%.17g"`` prints it, so it reads back to the same double: numpy makes
+the text (``csvtext``) and Python formats the cells numpy cannot decide.
+In one process, ``audit`` and ``fit`` of the trace that ``solve`` wrote
+last compare the file with the bytes it wrote and, when they are equal,
+skip the parse.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import IterateTrace, QueueState
+from .csvtext import format_rows
 from .diagnostics import (audit_bounds, audit_passed, error_series, fit_geometric,
                           fit_power_decay)
 from .problems import (BUILTIN_TAGS, ProblemBundle, _array, _number, builtin,
@@ -77,10 +80,12 @@ _last_written: tuple[list[bytes], dict] | None = None
 
 
 def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> None:
-    """Write the trace with CRLF line ends, as ``csv.writer`` does.  Without
-    a reference, ``f_err`` is blank and the dual columns are absent.  The
-    header and each 1,024 formatted rows are one chunk; once the file is
-    closed, the chunks and the columns are ``_last_written``."""
+    """Write the trace with CRLF line ends, as ``csv.writer`` does, every
+    number as ``"%.17g"`` prints it (``csvtext.format_rows``; for ``t``, an
+    integer below 2**53, that is ``"%d"``).  Without a reference, ``f_err``
+    is blank and the dual columns are absent.  The header and each 1,024
+    formatted rows are one chunk; once the file is closed, the chunks and
+    the columns are ``_last_written``."""
     global _last_written
     _last_written = None
     cols = {"t": trace.t, "f_avg": trace.f_xbar, "f_err": None,
@@ -88,15 +93,14 @@ def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> None:
     if bundle.reference is not None:
         cols["f_err"] = error_series(trace.f_xbar, trace.g_xbar, bundle.reference.f_star)[0]
         cols.update(lambda_dist=trace.lambda_dist, dual_gap=trace.dual_gap)
-    row = ",".join("%d" if name == "t" else "" if c is None else "%.17g"
-                   for name, c in cols.items()) + "\r\n"
     present = {name: c for name, c in cols.items() if c is not None}
+    seps = [b",," if name == "f_avg" and cols["f_err"] is None else b"," for name in present]
+    seps[-1] = b"\r\n"
     block = np.array(list(present.values()), dtype=float)  # one row per column
     block.flags.writeable = False
     chunks = [(",".join(cols) + "\r\n").encode()]
-    for start in range(0, block.shape[1], 1024):
-        chunks.append("".join([row % values for values in
-                               zip(*block[:, start:start + 1024].tolist())]).encode())
+    chunks += [format_rows(block[:, start:start + 1024], seps)
+               for start in range(0, block.shape[1], 1024)]
     with open(path, "wb") as fh:
         fh.writelines(chunks)
     _last_written = chunks, {**dict.fromkeys(cols), **dict(zip(present, block))}

@@ -6,11 +6,12 @@ import io
 import json
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from driftopt import builtin, choose_V, error_series, load_problem, run
+from driftopt import IterateTrace, builtin, choose_V, error_series, load_problem, run
 from driftopt import cli
 from driftopt.cli import _read_trace_csv, main
 from driftopt.problems import BUILTINS
@@ -490,6 +491,44 @@ def test_csv_bytes_match_the_csv_module_without_reference(tmp_path, capsys):
     assert bundle.reference is None
     out, trace = solve_linear(tmp_path, capsys, ["--problem", str(path)], bundle, 300)
     assert out.read_bytes() == csv_module_bytes(trace, bundle)
+
+
+def synthetic_cells(rng, shape):
+    """Doubles from every binary exponent (random finite bit patterns), with
+    ordinary values, zeros, -0.0 and subnormals mixed in."""
+    bits = rng.integers(0, 2 ** 64, shape, dtype=np.uint64).view(float)
+    kind = rng.integers(0, 5, shape)
+    ordinary = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    subnormal = rng.integers(1, 2 ** 52, shape, dtype=np.uint64).view(float)
+    cells = np.where(kind == 0, np.where(np.isfinite(bits), bits, 0.0), ordinary)
+    cells = np.where(kind == 2, rng.choice([0.0, -0.0], shape), cells)
+    return np.where(kind == 3, rng.choice([1.0, -1.0], shape) * subnormal, cells)
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 20])
+@pytest.mark.parametrize("with_reference", [True, False])
+def test_write_csv_matches_the_csv_module_on_synthetic_traces(tmp_path, m, with_reference):
+    # the row counts cross every edge of the formatter's 256-row slices and
+    # of the writer's 1,024-row chunks
+    rng = np.random.default_rng(m)
+    reference = SimpleNamespace(f_star=-1e300) if with_reference else None
+    bundle = SimpleNamespace(program=SimpleNamespace(m=m), reference=reference)
+    for rows in (1, 255, 256, 257, 1023, 1024, 1025, 2500):
+        dual = [synthetic_cells(rng, rows) for _ in range(2)] if with_reference else [None] * 2
+        trace = IterateTrace(t=np.cumsum(rng.integers(1, 10 ** 6, rows)),
+                             f_xbar=synthetic_cells(rng, rows),
+                             g_xbar=synthetic_cells(rng, (rows, m)),
+                             qnorm=synthetic_cells(rng, rows), lambda_dist=dual[0],
+                             dual_gap=dual[1])
+        # the CLI computes f_err after run has checked the trace's columns:
+        # |f_avg - f*| overflows here, and %.17g writes the cell as inf
+        trace.f_xbar[0] = 1.7976931348623157e308
+        out = tmp_path / f"{rows}.csv"
+        with np.errstate(over="ignore"):
+            cli._write_csv(out, trace, bundle)
+            expected = csv_module_bytes(trace, bundle)
+        assert out.read_bytes() == expected, rows
+        assert expected.split(b"\r\n")[1].split(b",")[2] == (b"inf" if with_reference else b"")
 
 
 @pytest.mark.parametrize("tag,algorithm,V,q0", [

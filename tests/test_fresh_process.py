@@ -1,9 +1,10 @@
 """Checks that need a fresh interpreter: ``python -m driftopt``, which
-modules a command loads, when the CLI builds its parser, that a one-shot
-command prints and writes what a warm in-process one does (with the
-bundle cache and the columns of the trace just written), and the
-benchmark's set-up probe (perfbench/setup_probe.py) and runner
-(perfbench/run.py) run on this checkout.
+modules a command loads, when the CLI builds its parser and the CSV
+formatter its tables, that a one-shot command prints and writes what a
+warm in-process one does (with the bundle cache and the columns of the
+trace just written), and the benchmark's set-up probe
+(perfbench/setup_probe.py) and runner (perfbench/run.py) run on this
+checkout.
 
 driftopt needs numpy alone: with scipy blocked, every command runs on
 every builtin, the QP oracle and the rank-deficient builtin's KKT
@@ -112,6 +113,33 @@ def test_importing_the_cli_builds_no_parser(tmp_path):
     # one and one per subcommand) is built by the first command
     proc = python("-c", PARSER_PROBE, cwd=tmp_path)
     assert (proc.returncode, proc.stdout) == (0, "[0, 6, 6]\n"), proc.stderr
+
+
+# Reports, after the import and after each command, whether the CSV
+# formatter has built its tables.
+TABLES_PROBE = """
+import contextlib, io, sys
+import driftopt
+from driftopt import cli, csvtext
+built = [csvtext._tables.cache_info().currsize == 1]
+for argv in (["kkt", "--builtin", "num_6_1"], ["info"],
+             ["audit", "--builtin", "num_6_1", "--trace", sys.argv[1]],
+             ["solve", "--builtin", "num_6_1", "--iters", "10", "--out", sys.argv[2]]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    built.append(csvtext._tables.cache_info().currsize == 1)
+print(built)
+"""
+
+
+def test_the_csv_formatter_builds_its_tables_on_the_first_write(tmp_path, capsys):
+    # the benchmark's setup_s times the import; kkt, info and the audit of a
+    # file another process wrote format no CSV
+    trace = tmp_path / "trace.csv"
+    assert cli.main(["solve", "--builtin", "num_6_1", "--iters", "200", "--out", str(trace)]) == 0
+    capsys.readouterr()
+    proc = python("-c", TABLES_PROBE, str(trace), str(tmp_path / "new.csv"), cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (0, "[False, False, False, False, True]\n"), proc.stderr
 
 
 @pytest.mark.parametrize("source", ["builtin", "problem"])
