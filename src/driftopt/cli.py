@@ -7,13 +7,14 @@ problems).
 
 Exit codes: 0 success, 1 an audited bound failed, 2 usage or input error,
 3 numerical failure.  Commands raise; ``main`` alone maps a failure to its
-exit code and one stderr line.
+exit code and one stderr line, and shows a warning (a V below the
+guarantee threshold) as one ``warning: ...`` line.
 All output is deterministic.  A CSV number is printed exactly as
 ``"%.17g"`` prints it, so it reads back to the same double: numpy makes
-the text (``csvtext``) and Python formats the cells numpy cannot decide.
-In one process, ``audit`` and ``fit`` of the trace that ``solve`` wrote
-last compare the file with the bytes it wrote and, when they are equal,
-skip the parse.
+the text (``csvtext``), once for each run of equal cells down a column,
+and Python formats the cells numpy cannot decide.  In one process,
+``audit`` and ``fit`` read a trace in one piece and, when it holds the
+bytes that the last ``solve`` wrote, skip the parse.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import itertools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -81,8 +84,9 @@ _last_written: tuple[list[bytes], dict] | None = None
 
 def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> None:
     """Write the trace with CRLF line ends, as ``csv.writer`` does, every
-    number as ``"%.17g"`` prints it (``csvtext.format_rows``; for ``t``, an
-    integer below 2**53, that is ``"%d"``).  Without a reference, ``f_err``
+    number as ``"%.17g"`` prints it (``csvtext.format_rows``, which formats
+    a cell equal to the one above it once; for ``t``, an integer below
+    2**53, that is ``"%d"``).  Without a reference, ``f_err``
     is blank and the dual columns are absent.  The header and each 1,024
     formatted rows are one chunk; once the file is closed, the chunks and
     the columns are ``_last_written``."""
@@ -170,8 +174,8 @@ def _read_trace_csv(path: Path, columns) -> dict:
 
     Returns {name: read-only float array} in header order; a column whose
     first data cell is blank (``f_err`` without a reference) maps to None.
-    A file read in the lengths of the chunks this process wrote last, and
-    equal to them one by one, takes the columns in ``_last_written``; other
+    A file as long as the chunks this process wrote last, holding each
+    chunk at its offset, takes the columns in ``_last_written``; other
     files are parsed as UTF-8.  A row whose field count differs from the
     header's, a blank, non-numeric or non-finite cell in a parsed column,
     or a ``t`` that is not an integer >= 1 or not strictly increasing,
@@ -179,11 +183,13 @@ def _read_trace_csv(path: Path, columns) -> dict:
     """
     written, entry = _last_written or ((), None)
     with open(path, "rb") as fh:
-        parts = [fh.read(len(chunk)) for chunk in written] + [fh.read()]
-    if entry is not None and parts == [*written, b""]:
+        raw = fh.read()
+    starts = list(itertools.accumulate(map(len, written), initial=0))
+    if (entry is not None and len(raw) == starts[-1]
+            and all(map(raw.startswith, written, starts))):
         cols = {name: col for name, col in entry.items() if columns(name)}
     else:
-        cols = _parse_trace_csv(b"".join(parts), columns)
+        cols = _parse_trace_csv(raw, columns)
     for name, col in cols.items():
         if col is not None and not np.isfinite(col).all():
             raise ValueError(f"trace CSV column {name!r} holds a non-finite number")
@@ -384,14 +390,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        return args.fn(args)
-    except (OSError, ValueError, UserWarning) as exc:  # a warning raised by -W error
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ArithmeticError, _Failure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    return EXIT_NUMERICAL
+    with warnings.catch_warnings():
+        # a warning is one line, without the source path and line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                         file=sys.stderr)
+        try:
+            return args.fn(args)
+        except (OSError, ValueError, UserWarning) as exc:  # a warning raised by -W error
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (ArithmeticError, _Failure) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

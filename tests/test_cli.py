@@ -383,22 +383,33 @@ def test_audit_rejects_non_increasing_t(tmp_path, capsys, edit):
     assert "strictly increasing" in err
 
 
+def threshold_warning(V: str, floor: str) -> str:
+    return (f"warning: V={V} is below the guarantee threshold m*beta^2/alpha={floor}; "
+            "convergence bounds may not apply\n")
+
+
+FLOORS = {"qp_6_2": "11.7647", "num_6_1": "544.5"}
+
+
+@pytest.mark.filterwarnings("always:.*below the guarantee threshold:UserWarning")
 @pytest.mark.parametrize("tag", ["qp_6_2", "num_6_1"])
 def test_solve_that_overflows_exits_3(tmp_path, capsys, tag):
-    # V is positive and finite, but x(t) or Q(t) / V leaves the doubles
+    # V is positive and finite, but x(t) or Q(t) / V leaves the doubles;
+    # the V warning is one line, with no source path
     out = tmp_path / "tiny.csv"
-    with pytest.warns(UserWarning):
-        code, stdout, err = run_cli(capsys, "solve", "--builtin", tag,
-                                    "--V", "1e-300", "--iters", "100",
-                                    "--out", str(out))
+    code, stdout, err = run_cli(capsys, "solve", "--builtin", tag,
+                                "--V", "1e-300", "--iters", "100",
+                                "--out", str(out))
     assert code == 3
-    assert "non-finite value in the sample at t = 1" in err
+    assert err == (threshold_warning("1e-300", FLOORS[tag])
+                   + "error: non-finite value in the sample at t = 1\n")
     assert stdout == ""
     # the first sample is already non-finite: no rows, no summary
     assert not out.exists()
     assert not (tmp_path / "tiny.csv.summary.json").exists()
 
 
+@pytest.mark.filterwarnings("always:.*below the guarantee threshold:UserWarning")
 @pytest.mark.parametrize("argv,t", [
     (["--builtin", "qp_6_2", "--V", "1e-300"], 1),
     (["--builtin", "num_6_1", "--algorithm", "dpp-shifted", "--V", "1e-100",
@@ -408,10 +419,12 @@ def test_solve_that_overflows_over_several_blocks_exits_3(tmp_path, capsys, argv
     # the run spans three blocks of the kernel; the first non-finite
     # sample is still the one reported, and the rows before it are written
     out = tmp_path / "tiny.csv"
-    with pytest.warns(UserWarning):
-        code, stdout, err = run_cli(capsys, "solve", *argv, "--iters", str(3 * _BLOCK - 1),
-                                    "--out", str(out))
-    assert (code, stdout, err) == (3, "", f"error: non-finite value in the sample at t = {t}\n")
+    code, stdout, err = run_cli(capsys, "solve", *argv, "--iters", str(3 * _BLOCK - 1),
+                                "--out", str(out))
+    V, floor = argv[argv.index("--V") + 1], FLOORS[argv[1]]
+    assert (code, stdout) == (3, "")
+    assert err == (threshold_warning(V, floor)
+                   + f"error: non-finite value in the sample at t = {t}\n")
     rows = out.read_text().splitlines()[1:] if out.exists() else []
     assert [int(r.split(",")[0]) for r in rows] == list(range(1, t))
 
@@ -490,6 +503,19 @@ def test_csv_bytes_match_the_csv_module_without_reference(tmp_path, capsys):
     bundle = load_problem(path)
     assert bundle.reference is None
     out, trace = solve_linear(tmp_path, capsys, ["--problem", str(path)], bundle, 300)
+    assert out.read_bytes() == csv_module_bytes(trace, bundle)
+
+
+def test_csv_bytes_of_a_dense_shifted_trace_match_the_csv_module(tmp_path, capsys):
+    # the shifted average repeats its window on every odd row, and past the
+    # queue's fixed point the dual columns are constant: many cells are
+    # copies of the cell above (43% here), over three 1,024-row chunks
+    bundle = builtin("qp_6_2")
+    out, trace = solve_linear(tmp_path, capsys, ["--builtin", "qp_6_2"], bundle, 3000,
+                              "dpp-shifted")
+    cells = np.column_stack([trace.f_xbar, trace.g_xbar, trace.qnorm, trace.lambda_dist,
+                             trace.dual_gap]).view(np.int64)
+    assert (cells[1:] == cells[:-1]).mean() > 0.4
     assert out.read_bytes() == csv_module_bytes(trace, bundle)
 
 
