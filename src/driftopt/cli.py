@@ -13,8 +13,8 @@ All output is deterministic.  A CSV number is printed exactly as
 ``"%.17g"`` prints it, so it reads back to the same double: numpy makes
 the text (``csvtext``), once for each run of equal cells down a column,
 and Python formats the cells numpy cannot decide.  In one process,
-``audit`` and ``fit`` read a trace in one piece and, when it holds the
-bytes that the last ``solve`` wrote, skip the parse.
+``audit`` and ``fit`` compare a trace with the bytes that the last
+``solve`` wrote, 256 rows at a time, and skip the parse when they match.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import itertools
 import json
 import sys
 import warnings
@@ -76,9 +75,9 @@ def _parse_q0(text: str | None, m: int) -> np.ndarray:
     return np.array(parts)
 
 
-# The trace this process wrote last: the chunks of its bytes and its read-only
-# float columns by header name (None for a blank f_err), bitwise what a parse
-# gives, as "%.17g" round-trips a double and t is an integer below 2**53.
+# The trace this process wrote last: its chunks, as _write_csv wrote them, and
+# its read-only float columns by header name (None for a blank f_err), bitwise
+# what a parse gives, as "%.17g" round-trips a double and t is an integer < 2**53.
 _last_written: tuple[list[bytes], dict] | None = None
 
 
@@ -86,10 +85,9 @@ def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> None:
     """Write the trace with CRLF line ends, as ``csv.writer`` does, every
     number as ``"%.17g"`` prints it (``csvtext.format_rows``, which formats
     a cell equal to the one above it once; for ``t``, an integer below
-    2**53, that is ``"%d"``).  Without a reference, ``f_err``
-    is blank and the dual columns are absent.  The header and each 1,024
-    formatted rows are one chunk; once the file is closed, the chunks and
-    the columns are ``_last_written``."""
+    2**53, that is ``"%d"``).  Without a reference, ``f_err`` is blank and
+    the dual columns are absent.  Once the file is closed, its chunks (the
+    header, then each 256-row slice's text) and columns are ``_last_written``."""
     global _last_written
     _last_written = None
     cols = {"t": trace.t, "f_avg": trace.f_xbar, "f_err": None,
@@ -102,9 +100,7 @@ def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> None:
     seps[-1] = b"\r\n"
     block = np.array(list(present.values()), dtype=float)  # one row per column
     block.flags.writeable = False
-    chunks = [(",".join(cols) + "\r\n").encode()]
-    chunks += [format_rows(block[:, start:start + 1024], seps)
-               for start in range(0, block.shape[1], 1024)]
+    chunks = [(",".join(cols) + "\r\n").encode(), *format_rows(block, seps)]
     with open(path, "wb") as fh:
         fh.writelines(chunks)
     _last_written = chunks, {**dict.fromkeys(cols), **dict(zip(present, block))}
@@ -174,22 +170,23 @@ def _read_trace_csv(path: Path, columns) -> dict:
 
     Returns {name: read-only float array} in header order; a column whose
     first data cell is blank (``f_err`` without a reference) maps to None.
-    A file as long as the chunks this process wrote last, holding each
-    chunk at its offset, takes the columns in ``_last_written``; other
-    files are parsed as UTF-8.  A row whose field count differs from the
+    A seekable file is compared with the chunks this process wrote last,
+    one at a time; if it holds them and nothing more, it takes the columns
+    in ``_last_written``.  A file that differs, or a pipe, is parsed as
+    UTF-8 from the same handle.  A row whose field count differs from the
     header's, a blank, non-numeric or non-finite cell in a parsed column,
     or a ``t`` that is not an integer >= 1 or not strictly increasing,
     raises ValueError.
     """
     written, entry = _last_written or ((), None)
     with open(path, "rb") as fh:
-        raw = fh.read()
-    starts = list(itertools.accumulate(map(len, written), initial=0))
-    if (entry is not None and len(raw) == starts[-1]
-            and all(map(raw.startswith, written, starts))):
-        cols = {name: col for name, col in entry.items() if columns(name)}
-    else:
-        cols = _parse_trace_csv(raw, columns)
+        compared = entry is not None and fh.seekable()
+        if compared and all(fh.read(len(c)) == c for c in written) and not fh.read(1):
+            cols = {name: col for name, col in entry.items() if columns(name)}
+        else:
+            if compared:
+                fh.seek(0)
+            cols = _parse_trace_csv(fh, columns)
     for name, col in cols.items():
         if col is not None and not np.isfinite(col).all():
             raise ValueError(f"trace CSV column {name!r} holds a non-finite number")
@@ -201,10 +198,10 @@ def _read_trace_csv(path: Path, columns) -> dict:
     return cols
 
 
-def _parse_trace_csv(raw: bytes, columns) -> dict:
+def _parse_trace_csv(fh, columns) -> dict:
     # read as open(path, encoding="utf-8") would: lines end at \r\n, \n or \r
-    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-    lines = [line.rstrip("\n") for line in text]
+    with io.TextIOWrapper(fh, encoding="utf-8") as text:
+        lines = [line.rstrip("\n") for line in text]
     if not lines:
         raise ValueError("trace CSV is empty")
     header, data = lines[0].split(","), lines[1:]

@@ -48,11 +48,12 @@ import functools
 import numpy as np
 
 _X_MIN, _X_MAX = -41, 40  # the exponents of 1e-40 <= |v| <= 1e40
-# Rows formatted at once.  On dense_trace (8-9 columns, 30 s runs, 3 seeds)
-# 1,024-row slices raised peak_rss_mb by 4.8-5.1 MiB over the %-formatting
-# loop and 256-row ones by 0.3-1.3 MiB; 1,024 rows were about 10% faster.
-# A test bounds the peak on the dense num_6_1 trace (tracemalloc): 2.1 MiB
-# with 256 rows, 3.5 MiB with 1,024.
+# Rows formatted at once, and the unit of trace text: the writer keeps each
+# slice's text as a chunk, and a reader compares one chunk at a time.  On
+# dense_trace (8-9 columns, 30 s runs, 3 seeds) 1,024-row slices raised
+# peak_rss_mb by 4.8-5.1 MiB over the %-formatting loop and 256-row ones by
+# 0.3-1.3 MiB; 1,024 rows were about 10% faster.  A test bounds the peak on
+# the dense num_6_1 trace (tracemalloc): 2.1 MiB with 256 rows, 3.5 with 1,024.
 _ROWS = 256
 
 # Byte offsets in a cell's 32 bytes: digit k of D at 3 + k (the groups are
@@ -122,14 +123,14 @@ def _tables() -> tuple:
     return powers, groups, trailing.ravel(), signs, exps, keys, offsets
 
 
-def format_rows(block: np.ndarray, seps: list[bytes]) -> bytes:
-    """The CSV lines of ``block``, a float array with one row per column:
-    each cell as ``b"%.17g" % v`` prints it, followed by its column's
-    separator in ``seps`` (one or two bytes, such as b"," or b"\\r\\n")."""
+def format_rows(block: np.ndarray, seps: list[bytes]) -> list[bytes]:
+    """The CSV lines of ``block``, a float array with one row per column, in
+    texts of ``_ROWS`` rows: each cell as ``b"%.17g" % v`` prints it, then
+    its column's separator in ``seps`` (1-2 bytes, such as b"," or b"\\r\\n")."""
     tables = _tables()
     sep = np.frombuffer(b"".join(b"\0" * 4 + s.ljust(4, b"\0") for s in seps), "=u8")
-    return b"".join(_reuse(block[:, i:i + _ROWS], sep, tables)
-                    for i in range(0, block.shape[1], _ROWS))
+    return [_reuse(block[:, i:i + _ROWS], sep, tables)
+            for i in range(0, block.shape[1], _ROWS)]
 
 
 def _reuse(cols: np.ndarray, sep: np.ndarray, tables: tuple) -> bytes:

@@ -4,6 +4,9 @@ import csv
 import functools
 import io
 import json
+import os
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -509,7 +512,7 @@ def test_csv_bytes_match_the_csv_module_without_reference(tmp_path, capsys):
 def test_csv_bytes_of_a_dense_shifted_trace_match_the_csv_module(tmp_path, capsys):
     # the shifted average repeats its window on every odd row, and past the
     # queue's fixed point the dual columns are constant: many cells are
-    # copies of the cell above (43% here), over three 1,024-row chunks
+    # copies of the cell above (43% here), over twelve 256-row slices
     bundle = builtin("qp_6_2")
     out, trace = solve_linear(tmp_path, capsys, ["--builtin", "qp_6_2"], bundle, 3000,
                               "dpp-shifted")
@@ -534,8 +537,8 @@ def synthetic_cells(rng, shape):
 @pytest.mark.parametrize("m", [1, 2, 8, 20])
 @pytest.mark.parametrize("with_reference", [True, False])
 def test_write_csv_matches_the_csv_module_on_synthetic_traces(tmp_path, m, with_reference):
-    # the row counts cross every edge of the formatter's 256-row slices and
-    # of the writer's 1,024-row chunks
+    # the row counts cross the edges of the formatter's 256-row slices,
+    # which are the writer's chunks
     rng = np.random.default_rng(m)
     reference = SimpleNamespace(f_star=-1e300) if with_reference else None
     bundle = SimpleNamespace(program=SimpleNamespace(m=m), reference=reference)
@@ -663,11 +666,22 @@ def test_the_entry_follows_the_bytes_not_the_path(tmp_path, capsys):
 
 
 def test_only_the_whole_of_the_bytes_written_is_a_hit(tmp_path, capsys, monkeypatch):
-    # 2,501 rows: the header and three chunks of at most 1,024 rows.  A file
-    # that runs past the bytes written, stops short of them or has another
-    # header is parsed, and so is an empty file when there is no entry.
+    # 2,501 rows: the header and ten pieces of at most 256 rows.  A file
+    # that runs past the bytes written, stops short of them, has another
+    # header or another digit in a middle piece is parsed, and so is an
+    # empty file when there is no entry.
     out, _ = solve_qp(tmp_path, capsys, iters=2500, extra=("--sample", "linear"))
     raw, want = out.read_bytes(), read_all(out)
+    lines = raw.split(b"\r\n")
+    cells = lines[600].split(b",")  # t = 600, in the third piece
+    digit = next(i for i, c in enumerate(cells[1]) if c in b"12345678")
+    cells[1] = cells[1][:digit] + bytes([cells[1][digit] + 1]) + cells[1][digit + 1:]
+    out.write_bytes(b"\r\n".join([*lines[:600], b",".join(cells), *lines[601:]]))
+    assert out.stat().st_size == len(raw)
+    got = read_all(out)
+    assert all(col is not want[name] for name, col in got.items())
+    assert np.flatnonzero(got["f_avg"] != want["f_avg"]).tolist() == [599]
+    assert_same_columns({**got, "f_avg": want["f_avg"]}, want)
     last = raw[raw.rindex(b"\r\n", 0, len(raw) - 2) + 2:]
     out.write_bytes(raw + last)  # the last row twice: t stops increasing
     with pytest.raises(ValueError, match="strictly increasing"):
@@ -682,6 +696,54 @@ def test_only_the_whole_of_the_bytes_written_is_a_hit(tmp_path, capsys, monkeypa
     out.write_bytes(b"")
     with pytest.raises(ValueError, match="empty"):
         read_all(out)
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+def test_a_pipe_is_parsed_as_it_arrives(tmp_path, capsys):
+    # a pipe cannot be rewound, so it is not compared with the entry but
+    # parsed; a thread feeds it, as its buffer holds less than the trace
+    out, _ = solve_qp(tmp_path, capsys, iters=2500, extra=("--sample", "linear"))
+    raw, want = out.read_bytes(), read_all(out)
+
+    def write(fd, data):
+        with open(fd, "wb") as fh:
+            fh.write(data)
+
+    def read_piped(data):
+        r, w = os.pipe()
+        feed = threading.Thread(target=write, args=(w, data))
+        feed.start()
+        try:
+            cols = read_all(Path(f"/dev/fd/{r}"))
+        finally:
+            os.close(r)
+            feed.join(timeout=60)
+        assert not feed.is_alive()
+        return cols
+
+    assert_same_columns(read_piped(raw), want)
+    got = read_piped(raw.replace(b"qnorm", b"Qnorm", 1))
+    assert list(got) == [name.replace("qnorm", "Qnorm") for name in want]
+    assert got["Qnorm"].tobytes() == want["qnorm"].tobytes()
+
+
+def test_a_hit_holds_one_piece_at_a_time(tmp_path, capsys):
+    # the dense dpp-shifted num_6_1 trace (1.7 MB): a hit reads the file in
+    # the writer's pieces, at most 46 KB each, and peaks at 0.09 MiB; a read
+    # of the whole file peaks at 1.76 MiB
+    out = tmp_path / "dense.csv"
+    code, _, _ = run_cli(capsys, "solve", "--builtin", "num_6_1", "--algorithm",
+                         "dpp-shifted", "--V", "422", "--sample", "linear",
+                         "--iters", "10000", "--out", str(out))
+    assert code == 0 and out.stat().st_size > 1.7e6
+    tracemalloc.start()
+    try:
+        hit = read_all(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(col is cli._last_written[1][name] for name, col in hit.items())
+    assert peak < 0.25 * 2 ** 20
 
 
 def test_read_columns_are_read_only(tmp_path, capsys, monkeypatch):

@@ -12,9 +12,8 @@ No input raises a numpy warning.
 A cell bitwise equal to the one above it copies that cell's text.  The
 columns below repeat in every way that could copy the wrong text: zeros
 of both signs, NaNs of two payloads, runs across the formatter's 256-row
-slices and the writer's 1,024-row chunks, a constant column, no repeat
-at all, and one row.  The formatter's working memory on a dense trace has
-a bound.
+slices, a constant column, no repeat at all, and one row.  The
+formatter's working memory on a dense trace has a bound.
 """
 
 import tracemalloc
@@ -29,13 +28,12 @@ from driftopt.csvtext import format_rows
 MAX = 1.7976931348623157e308
 
 
-def expect_columns(block, chunk=1024) -> bytes:
-    # block has one row per column, formatted in chunks of rows as the
-    # trace writer formats them
+def expect_columns(block) -> bytes:
+    # block has one row per column, formatted in one call as the trace
+    # writer formats it
     seps = [b","] * (len(block) - 1) + [b"\r\n"]
     with np.errstate(all="raise"):
-        text = b"".join(format_rows(block[:, start:start + chunk], seps)
-                        for start in range(0, block.shape[1], chunk))
+        text = b"".join(format_rows(block, seps))
     assert text == b"".join(b"%.17g%s" % (v, sep) for v, sep in
                             zip(block.T.ravel().tolist(), seps * block.shape[1]))
     return text
@@ -46,7 +44,7 @@ def expect_python(values, signs=(1.0, -1.0)) -> None:
     values = np.concatenate([sign * np.ravel(values) for sign in signs])
     block = np.zeros((8, -(-len(values) // 8)))
     block.T.flat[:len(values)] = values
-    expect_columns(block, chunk=block.shape[1])
+    expect_columns(block)
 
 
 def test_zeros_subnormals_and_extremes():
@@ -112,9 +110,7 @@ def test_runs_across_slice_and_chunk_edges():
     for first in starts:
         values = rng.standard_normal(len(first)) * 10.0 ** rng.integers(-20, 20, len(first))
         columns.append(values[np.searchsorted(first, np.arange(2500), side="right") - 1])
-    block = np.array(columns + columns[-1:])
-    expect_columns(block)
-    expect_columns(block, chunk=block.shape[1])
+    expect_columns(np.array(columns + columns[-1:]))
 
 
 def test_a_constant_column():
@@ -140,8 +136,9 @@ def test_nans_of_two_payloads_and_infinities():
 
 def test_working_memory_on_a_dense_trace():
     # the dense dpp-shifted num_6_1 trace (9 x 10,001 cells), formatted in
-    # the writer's 1,024-row chunks, which are kept: 2.1 MiB at peak with
-    # 256-row slices, 3.5 MiB with 1,024-row ones (which write about 10%
+    # one call as the writer formats it, which keeps the text of each
+    # 256-row slice: 2.1 MiB at peak (3.3 MiB when the call joined the
+    # slices), 3.5 MiB with 1,024-row slices (which write about 10%
     # faster), 3.1 MiB when every cell was formatted
     bundle = builtin("num_6_1")
     trace = run(bundle.program, bundle.oracle, V=422.0, q0=np.zeros(bundle.program.m),
@@ -154,8 +151,7 @@ def test_working_memory_on_a_dense_trace():
     format_rows(block[:, :1], seps)  # the tables, built once per process
     tracemalloc.start()
     try:
-        chunks = [format_rows(block[:, start:start + 1024], seps)
-                  for start in range(0, block.shape[1], 1024)]
+        chunks = format_rows(block, seps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
