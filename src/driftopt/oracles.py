@@ -19,8 +19,11 @@ has two methods, which leave it as built:
 An oracle's first ``steps`` call generates a straight-line Python step
 for its instance and V, except above a size bound or where a constant is
 not a finite float (the NUM floor must also be nonzero): then it steps with
-numpy, one row at a time.  Only the DPP kernel calls ``steps``, so nothing
-else generates one.  Either way ``steps`` stops at the queue's fixed
+numpy, one row at a time.  The NUM step folds a flow's floor and cap into
+one compare with a threshold found at generation.  A process compiles each
+step's source once and keeps the last few, so an oracle at an instance and
+V met before reuses the function.  Only the DPP kernel calls ``steps``, so
+nothing else generates one.  Either way ``steps`` stops at the queue's fixed
 point, the first row that a step leaves bitwise unchanged, fills the
 rest of the block with it and returns its index: a step is a pure function
 of the bits of q, so those are the rows that stepping on would make.
@@ -31,6 +34,8 @@ The QP oracle's per-V constants come from one solve with 2VP.
 from __future__ import annotations
 
 import functools
+import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +125,13 @@ class QpInstance(ProgramSpec):
 # 2-core x86-64, Python 3.11.7, numpy 2.4.6, generated against numpy:
 # 4.7-4.9 against 5.4-8.0 us at 94 ones, 6.7-6.9 against 6.6-8.2 at 117,
 # 7.8-8.8 against 7.4-9.1 at 156; generating took 1.0-1.5 ms at 84-96.
+# Measured again with the folded step and the struct.pack hand-off on 8 x n
+# A of ones with a few zeros, medians of 9 alternating runs of 10 x 1024
+# steps from q = 3 (parent step in brackets): 4.7 [4.7] against 9.0 us at
+# 94 ones, 5.7 [5.6] against 9.3 at 117, 7.1 [6.9] against 8.9 at 156 and
+# 8.8 [9.3] against 9.0 at 200; generating took 1.5-2.5 ms at 94-200.  On
+# these A the crossover lies above 156 ones, with or without the fold; a
+# larger bound would move files from numpy's sums to the generated ones.
 _MAX_GENERATED_ONES = 96
 
 # Entries of the QP's m x m M above which its generated step stops paying,
@@ -127,6 +139,11 @@ _MAX_GENERATED_ONES = 96
 # generated against numpy: 1.70 against 3.46 us at m = 6, 2.60 against
 # 3.10 at m = 8, 3.67 against 3.54 at m = 9 and 4.32 against 3.56 at
 # m = 10; generating took 0.4 ms at m = 2 and 0.8-1.5 ms at m = 6..10.
+# Measured again with the struct.pack hand-off, from q = 1e4, over three
+# rounds on a busy machine: 2.86-2.96 against 3.73-3.94 us at m = 8,
+# 3.28-3.72 against 2.66-4.27 at m = 9 and 3.74-4.63 against 3.21-4.29 at
+# m = 10.  The step before it, on the same instances, crosses over near
+# m = 9 too; generating took 0.6-1.5 ms at m = 8..10.
 _MAX_GENERATED_ENTRIES = 64
 
 
@@ -135,7 +152,14 @@ _MAX_GENERATED_ENTRIES = 64
 # machine above, medians of 15 interleaved runs, against one call per
 # block: +10% at 64, +4% at 128, +1% at 256 and 512 on num_6_1 and
 # num_5_2_rank_deficient; a larger chunk steps further past the point.
+# With the struct.pack hand-off, two rounds on num_6_1,
+# num_5_2_rank_deficient and qp_6_2 (2000-step blocks): +4 to +20% at 64,
+# -2 to +12% at 128, -9 to +5% at 256 and -12 to +1% at 512.
 _CHUNK = 256
+
+
+# Compiled steps kept, by source text: as many as ``problems`` keeps bundles.
+_CACHED_STEPS = 4
 
 
 def _generate_steps(m: int, body: list[str]):
@@ -147,13 +171,20 @@ def _generate_steps(m: int, body: list[str]):
     constants.  Its sums run in index order, where numpy's BLAS sums some
     shapes in another order or fuses a product into the sum, so the two
     agree to rounding and generated queues do not depend on the BLAS.
-    ``0.0 if y < 0.0 else y`` propagates NaN as np.maximum does.
+    ``0.0 if y < 0.0 else y`` propagates NaN as np.maximum does.  The
+    function is compiled once per process for each source text, among the
+    last ``_CACHED_STEPS``; it holds no state, so oracles may share it.
     """
     qs = ", ".join(f"q{k}" for k in range(m))
     lines = [f"def steps({qs}, k):", "    rows = []", "    for _ in range(k):",
              *(f"        {line}" for line in body), f"        rows += {qs},", "    return rows"]
+    return _compiled("\n".join(lines))
+
+
+@functools.lru_cache(maxsize=_CACHED_STEPS)
+def _compiled(source: str):
     namespace = {}
-    exec(compile("\n".join(lines), "<driftopt queue step>", "exec"), namespace)
+    exec(compile(source, "<driftopt queue step>", "exec"), namespace)
     return namespace["steps"]
 
 
@@ -162,7 +193,9 @@ def _steps(self, Q: np.ndarray) -> int | None:
     is a list generates its step from ``_step_body()`` at the first call and
     keeps it in that list; one whose ``_generated`` is None steps with
     numpy's row update ``_row_update(q, out)``, which writes the successor
-    of q into out and returns it.
+    of q into out and returns it.  The generated step's flat list of queues
+    becomes the chunk's rows through one ``struct.pack``: 9-15 us for a
+    256-step chunk at m = 3, against 16-27 us for ``np.fromiter``.
 
     A step is a pure function of the bits of q, so once a step leaves the
     queue bitwise unchanged every later row is that row: the block is
@@ -183,7 +216,8 @@ def _steps(self, Q: np.ndarray) -> int | None:
                 q = self._row_update(q, out)
         else:
             rows = self._generated[0](*chunk[0].tolist(), len(chunk) - 1)
-            chunk[1:] = np.fromiter(rows, float, len(rows)).reshape(-1, Q.shape[1])
+            packed = struct.pack(f"{len(rows)}d", *rows)
+            chunk[1:] = np.frombuffer(packed).reshape(-1, Q.shape[1])
         if chunk[-1].tobytes() == chunk[-2].tobytes():
             bits = chunk.view(np.int64)
             p = t + int((bits[1:] == bits[:-1]).all(axis=1).argmax())
@@ -202,7 +236,10 @@ class ClosedFormNumOracle:
     pressure never touches flow i, and the clip gives the cap, its
     continuous limit.  q . a_i is raised to floor_i, just below
     c_i V / xmax_i, so nothing divides by zero and the clip still gives the
-    same bits.
+    same bits.  The generated step folds the floor and the clip into one
+    compare of q . a_i with the flow's cap threshold (``_cap_threshold``)
+    where the flow has one, as it does wherever c_i V / xmax_i is a normal
+    float.
     """
 
     def __init__(self, inst: NumInstance, V: float):
@@ -210,8 +247,9 @@ class ClosedFormNumOracle:
         self.cV = inst.c * _check_V(V)
         self.floor = self.cV / inst.xmax * (1 - 4 * np.finfo(float).eps)
         # The generated step, built at the first steps call and kept in
-        # this list; None where numpy's row update steps instead.
-        generates = (inst.A.sum() <= _MAX_GENERATED_ONES and np.isfinite(self.cV).all()
+        # this list; None where numpy's row update steps instead, as where
+        # c V / xmax overflows: the source would hold the floor as the name inf.
+        generates = (inst.A.sum() <= _MAX_GENERATED_ONES and np.isfinite(self.floor).all()
                      and self.floor.min() > 0)
         self._generated = [] if generates else None
 
@@ -234,13 +272,36 @@ class ClosedFormNumOracle:
         m, n = A.shape
         body = []
         for i in range(n):
-            body += [f"s = {' + '.join(f'q{k}' for k in range(m) if A[k, i])}",
-                     f"y = {cV[i]!r} / ({floor[i]!r} if s < {floor[i]!r} else s)",
-                     f"x{i} = {xmax[i]!r} if y > {xmax[i]!r} else y"]
+            body.append(f"s = {' + '.join(f'q{k}' for k in range(m) if A[k, i])}")
+            if (s_star := _cap_threshold(cV[i], floor[i], xmax[i])) is not None:
+                body.append(f"x{i} = {xmax[i]!r} if s < {s_star!r} else {cV[i]!r} / s")
+            else:
+                body += [f"y = {cV[i]!r} / ({floor[i]!r} if s < {floor[i]!r} else s)",
+                         f"x{i} = {xmax[i]!r} if y > {xmax[i]!r} else y"]
         for k in range(m):
             load = " + ".join(f"x{i}" for i in range(n) if A[k, i]) or "0.0"
             body += [f"y = q{k} + (({load}) - {b[k]!r})", f"q{k} = 0.0 if y < 0.0 else y"]
         return body
+
+
+def _cap_threshold(cV: float, floor: float, xmax: float) -> float | None:
+    """The cap threshold s*: the least float s with cV / s <= xmax, where
+    cV / floor > xmax; None where that fails or no finite s exists.
+
+    The quotient is non-increasing in s, so xmax for s < s* and cV / s from
+    s* up is min(cV / max(s, floor), xmax) in every bit, for every float s:
+    0.0 and -0.0 give xmax, inf gives 0.0 and NaN gives NaN.  s* lies a few
+    ulps from cV / xmax, and never at or below floor, so no step divides
+    by zero.
+    """
+    if not cV / floor > xmax:
+        return None
+    s = cV / xmax
+    while cV / s > xmax:
+        s = math.nextafter(s, math.inf)
+    while cV / (below := math.nextafter(s, 0.0)) <= xmax:
+        s = below
+    return s if s < math.inf else None
 
 
 class ClosedFormQpOracle:

@@ -1,4 +1,6 @@
+import ast
 import functools
+import math
 import re
 
 import numpy as np
@@ -6,9 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import driftopt.oracles
 from driftopt import (ClosedFormNumOracle, ClosedFormQpOracle, NumInstance, QpInstance,
                       builtin, choose_V)
-from driftopt.oracles import _CHUNK
+from driftopt.cli import main
+from driftopt.oracles import _CACHED_STEPS, _CHUNK, _cap_threshold
+from driftopt.problems import BUILTIN_TAGS
 from generic_oracle import (GenericOracleError, GenericProgram, ProjectedGradientOracle,
                             generic_oracle, num_step_in_index_order,
                             qp_step_in_index_order)
@@ -425,6 +430,44 @@ def test_generated_num_steps_on_random_files():
     assert sum(reached) > 0
 
 
+def test_num_cap_fold_is_exact_at_its_edges():
+    # a flow with a cap threshold s* steps as xmax if s < s* else cV / s:
+    # bitwise the index-order min(cV / max(s, floor), xmax) at every edge
+    # of s, the floor, s* and its neighbours.  At V = 1e-310, cV / xmax is
+    # subnormal, cV / floor can round to xmax or below, and such a flow
+    # keeps its floor and cap
+    folded, kept = [], []
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), m=st.integers(1, 8),
+           zero_row=st.booleans(), V=st.sampled_from([None, 1e300, 1e-100, 1e-300, 1e-310]))
+    @example(seed=2, n=8, m=3, zero_row=False, V=1e-310)
+    def check(seed, n, m, zero_row, V):
+        rng = np.random.default_rng(seed)
+        inst = random_num_instance(rng, n, m, zero_row)
+        oracle = ClosedFormNumOracle(inst, V or choose_V(inst) * 10.0 ** rng.uniform(-2, 2))
+        cV, floor, xmax = (v.tolist() for v in (oracle.cV, oracle.floor, inst.xmax))
+        for i in range(n):
+            s_star = _cap_threshold(cV[i], floor[i], xmax[i])
+            edges = [0.0, floor[i], 1e300, math.inf, math.nan]
+            if s_star is None:
+                kept.append(i)
+            else:
+                folded.append(i)
+                assert floor[i] < s_star < math.inf
+                edges += [math.nextafter(s_star, -math.inf), s_star,
+                          math.nextafter(s_star, math.inf)]
+            for s in edges:
+                q = np.zeros(m)
+                q[inst.A[:, i].argmax()] = s  # the first queue flow i sums
+                assert_bitwise_equal(step(oracle, q), num_step_in_index_order(oracle, q))
+        q = np.full(m, -0.0)  # every s is -0.0
+        assert_bitwise_equal(step(oracle, q), num_step_in_index_order(oracle, q))
+
+    check()
+    assert folded and kept
+
+
 @pytest.mark.parametrize("n,generates", [(12, True), (13, False)])
 def test_num_oracle_above_the_size_bound_steps_with_numpy(monkeypatch, n, generates):
     # an 8 x 12 all-ones A holds 96 ones, the bound; 8 x 13 holds 104, and
@@ -437,6 +480,17 @@ def test_num_oracle_above_the_size_bound_steps_with_numpy(monkeypatch, n, genera
     assert len(made) == int(generates)
     if not generates:
         assert np.array_equal(Q, numpy_num_steps(oracle, np.full(8, 3.0), 600))
+
+
+def test_num_oracle_whose_floor_overflows_steps_with_numpy():
+    # at V = 1e308, c V / xmax = 2e308 overflows: the floor is inf, which a
+    # generated source could hold only as a name, so numpy's row update steps
+    inst = NumInstance(c=[1.0], A=[[1.0]], b=[0.1], xmax=[0.5])
+    with np.errstate(over="ignore"):
+        oracle = ClosedFormNumOracle(inst, 1e308)
+    assert oracle.floor[0] == np.inf and oracle._generated is None
+    Q = blockwise_steps(oracle, np.zeros(1), 2, 10)
+    assert_bitwise_equal(Q, numpy_num_steps(oracle, np.zeros(1), 20))
 
 
 def numpy_qp_steps(oracle, q0, k):
@@ -582,3 +636,94 @@ def test_row_argmin_is_the_one_queue_argmin(tag):
         for q, x in zip(Q, X):
             assert np.array_equal(x, oracle.argmin(q))
     assert oracle.argmin(Q[:0]).shape == (0, b.program.n)
+
+
+def test_a_step_is_compiled_once_per_source(tmp_path):
+    # one compile per instance and V in a process: dpp and the dual
+    # subgradient method step qp_6_2 at one V, so its second oracle reuses
+    # the function; num_6_1 at two V compiles twice.  Each oracle still
+    # generates once, and the least recently used of the last
+    # _CACHED_STEPS sources is the one that goes
+    cache = driftopt.oracles._compiled
+    cache.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        made = count_generations(patch)
+
+        def solve(*argv):
+            assert main(["solve", *argv, "--iters", "100", "--out",
+                         str(tmp_path / "t.csv")]) == 0
+            return cache.cache_info()
+
+        assert solve("--builtin", "qp_6_2", "--algorithm", "dpp")[:2] == (0, 1)
+        assert solve("--builtin", "qp_6_2", "--algorithm", "dual-subgradient")[:2] == (1, 1)
+        assert solve("--builtin", "num_6_1", "--V", "300")[:2] == (1, 2)
+        assert solve("--builtin", "num_6_1", "--V", "400")[:2] == (1, 3)
+        assert solve("--builtin", "num_5_2_rank_deficient").currsize == _CACHED_STEPS == 4
+        # qp_6_2 is now the least recently used: a fifth source drops it
+        assert solve("--builtin", "num_6_1", "--V", "500")[1:] == (5, 4, 4)
+        assert solve("--builtin", "num_6_1", "--V", "300")[:2] == (2, 5)
+        assert solve("--builtin", "qp_6_2")[:2] == (2, 6)
+        assert len(made) == 8
+
+
+STEP_NAMES = re.compile(r"q\d+|x\d+|y\d*|s|rows|k|_")
+
+
+def assert_arithmetic(source):
+    """``source`` is a generated step: one ``def`` of a ``for _ in
+    range(k)`` loop of assignments and ``rows += (...)``, then ``return
+    rows``, over the step's own names, + - * /, unary -, < and >,
+    conditional expressions and finite float constants."""
+    (steps,) = ast.parse(source).body
+    assert isinstance(steps, ast.FunctionDef) and not steps.decorator_list
+    assert not steps.args.defaults and not steps.args.kwonlyargs
+    rows, loop, ret = steps.body
+    assert ast.unparse(rows) == "rows = []" and ast.unparse(ret) == "return rows"
+    assert isinstance(loop, ast.For) and ast.unparse(loop.target) == "_"
+    assert ast.unparse(loop.iter) == "range(k)" and not loop.orelse
+    *assigns, append = loop.body
+    assert isinstance(append, ast.AugAssign) and ast.unparse(append.target) == "rows"
+    assert isinstance(append.op, ast.Add) and isinstance(append.value, ast.Tuple)
+    for line in assigns:
+        assert isinstance(line, ast.Assign) and len(line.targets) == 1
+        for node in ast.walk(line):
+            assert isinstance(node, (ast.Assign, ast.Name, ast.Load, ast.Store, ast.BinOp,
+                                     ast.Add, ast.Sub, ast.Mult, ast.Div, ast.UnaryOp,
+                                     ast.USub, ast.Compare, ast.Lt, ast.Gt, ast.IfExp,
+                                     ast.Constant)), ast.dump(node)
+            if isinstance(node, ast.Name):
+                assert STEP_NAMES.fullmatch(node.id), node.id
+            if isinstance(node, ast.Compare):
+                assert len(node.ops) == 1
+            if isinstance(node, ast.Constant):
+                assert type(node.value) is float and math.isfinite(node.value), node.value
+    for node in ast.walk(steps.args):
+        assert not isinstance(node, ast.arg) or STEP_NAMES.fullmatch(node.arg)
+    for node in ast.walk(append.value):
+        assert not isinstance(node, ast.Name) or re.fullmatch(r"q\d+", node.id)
+
+
+def test_the_source_given_to_exec_stays_arithmetic(monkeypatch):
+    # problem files supply the constants that the generator writes into
+    # source and execs: every builtin's step, and the steps of 20 random
+    # NUM and QP instances, the NUM ones at V where flows fold (the
+    # default V) and keep their floor and cap (1e-310), hold only arithmetic
+    sources, compiled = [], driftopt.oracles._compiled
+    monkeypatch.setattr(driftopt.oracles, "_compiled",
+                        lambda source: sources.append(source) or compiled(source))
+    pairs = [(b.program, b.oracle(choose_V(b.program))) for b in map(builtin, BUILTIN_TAGS)]
+    rng = np.random.default_rng(36)
+    for j in range(10):
+        n, m = rng.integers(1, 9, size=2)
+        num = random_num_instance(rng, n, m, zero_row=j % 2 == 1)
+        qp = random_qp_instance(rng, n, m)
+        pairs += [(num, ClosedFormNumOracle(num, choose_V(num) if j < 5 else 1e-310)),
+                  (qp, ClosedFormQpOracle(qp, choose_V(qp)))]
+    for program, oracle in pairs:
+        step(oracle, np.ones(program.m))
+    assert len(sources) == 23
+    for source in sources:
+        assert_arithmetic(source)
+    # flows that fold, and flows that keep their floor and cap
+    assert any(" / s\n" in source for source in sources)
+    assert any(" / (" in source for source in sources)
