@@ -15,6 +15,9 @@ the text (``csvtext``), once for each run of equal cells down a column,
 and Python formats the cells numpy cannot decide.  In one process,
 ``audit`` and ``fit`` compare a trace with the bytes that the last
 ``solve`` wrote, 256 rows at a time, and skip the parse when they match.
+``solve`` writes its trace and summary in place (``_rewrite``): over the
+bytes of an existing file, cut to the new length only where the old file
+was longer, never truncated to zero first and never fsynced.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import argparse
 import functools
 import io
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -86,8 +90,9 @@ def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> None:
     number as ``"%.17g"`` prints it (``csvtext.format_rows``, which formats
     a cell equal to the one above it once; for ``t``, an integer below
     2**53, that is ``"%d"``).  Without a reference, ``f_err`` is blank and
-    the dual columns are absent.  Once the file is closed, its chunks (the
-    header, then each 256-row slice's text) and columns are ``_last_written``."""
+    the dual columns are absent.  The file is written in place
+    (``_rewrite``).  Once it is closed, its chunks (the header, then each
+    256-row slice's text) and columns are ``_last_written``."""
     global _last_written
     _last_written = None
     cols = {"t": trace.t, "f_avg": trace.f_xbar, "f_err": None,
@@ -101,9 +106,32 @@ def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> None:
     block = np.array(list(present.values()), dtype=float)  # one row per column
     block.flags.writeable = False
     chunks = [(",".join(cols) + "\r\n").encode(), *format_rows(block, seps)]
-    with open(path, "wb") as fh:
-        fh.writelines(chunks)
+    _rewrite(path, chunks)
     _last_written = chunks, {**dict.fromkeys(cols), **dict(zip(present, block))}
+
+
+def _rewrite(path: Path, chunks) -> None:
+    """Write ``chunks`` to ``path`` from offset 0, leaving the bytes that
+    ``open(path, "wb")`` leaves, without its truncation to zero: ext4
+    starts the writeback of a file truncated to zero when it is closed,
+    which made a 1.24 MB rewrite 1.93 ms against 0.58 ms in place (2-core
+    x86-64, rewrites 0.3 s apart).
+
+    A new file gets the mode ``open`` gives it; an old one keeps its inode,
+    mode and owner, and a symlink or hard link still leads to it.  Only
+    where the old file was longer is it cut at the written length, also
+    after a write that raises, so it holds exactly the bytes that reached
+    it.  A FIFO or a device reports size 0, so it is never asked for its
+    position, which a pipe cannot give.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        old_size = os.fstat(fd).st_size
+        try:
+            fh.writelines(chunks)
+        finally:
+            if old_size and fh.tell() < old_size:
+                fh.truncate()
 
 
 def _summary_path(out: Path) -> Path:
@@ -116,8 +144,8 @@ def _emit(doc, path: Path | None = None) -> int:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
         raise _Failure("non-finite number in the result") from None
-    if path is not None:
-        path.write_text(text + "\n")
+    if path is not None:  # JSON text is ASCII; lines end as in text mode
+        _rewrite(path, [(text + "\n").replace("\n", os.linesep).encode()])
     print(text)
     return EXIT_OK
 

@@ -122,17 +122,31 @@ class QpInstance(ProgramSpec):
 
 
 # Ones in A above which the generated NUM step stops paying.  Per step on
-# 2-core x86-64, Python 3.11.7, numpy 2.4.6, generated against numpy:
-# 4.7-4.9 against 5.4-8.0 us at 94 ones, 6.7-6.9 against 6.6-8.2 at 117,
-# 7.8-8.8 against 7.4-9.1 at 156; generating took 1.0-1.5 ms at 84-96.
-# Measured again with the folded step and the struct.pack hand-off on 8 x n
-# A of ones with a few zeros, medians of 9 alternating runs of 10 x 1024
-# steps from q = 3 (parent step in brackets): 4.7 [4.7] against 9.0 us at
-# 94 ones, 5.7 [5.6] against 9.3 at 117, 7.1 [6.9] against 8.9 at 156 and
-# 8.8 [9.3] against 9.0 at 200; generating took 1.5-2.5 ms at 94-200.  On
-# these A the crossover lies above 156 ones, with or without the fold; a
-# larger bound would move files from numpy's sums to the generated ones.
-_MAX_GENERATED_ONES = 96
+# 2-core x86-64, Python 3.11.7, numpy 2.4.6, on 0-1 A of several shapes
+# (seeded random A with every row and column used, c = 1..2, b = 5..12,
+# xmax = 20, the default V), medians of 9 alternating runs of 10 x 1024
+# steps from q = 3, repeated 3-7 times on a busy machine: the generated
+# step's time over numpy's row update's, its median and range over the
+# repeats, and the repeats it won.
+#
+#   shape     ones  median  range      won  A
+#   8 x 13     104  0.65    0.61-1.01  4/5  all ones
+#   10 x 16    104  0.66    0.55-0.80  4/4  60% ones
+#   8 x 16     128  0.67    0.65-0.82  7/7  all ones
+#   12 x 12    144  0.86    0.73-0.90  5/5  all ones
+#   8 x 18     144  0.80    0.73-0.83  3/3  all ones
+#   16 x 16    154  1.00    0.89-1.25  3/7  60% ones
+#   8 x 20     160  0.93    0.86-1.01  3/4  all ones
+#   14 x 14    176  1.06    0.83-1.13  1/4  90% ones
+#   20 x 20    205  1.36    1.17-1.44  0/4  50% ones
+#   20 x 20    400  2.32    1.47-2.88  0/5  all ones
+#
+# The bound is the largest count measured at which the generated step's
+# median wins on every shape of at most that many ones; at 154 ones it is
+# 1.002.  Generating took 1.5, 1.9 and 4.1 ms at 104, 144 and 400 ones.
+# Moving the bound moves the files between it and the old one from numpy's
+# sums to the index-order ones, or back, and so changes their bits.
+_MAX_GENERATED_ONES = 144
 
 # Entries of the QP's m x m M above which its generated step stops paying,
 # on the same machine, medians of 9 alternating runs of 10 x 1024 steps,

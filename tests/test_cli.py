@@ -1,4 +1,6 @@
 import argparse
+import builtins
+import contextlib
 import copy
 import csv
 import functools
@@ -893,3 +895,147 @@ def test_only_solve_generates_a_num_step(tmp_path, capsys, monkeypatch):
         assert main([str(a) for a in argv]) == 0, argv
     capsys.readouterr()
     assert len(made) == 2
+
+
+# `solve` writes its trace and summary in place: over an existing file,
+# cut to the new length where the old one was longer, leaving the bytes,
+# inode, mode and links that `open(path, "wb")` leaves.
+
+DENSE_NUM = ["solve", "--builtin", "num_6_1", "--algorithm", "dpp-shifted", "--V", "422",
+             "--sample", "linear"]
+PARTIAL = ["solve", "--builtin", "num_6_1", "--algorithm", "dpp-shifted", "--V", "1e-100",
+           "--sample", "linear", "--iters", "100"]
+
+
+def summary_of(out):
+    return out.with_name(out.name + ".summary.json")
+
+
+def solve_to(capsys, argv, out, code=0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # V below the threshold
+        got, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert got == code, err
+    return stdout, err
+
+
+def test_a_rewrite_leaves_the_bytes_of_a_fresh_write(tmp_path, capsys):
+    out, fresh = tmp_path / "trace.csv", tmp_path / "fresh.csv"
+    solve_to(capsys, [*DENSE_NUM, "--iters", "10000"], out)
+    old_size = out.stat().st_size
+    out.chmod(0o640)
+    before = out.stat()
+    stdout, _ = solve_to(capsys, [*DENSE_NUM, "--iters", "100"], out)
+    assert solve_to(capsys, [*DENSE_NUM, "--iters", "100"], fresh)[0] == stdout
+    assert 0 < out.stat().st_size < old_size
+    assert out.read_bytes() == fresh.read_bytes()
+    assert summary_of(out).read_bytes() == summary_of(fresh).read_bytes()
+    after = out.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+
+def test_a_partial_trace_over_a_longer_one_equals_a_fresh_one(tmp_path, capsys):
+    out, fresh = tmp_path / "trace.csv", tmp_path / "fresh.csv"
+    solve_to(capsys, [*DENSE_NUM, "--iters", "300"], out)
+    summary = summary_of(out).read_bytes()
+    errs = [solve_to(capsys, PARTIAL, path, code=3) for path in (out, fresh)]
+    assert errs[0] == errs[1]
+    assert out.read_bytes() == fresh.read_bytes()
+    assert out.read_bytes().count(b"\r\n") == 2  # the header and t = 1
+    assert summary_of(out).read_bytes() == summary  # no summary on exit 3
+    assert not summary_of(fresh).exists()
+
+
+def test_a_failed_write_leaves_the_bytes_that_reached_the_file(tmp_path, capsys,
+                                                               monkeypatch):
+    out, fresh = tmp_path / "trace.csv", tmp_path / "fresh.csv"
+    solve_to(capsys, [*DENSE_NUM, "--iters", "3000"], out)
+    solve_to(capsys, [*DENSE_NUM, "--iters", "100"], fresh)
+    header = fresh.read_bytes().split(b"\r\n")[0] + b"\r\n"
+
+    class Full(io.BufferedWriter):
+        # the disk fills after the first chunk
+        writes = 0
+
+        def write(self, data):
+            Full.writes += 1
+            if Full.writes > 1:
+                raise OSError(28, "No space left on device")
+            return super().write(data)
+
+    monkeypatch.setattr(cli, "open", lambda fd, mode: Full(io.FileIO(fd, "w")),
+                        raising=False)
+    code, stdout, err = run_cli(capsys, *DENSE_NUM, "--iters", "100", "--out", str(out))
+    assert (code, stdout, err) == (2, "", "error: [Errno 28] No space left on device\n")
+    assert out.read_bytes() == header
+    assert cli._last_written is None
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_out_to_a_fifo_delivers_the_bytes_of_a_file(tmp_path, capsys):
+    # a FIFO reports size 0, so the writer neither asks its position nor
+    # cuts it; a thread drains it, as its buffer holds less than the trace
+    fifo, fresh = tmp_path / "pipe.csv", tmp_path / "fresh.csv"
+    os.mkfifo(fifo)
+    got = []
+
+    def drain():
+        with open(fifo, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=drain)
+    reader.start()
+    try:
+        solve_to(capsys, [*DENSE_NUM, "--iters", "2000"], fifo)
+    finally:
+        if reader.is_alive():  # a reader still waiting for a writer ends at EOF
+            with contextlib.suppress(OSError):
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    solve_to(capsys, [*DENSE_NUM, "--iters", "2000"], fresh)
+    assert got == [fresh.read_bytes()]
+    assert summary_of(fifo).read_bytes() == summary_of(fresh).read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks")
+def test_out_to_a_symlink_writes_its_target(tmp_path, capsys):
+    target, link, fresh = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "f.csv"
+    solve_to(capsys, [*DENSE_NUM, "--iters", "3000"], target)
+    try:
+        link.symlink_to(target)
+    except OSError:
+        pytest.skip("symlinks cannot be made here")
+    solve_to(capsys, [*DENSE_NUM, "--iters", "100"], link)
+    solve_to(capsys, [*DENSE_NUM, "--iters", "100"], fresh)
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_solve_never_truncates_an_output_to_zero(tmp_path, capsys, monkeypatch):
+    # every file solve writes is opened by os.open without O_TRUNC; no
+    # "w" mode opens a path
+    opened = []
+    os_open, builtin_open = os.open, builtins.open
+
+    def recording_os_open(path, flags, *args, **kwargs):
+        opened.append(("os.open", path, flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        opened.append(("open", file, mode))
+        return builtin_open(file, mode, *args, **kwargs)
+
+    out = tmp_path / "trace.csv"
+    monkeypatch.setattr(os, "open", recording_os_open)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    for _ in range(2):
+        assert main(["solve", "--builtin", "qp_6_2", "--iters", "500", "--out", str(out)]) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    truncating = [call for call in opened if call[0] == "os.open" and call[2] & os.O_TRUNC]
+    by_path = [call for call in opened if call[0] == "open"
+               and not isinstance(call[1], int) and "w" in call[2]]
+    assert truncating == [] and by_path == []
+    created = [call[1] for call in opened if call[0] == "os.open" and call[2] & os.O_CREAT]
+    assert created == [out, summary_of(out)] * 2

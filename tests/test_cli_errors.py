@@ -169,6 +169,22 @@ def test_V_at_which_2VP_overflows_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+# an --out that cannot be opened for writing: a directory, or a path in a
+# missing directory; the message is the OSError's, as open(path, "wb") gave it
+@pytest.mark.parametrize("where,message", [
+    ("dir", "[Errno 21] Is a directory"),
+    ("missing/t.csv", "[Errno 2] No such file or directory"),
+])
+def test_out_that_cannot_be_opened_exits_2(tmp_path, capsys, where, message):
+    (tmp_path / "dir").mkdir()
+    out = tmp_path / where
+    code, stdout, err = run_cli(capsys, "solve", "--builtin", "qp_6_2", "--iters", 100,
+                                "--out", out)
+    assert (code, stdout, err) == (2, "", f"error: {message}: '{out}'\n")
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "dir"]
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["kkt", "audit"])
 def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
     # past the parser's recursion limit: an input error, not a traceback

@@ -468,9 +468,9 @@ def test_num_cap_fold_is_exact_at_its_edges():
     assert folded and kept
 
 
-@pytest.mark.parametrize("n,generates", [(12, True), (13, False)])
+@pytest.mark.parametrize("n,generates", [(18, True), (19, False)])
 def test_num_oracle_above_the_size_bound_steps_with_numpy(monkeypatch, n, generates):
-    # an 8 x 12 all-ones A holds 96 ones, the bound; 8 x 13 holds 104, and
+    # an 8 x 18 all-ones A holds 144 ones, the bound; 8 x 19 holds 152, and
     # its oracle makes the numpy row update's bits without generating
     made = count_generations(monkeypatch)
     inst = NumInstance(c=np.linspace(1.0, 2.0, n), A=np.ones((8, n)),
@@ -588,18 +588,18 @@ def test_qp_oracle_above_the_size_bound_steps_with_numpy(monkeypatch, m, generat
 
 
 def test_numpy_row_steps_stop_at_the_queues_fixed_point():
-    # above the size bounds, a QP with m = 9 from Q(0) = 0 and a NUM with 97
+    # above the size bounds, a QP with m = 9 from Q(0) = 0 and a NUM with 145
     # ones in A at V = 5.2 reach a fixed point inside the third and the
     # second block of 1000 steps, which fill from it; every row is bitwise
     # the numpy row update's
     inst = random_qp_instance(np.random.default_rng(0), 9, 9)
     qp = ClosedFormQpOracle(inst, choose_V(inst))
-    A = np.ones((2, 65))
-    A[1, 32:] = 0.0
-    num = ClosedFormNumOracle(NumInstance(c=np.linspace(1.0, 2.0, 65), A=A, b=[10.0, 4.0],
-                                          xmax=np.full(65, 20.0)), 5.2)
+    A = np.ones((2, 97))
+    A[1, 48:] = 0.0
+    num = ClosedFormNumOracle(NumInstance(c=np.linspace(1.0, 2.0, 97), A=A, b=[10.0, 4.0],
+                                          xmax=np.full(97, 20.0)), 5.2)
     for oracle, numpy_steps, m, fixed in ((qp, numpy_qp_steps, 9, 2535),
-                                          (num, numpy_num_steps, 2, 1057)):
+                                          (num, numpy_num_steps, 2, 1584)):
         assert oracle._generated is None
         q0 = np.zeros(m)
         Q = blockwise_steps(oracle, q0, 3, 1000)
