@@ -12,9 +12,7 @@ has two methods, which leave it as built:
 - ``argmin(q)``: x(q) for one queue (m,), or the (k, n) rows x(q_i) of a
   (k, m) block of queues;
 - ``steps(Q)``: the DPP queue updates Q(t+1) = max(Q(t) + g(x(Q(t))), 0)
-  of a (k + 1, m) block, filling rows 1..k from row 0; it returns the
-  block's first row p at the queue's fixed point (every later row is
-  bitwise row p), or None.
+  of a (k + 1, m) block, filling rows 1..k from row 0.
 
 An oracle's first ``steps`` call generates a straight-line Python step
 for its instance and V, except above a size bound or where a constant is
@@ -23,10 +21,8 @@ numpy, one row at a time.  The NUM step folds a flow's floor and cap into
 one compare with a threshold found at generation.  A process compiles each
 step's source once and keeps the last few, so an oracle at an instance and
 V met before reuses the function.  Only the DPP kernel calls ``steps``, so
-nothing else generates one.  Either way ``steps`` stops at the queue's fixed
-point, the first row that a step leaves bitwise unchanged, fills the
-rest of the block with it and returns its index: a step is a pure function
-of the bits of q, so those are the rows that stepping on would make.
+nothing else generates one.  Either way a step is a pure function of the
+bits of q, which lets the kernel stop at the queue's fixed point.
 
 The QP oracle's per-V constants come from one solve with 2VP.
 """
@@ -161,17 +157,6 @@ _MAX_GENERATED_ONES = 144
 _MAX_GENERATED_ENTRIES = 64
 
 
-# Steps between two checks of ``_steps`` for the queue's fixed point.  Per
-# generated step over 4096-step blocks before any fixed point, on the
-# machine above, medians of 15 interleaved runs, against one call per
-# block: +10% at 64, +4% at 128, +1% at 256 and 512 on num_6_1 and
-# num_5_2_rank_deficient; a larger chunk steps further past the point.
-# With the struct.pack hand-off, two rounds on num_6_1,
-# num_5_2_rank_deficient and qp_6_2 (2000-step blocks): +4 to +20% at 64,
-# -2 to +12% at 128, -9 to +5% at 256 and -12 to +1% at 512.
-_CHUNK = 256
-
-
 # Compiled steps kept, by source text: as many as ``problems`` keeps bundles.
 _CACHED_STEPS = 4
 
@@ -202,44 +187,25 @@ def _compiled(source: str):
     return namespace["steps"]
 
 
-def _steps(self, Q: np.ndarray) -> int | None:
+def _steps(self, Q: np.ndarray) -> None:
     """The ``steps`` of both closed forms.  An oracle whose ``_generated``
     is a list generates its step from ``_step_body()`` at the first call and
     keeps it in that list; one whose ``_generated`` is None steps with
     numpy's row update ``_row_update(q, out)``, which writes the successor
     of q into out and returns it.  The generated step's flat list of queues
-    becomes the chunk's rows through one ``struct.pack``: 9-15 us for a
-    256-step chunk at m = 3, against 16-27 us for ``np.fromiter``.
-
-    A step is a pure function of the bits of q, so once a step leaves the
-    queue bitwise unchanged every later row is that row: the block is
-    stepped one step, then ``_CHUNK`` steps at a time, and at each of those
-    ends a row equal in its bytes to the row before it (0.0 and -0.0 differ,
-    as they do as inputs to the step) fills the rest of the block.  The
-    first row of that chunk that its successor repeats is the fixed point's
-    first row p, which is returned; None if the block never reaches it.
+    becomes the block's rows through one ``struct.pack``: 9-15 us for 256
+    steps at m = 3, against 16-27 us for ``np.fromiter``.
     """
     if self._generated == []:
         self._generated.append(_generate_steps(Q.shape[1], self._step_body()))
-    t, c = 0, 1
-    while t < len(Q) - 1:
-        chunk = Q[t:t + c + 1]
-        if self._generated is None:
-            q = chunk[0]
-            for out in chunk[1:]:
-                q = self._row_update(q, out)
-        else:
-            rows = self._generated[0](*chunk[0].tolist(), len(chunk) - 1)
-            packed = struct.pack(f"{len(rows)}d", *rows)
-            chunk[1:] = np.frombuffer(packed).reshape(-1, Q.shape[1])
-        if chunk[-1].tobytes() == chunk[-2].tobytes():
-            bits = chunk.view(np.int64)
-            p = t + int((bits[1:] == bits[:-1]).all(axis=1).argmax())
-            Q[t + len(chunk):] = chunk[-1]
-            return p
-        t += len(chunk) - 1
-        c = _CHUNK
-    return None
+    if self._generated is None:
+        q = Q[0]
+        for out in Q[1:]:
+            q = self._row_update(q, out)
+    else:
+        rows = self._generated[0](*Q[0].tolist(), len(Q) - 1)
+        packed = struct.pack(f"{len(rows)}d", *rows)
+        Q[1:] = np.frombuffer(packed).reshape(-1, Q.shape[1])
 
 
 class ClosedFormNumOracle:

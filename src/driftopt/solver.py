@@ -12,15 +12,16 @@ Oracles take the queue as a raw float array.
 Only the queue of the recurrence x(t) = argmin V f + Q(t) . g,
 Q(t+1) = max(Q(t) + g(x(t)), 0) is sequential: x(t) and g(x(t)) are
 functions of Q(t).  One kernel steps Q alone over blocks of _BLOCK
-iterations, one ``oracle.steps`` call per block.  At each block end it
+iterations; ``oracle.steps`` fills a block one step and then _CHUNK at a
+time, until a chunk ends on a row bitwise its predecessor, the queue's
+fixed point, whose row fills the rest of the block.  At each block end it
 rebuilds the block's x and g rows with one ``oracle.argmin`` and one
 constraints call, checks the drift identity of every step, and fills the
 prefix sums and the sampled rows, calling f and g once each on the
-block's new x-bar rows.  The closed forms' steps stop at the queue's
-fixed point, fill the rest of the block with it and return its first
-row: x, g and the drift residual are rebuilt only through that row (two
-rows at least) and copied on, so a block past the fixed point costs one
-step, two rows rebuilt, and the block's cumsum, samples and copies.  A
+block's new x-bar rows.  x, g and the drift residual are rebuilt only
+through the fixed point's first row (two rows at least) and copied on,
+so a block past the fixed point costs one step, two rows rebuilt, and
+the block's cumsum, samples and copies.  A
 full rebuild computes each row past the fixed point anew, and BLAS may
 round a row apart with its place in the call and the call's row count,
 so a copy may differ from it in the last bits (the builtins' traces are
@@ -53,11 +54,39 @@ VARIANTS = ("dpp", "dpp_shifted")
 # ms at 1e4 linear ones and 225 / 182 / 158 / 154 ms at 1e5 log-sampled ones.
 _BLOCK = 4096
 
+# Steps between two checks for the queue's fixed point.  Per generated step
+# over 4096-step blocks before any fixed point, on the machine above,
+# medians of 15 interleaved runs, against one call per block: +10% at 64,
+# +4% at 128, +1% at 256 and 512 on num_6_1 and num_5_2_rank_deficient; a
+# larger chunk steps further past the point.  With the struct.pack
+# hand-off, two rounds on num_6_1, num_5_2_rank_deficient and qp_6_2
+# (2000-step blocks): +4 to +20% at 64, -2 to +12% at 128, -9 to +5% at
+# 256 and -12 to +1% at 512.
+_CHUNK = 256
+
 
 def choose_V(program: ProgramSpec) -> float:
     """Smallest penalty parameter covered by the convergence guarantees,
     m beta^2 / alpha."""
     return program.m * program.beta ** 2 / program.alpha
+
+
+def _step_to_fixed_point(steps, Q: np.ndarray) -> int | None:
+    """Fill rows 1..k of the (k + 1, m) block Q, k >= 1, from row 0 by
+    ``steps``, one step and then ``_CHUNK`` at a time.  A row that ends a
+    chunk equal in its bytes to the row before it (0.0 and -0.0 differ, as
+    they do as inputs to a step) is the queue's fixed point: it fills the
+    rest of the block, and the chunk's first row that its successor
+    repeats, p, is returned; None if the block never reaches it."""
+    for t in (0, *range(1, len(Q) - 1, _CHUNK)):
+        chunk = Q[t:t + (_CHUNK if t else 1) + 1]
+        steps(chunk)
+        if chunk[-1].tobytes() == chunk[-2].tobytes():
+            bits = chunk.view(np.int64)
+            p = t + int((bits[1:] == bits[:-1]).all(axis=1).argmax())
+            Q[t + len(chunk):] = chunk[-1]
+            return p
+    return None
 
 
 def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
@@ -68,6 +97,8 @@ def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
     ``sample`` says.  Each parameter is checked once, before the first
     step, and a V below the guarantee threshold warns.  The trace keeps
     ||Q(t)||, not x(t) or Q(t), which the oracle's steps from q0 give again.
+    The oracle's step must be a pure function of the bits of Q(t): once a
+    step leaves Q bitwise unchanged, the run copies that row on, unstepped.
 
     When ``reference`` (a KktSolution) is given, each sample also records
     the dual-iterate distance ||lambda(t) - lambda*|| and the dual gap
@@ -150,12 +181,12 @@ def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
         if lam_star is not None:
             q_star, _ = dual_value_and_gradient(program, oracle, lam_star)
         inner = oracle(V)
-        argmin = inner.argmin
+        argmin, steps = inner.argmin, inner.steps
         _as_vector(constraints(argmin(Q[0])), m, "g(x)")  # checks the shape of g(x) once
         for t0 in range(0, iters + 1, block):
             Q[0] = Q[k]
             k = min(block, iters + 1 - t0)
-            p = inner.steps(Q[:k + 1])
+            p = _step_to_fixed_point(steps, Q[:k + 1])
             # Rows from the fixed point's first row p on are bitwise row p,
             # so their x, g and ||Q||^2 are taken as row p's: rows 0..b - 1
             # of X and G and 0..b of qq are rebuilt, and the last of them

@@ -127,15 +127,35 @@ ORACLES = [cls for name, cls in vars(driftopt.oracles).items()
 
 
 def test_every_oracle_steps_the_queue():
-    # the DPP kernel calls steps once per block and argmin on a block's
-    # queue rows, with no fallback for an oracle that lacks either; no
-    # oracle keeps a second step method beside them
+    # the DPP kernel calls steps on a block's rows, one step and then a
+    # chunk at a time, and argmin on a block's queue rows, with no fallback
+    # for an oracle that lacks either; no oracle keeps a second step method
+    # beside them.  steps only fills rows, each from the row before it and
+    # past any fixed point: from seeded random queues and from the queue's
+    # fixed point (reached by t = 12763 from Q(0) = 0 on both builtins), a
+    # 300-row block fills the bytes of 300 one-row calls, and every call
+    # returns None
     assert ORACLES
     for cls in ORACLES:
         assert callable(getattr(cls, "argmin", None)), cls.__name__
         assert callable(getattr(cls, "steps", None)), cls.__name__
         public = [name for name in vars(cls) if not name.startswith("_")]
         assert sorted(public) == ["argmin", "steps"], cls.__name__
+    bundles = [builtin("num_6_1"), builtin("qp_6_2")]
+    oracles = [b.oracle(choose_V(b.program)) for b in bundles]
+    assert {type(oracle) for oracle in oracles} == set(ORACLES)
+    rng = np.random.default_rng(12)
+    for b, oracle in zip(bundles, oracles):
+        m = b.program.m
+        fixed = np.zeros((12765, m))
+        oracle.steps(fixed)
+        for q0 in [fixed[-1], *rng.uniform(0, 50, (4, m)) * (rng.random((4, m)) < 0.7)]:
+            block, rows = np.empty((301, m)), np.empty((301, m))
+            block[0] = rows[0] = q0
+            assert oracle.steps(block) is None
+            for t in range(300):
+                assert oracle.steps(rows[t:t + 2]) is None
+            assert block.tobytes() == rows.tobytes()
 
 
 def _parameters(function) -> list[str]:

@@ -12,12 +12,13 @@ import driftopt.oracles
 from driftopt import (ClosedFormNumOracle, ClosedFormQpOracle, NumInstance, QpInstance,
                       builtin, choose_V)
 from driftopt.cli import main
-from driftopt.oracles import _CACHED_STEPS, _CHUNK, _cap_threshold
+from driftopt.oracles import _CACHED_STEPS, _cap_threshold
 from driftopt.problems import BUILTIN_TAGS
 from generic_oracle import (GenericOracleError, GenericProgram, ProjectedGradientOracle,
                             generic_oracle, num_step_in_index_order,
                             qp_step_in_index_order)
-from replay import count_generations, count_steps, step
+from replay import (assert_bitwise_equal, blockwise_steps, count_generations, fixed_point,
+                    step)
 
 QP_V = 4.0 / 0.34
 NUM_V = 363.0
@@ -326,50 +327,6 @@ def numpy_num_steps(oracle, q0, k):
         q = Q[-1]
         Q.append(np.maximum(q + (A.dot(oracle.argmin(q)) - b), 0.0))
     return np.array(Q)
-
-
-def blockwise_steps(oracle, q0, blocks, size):
-    """Q(0..blocks * size) from ``q0`` by ``blocks`` steps calls of
-    ``size`` steps each, each block starting from the last row of the one
-    before, as the DPP kernel chains them."""
-    Q = np.empty((blocks * size + 1, len(q0)))
-    Q[0] = q0
-    for j in range(blocks):
-        oracle.steps(Q[j * size:(j + 1) * size + 1])
-    return Q
-
-
-def fixed_point(Q):
-    """The first t at which row t + 1 of Q is bitwise row t, or None."""
-    bits = Q.view(np.int64)
-    same = (bits[1:] == bits[:-1]).all(axis=1)
-    return int(same.argmax()) if same.any() else None
-
-
-def assert_bitwise_equal(Q, expect):
-    # np.array_equal takes -0.0 for 0.0, and they are different queues
-    assert np.array_equal(Q.view(np.int64), expect.view(np.int64))
-
-
-@pytest.mark.parametrize("tag,fixed", [("qp_6_2", 2002), ("num_6_1", 8970)])
-def test_steps_stop_at_the_queues_fixed_point(monkeypatch, tag, fixed):
-    # from Q(0) = 0 at the default V, Q(fixed + 1) is bitwise Q(fixed) and
-    # so is every later row.  Each block steps once, then a chunk at a time:
-    # the block that reaches the fixed point steps at most one chunk past
-    # it, each later block one step, and so does a block that starts there
-    stepped = count_steps(monkeypatch)
-    b = builtin(tag)
-    oracle = b.oracle(choose_V(b.program))
-    Q = blockwise_steps(oracle, np.zeros(b.program.m), 20, 1024)
-    assert fixed_point(Q) == fixed
-    assert_bitwise_equal(Q[fixed:], np.broadcast_to(Q[fixed], Q[fixed:].shape))
-    assert fixed + 1 <= sum(stepped) <= fixed + 1 + _CHUNK + 19 - fixed // 1024
-    stepped.clear()
-    R = np.empty((4097, b.program.m))
-    R[0] = Q[-1]
-    oracle.steps(R)
-    assert stepped == [1]
-    assert_bitwise_equal(R, np.broadcast_to(Q[-1], R.shape))
 
 
 @pytest.mark.parametrize("q0", [0.0, 2.0])

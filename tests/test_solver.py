@@ -7,14 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import driftopt.solver
 from driftopt import VARIANTS, DimensionError, builtin, choose_V, load_problem, run
 from driftopt.cli import main
 from driftopt.core import sample_indices
 from driftopt.dual_analysis import dual_value_and_gradient
 from driftopt.problems import BUILTIN_TAGS
-from driftopt.solver import _BLOCK
+from driftopt.solver import _BLOCK, _CHUNK, _step_to_fixed_point
 from generic_oracle import GenericProgram, generic_oracle
-from replay import replay, step
+from replay import assert_bitwise_equal, count_steps, fixed_point, replay, step
 
 QP_V = 4.0 / 0.34
 
@@ -335,14 +336,14 @@ def test_blocks_match_the_per_iteration_loop(tag, variant):
 
 
 class ReplayingOracle:
-    """Base of the tests' oracles: keeps the size of the block each steps
-    call covers, and the x that step t used, which its row argmin gives
+    """Base of the tests' oracles: keeps the number of steps each steps
+    call makes, and the x that step t used, which its row argmin gives
     back by step index, one flushed block after another.  A single queue
     (x(lambda*), or the shape check of g(x(Q(0)))) goes to ``one``.  It is
     its own factory: built at V, it keeps its counts and returns itself."""
 
     def __init__(self, n):
-        self.n, self.xs, self.replayed, self.blocks = n, [], 0, []
+        self.n, self.xs, self.replayed, self.chunks = n, [], 0, []
         self.calls = self.row_calls = self.queue_calls = 0
 
     def __call__(self, V):
@@ -359,11 +360,21 @@ class ReplayingOracle:
         return np.reshape(rows, (len(q), self.n))
 
     def steps(self, Q):
-        self.blocks.append(len(Q) - 1)
+        self.chunks.append(len(Q) - 1)
 
     def record(self, x):
         self.xs.append(x)
         self.calls += 1
+
+
+def whole_blocks(monkeypatch):
+    """From here on, the kernel steps each block whole and finds no fixed
+    point in it, so it rebuilds every row: as it must for an oracle whose
+    step is not a function of the queue alone."""
+    def step_whole_block(steps, Q):
+        steps(Q)
+
+    monkeypatch.setattr(driftopt.solver, "_step_to_fixed_point", step_whole_block)
 
 
 class ScriptedOracle(ReplayingOracle):
@@ -385,10 +396,13 @@ class ScriptedOracle(ReplayingOracle):
 
 
 @pytest.mark.parametrize("step", [_BLOCK - 1, _BLOCK])
-def test_drift_residual_of_a_step_at_a_block_edge(step):
+def test_drift_residual_of_a_step_at_a_block_edge(monkeypatch, step):
     # with g(x) = x: Q = 0 and g = -1 everywhere, except Q(step) = 1.1,
     # g(step) = 2.3 and Q(step + 2) = 0 again.  Every residual is exactly 0
-    # but that of the step, which counts once Q(step + 1) exists.
+    # but that of the step, which counts once Q(step + 1) exists.  The
+    # script holds Q at 0 for steps on end and then moves it, so the kernel
+    # steps every row
+    whole_blocks(monkeypatch)
     program = GenericProgram(n=1, m=1, objective=lambda x: np.vecdot(x, x),
                              constraints=lambda x: x.copy(), alpha=2.0, beta=1.0)
     script = [-1.0] * (step + 3)
@@ -404,8 +418,10 @@ def test_drift_residual_of_a_step_at_a_block_edge(step):
 
 
 class CountingOracle(ReplayingOracle):
-    """Steps as the oracle that the factory ``inner`` (by default the
-    bundle's own) builds at the same V does."""
+    """Steps, and gives a block's x rows, as the oracle that the factory
+    ``inner`` (by default the bundle's own) builds at the same V does: the
+    rows past the queue's fixed point, which the kernel copies, are never
+    asked for, so none is replayed."""
 
     def __init__(self, b, inner=None):
         super().__init__(b.program.n)
@@ -417,6 +433,12 @@ class CountingOracle(ReplayingOracle):
 
     def one(self, q):
         return self.at_V.argmin(q)
+
+    def argmin(self, q):
+        if q.ndim == 2:
+            self.row_calls += 1
+            return self.at_V.argmin(q)
+        return super().argmin(q)
 
     def steps(self, Q):
         super().steps(Q)
@@ -433,7 +455,7 @@ def test_shifted_run_makes_one_steps_call_per_block():
         oracle = CountingOracle(b, inner)
         traces.append(run(b.program, oracle, V=QP_V, q0=np.zeros(2), iters=iters,
                           variant="dpp_shifted", sample="linear", reference=b.reference))
-        assert oracle.blocks == [iters + 1]  # steps from Q(0..iters), in one call
+        assert oracle.chunks == [1, iters]  # steps from Q(0..iters): one, then the rest
         assert oracle.calls == iters + 1
         assert oracle.row_calls == 1  # x(0..iters), in one block
         assert oracle.queue_calls == 2  # x(lambda*) and the shape check
@@ -448,39 +470,76 @@ def test_shifted_run_makes_one_steps_call_per_block():
 
 @pytest.mark.parametrize("tag", ["num_6_1", "qp_6_2"])
 def test_each_block_is_one_steps_call_covering_every_iteration(tag):
+    # each block's steps, from Q(0..iters), are asked for once: one, then
+    # _CHUNK at a time.  num_6_1 reaches the queue's fixed point past the
+    # run (t* = 8970); qp_6_2 reaches it at t* = 2002, inside the chunk that
+    # ends at row 2049, and each later block asks for one step
     b = builtin(tag)
     iters = 2 * _BLOCK + 3
     oracle = CountingOracle(b)
     tr = run(b.program, oracle, V=choose_V(b.program), q0=np.zeros(b.program.m),
              iters=iters, reference=b.reference)
-    assert oracle.blocks == [_BLOCK, _BLOCK, 4]  # steps from Q(0..iters)
-    assert oracle.calls == iters + 1 and oracle.row_calls == 3
+    block = [1] + [_CHUNK] * ((_BLOCK - 1) // _CHUNK) + [(_BLOCK - 1) % _CHUNK]
+    expect = {"num_6_1": block * 2 + [1, 3], "qp_6_2": block[:9] + [1, 1]}[tag]
+    assert oracle.chunks == expect
+    assert oracle.calls == sum(expect) and oracle.row_calls == 3
     plain = run(b.program, b.oracle, V=choose_V(b.program), q0=np.zeros(b.program.m),
                 iters=iters, reference=b.reference)
     for name in GOLDEN_COLUMNS:
         assert np.array_equal(getattr(tr, name), getattr(plain, name)), name
 
 
-class FixedPointOracle:
-    """The oracle that the bundle's factory builds at V, keeping the rows
-    of each block argmin and what each steps call returned.  With
-    ``hide``, steps returns None, so the run rebuilds every row."""
+class FillingOracle:
+    """The oracle that the bundle's factory builds at V, behind a wrapper
+    whose steps only fills rows and returns nothing.  It keeps the number
+    of steps of each steps call, one list per block, and of rows of each
+    block argmin, the rows that the kernel rebuilds."""
 
-    def __init__(self, b, hide=False):
-        self.b, self.hide, self.rows, self.fixed = b, hide, [], []
+    def __init__(self, b):
+        self.b, self.rows, self.chunks = b, [], [[]]
 
     def __call__(self, V):
         self.inner = self.b.oracle(V)
         return self
 
     def argmin(self, q):
-        if q.ndim == 2:
+        if q.ndim == 2:  # the block's flush
             self.rows.append(len(q))
+            self.chunks.append([])
         return self.inner.argmin(q)
 
     def steps(self, Q):
-        self.fixed.append(self.inner.steps(Q))
-        return None if self.hide else self.fixed[-1]
+        self.chunks[-1].append(len(Q) - 1)
+        self.inner.steps(Q)
+
+
+def fixed_points(monkeypatch):
+    """The list that gets, for each block that the kernel steps from here
+    on, the fixed point's first row in it, or None."""
+    found, stop = [], _step_to_fixed_point
+
+    def recording(steps, Q):
+        found.append(stop(steps, Q))
+        return found[-1]
+
+    monkeypatch.setattr(driftopt.solver, "_step_to_fixed_point", recording)
+    return found
+
+
+def seen_and_hidden(b, **kw):
+    """The bundle's oracle run from Q(0) = 0 at the default V, once with the
+    kernel's stop at the queue's fixed point and once rebuilding every row:
+    the rows that each block of either run rebuilt, the fixed point that
+    each block of the first run found, and the two traces."""
+    seen, hidden = FillingOracle(b), FillingOracle(b)
+    cfg = dict(V=choose_V(b.program), q0=np.zeros(b.program.m), reference=b.reference, **kw)
+    with pytest.MonkeyPatch.context() as patch:
+        fixed = fixed_points(patch)
+        traces = [run(b.program, seen, **cfg)]
+    with pytest.MonkeyPatch.context() as patch:
+        whole_blocks(patch)
+        traces.append(run(b.program, hidden, **cfg))
+    return seen.rows, hidden.rows, fixed, traces
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -492,16 +551,11 @@ def test_a_block_at_the_fixed_point_rebuilds_two_rows(tag, variant):
     # last, of one row, its row, and the trace is bitwise the one that
     # rebuilds every row
     b = builtin(tag)
-    iters = 4 * _BLOCK
-    seen, hidden = FixedPointOracle(b), FixedPointOracle(b, hide=True)
-    traces = [run(b.program, oracle, V=choose_V(b.program), q0=np.zeros(b.program.m),
-                  iters=iters, variant=variant, reference=b.reference)
-              for oracle in (seen, hidden)]
-    first = next(j for j, p in enumerate(seen.fixed) if p is not None)
-    assert seen.fixed[first + 1:] == [0] * (4 - first)
-    assert seen.rows == ([_BLOCK] * first + [max(seen.fixed[first] + 1, 2)]
-                         + [2] * (3 - first) + [1])
-    assert hidden.rows == [_BLOCK] * 4 + [1]
+    seen, hidden, fixed, traces = seen_and_hidden(b, iters=4 * _BLOCK, variant=variant)
+    first = next(j for j, p in enumerate(fixed) if p is not None)
+    assert fixed[first + 1:] == [0] * (4 - first)
+    assert seen == [_BLOCK] * first + [max(fixed[first] + 1, 2)] + [2] * (3 - first) + [1]
+    assert hidden == [_BLOCK] * 4 + [1]
     for name in GOLDEN_COLUMNS:
         assert np.array_equal(getattr(traces[0], name), getattr(traces[1], name)), name
     assert traces[0].max_drift_residual == traces[1].max_drift_residual
@@ -520,11 +574,8 @@ def test_a_random_qp_past_the_fixed_point_agrees_with_a_full_rebuild(tmp_path, m
     path = tmp_path / "qp.json"
     path.write_text(json.dumps(load("workloads")._qp_instance(rng, m, rng.randint(2, 8))))
     b = load_problem(path)
-    seen, hidden = FixedPointOracle(b), FixedPointOracle(b, hide=True)
-    traces = [run(b.program, oracle, V=choose_V(b.program), q0=np.zeros(m),
-                  iters=3 * _BLOCK, reference=b.reference)
-              for oracle in (seen, hidden)]
-    assert seen.fixed[-1] == 0  # the last block opens at the fixed point
+    _, _, fixed, traces = seen_and_hidden(b, iters=3 * _BLOCK)
+    assert fixed[-1] == 0  # the last block opens at the fixed point
     scale = 1e-14 * max(abs(b.reference.f_star), 1.0)
     for name in GOLDEN_COLUMNS:
         a, h = getattr(traces[0], name), getattr(traces[1], name)
@@ -533,10 +584,59 @@ def test_a_random_qp_past_the_fixed_point_agrees_with_a_full_rebuild(tmp_path, m
         np.testing.assert_allclose(a, h, rtol=1e-14, atol=scale, err_msg=name)
 
 
-class HoldingOracle(FixedPointOracle):
+@pytest.mark.parametrize("tag,fixed", [("qp_6_2", 2002), ("num_6_1", 8970)])
+def test_steps_stop_at_the_queues_fixed_point(monkeypatch, tag, fixed):
+    # from Q(0) = 0 at the default V, Q(fixed + 1) is bitwise Q(fixed) and
+    # so is every later row.  Each block steps once, then a chunk at a time:
+    # the block that reaches the fixed point steps at most one chunk past
+    # it and returns the fixed point's row in it, each later block one
+    # step, and so does a block that starts there
+    stepped = count_steps(monkeypatch)
+    b = builtin(tag)
+    oracle = b.oracle(choose_V(b.program))
+    Q = np.zeros((20 * 1024 + 1, b.program.m))
+    found = [_step_to_fixed_point(oracle.steps, Q[j * 1024:(j + 1) * 1024 + 1])
+             for j in range(20)]
+    assert found == [None] * (fixed // 1024) + [fixed % 1024] + [0] * (19 - fixed // 1024)
+    assert fixed_point(Q) == fixed
+    assert_bitwise_equal(Q[fixed:], np.broadcast_to(Q[fixed], Q[fixed:].shape))
+    assert fixed + 1 <= sum(stepped) <= fixed + 1 + _CHUNK + 19 - fixed // 1024
+    stepped.clear()
+    R = np.empty((4097, b.program.m))
+    R[0] = Q[-1]
+    assert _step_to_fixed_point(oracle.steps, R) == 0
+    assert stepped == [1]
+    assert_bitwise_equal(R, np.broadcast_to(Q[-1], R.shape))
+
+
+@pytest.mark.parametrize("tag,fixed", [("qp_6_2", 2002), ("num_6_1", 8970),
+                                       ("num_5_2_rank_deficient", 12763)])
+def test_an_oracle_whose_steps_only_fill_rows_gets_the_kernels_stop(tag, fixed):
+    # the kernel, not the oracle, finds the queue's fixed point: the blocks
+    # before t* ask for every step, the block of t* for at most one chunk
+    # past it, and each later block for one step; the trace is bitwise the
+    # bare closed form's
+    b = builtin(tag)
+    oracle = FillingOracle(b)
+    cfg = dict(V=choose_V(b.program), q0=np.zeros(b.program.m), iters=4 * _BLOCK,
+               reference=b.reference)
+    tr = run(b.program, oracle, **cfg)
+    plain = run(b.program, b.oracle, **cfg)
+    *blocks, after = oracle.chunks
+    at = fixed // _BLOCK
+    assert after == [] and len(blocks) == 5
+    assert [sum(chunks) for chunks in blocks[:at]] == [_BLOCK] * at
+    assert fixed % _BLOCK < sum(blocks[at]) <= fixed % _BLOCK + _CHUNK
+    assert blocks[at + 1:] == [[1]] * (4 - at)
+    for name in GOLDEN_COLUMNS:
+        assert np.array_equal(getattr(tr, name), getattr(plain, name)), name
+    assert tr.max_drift_residual == plain.max_drift_residual
+
+
+class HoldingOracle(FillingOracle):
     """Steps as the bundle's oracle does up to Q(at), then holds the queue
-    there and reports that row as the fixed point, which it is not: g at
-    x(Q(at)) is not 0."""
+    there, which is no fixed point of the step: g at x(Q(at)) is not 0.
+    Its steps only fill rows; the kernel finds the hold from their bits."""
 
     def __init__(self, b, at):
         super().__init__(b)
@@ -547,8 +647,7 @@ class HoldingOracle(FixedPointOracle):
         held = min(max(self.at - self.t0, 0), k)  # rows stepped before the hold
         self.inner.steps(Q[:held + 1])
         Q[held + 1:] = Q[held]
-        self.t0 += k
-        return held if held < k else None
+        self.t0 += k  # the step of the next call's row 0, until the hold
 
 
 @pytest.mark.parametrize("iters", [50, 51, _BLOCK + 100])
@@ -575,7 +674,10 @@ def test_drift_residual_of_a_false_fixed_point(iters):
 
 
 class OverflowingOracle(CountingOracle):
-    """Returns +inf coordinates from step ``at`` on."""
+    """Returns +inf coordinates from step ``at`` on, and replays them, as
+    no function of the queue does."""
+
+    argmin = ReplayingOracle.argmin
 
     def __init__(self, b, at):
         super().__init__(b)
@@ -584,14 +686,15 @@ class OverflowingOracle(CountingOracle):
     def steps(self, Q):
         k = min(len(Q) - 1, max(self.at - self.calls, 0))  # steps before ``at``
         super().steps(Q[:k + 1])
-        self.blocks[-1] = len(Q) - 1  # the call covers the whole block
+        self.chunks[-1] = len(Q) - 1  # the call covers the whole block
         for t in range(k, len(Q) - 1):
             x = np.full(self.n, np.inf)
             self.record(x)
             np.maximum(Q[t] + self.b.program.constraints(x), 0.0, out=Q[t + 1])
 
 
-def test_non_finite_sample_carries_partial_trace():
+def test_non_finite_sample_carries_partial_trace(monkeypatch):
+    whole_blocks(monkeypatch)
     b = builtin("qp_6_2")
     q0 = np.array([3.0, 1.0])
     cfg = dict(V=QP_V, q0=q0, iters=50, sample="linear")
@@ -617,13 +720,14 @@ def test_run_stops_at_the_first_non_finite_block():
         run(b.program, oracle, V=1e-300, q0=np.zeros(2), iters=100_000,
             reference=b.reference)
     assert oracle.calls <= 2 * _BLOCK and oracle.row_calls <= 2  # at most two blocks
-    assert len(oracle.blocks) <= 2 and oracle.calls == sum(oracle.blocks)
+    assert oracle.calls == sum(oracle.chunks)
 
 
 @pytest.mark.parametrize("failing", [OverflowingOracle])
-def test_shifted_failure_between_samples_carries_partial_trace(failing):
+def test_shifted_failure_between_samples_carries_partial_trace(monkeypatch, failing):
     # samples at t = 7, 14, 21, 28, ...; x(24) overflows, inside the window
     # [14, 28) of the next sample
+    whole_blocks(monkeypatch)
     b = builtin("qp_6_2")
     cfg = dict(V=QP_V, q0=np.array([3.0, 1.0]), iters=50,
                variant="dpp_shifted", sample="linear:7")
