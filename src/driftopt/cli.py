@@ -14,7 +14,7 @@ All output is deterministic.  A CSV number is printed exactly as
 the text (``csvtext``), once for each run of equal cells down a column,
 and Python formats the cells numpy cannot decide.  In one process,
 ``audit`` and ``fit`` compare a trace with the bytes that the last
-``solve`` wrote, 256 rows at a time, and skip the parse when they match.
+``solve`` wrote, 512 rows at a time, and skip the parse when they match.
 ``solve`` writes its trace and summary in place (``_rewrite``): over the
 bytes of an existing file, cut to the new length only where the old file
 was longer, never truncated to zero first and never fsynced.
@@ -92,13 +92,13 @@ def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> None:
     2**53, that is ``"%d"``).  Without a reference, ``f_err`` is blank and
     the dual columns are absent.  The file is written in place
     (``_rewrite``).  Once it is closed, its chunks (the header, then each
-    256-row slice's text) and columns are ``_last_written``."""
+    512-row slice's text) and columns are ``_last_written``."""
     global _last_written
     _last_written = None
     cols = {"t": trace.t, "f_avg": trace.f_xbar, "f_err": None,
             **{f"g_{k + 1}": g for k, g in enumerate(trace.g_xbar.T)}, "qnorm": trace.qnorm}
     if bundle.reference is not None:
-        cols["f_err"] = error_series(trace.f_xbar, trace.g_xbar, bundle.reference.f_star)[0]
+        cols["f_err"] = error_series(trace.f_xbar, None, bundle.reference.f_star)[0]
         cols.update(lambda_dist=trace.lambda_dist, dual_gap=trace.dual_gap)
     present = {name: c for name, c in cols.items() if c is not None}
     seps = [b",," if name == "f_avg" and cols["f_err"] is None else b"," for name in present]

@@ -27,9 +27,14 @@ them four at a time), the sign, ".", "0", the exponent ("e-05") and the
 column's separator.  A table of gather offsets, keyed by the form (fixed
 for X in −4..16, otherwise scientific) and by the count of digits left once
 trailing zeros go, lists a cell's bytes in print order, with a NUL byte
-where nothing is printed (no sign, or a point with no digit after it); one
-``take`` makes the text.  The tables are built by the first call, not at
-import.
+where nothing is printed (no sign, or a point with no digit after it); a
+``take`` per _PIECE cells makes the text.  The tables are built by the
+first call, not at import.
+
+Memory.  Each stage's arrays go when it ends: the double-double stage's
+(``_digits``) once D is known, the digit groups (``_put_digits``) once
+the cells and their layout keys are, and the gather's index (8 bytes a
+byte of text) piece by piece.
 
 Reuse.  Equal bits print equal text, so in each slice of rows only the
 heads are formatted: the cells whose bits differ from the cell above
@@ -49,12 +54,15 @@ import numpy as np
 
 _X_MIN, _X_MAX = -41, 40  # the exponents of 1e-40 <= |v| <= 1e40
 # Rows formatted at once, and the unit of trace text: the writer keeps each
-# slice's text as a chunk, and a reader compares one chunk at a time.  On
-# dense_trace (8-9 columns, 30 s runs, 3 seeds) 1,024-row slices raised
-# peak_rss_mb by 4.8-5.1 MiB over the %-formatting loop and 256-row ones by
-# 0.3-1.3 MiB; 1,024 rows were about 10% faster.  A test bounds the peak on
-# the dense num_6_1 trace (tracemalloc): 2.1 MiB with 256 rows, 3.5 with 1,024.
-_ROWS = 256
+# slice's text as a chunk, and a reader compares one chunk at a time.  More
+# rows cost fewer numpy calls a cell and more memory.  Formatting the dense
+# num_6_1 trace (9 x 10,001 cells, 1.67 MiB of text) peaks at 2.05 MiB
+# (tracemalloc) with 512 rows and 2.17 with 1,024; a 14 x 360 slice in
+# which every cell is a head peaks at 0.83 MiB.  With every stage's arrays
+# alive to the end, 256 rows peaked at 2.07 MiB; 512 rows, at that peak
+# now, raise dense_trace iters_per_s 1.08-1.17x (harness medians).
+_ROWS = 512
+_PIECE = 1024  # heads gathered at once: an index of 208 KiB
 
 # Byte offsets in a cell's 32 bytes: digit k of D at 3 + k (the groups are
 # "000d", "dddd" x 4), then sign, ".", "0", NUL, the exponent at 24..27 and
@@ -145,11 +153,36 @@ def _reuse(cols: np.ndarray, sep: np.ndarray, tables: tuple) -> bytes:
 
 
 def _format(v: np.ndarray, sep: np.ndarray, tables: tuple) -> np.ndarray:
-    (hi, hh, hl, lo), groups, trailing, signs, exps, keys, offsets = tables
+    powers, groups, trailing, signs, exps, keys, offsets = tables
+    row, d, decided = _digits(v, powers)
+    cell = np.empty(v.shape + (8,), np.uint32)
+    cell[..., 5] = signs.take(np.signbit(v).view(np.int8))
+    cell.view(np.uint64)[..., 3] = exps.take(row) | sep
+    key = keys.take(row) - _put_digits(d, cell, groups, trailing)
+    del row, d
+
+    text = np.empty((len(v), _BODY + 2), np.uint8)
+    base = np.arange(0, 32 * _PIECE, 32)[:, None]
+    for i in range(0, len(v), _PIECE):
+        idx = offsets.take(key[i:i + _PIECE], axis=0)
+        idx += base[:len(idx)]
+        cell[i:i + _PIECE].view(np.uint8).take(idx, out=text[i:i + _PIECE])
+
+    undecided = np.flatnonzero(~decided)
+    if len(undecided):
+        raw = b"".join((b"%.17g" % f).ljust(_BODY, b"\0")
+                       for f in v[undecided].tolist())
+        text[undecided, :_BODY] = np.frombuffer(raw, np.uint8).reshape(-1, _BODY)
+    return text
+
+
+def _digits(v: np.ndarray, powers: tuple) -> tuple:
+    # X's row in the tables, D, and whether D and X are what %.17g prints
+    hi, hh, hl, lo = powers
     a = np.abs(v)
     inside = (a >= 1e-40) & (a <= 1e40)
     a[~inside] = 1.0
-    row = np.floor(np.log10(a)).astype(np.intp) - _X_MIN  # X's row in the tables
+    row = np.floor(np.log10(a)).astype(np.intp) - _X_MIN
     c = a * 134217729.0  # Veltkamp: a = ah + al, 26 bits each
     ah = c - (c - a)
     al = a - ah
@@ -162,7 +195,12 @@ def _format(v: np.ndarray, sep: np.ndarray, tables: tuple) -> np.ndarray:
     decided = inside & (d > 10 ** 16) & (d < 10 ** 17) & (np.abs(frac - 0.5) > 1e-9)
     d[~decided] = 0  # a zero prints D = 0 at X = 0
     decided |= v == 0
+    return row, d, decided
 
+
+def _put_digits(d: np.ndarray, cell: np.ndarray, groups: np.ndarray,
+                trailing: np.ndarray) -> np.ndarray:
+    # D's digits into each cell's first 20 bytes; returns D's trailing zeros
     high = d // 10 ** 8
     low = d - high * 10 ** 8
     g0 = high // 10 ** 8
@@ -170,22 +208,9 @@ def _format(v: np.ndarray, sep: np.ndarray, tables: tuple) -> np.ndarray:
     g1 = mid // 10 ** 4
     g3 = low // 10 ** 4
     g2, g4 = mid - g1 * 10 ** 4, low - g3 * 10 ** 4
-    cell = np.empty(v.shape + (8,), np.uint32)
     for k, g in enumerate((g0, g1, g2, g3, g4)):
         cell[..., k] = groups.take(g)
-    cell[..., 5] = signs.take(np.signbit(v).view(np.int8))
-    cell.view(np.uint64)[..., 3] = exps.take(row) | sep
-
     zeros = trailing.take(g1)
     for g in (g2, g3, g4):
         zeros = np.where(g == 0, zeros + 4, trailing.take(g))
-    idx = offsets.take(keys.take(row) - zeros, axis=0)
-    idx += np.arange(0, 32 * len(idx), 32)[:, None]
-    text = cell.view(np.uint8).take(idx)
-
-    undecided = np.flatnonzero(~decided)
-    if len(undecided):
-        raw = b"".join((b"%.17g" % f).ljust(_BODY, b"\0")
-                       for f in v[undecided].tolist())
-        text[undecided, :_BODY] = np.frombuffer(raw, np.uint8).reshape(-1, _BODY)
-    return text
+    return zeros

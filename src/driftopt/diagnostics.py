@@ -41,16 +41,24 @@ class RateFit:
         return asdict(self)
 
 
-def error_series(f_xbar: np.ndarray | None, g_xbar: np.ndarray,
+def error_series(f_xbar: np.ndarray | None, g_xbar: np.ndarray | None,
                  f_star: float | None = None):
     """Objective error |f(xbar) - f*| and worst constraint violation
     max_k g_k(xbar)^+, one entry per row of ``f_xbar`` (S) and ``g_xbar``
     (S x m).
 
-    Returns (obj_err, violation); obj_err is None without f*.
+    Returns (obj_err, violation); obj_err is None without f*, violation
+    None without ``g_xbar``.
     """
     obj_err = None if f_star is None else np.abs(f_xbar - f_star)
-    return obj_err, np.maximum(g_xbar, 0.0).max(axis=1)
+    if g_xbar is None:
+        return obj_err, None
+    # column by column, k in index order: bitwise the reduction along each
+    # row (a NaN stays NaN), at 33 us instead of 657 on 10,001 x 3
+    violation = np.maximum(g_xbar[:, 0], 0.0)
+    for g in g_xbar.T[1:]:
+        np.maximum(violation, np.maximum(g, 0.0), out=violation)
+    return obj_err, violation
 
 
 def _tail_window(ts: np.ndarray, window_fraction: float,

@@ -12,17 +12,17 @@ Oracles take the queue as a raw float array.
 Only the queue of the recurrence x(t) = argmin V f + Q(t) . g,
 Q(t+1) = max(Q(t) + g(x(t)), 0) is sequential: x(t) and g(x(t)) are
 functions of Q(t).  One kernel steps Q alone over blocks of _BLOCK
-iterations; ``oracle.steps`` fills a block one step and then _CHUNK at a
-time, until a chunk ends on a row bitwise its predecessor, the queue's
-fixed point, whose row fills the rest of the block.  At each block end it
-rebuilds the block's x and g rows with one ``oracle.argmin`` and one
-constraints call, checks the drift identity of every step, and fills the
-prefix sums and the sampled rows, calling f and g once each on the
-block's new x-bar rows.  x, g and the drift residual are rebuilt only
-through the fixed point's first row (two rows at least) and copied on,
-so a block past the fixed point costs one step, two rows rebuilt, and
-the block's cumsum, samples and copies.  A
-full rebuild computes each row past the fixed point anew, and BLAS may
+iterations; ``_step_to_fixed_point`` has ``oracle.steps`` fill a block
+one step and then _CHUNK at a time, until a chunk ends on a row bitwise
+its predecessor, the queue's fixed point, whose row fills the rest of the
+block.  At each block end it rebuilds the block's x and g rows with one
+``oracle.argmin`` and one constraints call, checks the drift identity of
+every step, and fills the prefix sums and the sampled rows, calling f
+and g once each on the block's new x-bar rows.  x, g and the drift
+residual are rebuilt only through the fixed point's first row (two rows
+at least) and copied on, so a block past the fixed point costs one step,
+two rows rebuilt, and the block's cumsum, samples and copies.  A full
+rebuild computes each row past the fixed point anew, and BLAS may
 round a row apart with its place in the call and the call's row count,
 so a copy may differ from it in the last bits (the builtins' traces are
 bitwise the same).  A non-finite sample ends the run at the end of its

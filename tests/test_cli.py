@@ -514,7 +514,7 @@ def test_csv_bytes_match_the_csv_module_without_reference(tmp_path, capsys):
 def test_csv_bytes_of_a_dense_shifted_trace_match_the_csv_module(tmp_path, capsys):
     # the shifted average repeats its window on every odd row, and past the
     # queue's fixed point the dual columns are constant: many cells are
-    # copies of the cell above (43% here), over twelve 256-row slices
+    # copies of the cell above (43% here), over six 512-row slices
     bundle = builtin("qp_6_2")
     out, trace = solve_linear(tmp_path, capsys, ["--builtin", "qp_6_2"], bundle, 3000,
                               "dpp-shifted")
@@ -539,12 +539,12 @@ def synthetic_cells(rng, shape):
 @pytest.mark.parametrize("m", [1, 2, 8, 20])
 @pytest.mark.parametrize("with_reference", [True, False])
 def test_write_csv_matches_the_csv_module_on_synthetic_traces(tmp_path, m, with_reference):
-    # the row counts cross the edges of the formatter's 256-row slices,
+    # the row counts cross the edges of the formatter's 512-row slices,
     # which are the writer's chunks
     rng = np.random.default_rng(m)
     reference = SimpleNamespace(f_star=-1e300) if with_reference else None
     bundle = SimpleNamespace(program=SimpleNamespace(m=m), reference=reference)
-    for rows in (1, 255, 256, 257, 1023, 1024, 1025, 2500):
+    for rows in (1, 255, 256, 257, 511, 512, 513, 1023, 1024, 1025, 2500):
         dual = [synthetic_cells(rng, rows) for _ in range(2)] if with_reference else [None] * 2
         trace = IterateTrace(t=np.cumsum(rng.integers(1, 10 ** 6, rows)),
                              f_xbar=synthetic_cells(rng, rows),
@@ -668,14 +668,14 @@ def test_the_entry_follows_the_bytes_not_the_path(tmp_path, capsys):
 
 
 def test_only_the_whole_of_the_bytes_written_is_a_hit(tmp_path, capsys, monkeypatch):
-    # 2,501 rows: the header and ten pieces of at most 256 rows.  A file
+    # 2,501 rows: the header and five pieces of at most 512 rows.  A file
     # that runs past the bytes written, stops short of them, has another
     # header or another digit in a middle piece is parsed, and so is an
     # empty file when there is no entry.
     out, _ = solve_qp(tmp_path, capsys, iters=2500, extra=("--sample", "linear"))
     raw, want = out.read_bytes(), read_all(out)
     lines = raw.split(b"\r\n")
-    cells = lines[600].split(b",")  # t = 600, in the third piece
+    cells = lines[600].split(b",")  # t = 600, in the second piece
     digit = next(i for i, c in enumerate(cells[1]) if c in b"12345678")
     cells[1] = cells[1][:digit] + bytes([cells[1][digit] + 1]) + cells[1][digit + 1:]
     out.write_bytes(b"\r\n".join([*lines[:600], b",".join(cells), *lines[601:]]))
@@ -731,7 +731,7 @@ def test_a_pipe_is_parsed_as_it_arrives(tmp_path, capsys):
 
 def test_a_hit_holds_one_piece_at_a_time(tmp_path, capsys):
     # the dense dpp-shifted num_6_1 trace (1.7 MB): a hit reads the file in
-    # the writer's pieces, at most 46 KB each, and peaks at 0.09 MiB; a read
+    # the writer's pieces, at most 92 KB each, and peaks at 0.09 MiB; a read
     # of the whole file peaks at 1.76 MiB
     out = tmp_path / "dense.csv"
     code, _, _ = run_cli(capsys, "solve", "--builtin", "num_6_1", "--algorithm",

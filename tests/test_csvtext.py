@@ -11,9 +11,10 @@ No input raises a numpy warning.
 
 A cell bitwise equal to the one above it copies that cell's text.  The
 columns below repeat in every way that could copy the wrong text: zeros
-of both signs, NaNs of two payloads, runs across the formatter's 256-row
+of both signs, NaNs of two payloads, runs across the formatter's 512-row
 slices, a constant column, no repeat at all, and one row.  The
-formatter's working memory on a dense trace has a bound.
+formatter's working memory has a bound on a dense trace and on a slice in
+which every cell is formatted.
 """
 
 import tracemalloc
@@ -137,9 +138,10 @@ def test_nans_of_two_payloads_and_infinities():
 def test_working_memory_on_a_dense_trace():
     # the dense dpp-shifted num_6_1 trace (9 x 10,001 cells), formatted in
     # one call as the writer formats it, which keeps the text of each
-    # 256-row slice: 2.1 MiB at peak (3.3 MiB when the call joined the
-    # slices), 3.5 MiB with 1,024-row slices (which write about 10%
-    # faster), 3.1 MiB when every cell was formatted
+    # 512-row slice (1.67 MiB in all): 2.05 MiB at peak.  When every
+    # stage's arrays lived until the text was made and one index gathered
+    # it, the peak was 2.07 MiB with 256-row slices, 2.36 with 512 and
+    # 3.53 with 1,024
     bundle = builtin("num_6_1")
     trace = run(bundle.program, bundle.oracle, V=422.0, q0=np.zeros(bundle.program.m),
                 iters=10_000, variant="dpp_shifted", sample="linear",
@@ -156,4 +158,28 @@ def test_working_memory_on_a_dense_trace():
     finally:
         tracemalloc.stop()
     assert sum(map(len, chunks)) > 1.7e6
-    assert peak < 2.5 * 2 ** 20
+    assert peak <= 2.2 * 2 ** 20
+
+
+def test_working_memory_when_every_cell_is_a_head():
+    # one slice, 14 columns x 360 rows, as a log-sampled trace of a random
+    # NUM file with m = 8 has them: no cell repeats the one above it, so
+    # every cell is formatted.  0.83 MiB at peak, 106 KB of it the text;
+    # 1.56 MiB when every stage's arrays lived until the text was made
+    rng = np.random.default_rng(8)
+    t = np.cumsum(rng.integers(1, 60, 360)).astype(float)
+    values = rng.standard_normal((13, 360)) * 10.0 ** rng.integers(-12, 4, (13, 360))
+    block = np.vstack([t, values])
+    assert (block[:, 1:] != block[:, :-1]).all()
+    seps = [b","] * 13 + [b"\r\n"]
+    format_rows(block[:, :1], seps)  # the tables, built once per process
+    tracemalloc.start()
+    try:
+        chunks = format_rows(block, seps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chunks) == 1
+    assert chunks[0] == b"".join(b"%.17g%s" % (v, sep) for v, sep in
+                                 zip(block.T.ravel().tolist(), seps * 360))
+    assert peak <= 1.2 * 2 ** 20

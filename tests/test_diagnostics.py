@@ -5,6 +5,7 @@ from driftopt import (IterateTrace, audit_bounds, audit_passed, builtin,
                       error_series, fit_geometric, fit_power_decay, run)
 
 QP_V = 4.0 / 0.34
+MAX = 1.7976931348623157e308
 
 
 def synthetic_trace(ts, f_vals, g_vals, qnorms, V=1.0, lambda_dist=None,
@@ -27,6 +28,30 @@ def test_error_series_zero_at_optimum():
     obj, viol = error_series(tr.f_xbar, tr.g_xbar, b.reference.f_star)
     assert np.all(obj == 0)
     assert np.all(viol <= 1e-12)
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_violation_is_bitwise_the_reduction_along_each_row(m):
+    # the violation is reduced column by column; it must equal the row-wise
+    # max_k max(g_k, 0) bit for bit on zeros of both signs, infinities,
+    # subnormals and the largest doubles, and a row with a NaN is NaN
+    rng = np.random.default_rng(m)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                        1e308, -1e308, MAX, -MAX])
+    for rows in (0, 1, 2, 7, 10_001):
+        shape = (rows, m)
+        ordinary = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 308, shape)
+        for g in (rng.choice(special, shape), ordinary,
+                  np.where(rng.random(shape) < 0.5, rng.choice(special, shape), ordinary)):
+            want = np.maximum(g, 0.0).max(axis=1)
+            assert error_series(None, g)[1].tobytes() == want.tobytes()
+            g[rng.random(rows) < 0.1, rng.integers(0, m)] = np.nan
+            viol = error_series(None, g)[1]
+            assert np.array_equal(np.isnan(viol), np.isnan(g).any(axis=1))
+            finite = ~np.isnan(viol)
+            assert viol[finite].tobytes() == np.maximum(g[finite], 0.0).max(axis=1).tobytes()
+    obj, viol = error_series(np.ones(3), None, 0.5)
+    assert obj.tolist() == [0.5] * 3 and viol is None
 
 
 def test_fit_power_exact():
