@@ -3,7 +3,9 @@ convergence guarantees against a ground-truth solution.
 
 Rate fits are least-squares lines in transformed coordinates; audits
 evaluate each guarantee at every sampled iteration and report worst
-margins.  Everything is pure over immutable traces.
+margins, from one table of the six bounds in ``audit_bounds``: each entry
+has its name, applicability, margins and tolerance.  Everything is pure
+over immutable traces.
 """
 
 from __future__ import annotations
@@ -132,13 +134,6 @@ def fit_geometric(ts, errors, window_fraction: float = 0.5,
                    t_lo=int(t.min()), t_hi=int(t.max()))
 
 
-def _entry(name: str, applicable: bool, passed: bool | None = None,
-           worst_margin: float | None = None) -> dict:
-    return {"bound": name, "applicable": applicable,
-            "pass": bool(passed) if applicable else None,
-            "worst_margin": worst_margin if applicable else None}
-
-
 @np.errstate(all="ignore")  # a non-finite margin is returned, not warned about
 def audit_bounds(trace: IterateTrace, reference: KktSolution,
                  program: ProgramSpec, q0: np.ndarray, gamma: float,
@@ -176,57 +171,43 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
     lam_star_norm = float(np.linalg.norm(lam_star))
     # hypot keeps B finite where V^2 ||lam*||^2 alone would overflow.
     bound_B = math.hypot(math.sqrt(q0_norm2), V * lam_star_norm) + V * lam_star_norm
-    report: list[dict] = []
-
-    # Objective bound (exact non-violation when the queue starts at zero).
     rhs = reference.f_star + q0_norm2 / (2.0 * V * ts)
-    margins = trace.f_xbar - rhs
-    worst = float(margins.max())
-    tol = 1e-9 if q0_norm2 == 0 else 1e-9 * (1.0 + np.abs(rhs).max())
-    report.append(_entry("objective_bound", True, worst <= tol, worst))
-
-    # Constraint-violation bound, every component.
-    margins = trace.g_xbar - (bound_B / ts)[:, None]
-    worst = float(margins.max())
-    report.append(_entry("constraint_bound", math.isfinite(bound_B),
-                         worst <= 1e-9 * (1.0 + bound_B), worst))
-
-    # Queue-norm bound.
-    worst = float((trace.qnorm - bound_B).max())
-    report.append(_entry("queue_bound", math.isfinite(bound_B),
-                         worst <= 1e-9 * (1.0 + bound_B), worst))
-
     dual_ok = trace.lambda_dist is not None and trace.dual_gap is not None
-
-    # Dual-gap bound q(lam*) - q(lam(t)) <= theta / t, and a monotone
-    # multiplier distance (per consecutive sample).
-    if V >= gamma and dual_ok:
+    gamma_ok = bool(V >= gamma and dual_ok)
+    theta = math.nan  # dual_gap_bound is not applicable where theta is not computed
+    if gamma_ok:
         lam0 = q0 / V
         q_at_lam0, _ = dual_value_and_gradient(program, oracle, lam0)
         q_at_star, _ = dual_value_and_gradient(program, oracle, lam_star)
         theta = theta_bound(V, gamma, lam0, lam_star, q_at_lam0, q_at_star)
-        worst = float((trace.dual_gap - theta / ts).max())
-        report.append(_entry("dual_gap_bound", math.isfinite(theta),
-                             worst <= 1e-9 * (1.0 + theta), worst))
-        steps = np.diff(trace.lambda_dist)
-        worst = float(steps.max()) if len(steps) else 0.0
-        report.append(_entry("multiplier_distance_monotone", True,
-                             worst <= 1e-9, worst))
-    else:
-        report += [_entry("dual_gap_bound", False),
-                   _entry("multiplier_distance_monotone", False)]
 
-    # Monotone dual value.
-    if V >= gamma / 2.0 and dual_ok:
-        # q(lam(t)) = q(lam*) - dual_gap: a nondecreasing dual value is a
-        # nonincreasing gap
-        steps = np.diff(trace.dual_gap)
-        worst = float(steps.max()) if len(steps) else 0.0
-        report.append(_entry("dual_value_monotone", True,
-                             worst <= 1e-9, worst))
-    else:
-        report.append(_entry("dual_value_monotone", False))
-
+    # (name, applicable, margins, tolerance): margins, lhs - rhs per sample,
+    # are evaluated only for an applicable bound.
+    bounds = (
+        # exact non-violation when the queue starts at zero
+        ("objective_bound", True, lambda: trace.f_xbar - rhs,
+         1e-9 if q0_norm2 == 0 else 1e-9 * (1.0 + np.abs(rhs).max())),
+        ("constraint_bound", math.isfinite(bound_B),  # every component
+         lambda: trace.g_xbar - (bound_B / ts)[:, None], 1e-9 * (1.0 + bound_B)),
+        ("queue_bound", math.isfinite(bound_B), lambda: trace.qnorm - bound_B,
+         1e-9 * (1.0 + bound_B)),
+        ("dual_gap_bound", math.isfinite(theta), lambda: trace.dual_gap - theta / ts,
+         1e-9 * (1.0 + theta)),
+        # per consecutive sample; q(lam(t)) = q(lam*) - dual_gap, so a
+        # nondecreasing dual value is a nonincreasing gap
+        ("multiplier_distance_monotone", gamma_ok, lambda: np.diff(trace.lambda_dist), 1e-9),
+        ("dual_value_monotone", bool(V >= gamma / 2.0 and dual_ok),
+         lambda: np.diff(trace.dual_gap), 1e-9),
+    )
+    report = []
+    for name, applicable, margins, tol in bounds:
+        worst = None
+        if applicable:
+            values = margins()
+            worst = float(values.max()) if len(values) else 0.0
+        report.append({"bound": name, "applicable": applicable,
+                       "pass": None if worst is None else bool(worst <= tol),
+                       "worst_margin": worst})
     return report
 
 

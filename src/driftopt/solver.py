@@ -9,20 +9,20 @@ subgradient method with step c is DPP at V = 1/c with Q = lambda / c, so
 it has no loop of its own: run DPP at V = 1/c and read lambda = Q / V.
 Oracles take the queue as a raw float array.
 
-Only the queue of the recurrence x(t) = argmin V f + Q(t) . g,
-Q(t+1) = max(Q(t) + g(x(t)), 0) is sequential: x(t) and g(x(t)) are
-functions of Q(t).  One kernel steps Q alone over blocks of _BLOCK
-iterations; ``_step_to_fixed_point`` has ``oracle.steps`` fill a block
-one step and then _CHUNK at a time, until a chunk ends on a row bitwise
-its predecessor, the queue's fixed point, whose row fills the rest of the
-block.  At each block end it rebuilds the block's x and g rows with one
-``oracle.argmin`` and one constraints call, checks the drift identity of
-every step, and fills the prefix sums and the sampled rows, calling f
-and g once each on the block's new x-bar rows.  x, g and the drift
-residual are rebuilt only through the fixed point's first row (two rows
-at least) and copied on, so a block past the fixed point costs one step,
-two rows rebuilt, and the block's cumsum, samples and copies.  A full
-rebuild computes each row past the fixed point anew, and BLAS may
+Only the queue of the recurrence x(t) = argmin V f + Q(t) . g, Q(t+1) =
+max(Q(t) + g(x(t)), 0) is sequential: x(t) and g(x(t)) are functions of
+Q(t).  ``run`` steps Q alone over blocks of _BLOCK iterations:
+``_step_to_fixed_point`` has ``oracle.steps`` fill a block one step and
+then _CHUNK at a time, until a chunk ends on a row bitwise its
+predecessor, the queue's fixed point, whose row fills the rest of the
+block.  The run's ``_Recorder`` then rebuilds the block's x and g rows
+with one ``oracle.argmin`` and one constraints call, checks the drift
+identity of every step, and fills the prefix sums and the sampled rows,
+calling f and g once each on the block's new x-bar rows.  x, g and the
+drift residual are rebuilt only through the fixed point's first row (two
+rows at least) and copied on, so a block past the fixed point costs one
+step, two rows rebuilt, and the block's cumsum, samples and copies.  A
+full rebuild computes each row past the fixed point anew, and BLAS may
 round a row apart with its place in the call and the call's row count,
 so a copy may differ from it in the last bits (the builtins' traces are
 bitwise the same).  A non-finite sample ends the run at the end of its
@@ -89,6 +89,107 @@ def _step_to_fixed_point(steps, Q: np.ndarray) -> int | None:
     return None
 
 
+class _Recorder:
+    """The per-block pass of one run: each call rebuilds a block's x and g
+    rows, checks the drift identity of its steps, adds its x rows to the
+    prefix sums and fills the samples it holds.  ``dual`` is (lambda*,
+    q(lambda*)), or None for a run without a reference."""
+
+    def __init__(self, program, argmin, *, V, ts, variant, iters, block, dual):
+        # Sample i averages x over the window [lo[i], hi[i]).
+        hi = ts
+        if variant == "dpp_shifted":
+            hi = np.maximum(hi // 2 * 2, 1)  # [t//2, 2(t//2)), and [0, 1) at t = 1
+            lo = hi // 2
+        else:
+            lo = np.zeros_like(hi)
+        # The distinct window ends in order (np.unique hashes: 6x slower than a
+        # sort); prefix[j] holds S(ends[j]) once a block has passed ends[j].
+        ends = np.sort(np.concatenate([lo, hi]))
+        self.ends = ends = ends[np.append(True, ends[1:] != ends[:-1])]
+        self.lo_row, self.hi_row = np.searchsorted(ends, lo), np.searchsorted(ends, hi)
+        self.width, self.prefix = hi - lo, np.empty((len(ends), program.n))
+
+        # Row i of every column of ``out`` holds sample ts[i]; X and G,
+        # rebuilt from a block's Q, hold x(t0 + s) and g(x(t0 + s)) in row s.
+        # They are C-ordered, so the row-wise dots of the drift identity sum
+        # as one-row dots do.
+        S, n, m = len(ts), program.n, program.m
+        self.out = IterateTrace(t=ts, f_xbar=np.empty(S), g_xbar=np.empty((S, m)),
+                                qnorm=np.empty(S), V=V)
+        if dual is not None:
+            self.out.lambda_dist, self.out.dual_gap = np.empty(S), np.empty(S)
+        self.X, self.G = np.empty((block, n)), np.empty((block, m))
+        self.sum_x, self.i, self.j = np.zeros(n), 0, 0
+        self.program, self.argmin, self.iters, self.dual = program, argmin, iters, dual
+
+    def __call__(self, Q: np.ndarray, p: int | None, t0: int) -> None:
+        """Record steps t0 .. t0 + k - 1 from the (k + 1, m) block Q that
+        holds Q(t0 .. t0 + k), and from its row p on (p None: nowhere) the
+        queue's fixed point: their x and g, rebuilt from Q(t0 .. t0 + k -
+        1), their drift residuals, S at the window ends up to t0 + k, and
+        the samples at t < t0 + k."""
+        k, X, G, out, ts = len(Q) - 1, self.X, self.G, self.out, self.out.t
+        objective, constraints = self.program.objective, self.program.constraints
+        # Rows from the fixed point's first row p on are bitwise row p, so
+        # their x, g and ||Q||^2 are taken as row p's: rows 0..b - 1 of X
+        # and G and 0..b of qq are rebuilt, and the last of them copied on.
+        # b is at least 2 where the block has 2 rows: numpy sends a one-row
+        # block to gemv, whose sums may round apart from the k-row gemm's
+        # of a full rebuild.
+        b = k if p is None else min(k, max(p + 1, 2))
+        X[:b] = self.argmin(Q[:b])
+        G[:b] = constraints(X[:b])
+        X[b:k], G[b:k] = X[b - 1], G[b - 1]
+        qq = np.empty(k + 1)
+        qq[:b + 1] = np.vecdot(Q[:b + 1], Q[:b + 1])
+        qq[b + 1:] = qq[b]
+        # Residual of the exact drift identity L(Q') - L(Q) = Q' . g -
+        # ||Q' - Q||^2 / 2, with L(Q) = ||Q||^2 / 2, for every step whose
+        # update is read (t < iters); from the fixed point on, every step's
+        # is step p's.  fmax skips NaN residuals.
+        r = min(b, self.iters - t0)
+        Qn, Qo = Q[1:r + 1], Q[:r]
+        D = Qn - Qo
+        residual = np.abs((0.5 * qq[1:r + 1] - 0.5 * qq[:r])
+                          - (np.vecdot(Qn, G[:r]) - 0.5 * np.vecdot(D, D)))
+        out.max_drift_residual = float(np.fmax.reduce(residual, initial=out.max_drift_residual))
+
+        # cumsum adds the rows in order, as a running sum_x += x would.
+        C = np.cumsum(np.vstack([self.sum_x, X[:k]]), axis=0)  # C[c] = S(t0 + c)
+        self.sum_x, j = C[k], self.j
+        self.j = np.searchsorted(self.ends, t0 + k, side="right")
+        self.prefix[j:self.j] = C[self.ends[j:self.j] - t0]
+
+        i0 = self.i
+        self.i = np.searchsorted(ts, t0 + k)  # a block may hold no sample
+        new, rows = slice(i0, self.i), ts[i0:self.i] - t0
+        # np.linalg.norm(v) of a 1-D float vector is sqrt(v.dot(v)), and
+        # vecdot of a row is bitwise its dot.
+        out.qnorm[new] = np.sqrt(qq[rows])
+        xbar = ((self.prefix[self.hi_row[new]] - self.prefix[self.lo_row[new]])
+                / self.width[new, None])
+        out.f_xbar[new], out.g_xbar[new] = objective(xbar), constraints(xbar)
+        if self.dual is not None:
+            lam_star, q_star = self.dual
+            lam_t = Q[rows] / out.V
+            d = lam_t - lam_star
+            out.lambda_dist[new] = np.sqrt(np.vecdot(d, d))
+            out.dual_gap[new] = q_star - (objective(X[rows]) + np.vecdot(lam_t, G[rows]))
+        columns = (out.f_xbar, out.g_xbar, out.qnorm, out.lambda_dist, out.dual_gap)
+        finite = np.isfinite(np.column_stack([c[new] for c in columns if c is not None]))
+        if not finite.all():
+            bad = i0 + int(np.argmin(finite.all(axis=1)))
+            exc = FloatingPointError(f"non-finite value in the sample at t = {ts[bad]}")
+            exc.partial_trace = self.trace(bad)
+            raise exc
+
+    def trace(self, rows: int) -> IterateTrace:
+        """The trace of the first ``rows`` samples."""
+        return IterateTrace(**{name: c[:rows] if isinstance(c, np.ndarray) else c
+                               for name, c in vars(self.out).items()})
+
+
 def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
         variant: str = "dpp", sample: str = "log", reference=None) -> IterateTrace:
     """Run ``variant`` for ``iters`` steps from the initial queue ``q0`` at
@@ -131,114 +232,25 @@ def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
     if q0.shape[0] != program.m:
         raise ValueError("initial queue length must equal the constraint count")
 
-    # Sample i averages x over the window [lo[i], hi[i]).
-    hi = ts
-    if variant == "dpp_shifted":
-        hi = np.maximum(hi // 2 * 2, 1)  # [t//2, 2(t//2)), and [0, 1) at t = 1
-        lo = hi // 2
-    else:
-        lo = np.zeros_like(hi)
-    # The distinct window ends in order (np.unique hashes: 6x slower than a
-    # sort); prefix[j] holds S(ends[j]) once a flush has passed ends[j].
-    ends = np.sort(np.concatenate([lo, hi]))
-    ends = ends[np.append(True, ends[1:] != ends[:-1])]
-    lo_row, hi_row, width = np.searchsorted(ends, lo), np.searchsorted(ends, hi), hi - lo
-
-    # Row i of every column holds sample ts[i].
-    S, n, m = len(ts), program.n, program.m
-    prefix = np.empty((len(ends), n))
-    f_xbar, qnorm = np.empty(S), np.empty(S)
-    g_xbar = np.empty((S, m))
-    lambda_dist = dual_gap = lam_star = None
-    if reference is not None:
-        lambda_dist, dual_gap = np.empty(S), np.empty(S)
-        lam_star = np.asarray(reference.lambda_star, dtype=float)
-
-    def trace(rows: int) -> IterateTrace:
-        return IterateTrace(
-            t=ts[:rows], f_xbar=f_xbar[:rows], g_xbar=g_xbar[:rows],
-            qnorm=qnorm[:rows],
-            lambda_dist=None if lambda_dist is None else lambda_dist[:rows],
-            dual_gap=None if dual_gap is None else dual_gap[:rows],
-            V=V, max_drift_residual=max_residual)
-
     # Step t0 + s of a block writes Q(t0 + s + 1) into row s + 1 of Q; Q[0]
-    # holds Q(t0).  X and G, rebuilt from Q, hold x(t0 + s) and g(x(t0 + s))
-    # in row s; they are C-ordered, so the row-wise dots of the drift
-    # identity sum as one-row dots do.  The update of the last step
-    # (t = iters) is never read.
+    # holds Q(t0).
     block = min(_BLOCK, iters + 1)
-    X, G, Q = np.empty((block, n)), np.empty((block, m)), np.empty((block + 1, m))
+    Q = np.empty((block + 1, program.m))
     Q[0] = q0
-    sum_x = np.zeros(n)
-    max_residual = 0.0
-    i = j = k = 0
-    objective, constraints = program.objective, program.constraints
-    columns = (f_xbar, g_xbar, qnorm, lambda_dist, dual_gap)
+    k, dual = 0, None
     # numpy's floating-point warnings are off from here on: the sample
     # check reports a non-finite value as a FloatingPointError.
     with np.errstate(all="ignore"):
-        if lam_star is not None:
-            q_star, _ = dual_value_and_gradient(program, oracle, lam_star)
+        if reference is not None:
+            lam_star = np.asarray(reference.lambda_star, dtype=float)
+            dual = lam_star, dual_value_and_gradient(program, oracle, lam_star)[0]
         inner = oracle(V)
-        argmin, steps = inner.argmin, inner.steps
-        _as_vector(constraints(argmin(Q[0])), m, "g(x)")  # checks the shape of g(x) once
+        _as_vector(program.constraints(inner.argmin(Q[0])), program.m, "g(x)")
+        record = _Recorder(program, inner.argmin, V=V, ts=ts, variant=variant,
+                           iters=iters, block=block, dual=dual)
         for t0 in range(0, iters + 1, block):
             Q[0] = Q[k]
             k = min(block, iters + 1 - t0)
-            p = _step_to_fixed_point(steps, Q[:k + 1])
-            # Rows from the fixed point's first row p on are bitwise row p,
-            # so their x, g and ||Q||^2 are taken as row p's: rows 0..b - 1
-            # of X and G and 0..b of qq are rebuilt, and the last of them
-            # copied on.  b is
-            # at least 2 where the block has 2 rows: numpy sends a one-row
-            # block to gemv, whose sums may round apart from the k-row
-            # gemm's of a full rebuild.
-            b = k if p is None else min(k, max(p + 1, 2))
-
-            # Record steps t0 .. t0 + k - 1: their x and g, rebuilt from
-            # Q(t0 .. t0 + k - 1), their drift residuals, S at the window ends
-            # up to t0 + k, and the samples at t < t0 + k.
-            X[:b] = argmin(Q[:b])
-            G[:b] = constraints(X[:b])
-            X[b:k], G[b:k] = X[b - 1], G[b - 1]
-            qq = np.empty(k + 1)
-            qq[:b + 1] = np.vecdot(Q[:b + 1], Q[:b + 1])
-            qq[b + 1:] = qq[b]
-            # Residual of the exact drift identity L(Q') - L(Q) = Q' . g -
-            # ||Q' - Q||^2 / 2, with L(Q) = ||Q||^2 / 2, for every step with a
-            # successor (t < iters); from the fixed point on, every step's is
-            # step p's.  fmax skips NaN residuals.
-            r = min(b, iters - t0)
-            Qn, Qo = Q[1:r + 1], Q[:r]
-            D = Qn - Qo
-            residual = np.abs((0.5 * qq[1:r + 1] - 0.5 * qq[:r])
-                              - (np.vecdot(Qn, G[:r]) - 0.5 * np.vecdot(D, D)))
-            max_residual = float(np.fmax.reduce(residual, initial=max_residual))
-
-            # cumsum adds the rows in order, as a running sum_x += x would.
-            C = np.cumsum(np.vstack([sum_x, X[:k]]), axis=0)  # C[c] = S(t0 + c)
-            sum_x = C[k]
-            j1 = np.searchsorted(ends, t0 + k, side="right")
-            prefix[j:j1] = C[ends[j:j1] - t0]
-            j = j1
-
-            i0, i = i, np.searchsorted(ts, t0 + k)  # a block may hold no sample
-            new, rows = slice(i0, i), ts[i0:i] - t0
-            # np.linalg.norm(v) of a 1-D float vector is sqrt(v.dot(v)), and
-            # vecdot of a row is bitwise its dot.
-            qnorm[new] = np.sqrt(qq[rows])
-            xbar = (prefix[hi_row[new]] - prefix[lo_row[new]]) / width[new, None]
-            f_xbar[new], g_xbar[new] = objective(xbar), constraints(xbar)
-            if lam_star is not None:
-                lam_t = Q[rows] / V
-                d = lam_t - lam_star
-                lambda_dist[new] = np.sqrt(np.vecdot(d, d))
-                dual_gap[new] = q_star - (objective(X[rows]) + np.vecdot(lam_t, G[rows]))
-            finite = np.isfinite(np.column_stack([c[new] for c in columns if c is not None]))
-            if not finite.all():
-                bad = i0 + int(np.argmin(finite.all(axis=1)))
-                exc = FloatingPointError(f"non-finite value in the sample at t = {ts[bad]}")
-                exc.partial_trace = trace(bad)
-                raise exc
-    return trace(S)
+            p = _step_to_fixed_point(inner.steps, Q[:k + 1])
+            record(Q[:k + 1], p, t0)
+    return record.trace(len(ts))

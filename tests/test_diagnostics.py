@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,38 @@ def test_audit_gates_on_preconditions():
     assert by_name["multiplier_distance_monotone"]["applicable"] is False
     # gamma/2 = 4.5 > 1: the dual-value monotonicity audit is gated too
     assert by_name["dual_value_monotone"]["applicable"] is False
+    # each gate opens at its edge, V = gamma and V = gamma / 2, and is shut
+    # one float below it
+    dual_side = ("dual_gap_bound", "multiplier_distance_monotone", "dual_value_monotone")
+    for V, applicable in ((9.0, (True, True, True)), (math.nextafter(9.0, 0), (False, False, True)),
+                          (4.5, (False, False, True)), (math.nextafter(4.5, 0), (False, False, False))):
+        tr = synthetic_trace(
+            ts, f_vals=np.full(len(ts), b.reference.f_star - 1.0),
+            g_vals=[np.zeros(2)] * len(ts), qnorms=np.zeros(len(ts)),
+            V=V, lambda_dist=1.0 / ts, dual_gap=1.0 / ts)
+        report = audit_bounds(tr, b.reference, b.program, np.zeros(2), gamma=9.0,
+                              oracle=b.oracle)
+        assert tuple(e["applicable"] for e in report[3:]) == applicable, V
+        assert [e["bound"] for e in report[3:]] == list(dual_side)
+
+
+def test_objective_tolerance_grows_with_the_rhs_from_a_nonzero_queue():
+    # from Q(0) = (2, 2) at the default V the objective's rhs f* + ||Q(0)||^2
+    # / (2 V t) peaks at 8.34 (t = 1), so its tolerance is 1e-9 * 9.34: one
+    # sample 5e-9 over its rhs passes and one 1e-8 over fails
+    b = builtin("qp_6_2")
+    q0 = np.array([2.0, 2.0])
+    ts = np.arange(1, 30)
+    rhs = b.reference.f_star + 8.0 / (2.0 * QP_V * ts.astype(float))
+    for over, passed in ((5e-9, True), (1e-8, False)):
+        f = rhs - 1.0
+        f[10] = rhs[10] + over
+        tr = synthetic_trace(ts, f_vals=f, g_vals=[np.zeros(2)] * len(ts),
+                             qnorms=np.zeros(len(ts)), V=QP_V)
+        entry = audit_bounds(tr, b.reference, b.program, q0, gamma=9.0, oracle=b.oracle)[0]
+        assert entry["bound"] == "objective_bound"
+        assert entry["worst_margin"] == pytest.approx(over, rel=1e-3)
+        assert entry["pass"] is passed, over
 
 
 def test_audit_on_real_run():
@@ -187,3 +221,6 @@ def test_report_is_json_serializable():
                           oracle=b.oracle)
     text = json.dumps(report)
     assert "objective_bound" in text
+    assert [e["bound"] for e in report] == [
+        "objective_bound", "constraint_bound", "queue_bound", "dual_gap_bound",
+        "multiplier_distance_monotone", "dual_value_monotone"]

@@ -193,6 +193,15 @@ def test_warns_below_guarantee_threshold():
     b = builtin("num_6_1")
     with pytest.warns(UserWarning, match="below the guarantee threshold"):
         run(b.program, b.oracle, V=363.0, q0=np.zeros(3), iters=5)
+    # the threshold allows a relative 1e-12 for rounding: V at its edge does
+    # not warn, and one float below it does
+    b = builtin("qp_6_2")
+    edge = choose_V(b.program) * (1 - 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run(b.program, b.oracle, V=edge, q0=np.zeros(2), iters=5)
+    with pytest.warns(UserWarning, match="below the guarantee threshold"):
+        run(b.program, b.oracle, V=math.nextafter(edge, 0), q0=np.zeros(2), iters=5)
 
 
 def test_queue_dimension_mismatch():
