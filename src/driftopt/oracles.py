@@ -14,13 +14,12 @@ has two methods, which leave it as built:
 - ``steps(Q)``: the DPP queue updates Q(t+1) = max(Q(t) + g(x(Q(t))), 0)
   of a (k + 1, m) block, filling rows 1..k from row 0.
 
-An oracle's first ``steps`` call generates a straight-line Python step
-for its instance and V, except above a size bound or where a constant is
-not a finite float (the NUM floor must also be nonzero): then it steps with
-numpy, one row at a time.  The NUM step folds a flow's floor and cap into
-one compare with a threshold found at generation.  A process compiles each
-step's source once and keeps the last few, so an oracle at an instance and
-V met before reuses the function.  Only the DPP kernel calls ``steps``, so
+An oracle's first ``steps`` call generates a straight-line Python step for
+its instance and V, or, above a size bound or at a NUM floor of 0.0, steps
+with numpy one row at a time.  The NUM step folds a flow's floor and cap
+into one compare with a threshold found at generation.  A process compiles
+each step's source once and keeps the last few, which an oracle at an
+instance and V met before reuses.  Only the DPP kernel calls ``steps``, so
 nothing else generates one.  Either way a step is a pure function of the
 bits of q, which lets the kernel stop at the queue's fixed point.
 
@@ -67,6 +66,7 @@ class NumInstance(ProgramSpec):
             raise ValueError("every column of A needs at least one nonzero")
 
     @property
+    @np.errstate(all="ignore")  # an alpha of 0 or inf is returned, not warned about
     def alpha_computed(self) -> float:
         """Strong-convexity modulus on the box: min c_i / xmax_i^2."""
         return float(min(self.c / self.xmax ** 2))
@@ -166,8 +166,9 @@ def _generate_steps(m: int, body: list[str]):
     floats, each the straight-line ``body``, which reads and rebinds
     q0..q{m-1}; it returns the k queues row after row in one flat list.
 
-    A body holds only integer indices and the float reprs of finite
-    constants.  Its sums run in index order, where numpy's BLAS sums some
+    A body holds only integer indices and the reprs of float constants,
+    among them the names inf and nan, which the function's namespace
+    binds.  Its sums run in index order, where numpy's BLAS sums some
     shapes in another order or fuses a product into the sum, so the two
     agree to rounding and generated queues do not depend on the BLAS.
     ``0.0 if y < 0.0 else y`` propagates NaN as np.maximum does.  The
@@ -182,33 +183,37 @@ def _generate_steps(m: int, body: list[str]):
 
 @functools.lru_cache(maxsize=_CACHED_STEPS)
 def _compiled(source: str):
-    namespace = {}
+    # repr keeps no NaN's bits: nan is the NaN that arithmetic makes, as are M's and c0's
+    namespace = {"inf": math.inf, "nan": math.inf - math.inf}
     exec(compile(source, "<driftopt queue step>", "exec"), namespace)
     return namespace["steps"]
 
 
-def _steps(self, Q: np.ndarray) -> None:
-    """The ``steps`` of both closed forms.  An oracle whose ``_generated``
-    is a list generates its step from ``_step_body()`` at the first call and
-    keeps it in that list; one whose ``_generated`` is None steps with
-    numpy's row update ``_row_update(q, out)``, which writes the successor
-    of q into out and returns it.  The generated step's flat list of queues
-    becomes the block's rows through one ``struct.pack``: 9-15 us for 256
-    steps at m = 3, against 16-27 us for ``np.fromiter``.
-    """
-    if self._generated == []:
-        self._generated.append(_generate_steps(Q.shape[1], self._step_body()))
-    if self._generated is None:
-        q = Q[0]
-        for out in Q[1:]:
-            q = self._row_update(q, out)
-    else:
-        rows = self._generated[0](*Q[0].tolist(), len(Q) - 1)
-        packed = struct.pack(f"{len(rows)}d", *rows)
-        Q[1:] = np.frombuffer(packed).reshape(-1, Q.shape[1])
+class _ClosedForm:
+    """The ``steps`` of both closed forms: the first call generates and keeps
+    the kind's ``_step_body()``, or where that is None each call steps with
+    numpy's ``_row_update(q, out)``, which writes q's successor into out and
+    returns it.  The generated rows reach the block through one
+    ``struct.pack``: 9-15 us for 256 steps at m = 3, against 16-27 us for
+    ``np.fromiter``."""
+
+    def steps(self, Q: np.ndarray) -> None:
+        if self._straight_line is None:
+            q = Q[0]
+            for out in Q[1:]:
+                q = self._row_update(q, out)
+        else:
+            rows = self._straight_line(*Q[0].tolist(), len(Q) - 1)
+            packed = struct.pack(f"{len(rows)}d", *rows)
+            Q[1:] = np.frombuffer(packed).reshape(-1, Q.shape[1])
+
+    @functools.cached_property
+    def _straight_line(self):
+        body = self._step_body()
+        return None if body is None else _generate_steps(self.inst.m, body)
 
 
-class ClosedFormNumOracle:
+class ClosedFormNumOracle(_ClosedForm):
     """Inner oracle backed by the log-utility closed form.
 
     x_i = min(c_i V / (q . a_i), xmax_i), where a_i is the i-th column of A
@@ -226,27 +231,21 @@ class ClosedFormNumOracle:
         self.inst = inst
         self.cV = inst.c * _check_V(V)
         self.floor = self.cV / inst.xmax * (1 - 4 * np.finfo(float).eps)
-        # The generated step, built at the first steps call and kept in
-        # this list; None where numpy's row update steps instead, as where
-        # c V / xmax overflows: the source would hold the floor as the name inf.
-        generates = (inst.A.sum() <= _MAX_GENERATED_ONES and np.isfinite(self.floor).all()
-                     and self.floor.min() > 0)
-        self._generated = [] if generates else None
 
     def argmin(self, q: np.ndarray) -> np.ndarray:
         return np.minimum(self.cV / np.maximum(q.dot(self.inst.A), self.floor), self.inst.xmax)
 
-    steps = _steps
-
     def _row_update(self, q, out):
-        return np.maximum(q + (self.inst.A.dot(self.argmin(q)) - self.inst.b), 0.0, out=out)
+        return np.maximum(q + self.inst.constraints(self.argmin(q)), 0.0, out=out)
 
-    def _step_body(self) -> list[str]:
-        # the numpy row update's float operations, with the sums over the
-        # 0-1 A written out; ``f if s < f else s`` propagates NaN as
-        # np.maximum and np.minimum do, and every floor is positive, so
-        # nothing divides by zero
+    def _step_body(self) -> list[str] | None:
+        # the numpy row update's float operations, with the sums over the 0-1
+        # A written out; ``f if s < f else s`` propagates NaN as np.maximum and
+        # np.minimum do.  None above the size bound or at a floor of 0.0, which
+        # Python cannot divide by where numpy gives inf or nan
         A = self.inst.A
+        if A.sum() > _MAX_GENERATED_ONES or not self.floor.min() > 0:
+            return None
         cV, floor, xmax, b = (v.tolist() for v in
                               (self.cV, self.floor, self.inst.xmax, self.inst.b))
         m, n = A.shape
@@ -284,7 +283,7 @@ def _cap_threshold(cV: float, floor: float, xmax: float) -> float | None:
     return s if s < math.inf else None
 
 
-class ClosedFormQpOracle:
+class ClosedFormQpOracle(_ClosedForm):
     """Inner oracle backed by the linear-system closed form (X = R^n).
 
     The minimizer solves 2VP x = -(V c + A'q), so it is affine in the
@@ -302,24 +301,22 @@ class ClosedFormQpOracle:
         if not np.isfinite(H).all():
             raise ValueError(f"V={V:g} is too large for this program: 2VP overflows")
         X = np.linalg.solve(H, np.column_stack([-(V * inst.c), -A.T]))
+        self.inst = inst
         self.x0, K = X[:, 0].copy(), X[:, 1:]
         self.Kt, self.M = K.T.copy(), np.eye(len(A)) + A.dot(K)
         self.c0 = A.dot(self.x0) - inst.b
-        generates = (self.M.size <= _MAX_GENERATED_ENTRIES and np.isfinite(self.M).all()
-                     and np.isfinite(self.c0).all())
-        self._generated = [] if generates else None
 
     def argmin(self, q: np.ndarray) -> np.ndarray:
         return self.x0 + q.dot(self.Kt)
 
-    steps = _steps
-
     def _row_update(self, q, out):
         return np.maximum(self.M.dot(q) + self.c0, 0.0, out=out)
 
-    def _step_body(self) -> list[str]:
+    def _step_body(self) -> list[str] | None:
         # every y_k before any queue moves; every entry of M is summed, so
         # an inf queue gives NaN as numpy's dot does
+        if self.M.size > _MAX_GENERATED_ENTRIES:
+            return None
         M, c0 = self.M.tolist(), self.c0.tolist()
         return ([f"y{k} = {' + '.join(f'{v!r} * q{j}' for j, v in enumerate(row))} + {c!r}"
                  for k, (row, c) in enumerate(zip(M, c0))]

@@ -84,8 +84,9 @@ def _min_norm_multiplier(M: np.ndarray, lam0: np.ndarray) -> np.ndarray:
     return np.where(u > 0, 0.0, np.maximum(base - scale * (N @ r[:-1]) / r[-1], 0.0))
 
 
+@np.errstate(all="ignore")  # a non-finite candidate is rejected, not warned about
 def _enumerate(inst, stationary) -> KktSolution:
-    """The first active set whose stationary point is a KKT point.
+    """The first active set whose stationary point is a KKT point, finite.
 
     ``stationary(S)`` solves the stationarity system with the constraints
     in S (a list of indices) held at equality and returns (x, lambda_S), or
@@ -112,12 +113,14 @@ def _enumerate(inst, stationary) -> KktSolution:
             gvals = inst.constraints(x)
             if np.any(gvals > FEAS_TOL) or np.any(np.abs(lam * gvals) > FEAS_TOL):
                 continue
+            f_star = float(inst.objective(x))
+            if not np.isfinite([*x, *lam, f_star]).all():  # NaN passed every test above
+                continue
             active = [k for k in range(m) if abs(gvals[k]) <= FEAS_TOL]
-            # A rank-deficient active set admits a face of multipliers:
-            # take its least-norm point.
+            # a rank-deficient active set admits a face of multipliers: its least-norm point
             if active:
                 lam[active] = _min_norm_multiplier(inst.A[active, :].T, lam[active])
-            return KktSolution(x_star=x, f_star=float(inst.objective(x)), lambda_star=lam,
+            return KktSolution(x_star=x, f_star=f_star, lambda_star=lam,
                                active_set=tuple(active))
     raise InfeasibleError("no active subset produced a KKT point")
 

@@ -1,4 +1,4 @@
-"""Mutation check for the DPP kernel and the audit.
+"""Mutation check for the DPP kernel, the oracles, the audit and the reference.
 
     python tests/mutants.py [NAME ...]
 
@@ -27,8 +27,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-S, D = "solver.py", "diagnostics.py"
+S, D, O, R = "solver.py", "diagnostics.py", "oracles.py", "reference.py"
 T_SOLVER, T_DIAG = "tests/test_solver.py", "tests/test_diagnostics.py"
+T_ORACLES, T_ERRORS = "tests/test_oracles.py", "tests/test_cli_errors.py"
 
 # (name, module, original text, mutated text, tests that must kill it)
 MUTANTS = [
@@ -54,6 +55,35 @@ MUTANTS = [
     ("drift-residual-sign", S, "- 0.5 * np.vecdot(D, D)", "+ 0.5 * np.vecdot(D, D)",
      [f"{T_SOLVER}::test_drift_residual_of_a_step_at_a_block_edge",
       f"{T_SOLVER}::test_drift_residual_of_a_false_fixed_point"]),
+    ("fixed-point-compares-values", S, "chunk[-1].tobytes() == chunk[-2].tobytes()",
+     "np.array_equal(chunk[-1], chunk[-2])",
+     [f"{T_ORACLES}::test_a_queue_that_changes_only_the_sign_of_a_zero_is_stepped_on"]),
+    ("num-fold-at-the-threshold", O, "s < {s_star!r}", "s <= {s_star!r}",
+     [f"{T_ORACLES}::test_num_cap_fold_is_exact_at_its_edges"]),
+    ("cap-threshold-walk-strict", O, "while cV / (below := math.nextafter(s, 0.0)) <= xmax:",
+     "while cV / (below := math.nextafter(s, 0.0)) < xmax:",
+     [f"{T_ORACLES}::test_num_cap_fold_is_exact_at_its_edges"]),
+    # differs only at y = -0.0, which q + (load - b) never is (load - b is
+    # never -0.0, as every b is positive); only the test that a generated
+    # source compares with < and > alone tells it
+    ("num-clamp-at-zero", O, 'f"q{k} = 0.0 if y < 0.0 else y"',
+     'f"q{k} = 0.0 if y <= 0.0 else y"',
+     [f"{T_ORACLES}::test_the_source_given_to_exec_stays_arithmetic"]),
+    ("qp-clamp-at-zero", O, "y{k} < 0.0", "y{k} <= 0.0",
+     [f"{T_ORACLES}::test_a_queue_that_changes_only_the_sign_of_a_zero_is_stepped_on"]),
+    ("num-size-gate-inclusive", O, "A.sum() > _MAX_GENERATED_ONES",
+     "A.sum() >= _MAX_GENERATED_ONES",
+     [f"{T_ORACLES}::test_num_oracle_above_the_size_bound_steps_with_numpy"]),
+    ("qp-size-gate-inclusive", O, "self.M.size > _MAX_GENERATED_ENTRIES",
+     "self.M.size >= _MAX_GENERATED_ENTRIES",
+     [f"{T_ORACLES}::test_qp_oracle_above_the_size_bound_steps_with_numpy"]),
+    ("inf-bound-to-1e308", O, '"inf": math.inf', '"inf": 1e308',
+     [f"{T_ORACLES}::test_num_oracle_whose_floor_overflows_generates_bitwise_numpys_rows"]),
+    ("nan-bound-to-math-nan", O, '"nan": math.inf - math.inf', '"nan": math.nan',
+     [f"{T_ORACLES}::test_builtin_with_non_finite_constants_generates_bitwise_numpys_rows"]),
+    ("kkt-finite-check-dropped", R, "if not np.isfinite([*x, *lam, f_star]).all():",
+     "if False:",
+     [f"{T_ERRORS}::test_kkt_candidate_whose_objective_is_nan_is_refused"]),
 ]
 
 

@@ -130,17 +130,21 @@ def test_every_oracle_steps_the_queue():
     # the DPP kernel calls steps on a block's rows, one step and then a
     # chunk at a time, and argmin on a block's queue rows, with no fallback
     # for an oracle that lacks either; no oracle keeps a second step method
-    # beside them.  steps only fills rows, each from the row before it and
-    # past any fixed point: from seeded random queues and from the queue's
-    # fixed point (reached by t = 12763 from Q(0) = 0 on both builtins), a
+    # beside them, and every oracle takes its one steps from one base
+    # class.  steps only fills rows, each from the row before it and past
+    # any fixed point: from seeded random queues and from the queue's fixed
+    # point (reached by t = 12763 from Q(0) = 0 on both builtins), a
     # 300-row block fills the bytes of 300 one-row calls, and every call
     # returns None
     assert ORACLES
     for cls in ORACLES:
         assert callable(getattr(cls, "argmin", None)), cls.__name__
         assert callable(getattr(cls, "steps", None)), cls.__name__
-        public = [name for name in vars(cls) if not name.startswith("_")]
+        public = {name for base in cls.__mro__[:-1] for name in vars(base)
+                  if not name.startswith("_")}
         assert sorted(public) == ["argmin", "steps"], cls.__name__
+    assert len({cls.steps for cls in ORACLES}) == 1
+    assert not any("steps" in vars(cls) for cls in ORACLES)
     bundles = [builtin("num_6_1"), builtin("qp_6_2")]
     oracles = [b.oracle(choose_V(b.program)) for b in bundles]
     assert {type(oracle) for oracle in oracles} == set(ORACLES)
@@ -179,12 +183,15 @@ def test_oracle_calls_leave_the_oracle_as_built(tag):
               if isinstance(value, np.ndarray)}
     Q = np.random.default_rng(4).uniform(0, 50, (8, b.program.m))
     oracle.argmin(Q)
-    for _ in range(2):  # the NUM oracle generates its step at the first call
-        oracle.steps(Q.copy())
+    assert vars(oracle).keys() == before.keys()
+    oracle.steps(Q.copy())  # the first call keeps the generated step, and only it
+    (memo,) = vars(oracle).keys() - before.keys()
+    generated = vars(oracle)[memo]
+    oracle.steps(Q.copy())
     for q in Q:
         oracle.argmin(q)
     after = vars(oracle)
-    assert after.keys() == before.keys()
+    assert after.keys() == before.keys() | {memo} and after[memo] is generated
     for name, value in before.items():
         assert after[name] is value, name
     for name, value in arrays.items():

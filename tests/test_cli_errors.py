@@ -16,7 +16,7 @@ import driftopt
 import driftopt.oracles
 from driftopt import cli
 from driftopt.cli import main
-from driftopt.problems import BUILTINS
+from driftopt.problems import BUILTINS, load_problem
 
 
 def run_cli(capsys, *argv):
@@ -412,11 +412,11 @@ def test_A_too_large_for_floats_exits_2_with_warnings_as_errors(tmp_path, comman
     assert list(tmp_path.iterdir()) == [path]
 
 
-# Extreme V on num_6_1: c V overflows at 1e308 and the floor underflows to
-# 0 at 5e-324, where the NUM oracle steps with numpy; at 1e-300 and 1e-100
-# it generates its step.  Each fails at the sample the numpy row update
-# fails at, with its line and its partial CSV (one row at 1e-100, none
-# at the others).
+# Extreme V on num_6_1: the floor underflows to 0 at 5e-324, where the NUM
+# oracle steps with numpy; c V overflows at 1e308, where its generated step
+# holds inf, and at 1e-300 and 1e-100 it generates its step too.  Each
+# fails at the sample the numpy row update fails at, with its line and its
+# partial CSV (one row at 1e-100, none at the others).
 EXTREME_V = [(("--V", "1e308"), 1), (("--V", "5e-324"), 1), (("--V", "1e-300"), 1),
              (("--algorithm", "dpp-shifted", "--V", "1e-100", "--sample", "linear"), 2)]
 
@@ -458,9 +458,9 @@ def test_extreme_V_fails_as_the_numpy_row_update_does(tmp_path, capsys, monkeypa
         assert written[0].count(b"\r\n") == 2  # the header and the sample at t = 1
 
 
-# Extreme V on qp_6_2: M and c0 are NaN at 5e-324, where the QP oracle
-# steps with numpy, and M is about 1e300 at 1e-300, where it generates its
-# step; both fail at t = 1, with no CSV.  At 1e307 the run ends, and at
+# Extreme V on qp_6_2: M and c0 are NaN at 5e-324, where the QP oracle's
+# generated step holds nan, and M is about 1e300 at 1e-300; both fail at
+# t = 1, with no CSV.  At 1e307 the run ends, and at
 # 1.7e308 2VP overflows and no oracle is built.
 QP_EXTREME_V = [("5e-324", 3, "error: non-finite value in the sample at t = 1"),
                 ("1e-300", 3, "error: non-finite value in the sample at t = 1"),
@@ -479,3 +479,44 @@ def test_qp_extreme_V_ends_as_the_numpy_row_update_does(tmp_path, capsys, monkey
     assert (runs[0][1] == "") == (code != 0)  # a summary only on success
     assert written == [written[0]] * 3
     assert (written[0] is not None) == (code == 0)
+
+
+# Files whose magnitudes overflow numpy: in the KKT enumeration's
+# residual norms (the QP, whose one candidate has a NaN f*) and in alpha's
+# c / xmax^2 (the NUM).  Each command's last stderr line, with its exit code.
+NO_KKT = "no active subset produced a KKT point"
+OVERFLOWING = [
+    ({"kind": "qp", "P": [[1]], "A": [[1e-300], [2], [1]], "b": [2, 0.5, 1e+200],
+      "c": [1e+200], "alpha": 2},
+     {"kkt": (3, f"error: ground-truth solve failed: {NO_KKT}"),
+      "solve": (3, "error: non-finite value in the sample at t = 1")}),
+    ({"kind": "num", "A": [[1], [1], [1]], "b": [1e-320, 0.5, 1e-320], "c": [0.5],
+      "xmax": [1e+200], "beta": 1e-200},
+     {"kkt": (2, "error: alpha and beta must be positive"),
+      "solve": (2, "error: alpha and beta must be positive")}),
+]
+
+
+@pytest.mark.parametrize("command", ["kkt", "solve"])
+@pytest.mark.parametrize("doc,ends", OVERFLOWING, ids=["qp", "num"])
+def test_overflowing_file_exits_alike_with_warnings_as_errors(tmp_path, command, doc, ends):
+    # numpy's overflow is neither a warning line nor, under -W error, a
+    # traceback with exit 1: the command ends as it does without the flags
+    path = problem_file(tmp_path, doc)
+    argv = ("--iters", 100, "--out", tmp_path / "t.csv") if command == "solve" else ()
+    code, line = ends[command]
+    for flags in ((), ("-W", "error", "-W", "default::UserWarning")):
+        proc = run_module(command, "--problem", path, *argv, python_flags=flags)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", line + "\n"), flags
+
+
+def test_kkt_candidate_whose_objective_is_nan_is_refused(tmp_path, capsys):
+    # x* = (-0.25, -2.5e199) passes the certificate, but x'Px overflows and
+    # f* is NaN: the file has no reference, where it once had a NaN one
+    path = problem_file(tmp_path, {"kind": "qp", "P": [[2, 0], [0, 2]],
+                                   "A": [[2, 0], [0, 3], [1e-300, 2]],
+                                   "b": [1e-320, 1e+200, 1e+200], "c": [1, 1e+200]})
+    bundle = load_problem(path)
+    assert bundle.reference is None and bundle.reference_error == NO_KKT
+    assert run_cli(capsys, "kkt", "--problem", path) == (
+        3, "", f"error: ground-truth solve failed: {NO_KKT}\n")

@@ -412,6 +412,8 @@ def test_num_cap_fold_is_exact_at_its_edges():
             else:
                 folded.append(i)
                 assert floor[i] < s_star < math.inf
+                # the least such float: one below it, the quotient is above xmax
+                assert cV[i] / s_star <= xmax[i] < cV[i] / math.nextafter(s_star, 0.0)
                 edges += [math.nextafter(s_star, -math.inf), s_star,
                           math.nextafter(s_star, math.inf)]
             for s in edges:
@@ -439,15 +441,43 @@ def test_num_oracle_above_the_size_bound_steps_with_numpy(monkeypatch, n, genera
         assert np.array_equal(Q, numpy_num_steps(oracle, np.full(8, 3.0), 600))
 
 
-def test_num_oracle_whose_floor_overflows_steps_with_numpy():
-    # at V = 1e308, c V / xmax = 2e308 overflows: the floor is inf, which a
-    # generated source could hold only as a name, so numpy's row update steps
-    inst = NumInstance(c=[1.0], A=[[1.0]], b=[0.1], xmax=[0.5])
-    with np.errstate(over="ignore"):
-        oracle = ClosedFormNumOracle(inst, 1e308)
-    assert oracle.floor[0] == np.inf and oracle._generated is None
-    Q = blockwise_steps(oracle, np.zeros(1), 2, 10)
-    assert_bitwise_equal(Q, numpy_num_steps(oracle, np.zeros(1), 20))
+@pytest.mark.parametrize("xmax,V,generates", [(0.5, 1e308, True), (20.0, 5e-324, False)])
+def test_num_oracle_whose_floor_overflows_generates_bitwise_numpys_rows(monkeypatch, xmax, V,
+                                                                         generates):
+    # at V = 1e308, c V / xmax = 2e308 overflows: the floor is inf, which the
+    # generated source holds as the name inf.  At V = 5e-324 and xmax = 20
+    # the floor underflows to 0.0, where a Python step would divide by
+    # zero, so numpy's row update steps.  Either way the rows are numpy's,
+    # bitwise
+    made = count_generations(monkeypatch)
+    inst = NumInstance(c=[1.0], A=[[1.0]], b=[0.1], xmax=[xmax])
+    with np.errstate(all="ignore"):
+        oracle = ClosedFormNumOracle(inst, V)
+        Q = blockwise_steps(oracle, np.zeros(1), 2, 10)
+        expect = numpy_num_steps(oracle, np.zeros(1), 20)
+    assert oracle.floor[0] == (np.inf if generates else 0.0)
+    assert len(made) == int(generates)
+    assert_bitwise_equal(Q, expect)
+
+
+@pytest.mark.parametrize("tag,V", [("num_6_1", 1e308), ("qp_6_2", 5e-324),
+                                   ("qp_6_2", 1e-310)])
+def test_builtin_with_non_finite_constants_generates_bitwise_numpys_rows(monkeypatch, tag,
+                                                                          V):
+    # num_6_1 at 1e308 has inf floors and c V, and NaN x; qp_6_2's M and c0
+    # are NaN at these V.  The generated step writes them as inf and nan,
+    # nan the NaN that float arithmetic makes, as numpy made these, and
+    # makes numpy's rows over two blocks, bitwise
+    made = count_generations(monkeypatch)
+    b = builtin(tag)
+    with np.errstate(all="ignore"):
+        oracle = b.oracle(V)
+        q0 = np.zeros(b.program.m)
+        Q = blockwise_steps(oracle, q0, 2, 10)
+        expect = (numpy_num_steps if tag.startswith("num") else numpy_qp_steps)(oracle, q0, 20)
+    assert len(made) == 1
+    assert np.isnan(Q[1:]).all()
+    assert_bitwise_equal(Q, expect)
 
 
 def numpy_qp_steps(oracle, q0, k):
@@ -557,7 +587,7 @@ def test_numpy_row_steps_stop_at_the_queues_fixed_point():
                                           xmax=np.full(97, 20.0)), 5.2)
     for oracle, numpy_steps, m, fixed in ((qp, numpy_qp_steps, 9, 2535),
                                           (num, numpy_num_steps, 2, 1584)):
-        assert oracle._generated is None
+        assert oracle._straight_line is None
         q0 = np.zeros(m)
         Q = blockwise_steps(oracle, q0, 3, 1000)
         assert fixed_point(Q) == fixed
@@ -630,7 +660,8 @@ def assert_arithmetic(source):
     """``source`` is a generated step: one ``def`` of a ``for _ in
     range(k)`` loop of assignments and ``rows += (...)``, then ``return
     rows``, over the step's own names, + - * /, unary -, < and >,
-    conditional expressions and finite float constants."""
+    conditional expressions, finite float constants, and the names inf and
+    nan, which stand for the constants that are not finite."""
     (steps,) = ast.parse(source).body
     assert isinstance(steps, ast.FunctionDef) and not steps.decorator_list
     assert not steps.args.defaults and not steps.args.kwonlyargs
@@ -649,7 +680,7 @@ def assert_arithmetic(source):
                                      ast.USub, ast.Compare, ast.Lt, ast.Gt, ast.IfExp,
                                      ast.Constant)), ast.dump(node)
             if isinstance(node, ast.Name):
-                assert STEP_NAMES.fullmatch(node.id), node.id
+                assert STEP_NAMES.fullmatch(node.id) or node.id in ("inf", "nan"), node.id
             if isinstance(node, ast.Compare):
                 assert len(node.ops) == 1
             if isinstance(node, ast.Constant):
@@ -664,11 +695,17 @@ def test_the_source_given_to_exec_stays_arithmetic(monkeypatch):
     # problem files supply the constants that the generator writes into
     # source and execs: every builtin's step, and the steps of 20 random
     # NUM and QP instances, the NUM ones at V where flows fold (the
-    # default V) and keep their floor and cap (1e-310), hold only arithmetic
+    # default V) and keep their floor and cap (1e-310), hold only arithmetic.
+    # So do num_6_1 at V = 1e308, whose c V and floors overflow, and qp_6_2
+    # at 5e-324, whose M and c0 are NaN: the names inf and nan appear in
+    # those two sources, where a constant is not finite, and in no other
     sources, compiled = [], driftopt.oracles._compiled
     monkeypatch.setattr(driftopt.oracles, "_compiled",
                         lambda source: sources.append(source) or compiled(source))
     pairs = [(b.program, b.oracle(choose_V(b.program))) for b in map(builtin, BUILTIN_TAGS)]
+    with np.errstate(all="ignore"):
+        pairs += [(b.program, b.oracle(V)) for b, V in ((builtin("num_6_1"), 1e308),
+                                                        (builtin("qp_6_2"), 5e-324))]
     rng = np.random.default_rng(36)
     for j in range(10):
         n, m = rng.integers(1, 9, size=2)
@@ -678,9 +715,11 @@ def test_the_source_given_to_exec_stays_arithmetic(monkeypatch):
                   (qp, ClosedFormQpOracle(qp, choose_V(qp)))]
     for program, oracle in pairs:
         step(oracle, np.ones(program.m))
-    assert len(sources) == 23
+    assert len(sources) == 25
     for source in sources:
         assert_arithmetic(source)
+    names = [set(re.findall(r"\b(?:inf|nan)\b", source)) for source in sources]
+    assert names[3:5] == [{"inf"}, {"nan"}] and not any(names[:3] + names[5:])
     # flows that fold, and flows that keep their floor and cap
     assert any(" / s\n" in source for source in sources)
     assert any(" / (" in source for source in sources)
