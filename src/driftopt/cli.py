@@ -33,10 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import IterateTrace, QueueState
+from .core import IterateTrace, _as_queue
 from .csvtext import format_rows
-from .diagnostics import (audit_bounds, audit_passed, error_series, fit_geometric,
-                          fit_power_decay)
+from .diagnostics import (audit_bounds, audit_passed, fit_geometric, fit_power_decay,
+                          max_violation)
 from .problems import (BUILTIN_TAGS, ProblemBundle, _array, _number, builtin,
                        load_problem)
 from .solver import choose_V, run
@@ -85,20 +85,21 @@ def _parse_q0(text: str | None, m: int) -> np.ndarray:
 _last_written: tuple[list[bytes], dict] | None = None
 
 
-def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> None:
+def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> dict:
     """Write the trace with CRLF line ends, as ``csv.writer`` does, every
     number as ``"%.17g"`` prints it (``csvtext.format_rows``, which formats
     a cell equal to the one above it once; for ``t``, an integer below
     2**53, that is ``"%d"``).  Without a reference, ``f_err`` is blank and
     the dual columns are absent.  The file is written in place
     (``_rewrite``).  Once it is closed, its chunks (the header, then each
-    512-row slice's text) and columns are ``_last_written``."""
+    512-row slice's text) and columns are ``_last_written``, and the
+    columns are returned."""
     global _last_written
     _last_written = None
     cols = {"t": trace.t, "f_avg": trace.f_xbar, "f_err": None,
             **{f"g_{k + 1}": g for k, g in enumerate(trace.g_xbar.T)}, "qnorm": trace.qnorm}
     if bundle.reference is not None:
-        cols["f_err"] = error_series(trace.f_xbar, None, bundle.reference.f_star)[0]
+        cols["f_err"] = np.abs(trace.f_xbar - bundle.reference.f_star)
         cols.update(lambda_dist=trace.lambda_dist, dual_gap=trace.dual_gap)
     present = {name: c for name, c in cols.items() if c is not None}
     seps = [b",," if name == "f_avg" and cols["f_err"] is None else b"," for name in present]
@@ -108,6 +109,7 @@ def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> None:
     chunks = [(",".join(cols) + "\r\n").encode(), *format_rows(block, seps)]
     _rewrite(path, chunks)
     _last_written = chunks, {**dict.fromkeys(cols), **dict(zip(present, block))}
+    return _last_written[1]
 
 
 def _rewrite(path: Path, chunks) -> None:
@@ -166,9 +168,10 @@ def cmd_solve(args) -> int:
             _write_csv(out, partial, bundle)
         raise
 
-    _write_csv(out, trace, bundle)
-    f_star = bundle.reference.f_star if bundle.reference is not None else None
-    f_err, violation = error_series(trace.f_xbar[-1:], trace.g_xbar[-1:], f_star)
+    # the final block is the CSV's last row, as its "%.17g" text reads back
+    last = {name: None if col is None else float(col[-1])
+            for name, col in _write_csv(out, trace, bundle).items()}
+    last.update(t=int(last["t"]), max_violation=float(max_violation(trace.g_xbar[-1:])[0]))
     summary = {
         "problem": bundle.tag,
         "algorithm": args.algorithm,
@@ -178,17 +181,8 @@ def cmd_solve(args) -> int:
         "sampling": args.sample,
         "samples": len(trace),
         "max_drift_residual": trace.max_drift_residual,
-        "final": {
-            "t": int(trace.t[-1]),
-            "f_avg": float(trace.f_xbar[-1]),
-            "f_err": float(f_err[0]) if f_err is not None else None,
-            "max_violation": float(violation[0]),
-            "qnorm": float(trace.qnorm[-1]),
-            "lambda_dist": (float(trace.lambda_dist[-1])
-                            if trace.lambda_dist is not None else None),
-            "dual_gap": (float(trace.dual_gap[-1])
-                         if trace.dual_gap is not None else None),
-        },
+        "final": {name: last.get(name) for name in ("t", "f_avg", "f_err", "max_violation",
+                                                    "qnorm", "lambda_dist", "dual_gap")},
     }
     return _emit(summary, _summary_path(out))
 
@@ -272,7 +266,7 @@ def cmd_fit(args) -> int:
         gcols = [name for name in cols if name.startswith("g_")]
         if not gcols:
             raise ValueError("trace CSV lacks g_k columns")
-        errors = error_series(None, np.stack([cols[name] for name in gcols], axis=1))[1]
+        errors = max_violation(np.stack([cols[name] for name in gcols], axis=1))
     window = None if args.t_lo is None and args.t_hi is None else (lo, hi)
     fit_fn = fit_power_decay if args.model == "power" else fit_geometric
     try:
@@ -298,7 +292,7 @@ def cmd_audit(args) -> int:
         problem, V = summary["problem"], _number(summary, "V", "summary")
         if not V > 0:
             raise ValueError("summary field 'V' must be positive")
-        q0 = QueueState(_array(summary, "q0", "summary")).q
+        q0 = _as_queue(_array(summary, "q0", "summary"))
     except KeyError as exc:
         raise ValueError(f"the summary lacks the field {exc}") from exc
     except (OSError, ValueError, TypeError, RecursionError) as exc:  # RecursionError: deep JSON

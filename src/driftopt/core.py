@@ -2,9 +2,9 @@
 
 ``ProgramSpec`` is the base of every problem kind: it checks and stores
 the linear constraints and the moduli alpha and beta that the guarantees
-need.  Programs and queues are immutable value objects and the functions
-are pure; a trace is a mutable record whose constructor normalizes its
-``t`` column.
+need.  Programs are immutable value objects, a queue is a checked
+read-only array (``_as_queue``) and the functions are pure; a trace is a
+mutable record whose constructor normalizes its ``t`` column.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ class ProgramSpec:
     ``alpha`` is the strong-convexity modulus of the objective on X and
     ``beta`` a common Lipschitz modulus of every constraint component.
     None, their default, means the computed value: the kind's
-    ``alpha_computed`` and the largest row norm of A.
+    ``alpha_computed`` and the largest row norm of A.  Both must be
+    positive, and alpha finite.
     """
 
     alpha: float | None = field(default=None, kw_only=True)
@@ -91,6 +92,8 @@ class ProgramSpec:
             object.__setattr__(self, "beta", float(np.linalg.norm(self.A, axis=1).max()))
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be positive")
+        if not np.isfinite(self.alpha):  # c_i / xmax_i^2 of an xmax_i^2 that underflows
+            raise ValueError("alpha must be finite")
 
     @property
     def n(self) -> int:
@@ -105,21 +108,19 @@ class ProgramSpec:
         return self.A.dot(x.T).T - self.b
 
 
-@dataclass(frozen=True)
-class QueueState:
-    """Finite, nonnegative virtual queue vector, one entry per constraint."""
+def _as_queue(q) -> np.ndarray:
+    """A read-only copy of the virtual queue vector ``q``, one finite,
+    nonnegative entry per constraint."""
+    arr = _as_vector(q, name="queue").copy()
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("queue entries must be finite")
+    if np.any(arr < 0):
+        raise ValueError("queue entries must be nonnegative")
+    arr.flags.writeable = False
+    return arr
 
-    q: np.ndarray
 
-    def __post_init__(self):
-        arr = _as_vector(self.q, name="queue")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("queue entries must be finite")
-        if np.any(arr < 0):
-            raise ValueError("queue entries must be nonnegative")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "q", arr)
+QueueState = _as_queue  # the name perfbench/tracing.py looks up (ROADMAP item 1)
 
 
 @dataclass

@@ -1,5 +1,6 @@
-"""Trace diagnostics: error series, decay-rate fitting, and audits of the
-convergence guarantees against a ground-truth solution.
+"""Trace diagnostics: the worst constraint violation of each sample
+(``max_violation``), decay-rate fitting, and audits of the convergence
+guarantees against a ground-truth solution.
 
 Rate fits are least-squares lines in transformed coordinates; audits
 evaluate each guarantee at every sampled iteration and report worst
@@ -43,24 +44,15 @@ class RateFit:
         return asdict(self)
 
 
-def error_series(f_xbar: np.ndarray | None, g_xbar: np.ndarray | None,
-                 f_star: float | None = None):
-    """Objective error |f(xbar) - f*| and worst constraint violation
-    max_k g_k(xbar)^+, one entry per row of ``f_xbar`` (S) and ``g_xbar``
-    (S x m).
-
-    Returns (obj_err, violation); obj_err is None without f*, violation
-    None without ``g_xbar``.
-    """
-    obj_err = None if f_star is None else np.abs(f_xbar - f_star)
-    if g_xbar is None:
-        return obj_err, None
+def max_violation(g_xbar: np.ndarray) -> np.ndarray:
+    """Worst constraint violation max(0, max_k g_k(xbar)), one entry per
+    row of the S x m ``g_xbar``."""
     # column by column, k in index order: bitwise the reduction along each
     # row (a NaN stays NaN), at 33 us instead of 657 on 10,001 x 3
     violation = np.maximum(g_xbar[:, 0], 0.0)
     for g in g_xbar.T[1:]:
         np.maximum(violation, np.maximum(g, 0.0), out=violation)
-    return obj_err, violation
+    return violation
 
 
 def _tail_window(ts: np.ndarray, window_fraction: float,

@@ -38,7 +38,7 @@ import warnings
 
 import numpy as np
 
-from .core import IterateTrace, ProgramSpec, QueueState, _as_vector, _check_V, sample_indices
+from .core import IterateTrace, ProgramSpec, _as_queue, _as_vector, _check_V, sample_indices
 from .dual_analysis import dual_value_and_gradient
 
 VARIANTS = ("dpp", "dpp_shifted")
@@ -222,7 +222,7 @@ def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
     ts = np.fromiter(sample_indices(iters, sample), int)
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    q0 = QueueState(q0).q
+    q0 = _as_queue(q0)
     floor = choose_V(program)
     if V < floor * (1 - 1e-12):
         warnings.warn(

@@ -1,4 +1,5 @@
-"""Mutation check for the DPP kernel, the oracles, the audit and the reference.
+"""Mutation check for the DPP kernel, the oracles, the diagnostics, the reference
+and the checks of a program and a queue.
 
     python tests/mutants.py [NAME ...]
 
@@ -27,8 +28,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-S, D, O, R = "solver.py", "diagnostics.py", "oracles.py", "reference.py"
+S, D, O, R, C = "solver.py", "diagnostics.py", "oracles.py", "reference.py", "core.py"
 T_SOLVER, T_DIAG = "tests/test_solver.py", "tests/test_diagnostics.py"
+T_CORE = "tests/test_core.py"
 T_ORACLES, T_ERRORS = "tests/test_oracles.py", "tests/test_cli_errors.py"
 
 # (name, module, original text, mutated text, tests that must kill it)
@@ -84,6 +86,16 @@ MUTANTS = [
     ("kkt-finite-check-dropped", R, "if not np.isfinite([*x, *lam, f_star]).all():",
      "if False:",
      [f"{T_ERRORS}::test_kkt_candidate_whose_objective_is_nan_is_refused"]),
+    # differs only where a later column is -0.0 and the row's max so far is
+    # 0.0: np.maximum returns its second argument on a tie of zeros
+    ("violation-later-clamp-dropped", D,
+     "np.maximum(violation, np.maximum(g, 0.0), out=violation)",
+     "np.maximum(violation, g, out=violation)",
+     [f"{T_DIAG}::test_violation_is_bitwise_the_reduction_along_each_row"]),
+    ("queue-check-refuses-zero", C, "np.any(arr < 0)", "np.any(arr <= 0)",
+     [f"{T_CORE}::test_queue_state_is_a_read_only_copy_that_admits_zeros"]),
+    ("alpha-finite-check-dropped", C, "if not np.isfinite(self.alpha):", "if False:",
+     [f"{T_ERRORS}::test_alpha_that_overflows_exits_2_at_load"]),
 ]
 
 

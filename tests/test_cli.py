@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from driftopt import IterateTrace, builtin, choose_V, error_series, load_problem, run
+from driftopt import IterateTrace, builtin, choose_V, load_problem, run
 from driftopt import cli
 from driftopt.cli import _read_trace_csv, main
 from driftopt.problems import BUILTINS
@@ -463,7 +463,7 @@ def csv_module_bytes(trace, bundle) -> bytes:
     f_err = [None] * len(trace)
     if ref is not None:
         header += ["lambda_dist", "dual_gap"]
-        f_err = error_series(trace.f_xbar, trace.g_xbar, ref.f_star)[0]
+        f_err = np.abs(trace.f_xbar - ref.f_star)
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -645,6 +645,31 @@ def test_reading_the_trace_just_written_equals_a_parse(tmp_path, capsys, monkeyp
             patch.setattr(cli, "_last_written", None)
             assert_same_columns(hit, _read_trace_csv(out, columns))
     assert (entry["f_err"] is None) == (solve == "no-reference")
+
+
+@pytest.mark.parametrize("q0", ["0", "2"])
+@pytest.mark.parametrize("solve", [*(s for s in SOLVES if not s.endswith("overflow")),
+                                   "no-reference"])
+def test_summary_final_is_the_csvs_last_row(tmp_path, capsys, solve, q0):
+    # the summary's final block is the last CSV row, each cell read back
+    # with float (t with int, a blank cell as null), and its max_violation
+    # is max(0, max_k g_k) of that row; every number bit for bit
+    out = tmp_path / "trace.csv"
+    argv = ["--problem", str(wide_qp_file(tmp_path)), "--iters", "300"] \
+        if solve == "no-reference" else SOLVES[solve]
+    code, _, _ = run_cli(capsys, "solve", *argv, "--q0", q0, "--out", str(out))
+    assert code == 0
+    header, *_, last = out.read_text().splitlines()
+    row = dict(zip(header.split(","), last.split(",")))
+    want = {name: float(row[name]) if row.get(name) else None
+            for name in ("f_avg", "f_err", "qnorm", "lambda_dist", "dual_gap")}
+    want["t"] = int(row["t"])
+    want["max_violation"] = max(0.0, *(float(v) for name, v in row.items()
+                                       if name.startswith("g_")))
+    final = json.loads(summary_of(out).read_text())["final"]
+    assert {k: repr(v) for k, v in final.items()} == {k: repr(v) for k, v in want.items()}
+    nulls = {"f_err", "lambda_dist", "dual_gap"} if solve == "no-reference" else set()
+    assert {k for k, v in final.items() if v is None} == nulls
 
 
 def test_the_entry_follows_the_bytes_not_the_path(tmp_path, capsys):

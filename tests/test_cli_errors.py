@@ -412,6 +412,23 @@ def test_A_too_large_for_floats_exits_2_with_warnings_as_errors(tmp_path, comman
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("command", ["kkt", "solve", "audit"])
+def test_alpha_that_overflows_exits_2_at_load(tmp_path, capsys, command):
+    # xmax^2 underflows to 0, so alpha = c / xmax^2 is inf and the default
+    # V = m beta^2 / alpha is 0: the file is refused at load, in process
+    # and in a fresh process with warnings as errors, and nothing is written
+    path = problem_file(tmp_path, {"kind": "num", "A": [[1]], "b": [1e-320], "c": [0.5],
+                                   "xmax": [1e-300]})
+    out = tmp_path / "t.csv"
+    argv = {"kkt": (), "solve": ("--iters", 100, "--out", out),
+            "audit": ("--trace", out)}[command]
+    line = "error: alpha must be finite\n"
+    assert run_cli(capsys, command, "--problem", path, *argv) == (2, "", line)
+    proc = run_module(command, "--problem", path, *argv, python_flags=("-W", "error"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line)
+    assert list(tmp_path.iterdir()) == [path]
+
+
 # Extreme V on num_6_1: the floor underflows to 0 at 5e-324, where the NUM
 # oracle steps with numpy; c V overflows at 1e308, where its generated step
 # holds inf, and at 1e-300 and 1e-100 it generates its step too.  Each

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from driftopt import (IterateTrace, QpInstance, QueueState, builtin, run,
-                      sample_indices)
-from driftopt.core import PER_DECADE
+from driftopt import IterateTrace, QpInstance, builtin, run, sample_indices
+from driftopt.core import PER_DECADE, _as_queue
 from replay import step
 
 # min x'x s.t. x_1 + x_2 <= 1
@@ -23,14 +22,24 @@ def test_program_validates_dimensions(field, value, message):
 
 
 def test_queue_state_rejects_negative():
-    with pytest.raises(ValueError):
-        QueueState(np.array([1.0, -0.1]))
+    with pytest.raises(ValueError, match="queue entries must be nonnegative"):
+        _as_queue(np.array([1.0, -0.1]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_queue_state_rejects_non_finite(bad):
-    with pytest.raises(ValueError, match="finite"):
-        QueueState(np.array([1.0, bad]))
+    with pytest.raises(ValueError, match="queue entries must be finite"):
+        _as_queue(np.array([1.0, bad]))
+
+
+def test_queue_state_is_a_read_only_copy_that_admits_zeros():
+    # zeros of both signs are nonnegative; the caller's array stays its own
+    q = np.array([0.0, -0.0, 2.0])
+    got = _as_queue(q)
+    assert got.tobytes() == q.tobytes() and not got.flags.writeable
+    q[2] = 5.0
+    assert got[2] == 2.0 and q.flags.writeable
+    assert _as_queue(3.0).tolist() == [3.0]
 
 
 def test_queue_update_clamps_at_zero():
