@@ -147,9 +147,9 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
       nondecreasing (needs V >= gamma / 2), both per consecutive sample
       with 1e-9 tolerance.
 
-    A B or theta that overflows the floats (at V near the float limit)
-    bounds every finite trace but cannot be checked against one: the
-    bounds built on it report not applicable.
+    A ||Q(0)||^2, B or theta that overflows the floats (at V or Q(0) near
+    the float limit) bounds every finite trace but cannot be checked
+    against one: the bounds built on it report not applicable.
     """
     if reference is None:
         raise ValueError("audit needs a reference solution")
@@ -164,6 +164,7 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
     # hypot keeps B finite where V^2 ||lam*||^2 alone would overflow.
     bound_B = math.hypot(math.sqrt(q0_norm2), V * lam_star_norm) + V * lam_star_norm
     rhs = reference.f_star + q0_norm2 / (2.0 * V * ts)
+    rhs_max = np.abs(rhs[np.isfinite(rhs)]).max(initial=0.0)  # over the finite samples
     dual_ok = trace.lambda_dist is not None and trace.dual_gap is not None
     gamma_ok = bool(V >= gamma and dual_ok)
     theta = math.nan  # dual_gap_bound is not applicable where theta is not computed
@@ -177,8 +178,8 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
     # are evaluated only for an applicable bound.
     bounds = (
         # exact non-violation when the queue starts at zero
-        ("objective_bound", True, lambda: trace.f_xbar - rhs,
-         1e-9 if q0_norm2 == 0 else 1e-9 * (1.0 + np.abs(rhs).max())),
+        ("objective_bound", math.isfinite(q0_norm2), lambda: trace.f_xbar - rhs,
+         1e-9 if q0_norm2 == 0 else 1e-9 * (1.0 + rhs_max)),
         ("constraint_bound", math.isfinite(bound_B),  # every component
          lambda: trace.g_xbar - (bound_B / ts)[:, None], 1e-9 * (1.0 + bound_B)),
         ("queue_bound", math.isfinite(bound_B), lambda: trace.qnorm - bound_B,

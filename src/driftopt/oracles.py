@@ -15,13 +15,14 @@ has two methods, which leave it as built:
   of a (k + 1, m) block, filling rows 1..k from row 0.
 
 An oracle's first ``steps`` call generates a straight-line Python step for
-its instance and V, or, above a size bound or at a NUM floor of 0.0, steps
-with numpy one row at a time.  The NUM step folds a flow's floor and cap
-into one compare with a threshold found at generation.  A process compiles
-each step's source once and keeps the last few, which an oracle at an
-instance and V met before reuses.  Only the DPP kernel calls ``steps``, so
-nothing else generates one.  Either way a step is a pure function of the
-bits of q, which lets the kernel stop at the queue's fixed point.
+its instance's shape, with its constants bound, or, above a size bound or
+at a NUM floor of 0.0, steps with numpy one row at a time.  The NUM step
+folds a flow's floor and cap into one compare with a threshold found at
+generation.  A process compiles a shape's step once and keeps the last
+few, which every oracle of that shape reuses, at any V.  Only the DPP
+kernel calls ``steps``, so nothing else generates one.  Either way a step
+is a pure function of the bits of q, which lets the kernel stop at the
+queue's fixed point.
 
 The QP oracle's per-V constants come from one solve with 2VP.
 """
@@ -156,43 +157,39 @@ _MAX_GENERATED_ONES = 144
 # m = 9 too; generating took 0.6-1.5 ms at m = 8..10.
 _MAX_GENERATED_ENTRIES = 64
 
-
-# Compiled steps kept, by source text: as many as ``problems`` keeps bundles.
+# Compiled steps kept, by shape: as many as ``problems`` keeps bundles.
 _CACHED_STEPS = 4
 
 
-def _generate_steps(m: int, body: list[str]):
-    """The function ``steps(q0, .., q{m-1}, k)``: k queue steps on Python
-    floats, each the straight-line ``body``, which reads and rebinds
-    q0..q{m-1}; it returns the k queues row after row in one flat list.
+@functools.lru_cache(maxsize=_CACHED_STEPS)
+def _generate_steps(m: int, count: int, body: tuple[str, ...]):
+    """The function ``steps(v0, .., v{count-1}, q0, .., q{m-1}, k)``: k
+    queue steps on Python floats, each the straight-line ``body``, which
+    reads the constants v0.. and reads and rebinds q0..q{m-1}; it returns
+    the k queues row after row in one flat list.
 
-    A body holds only integer indices and the reprs of float constants,
-    among them the names inf and nan, which the function's namespace
-    binds.  Its sums run in index order, where numpy's BLAS sums some
-    shapes in another order or fuses a product into the sum, so the two
-    agree to rounding and generated queues do not depend on the BLAS.
-    ``0.0 if y < 0.0 else y`` propagates NaN as np.maximum does.  The
-    function is compiled once per process for each source text, among the
-    last ``_CACHED_STEPS``; it holds no state, so oracles may share it.
+    A body holds only names, integer indices and 0.0, never a number from
+    a problem file, so each constant keeps its bits.  Its sums run in index
+    order, where numpy's BLAS sums some shapes in another order or fuses a
+    product into the sum, so the two agree to rounding and generated queues
+    do not depend on the BLAS.  ``0.0 if y < 0.0 else y`` propagates NaN as
+    np.maximum does.  Each shape compiles once per process, among the last
+    ``_CACHED_STEPS``, and its oracles share the stateless function.
     """
     qs = ", ".join(f"q{k}" for k in range(m))
-    lines = [f"def steps({qs}, k):", "    rows = []", "    for _ in range(k):",
-             *(f"        {line}" for line in body), f"        rows += {qs},", "    return rows"]
-    return _compiled("\n".join(lines))
-
-
-@functools.lru_cache(maxsize=_CACHED_STEPS)
-def _compiled(source: str):
-    # repr keeps no NaN's bits: nan is the NaN that arithmetic makes, as are M's and c0's
-    namespace = {"inf": math.inf, "nan": math.inf - math.inf}
-    exec(compile(source, "<driftopt queue step>", "exec"), namespace)
+    lines = [f"def steps({''.join(f'v{j}, ' for j in range(count))}{qs}, k):", "    rows = []",
+             "    for _ in range(k):", *(f"        {line}" for line in body),
+             f"        rows += {qs},", "    return rows"]
+    namespace = {}
+    exec(compile("\n".join(lines), "<driftopt queue step>", "exec"), namespace)
     return namespace["steps"]
 
 
 class _ClosedForm:
-    """The ``steps`` of both closed forms: the first call generates and keeps
-    the kind's ``_step_body()``, or where that is None each call steps with
-    numpy's ``_row_update(q, out)``, which writes q's successor into out and
+    """The ``steps`` of both closed forms: the first call generates the step
+    of the kind's ``_step_body(value)``, which names each constant c it
+    uses ``value(c)``, or where that is None each call steps with numpy's
+    ``_row_update(q, out)``, which writes q's successor into out and
     returns it.  The generated rows reach the block through one
     ``struct.pack``: 9-15 us for 256 steps at m = 3, against 16-27 us for
     ``np.fromiter``."""
@@ -209,8 +206,10 @@ class _ClosedForm:
 
     @functools.cached_property
     def _straight_line(self):
-        body = self._step_body()
-        return None if body is None else _generate_steps(self.inst.m, body)
+        constants = []
+        body = self._step_body(lambda c: constants.append(c) or f"v{len(constants) - 1}")
+        return None if body is None else functools.partial(
+            _generate_steps(self.inst.m, len(constants), tuple(body)), *constants)
 
 
 class ClosedFormNumOracle(_ClosedForm):
@@ -238,7 +237,7 @@ class ClosedFormNumOracle(_ClosedForm):
     def _row_update(self, q, out):
         return np.maximum(q + self.inst.constraints(self.argmin(q)), 0.0, out=out)
 
-    def _step_body(self) -> list[str] | None:
+    def _step_body(self, value) -> list[str] | None:
         # the numpy row update's float operations, with the sums over the 0-1
         # A written out; ``f if s < f else s`` propagates NaN as np.maximum and
         # np.minimum do.  None above the size bound or at a floor of 0.0, which
@@ -252,14 +251,15 @@ class ClosedFormNumOracle(_ClosedForm):
         body = []
         for i in range(n):
             body.append(f"s = {' + '.join(f'q{k}' for k in range(m) if A[k, i])}")
+            cap = value(xmax[i])
             if (s_star := _cap_threshold(cV[i], floor[i], xmax[i])) is not None:
-                body.append(f"x{i} = {xmax[i]!r} if s < {s_star!r} else {cV[i]!r} / s")
+                body.append(f"x{i} = {cap} if s < {value(s_star)} else {value(cV[i])} / s")
             else:
-                body += [f"y = {cV[i]!r} / ({floor[i]!r} if s < {floor[i]!r} else s)",
-                         f"x{i} = {xmax[i]!r} if y > {xmax[i]!r} else y"]
+                body += [f"y = {value(cV[i])} / ({(f := value(floor[i]))} if s < {f} else s)",
+                         f"x{i} = {cap} if y > {cap} else y"]
         for k in range(m):
             load = " + ".join(f"x{i}" for i in range(n) if A[k, i]) or "0.0"
-            body += [f"y = q{k} + (({load}) - {b[k]!r})", f"q{k} = 0.0 if y < 0.0 else y"]
+            body += [f"y = q{k} + (({load}) - {value(b[k])})", f"q{k} = 0.0 if y < 0.0 else y"]
         return body
 
 
@@ -312,12 +312,12 @@ class ClosedFormQpOracle(_ClosedForm):
     def _row_update(self, q, out):
         return np.maximum(self.M.dot(q) + self.c0, 0.0, out=out)
 
-    def _step_body(self) -> list[str] | None:
+    def _step_body(self, value) -> list[str] | None:
         # every y_k before any queue moves; every entry of M is summed, so
         # an inf queue gives NaN as numpy's dot does
         if self.M.size > _MAX_GENERATED_ENTRIES:
             return None
         M, c0 = self.M.tolist(), self.c0.tolist()
-        return ([f"y{k} = {' + '.join(f'{v!r} * q{j}' for j, v in enumerate(row))} + {c!r}"
-                 for k, (row, c) in enumerate(zip(M, c0))]
+        return ([f"y{k} = {' + '.join(f'{value(v)} * q{j}' for j, v in enumerate(row))}"
+                 f" + {value(c)}" for k, (row, c) in enumerate(zip(M, c0))]
                 + [f"q{k} = 0.0 if y{k} < 0.0 else y{k}" for k in range(len(c0))])

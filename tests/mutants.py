@@ -41,8 +41,7 @@ MUTANTS = [
      [f"{T_DIAG}::test_audit_gates_on_preconditions"]),
     ("dual-gap-gate-strict", D, "V >= gamma and", "V > gamma and",
      [f"{T_DIAG}::test_audit_gates_on_preconditions"]),
-    ("objective-tolerance-sign", D, "1e-9 * (1.0 + np.abs(rhs).max())",
-     "1e-9 * (1.0 - np.abs(rhs).max())",
+    ("objective-tolerance-sign", D, "1e-9 * (1.0 + rhs_max)", "1e-9 * (1.0 - rhs_max)",
      [f"{T_DIAG}::test_objective_tolerance_grows_with_the_rhs_from_a_nonzero_queue"]),
     ("shifted-window-start-plus-1", S, "lo = hi // 2\n", "lo = hi // 2 + 1\n",
      [f"{T_SOLVER}::test_shifted_average_matches_recomputation"]),
@@ -60,7 +59,7 @@ MUTANTS = [
     ("fixed-point-compares-values", S, "chunk[-1].tobytes() == chunk[-2].tobytes()",
      "np.array_equal(chunk[-1], chunk[-2])",
      [f"{T_ORACLES}::test_a_queue_that_changes_only_the_sign_of_a_zero_is_stepped_on"]),
-    ("num-fold-at-the-threshold", O, "s < {s_star!r}", "s <= {s_star!r}",
+    ("num-fold-at-the-threshold", O, "s < {value(s_star)}", "s <= {value(s_star)}",
      [f"{T_ORACLES}::test_num_cap_fold_is_exact_at_its_edges"]),
     ("cap-threshold-walk-strict", O, "while cV / (below := math.nextafter(s, 0.0)) <= xmax:",
      "while cV / (below := math.nextafter(s, 0.0)) < xmax:",
@@ -79,10 +78,19 @@ MUTANTS = [
     ("qp-size-gate-inclusive", O, "self.M.size > _MAX_GENERATED_ENTRIES",
      "self.M.size >= _MAX_GENERATED_ENTRIES",
      [f"{T_ORACLES}::test_qp_oracle_above_the_size_bound_steps_with_numpy"]),
-    ("inf-bound-to-1e308", O, '"inf": math.inf', '"inf": 1e308',
-     [f"{T_ORACLES}::test_num_oracle_whose_floor_overflows_generates_bitwise_numpys_rows"]),
-    ("nan-bound-to-math-nan", O, '"nan": math.inf - math.inf', '"nan": math.nan',
-     [f"{T_ORACLES}::test_builtin_with_non_finite_constants_generates_bitwise_numpys_rows"]),
+    # each constant named one slot on, so the last name is bound to nothing
+    ("constant-name-one-slot-off", O, 'f"v{len(constants) - 1}"', 'f"v{len(constants)}"',
+     [f"{T_ORACLES}::test_the_source_given_to_exec_stays_arithmetic"]),
+    ("constants-bound-in-reverse", O, "tuple(body)), *constants)",
+     "tuple(body)), *constants[::-1])",
+     [f"{T_ORACLES}::test_generated_num_steps_are_the_numpy_row_update_on_the_builtins",
+      f"{T_ORACLES}::test_generated_qp_steps_on_qp_6_2"]),
+    ("objective-applies-past-overflow", D, '("objective_bound", math.isfinite(q0_norm2),',
+     '("objective_bound", True,',
+     [f"{T_ERRORS}::test_audit_whose_queue_norm_overflows"]),
+    ("objective-tolerance-all-samples", D, "np.abs(rhs[np.isfinite(rhs)]).max(initial=0.0)",
+     "np.abs(rhs).max(initial=0.0)",
+     [f"{T_DIAG}::test_objective_tolerance_reads_only_the_samples_where_its_rhs_is_finite"]),
     ("kkt-finite-check-dropped", R, "if not np.isfinite([*x, *lam, f_star]).all():",
      "if False:",
      [f"{T_ERRORS}::test_kkt_candidate_whose_objective_is_nan_is_refused"]),

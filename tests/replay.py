@@ -77,9 +77,9 @@ def count_steps(monkeypatch):
     def counting(*args):
         steps = generate(*args)
 
-        def counted(*qs_and_k):
-            made.append(qs_and_k[-1])
-            return steps(*qs_and_k)
+        def counted(*constants_qs_and_k):
+            made.append(constants_qs_and_k[-1])
+            return steps(*constants_qs_and_k)
         return counted
 
     monkeypatch.setattr(driftopt.oracles, "_generate_steps", counting)

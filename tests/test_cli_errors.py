@@ -235,6 +235,27 @@ def test_audit_at_V_near_the_float_limit(tmp_path, capsys):
     assert all(entry["pass"] for entry in report.values() if entry["applicable"])
 
 
+def test_audit_whose_queue_norm_overflows(tmp_path, capsys):
+    # from Q(0) = (1e308, 1e308), ||Q(0)||^2 overflows, and with it the
+    # objective bound's rhs f* + ||Q(0)||^2 / (2 V t) and the constants B
+    # and theta: the four bounds built on them report not applicable, in
+    # process and in a fresh process, and the two monotone ones pass
+    out = qp_trace(tmp_path, capsys, iters=200)
+    summary = Path(f"{out}.summary.json")
+    summary.write_text(json.dumps({**json.loads(summary.read_text()), "q0": [1e308, 1e308]}))
+    code, stdout, err = run_cli(capsys, "audit", "--builtin", "qp_6_2", "--trace", out)
+    proc = run_module("audit", "--builtin", "qp_6_2", "--trace", out)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, err)
+    assert (code, err) == (0, "")
+    report = {entry["bound"]: entry for entry in json.loads(stdout)}
+    skipped = {"objective_bound", "constraint_bound", "queue_bound", "dual_gap_bound"}
+    assert {name for name, entry in report.items() if not entry["applicable"]} == skipped
+    for name in skipped:
+        assert report[name]["pass"] is None and report[name]["worst_margin"] is None
+    assert len(report) == 6
+    assert all(entry["pass"] for entry in report.values() if entry["applicable"])
+
+
 def far_window_trace(tmp_path):
     # e(t) = 1e-3 exp(-0.05 (t - 1e5)) on t = 1e5 .. 1e5 + 49
     path = tmp_path / "geo.csv"

@@ -190,6 +190,28 @@ def test_objective_tolerance_grows_with_the_rhs_from_a_nonzero_queue():
         assert entry["pass"] is passed, over
 
 
+def test_objective_tolerance_reads_only_the_samples_where_its_rhs_is_finite():
+    # from ||Q(0)||^2 = 1e308 at V = 0.1 the rhs f* + ||Q(0)||^2 / (2 V t)
+    # overflows at t = 1 and 2 and peaks at 1.67e308 from t = 3, so its
+    # tolerance is 1.67e299: a later sample 1e299 over its rhs passes and
+    # one 1e300 over fails, where an inf tolerance would pass anything
+    b = builtin("qp_6_2")
+    q0 = np.array([1e154, 0.0])
+    ts = np.arange(1, 30)
+    with np.errstate(over="ignore"):
+        rhs = b.reference.f_star + 1e308 / (2.0 * 0.1 * ts.astype(float))
+    assert np.isinf(rhs[:2]).all() and np.isfinite(rhs[2:]).all()
+    for over, passed in ((1e299, True), (1e300, False)):
+        f = np.where(np.isfinite(rhs), rhs, 0.0)
+        f[10] = rhs[10] + over
+        tr = synthetic_trace(ts, f_vals=f, g_vals=[np.zeros(2)] * len(ts),
+                             qnorms=np.zeros(len(ts)), V=0.1)
+        entry = audit_bounds(tr, b.reference, b.program, q0, gamma=9.0, oracle=b.oracle)[0]
+        assert entry["bound"] == "objective_bound" and entry["applicable"]
+        assert entry["worst_margin"] == pytest.approx(over, rel=1e-3)
+        assert entry["pass"] is passed, over
+
+
 def test_audit_on_real_run():
     b = builtin("qp_6_2")
     q0 = np.zeros(2)

@@ -1,5 +1,6 @@
 import ast
 import functools
+import json
 import math
 import re
 
@@ -445,7 +446,7 @@ def test_num_oracle_above_the_size_bound_steps_with_numpy(monkeypatch, n, genera
 def test_num_oracle_whose_floor_overflows_generates_bitwise_numpys_rows(monkeypatch, xmax, V,
                                                                          generates):
     # at V = 1e308, c V / xmax = 2e308 overflows: the floor is inf, which the
-    # generated source holds as the name inf.  At V = 5e-324 and xmax = 20
+    # generated step binds as a constant.  At V = 5e-324 and xmax = 20
     # the floor underflows to 0.0, where a Python step would divide by
     # zero, so numpy's row update steps.  Either way the rows are numpy's,
     # bitwise
@@ -465,8 +466,7 @@ def test_num_oracle_whose_floor_overflows_generates_bitwise_numpys_rows(monkeypa
 def test_builtin_with_non_finite_constants_generates_bitwise_numpys_rows(monkeypatch, tag,
                                                                           V):
     # num_6_1 at 1e308 has inf floors and c V, and NaN x; qp_6_2's M and c0
-    # are NaN at these V.  The generated step writes them as inf and nan,
-    # nan the NaN that float arithmetic makes, as numpy made these, and
+    # are NaN at these V.  The generated step binds them as they are, and
     # makes numpy's rows over two blocks, bitwise
     made = count_generations(monkeypatch)
     b = builtin(tag)
@@ -626,13 +626,21 @@ def test_row_argmin_is_the_one_queue_argmin(tag):
 
 
 def test_a_step_is_compiled_once_per_source(tmp_path):
-    # one compile per instance and V in a process: dpp and the dual
-    # subgradient method step qp_6_2 at one V, so its second oracle reuses
-    # the function; num_6_1 at two V compiles twice.  Each oracle still
-    # generates once, and the least recently used of the last
-    # _CACHED_STEPS sources is the one that goes
-    cache = driftopt.oracles._compiled
+    # a source is the step of one shape, with no constant in it: one compile
+    # per shape in a process.  qp_6_2 compiles once under dpp, under the dual
+    # subgradient method and at a second V, and num_6_1 once at three V.
+    # Each oracle still generates once, and the least recently used of the
+    # last _CACHED_STEPS shapes is the one that goes
+    cache = driftopt.oracles._generate_steps
     cache.cache_clear()
+    files = {}
+    for kind, doc in (("num", {"kind": "num", "c": [1.0], "A": [[1]], "b": [1.0],
+                               "xmax": [2.0]}),
+                      ("qp", {"kind": "qp", "P": [[1.0]], "c": [0.0], "A": [[1.0]],
+                              "b": [1.0]})):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        files[kind] = str(path)
     with pytest.MonkeyPatch.context() as patch:
         made = count_generations(patch)
 
@@ -643,25 +651,28 @@ def test_a_step_is_compiled_once_per_source(tmp_path):
 
         assert solve("--builtin", "qp_6_2", "--algorithm", "dpp")[:2] == (0, 1)
         assert solve("--builtin", "qp_6_2", "--algorithm", "dual-subgradient")[:2] == (1, 1)
-        assert solve("--builtin", "num_6_1", "--V", "300")[:2] == (1, 2)
-        assert solve("--builtin", "num_6_1", "--V", "400")[:2] == (1, 3)
-        assert solve("--builtin", "num_5_2_rank_deficient").currsize == _CACHED_STEPS == 4
-        # qp_6_2 is now the least recently used: a fifth source drops it
-        assert solve("--builtin", "num_6_1", "--V", "500")[1:] == (5, 4, 4)
-        assert solve("--builtin", "num_6_1", "--V", "300")[:2] == (2, 5)
-        assert solve("--builtin", "qp_6_2")[:2] == (2, 6)
-        assert len(made) == 8
+        assert solve("--builtin", "qp_6_2", "--V", "1e5")[:2] == (2, 1)
+        assert solve("--builtin", "num_6_1", "--V", "300")[:2] == (2, 2)
+        assert solve("--builtin", "num_6_1", "--V", "400")[:2] == (3, 2)
+        assert solve("--builtin", "num_6_1", "--V", "500")[:2] == (4, 2)
+        assert solve("--builtin", "num_5_2_rank_deficient")[:2] == (4, 3)
+        assert solve("--problem", files["qp"]).currsize == _CACHED_STEPS == 4
+        # qp_6_2 is now the least recently used: a fifth shape drops it
+        assert solve("--problem", files["num"])[1:] == (5, 4, 4)
+        assert solve("--builtin", "num_6_1")[:2] == (5, 5)
+        assert solve("--builtin", "qp_6_2", "--V", "1")[:2] == (5, 6)
+        assert len(made) == 11
 
 
-STEP_NAMES = re.compile(r"q\d+|x\d+|y\d*|s|rows|k|_")
+STEP_NAMES = re.compile(r"q\d+|x\d+|y\d*|v\d+|s|rows|k|_")
 
 
 def assert_arithmetic(source):
     """``source`` is a generated step: one ``def`` of a ``for _ in
     range(k)`` loop of assignments and ``rows += (...)``, then ``return
-    rows``, over the step's own names, + - * /, unary -, < and >,
-    conditional expressions, finite float constants, and the names inf and
-    nan, which stand for the constants that are not finite."""
+    rows``, over the step's own names and its constants v0, v1, .., + - *
+    /, unary -, < and >, conditional expressions and the float 0.0, the
+    one number it holds."""
     (steps,) = ast.parse(source).body
     assert isinstance(steps, ast.FunctionDef) and not steps.decorator_list
     assert not steps.args.defaults and not steps.args.kwonlyargs
@@ -680,28 +691,31 @@ def assert_arithmetic(source):
                                      ast.USub, ast.Compare, ast.Lt, ast.Gt, ast.IfExp,
                                      ast.Constant)), ast.dump(node)
             if isinstance(node, ast.Name):
-                assert STEP_NAMES.fullmatch(node.id) or node.id in ("inf", "nan"), node.id
+                assert STEP_NAMES.fullmatch(node.id), node.id
             if isinstance(node, ast.Compare):
                 assert len(node.ops) == 1
             if isinstance(node, ast.Constant):
-                assert type(node.value) is float and math.isfinite(node.value), node.value
-    for node in ast.walk(steps.args):
-        assert not isinstance(node, ast.arg) or STEP_NAMES.fullmatch(node.arg)
+                assert repr(node.value) == "0.0", node.value
+    args = [arg.arg for arg in steps.args.args]
+    assert re.fullmatch(r"(v\d+,)*(q\d+,)+k", ",".join(args)), args
+    # every constant it reads is one of its arguments, and it reads each
+    read = {node.id for node in ast.walk(loop) if isinstance(node, ast.Name)}
+    assert {name for name in read if name[0] == "v"} == {a for a in args if a[0] == "v"}
     for node in ast.walk(append.value):
         assert not isinstance(node, ast.Name) or re.fullmatch(r"q\d+", node.id)
 
 
 def test_the_source_given_to_exec_stays_arithmetic(monkeypatch):
-    # problem files supply the constants that the generator writes into
-    # source and execs: every builtin's step, and the steps of 20 random
-    # NUM and QP instances, the NUM ones at V where flows fold (the
-    # default V) and keep their floor and cap (1e-310), hold only arithmetic.
+    # problem files supply the constants of a generated step, which exec
+    # must never see: every builtin's step, and the steps of 20 random NUM
+    # and QP instances, the NUM ones at V where flows fold (the default V)
+    # and keep their floor and cap (1e-310), hold only arithmetic and 0.0.
     # So do num_6_1 at V = 1e308, whose c V and floors overflow, and qp_6_2
-    # at 5e-324, whose M and c0 are NaN: the names inf and nan appear in
-    # those two sources, where a constant is not finite, and in no other
-    sources, compiled = [], driftopt.oracles._compiled
-    monkeypatch.setattr(driftopt.oracles, "_compiled",
-                        lambda source: sources.append(source) or compiled(source))
+    # at 5e-324, whose M and c0 are NaN; the latter's source is qp_6_2's at
+    # the default V.  Each oracle's step is compiled afresh here
+    sources = []
+    monkeypatch.setattr(driftopt.oracles, "compile", lambda source, *args:
+                        sources.append(source) or compile(source, *args), raising=False)
     pairs = [(b.program, b.oracle(choose_V(b.program))) for b in map(builtin, BUILTIN_TAGS)]
     with np.errstate(all="ignore"):
         pairs += [(b.program, b.oracle(V)) for b, V in ((builtin("num_6_1"), 1e308),
@@ -714,12 +728,12 @@ def test_the_source_given_to_exec_stays_arithmetic(monkeypatch):
         pairs += [(num, ClosedFormNumOracle(num, choose_V(num) if j < 5 else 1e-310)),
                   (qp, ClosedFormQpOracle(qp, choose_V(qp)))]
     for program, oracle in pairs:
+        driftopt.oracles._generate_steps.cache_clear()
         step(oracle, np.ones(program.m))
     assert len(sources) == 25
     for source in sources:
         assert_arithmetic(source)
-    names = [set(re.findall(r"\b(?:inf|nan)\b", source)) for source in sources]
-    assert names[3:5] == [{"inf"}, {"nan"}] and not any(names[:3] + names[5:])
+    assert sources[4] == sources[1] != sources[3]
     # flows that fold, and flows that keep their floor and cap
     assert any(" / s\n" in source for source in sources)
     assert any(" / (" in source for source in sources)
