@@ -147,9 +147,9 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
       nondecreasing (needs V >= gamma / 2), both per consecutive sample
       with 1e-9 tolerance.
 
-    A ||Q(0)||^2, B or theta that overflows the floats (at V or Q(0) near
-    the float limit) bounds every finite trace but cannot be checked
-    against one: the bounds built on it report not applicable.
+    A B or theta that overflows the floats, or an objective rhs that does at
+    every sample (at a V or Q(0) near a float limit), bounds every finite
+    trace but cannot be checked against one: its bounds report not applicable.
     """
     if reference is None:
         raise ValueError("audit needs a reference solution")
@@ -178,7 +178,7 @@ def audit_bounds(trace: IterateTrace, reference: KktSolution,
     # are evaluated only for an applicable bound.
     bounds = (
         # exact non-violation when the queue starts at zero
-        ("objective_bound", math.isfinite(q0_norm2), lambda: trace.f_xbar - rhs,
+        ("objective_bound", bool(np.isfinite(rhs).any()), lambda: trace.f_xbar - rhs,
          1e-9 if q0_norm2 == 0 else 1e-9 * (1.0 + rhs_max)),
         ("constraint_bound", math.isfinite(bound_B),  # every component
          lambda: trace.g_xbar - (bound_B / ts)[:, None], 1e-9 * (1.0 + bound_B)),

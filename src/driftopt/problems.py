@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import ProgramSpec
-from .dual_analysis import general_dual_hessian, num_dual_hessian
 from .oracles import ClosedFormNumOracle, ClosedFormQpOracle, NumInstance, QpInstance
 from .reference import InfeasibleError, KktSolution, kkt_solve_num, kkt_solve_qp
 
@@ -118,24 +117,6 @@ def _number(doc: dict, key: str, source: str = "problem") -> float:
     raise ValueError(f"{source} field {key!r} must be a finite number")
 
 
-def _check_gamma_vs_Lc(dual_hessian, reference: KktSolution | None,
-                       gamma: float) -> None:
-    """Validate the stored smoothness modulus against the local curvature
-    Lc, the smallest eigenvalue of -dual_hessian(lambda*)."""
-    if reference is None:
-        return
-    try:
-        hess = dual_hessian(reference.lambda_star)
-    except ValueError:
-        return  # multiplier outside the interior regime; nothing to check
-    Lc = -float(np.linalg.eigvalsh(hess).max())
-    # Lc <= 0: the Hessian is not negative definite and Lc is undefined
-    if Lc > 0 and gamma < Lc - 1e-12:
-        raise ValueError(
-            f"stored smoothness modulus gamma={gamma:g} is below the local "
-            f"curvature Lc={Lc:g}")
-
-
 # Bundles that ``_bundle`` keeps, the least recently used going first: the
 # 3 builtins and the current problem file.  A file serves the kkt, solve
 # and audit of one pipeline back to back, and the benchmark's ``run_round``
@@ -151,8 +132,7 @@ def _bundle(tag: str, doc_json: str, paper_json: str) -> ProblemBundle:
     The document follows the problem-file schema (see ``load_problem``).
     Given an alpha or beta, the bundle reports it as "paper" and, for
     alpha, the computed default beside it; a paper gamma likewise comes
-    with the computed ||A||_F^2 / alpha and must dominate the local
-    curvature of the dual at the optimum.
+    with the computed ||A||_F^2 / alpha.
 
     The tag and the two texts are the key of the cache of bundles, so an
     edited file or constant is built afresh; a build that raises is not kept.
@@ -166,16 +146,14 @@ def _bundle(tag: str, doc_json: str, paper_json: str) -> ProblemBundle:
     kind = doc["kind"]
     data = {key: _array(doc, key) for key in ("A", "b", "c")}
     moduli = {key: _number(doc, key) for key in ("alpha", "beta") if key in doc}
-    # Everything kind-specific: the instance, the closed-form oracle, the
-    # ground-truth solver and the dual Hessian at a multiplier.
+    # Everything kind-specific: the instance, the closed-form oracle and the
+    # ground-truth solver.
     if kind == "num":
         inst = NumInstance(**data, xmax=_array(doc, "xmax"), **moduli)
         oracle, kkt_solve = functools.partial(ClosedFormNumOracle, inst), kkt_solve_num
-        dual_hessian = lambda lam: num_dual_hessian(inst, lam)
     elif kind == "qp":
         inst = QpInstance(**data, P=_array(doc, "P"), **moduli)
         oracle, kkt_solve = functools.partial(ClosedFormQpOracle, inst), kkt_solve_qp
-        dual_hessian = lambda lam: general_dual_hessian(inst.A, 2.0 * inst.P)
     else:
         raise ValueError(f"unknown problem kind {kind!r}")
 
@@ -190,7 +168,6 @@ def _bundle(tag: str, doc_json: str, paper_json: str) -> ProblemBundle:
         constants.append(Constant("alpha_computed", inst.alpha_computed, "computed"))
     constants.append(Constant("beta", inst.beta, "paper" if "beta" in doc else "computed"))
     if "gamma" in paper:
-        _check_gamma_vs_Lc(dual_hessian, reference, paper["gamma"])
         constants += [Constant("gamma", paper["gamma"], "paper"),
                       Constant("gamma_computed", _gamma(inst.A, inst.alpha), "computed")]
     else:

@@ -85,9 +85,15 @@ MUTANTS = [
      "tuple(body)), *constants[::-1])",
      [f"{T_ORACLES}::test_generated_num_steps_are_the_numpy_row_update_on_the_builtins",
       f"{T_ORACLES}::test_generated_qp_steps_on_qp_6_2"]),
-    ("objective-applies-past-overflow", D, '("objective_bound", math.isfinite(q0_norm2),',
+    ("objective-applies-past-overflow", D, '("objective_bound", bool(np.isfinite(rhs).any()),',
      '("objective_bound", True,',
      [f"{T_ERRORS}::test_audit_whose_queue_norm_overflows"]),
+    ("objective-applies-if-all-finite", D, "bool(np.isfinite(rhs).any())",
+     "bool(np.isfinite(rhs).all())",
+     [f"{T_DIAG}::test_objective_tolerance_reads_only_the_samples_where_its_rhs_is_finite"]),
+    ("objective-applies-if-q0-finite", D, "bool(np.isfinite(rhs).any())",
+     "math.isfinite(q0_norm2)",
+     [f"{T_ERRORS}::test_audit_whose_objective_rhs_overflows_at_every_sample"]),
     ("objective-tolerance-all-samples", D, "np.abs(rhs[np.isfinite(rhs)]).max(initial=0.0)",
      "np.abs(rhs).max(initial=0.0)",
      [f"{T_DIAG}::test_objective_tolerance_reads_only_the_samples_where_its_rhs_is_finite"]),

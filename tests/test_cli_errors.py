@@ -278,17 +278,40 @@ def test_power_fit_far_from_t0(tmp_path, capsys):
     assert fit["quality"] > 0.999
 
 
-def test_audit_with_non_finite_result_exits_3(tmp_path, capsys):
-    # ||Q(0)||^2 / (2 V t) of the objective bound overflows at V = 1e-300
+def audit_of_two_rows(tmp_path, capsys, gaps, V, q0):
+    """``audit`` in process and in a fresh process of a two-row num_6_1
+    trace, zero but for its ``dual_gap`` column, under a summary of V and
+    q0; returns the in-process exit code, stdout and stderr."""
     trace = tmp_path / "t.csv"
     trace.write_text("t,f_avg,f_err,g_1,g_2,g_3,qnorm,lambda_dist,dual_gap\n"
-                     "1,0,0,0,0,0,0,0,0\n2,0,0,0,0,0,0,0,0\n")
+                     + "".join(f"{t},0,0,0,0,0,0,0,{gap}\n" for t, gap in enumerate(gaps, 1)))
     summary = tmp_path / "s.json"
-    summary.write_text(json.dumps({"problem": "num_6_1", "V": 1e-300,
-                                   "q0": [1e10, 1e10, 1e10]}))
-    code, out, err = run_cli(capsys, "audit", "--builtin", "num_6_1", "--trace", trace,
-                             "--summary", summary)
-    assert (code, out, err) == (3, "", "error: non-finite number in the result\n")
+    summary.write_text(json.dumps({"problem": "num_6_1", "V": V, "q0": q0}))
+    argv = ("audit", "--builtin", "num_6_1", "--trace", trace, "--summary", summary)
+    code, out, err = run_cli(capsys, *argv)
+    proc = run_module(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    return code, out, err
+
+
+def test_audit_with_non_finite_result_exits_3(tmp_path, capsys):
+    # at V = 422 the dual value's step between the samples, a dual_gap
+    # going from -1e308 to 1e308, overflows its margin
+    result = audit_of_two_rows(tmp_path, capsys, ("-1e308", "1e308"), 422.0, [0, 0, 0])
+    assert result == (3, "", "error: non-finite number in the result\n")
+
+
+def test_audit_whose_objective_rhs_overflows_at_every_sample(tmp_path, capsys):
+    # ||Q(0)||^2 = 3e20 is finite, but f* + ||Q(0)||^2 / (2 V t) overflows
+    # at both samples at V = 1e-300, so the objective bound, like the dual
+    # bounds below V >= gamma / 2, is not applicable; the constraint and
+    # queue bounds pass
+    code, out, err = audit_of_two_rows(tmp_path, capsys, (0, 0), 1e-300, [1e10, 1e10, 1e10])
+    assert (code, err) == (0, "")
+    report = {entry["bound"]: entry for entry in json.loads(out)}
+    assert [name for name, entry in report.items() if entry["applicable"]] == [
+        "constraint_bound", "queue_bound"]
+    assert all(report[name]["pass"] for name in ("constraint_bound", "queue_bound"))
 
 
 def test_geometric_fit_far_from_t0(tmp_path, capsys):

@@ -633,14 +633,12 @@ def test_a_step_is_compiled_once_per_source(tmp_path):
     # last _CACHED_STEPS shapes is the one that goes
     cache = driftopt.oracles._generate_steps
     cache.cache_clear()
-    files = {}
-    for kind, doc in (("num", {"kind": "num", "c": [1.0], "A": [[1]], "b": [1.0],
-                               "xmax": [2.0]}),
-                      ("qp", {"kind": "qp", "P": [[1.0]], "c": [0.0], "A": [[1.0]],
-                              "b": [1.0]})):
-        path = tmp_path / f"{kind}.json"
+
+    def problem(name, doc):
+        path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
-        files[kind] = str(path)
+        return str(path)
+
     with pytest.MonkeyPatch.context() as patch:
         made = count_generations(patch)
 
@@ -656,12 +654,18 @@ def test_a_step_is_compiled_once_per_source(tmp_path):
         assert solve("--builtin", "num_6_1", "--V", "400")[:2] == (3, 2)
         assert solve("--builtin", "num_6_1", "--V", "500")[:2] == (4, 2)
         assert solve("--builtin", "num_5_2_rank_deficient")[:2] == (4, 3)
-        assert solve("--problem", files["qp"]).currsize == _CACHED_STEPS == 4
-        # qp_6_2 is now the least recently used: a fifth shape drops it
-        assert solve("--problem", files["num"])[1:] == (5, 4, 4)
-        assert solve("--builtin", "num_6_1")[:2] == (5, 5)
-        assert solve("--builtin", "qp_6_2", "--V", "1")[:2] == (5, 6)
-        assert len(made) == 11
+        qp = problem("qp", {"kind": "qp", "P": [[1.0]], "c": [0.0], "A": [[1.0]], "b": [1.0]})
+        assert solve("--problem", qp)[:2] == (4, 4)
+        # qp_6_2 is now the least recently used: the shapes of one link
+        # shared by n = 1, 2, ... flows bring the distinct shapes to
+        # _CACHED_STEPS + 1 and drop it, and it alone
+        for n in range(1, _CACHED_STEPS - 2):
+            info = solve("--problem", problem(f"num{n}", {
+                "kind": "num", "c": [1.0] * n, "A": [[1] * n], "b": [1.0], "xmax": [2.0] * n}))
+        assert info[1:] == (_CACHED_STEPS + 1, _CACHED_STEPS, _CACHED_STEPS)
+        assert solve("--builtin", "num_6_1")[:2] == (5, _CACHED_STEPS + 1)
+        assert solve("--builtin", "qp_6_2", "--V", "1")[:2] == (5, _CACHED_STEPS + 2)
+        assert len(made) == _CACHED_STEPS + 7
 
 
 STEP_NAMES = re.compile(r"q\d+|x\d+|y\d*|v\d+|s|rows|k|_")

@@ -36,7 +36,8 @@ def test_tracer_counts_solve_and_audit(tmp_path, capsys):
     assert (solved, audited) == (0, 0)
     assert tracer.calls["solver"] == 1
     assert tracer.calls["oracles.argmin"] > 0
-    # the bundle constructor looks these up as driftopt.problems globals
+    # the bundle constructor looks the KKT solvers up as driftopt.problems
+    # globals, and the audit the dual values as driftopt.diagnostics ones
     assert tracer.calls["reference"] > 0
     assert tracer.calls["dual_analysis"] > 0
     assert cli.main is main

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from driftopt import BUILTIN_TAGS, builtin, choose_V, load_problem, problems
+from driftopt import (BUILTIN_TAGS, builtin, choose_V, general_dual_hessian,
+                      load_problem, num_dual_hessian, problems)
 from driftopt.problems import BUILTINS, PAPER_CONSTANTS
 from generic_oracle import num_step_in_index_order, qp_step_in_index_order
 from replay import replay, step
@@ -42,14 +43,24 @@ def test_qp_6_2_bundle():
     assert b.constant("gamma_computed") == pytest.approx(3 / 0.34)
 
 
-def test_paper_gamma_below_local_curvature_is_refused(monkeypatch):
-    # a paper gamma must dominate Lc, the strong-concavity modulus of the
-    # dual at lambda*: 0.19 for qp_6_2
-    monkeypatch.setitem(PAPER_CONSTANTS["qp_6_2"], "gamma", 0.2)
-    assert builtin("qp_6_2").constant("gamma") == 0.2
-    monkeypatch.setitem(PAPER_CONSTANTS["qp_6_2"], "gamma", 0.1)
-    with pytest.raises(ValueError, match="below the local curvature"):
-        builtin("qp_6_2")
+def local_curvature(b) -> float:
+    """Lc, the least eigenvalue of -H, H the dual Hessian at lambda*."""
+    if b.kind == "num":
+        hess = num_dual_hessian(b.program, b.reference.lambda_star)
+    else:
+        hess = general_dual_hessian(b.program.A, 2.0 * b.program.P)
+    return -float(np.linalg.eigvalsh(hess).max())
+
+
+def test_every_paper_gamma_dominates_the_local_curvature():
+    # the write-up's gamma, the dual's smoothness modulus, must be at least
+    # Lc, its strong-concavity modulus at lambda*: 0.88 <= 422 on num_6_1
+    # and 0.19 <= 9 on qp_6_2
+    curvature = {tag: local_curvature(builtin(tag))
+                 for tag in BUILTIN_TAGS if "gamma" in PAPER_CONSTANTS[tag]}
+    assert curvature == pytest.approx({"num_6_1": 0.8816, "qp_6_2": 0.1910}, abs=1e-4)
+    for tag, Lc in curvature.items():
+        assert 0 < Lc <= builtin(tag).constant("gamma"), tag
 
 
 def test_a_bundle_is_built_once_per_content(tmp_path, monkeypatch):
