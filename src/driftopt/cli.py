@@ -80,36 +80,32 @@ def _parse_q0(text: str | None, m: int) -> np.ndarray:
 
 
 # The trace this process wrote last: its chunks, as _write_csv wrote them, and
-# its read-only float columns by header name (None for a blank f_err), bitwise
+# its read-only float columns by header name (None for a blank one), bitwise
 # what a parse gives, as "%.17g" round-trips a double and t is an integer < 2**53.
 _last_written: tuple[list[bytes], dict] | None = None
 
 
-def _write_csv(path: Path, trace: IterateTrace, bundle: ProblemBundle) -> dict:
-    """Write the trace with CRLF line ends, as ``csv.writer`` does, every
-    number as ``"%.17g"`` prints it (``csvtext.format_rows``, which formats
-    a cell equal to the one above it once; for ``t``, an integer below
-    2**53, that is ``"%d"``).  Without a reference, ``f_err`` is blank and
-    the dual columns are absent.  The file is written in place
+def _write_csv(path: Path, trace: IterateTrace) -> None:
+    """Write the trace's ``columns`` with CRLF line ends, as ``csv.writer``
+    does, every number as ``"%.17g"`` prints it (``csvtext.format_rows``,
+    which formats a cell equal to the one above it once; for ``t``, an
+    integer below 2**53, that is ``"%d"``).  A None column is blank before
+    the last column that is not (``f_err`` without a reference) and absent
+    after it (the dual columns).  The file is written in place
     (``_rewrite``).  Once it is closed, its chunks (the header, then each
-    512-row slice's text) and columns are ``_last_written``, and the
-    columns are returned."""
+    512-row slice's text) and columns are ``_last_written``."""
     global _last_written
     _last_written = None
-    cols = {"t": trace.t, "f_avg": trace.f_xbar, "f_err": None,
-            **{f"g_{k + 1}": g for k, g in enumerate(trace.g_xbar.T)}, "qnorm": trace.qnorm}
-    if bundle.reference is not None:
-        cols["f_err"] = np.abs(trace.f_xbar - bundle.reference.f_star)
-        cols.update(lambda_dist=trace.lambda_dist, dual_gap=trace.dual_gap)
-    present = {name: c for name, c in cols.items() if c is not None}
-    seps = [b",," if name == "f_avg" and cols["f_err"] is None else b"," for name in present]
-    seps[-1] = b"\r\n"
-    block = np.array(list(present.values()), dtype=float)  # one row per column
+    cols = trace.columns()
+    names, at = list(cols), [j for j, col in enumerate(cols.values()) if col is not None]
+    header, present = names[:at[-1] + 1], [names[j] for j in at]
+    # a present column's cell ends with a comma for itself and each blank after it
+    seps = [b"," * (k - j) for j, k in zip(at, at[1:])] + [b"\r\n"]
+    block = np.array([cols[name] for name in present], dtype=float)  # one row per column
     block.flags.writeable = False
-    chunks = [(",".join(cols) + "\r\n").encode(), *format_rows(block, seps)]
+    chunks = [(",".join(header) + "\r\n").encode(), *format_rows(block, seps)]
     _rewrite(path, chunks)
-    _last_written = chunks, {**dict.fromkeys(cols), **dict(zip(present, block))}
-    return _last_written[1]
+    _last_written = chunks, {**dict.fromkeys(header), **dict(zip(present, block))}
 
 
 def _rewrite(path: Path, chunks) -> None:
@@ -165,13 +161,14 @@ def cmd_solve(args) -> int:
     except FloatingPointError as exc:
         partial = getattr(exc, "partial_trace", None)
         if partial is not None and len(partial):
-            _write_csv(out, partial, bundle)
+            _write_csv(out, partial)
         raise
 
-    # the final block is the CSV's last row, as its "%.17g" text reads back
-    last = {name: None if col is None else float(col[-1])
-            for name, col in _write_csv(out, trace, bundle).items()}
-    last.update(t=int(last["t"]), max_violation=float(max_violation(trace.g_xbar[-1:])[0]))
+    _write_csv(out, trace)
+    # the final block is the CSV's last row but its g_k, as its text reads back
+    final = {name: None if col is None else float(col[-1])
+             for name, col in trace.columns().items() if not name.startswith("g_")}
+    final.update(t=int(final["t"]), max_violation=float(max_violation(trace.g_xbar[-1:])[0]))
     summary = {
         "problem": bundle.tag,
         "algorithm": args.algorithm,
@@ -181,8 +178,7 @@ def cmd_solve(args) -> int:
         "sampling": args.sample,
         "samples": len(trace),
         "max_drift_residual": trace.max_drift_residual,
-        "final": {name: last.get(name) for name in ("t", "f_avg", "f_err", "max_violation",
-                                                    "qnorm", "lambda_dist", "dual_gap")},
+        "final": final,
     }
     return _emit(summary, _summary_path(out))
 
@@ -283,10 +279,8 @@ def cmd_audit(args) -> int:
     bundle = _load_bundle(args)
     path = Path(args.trace)
     summary_path = Path(args.summary) if args.summary else _summary_path(path)
-    gcols = [f"g_{k + 1}" for k in range(bundle.program.m)]
-    needed = ["t", "f_avg", "qnorm"] + gcols
     try:
-        cols = _read_trace_csv(path, {*needed, "lambda_dist", "dual_gap"}.__contains__)
+        cols = _read_trace_csv(path, lambda name: name != "f_err")
         with open(summary_path) as fh:
             summary = json.load(fh)
         problem, V = summary["problem"], _number(summary, "V", "summary")
@@ -301,17 +295,7 @@ def cmd_audit(args) -> int:
         raise ValueError(f"the summary is for problem {problem!r}, not {bundle.tag!r}")
     if bundle.reference is None:
         raise _Failure("no ground-truth solution for this problem")
-    if any(cols.get(name) is None for name in needed):
-        raise ValueError("trace CSV lacks required columns")
-
-    have_dual = cols.get("lambda_dist") is not None and cols.get("dual_gap") is not None
-    trace = IterateTrace(
-        t=cols["t"], f_xbar=cols["f_avg"],
-        g_xbar=np.stack([cols[name] for name in gcols], axis=1),
-        qnorm=cols["qnorm"],
-        lambda_dist=cols["lambda_dist"] if have_dual else None,
-        dual_gap=cols["dual_gap"] if have_dual else None, V=V)
-
+    trace = IterateTrace.from_columns(cols, bundle.program.m, V)
     gamma = args.gamma if args.gamma is not None else bundle.constant("gamma")
     report = audit_bounds(trace, bundle.reference, bundle.program, q0,
                           gamma=gamma, oracle=bundle.oracle)

@@ -4,7 +4,7 @@
 the linear constraints and the moduli alpha and beta that the guarantees
 need.  Programs are immutable value objects, a queue is a checked
 read-only array (``_as_queue``) and the functions are pure; a trace is a
-mutable record whose constructor normalizes its ``t`` column.
+mutable record whose constructor checks and normalizes its ``t`` column.
 """
 
 from __future__ import annotations
@@ -128,27 +128,50 @@ class IterateTrace:
     """Sampled history of a solver run, one row per sampled iteration t >= 1,
     plus run-level summary quantities.
 
-    ``g_xbar`` is S x m, the other columns have length S; the dual columns
-    are None without a reference solution.  These are the CSV's columns, so
-    a trace read back from its CSV is whole.
+    ``g_xbar`` is S x m, the other columns have length S; ``f_err``,
+    |f_xbar - f*|, and the dual columns are None without a reference.
+    ``columns`` lays them out as the CSV's and ``from_columns`` reads them back.
     """
 
     t: np.ndarray
     f_xbar: np.ndarray
     g_xbar: np.ndarray
     qnorm: np.ndarray
+    f_err: np.ndarray | None = None
     lambda_dist: np.ndarray | None = None
     dual_gap: np.ndarray | None = None
     V: float = 1.0
     max_drift_residual: float = 0.0
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=int)
+        t = np.asarray(self.t)
+        if not np.all(np.isfinite(t) & (t >= 1) & (t == np.floor(t))):
+            raise ValueError("trace iteration indices t must be integers >= 1")
+        self.t = np.asarray(t, dtype=int)
         if np.any(np.diff(self.t) <= 0):
             raise ValueError("trace iteration indices must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.t)
+
+    def columns(self) -> dict:
+        """The CSV's columns by header name, in order (t, f_avg, f_err,
+        g_1..g_m, qnorm, lambda_dist, dual_gap), None where the trace has none."""
+        return {"t": self.t, "f_avg": self.f_xbar, "f_err": self.f_err,
+                **{f"g_{k + 1}": g for k, g in enumerate(self.g_xbar.T)},
+                "qnorm": self.qnorm, "lambda_dist": self.lambda_dist, "dual_gap": self.dual_gap}
+
+    @classmethod
+    def from_columns(cls, cols: dict, m: int, V: float) -> IterateTrace:
+        """The trace at penalty ``V`` of the ``columns`` of m constraints in
+        ``cols``; one that is None or missing is None, and must not be t, f_avg,
+        a g_k or qnorm."""
+        g = [cols.get(f"g_{k + 1}") for k in range(m)]
+        if any(c is None for c in (cols.get("t"), cols.get("f_avg"), cols.get("qnorm"), *g)):
+            raise ValueError("trace CSV lacks required columns")
+        return cls(t=cols["t"], f_xbar=cols["f_avg"], f_err=cols.get("f_err"),
+                   g_xbar=np.stack(g, axis=1), qnorm=cols["qnorm"],
+                   lambda_dist=cols.get("lambda_dist"), dual_gap=cols.get("dual_gap"), V=V)
 
 
 # Samples per decade of t under log sampling.

@@ -93,7 +93,7 @@ class _Recorder:
     """The per-block pass of one run: each call rebuilds a block's x and g
     rows, checks the drift identity of its steps, adds its x rows to the
     prefix sums and fills the samples it holds.  ``dual`` is (lambda*,
-    q(lambda*)), or None for a run without a reference."""
+    q(lambda*), f*), or None for a run without a reference."""
 
     def __init__(self, program, argmin, *, V, ts, variant, iters, block, dual):
         # Sample i averages x over the window [lo[i], hi[i]).
@@ -118,7 +118,7 @@ class _Recorder:
         self.out = IterateTrace(t=ts, f_xbar=np.empty(S), g_xbar=np.empty((S, m)),
                                 qnorm=np.empty(S), V=V)
         if dual is not None:
-            self.out.lambda_dist, self.out.dual_gap = np.empty(S), np.empty(S)
+            self.out.f_err, self.out.lambda_dist, self.out.dual_gap = np.empty((3, S))
         self.X, self.G = np.empty((block, n)), np.empty((block, m))
         self.sum_x, self.i, self.j = np.zeros(n), 0, 0
         self.program, self.argmin, self.iters, self.dual = program, argmin, iters, dual
@@ -171,11 +171,13 @@ class _Recorder:
                 / self.width[new, None])
         out.f_xbar[new], out.g_xbar[new] = objective(xbar), constraints(xbar)
         if self.dual is not None:
-            lam_star, q_star = self.dual
+            lam_star, q_star, f_star = self.dual
+            out.f_err[new] = np.abs(out.f_xbar[new] - f_star)
             lam_t = Q[rows] / out.V
             d = lam_t - lam_star
             out.lambda_dist[new] = np.sqrt(np.vecdot(d, d))
             out.dual_gap[new] = q_star - (objective(X[rows]) + np.vecdot(lam_t, G[rows]))
+        # f_err is left out: an |f_avg - f*| that overflows is written as inf
         columns = (out.f_xbar, out.g_xbar, out.qnorm, out.lambda_dist, out.dual_gap)
         finite = np.isfinite(np.column_stack([c[new] for c in columns if c is not None]))
         if not finite.all():
@@ -202,19 +204,19 @@ def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
     step leaves Q bitwise unchanged, the run copies that row on, unstepped.
 
     When ``reference`` (a KktSolution) is given, each sample also records
-    the dual-iterate distance ||lambda(t) - lambda*|| and the dual gap
-    q(lambda*) - q(lambda(t)); the dual value at lambda(t) is exact because
-    x(t) attains the inner minimum defining q.  The residual of the exact
-    drift identity, between the oracle's queue step and the constraint
-    values of the rebuilt x, is checked on every iteration, once per
-    block; x-bar, f(x-bar) and g(x-bar) are computed only at sampled t,
-    with one call of f and one of g per block.  The shape of g(x) is
-    checked once, at x(Q(0)), before the first step.  An oracle that
-    cannot be built at V raises before the first step.  The arithmetic
-    runs with numpy's floating-point warnings off: a sample with a
-    non-finite value ends the run at the end of its block, and the
-    FloatingPointError carries the samples before it and the residuals
-    of the steps through that block as ``partial_trace``.
+    the objective error |f(x-bar) - f*|, the dual-iterate distance
+    ||lambda(t) - lambda*|| and the dual gap q(lambda*) - q(lambda(t)); the
+    dual value at lambda(t) is exact because x(t) attains the inner minimum
+    defining q.  The residual of the exact drift identity, between the
+    oracle's queue step and the constraint values of the rebuilt x, is
+    checked on every iteration, once per block; x-bar, f(x-bar) and
+    g(x-bar) are computed only at sampled t, with one call of f and one of
+    g per block.  The shape of g(x) is checked once, at x(Q(0)), before the
+    first step.  An oracle that cannot be built at V raises before the
+    first step.  The arithmetic runs with numpy's floating-point warnings
+    off: a sample with a non-finite value ends the run at the end of its
+    block, and the FloatingPointError carries the samples before it and the
+    residuals of the steps through that block as ``partial_trace``.
 
     Deterministic: identical inputs give identical traces.
     """
@@ -243,7 +245,8 @@ def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
     with np.errstate(all="ignore"):
         if reference is not None:
             lam_star = np.asarray(reference.lambda_star, dtype=float)
-            dual = lam_star, dual_value_and_gradient(program, oracle, lam_star)[0]
+            dual = (lam_star, dual_value_and_gradient(program, oracle, lam_star)[0],
+                    reference.f_star)
         inner = oracle(V)
         _as_vector(program.constraints(inner.argmin(Q[0])), program.m, "g(x)")
         record = _Recorder(program, inner.argmin, V=V, ts=ts, variant=variant,

@@ -1,5 +1,5 @@
-"""Mutation check for the DPP kernel, the oracles, the diagnostics, the reference
-and the checks of a program and a queue.
+"""Mutation check for the DPP kernel, the oracles, the diagnostics, the reference,
+the checks of a program and a queue, and the trace's layout.
 
     python tests/mutants.py [NAME ...]
 
@@ -32,6 +32,7 @@ S, D, O, R, C = "solver.py", "diagnostics.py", "oracles.py", "reference.py", "co
 T_SOLVER, T_DIAG = "tests/test_solver.py", "tests/test_diagnostics.py"
 T_CORE = "tests/test_core.py"
 T_ORACLES, T_ERRORS = "tests/test_oracles.py", "tests/test_cli_errors.py"
+T_CLI = "tests/test_cli.py"
 
 # (name, module, original text, mutated text, tests that must kill it)
 MUTANTS = [
@@ -110,6 +111,14 @@ MUTANTS = [
      [f"{T_CORE}::test_queue_state_is_a_read_only_copy_that_admits_zeros"]),
     ("alpha-finite-check-dropped", C, "if not np.isfinite(self.alpha):", "if False:",
      [f"{T_ERRORS}::test_alpha_that_overflows_exits_2_at_load"]),
+    ("trace-t-from-zero", C, "(t >= 1)", "(t >= 0)",
+     [f"{T_CORE}::test_trace_requires_increasing_t"]),
+    ("dual-columns-read-swapped", C,
+     'lambda_dist=cols.get("lambda_dist"), dual_gap=cols.get("dual_gap")',
+     'lambda_dist=cols.get("dual_gap"), dual_gap=cols.get("lambda_dist")',
+     [f"{T_CLI}::test_trace_csv_round_trips_bitwise"]),
+    ("objective-error-adds-f-star", S, "out.f_xbar[new] - f_star", "out.f_xbar[new] + f_star",
+     [f"{T_CLI}::test_csv_bytes_match_the_csv_module_with_reference"]),
 ]
 
 

@@ -492,7 +492,7 @@ def solve_linear(tmp_path, capsys, source, bundle, iters, algorithm="dpp",
         trace = run(bundle.program, bundle.oracle,
                     V=V if V is not None else choose_V(bundle.program),
                     q0=np.full(bundle.program.m, q0), iters=iters,
-                    variant=algorithm.replace("-", "_"), sample="linear",
+                    variant=cli.ALGORITHMS[algorithm], sample="linear",
                     reference=bundle.reference)
     return out, trace
 
@@ -551,30 +551,59 @@ def test_write_csv_matches_the_csv_module_on_synthetic_traces(tmp_path, m, with_
                              g_xbar=synthetic_cells(rng, (rows, m)),
                              qnorm=synthetic_cells(rng, rows), lambda_dist=dual[0],
                              dual_gap=dual[1])
-        # the CLI computes f_err after run has checked the trace's columns:
-        # |f_avg - f*| overflows here, and %.17g writes the cell as inf
+        # run leaves f_err out of its finite check: |f_avg - f*| overflows
+        # here, and %.17g writes the cell as inf
         trace.f_xbar[0] = 1.7976931348623157e308
         out = tmp_path / f"{rows}.csv"
         with np.errstate(over="ignore"):
-            cli._write_csv(out, trace, bundle)
+            if with_reference:
+                trace.f_err = np.abs(trace.f_xbar - reference.f_star)
+            cli._write_csv(out, trace)
             expected = csv_module_bytes(trace, bundle)
         assert out.read_bytes() == expected, rows
         assert expected.split(b"\r\n")[1].split(b",")[2] == (b"inf" if with_reference else b"")
 
 
 @pytest.mark.parametrize("tag,algorithm,V,q0", [
-    ("qp_6_2", "dpp", None, 0.0), ("num_6_1", "dpp-shifted", 422.0, 3.0),
+    *((tag, algorithm, None, 0.0) for tag in BUILTINS for algorithm in sorted(cli.ALGORITHMS)),
+    ("num_6_1", "dpp-shifted", 422.0, 3.0),
 ])
-def test_trace_csv_round_trips_bitwise(tmp_path, capsys, tag, algorithm, V, q0):
-    out, trace = solve_linear(tmp_path, capsys, ["--builtin", tag], builtin(tag),
-                              2000, algorithm, V=V, q0=q0)
-    cols = _read_trace_csv(out, lambda name: True)
-    assert np.array_equal(cols["t"], trace.t)
-    assert np.array_equal(cols["f_avg"], trace.f_xbar)
-    g = np.stack([cols[f"g_{k + 1}"] for k in range(trace.g_xbar.shape[1])], axis=1)
-    assert np.array_equal(g, trace.g_xbar)
-    for name in ("qnorm", "lambda_dist", "dual_gap"):
-        assert np.array_equal(cols[name], getattr(trace, name)), name
+def test_trace_csv_round_trips_bitwise(tmp_path, capsys, monkeypatch, tag, algorithm, V, q0):
+    # every column of the CSV, parsed, rebuilds run's trace field for field,
+    # f_err included; the run-level fields are the summary's
+    bundle = builtin(tag)
+    out, trace = solve_linear(tmp_path, capsys, ["--builtin", tag], bundle, 2000, algorithm,
+                              V=V, q0=q0)
+    monkeypatch.setattr(cli, "_last_written", None)
+    summary = json.loads(summary_of(out).read_text())
+    back = IterateTrace.from_columns(_read_trace_csv(out, lambda name: True),
+                                     bundle.program.m, summary["V"])
+    back.max_drift_residual = summary["max_drift_residual"]
+    assert trace.f_err is not None
+    for name, want in vars(trace).items():
+        got = getattr(back, name)
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes()), name
+        else:
+            assert repr(got) == repr(want), name
+
+
+def test_a_column_added_to_the_layout_is_written_summarized_and_read(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the CSV, the summary's final block and the reader all follow
+    # IterateTrace.columns: no list of columns is kept beside it
+    columns = IterateTrace.columns
+    monkeypatch.setattr(IterateTrace, "columns",
+                        lambda self: {**columns(self), "scratch": 2.0 * self.qnorm})
+    out, summary = solve_qp(tmp_path, capsys, iters=200)
+    assert out.read_text().splitlines()[0].endswith(",dual_gap,scratch")
+    assert summary["final"]["scratch"] == 2.0 * summary["final"]["qnorm"]
+    hit = read_all(out)
+    monkeypatch.setattr(cli, "_last_written", None)
+    for cols in (hit, read_all(out)):
+        assert list(cols)[-2:] == ["dual_gap", "scratch"]
+        assert np.array_equal(cols["scratch"], 2.0 * cols["qnorm"])
 
 
 def test_read_trace_csv_parses_only_the_selected_columns(tmp_path, capsys):

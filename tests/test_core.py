@@ -79,6 +79,10 @@ def test_trace_requires_increasing_t():
         IterateTrace(t=[1, 5, 5], **cols)
     with pytest.raises(ValueError):
         IterateTrace(t=[1, 5, 2], **cols)
+    # t is an integer >= 1, as the CSV reader asks: neither truncated nor from 0
+    for t in ([1.5, 2.7, 3.9], [0, 1, 2]):
+        with pytest.raises(ValueError, match=r"\bt must be integers >= 1"):
+            IterateTrace(t=t, **cols)
 
 
 def test_trace_columns():
