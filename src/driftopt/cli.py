@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import IterateTrace, _as_queue
+from .core import IterateTrace, _as_queue, _check_t
 from .csvtext import format_rows
 from .diagnostics import (audit_bounds, audit_passed, fit_geometric, fit_power_decay,
                           max_violation)
@@ -80,8 +80,8 @@ def _parse_q0(text: str | None, m: int) -> np.ndarray:
 
 
 # The trace this process wrote last: its chunks, as _write_csv wrote them, and
-# its read-only float columns by header name (None for a blank one), bitwise
-# what a parse gives, as "%.17g" round-trips a double and t is an integer < 2**53.
+# its read-only float columns by header name (None for a blank one), bitwise what
+# a parse gives, as "%.17g" round-trips a double and t is core._check_t's integer.
 _last_written: tuple[list[bytes], dict] | None = None
 
 
@@ -89,7 +89,7 @@ def _write_csv(path: Path, trace: IterateTrace) -> None:
     """Write the trace's ``columns`` with CRLF line ends, as ``csv.writer``
     does, every number as ``"%.17g"`` prints it (``csvtext.format_rows``,
     which formats a cell equal to the one above it once; for ``t``, an
-    integer below 2**53, that is ``"%d"``).  A None column is blank before
+    integer <= 2**53, that is ``"%d"``).  A None column is blank before
     the last column that is not (``f_err`` without a reference) and absent
     after it (the dual columns).  The file is written in place
     (``_rewrite``).  Once it is closed, its chunks (the header, then each
@@ -193,8 +193,7 @@ def _read_trace_csv(path: Path, columns) -> dict:
     in ``_last_written``.  A file that differs, or a pipe, is parsed as
     UTF-8 from the same handle.  A row whose field count differs from the
     header's, a blank, non-numeric or non-finite cell in a parsed column,
-    or a ``t`` that is not an integer >= 1 or not strictly increasing,
-    raises ValueError.
+    or a ``t`` that ``core._check_t`` refuses raises ValueError.
     """
     written, entry = _last_written or ((), None)
     with open(path, "rb") as fh:
@@ -208,11 +207,8 @@ def _read_trace_csv(path: Path, columns) -> dict:
     for name, col in cols.items():
         if col is not None and not np.isfinite(col).all():
             raise ValueError(f"trace CSV column {name!r} holds a non-finite number")
-    t = cols.get("t")
-    if t is not None and not (np.all(t >= 1) and np.array_equal(t, np.floor(t))):
-        raise ValueError("trace CSV column 't' must hold integers >= 1")
-    if t is not None and np.any(np.diff(t) <= 0):
-        raise ValueError("trace CSV column 't' must be strictly increasing")
+    if cols.get("t") is not None:
+        _check_t(cols["t"], "trace CSV column 't'")
     return cols
 
 

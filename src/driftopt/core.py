@@ -123,6 +123,19 @@ def _as_queue(q) -> np.ndarray:
 QueueState = _as_queue  # the name perfbench/tracing.py looks up (ROADMAP item 1)
 
 
+def _check_t(t, name: str) -> np.ndarray:
+    """``t`` as an array, if it holds integers 1 <= t_1 < t_2 < ... <= 2**53, each
+    exact as a double, as a solve writes them; else a ValueError naming ``name``."""
+    t = np.asarray(t)
+    if not np.all((t >= 1) & (t == np.floor(t))):  # NaN fails here
+        raise ValueError(f"{name} must hold integers >= 1")
+    if np.any(t > 2**53):  # +inf fails here; an int, as int64 2**53 + 1 <= 2.0**53
+        raise ValueError(f"{name} must be at most 2**53")
+    if np.any(np.diff(t) <= 0):
+        raise ValueError(f"{name} must be strictly increasing")
+    return t
+
+
 @dataclass
 class IterateTrace:
     """Sampled history of a solver run, one row per sampled iteration t >= 1,
@@ -144,12 +157,7 @@ class IterateTrace:
     max_drift_residual: float = 0.0
 
     def __post_init__(self):
-        t = np.asarray(self.t)
-        if not np.all(np.isfinite(t) & (t >= 1) & (t == np.floor(t))):
-            raise ValueError("trace iteration indices t must be integers >= 1")
-        self.t = np.asarray(t, dtype=int)
-        if np.any(np.diff(self.t) <= 0):
-            raise ValueError("trace iteration indices must be strictly increasing")
+        self.t = np.asarray(_check_t(self.t, "trace iteration indices t"), dtype=int)
 
     def __len__(self) -> int:
         return len(self.t)

@@ -55,18 +55,6 @@ def max_violation(g_xbar: np.ndarray) -> np.ndarray:
     return violation
 
 
-def _tail_window(ts: np.ndarray, window_fraction: float,
-                 window: tuple[float, float] | None):
-    if window is not None:
-        lo, hi = window
-        return (ts >= lo) & (ts <= hi)
-    if not (0 < window_fraction <= 1):
-        raise ValueError("window_fraction must be in (0, 1]")
-    log_t = np.log10(ts.astype(float))
-    cut = log_t.max() - window_fraction * (log_t.max() - log_t.min())
-    return log_t >= cut
-
-
 def _quality(log_e: np.ndarray, predicted: np.ndarray) -> float:
     ss_res = float(np.sum((log_e - predicted) ** 2))
     ss_tot = float(np.sum((log_e - log_e.mean()) ** 2))
@@ -78,7 +66,15 @@ def _quality(log_e: np.ndarray, predicted: np.ndarray) -> float:
 def _prepare(ts, errors, window_fraction, window):
     ts = np.asarray(ts, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    mask = _tail_window(ts, window_fraction, window) & (errors > 0)
+    if window is not None:
+        lo, hi = window
+        in_window = (ts >= lo) & (ts <= hi)
+    elif not (0 < window_fraction <= 1):
+        raise ValueError("window_fraction must be in (0, 1]")
+    else:  # the last window_fraction of the range of log t
+        log_t = np.log10(ts)
+        in_window = log_t >= log_t.max() - window_fraction * (log_t.max() - log_t.min())
+    mask = in_window & (errors > 0)
     if mask.sum() < 10:
         raise ValueError("need at least 10 positive samples in the fit window")
     return ts[mask], errors[mask]

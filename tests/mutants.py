@@ -1,5 +1,5 @@
 """Mutation check for the DPP kernel, the oracles, the diagnostics, the reference,
-the checks of a program and a queue, and the trace's layout.
+the checks of a program, a queue and a trace's t, and the trace's layout.
 
     python tests/mutants.py [NAME ...]
 
@@ -111,8 +111,16 @@ MUTANTS = [
      [f"{T_CORE}::test_queue_state_is_a_read_only_copy_that_admits_zeros"]),
     ("alpha-finite-check-dropped", C, "if not np.isfinite(self.alpha):", "if False:",
      [f"{T_ERRORS}::test_alpha_that_overflows_exits_2_at_load"]),
-    ("trace-t-from-zero", C, "(t >= 1)", "(t >= 0)",
+    ("trace-t-from-zero", C, "np.all((t >= 1)", "np.all((t >= 0)",
      [f"{T_CORE}::test_trace_requires_increasing_t"]),
+    # an int64 2**53 + 1 converts to the double 2.0**53, so only an int t tells
+    ("trace-t-bound-as-float", C, "t > 2**53", "t > 2.0**53",
+     [f"{T_CORE}::test_trace_requires_increasing_t"]),
+    ("trace-t-bound-dropped", C, "if np.any(t > 2**53):", "if False:",
+     [f"{T_ERRORS}::test_trace_reader_rejects_bad_cells"]),
+    # audit would still refuse the column, as its trace checks t; fit would not
+    ("reader-t-check-dropped", "cli.py", """_check_t(cols["t"], "trace CSV column 't'")""",
+     "None", [f"{T_ERRORS}::test_trace_reader_rejects_bad_cells"]),
     ("dual-columns-read-swapped", C,
      'lambda_dist=cols.get("lambda_dist"), dual_gap=cols.get("dual_gap")',
      'lambda_dist=cols.get("dual_gap"), dual_gap=cols.get("lambda_dist")',

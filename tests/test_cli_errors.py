@@ -25,11 +25,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def qp_trace(tmp_path, capsys, iters=2000):
+def qp_trace(tmp_path, capsys, iters=2000, sample="log"):
     """A qp_6_2 dpp trace and its summary; returns the CSV path."""
     out = tmp_path / "qp.csv"
     code, _, _ = run_cli(capsys, "solve", "--builtin", "qp_6_2",
-                         "--iters", iters, "--out", out)
+                         "--iters", iters, "--sample", sample, "--out", out)
     assert code == 0
     return out
 
@@ -42,6 +42,12 @@ def edit_cell(path: Path, row: int, column: str, value: str) -> None:
     cells[header.index(column)] = value
     lines[1 + row] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
+
+
+def rescale_t(path: Path, scale) -> None:
+    """Rewrite the ``t`` of data row k (from 1) of a trace CSV as ``scale * k``."""
+    for k in range(1, len(path.read_text().splitlines())):
+        edit_cell(path, k - 1, "t", repr(scale * k))
 
 
 def fit_args(path, series="obj", model="power"):
@@ -338,11 +344,21 @@ def test_geometric_fit_far_from_t0(tmp_path, capsys):
     ("fit", "f_err", "inf", "column 'f_err' holds a non-finite number"),
     ("audit", "t", "2", "column 't' must be strictly increasing"),  # repeats row 1
     ("fit", "t", "2", "column 't' must be strictly increasing"),
+    # a number in place of a cell is a scale: t becomes scale * k in row k,
+    # strictly increasing integers but past 2**53, where a double skips some
+    ("audit", "t", 2**62, "column 't' must be at most 2**53"),
+    ("fit", "t", 2**62, "column 't' must be at most 2**53"),
+    ("audit", "t", 1e300, "column 't' must be at most 2**53"),
+    ("fit", "t", 1e300, "column 't' must be at most 2**53"),
 ], ids=lambda v: str(v))
 def test_trace_reader_rejects_bad_cells(tmp_path, capsys, command, column, value,
                                         message):
-    out = qp_trace(tmp_path, capsys)
-    edit_cell(out, 0, column, value)
+    if isinstance(value, str):
+        out = qp_trace(tmp_path, capsys)
+        edit_cell(out, 0, column, value)
+    else:
+        out = qp_trace(tmp_path, capsys, iters=30, sample="linear")
+        rescale_t(out, value)
     if command == "audit":
         argv, prefix = ("audit", "--builtin", "qp_6_2", "--trace", out), "trace/summary"
     else:
@@ -414,14 +430,39 @@ def test_overflow_exits_3_with_warnings_as_errors(tmp_path, argv):
 
 
 def test_geometric_fit_overflow_exits_3_with_warnings_as_errors(tmp_path):
-    # t e(t) overflows at t ~ 1e300 and the regression is rank deficient;
-    # neither numpy warning may escape the fit
-    path = tmp_path / "huge_t.csv"
-    path.write_text("t,f_err\n" + "".join(f"{10 ** 300 * k},{1.0 / k!r}\n"
+    # t e(t) overflows at t ~ 2**47 (a t the reader accepts) and e ~ 1e300;
+    # no numpy warning may escape the fit
+    path = tmp_path / "huge_te.csv"
+    path.write_text("t,f_err\n" + "".join(f"{2**47 * k},{1e300 / k!r}\n"
                                           for k in range(1, 31)))
     proc = run_module(*fit_args(path, model="geometric"), python_flags=("-W", "error"))
     assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr == "error: geometric fit produced ratio 1 outside (0, 1)\n"
+    assert proc.stderr == "error: geometric fit produced ratio nan outside (0, 1)\n"
+
+
+def test_solve_past_2_53_iterations_exits_2_before_the_first_step(tmp_path, capsys):
+    # its last sample's t would pass 2**53, which no trace holds: refused at
+    # once where it used to step for ever, and nothing is written
+    code, out, err = run_cli(capsys, "solve", "--builtin", "qp_6_2", "--iters", 2**53 + 1,
+                             "--out", tmp_path / "x.csv")
+    assert (code, out, err) == (2, "", "error: trace iteration indices t must be at most 2**53\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("scale", [2**62, 1e300], ids=str)
+@pytest.mark.parametrize("command", ["audit", "fit"])
+def test_t_past_2_53_exits_2_with_warnings_as_errors(tmp_path, capsys, command, scale):
+    # the reader refuses the column before any cast of it to int64 can warn
+    out = qp_trace(tmp_path, capsys, iters=30, sample="linear")
+    rescale_t(out, scale)
+    if command == "audit":
+        argv, prefix = ("audit", "--builtin", "qp_6_2", "--trace", out), "trace/summary"
+    else:
+        argv, prefix = fit_args(out), "trace"
+    proc = run_module(*argv, python_flags=("-W", "error"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: cannot read {prefix}: "
+                           "trace CSV column 't' must be at most 2**53\n")
 
 
 def test_V_below_the_threshold_exits_2_with_warnings_as_errors(tmp_path):

@@ -81,7 +81,15 @@ def test_trace_requires_increasing_t():
         IterateTrace(t=[1, 5, 2], **cols)
     # t is an integer >= 1, as the CSV reader asks: neither truncated nor from 0
     for t in ([1.5, 2.7, 3.9], [0, 1, 2]):
-        with pytest.raises(ValueError, match=r"\bt must be integers >= 1"):
+        with pytest.raises(ValueError, match=r"\bt must hold integers >= 1"):
+            IterateTrace(t=t, **cols)
+    # and at most 2**53, where a double still holds every integer: the bound
+    # is the int, as an int64 2**53 + 1 compares <= the double 2.0**53
+    cols = dict(f_xbar=np.zeros(2), g_xbar=np.zeros((2, 1)), qnorm=np.zeros(2))
+    for t in ([1, 2**53], np.array([1.0, 2.0**53])):
+        assert IterateTrace(t=t, **cols).t.tolist() == [1, 2**53]
+    for t in (np.array([1, 2**53 + 1]), [1.0, 2.0**53 + 2]):
+        with pytest.raises(ValueError, match=r"\bt must be at most 2\*\*53$"):
             IterateTrace(t=t, **cols)
 
 

@@ -105,6 +105,15 @@ def test_fit_geometric_rejects_growth():
         fit_geometric(ts, (1.0 / ts) * 1.01 ** ts)
 
 
+def test_fit_geometric_far_past_the_csv_bound_raises_without_warning():
+    # the fits take any t, also t ~ 1e300 that no trace CSV holds: (t - t_lo)^2
+    # overflows polyfit's column scale and the regression is rank deficient;
+    # neither numpy warning escapes (the tests turn warnings into errors)
+    ts = 1e300 * np.arange(1, 31)
+    with pytest.raises(ValueError, match=r"^geometric fit produced ratio 1 outside \(0, 1\)$"):
+        fit_geometric(ts, 1.0 / np.arange(1, 31))
+
+
 def test_audit_accepts_compliant_synthetic_trace():
     # every bound satisfied with 10% slack must pass the audit
     b = builtin("qp_6_2")
