@@ -248,7 +248,7 @@ def cmd_fit(args) -> int:
                                lambda name: name == "t" or name.startswith(prefix))
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read trace: {exc}") from exc
-    if "t" not in cols:
+    if cols.get("t") is None:
         raise ValueError("trace CSV lacks a 't' column")
     if args.series == "obj":
         if cols.get("f_err") is None:

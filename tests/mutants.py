@@ -1,5 +1,6 @@
-"""Mutation check for the DPP kernel, the oracles, the diagnostics, the reference,
-the checks of a program, a queue and a trace's t, and the trace's layout.
+"""Mutation check for the DPP kernel and its queue cache, the oracles, the
+diagnostics, the reference, the checks of a program, a queue and a trace's
+t, and the trace's layout.
 
     python tests/mutants.py [NAME ...]
 
@@ -127,6 +128,25 @@ MUTANTS = [
      [f"{T_CLI}::test_trace_csv_round_trips_bitwise"]),
     ("objective-error-adds-f-star", S, "out.f_xbar[new] - f_star", "out.f_xbar[new] + f_star",
      [f"{T_CLI}::test_csv_bytes_match_the_csv_module_with_reference"]),
+    ("queue-key-drops-q0", S, "key = _kept(oracle), (V, q0.tobytes())",
+     'key = _kept(oracle), (V, b"")',
+     [f"{T_SOLVER}::test_another_key_misses_the_queue_cache"]),
+    ("queue-key-drops-V", S, "key = _kept(oracle), (V, q0.tobytes())",
+     "key = _kept(oracle), (None, q0.tobytes())",
+     [f"{T_SOLVER}::test_another_key_misses_the_queue_cache"]),
+    ("queue-hit-ignores-p-below-k", S, "fixed is None or fixed - t0 >= k else",
+     "fixed is None else", [f"{T_SOLVER}::test_kept_rows_fill_a_block_as_its_steps_do"]),
+    ("queue-past-fixed-point-p-none", S, "else max(fixed - t0, 0)",
+     "else (fixed - t0 if fixed >= t0 else None)",
+     [f"{T_SOLVER}::test_a_repeated_run_steps_no_kept_block"]),
+    ("queue-truncated-rows-keep-t-star", S, "None if p is None or end <= t0 + p else t0 + p",
+     "None if p is None else t0 + p",
+     [f"{T_SOLVER}::test_a_one_shot_solve_of_many_constraints_keeps_at_most_the_byte_bound"]),
+    ("queue-bytes-unbounded", S, "r.nbytes for r, _ in kept.values()) > _CACHED_BYTES",
+     "r.nbytes for r, _ in kept.values()) > 4 * _CACHED_BYTES",
+     [f"{T_SOLVER}::test_a_queue_with_no_fixed_point_keeps_at_most_the_byte_bound"]),
+    ("queue-count-unbounded", S, "len(kept) >= _CACHED_TRAJECTORIES or ", "",
+     [f"{T_SOLVER}::test_kept_rows_go_with_their_factory"]),
 ]
 
 

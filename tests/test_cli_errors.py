@@ -87,6 +87,15 @@ def test_fit_without_t_column(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: trace CSV lacks a 't' column\n")
 
 
+@pytest.mark.parametrize("series, column", [("obj", "f_err"), ("constraint", "g_1")])
+def test_fit_with_blank_t_column(tmp_path, capsys, series, column):
+    # a column blank in its first data row is read as absent
+    path = tmp_path / "t.csv"
+    path.write_text(f"t,{column}\n" + "".join(f",{1.0 / k}\n" for k in range(1, 13)))
+    code, out, err = run_cli(capsys, *fit_args(path, series=series))
+    assert (code, out, err) == (2, "", "error: trace CSV lacks a 't' column\n")
+
+
 def test_fit_constraint_without_g_columns(tmp_path, capsys):
     path = tmp_path / "t.csv"
     path.write_text("t,f_err,qnorm\n1,1.0,0.0\n")

@@ -1,8 +1,8 @@
 """Checks that need a fresh interpreter: ``python -m driftopt``, which
 modules a command loads, when the CLI builds its parser and the CSV
 formatter its tables, that a one-shot command prints and writes what a
-warm in-process one does (with the bundle cache and the columns of the
-trace just written), and the benchmark's set-up probe
+warm in-process one does (with the bundle cache, the queue cache and the
+columns of the trace just written), and the benchmark's set-up probe
 (perfbench/setup_probe.py) and runner (perfbench/run.py) run on this
 checkout.
 
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from driftopt import cli, problems
+from driftopt import cli, problems, solver
 from driftopt.problems import BUILTINS
 from test_perfbench_checks import load
 
@@ -201,6 +201,29 @@ def test_reads_of_the_trace_just_written_print_what_a_fresh_process_does(
         warm = capsys.readouterr()
         proc = python("-m", "driftopt", *argv, cwd=tmp_path)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, warm.out, warm.err), argv
+
+
+def test_a_solve_that_copies_its_queue_writes_what_a_fresh_process_does(
+        tmp_path, capsys, monkeypatch):
+    # in process, dpp-shifted and the dual subgradient method at dpp's V,
+    # and dpp again, copy the queue rows that the first dpp solve stepped; a
+    # fresh `python -m driftopt` steps its own.  Both print and write the
+    # same bytes.
+    stepped, step = [], solver._step_to_fixed_point
+    monkeypatch.setattr(solver, "_step_to_fixed_point",
+                        lambda steps, Q: stepped.append(len(Q)) or step(steps, Q))
+    for i, algorithm in enumerate(["dpp", "dpp-shifted", "dual-subgradient", "dpp"]):
+        argv = ["solve", "--builtin", "num_6_1", "--algorithm", algorithm, "--iters", "10000"]
+        out = [tmp_path / f"{where}{i}.csv" for where in ("warm", "fresh")]
+        stepped.clear()
+        code = cli.main([*argv, "--out", str(out[0])])
+        warm = capsys.readouterr()
+        assert bool(stepped) == (i == 0), algorithm
+        proc = python("-m", "driftopt", *argv, "--out", str(out[1]), cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, warm.out, warm.err)
+        for suffix in ("", ".summary.json"):
+            written = [Path(f"{path}{suffix}").read_bytes() for path in out]
+            assert written[0] == written[1], (algorithm, suffix)
 
 
 @pytest.mark.parametrize("source", ["builtin", "problem"])

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import driftopt.oracles
+import driftopt.solver
 from driftopt import (ClosedFormNumOracle, ClosedFormQpOracle, NumInstance, QpInstance,
                       builtin, choose_V)
 from driftopt.cli import main
@@ -630,7 +631,8 @@ def test_a_step_is_compiled_once_per_source(tmp_path):
     # per shape in a process.  qp_6_2 compiles once under dpp, under the dual
     # subgradient method and at a second V, and num_6_1 once at three V.
     # Each oracle still generates once, and the least recently used of the
-    # last _CACHED_STEPS shapes is the one that goes
+    # last _CACHED_STEPS shapes is the one that goes.  The kept queue rows
+    # are dropped before each solve, so that each steps its oracle
     cache = driftopt.oracles._generate_steps
     cache.cache_clear()
 
@@ -643,6 +645,7 @@ def test_a_step_is_compiled_once_per_source(tmp_path):
         made = count_generations(patch)
 
         def solve(*argv):
+            driftopt.solver._KEPT.clear()
             assert main(["solve", *argv, "--iters", "100", "--out",
                          str(tmp_path / "t.csv")]) == 0
             return cache.cache_info()

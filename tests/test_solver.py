@@ -1,12 +1,18 @@
+import functools
 import json
 import math
 import random
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import driftopt.cli
+import driftopt.problems
 import driftopt.solver
 from driftopt import VARIANTS, DimensionError, builtin, choose_V, load_problem, run
 from driftopt.cli import main
@@ -747,3 +753,275 @@ def test_shifted_failure_between_samples_carries_partial_trace(monkeypatch, fail
     assert part.t.tolist() == [7, 14, 21]
     for name in GOLDEN_COLUMNS:
         assert np.array_equal(getattr(part, name), getattr(full, name)[:3]), name
+
+
+# The queue cache: a run copies the queue rows that an earlier run of the
+# same oracle factory, V and Q(0) stepped, and steps the rest.
+
+ALGORITHMS = driftopt.cli.ALGORITHMS  # the dual subgradient method runs as dpp
+CACHE_ITERS = [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 20_000]
+
+
+def assert_same_trace(a, b):
+    expect = b.columns()
+    for name, column in a.columns().items():
+        if column is None:
+            assert expect[name] is None, name
+        else:
+            assert_bitwise_equal(column, expect[name])
+    assert a.max_drift_residual == b.max_drift_residual
+
+
+@pytest.mark.parametrize("sample", ["log", "linear:7"])
+@pytest.mark.parametrize("q0", [0.0, 2.0])
+@pytest.mark.parametrize("tag", BUILTIN_TAGS)
+def test_a_run_that_hits_the_queue_cache_is_bitwise_one_that_misses(tag, q0, sample):
+    # every algorithm at every horizon, the cache emptied before each
+    # miss; then in one cache, horizons shortest first and longest first
+    b = builtin(tag)
+    cfg = dict(V=choose_V(b.program), q0=np.full(b.program.m, q0), sample=sample,
+               reference=b.reference)
+    missed = {}
+    for algorithm, variant in ALGORITHMS.items():
+        for iters in CACHE_ITERS:
+            driftopt.solver._KEPT.clear()
+            missed[algorithm, iters] = run(b.program, b.oracle, iters=iters, variant=variant,
+                                           **cfg)
+    for order in (CACHE_ITERS, CACHE_ITERS[::-1]):
+        driftopt.solver._KEPT.clear()
+        for iters in order:
+            for algorithm, variant in ALGORITHMS.items():
+                tr = run(b.program, b.oracle, iters=iters, variant=variant, **cfg)
+                assert_same_trace(tr, missed[algorithm, iters])
+
+
+@pytest.mark.parametrize("tag", BUILTIN_TAGS)
+def test_a_repeated_run_steps_no_kept_block(monkeypatch, tag):
+    # every builtin reaches its fixed point within the kept blocks (t* =
+    # 2002, 8970 and 12763): a repeated run of either variant steps
+    # nothing, rebuilds the rows that the first run did and records the
+    # trace of a run that steps
+    b = builtin(tag)
+    cfg = dict(V=choose_V(b.program), q0=np.zeros(b.program.m), iters=20_000,
+               reference=b.reference)
+    stepped = {variant: run(b.program, b.oracle, variant=variant, **cfg)
+               for variant in VARIANTS}
+    steps = count_steps(monkeypatch)
+    oracle = FillingOracle(b)
+    run(b.program, oracle, **cfg)
+    assert steps and oracle.rows[-1] == 2  # the last block lies past the fixed point
+    rows = oracle.rows
+    steps.clear()
+    for variant in VARIANTS:
+        oracle.rows = []
+        assert_same_trace(run(b.program, oracle, variant=variant, **cfg), stepped[variant])
+        assert (steps, oracle.rows) == ([], rows)
+
+
+def kept(factory):
+    """The trajectories that ``factory`` keeps, by (V, bytes of Q(0))."""
+    return driftopt.solver._KEPT.get(id(factory), {})
+
+
+@pytest.mark.parametrize("tag,fixed", [("qp_6_2", 2002), ("num_6_1", 8970)])
+def test_kept_rows_fill_a_block_as_its_steps_do(tag, fixed):
+    # rows kept through the fixed point, or short of it, fill each block
+    # they hold, before, across or past t*, as _step_to_fixed_point does,
+    # and say the same fixed point, or None where the block ends before it
+    b = builtin(tag)
+    V, q0 = choose_V(b.program), np.zeros(b.program.m)
+    run(b.program, b.oracle, V=V, q0=q0, iters=3 * _BLOCK)
+    rows, p = held = kept(b.oracle)[V, q0.tobytes()]
+    assert (p, len(rows), rows.flags.writeable) == (fixed, fixed + 1, False)
+    steps = b.oracle(V).steps
+    for t0 in (0, 1, fixed - 2, fixed - 1, fixed, fixed + 1, fixed + _BLOCK):
+        for k in (1, 2, _BLOCK):
+            expect, got = np.empty((2, k + 1, b.program.m))
+            expect[0] = rows[min(t0, fixed)]
+            p = _step_to_fixed_point(steps, expect)
+            assert driftopt.solver._copy(held, t0, got) == p, (t0, k)
+            assert_bitwise_equal(got, expect)
+            if t0 + k < fixed:  # rows short of t* that hold the block
+                got[:] = np.nan
+                assert driftopt.solver._copy((rows[:t0 + k + 1], None), t0, got) is None
+                assert_bitwise_equal(got, expect)
+
+
+def test_another_key_misses_the_queue_cache(monkeypatch):
+    # another V, another Q(0) (-0.0 is not 0.0), a rebuilt bundle or
+    # another factory object steps afresh
+    stepped = count_steps(monkeypatch)
+    b = builtin("qp_6_2")
+    V = choose_V(b.program)
+
+    def steps(factory, V=V, q0=(0.0, 0.0)):
+        stepped.clear()
+        run(b.program, factory, V=V, q0=np.array(q0), iters=100)
+        return sum(stepped)
+
+    assert steps(b.oracle) == 101
+    assert steps(b.oracle) == 0
+    assert steps(b.oracle, V=2 * V) == 101
+    assert steps(b.oracle, q0=(-0.0, 0.0)) == 101
+    assert steps(b.oracle, q0=(0.0, 2.0)) == 101
+    assert steps(functools.partial(b.oracle.func, *b.oracle.args)) == 101
+    driftopt.problems._bundle.cache_clear()
+    assert builtin("qp_6_2").oracle is not b.oracle
+    assert steps(builtin("qp_6_2").oracle) == 101
+    assert steps(b.oracle, q0=(-0.0, 0.0)) == 0
+
+
+class UnhashableFactory:
+    """The bundle's factory behind a callable that has no hash."""
+
+    __hash__ = None
+
+    def __init__(self, b):
+        self.b = b
+
+    def __eq__(self, other):
+        return True
+
+    def __call__(self, V):
+        return self.b.oracle(V)
+
+
+def test_an_unhashable_factory_runs_and_is_kept(monkeypatch):
+    stepped = count_steps(monkeypatch)
+    b = builtin("num_6_1")
+    cfg = dict(V=choose_V(b.program), q0=np.zeros(b.program.m), iters=3000)
+    plain = run(b.program, b.oracle, **cfg)
+    stepped.clear()
+    factory = UnhashableFactory(b)
+    assert_same_trace(run(b.program, factory, **cfg), plain)
+    assert sum(stepped) == 3001
+    assert_same_trace(run(b.program, factory, **cfg), plain)
+    assert sum(stepped) == 3001
+    stepped.clear()  # an equal factory is still another object
+    assert_same_trace(run(b.program, UnhashableFactory(b), **cfg), plain)
+    assert sum(stepped) == 3001
+
+
+class SlottedFactory:
+    """The bundle's factory behind a callable that takes no weak reference."""
+
+    __slots__ = ("b",)
+
+    def __init__(self, b):
+        self.b = b
+
+    def __call__(self, V):
+        return self.b.oracle(V)
+
+
+def test_a_factory_with_no_weak_reference_runs_and_keeps_nothing(monkeypatch):
+    stepped = count_steps(monkeypatch)
+    b = builtin("qp_6_2")
+    cfg = dict(V=choose_V(b.program), q0=np.zeros(b.program.m), iters=3000)
+    plain = run(b.program, b.oracle, **cfg)
+    factory = SlottedFactory(b)
+    for _ in range(2):
+        stepped.clear()
+        assert_same_trace(run(b.program, factory, **cfg), plain)
+        assert sum(stepped) == 1 + 8 * _CHUNK  # through the chunk that ends past t* = 2002
+    assert id(factory) not in driftopt.solver._KEPT
+
+
+def test_kept_rows_go_with_their_factory():
+    # a factory's trajectories are dropped when it is; the one stored first
+    # goes first once the factory keeps _CACHED_TRAJECTORIES
+    b = builtin("qp_6_2")
+    factory = functools.partial(b.oracle.func, *b.oracle.args)
+    V, q0 = choose_V(b.program), np.zeros(b.program.m)
+    for scale in (1, 2, 3, 4, 5):
+        run(b.program, factory, V=scale * V, q0=q0, iters=10)
+    assert [key[0] / V for key in kept(factory)] == [2, 3, 4, 5]
+    del factory
+    assert driftopt.solver._KEPT == {}
+
+
+def test_a_queue_with_no_fixed_point_keeps_at_most_the_byte_bound(tmp_path, monkeypatch):
+    # an infeasible QP (x1 <= -1 and -x1 <= -1) whose queue grows for ever:
+    # it keeps its first _CACHED_BYTES of rows whatever the horizon, and a
+    # repeated run copies the blocks they hold and steps the rest
+    stepped = count_steps(monkeypatch)
+    path = tmp_path / "infeasible.json"
+    path.write_text(json.dumps({"kind": "qp", "P": [[1.0]], "c": [0.0],
+                                "A": [[1.0], [-1.0]], "b": [-1.0, -1.0]}))
+    b = load_problem(path)
+    cfg = dict(V=choose_V(b.program), q0=np.zeros(2), iters=100_000)
+    first = run(b.program, b.oracle, **cfg)
+    assert [(rows.shape, p) for rows, p in kept(b.oracle).values()] == [
+        ((driftopt.solver._CACHED_BYTES // 16, 2), None)]
+    stepped.clear()
+    assert_same_trace(run(b.program, b.oracle, **cfg), first)
+    assert sum(stepped) == 100_001 - 7 * _BLOCK  # 7 blocks lie within 32,768 rows
+    cfg["V"] *= 2  # a second trajectory that fills the bound drops the first
+    run(b.program, b.oracle, **cfg)
+    assert [key[0] for key in kept(b.oracle)] == [cfg["V"]]
+
+
+def test_a_one_shot_solve_of_many_constraints_keeps_at_most_the_byte_bound(tmp_path, capsys):
+    # 1,000 copies of x1 <= 1, whose queue reaches its fixed point at t* =
+    # 897 at V = 520: a solve keeps at most _CACHED_BYTES of rows (65 of
+    # them, so not t*), and a repeated solve writes the same bytes
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"kind": "qp", "P": [[1.0]], "c": [-4.0],
+                                "A": [[1.0]] * 1000, "b": [1.0] * 1000}))
+    out = tmp_path / "wide.csv"
+    argv = ["solve", "--problem", str(path), "--V", "520", "--iters", "5000", "--out", str(out)]
+    written = []
+    for _ in range(2):
+        assert main(argv) == 0
+        written.append((capsys.readouterr(), out.read_bytes()))
+        trajectories = [t for entry in driftopt.solver._KEPT.values() for t in entry.values()]
+        assert [(rows.shape, p) for rows, p in trajectories] == [((65, 1000), None)]
+        assert sum(rows.nbytes for rows, _ in trajectories) <= driftopt.solver._CACHED_BYTES
+    assert written[0] == written[1]
+
+
+def test_threads_running_one_builtin_at_once_get_its_traces():
+    # 4 threads, more than the cores, switching every microsecond, each
+    # running both variants at 3 horizons on one factory in its own order:
+    # every trace is the one that a run alone records
+    b = builtin("num_5_2_rank_deficient")
+    cfg = dict(V=choose_V(b.program), q0=np.zeros(b.program.m), reference=b.reference)
+    runs = [(variant, iters) for variant in VARIANTS for iters in (100, 5000, 20_000)]
+    alone = {}
+    for variant, iters in runs:
+        driftopt.solver._KEPT.clear()
+        alone[variant, iters] = run(b.program, b.oracle, variant=variant, iters=iters, **cfg)
+    driftopt.solver._KEPT.clear()
+    start = threading.Barrier(4, timeout=60)
+
+    def solve(order):
+        start.wait()
+        return [run(b.program, b.oracle, variant=variant, iters=iters, **cfg)
+                for variant, iters in order]
+
+    orders = [runs, runs[::-1], runs[1::2] + runs[::2], runs[::-2] + runs[-2::-2]]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(solve, order) for order in orders]
+            done = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for order, traces in zip(orders, done):
+        for key, tr in zip(order, traces):
+            assert_same_trace(tr, alone[key])
+
+
+def test_a_repeated_non_finite_solve_writes_the_same_partial_csv(tmp_path, capsys):
+    # at V = 1e-100 the dpp-shifted sample at t = 2 is non-finite: the
+    # second solve copies the first's queue and fails, and writes, as it did
+    out = tmp_path / "partial.csv"
+    argv = ["solve", "--builtin", "num_6_1", "--algorithm", "dpp-shifted", "--V", "1e-100",
+            "--sample", "linear", "--iters", "100", "--out", str(out)]
+    written = []
+    for _ in range(2):
+        assert main(argv) == 3
+        written.append((capsys.readouterr(), out.read_bytes()))
+    assert written[0] == written[1]
+    assert written[0][1].count(b"\n") == 2  # the header and t = 1
