@@ -23,6 +23,7 @@ was longer, never truncated to zero first and never fsynced.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import io
 import json
@@ -191,9 +192,10 @@ def _read_trace_csv(path: Path, columns) -> dict:
     A seekable file is compared with the chunks this process wrote last,
     one at a time; if it holds them and nothing more, it takes the columns
     in ``_last_written``.  A file that differs, or a pipe, is parsed as
-    UTF-8 from the same handle.  A row whose field count differs from the
-    header's, a blank, non-numeric or non-finite cell in a parsed column,
-    or a ``t`` that ``core._check_t`` refuses raises ValueError.
+    UTF-8 from the same handle.  A header that repeats a column name, a
+    row whose field count differs from the header's, a blank, non-numeric
+    or non-finite cell in a parsed column, or a ``t`` that
+    ``core._check_t`` refuses raises ValueError.
     """
     written, entry = _last_written or ((), None)
     with open(path, "rb") as fh:
@@ -219,6 +221,9 @@ def _parse_trace_csv(fh, columns) -> dict:
     if not lines:
         raise ValueError("trace CSV is empty")
     header, data = lines[0].split(","), lines[1:]
+    repeated = [name for name, n in collections.Counter(header).items() if n > 1]
+    if repeated:
+        raise ValueError(f"trace CSV repeats the column '{repeated[0]}'")
     if not data:
         raise ValueError("trace CSV has no data rows")
     commas = len(header) - 1

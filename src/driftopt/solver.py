@@ -28,20 +28,20 @@ so a copy may differ from it in the last bits (the builtins' traces are
 bitwise the same).  A non-finite sample ends the run at the end of its
 block.
 
-Q depends on the oracle, V and Q(0) alone, not on the variant, the
-sampling or the iteration count, so dpp, dpp_shifted and the dual
-subgradient method at one V share one queue trajectory.  A factory keeps
-the rows of the trajectories that its runs stepped, from Q(0) on and
-through the fixed point where they reached it: at most
-``_CACHED_TRAJECTORIES`` of them, keyed on V and the bytes of Q(0), in at
-most ``_CACHED_BYTES``, and only while the factory lives.  A later run
-copies the rows of each block that a trajectory kept before it began
-covers, and steps the rest; every run rebuilds x and g and checks every
-step.
+A block's rows depend on the oracle, V and the block's row 0 alone, not
+on the variant, the sampling or the iteration count, so dpp, dpp_shifted
+and the dual subgradient method at one V share their blocks, and every
+block that opens at the fixed point is the same block.  A factory keeps
+the rows that each stepped block found after its row 0, keyed on V and
+the bytes of row 0: through the fixed point's successor where the block
+found it, else all of them, in at most ``_CACHED_BYTES`` and only while
+the factory lives.  A block of any run that opens at a kept row 0 copies
+the kept rows where they hold its fixed point or all its rows, and is
+stepped otherwise.  Every run rebuilds x and g and checks every step.
 
 A run is strictly sequential and steps an oracle of its own, built at its
-V; distinct runs share only read-only kept rows and may execute
-concurrently.
+V; distinct runs share only kept rows, which no run writes, and may
+execute concurrently.
 """
 
 from __future__ import annotations
@@ -78,13 +78,12 @@ _BLOCK = 4096
 # 256 and -12 to +1% at 512.
 _CHUNK = 256
 
-# Per factory, the trajectories kept, the least recently stored going
-# first, and the bytes of their rows: builtin_long keeps 385 KB for num_6_1
-# (at two V), 320 KB for num_5_2_rank_deficient and 32 KB for qp_6_2, and a
-# CLI process, whose bundle cache holds 4 factories, at most 2 MiB.
-_CACHED_TRAJECTORIES = 4
+# Per factory, the bytes of the kept blocks' rows, the least recently
+# stored going first: builtin_long keeps 386 KB for num_6_1 (at two V),
+# 320 KB for num_5_2_rank_deficient and 32 KB for qp_6_2, and a CLI
+# process, whose bundle cache holds 4 factories, at most 2 MiB.
 _CACHED_BYTES = 2 ** 19
-# id(factory) -> {(V, bytes of Q(0)): (rows, t* or None)}; an entry goes
+# id(factory) -> {(V, bytes of row 0): (p or None, rows)}; an entry goes
 # when its factory does.  Stores hold the lock; a read is one dict lookup.
 _KEPT: dict = {}
 _KEEPING = threading.Lock()
@@ -115,8 +114,8 @@ def _step_to_fixed_point(steps, Q: np.ndarray) -> int | None:
 
 
 def _kept(oracle) -> dict:
-    """The trajectories kept for the factory ``oracle``, by (V, bytes of
-    Q(0)); an empty dict, kept nowhere, for a factory that takes no weak
+    """The blocks kept for the factory ``oracle``, by (V, bytes of row 0);
+    an empty dict, kept nowhere, for a factory that takes no weak
     reference."""
     kept = _KEPT.get(id(oracle))
     if kept is None:
@@ -128,27 +127,30 @@ def _kept(oracle) -> dict:
     return kept
 
 
-def _keep(kept: dict, key, rows: np.ndarray, fixed: int | None) -> None:
-    """Keep ``rows``, Q(0 .. len(rows) - 1), and the fixed point t* they
-    hold (None: not held) as ``key``'s trajectory in ``kept``, dropping the
-    others stored least recently until the bounds hold."""
-    rows.flags.writeable = False
-    with _KEEPING:
-        kept.pop(key, None)
-        while kept and (len(kept) >= _CACHED_TRAJECTORIES or rows.nbytes + sum(
-                r.nbytes for r, _ in kept.values()) > _CACHED_BYTES):
-            del kept[next(iter(kept))]
-        kept[key] = rows, fixed
-
-
-def _copy(held, t0: int, Q: np.ndarray) -> int | None:
-    """Fill the (k + 1, m) block Q with Q(t0 .. t0 + k) from a kept
-    trajectory ``held`` = (rows, t*) that holds them, or t*, and return the
-    p that ``_step_to_fixed_point`` would."""
-    (rows, fixed), k = held, len(Q) - 1
-    n = max(0, min(k + 1, len(rows) - t0))
-    Q[:n], Q[n:] = rows[t0:t0 + n], rows[-1]
-    return None if fixed is None or fixed - t0 >= k else max(fixed - t0, 0)
+def _fill(kept: dict, V: float, steps, Q: np.ndarray) -> int | None:
+    """Fill rows 1..k of the (k + 1, m) block Q from row 0 and return p as
+    ``_step_to_fixed_point`` does: from the rows that ``kept`` holds for
+    (V, bytes of row 0) where they cover the block, else by ``steps``,
+    keeping what was stepped.  A kept block is (p, rows 1..p + 1), or
+    (None, rows 1..k) where it found no fixed point; the least recently
+    stored go first until ``kept`` holds at most _CACHED_BYTES of rows."""
+    key, k = (V, Q[0].tobytes()), len(Q) - 1
+    p, rows = kept.get(key, (None, ()))
+    if p is not None or len(rows) >= k:
+        n = min(k, len(rows))
+        Q[1:n + 1], Q[n + 1:] = rows[:n], rows[-1]
+        return p if p is not None and p < k else None
+    p = _step_to_fixed_point(steps, Q)
+    n = k if p is None else p + 1
+    if n * Q[0].nbytes <= _CACHED_BYTES:  # a larger block is never copied
+        rows = Q[1:n + 1].copy()
+        with _KEEPING:
+            kept.pop(key, None)
+            held = sum(r.nbytes for _, r in kept.values())
+            while held + rows.nbytes > _CACHED_BYTES:
+                held -= kept.pop(next(iter(kept)))[1].nbytes
+            kept[key] = p, rows
+    return p
 
 
 class _Recorder:
@@ -265,9 +267,9 @@ def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
     The oracle's step must be a pure function of the bits of Q(t): once a
     step leaves Q bitwise unchanged, the run copies that row on, unstepped.
     A factory is taken to build the same oracle whenever it is called at
-    the same V: a later run with the same factory object, an equal V and
-    a q0 of the same bytes copies the queue rows that an earlier one
-    stepped and the factory keeps (see the module docstring).
+    the same V: a block whose row 0 has the bytes of one that a run with
+    the same factory object and an equal V stepped copies the rows that
+    the factory keeps for it (see the module docstring).
 
     When ``reference`` (a KktSolution) is given, each sample also records
     the objective error |f(x-bar) - f*|, the dual-iterate distance
@@ -317,27 +319,9 @@ def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
         _as_vector(program.constraints(inner.argmin(Q[0])), program.m, "g(x)")
         record = _Recorder(program, inner.argmin, V=V, ts=ts, variant=variant,
                            iters=iters, block=block, dual=dual)
-        kept, key = _kept(oracle), (V, q0.tobytes())
-        held = kept.get(key)  # (rows, t*) kept before this run began
-        rows, fixed = held or (Q[:0], None)
-        # This run's trajectory, Q(0 .. n - 1) in up to ``cap`` rows of buf
-        # (at most _CACHED_BYTES); rows are only appended, so a kept view of
-        # it never changes.
-        cap, n = min(_CACHED_BYTES // Q[0].nbytes, iters + 2), 0
+        kept = _kept(oracle)
         for t0 in range(0, iters + 1, block):
             Q[0] = Q[k]
             k = min(block, iters + 1 - t0)
-            if held and (held[1] is not None or t0 + k < len(held[0])):
-                p = _copy(held, t0, Q[:k + 1])
-            else:
-                p = _step_to_fixed_point(inner.steps, Q[:k + 1])
-                if fixed is None and max(n, len(rows)) >= t0 and t0 < cap:
-                    if not n:
-                        buf = np.empty((cap, program.m))
-                    buf[n:t0] = rows[n:t0]
-                    end = min(t0 + (k + 1 if p is None else p + 1), cap)
-                    buf[max(n, t0):end] = Q[max(n, t0) - t0:end - t0]
-                    n, fixed = end, None if p is None or end <= t0 + p else t0 + p
-                    _keep(kept, key, buf[:n], fixed)
-            record(Q[:k + 1], p, t0)
+            record(Q[:k + 1], _fill(kept, V, inner.steps, Q[:k + 1]), t0)
     return record.trace(len(ts))

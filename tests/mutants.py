@@ -1,6 +1,6 @@
-"""Mutation check for the DPP kernel and its queue cache, the oracles, the
-diagnostics, the reference, the checks of a program, a queue and a trace's
-t, and the trace's layout.
+"""Mutation check for the DPP kernel and its kept queue blocks, the
+oracles, the diagnostics, the reference, the checks of a program, a queue
+and a trace's t, and the trace's layout.
 
     python tests/mutants.py [NAME ...]
 
@@ -9,10 +9,12 @@ module of ``src/driftopt`` whose original text must occur there exactly
 once, with the tests that must kill it.  For each mutant (all, or the ones
 named), the script copies ``src/``, ``tests/``, ``perfbench/`` and
 ``pyproject.toml`` to a temporary directory, applies the edit and runs its
-tests there in one pytest process, one mutant at a time.  A failing run
-kills the mutant.  The unmutated copy first runs the union of the tests,
-which must pass.  It prints each mutant as killed or survived, with its
-time, and exits 1 if one survived.
+tests there in one pytest process, one mutant at a time.  A run whose
+tests fail (pytest exit 1) kills the mutant; one that exits with any
+other code (tests not collected, a usage error, an interrupt) is an
+error, not a kill.  The unmutated copy first runs the union of the tests,
+which must pass.  It prints each mutant as killed, survived or errored,
+with its time, and exits 2 if one errored, else 1 if one survived.
 
 This is not a tier-1 test module (pytest collects ``test_*.py`` only) and
 installs nothing.
@@ -128,25 +130,18 @@ MUTANTS = [
      [f"{T_CLI}::test_trace_csv_round_trips_bitwise"]),
     ("objective-error-adds-f-star", S, "out.f_xbar[new] - f_star", "out.f_xbar[new] + f_star",
      [f"{T_CLI}::test_csv_bytes_match_the_csv_module_with_reference"]),
-    ("queue-key-drops-q0", S, "key = _kept(oracle), (V, q0.tobytes())",
-     'key = _kept(oracle), (V, b"")',
+    ("queue-key-drops-V", S, "key, k = (V, Q[0].tobytes())", "key, k = (None, Q[0].tobytes())",
      [f"{T_SOLVER}::test_another_key_misses_the_queue_cache"]),
-    ("queue-key-drops-V", S, "key = _kept(oracle), (V, q0.tobytes())",
-     "key = _kept(oracle), (None, q0.tobytes())",
-     [f"{T_SOLVER}::test_another_key_misses_the_queue_cache"]),
-    ("queue-hit-ignores-p-below-k", S, "fixed is None or fixed - t0 >= k else",
-     "fixed is None else", [f"{T_SOLVER}::test_kept_rows_fill_a_block_as_its_steps_do"]),
-    ("queue-past-fixed-point-p-none", S, "else max(fixed - t0, 0)",
-     "else (fixed - t0 if fixed >= t0 else None)",
-     [f"{T_SOLVER}::test_a_repeated_run_steps_no_kept_block"]),
-    ("queue-truncated-rows-keep-t-star", S, "None if p is None or end <= t0 + p else t0 + p",
-     "None if p is None else t0 + p",
-     [f"{T_SOLVER}::test_a_one_shot_solve_of_many_constraints_keeps_at_most_the_byte_bound"]),
-    ("queue-bytes-unbounded", S, "r.nbytes for r, _ in kept.values()) > _CACHED_BYTES",
-     "r.nbytes for r, _ in kept.values()) > 4 * _CACHED_BYTES",
+    ("queue-key-on-row-1", S, "key, k = (V, Q[0].tobytes())", "key, k = (V, Q[1].tobytes())",
+     [f"{T_SOLVER}::test_kept_rows_fill_a_block_as_its_steps_do"]),
+    # a p >= k reads as None in the recorder, so only the block's own p tells
+    ("queue-held-p-past-the-block", S, "return p if p is not None and p < k else None",
+     "return p", [f"{T_SOLVER}::test_kept_rows_fill_a_block_as_its_steps_do"]),
+    ("queue-bytes-unbounded", S, "while held + rows.nbytes > _CACHED_BYTES:", "while False:",
      [f"{T_SOLVER}::test_a_queue_with_no_fixed_point_keeps_at_most_the_byte_bound"]),
-    ("queue-count-unbounded", S, "len(kept) >= _CACHED_TRAJECTORIES or ", "",
-     [f"{T_SOLVER}::test_kept_rows_go_with_their_factory"]),
+    ("queue-shorter-block-served", S, "if p is not None or len(rows) >= k:",
+     "if p is not None or len(rows):",
+     [f"{T_SOLVER}::test_kept_rows_fill_a_block_as_its_steps_do"]),
 ]
 
 
@@ -177,7 +172,7 @@ def main(names: list[str]) -> int:
         if count != 1:
             print(f"error: {name}: {old!r} occurs {count} times in {module}", file=sys.stderr)
             return 2
-    survived = 0
+    survived = errored = 0
     with tempfile.TemporaryDirectory(prefix="driftopt-mutants-") as tmp:
         where = Path(tmp)
         copy_tree(where)
@@ -197,9 +192,10 @@ def main(names: list[str]) -> int:
                 path.write_text(original)
             verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
             survived += code == 0
+            errored += code not in (0, 1)
             print(f"{name:32} {verdict:10} {seconds:6.1f} s")
-    print(f"{len(chosen) - survived} of {len(chosen)} killed")
-    return 1 if survived else 0
+    print(f"{len(chosen) - survived - errored} of {len(chosen)} killed, {errored} errored")
+    return 2 if errored else 1 if survived else 0
 
 
 if __name__ == "__main__":

@@ -376,6 +376,25 @@ def test_trace_reader_rejects_bad_cells(tmp_path, capsys, command, column, value
     assert (code, stdout, err) == (2, "", f"error: cannot read {prefix}: trace CSV {message}\n")
 
 
+@pytest.mark.parametrize("command", ["audit", "fit"])
+@pytest.mark.parametrize("column,value", [("f_avg", "-1000"), ("qnorm", "0")])
+def test_trace_reader_rejects_a_repeated_column(tmp_path, capsys, command, column, value):
+    # a second column of the name, read last, would replace the first:
+    # -1000 for f_avg moves the objective margin from -7.67 to -1008.0, and
+    # 0 for qnorm the queue margin from -159.95 to -221.98
+    out = qp_trace(tmp_path, capsys, iters=50)
+    lines = out.read_text().splitlines()
+    out.write_text("".join(f"{line},{column if i == 0 else value}\n"
+                           for i, line in enumerate(lines)))
+    if command == "audit":
+        argv, prefix = ("audit", "--builtin", "qp_6_2", "--trace", out), "trace/summary"
+    else:
+        argv, prefix = fit_args(out), "trace"
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout, err) == (
+        2, "", f"error: cannot read {prefix}: trace CSV repeats the column '{column}'\n")
+
+
 # Structure: main alone decides the exit code and writes to stderr.
 
 def test_only_main_writes_stderr_or_returns_failure_codes():

@@ -486,16 +486,17 @@ def test_shifted_run_makes_one_steps_call_per_block():
 @pytest.mark.parametrize("tag", ["num_6_1", "qp_6_2"])
 def test_each_block_is_one_steps_call_covering_every_iteration(tag):
     # each block's steps, from Q(0..iters), are asked for once: one, then
-    # _CHUNK at a time.  num_6_1 reaches the queue's fixed point past the
-    # run (t* = 8970); qp_6_2 reaches it at t* = 2002, inside the chunk that
-    # ends at row 2049, and each later block asks for one step
+    # _CHUNK at a time, as with nothing kept.  num_6_1 reaches the queue's
+    # fixed point past the run (t* = 8970); qp_6_2 reaches it at t* = 2002,
+    # inside the chunk that ends at row 2049, the next block, which opens
+    # there, asks for one step, and the last copies that block's kept row
     b = builtin(tag)
     iters = 2 * _BLOCK + 3
     oracle = CountingOracle(b)
     tr = run(b.program, oracle, V=choose_V(b.program), q0=np.zeros(b.program.m),
              iters=iters, reference=b.reference)
     block = [1] + [_CHUNK] * ((_BLOCK - 1) // _CHUNK) + [(_BLOCK - 1) % _CHUNK]
-    expect = {"num_6_1": block * 2 + [1, 3], "qp_6_2": block[:9] + [1, 1]}[tag]
+    expect = {"num_6_1": block * 2 + [1, 3], "qp_6_2": block[:9] + [1]}[tag]
     assert oracle.chunks == expect
     assert oracle.calls == sum(expect) and oracle.row_calls == 3
     plain = run(b.program, b.oracle, V=choose_V(b.program), q0=np.zeros(b.program.m),
@@ -529,15 +530,15 @@ class FillingOracle:
 
 
 def fixed_points(monkeypatch):
-    """The list that gets, for each block that the kernel steps from here
-    on, the fixed point's first row in it, or None."""
-    found, stop = [], _step_to_fixed_point
+    """The list that gets, for each block that a run records from here on,
+    stepped or copied, the fixed point's first row in it, or None."""
+    found, record = [], driftopt.solver._Recorder.__call__
 
-    def recording(steps, Q):
-        found.append(stop(steps, Q))
-        return found[-1]
+    def recording(self, Q, p, t0):
+        found.append(p)
+        return record(self, Q, p, t0)
 
-    monkeypatch.setattr(driftopt.solver, "_step_to_fixed_point", recording)
+    monkeypatch.setattr(driftopt.solver._Recorder, "__call__", recording)
     return found
 
 
@@ -545,7 +546,8 @@ def seen_and_hidden(b, **kw):
     """The bundle's oracle run from Q(0) = 0 at the default V, once with the
     kernel's stop at the queue's fixed point and once rebuilding every row:
     the rows that each block of either run rebuilt, the fixed point that
-    each block of the first run found, and the two traces."""
+    each block of the first run recorded, the steps calls of each of its
+    blocks, and the two traces."""
     seen, hidden = FillingOracle(b), FillingOracle(b)
     cfg = dict(V=choose_V(b.program), q0=np.zeros(b.program.m), reference=b.reference, **kw)
     with pytest.MonkeyPatch.context() as patch:
@@ -554,7 +556,7 @@ def seen_and_hidden(b, **kw):
     with pytest.MonkeyPatch.context() as patch:
         whole_blocks(patch)
         traces.append(run(b.program, hidden, **cfg))
-    return seen.rows, hidden.rows, fixed, traces
+    return seen.rows, hidden.rows, fixed, seen.chunks[:-1], traces
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -564,11 +566,14 @@ def test_a_block_at_the_fixed_point_rebuilds_two_rows(tag, variant):
     # point within 4 blocks (at t* = 2002, 8970 and 12763): its block
     # rebuilds x and g through t*, each later full block two rows and the
     # last, of one row, its row, and the trace is bitwise the one that
-    # rebuilds every row
+    # rebuilds every row.  Of the blocks that open at the fixed point, the
+    # first steps once and the others copy its kept row
     b = builtin(tag)
-    seen, hidden, fixed, traces = seen_and_hidden(b, iters=4 * _BLOCK, variant=variant)
+    seen, hidden, fixed, chunks, traces = seen_and_hidden(b, iters=4 * _BLOCK,
+                                                          variant=variant)
     first = next(j for j, p in enumerate(fixed) if p is not None)
     assert fixed[first + 1:] == [0] * (4 - first)
+    assert chunks[first + 1:] == [[1]] + [[]] * (3 - first)
     assert seen == [_BLOCK] * first + [max(fixed[first] + 1, 2)] + [2] * (3 - first) + [1]
     assert hidden == [_BLOCK] * 4 + [1]
     for name in GOLDEN_COLUMNS:
@@ -589,7 +594,7 @@ def test_a_random_qp_past_the_fixed_point_agrees_with_a_full_rebuild(tmp_path, m
     path = tmp_path / "qp.json"
     path.write_text(json.dumps(load("workloads")._qp_instance(rng, m, rng.randint(2, 8))))
     b = load_problem(path)
-    _, _, fixed, traces = seen_and_hidden(b, iters=3 * _BLOCK)
+    _, _, fixed, _, traces = seen_and_hidden(b, iters=3 * _BLOCK)
     assert fixed[-1] == 0  # the last block opens at the fixed point
     scale = 1e-14 * max(abs(b.reference.f_star), 1.0)
     for name in GOLDEN_COLUMNS:
@@ -629,8 +634,9 @@ def test_steps_stop_at_the_queues_fixed_point(monkeypatch, tag, fixed):
 def test_an_oracle_whose_steps_only_fill_rows_gets_the_kernels_stop(tag, fixed):
     # the kernel, not the oracle, finds the queue's fixed point: the blocks
     # before t* ask for every step, the block of t* for at most one chunk
-    # past it, and each later block for one step; the trace is bitwise the
-    # bare closed form's
+    # past it, the next block for one step and each later one for none, as
+    # it copies that block's kept row; the trace is bitwise the bare closed
+    # form's
     b = builtin(tag)
     oracle = FillingOracle(b)
     cfg = dict(V=choose_V(b.program), q0=np.zeros(b.program.m), iters=4 * _BLOCK,
@@ -642,7 +648,7 @@ def test_an_oracle_whose_steps_only_fill_rows_gets_the_kernels_stop(tag, fixed):
     assert after == [] and len(blocks) == 5
     assert [sum(chunks) for chunks in blocks[:at]] == [_BLOCK] * at
     assert fixed % _BLOCK < sum(blocks[at]) <= fixed % _BLOCK + _CHUNK
-    assert blocks[at + 1:] == [[1]] * (4 - at)
+    assert blocks[at + 1:] == [[1]] + [[]] * (3 - at)
     for name in GOLDEN_COLUMNS:
         assert np.array_equal(getattr(tr, name), getattr(plain, name)), name
     assert tr.max_drift_residual == plain.max_drift_residual
@@ -755,8 +761,9 @@ def test_shifted_failure_between_samples_carries_partial_trace(monkeypatch, fail
         assert np.array_equal(getattr(part, name), getattr(full, name)[:3]), name
 
 
-# The queue cache: a run copies the queue rows that an earlier run of the
-# same oracle factory, V and Q(0) stepped, and steps the rest.
+# The queue cache: a block copies the queue rows that a block stepped with
+# the same oracle factory and V from a row 0 of the same bytes kept, and
+# is stepped otherwise.
 
 ALGORITHMS = driftopt.cli.ALGORITHMS  # the dual subgradient method runs as dpp
 CACHE_ITERS = [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 20_000]
@@ -819,32 +826,48 @@ def test_a_repeated_run_steps_no_kept_block(monkeypatch, tag):
 
 
 def kept(factory):
-    """The trajectories that ``factory`` keeps, by (V, bytes of Q(0))."""
+    """The blocks that ``factory`` keeps, by (V, bytes of their row 0)."""
     return driftopt.solver._KEPT.get(id(factory), {})
+
+
+def unstepped(Q):
+    raise AssertionError("a block that kept rows cover was stepped")
 
 
 @pytest.mark.parametrize("tag,fixed", [("qp_6_2", 2002), ("num_6_1", 8970)])
 def test_kept_rows_fill_a_block_as_its_steps_do(tag, fixed):
-    # rows kept through the fixed point, or short of it, fill each block
-    # they hold, before, across or past t*, as _step_to_fixed_point does,
-    # and say the same fixed point, or None where the block ends before it
+    # a block of any length stepped from a row before, across or at t* is
+    # kept under (V, its row 0) as (p, rows 1..p + 1), or as all its rows
+    # where it found no fixed point.  It fills each block from that row
+    # that it covers as _step_to_fixed_point does, and gives the same p,
+    # None where the block ends before t*; a longer block from a row short
+    # of t* is stepped and kept in its place
     b = builtin(tag)
-    V, q0 = choose_V(b.program), np.zeros(b.program.m)
-    run(b.program, b.oracle, V=V, q0=q0, iters=3 * _BLOCK)
-    rows, p = held = kept(b.oracle)[V, q0.tobytes()]
-    assert (p, len(rows), rows.flags.writeable) == (fixed, fixed + 1, False)
+    V, m = choose_V(b.program), b.program.m
     steps = b.oracle(V).steps
-    for t0 in (0, 1, fixed - 2, fixed - 1, fixed, fixed + 1, fixed + _BLOCK):
-        for k in (1, 2, _BLOCK):
-            expect, got = np.empty((2, k + 1, b.program.m))
-            expect[0] = rows[min(t0, fixed)]
-            p = _step_to_fixed_point(steps, expect)
-            assert driftopt.solver._copy(held, t0, got) == p, (t0, k)
-            assert_bitwise_equal(got, expect)
-            if t0 + k < fixed:  # rows short of t* that hold the block
-                got[:] = np.nan
-                assert driftopt.solver._copy((rows[:t0 + k + 1], None), t0, got) is None
+    Q = np.zeros((fixed + 2 * _BLOCK, m))
+    _step_to_fixed_point(steps, Q)
+    for t0 in (0, 1, fixed - 2, fixed - 1, fixed, fixed + 1):
+        for first in (1, 2, _BLOCK):
+            store = {}
+            block = np.empty((first + 1, m))
+            block[0] = Q[t0]
+            p = driftopt.solver._fill(store, V, steps, block)
+            n = first if p is None else p + 1
+            assert list(store) == [(V, Q[t0].tobytes())]
+            assert store[V, Q[t0].tobytes()][0] == p
+            assert_bitwise_equal(store[V, Q[t0].tobytes()][1], Q[t0 + 1:t0 + n + 1])
+            for k in (1, 2, _BLOCK):
+                expect, got = np.full((2, k + 1, m), np.nan)
+                expect[0] = got[0] = Q[t0]
+                covered = p is not None or first >= k
+                found = driftopt.solver._fill(store, V, unstepped if covered else steps, got)
+                assert found == _step_to_fixed_point(steps, expect), (t0, first, k)
                 assert_bitwise_equal(got, expect)
+                if not covered:
+                    n = k if found is None else found + 1
+                    assert store[V, Q[t0].tobytes()][0] == found
+                    assert_bitwise_equal(store[V, Q[t0].tobytes()][1], Q[t0 + 1:t0 + n + 1])
 
 
 def test_another_key_misses_the_queue_cache(monkeypatch):
@@ -928,22 +951,24 @@ def test_a_factory_with_no_weak_reference_runs_and_keeps_nothing(monkeypatch):
 
 
 def test_kept_rows_go_with_their_factory():
-    # a factory's trajectories are dropped when it is; the one stored first
-    # goes first once the factory keeps _CACHED_TRAJECTORIES
+    # a factory's blocks are kept under V and the bytes of their row 0, and
+    # dropped when the factory is
     b = builtin("qp_6_2")
     factory = functools.partial(b.oracle.func, *b.oracle.args)
     V, q0 = choose_V(b.program), np.zeros(b.program.m)
     for scale in (1, 2, 3, 4, 5):
         run(b.program, factory, V=scale * V, q0=q0, iters=10)
-    assert [key[0] / V for key in kept(factory)] == [2, 3, 4, 5]
+    assert list(kept(factory)) == [(scale * V, q0.tobytes()) for scale in (1, 2, 3, 4, 5)]
     del factory
     assert driftopt.solver._KEPT == {}
 
 
 def test_a_queue_with_no_fixed_point_keeps_at_most_the_byte_bound(tmp_path, monkeypatch):
     # an infeasible QP (x1 <= -1 and -x1 <= -1) whose queue grows for ever:
-    # it keeps its first _CACHED_BYTES of rows whatever the horizon, and a
-    # repeated run copies the blocks they hold and steps the rest
+    # its blocks of 4,096 rows of 2 take 64 KiB each, so the factory keeps
+    # the last 7 and the last, shorter one, the blocks stored first going
+    # first.  A repeated run stores each block before it reaches the kept
+    # ones, so it steps every block, and records the same trace
     stepped = count_steps(monkeypatch)
     path = tmp_path / "infeasible.json"
     path.write_text(json.dumps({"kind": "qp", "P": [[1.0]], "c": [0.0],
@@ -951,33 +976,69 @@ def test_a_queue_with_no_fixed_point_keeps_at_most_the_byte_bound(tmp_path, monk
     b = load_problem(path)
     cfg = dict(V=choose_V(b.program), q0=np.zeros(2), iters=100_000)
     first = run(b.program, b.oracle, **cfg)
-    assert [(rows.shape, p) for rows, p in kept(b.oracle).values()] == [
-        ((driftopt.solver._CACHED_BYTES // 16, 2), None)]
+    Q = np.zeros((100_002, 2))
+    b.oracle(cfg["V"]).steps(Q)
+    starts = range(17 * _BLOCK, 100_001, _BLOCK)
+    assert list(kept(b.oracle)) == [(cfg["V"], Q[t0].tobytes()) for t0 in starts]
+    assert [(p, rows.shape) for p, rows in kept(b.oracle).values()] == [
+        (None, (_BLOCK, 2))] * 7 + [(None, (100_001 - 24 * _BLOCK, 2))]
+    assert sum(rows.nbytes for _, rows in kept(b.oracle).values()) \
+        <= driftopt.solver._CACHED_BYTES
     stepped.clear()
     assert_same_trace(run(b.program, b.oracle, **cfg), first)
-    assert sum(stepped) == 100_001 - 7 * _BLOCK  # 7 blocks lie within 32,768 rows
-    cfg["V"] *= 2  # a second trajectory that fills the bound drops the first
+    assert sum(stepped) == 100_001
+    cfg["V"] *= 2  # the blocks at a second V drop those at the first
     run(b.program, b.oracle, **cfg)
-    assert [key[0] for key in kept(b.oracle)] == [cfg["V"]]
+    assert {key[0] for key in kept(b.oracle)} == {cfg["V"]}
 
 
-def test_a_one_shot_solve_of_many_constraints_keeps_at_most_the_byte_bound(tmp_path, capsys):
+def test_a_one_shot_solve_of_many_constraints_keeps_at_most_the_byte_bound(
+        tmp_path, capsys, monkeypatch):
     # 1,000 copies of x1 <= 1, whose queue reaches its fixed point at t* =
-    # 897 at V = 520: a solve keeps at most _CACHED_BYTES of rows (65 of
-    # them, so not t*), and a repeated solve writes the same bytes
+    # 897 at V = 520: the first block's 898 rows through t* pass
+    # _CACHED_BYTES, so they are never kept or copied, and a repeated solve
+    # steps that block again; the next block opens at t* and keeps its one
+    # row, which the repeated solve copies.  Both write the same bytes
+    stepped, step = [], _step_to_fixed_point
+    monkeypatch.setattr(driftopt.solver, "_step_to_fixed_point",
+                        lambda steps, Q: stepped.append(len(Q) - 1) or step(steps, Q))
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"kind": "qp", "P": [[1.0]], "c": [-4.0],
                                 "A": [[1.0]] * 1000, "b": [1.0] * 1000}))
     out = tmp_path / "wide.csv"
     argv = ["solve", "--problem", str(path), "--V", "520", "--iters", "5000", "--out", str(out)]
     written = []
-    for _ in range(2):
+    for blocks in ([_BLOCK, 5001 - _BLOCK], [_BLOCK]):
+        stepped.clear()
         assert main(argv) == 0
+        assert stepped == blocks
         written.append((capsys.readouterr(), out.read_bytes()))
-        trajectories = [t for entry in driftopt.solver._KEPT.values() for t in entry.values()]
-        assert [(rows.shape, p) for rows, p in trajectories] == [((65, 1000), None)]
-        assert sum(rows.nbytes for rows, _ in trajectories) <= driftopt.solver._CACHED_BYTES
+        blocks = [block for entry in driftopt.solver._KEPT.values() for block in entry.values()]
+        assert [(p, rows.shape) for p, rows in blocks] == [(0, (1, 1000))]
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("tag", BUILTIN_TAGS)
+def test_a_run_from_the_fixed_point_steps_once(monkeypatch, tag):
+    # from Q(0) = Q* every block opens at the fixed point: the first steps
+    # once and keeps its row, the others copy it, and a repeated run steps
+    # nothing.  Each block rebuilds two rows, and the last, of one row, its
+    # row, and the trace is bitwise the one that steps and rebuilds every row
+    b = builtin(tag)
+    V, m = choose_V(b.program), b.program.m
+    Q = np.zeros((4 * _BLOCK, m))
+    _step_to_fixed_point(b.oracle(V).steps, Q)
+    cfg = dict(V=V, q0=Q[-1], iters=3 * _BLOCK, reference=b.reference)
+    with pytest.MonkeyPatch.context() as patch:
+        whole_blocks(patch)
+        hidden = run(b.program, b.oracle, **cfg)
+    driftopt.solver._KEPT.clear()
+    fixed, oracle = fixed_points(monkeypatch), FillingOracle(b)
+    for chunks in ([[1], [], [], []], [[], [], [], []]):
+        fixed.clear()
+        oracle.rows, oracle.chunks = [], [[]]
+        assert_same_trace(run(b.program, oracle, **cfg), hidden)
+        assert (fixed, oracle.chunks[:-1], oracle.rows) == ([0] * 4, chunks, [2, 2, 2, 1])
 
 
 def test_threads_running_one_builtin_at_once_get_its_traces():
