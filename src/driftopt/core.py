@@ -191,7 +191,10 @@ _SAMPLE_SPEC = re.compile(r"log|linear(?::([0-9]+))?")
 def sample_indices(iters: int, sample: str = "log") -> list[int]:
     """Iteration indices to record under the sample spec ``sample``: ~log-
     spaced for "log", every k steps for "linear:<k>" (k = 1 for "linear"),
-    always ending at ``iters``.  Any other spec raises ValueError."""
+    always ending at ``iters``, which must lie in [1, 2**53], where a
+    trace's t does.  Any other spec raises ValueError."""
+    if iters > 2**53:  # before a log of a huge int, or a list of 2**53 indices
+        raise ValueError("iters must be at most 2**53")
     if iters < 1:
         raise ValueError("iters must be >= 1")
     match = _SAMPLE_SPEC.fullmatch(sample)

@@ -34,10 +34,11 @@ and the dual subgradient method at one V share their blocks, and every
 block that opens at the fixed point is the same block.  A factory keeps
 the rows that each stepped block found after its row 0, keyed on V and
 the bytes of row 0: through the fixed point's successor where the block
-found it, else all of them, in at most ``_CACHED_BYTES`` and only while
-the factory lives.  A block of any run that opens at a kept row 0 copies
-the kept rows where they hold its fixed point or all its rows, and is
-stepped otherwise.  Every run rebuilds x and g and checks every step.
+found it, else all of them, while they fit in ``_CACHED_BYTES`` beside
+the rows it keeps already, and only while the factory lives.  A block of
+any run that opens at a kept row 0 copies the kept rows where they hold
+its fixed point or all its rows, and is stepped otherwise.  Every run
+rebuilds x and g and checks every step.
 
 A run is strictly sequential and steps an oracle of its own, built at its
 V; distinct runs share only kept rows, which no run writes, and may
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import threading
 import warnings
-import weakref
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -78,14 +79,14 @@ _BLOCK = 4096
 # 256 and -12 to +1% at 512.
 _CHUNK = 256
 
-# Per factory, the bytes of the kept blocks' rows, the least recently
-# stored going first: builtin_long keeps 386 KB for num_6_1 (at two V),
-# 320 KB for num_5_2_rank_deficient and 32 KB for qp_6_2, and a CLI
+# Per factory, the bytes of the kept blocks' rows, filled first come and
+# never evicted: builtin_long keeps 376.6 KiB for num_6_1 (at two V),
+# 312.5 KiB for num_5_2_rank_deficient and 31.3 KiB for qp_6_2, and a CLI
 # process, whose bundle cache holds 4 factories, at most 2 MiB.
 _CACHED_BYTES = 2 ** 19
-# id(factory) -> {(V, bytes of row 0): (p or None, rows)}; an entry goes
-# when its factory does.  Stores hold the lock; a read is one dict lookup.
-_KEPT: dict = {}
+# factory -> {(V, bytes of row 0): (p or None, rows)}; an entry goes when
+# its factory does.  Stores hold the lock; a read is one dict lookup.
+_KEPT = WeakKeyDictionary()
 _KEEPING = threading.Lock()
 
 
@@ -113,27 +114,14 @@ def _step_to_fixed_point(steps, Q: np.ndarray) -> int | None:
     return None
 
 
-def _kept(oracle) -> dict:
-    """The blocks kept for the factory ``oracle``, by (V, bytes of row 0);
-    an empty dict, kept nowhere, for a factory that takes no weak
-    reference."""
-    kept = _KEPT.get(id(oracle))
-    if kept is None:
-        try:  # the entry goes before the factory's id can be reused
-            weakref.finalize(oracle, _KEPT.pop, id(oracle), None)
-        except TypeError:
-            return {}
-        kept = _KEPT.setdefault(id(oracle), {})
-    return kept
-
-
 def _fill(kept: dict, V: float, steps, Q: np.ndarray) -> int | None:
     """Fill rows 1..k of the (k + 1, m) block Q from row 0 and return p as
     ``_step_to_fixed_point`` does: from the rows that ``kept`` holds for
     (V, bytes of row 0) where they cover the block, else by ``steps``,
-    keeping what was stepped.  A kept block is (p, rows 1..p + 1), or
-    (None, rows 1..k) where it found no fixed point; the least recently
-    stored go first until ``kept`` holds at most _CACHED_BYTES of rows."""
+    keeping what was stepped where its rows and those that ``kept`` holds
+    fit in _CACHED_BYTES; it replaces a shorter block from the same row 0,
+    and nothing else goes.  A kept block is (p, rows 1..p + 1), or (None,
+    rows 1..k) where it found no fixed point."""
     key, k = (V, Q[0].tobytes()), len(Q) - 1
     p, rows = kept.get(key, (None, ()))
     if p is not None or len(rows) >= k:
@@ -142,14 +130,9 @@ def _fill(kept: dict, V: float, steps, Q: np.ndarray) -> int | None:
         return p if p is not None and p < k else None
     p = _step_to_fixed_point(steps, Q)
     n = k if p is None else p + 1
-    if n * Q[0].nbytes <= _CACHED_BYTES:  # a larger block is never copied
-        rows = Q[1:n + 1].copy()
-        with _KEEPING:
-            kept.pop(key, None)
-            held = sum(r.nbytes for _, r in kept.values())
-            while held + rows.nbytes > _CACHED_BYTES:
-                held -= kept.pop(next(iter(kept)))[1].nbytes
-            kept[key] = p, rows
+    with _KEEPING:
+        if sum(r.nbytes for _, r in kept.values()) + n * Q[0].nbytes <= _CACHED_BYTES:
+            kept[key] = p, Q[1:n + 1].copy()
     return p
 
 
@@ -267,9 +250,12 @@ def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
     The oracle's step must be a pure function of the bits of Q(t): once a
     step leaves Q bitwise unchanged, the run copies that row on, unstepped.
     A factory is taken to build the same oracle whenever it is called at
-    the same V: a block whose row 0 has the bytes of one that a run with
-    the same factory object and an equal V stepped copies the rows that
-    the factory keeps for it (see the module docstring).
+    the same V, and it is the key of the rows kept: a block whose row 0
+    has the bytes of one that a run with an equal factory and an equal V
+    stepped copies the rows kept for it (see the module docstring).  A
+    factory class that defines value equality shares them with an equal
+    factory; a bundle's ``functools.partial`` equals only itself.  A
+    factory that is unhashable or takes no weak reference keeps nothing.
 
     When ``reference`` (a KktSolution) is given, each sample also records
     the objective error |f(x-bar) - f*|, the dual-iterate distance
@@ -319,7 +305,10 @@ def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
         _as_vector(program.constraints(inner.argmin(Q[0])), program.m, "g(x)")
         record = _Recorder(program, inner.argmin, V=V, ts=ts, variant=variant,
                            iters=iters, block=block, dual=dual)
-        kept = _kept(oracle)
+        try:
+            kept = _KEPT.setdefault(oracle, {})
+        except TypeError:  # unhashable, or takes no weak reference
+            kept = {}
         for t0 in range(0, iters + 1, block):
             Q[0] = Q[k]
             k = min(block, iters + 1 - t0)

@@ -1,6 +1,6 @@
 """Mutation check for the DPP kernel and its kept queue blocks, the
-oracles, the diagnostics, the reference, the checks of a program, a queue
-and a trace's t, and the trace's layout.
+oracles, the diagnostics, the reference, the checks of a program, a queue,
+an iteration count and a trace's t, and the trace's layout.
 
     python tests/mutants.py [NAME ...]
 
@@ -119,6 +119,8 @@ MUTANTS = [
     # an int64 2**53 + 1 converts to the double 2.0**53, so only an int t tells
     ("trace-t-bound-as-float", C, "t > 2**53", "t > 2.0**53",
      [f"{T_CORE}::test_trace_requires_increasing_t"]),
+    ("iters-bound-dropped", C, "if iters > 2**53:", "if False:",
+     [f"{T_ERRORS}::test_solve_past_2_53_iterations_exits_2_before_the_first_step"]),
     ("trace-t-bound-dropped", C, "if np.any(t > 2**53):", "if False:",
      [f"{T_ERRORS}::test_trace_reader_rejects_bad_cells"]),
     # audit would still refuse the column, as its trace checks t; fit would not
@@ -137,7 +139,9 @@ MUTANTS = [
     # a p >= k reads as None in the recorder, so only the block's own p tells
     ("queue-held-p-past-the-block", S, "return p if p is not None and p < k else None",
      "return p", [f"{T_SOLVER}::test_kept_rows_fill_a_block_as_its_steps_do"]),
-    ("queue-bytes-unbounded", S, "while held + rows.nbytes > _CACHED_BYTES:", "while False:",
+    ("queue-bytes-unbounded", S,
+     "if sum(r.nbytes for _, r in kept.values()) + n * Q[0].nbytes <= _CACHED_BYTES:",
+     "if True:",
      [f"{T_SOLVER}::test_a_queue_with_no_fixed_point_keeps_at_most_the_byte_bound"]),
     ("queue-shorter-block-served", S, "if p is not None or len(rows) >= k:",
      "if p is not None or len(rows):",

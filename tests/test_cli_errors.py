@@ -468,12 +468,29 @@ def test_geometric_fit_overflow_exits_3_with_warnings_as_errors(tmp_path):
     assert proc.stderr == "error: geometric fit produced ratio nan outside (0, 1)\n"
 
 
+# Past 2**53, np.log10 of a log sample's iters fails on the int (an
+# OverflowError at 2**63, a TypeError from 2**64), and a linear sample would
+# be a list of 2**53 indices (a MemoryError): each is refused before.
+PAST_2_53 = [(2**53 + 1, "log"), (2**63, "log"), (2**64, "log"), (10**20, "log"),
+             (2**53 + 1, "linear")]
+
+
 def test_solve_past_2_53_iterations_exits_2_before_the_first_step(tmp_path, capsys):
-    # its last sample's t would pass 2**53, which no trace holds: refused at
-    # once where it used to step for ever, and nothing is written
-    code, out, err = run_cli(capsys, "solve", "--builtin", "qp_6_2", "--iters", 2**53 + 1,
-                             "--out", tmp_path / "x.csv")
-    assert (code, out, err) == (2, "", "error: trace iteration indices t must be at most 2**53\n")
+    # its last sample's t would pass 2**53, which no trace holds: refused
+    # before the sample is built, and nothing is written
+    for iters, sample in PAST_2_53:
+        code, out, err = run_cli(capsys, "solve", "--builtin", "qp_6_2", "--iters", iters,
+                                 "--sample", sample, "--out", tmp_path / "x.csv")
+        assert (code, out, err) == (2, "", "error: iters must be at most 2**53\n"), iters
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("iters,sample", PAST_2_53, ids=str)
+def test_solve_past_2_53_iterations_exits_2_in_a_fresh_process(tmp_path, iters, sample):
+    proc = run_module("solve", "--builtin", "qp_6_2", "--iters", iters, "--sample", sample,
+                      "--out", tmp_path / "x.csv", python_flags=("-W", "error"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: iters must be at most 2**53\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -827,7 +827,7 @@ def test_a_repeated_run_steps_no_kept_block(monkeypatch, tag):
 
 def kept(factory):
     """The blocks that ``factory`` keeps, by (V, bytes of their row 0)."""
-    return driftopt.solver._KEPT.get(id(factory), {})
+    return driftopt.solver._KEPT.get(factory, {})
 
 
 def unstepped(Q):
@@ -902,27 +902,8 @@ class UnhashableFactory:
     def __init__(self, b):
         self.b = b
 
-    def __eq__(self, other):
-        return True
-
     def __call__(self, V):
         return self.b.oracle(V)
-
-
-def test_an_unhashable_factory_runs_and_is_kept(monkeypatch):
-    stepped = count_steps(monkeypatch)
-    b = builtin("num_6_1")
-    cfg = dict(V=choose_V(b.program), q0=np.zeros(b.program.m), iters=3000)
-    plain = run(b.program, b.oracle, **cfg)
-    stepped.clear()
-    factory = UnhashableFactory(b)
-    assert_same_trace(run(b.program, factory, **cfg), plain)
-    assert sum(stepped) == 3001
-    assert_same_trace(run(b.program, factory, **cfg), plain)
-    assert sum(stepped) == 3001
-    stepped.clear()  # an equal factory is still another object
-    assert_same_trace(run(b.program, UnhashableFactory(b), **cfg), plain)
-    assert sum(stepped) == 3001
 
 
 class SlottedFactory:
@@ -937,17 +918,22 @@ class SlottedFactory:
         return self.b.oracle(V)
 
 
-def test_a_factory_with_no_weak_reference_runs_and_keeps_nothing(monkeypatch):
+@pytest.mark.parametrize("cls", [UnhashableFactory, SlottedFactory], ids=lambda c: c.__name__)
+def test_a_factory_that_cannot_be_a_key_runs_and_keeps_nothing(monkeypatch, cls):
+    # a factory that is unhashable or takes no weak reference cannot key
+    # the store: its runs record the plain run's trace, and each steps
+    # through the chunk that ends past t* = 2002, as the first did
     stepped = count_steps(monkeypatch)
     b = builtin("qp_6_2")
     cfg = dict(V=choose_V(b.program), q0=np.zeros(b.program.m), iters=3000)
     plain = run(b.program, b.oracle, **cfg)
-    factory = SlottedFactory(b)
+    held = len(driftopt.solver._KEPT)
+    factory = cls(b)
     for _ in range(2):
         stepped.clear()
         assert_same_trace(run(b.program, factory, **cfg), plain)
-        assert sum(stepped) == 1 + 8 * _CHUNK  # through the chunk that ends past t* = 2002
-    assert id(factory) not in driftopt.solver._KEPT
+        assert sum(stepped) == 1 + 8 * _CHUNK
+    assert len(driftopt.solver._KEPT) == held
 
 
 def test_kept_rows_go_with_their_factory():
@@ -966,30 +952,32 @@ def test_kept_rows_go_with_their_factory():
 def test_a_queue_with_no_fixed_point_keeps_at_most_the_byte_bound(tmp_path, monkeypatch):
     # an infeasible QP (x1 <= -1 and -x1 <= -1) whose queue grows for ever:
     # its blocks of 4,096 rows of 2 take 64 KiB each, so the factory keeps
-    # the last 7 and the last, shorter one, the blocks stored first going
-    # first.  A repeated run stores each block before it reaches the kept
-    # ones, so it steps every block, and records the same trace
+    # the first 8, _CACHED_BYTES in all, and no later one.  A repeated run
+    # copies those 8 blocks, steps the 67,233 rows after them and records
+    # the same trace; a run at a second V finds the bound full and keeps
+    # nothing
     stepped = count_steps(monkeypatch)
     path = tmp_path / "infeasible.json"
     path.write_text(json.dumps({"kind": "qp", "P": [[1.0]], "c": [0.0],
                                 "A": [[1.0], [-1.0]], "b": [-1.0, -1.0]}))
     b = load_problem(path)
-    cfg = dict(V=choose_V(b.program), q0=np.zeros(2), iters=100_000)
-    first = run(b.program, b.oracle, **cfg)
+    V = choose_V(b.program)
+    cfg = dict(q0=np.zeros(2), iters=100_000)
+    first = run(b.program, b.oracle, V=V, **cfg)
     Q = np.zeros((100_002, 2))
-    b.oracle(cfg["V"]).steps(Q)
-    starts = range(17 * _BLOCK, 100_001, _BLOCK)
-    assert list(kept(b.oracle)) == [(cfg["V"], Q[t0].tobytes()) for t0 in starts]
-    assert [(p, rows.shape) for p, rows in kept(b.oracle).values()] == [
-        (None, (_BLOCK, 2))] * 7 + [(None, (100_001 - 24 * _BLOCK, 2))]
+    b.oracle(V).steps(Q)
+    starts = range(0, 8 * _BLOCK, _BLOCK)
+    assert list(kept(b.oracle)) == [(V, Q[t0].tobytes()) for t0 in starts]
+    for t0, (p, rows) in zip(starts, kept(b.oracle).values()):
+        assert p is None
+        assert_bitwise_equal(rows, Q[t0 + 1:t0 + _BLOCK + 1])
     assert sum(rows.nbytes for _, rows in kept(b.oracle).values()) \
-        <= driftopt.solver._CACHED_BYTES
+        == driftopt.solver._CACHED_BYTES
     stepped.clear()
-    assert_same_trace(run(b.program, b.oracle, **cfg), first)
-    assert sum(stepped) == 100_001
-    cfg["V"] *= 2  # the blocks at a second V drop those at the first
-    run(b.program, b.oracle, **cfg)
-    assert {key[0] for key in kept(b.oracle)} == {cfg["V"]}
+    assert_same_trace(run(b.program, b.oracle, V=V, **cfg), first)
+    assert sum(stepped) == 100_001 - 8 * _BLOCK == 67_233
+    run(b.program, b.oracle, V=2 * V, **cfg)
+    assert list(kept(b.oracle)) == [(V, Q[t0].tobytes()) for t0 in starts]
 
 
 def test_a_one_shot_solve_of_many_constraints_keeps_at_most_the_byte_bound(
