@@ -2,13 +2,12 @@
 subgradient methods, with dual-function analysis, ground-truth KKT solves,
 and convergence-rate diagnostics."""
 
-from .core import DimensionError, IterateTrace, ProgramSpec, sample_indices
+from .core import (DimensionError, IterateTrace, ProgramSpec, dual_value_and_gradient,
+                   general_dual_hessian, num_dual_hessian, sample_indices, theta_bound)
 from .oracles import ClosedFormNumOracle, ClosedFormQpOracle, NumInstance, QpInstance
 from .solver import VARIANTS, choose_V, run
 from .reference import (InfeasibleError, KktSolution, kkt_solve_num,
                         kkt_solve_qp)
-from .dual_analysis import (dual_value_and_gradient, general_dual_hessian,
-                            num_dual_hessian, theta_bound)
 from .diagnostics import (RateFit, audit_bounds, audit_passed, fit_geometric,
                           fit_power_decay, max_violation)
 from .problems import (BUILTIN_TAGS, Constant, ProblemBundle, builtin,

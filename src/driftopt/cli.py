@@ -400,7 +400,8 @@ def main(argv=None) -> int:
                                                          file=sys.stderr)
         try:
             return args.fn(args)
-        except (OSError, ValueError, UserWarning) as exc:  # a warning raised by -W error
+        # a warning raised by -W error, or a request too large for memory
+        except (OSError, ValueError, UserWarning, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except (ArithmeticError, _Failure) as exc:

@@ -1,10 +1,13 @@
-"""Shared domain types: programs, virtual queues and sampled traces.
+"""Shared domain types: programs and their Lagrange duals, virtual queues
+and sampled traces.
 
 ``ProgramSpec`` is the base of every problem kind: it checks and stores
 the linear constraints and the moduli alpha and beta that the guarantees
-need.  Programs are immutable value objects, a queue is a checked
-read-only array (``_as_queue``) and the functions are pure; a trace is a
-mutable record whose constructor checks and normalizes its ``t`` column.
+need.  The dual q(lam) = min_x {f(x) + lam . g(x)} is concave and, as f
+is strongly convex, differentiable with gradient g(x(lam)).  Programs are
+immutable value objects, a queue is a checked read-only array
+(``_as_queue``) and the functions are pure; a trace is a mutable record
+whose constructor checks and normalizes its ``t`` column.
 """
 
 from __future__ import annotations
@@ -108,6 +111,71 @@ class ProgramSpec:
         return self.A.dot(x.T).T - self.b
 
 
+def dual_value_and_gradient(program: ProgramSpec, oracle, lam) -> tuple[float, np.ndarray]:
+    """Evaluate (q(lam), grad q(lam)) via the inner-minimization oracle.
+
+    ``oracle`` is the factory V -> oracle.  Since the oracle minimizes
+    V f + q . g, the one built at V = 1, called with q = lam, yields the
+    argmin defining q(lam), whose constraint values are the gradient.
+    """
+    lam = _as_vector(lam, program.m, "lambda")
+    if np.any(lam < 0):
+        raise ValueError("multiplier must be nonnegative")
+    x = oracle(1.0).argmin(lam)
+    gvals = program.constraints(x)
+    return float(program.objective(x)) + float(lam @ gvals), gvals
+
+
+def num_dual_hessian(inst: ProgramSpec, lam) -> np.ndarray:
+    """Dual Hessian of the rate-allocation program at an interior multiplier.
+
+    -sum_i c_i a_i a_i^T / (lam . a_i)^2, where a_i is the i-th column of A.
+    Valid when every lam . a_i > 0 (the closed-form clip is inactive).
+    """
+    lam = _as_vector(lam, inst.m, "lambda")
+    if np.any(lam < 0):
+        raise ValueError("multiplier must be nonnegative")
+    denom = lam @ inst.A
+    if np.any(denom <= 0):
+        raise ValueError("need lam . a_i > 0 for every flow (interior regime)")
+    scaled = inst.A * (inst.c / denom ** 2)  # columns a_i * c_i / (lam.a_i)^2
+    return -(scaled @ inst.A.T)
+
+
+def general_dual_hessian(grad_g: np.ndarray, hess_f: np.ndarray) -> np.ndarray:
+    """Dual Hessian -G H^{-1} G^T of a program with affine constraints.
+
+    ``grad_g`` is the m x n constraint Jacobian G and ``hess_f`` the n x n
+    objective Hessian H, which must be positive definite.
+    """
+    G = np.asarray(grad_g, dtype=float)
+    if G.ndim != 2:
+        raise ValueError("grad_g must be an m x n matrix")
+    n = G.shape[1]
+    H = np.asarray(hess_f, dtype=float)
+    if H.shape != (n, n):
+        raise ValueError("hess_f must be n x n")
+    if np.linalg.eigvalsh(0.5 * (H + H.T)).min() <= 0:
+        raise ValueError("hess_f must be positive definite")
+    return -(G @ np.linalg.solve(H, G.T))
+
+
+def theta_bound(V: float, gamma: float, lambda0, lambda_star,
+                q_at_lambda0: float, q_at_star: float) -> float:
+    """Dual-gap constant: q(lam*) - q(lam(t)) <= theta / t for all t >= 1.
+
+    theta = max(4 V^2 ||lam(0)-lam*||^2 / (2V - gamma), q(lam*) - q(lam(0))).
+    Requires V >= gamma.
+    """
+    if V < gamma:
+        raise ValueError("theta bound requires V >= gamma")
+    lambda0 = np.atleast_1d(np.asarray(lambda0, dtype=float))
+    lambda_star = np.atleast_1d(np.asarray(lambda_star, dtype=float))
+    dist2 = float(np.sum((lambda0 - lambda_star) ** 2))
+    # V / (2V - gamma) <= 1 is formed first, so no V^2 overflows.
+    return max(4.0 * V * dist2 * (V / (2.0 * V - gamma)), q_at_star - q_at_lambda0)
+
+
 def _as_queue(q) -> np.ndarray:
     """A read-only copy of the virtual queue vector ``q``, one finite,
     nonnegative entry per constraint."""
@@ -188,12 +256,13 @@ PER_DECADE = 200
 _SAMPLE_SPEC = re.compile(r"log|linear(?::([0-9]+))?")
 
 
-def sample_indices(iters: int, sample: str = "log") -> list[int]:
-    """Iteration indices to record under the sample spec ``sample``: ~log-
-    spaced for "log", every k steps for "linear:<k>" (k = 1 for "linear"),
-    always ending at ``iters``, which must lie in [1, 2**53], where a
-    trace's t does.  Any other spec raises ValueError."""
-    if iters > 2**53:  # before a log of a huge int, or a list of 2**53 indices
+def sample_indices(iters: int, sample: str = "log") -> np.ndarray:
+    """Iteration indices to record under the sample spec ``sample``, as an
+    int64 array: ~log-spaced for "log", every k steps for "linear:<k>" (k = 1
+    for "linear"), always ending at ``iters``, which must lie in [1, 2**53],
+    where a trace's t does.  Any other spec raises ValueError; a linear
+    schedule too large for memory raises MemoryError."""
+    if iters > 2**53:  # before a log of a huge int
         raise ValueError("iters must be at most 2**53")
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -205,9 +274,9 @@ def sample_indices(iters: int, sample: str = "log") -> list[int]:
     if sample == "log":
         decades = np.log10(max(iters, 2))
         raw = np.unique(np.round(10 ** np.linspace(0, decades, int(PER_DECADE * decades) + 1)))
-        idx = raw[(raw >= 1) & (raw <= iters)].astype(int).tolist()
+        idx = raw[(raw >= 1) & (raw <= iters)].astype(np.int64)
     else:
-        idx = list(range(stride, iters + 1, stride))
-    if not idx or idx[-1] != iters:
-        idx.append(iters)
+        idx = np.arange(stride, iters + 1, stride, dtype=np.int64)
+    if not idx.size or idx[-1] != iters:
+        idx = np.append(idx, iters)
     return idx

@@ -16,8 +16,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import IterateTrace, ProgramSpec, _as_vector
-from .dual_analysis import dual_value_and_gradient, theta_bound
+from .core import IterateTrace, ProgramSpec, _as_vector, dual_value_and_gradient, theta_bound
 from .reference import KktSolution
 
 

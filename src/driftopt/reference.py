@@ -135,12 +135,8 @@ def kkt_solve_qp(inst: QpInstance) -> KktSolution:
     H = 2.0 * inst.P
 
     def stationary(S):
-        s = len(S)
         A_S = inst.A[S, :]
-        K = np.zeros((n + s, n + s))
-        K[:n, :n] = H
-        K[:n, n:] = A_S.T
-        K[n:, :n] = A_S
+        K = np.block([[H, A_S.T], [A_S, np.zeros((len(S), len(S)))]])
         rhs = np.concatenate([-inst.c, inst.b[S]])
         sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
         if np.linalg.norm(K @ sol - rhs) > 1e-8 * (1 + np.linalg.norm(rhs)):

@@ -53,8 +53,8 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .core import IterateTrace, ProgramSpec, _as_queue, _as_vector, _check_V, sample_indices
-from .dual_analysis import dual_value_and_gradient
+from .core import (IterateTrace, ProgramSpec, _as_queue, _as_vector, _check_V,
+                   dual_value_and_gradient, sample_indices)
 
 VARIANTS = ("dpp", "dpp_shifted")
 
@@ -275,7 +275,7 @@ def run(program: ProgramSpec, oracle, *, V: float, q0, iters: int,
     Deterministic: identical inputs give identical traces.
     """
     _check_V(V)
-    ts = np.fromiter(sample_indices(iters, sample), int)
+    ts = sample_indices(iters, sample)
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     q0 = _as_queue(q0)

@@ -1,6 +1,7 @@
 """Mutation check for the DPP kernel and its kept queue blocks, the
 oracles, the diagnostics, the reference, the checks of a program, a queue,
-an iteration count and a trace's t, and the trace's layout.
+an iteration count and a trace's t, the trace's layout, and the CLI's exit
+codes.
 
     python tests/mutants.py [NAME ...]
 
@@ -123,6 +124,10 @@ MUTANTS = [
      [f"{T_ERRORS}::test_solve_past_2_53_iterations_exits_2_before_the_first_step"]),
     ("trace-t-bound-dropped", C, "if np.any(t > 2**53):", "if False:",
      [f"{T_ERRORS}::test_trace_reader_rejects_bad_cells"]),
+    ("memory-error-unmapped", "cli.py", "(OSError, ValueError, UserWarning, MemoryError)",
+     "(OSError, ValueError, UserWarning)",
+     [f"{T_ERRORS}::test_solve_with_a_schedule_too_large_for_memory_exits_2",
+      f"{T_ERRORS}::test_solve_with_a_schedule_too_large_for_memory_exits_2_in_a_fresh_process"]),
     # audit would still refuse the column, as its trace checks t; fit would not
     ("reader-t-check-dropped", "cli.py", """_check_t(cols["t"], "trace CSV column 't'")""",
      "None", [f"{T_ERRORS}::test_trace_reader_rejects_bad_cells"]),

@@ -17,6 +17,7 @@ import driftopt.oracles
 from driftopt import cli
 from driftopt.cli import main
 from driftopt.problems import BUILTINS, load_problem
+from replay import count_steps
 
 
 def run_cli(capsys, *argv):
@@ -470,7 +471,7 @@ def test_geometric_fit_overflow_exits_3_with_warnings_as_errors(tmp_path):
 
 # Past 2**53, np.log10 of a log sample's iters fails on the int (an
 # OverflowError at 2**63, a TypeError from 2**64), and a linear sample would
-# be a list of 2**53 indices (a MemoryError): each is refused before.
+# be an array of 2**53 indices (a MemoryError): each is refused before.
 PAST_2_53 = [(2**53 + 1, "log"), (2**63, "log"), (2**64, "log"), (10**20, "log"),
              (2**53 + 1, "linear")]
 
@@ -491,6 +492,30 @@ def test_solve_past_2_53_iterations_exits_2_in_a_fresh_process(tmp_path, iters, 
                       "--out", tmp_path / "x.csv", python_flags=("-W", "error"))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: iters must be at most 2**53\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# At 2**53 iterations, the most a trace holds, a linear schedule is 64 PiB of
+# int64 indices: numpy refuses the allocation at once with a MemoryError.
+TOO_LARGE = ("solve", "--builtin", "qp_6_2", "--iters", 2**53, "--sample", "linear")
+
+
+def one_allocation_error(err: str) -> bool:
+    return err.startswith("error: Unable to allocate 64.0 PiB ") and err.count("\n") == 1
+
+
+def test_solve_with_a_schedule_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
+    stepped = count_steps(monkeypatch)
+    code, out, err = run_cli(capsys, *TOO_LARGE, "--out", tmp_path / "x.csv")
+    assert (code, out, stepped) == (2, "", [])
+    assert one_allocation_error(err), err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_with_a_schedule_too_large_for_memory_exits_2_in_a_fresh_process(tmp_path):
+    proc = run_module(*TOO_LARGE, "--out", tmp_path / "x.csv", python_flags=("-W", "error"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert one_allocation_error(proc.stderr), proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 

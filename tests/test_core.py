@@ -103,8 +103,9 @@ def test_trace_columns():
 
 
 def test_sample_indices_linear():
-    assert sample_indices(10, "linear:3") == [3, 6, 9, 10]
-    assert sample_indices(5, "linear") == sample_indices(5, "linear:1") == [1, 2, 3, 4, 5]
+    assert sample_indices(10, "linear:3").tolist() == [3, 6, 9, 10]
+    assert (sample_indices(5, "linear").tolist() == sample_indices(5, "linear:1").tolist()
+            == [1, 2, 3, 4, 5])
 
 
 def test_sample_indices_log():
@@ -124,8 +125,8 @@ def test_sample_indices_log_keeps_the_grid_points_in_range(iters):
     if expect[-1] != iters:
         expect.append(iters)
     idx = sample_indices(iters, "log")
-    assert idx == expect
-    assert all(type(t) is int for t in idx)
+    assert idx.dtype == np.int64
+    assert idx.tolist() == expect
 
 
 def test_sample_indices_rejects_bad_input():
