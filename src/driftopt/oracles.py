@@ -18,8 +18,9 @@ An oracle's first ``steps`` call generates a straight-line Python step for
 its instance's shape, with its constants bound, or, above a size bound or
 at a NUM floor of 0.0, steps with numpy one row at a time.  The NUM step
 folds a flow's floor and cap into one compare with a threshold found at
-generation.  A process compiles a shape's step once and keeps the last
-few, which every oracle of that shape reuses, at any V.  Only the DPP
+generation; the QP step skips the terms of empty queues, keeping every
+bit.  A process compiles a shape's step once and keeps the last few,
+which every oracle of that shape reuses, at any V.  Only the DPP
 kernel calls ``steps``, so nothing else generates one.  Either way a step
 is a pure function of the bits of q, which lets the kernel stop at the
 queue's fixed point.
@@ -154,7 +155,13 @@ _MAX_GENERATED_ONES = 144
 # rounds on a busy machine: 2.86-2.96 against 3.73-3.94 us at m = 8,
 # 3.28-3.72 against 2.66-4.27 at m = 9 and 3.74-4.63 against 3.21-4.29 at
 # m = 10.  The step before it, on the same instances, crosses over near
-# m = 9 too; generating took 0.6-1.5 ms at m = 8..10.
+# m = 9 too; generating took 0.6-1.5 ms at m = 8..10.  Measured again once
+# the step skipped empty queues, medians of 5 alternating runs of 9 x 10 x
+# 1024 steps, against the step before it and numpy: 1.40 against 1.55 and
+# 1.89 us at m = 8 from q = 1e4 (no queue empty), 1.03 against 1.59 and
+# 1.87 at m = 8 with half the queues empty, 2.05 against 1.90 and 1.94 at
+# m = 9 from q = 1e4, and 1.19 against 1.87 and 1.90 at m = 9 with 5 of 9
+# empty.  Full queues still cross over at m = 9, so the bound stays.
 _MAX_GENERATED_ENTRIES = 64
 
 # Compiled steps kept, by shape.  random_instances runs 14 shapes a round, its
@@ -167,9 +174,10 @@ _CACHED_STEPS = 32
 @functools.lru_cache(maxsize=_CACHED_STEPS)
 def _generate_steps(m: int, count: int, body: tuple[str, ...]):
     """The function ``steps(v0, .., v{count-1}, q0, .., q{m-1}, k)``: k
-    queue steps on Python floats, each the straight-line ``body``, which
-    reads the constants v0.. and reads and rebinds q0..q{m-1}; it returns
-    the k queues row after row in one flat list.
+    queue steps on Python floats, each the ``body``, straight-line but for
+    the QP step's ``if q<j>:`` guards, which reads the constants v0.. and
+    reads and rebinds q0..q{m-1}; it returns the k queues row after row in
+    one flat list.
 
     A body holds only names, integer indices and 0.0, never a number from
     a problem file, so each constant keeps its bits.  Its sums run in index
@@ -295,7 +303,8 @@ class ClosedFormQpOracle(_ClosedForm):
     g(x(q)) = A x(q) - b, and the queue update is the affine map
     q' = max(M q + c0, 0) with M = I + A K and c0 = A x0 - b.  All of them
     come from one solve with 2VP; only a V at which 2VP overflows is refused.
-    Its generated step writes M q + c0 out in index order.
+    Its generated step writes M q + c0 out in index order, skipping the
+    columns of empty queues.
     """
 
     def __init__(self, inst: QpInstance, V: float):
@@ -316,11 +325,23 @@ class ClosedFormQpOracle(_ClosedForm):
         return np.maximum(self.M.dot(q) + self.c0, 0.0, out=out)
 
     def _step_body(self, value) -> list[str] | None:
-        # every y_k before any queue moves; every entry of M is summed, so
-        # an inf queue gives NaN as numpy's dot does
+        # every y_k before any queue moves.  Column 0 starts each row, each
+        # later column j adds its terms under one ``if q{j}:`` and c0_k comes
+        # last: a skipped term M_kj q_j is a zero, and x + (+-0.0) is x for
+        # every x but a zero, so a sum can lose only the sign of a zero,
+        # which + c0_k erases unless c0_k is -0.0.  Such a row, and an
+        # entry of M that is not finite (inf * 0 is NaN, as in numpy's dot),
+        # adds its terms unguarded
         if self.M.size > _MAX_GENERATED_ENTRIES:
             return None
         M, c0 = self.M.tolist(), self.c0.tolist()
-        return ([f"y{k} = {' + '.join(f'{value(v)} * q{j}' for j, v in enumerate(row))}"
-                 f" + {value(c)}" for k, (row, c) in enumerate(zip(M, c0))]
+        minus_zero = [c == 0.0 and math.copysign(1.0, c) < 0.0 for c in c0]
+        body = [f"y{k} = {value(row[0])} * q0" for k, row in enumerate(M)]
+        for j in range(1, len(c0)):
+            terms = [(minus_zero[k] or not math.isfinite(row[j]),
+                      f"y{k} += {value(row[j])} * q{j}") for k, row in enumerate(M)]
+            body += [term for always, term in terms if always]
+            if guarded := [f"    {term}" for always, term in terms if not always]:
+                body += [f"if q{j}:", *guarded]
+        return (body + [f"y{k} += {value(c)}" for k, c in enumerate(c0)]
                 + [f"q{k} = 0.0 if y{k} < 0.0 else y{k}" for k in range(len(c0))])

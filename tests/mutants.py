@@ -1,7 +1,7 @@
 """Mutation check for the DPP kernel and its kept queue blocks, the
-oracles, the diagnostics, the reference, the checks of a program, a queue,
-an iteration count and a trace's t, the trace's layout, and the CLI's exit
-codes.
+oracles and their generated QP step, the diagnostics, the reference and
+its screen, the checks of a program, a queue, an iteration count and a
+trace's t, the trace's layout, and the CLI's exit codes.
 
     python tests/mutants.py [NAME ...]
 
@@ -37,6 +37,7 @@ T_SOLVER, T_DIAG = "tests/test_solver.py", "tests/test_diagnostics.py"
 T_CORE = "tests/test_core.py"
 T_ORACLES, T_ERRORS = "tests/test_oracles.py", "tests/test_cli_errors.py"
 T_CLI = "tests/test_cli.py"
+T_REFERENCE = "tests/test_reference.py"
 
 # (name, module, original text, mutated text, tests that must kill it)
 MUTANTS = [
@@ -102,6 +103,21 @@ MUTANTS = [
     ("objective-tolerance-all-samples", D, "np.abs(rhs[np.isfinite(rhs)]).max(initial=0.0)",
      "np.abs(rhs).max(initial=0.0)",
      [f"{T_DIAG}::test_objective_tolerance_reads_only_the_samples_where_its_rhs_is_finite"]),
+    # the g test's margin subtracted: every set whose g_k is near 0 at some
+    # k, each of its own constraints among them, is ruled out
+    ("screen-margin-sign", R, "FEAS_TOL + g_margin", "FEAS_TOL - g_margin",
+     [f"{T_REFERENCE}::test_qp_screen_keeps_the_set_of_a_weakly_active_constraint"]),
+    ("screened-set-returned-unchecked", R, "        x, lam_S = found\n",
+     "        x, lam_S = found\n        return KktSolution(x_star=x, f_star="
+     "float(inst.objective(x)), lambda_star=np.zeros(m), active_set=tuple(S))\n",
+     [f"{T_REFERENCE}::test_qp_screen_keeps_the_set_of_a_weakly_active_constraint",
+      f"{T_REFERENCE}::test_num_ground_truth"]),
+    ("qp-step-minus-zero-row-guarded", O, "minus_zero[k] or not math.isfinite(row[j])",
+     "not math.isfinite(row[j])",
+     [f"{T_ORACLES}::test_a_row_whose_c0_is_negative_zero_adds_every_term"]),
+    ("qp-step-inf-entry-guarded", O, "minus_zero[k] or not math.isfinite(row[j])",
+     "minus_zero[k]",
+     [f"{T_ORACLES}::test_a_non_finite_entry_of_M_is_summed_next_to_an_empty_queue"]),
     ("kkt-finite-check-dropped", R, "if not np.isfinite([*x, *lam, f_star]).all():",
      "if False:",
      [f"{T_ERRORS}::test_kkt_candidate_whose_objective_is_nan_is_refused"]),

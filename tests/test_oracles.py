@@ -562,6 +562,57 @@ def test_generated_qp_steps_on_random_files():
     assert sum(reached) > 0
 
 
+def test_generated_qp_step_skips_empty_queues():
+    # random files at m = 2..8, from queues with empty entries, 0.0 and
+    # -0.0, and from Q(0) = 0, where the queues of slack constraints stay
+    # empty: every row is bitwise the step that sums every term
+    empty, rng = [], np.random.default_rng(53)
+    with pytest.MonkeyPatch.context() as patch:
+        sources = count_sources(patch)
+        for m in range(2, 9):
+            inst = random_qp_instance(rng, m, m)
+            oracle = ClosedFormQpOracle(inst, choose_V(inst))
+            for _ in range(20):
+                q = rng.uniform(0.0, 10.0, m) * (rng.random(m) < 0.5)
+                q[rng.random(m) < 0.3] = -0.0
+                assert_bitwise_equal(step(oracle, q), qp_step_in_index_order(oracle, q))
+            Q = blockwise_steps(oracle, np.zeros(m), 2, 300)
+            assert_generated_qp_steps(oracle, Q)
+            empty.append((Q[1:] == 0.0).any(axis=0).sum())
+    assert sum(empty) > 0 and all(f"if q{m - 1}:" in source for m, source in
+                                 zip(range(2, 9), sources))
+
+
+def test_a_row_whose_c0_is_negative_zero_adds_every_term():
+    # 0.5 * -0.0 + -0.5 * -0.0 is +0.0, and + c0 = -0.0 leaves it +0.0,
+    # where skipping the term of the empty q1 would leave -0.0.  Here
+    # x0 = -0.0 and c0[0] = 1 * -0.0 - 0.0 is -0.0 term by term, but
+    # numpy's dot may return the product as +0.0 (a sum started at +0.0),
+    # so the -0.0 is planted
+    oracle = ClosedFormQpOracle(QpInstance(P=[[1.0]], c=[0.0], A=[[1.0], [1.0]],
+                                           b=[0.0, 1.0]), 1.0)
+    oracle.c0[0] = -0.0
+    q = np.array([-0.0, -0.0])
+    expect = qp_step_in_index_order(oracle, q)
+    assert expect[0] == 0.0 and not np.signbit(expect[0])
+    assert_bitwise_equal(step(oracle, q), expect)
+
+
+def test_a_non_finite_entry_of_M_is_summed_next_to_an_empty_queue():
+    # at V = 1e-10, A = diag(1, 1e150) makes M[1, 1] -inf and M[1, 0]
+    # finite, so from q = (1, 0) the second row is -inf * 0 = NaN, as in
+    # numpy's dot, where skipping the term of the empty q1 would not be
+    with np.errstate(over="ignore"):
+        oracle = ClosedFormQpOracle(QpInstance(P=np.eye(2), c=[1.0, 1.0],
+                                               A=[[1.0, 0.0], [0.0, 1e150]], b=[1.0, 1.0]), 1e-10)
+    assert oracle.M[1, 1] == -np.inf and np.isfinite(oracle.M[1, 0])
+    q = np.array([1.0, 0.0])
+    expect = qp_step_in_index_order(oracle, q)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(numpy_qp_steps(oracle, q, 1)[1, 1]) and np.isnan(expect[1])
+    assert_bitwise_equal(step(oracle, q), expect)
+
+
 @pytest.mark.parametrize("m,generates", [(8, True), (9, False)])
 def test_qp_oracle_above_the_size_bound_steps_with_numpy(monkeypatch, m, generates):
     # an 8 x 8 M holds 64 entries, the bound; 9 x 9 holds 81, and its
@@ -671,15 +722,25 @@ def test_a_step_is_compiled_once_per_source(tmp_path):
         assert len(made) == _CACHED_STEPS + 7
 
 
+def count_sources(patch):
+    """The list that gets the source of each queue step compiled from here on."""
+    sources = []
+    patch.setattr(driftopt.oracles, "compile", lambda source, *args:
+                  sources.append(source) or compile(source, *args), raising=False)
+    driftopt.oracles._generate_steps.cache_clear()
+    return sources
+
+
 STEP_NAMES = re.compile(r"q\d+|x\d+|y\d*|v\d+|s|rows|k|_")
 
 
 def assert_arithmetic(source):
     """``source`` is a generated step: one ``def`` of a ``for _ in
-    range(k)`` loop of assignments and ``rows += (...)``, then ``return
-    rows``, over the step's own names and its constants v0, v1, .., + - *
-    /, unary -, < and >, conditional expressions and the float 0.0, the
-    one number it holds."""
+    range(k)`` loop of assignments, ``+=`` and ``if q<j>:`` blocks of
+    ``+=`` whose test is a bare queue name, and ``rows += (...)``, then
+    ``return rows``, over the step's own names and its constants v0, v1,
+    .., + - * /, unary -, < and >, conditional expressions and the float
+    0.0, the one number it holds."""
     (steps,) = ast.parse(source).body
     assert isinstance(steps, ast.FunctionDef) and not steps.decorator_list
     assert not steps.args.defaults and not steps.args.kwonlyargs
@@ -687,16 +748,26 @@ def assert_arithmetic(source):
     assert ast.unparse(rows) == "rows = []" and ast.unparse(ret) == "return rows"
     assert isinstance(loop, ast.For) and ast.unparse(loop.target) == "_"
     assert ast.unparse(loop.iter) == "range(k)" and not loop.orelse
-    *assigns, append = loop.body
+    *statements, append = loop.body
     assert isinstance(append, ast.AugAssign) and ast.unparse(append.target) == "rows"
     assert isinstance(append.op, ast.Add) and isinstance(append.value, ast.Tuple)
+    assigns = []
+    for line in statements:
+        if isinstance(line, ast.If):
+            assert isinstance(line.test, ast.Name) and re.fullmatch(r"q\d+", line.test.id)
+            assert not line.orelse and line.body
+            assert all(isinstance(term, ast.AugAssign) for term in line.body)
+            assigns += line.body
+        else:
+            assigns.append(line)
     for line in assigns:
-        assert isinstance(line, ast.Assign) and len(line.targets) == 1
+        assert (isinstance(line, ast.Assign) and len(line.targets) == 1
+                or isinstance(line, ast.AugAssign) and isinstance(line.op, ast.Add))
         for node in ast.walk(line):
-            assert isinstance(node, (ast.Assign, ast.Name, ast.Load, ast.Store, ast.BinOp,
-                                     ast.Add, ast.Sub, ast.Mult, ast.Div, ast.UnaryOp,
-                                     ast.USub, ast.Compare, ast.Lt, ast.Gt, ast.IfExp,
-                                     ast.Constant)), ast.dump(node)
+            assert isinstance(node, (ast.Assign, ast.AugAssign, ast.Name, ast.Load, ast.Store,
+                                     ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div,
+                                     ast.UnaryOp, ast.USub, ast.Compare, ast.Lt, ast.Gt,
+                                     ast.IfExp, ast.Constant)), ast.dump(node)
             if isinstance(node, ast.Name):
                 assert STEP_NAMES.fullmatch(node.id), node.id
             if isinstance(node, ast.Compare):
@@ -719,10 +790,9 @@ def test_the_source_given_to_exec_stays_arithmetic(monkeypatch):
     # and keep their floor and cap (1e-310), hold only arithmetic and 0.0.
     # So do num_6_1 at V = 1e308, whose c V and floors overflow, and qp_6_2
     # at 5e-324, whose M and c0 are NaN; the latter's source is qp_6_2's at
-    # the default V.  Each oracle's step is compiled afresh here
-    sources = []
-    monkeypatch.setattr(driftopt.oracles, "compile", lambda source, *args:
-                        sources.append(source) or compile(source, *args), raising=False)
+    # the default V with the term of q1 out of its ``if q1:``, as M is not
+    # finite.  Each oracle's step is compiled afresh here
+    sources = count_sources(monkeypatch)
     pairs = [(b.program, b.oracle(choose_V(b.program))) for b in map(builtin, BUILTIN_TAGS)]
     with np.errstate(all="ignore"):
         pairs += [(b.program, b.oracle(V)) for b, V in ((builtin("num_6_1"), 1e308),
@@ -740,7 +810,8 @@ def test_the_source_given_to_exec_stays_arithmetic(monkeypatch):
     assert len(sources) == 25
     for source in sources:
         assert_arithmetic(source)
-    assert sources[4] == sources[1] != sources[3]
+    assert "if q1:" not in sources[4] != sources[3]
+    assert "".join(sources[4].split()) == "".join(sources[1].split()).replace("ifq1:", "")
     # flows that fold, and flows that keep their floor and cap
     assert any(" / s\n" in source for source in sources)
     assert any(" / (" in source for source in sources)

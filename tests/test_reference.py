@@ -1,7 +1,9 @@
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftopt import (InfeasibleError, NumInstance, QpInstance, builtin,
                       dual_value_and_gradient, kkt_solve_num, kkt_solve_qp)
@@ -245,6 +247,11 @@ def assert_same_solution(got, expect):
     assert repr(got.f_star) == repr(expect.f_star) and got.active_set == expect.active_set
 
 
+def screen_nothing(sets):
+    """A screen that rules no active set out: the plain enumeration."""
+    return np.zeros(len(sets), dtype=bool)
+
+
 def test_certified_num_sets_are_sets_newton_fails_on(monkeypatch):
     # every set the enumeration certifies is one on which Newton without
     # the certificate runs all its iterations and fails, and the
@@ -272,7 +279,7 @@ def test_certified_num_sets_are_sets_newton_fails_on(monkeypatch):
         for S in certified[before:]:
             assert newton_without_certificate(inst, S) == (None, "stalled")
         assert_same_solution(sol, reference._enumerate(
-            inst, lambda S: newton_without_certificate(inst, S)[0]))
+            inst, lambda S: newton_without_certificate(inst, S)[0], screen_nothing))
     assert len(certified) > 0
 
 
@@ -414,3 +421,149 @@ def test_unbounded_face_keeps_lam0():
         # from a point up the unbounded direction, back to lam0
         up = lam0 + np.append([3.0, 3.0], np.zeros(len(lam0) - 2))
         assert np.allclose(reference._min_norm_multiplier(M, up), lam0, rtol=0, atol=1e-14)
+
+
+def planted_qp(rng, n, m, active, weak, log_cond, duplicate):
+    """A QP with a planted optimum x*: ``active`` constraints tight at
+    multipliers in [0.1, 2], ``weak`` more tight at multiplier 0 (weakly
+    active), the rest slack by 0.1 to 2, and 2P's condition number
+    10^``log_cond``.  With ``duplicate``, row 1 of A and b repeats row 0."""
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    P = (Q * np.logspace(0.0, -log_cond, n)) @ Q.T
+    A, x = rng.normal(size=(m, n)), rng.normal(size=n)
+    order = rng.permutation(m)
+    lam, slack = np.zeros(m), rng.uniform(0.1, 2.0, m)
+    lam[order[:active]] = rng.uniform(0.1, 2.0, active)
+    slack[order[:active + weak]] = 0.0
+    if duplicate and m > 1:
+        A[1], slack[1], lam[1] = A[0], slack[0], 0.0
+    return QpInstance(P=(P + P.T) / 2, c=-2.0 * P @ x - A.T @ lam, A=A, b=A @ x + slack)
+
+
+def solution_or_error(solve, inst):
+    try:
+        return solve(inst)
+    except InfeasibleError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, expect):
+    if isinstance(expect, str):
+        assert got == expect
+    else:
+        assert_same_solution(got, expect)
+
+
+def unscreened_qp(inst):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reference, "_qp_screen", lambda inst, H, sets: screen_nothing(sets))
+        return solution_or_error(kkt_solve_qp, inst)
+
+
+def counting_qp_screen(patch):
+    """The list that gets, for each call of the QP screen from here on,
+    the number of sets it was given and the number it ruled out."""
+    calls, screen = [], reference._qp_screen
+
+    def counting(inst, H, sets):
+        out = screen(inst, H, sets)
+        calls.append((len(sets), int(out.sum())))
+        return out
+    patch.setattr(reference, "_qp_screen", counting)
+    return calls
+
+
+def test_screened_enumeration_is_bitwise_the_plain_one():
+    # planted QPs, weakly active constraints, 2P with cond up to 1e10 and
+    # duplicate rows included, and random rate allocations, m <= 12: the
+    # screen changes no bit of the solution, nor the error; chunks of 1, 2
+    # and 5 sets put a size's sets in several chunks, as the default does
+    # at m = 12 from size 3 up
+    infeasible = QpInstance(P=[[1.0]], c=[0.0], A=[[1.0], [-1.0]], b=[-1.0, -1.0])
+    assert solution_or_error(kkt_solve_qp, infeasible) == unscreened_qp(infeasible)
+    assert isinstance(unscreened_qp(infeasible), str)
+    screened = []
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 12),
+           active=st.integers(0, 6), weak=st.integers(0, 2), log_cond=st.floats(0.0, 10.0),
+           duplicate=st.booleans(), chunk=st.sampled_from([1, 2, 5, reference.SCREEN_CHUNK]))
+    @example(seed=1, n=6, m=12, active=5, weak=2, log_cond=0.0, duplicate=False,
+             chunk=reference.SCREEN_CHUNK)
+    @example(seed=2, n=6, m=12, active=4, weak=1, log_cond=10.0, duplicate=True, chunk=5)
+    @example(seed=3, n=5, m=12, active=5, weak=0, log_cond=3.0, duplicate=True,
+             chunk=reference.SCREEN_CHUNK)
+    @example(seed=4, n=4, m=9, active=2, weak=2, log_cond=6.0, duplicate=False, chunk=2)
+    def check_qp(seed, n, m, active, weak, log_cond, duplicate, chunk):
+        active = min(active, n, m)
+        inst = planted_qp(np.random.default_rng(seed), n, m, active,
+                          min(weak, m - active), log_cond, duplicate)
+        expect = unscreened_qp(inst)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reference, "SCREEN_CHUNK", chunk)
+            calls = counting_qp_screen(patch)
+            assert_same_outcome(solution_or_error(kkt_solve_qp, inst), expect)
+        screened.extend(calls)
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), m=st.integers(1, 12),
+           duplicate=st.booleans(), chunk=st.sampled_from([1, 5, reference.SCREEN_CHUNK]))
+    @example(seed=1, n=5, m=12, duplicate=True, chunk=reference.SCREEN_CHUNK)
+    @example(seed=2, n=4, m=10, duplicate=False, chunk=5)
+    def check_num(seed, n, m, duplicate, chunk):
+        rng = np.random.default_rng(seed)
+        inst = random_num_file(rng, m, n)
+        if duplicate and m > 1:
+            A, b = inst.A.copy(), inst.b.copy()
+            A[:2], b[1] = np.maximum(A[0], A[1]), b[0]  # still a link on every flow
+            inst = NumInstance(A=A, b=b, c=inst.c, xmax=inst.xmax)
+
+        def newton(S):  # each set, a set with a flow on none of its links refused first
+            return reference._num_newton(inst, S) if inst.A[S].any(axis=0).all() else None
+
+        expect = reference._enumerate(inst, newton, screen_nothing)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reference, "SCREEN_CHUNK", chunk)
+            assert_same_solution(kkt_solve_num(inst), expect)
+
+    check_qp()
+    check_num()
+    # the screen ruled sets out, in chunks of several sizes
+    assert sum(out for _, out in screened) > 0
+    assert len({count for count, out in screened if out}) > 3
+
+
+def test_qp_screen_keeps_the_set_of_a_weakly_active_constraint():
+    # x* = (1, 0) with x1 <= 1 active and x2 <= 0 weakly active: {0} is the
+    # first KKT set, and the second constraint, off it, has g = 0 within
+    # rounding; the screen rules out {1} and {2} and keeps {0}
+    inst = QpInstance(P=np.eye(2), c=[-4.0, 0.0], A=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                      b=[1.0, 0.0, 5.0])
+    expect = unscreened_qp(inst)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = counting_qp_screen(patch)
+        sol = kkt_solve_qp(inst)
+    assert_same_solution(sol, expect)
+    assert sol.active_set == (0, 1)
+    assert np.allclose(sol.lambda_star, [2.0, 0.0, 0.0], rtol=0, atol=1e-12)
+    assert calls == [(1, 0), (3, 2)]
+
+
+def test_a_qp_screen_chunk_at_m_n_20_stays_within_four_stacks():
+    # one chunk of SCREEN_CHUNK sets of size 10 at n = m = 20: K, inv(K)
+    # and I - X K are each one (128, 30, 30) stack, 0.9 MiB, and the
+    # screen's peak stays within four of them
+    import tracemalloc
+    rng = np.random.default_rng(20)
+    inst = planted_qp(rng, 20, 20, 10, 0, 1.0, False)
+    sets = np.array(list(islice(combinations(range(20), 10), reference.SCREEN_CHUNK)))
+    H = 2.0 * inst.P
+    reference._qp_screen(inst, H, sets)
+    tracemalloc.start()
+    try:
+        out = reference._qp_screen(inst, H, sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.any()
+    assert peak <= 4 * reference.SCREEN_CHUNK * 30 * 30 * 8
