@@ -9,23 +9,13 @@ Exit codes: 0 success, 1 an audited bound failed, 2 usage or input error,
 3 numerical failure.  Commands raise; ``main`` alone maps a failure to its
 exit code and one stderr line, and shows a warning (a V below the
 guarantee threshold) as one ``warning: ...`` line.
-All output is deterministic.  A CSV number is printed exactly as
-``"%.17g"`` prints it, so it reads back to the same double: numpy makes
-the text (``csvtext``), once for each run of equal cells down a column,
-and Python formats the cells numpy cannot decide.  In one process,
-``audit`` and ``fit`` compare a trace with the bytes that the last
-``solve`` wrote, 512 rows at a time, and skip the parse when they match.
-``solve`` writes its trace and summary in place (``_rewrite``): over the
-bytes of an existing file, cut to the new length only where the old file
-was longer, never truncated to zero first and never fsynced.
+All output is deterministic.  The trace file is ``csvtext``'s.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
 import functools
-import io
 import json
 import os
 import sys
@@ -34,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import IterateTrace, _as_queue, _check_t
-from .csvtext import format_rows
+from .core import IterateTrace, _as_queue
+from .csvtext import read_trace, rewrite, write_trace
 from .diagnostics import (audit_bounds, audit_passed, fit_geometric, fit_power_decay,
                           max_violation)
 from .problems import (BUILTIN_TAGS, ProblemBundle, _array, _number, builtin,
@@ -80,59 +70,6 @@ def _parse_q0(text: str | None, m: int) -> np.ndarray:
     return np.array(parts)
 
 
-# The trace this process wrote last: its chunks, as _write_csv wrote them, and
-# its read-only float columns by header name (None for a blank one), bitwise what
-# a parse gives, as "%.17g" round-trips a double and t is core._check_t's integer.
-_last_written: tuple[list[bytes], dict] | None = None
-
-
-def _write_csv(path: Path, trace: IterateTrace) -> None:
-    """Write the trace's ``columns`` with CRLF line ends, as ``csv.writer``
-    does, every number as ``"%.17g"`` prints it (``csvtext.format_rows``,
-    which formats a cell equal to the one above it once; for ``t``, an
-    integer <= 2**53, that is ``"%d"``).  A None column is blank before
-    the last column that is not (``f_err`` without a reference) and absent
-    after it (the dual columns).  The file is written in place
-    (``_rewrite``).  Once it is closed, its chunks (the header, then each
-    512-row slice's text) and columns are ``_last_written``."""
-    global _last_written
-    _last_written = None
-    cols = trace.columns()
-    names, at = list(cols), [j for j, col in enumerate(cols.values()) if col is not None]
-    header, present = names[:at[-1] + 1], [names[j] for j in at]
-    # a present column's cell ends with a comma for itself and each blank after it
-    seps = [b"," * (k - j) for j, k in zip(at, at[1:])] + [b"\r\n"]
-    block = np.array([cols[name] for name in present], dtype=float)  # one row per column
-    block.flags.writeable = False
-    chunks = [(",".join(header) + "\r\n").encode(), *format_rows(block, seps)]
-    _rewrite(path, chunks)
-    _last_written = chunks, {**dict.fromkeys(header), **dict(zip(present, block))}
-
-
-def _rewrite(path: Path, chunks) -> None:
-    """Write ``chunks`` to ``path`` from offset 0, leaving the bytes that
-    ``open(path, "wb")`` leaves, without its truncation to zero: ext4
-    starts the writeback of a file truncated to zero when it is closed,
-    which made a 1.24 MB rewrite 1.93 ms against 0.58 ms in place (2-core
-    x86-64, rewrites 0.3 s apart).
-
-    A new file gets the mode ``open`` gives it; an old one keeps its inode,
-    mode and owner, and a symlink or hard link still leads to it.  Only
-    where the old file was longer is it cut at the written length, also
-    after a write that raises, so it holds exactly the bytes that reached
-    it.  A FIFO or a device reports size 0, so it is never asked for its
-    position, which a pipe cannot give.
-    """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "wb") as fh:
-        old_size = os.fstat(fd).st_size
-        try:
-            fh.writelines(chunks)
-        finally:
-            if old_size and fh.tell() < old_size:
-                fh.truncate()
-
-
 def _summary_path(out: Path) -> Path:
     return out.with_name(out.name + ".summary.json")
 
@@ -144,7 +81,7 @@ def _emit(doc, path: Path | None = None) -> int:
     except ValueError:
         raise _Failure("non-finite number in the result") from None
     if path is not None:  # JSON text is ASCII; lines end as in text mode
-        _rewrite(path, [(text + "\n").replace("\n", os.linesep).encode()])
+        rewrite(path, [(text + "\n").replace("\n", os.linesep).encode()])
     print(text)
     return EXIT_OK
 
@@ -162,10 +99,10 @@ def cmd_solve(args) -> int:
     except FloatingPointError as exc:
         partial = getattr(exc, "partial_trace", None)
         if partial is not None and len(partial):
-            _write_csv(out, partial)
+            write_trace(out, partial)
         raise
 
-    _write_csv(out, trace)
+    write_trace(out, trace)
     # the final block is the CSV's last row but its g_k, as its text reads back
     final = {name: None if col is None else float(col[-1])
              for name, col in trace.columns().items() if not name.startswith("g_")}
@@ -184,62 +121,6 @@ def cmd_solve(args) -> int:
     return _emit(summary, _summary_path(out))
 
 
-def _read_trace_csv(path: Path, columns) -> dict:
-    """Read the columns of a solve CSV whose names satisfy ``columns``.
-
-    Returns {name: read-only float array} in header order; a column whose
-    first data cell is blank (``f_err`` without a reference) maps to None.
-    A seekable file is compared with the chunks this process wrote last,
-    one at a time; if it holds them and nothing more, it takes the columns
-    in ``_last_written``.  A file that differs, or a pipe, is parsed as
-    UTF-8 from the same handle.  A header that repeats a column name, a
-    row whose field count differs from the header's, a blank, non-numeric
-    or non-finite cell in a parsed column, or a ``t`` that
-    ``core._check_t`` refuses raises ValueError.
-    """
-    written, entry = _last_written or ((), None)
-    with open(path, "rb") as fh:
-        compared = entry is not None and fh.seekable()
-        if compared and all(fh.read(len(c)) == c for c in written) and not fh.read(1):
-            cols = {name: col for name, col in entry.items() if columns(name)}
-        else:
-            if compared:
-                fh.seek(0)
-            cols = _parse_trace_csv(fh, columns)
-    for name, col in cols.items():
-        if col is not None and not np.isfinite(col).all():
-            raise ValueError(f"trace CSV column {name!r} holds a non-finite number")
-    if cols.get("t") is not None:
-        _check_t(cols["t"], "trace CSV column 't'")
-    return cols
-
-
-def _parse_trace_csv(fh, columns) -> dict:
-    # read as open(path, encoding="utf-8") would: lines end at \r\n, \n or \r
-    with io.TextIOWrapper(fh, encoding="utf-8") as text:
-        lines = [line.rstrip("\n") for line in text]
-    if not lines:
-        raise ValueError("trace CSV is empty")
-    header, data = lines[0].split(","), lines[1:]
-    repeated = [name for name, n in collections.Counter(header).items() if n > 1]
-    if repeated:
-        raise ValueError(f"trace CSV repeats the column '{repeated[0]}'")
-    if not data:
-        raise ValueError("trace CSV has no data rows")
-    commas = len(header) - 1
-    if any(line.count(",") != commas for line in data):
-        raise ValueError("trace CSV is malformed (ragged rows)")
-    first = data[0].split(",")
-    cols = {name: None for name in header if columns(name)}
-    usecols = [j for j, name in enumerate(header) if name in cols and first[j]]
-    if usecols:
-        parsed = np.loadtxt(data, delimiter=",", usecols=usecols, ndmin=2,
-                            comments=None).T.copy()
-        parsed.flags.writeable = False
-        cols.update(zip([header[j] for j in usecols], parsed))
-    return cols
-
-
 def cmd_fit(args) -> int:
     if not 0 < args.window_fraction <= 1:
         raise ValueError("--window-fraction must be in (0, 1]")
@@ -249,7 +130,7 @@ def cmd_fit(args) -> int:
         raise ValueError("need numbers with --t-lo <= --t-hi")
     prefix = "f_err" if args.series == "obj" else "g_"
     try:
-        cols = _read_trace_csv(Path(args.trace),
+        cols = read_trace(Path(args.trace),
                                lambda name: name == "t" or name.startswith(prefix))
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read trace: {exc}") from exc
@@ -281,7 +162,7 @@ def cmd_audit(args) -> int:
     path = Path(args.trace)
     summary_path = Path(args.summary) if args.summary else _summary_path(path)
     try:
-        cols = _read_trace_csv(path, lambda name: name != "f_err")
+        cols = read_trace(path, lambda name: name != "f_err")
         with open(summary_path) as fh:
             summary = json.load(fh)
         problem, V = summary["problem"], _number(summary, "V", "summary")

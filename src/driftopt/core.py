@@ -241,10 +241,12 @@ class IterateTrace:
     def from_columns(cls, cols: dict, m: int, V: float) -> IterateTrace:
         """The trace at penalty ``V`` of the ``columns`` of m constraints in
         ``cols``; one that is None or missing is None, and must not be t, f_avg,
-        a g_k or qnorm."""
+        a g_k or qnorm.  A ``g_{m+1}`` is refused."""
         g = [cols.get(f"g_{k + 1}") for k in range(m)]
         if any(c is None for c in (cols.get("t"), cols.get("f_avg"), cols.get("qnorm"), *g)):
             raise ValueError("trace CSV lacks required columns")
+        if f"g_{m + 1}" in cols:
+            raise ValueError(f"trace CSV has a column 'g_{m + 1}', but the problem has m = {m}")
         return cls(t=cols["t"], f_xbar=cols["f_avg"], f_err=cols.get("f_err"),
                    g_xbar=np.stack(g, axis=1), qnorm=cols["qnorm"],
                    lambda_dist=cols.get("lambda_dist"), dual_gap=cols.get("dual_gap"), V=V)

@@ -1,7 +1,8 @@
 """Mutation check for the DPP kernel and its kept queue blocks, the
 oracles and their generated QP step, the diagnostics, the reference and
 its screen, the checks of a program, a queue, an iteration count and a
-trace's t, the trace's layout, and the CLI's exit codes.
+trace's t, the trace's layout and its count of constraint columns, and
+the CLI's exit codes.
 
     python tests/mutants.py [NAME ...]
 
@@ -145,8 +146,10 @@ MUTANTS = [
      [f"{T_ERRORS}::test_solve_with_a_schedule_too_large_for_memory_exits_2",
       f"{T_ERRORS}::test_solve_with_a_schedule_too_large_for_memory_exits_2_in_a_fresh_process"]),
     # audit would still refuse the column, as its trace checks t; fit would not
-    ("reader-t-check-dropped", "cli.py", """_check_t(cols["t"], "trace CSV column 't'")""",
+    ("reader-t-check-dropped", "csvtext.py", """_check_t(cols["t"], "trace CSV column 't'")""",
      "None", [f"{T_ERRORS}::test_trace_reader_rejects_bad_cells"]),
+    ("extra-g-column-read", C, 'if f"g_{m + 1}" in cols:', "if False:",
+     [f"{T_ERRORS}::test_audit_trace_with_more_constraints_than_its_problem"]),
     ("dual-columns-read-swapped", C,
      'lambda_dist=cols.get("lambda_dist"), dual_gap=cols.get("dual_gap")',
      'lambda_dist=cols.get("dual_gap"), dual_gap=cols.get("lambda_dist")',

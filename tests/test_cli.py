@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from driftopt import IterateTrace, builtin, choose_V, load_problem, run
-from driftopt import cli
-from driftopt.cli import _read_trace_csv, main
+from driftopt import cli, csvtext
+from driftopt.cli import main
+from driftopt.csvtext import read_trace
 from driftopt.problems import BUILTINS
 from driftopt.solver import _BLOCK
 from replay import count_generations
@@ -558,7 +559,7 @@ def test_write_csv_matches_the_csv_module_on_synthetic_traces(tmp_path, m, with_
         with np.errstate(over="ignore"):
             if with_reference:
                 trace.f_err = np.abs(trace.f_xbar - reference.f_star)
-            cli._write_csv(out, trace)
+            csvtext.write_trace(out, trace)
             expected = csv_module_bytes(trace, bundle)
         assert out.read_bytes() == expected, rows
         assert expected.split(b"\r\n")[1].split(b",")[2] == (b"inf" if with_reference else b"")
@@ -574,9 +575,9 @@ def test_trace_csv_round_trips_bitwise(tmp_path, capsys, monkeypatch, tag, algor
     bundle = builtin(tag)
     out, trace = solve_linear(tmp_path, capsys, ["--builtin", tag], bundle, 2000, algorithm,
                               V=V, q0=q0)
-    monkeypatch.setattr(cli, "_last_written", None)
+    monkeypatch.setattr(csvtext, "_last_written", None)
     summary = json.loads(summary_of(out).read_text())
-    back = IterateTrace.from_columns(_read_trace_csv(out, lambda name: True),
+    back = IterateTrace.from_columns(read_trace(out, lambda name: True),
                                      bundle.program.m, summary["V"])
     back.max_drift_residual = summary["max_drift_residual"]
     assert trace.f_err is not None
@@ -600,7 +601,7 @@ def test_a_column_added_to_the_layout_is_written_summarized_and_read(tmp_path, c
     assert out.read_text().splitlines()[0].endswith(",dual_gap,scratch")
     assert summary["final"]["scratch"] == 2.0 * summary["final"]["qnorm"]
     hit = read_all(out)
-    monkeypatch.setattr(cli, "_last_written", None)
+    monkeypatch.setattr(csvtext, "_last_written", None)
     for cols in (hit, read_all(out)):
         assert list(cols)[-2:] == ["dual_gap", "scratch"]
         assert np.array_equal(cols["scratch"], 2.0 * cols["qnorm"])
@@ -612,13 +613,13 @@ def test_read_trace_csv_parses_only_the_selected_columns(tmp_path, capsys):
     # a non-numeric cell in a column nobody asked for is not parsed
     lines[5] = lines[5].replace(lines[5].split(",")[-1], "junk")
     out.write_text("\n".join(lines) + "\n")
-    assert list(_read_trace_csv(out, {"t", "qnorm"}.__contains__)) == ["t", "qnorm"]
+    assert list(read_trace(out, {"t", "qnorm"}.__contains__)) == ["t", "qnorm"]
     with pytest.raises(ValueError, match="junk"):
-        _read_trace_csv(out, {"t", "dual_gap"}.__contains__)
+        read_trace(out, {"t", "dual_gap"}.__contains__)
 
 
 # In one process, a read of the trace that solve wrote last takes its
-# columns from ``cli._last_written``; they must be bitwise what a parse of
+# columns from ``csvtext._last_written``; they must be bitwise what a parse of
 # the file gives.
 
 def assert_same_columns(got, want):
@@ -631,7 +632,7 @@ def assert_same_columns(got, want):
 
 
 def read_all(path):
-    return _read_trace_csv(path, lambda name: True)
+    return read_trace(path, lambda name: True)
 
 
 SOLVES = {f"{tag}-{algorithm}-{sample}": ["--builtin", tag, "--algorithm", algorithm,
@@ -657,22 +658,22 @@ def test_reading_the_trace_just_written_equals_a_parse(tmp_path, capsys, monkeyp
     reads = []
 
     def recorded(path, columns):
-        reads.append((columns, _read_trace_csv(path, columns)))
+        reads.append((columns, read_trace(path, columns)))
         return reads[-1][1]
 
-    monkeypatch.setattr(cli, "_read_trace_csv", recorded)
+    monkeypatch.setattr(cli, "read_trace", recorded)
     tag = "qp_6_2" if solve == "no-reference" else argv[1]
     run_cli(capsys, "audit", "--builtin", tag, "--trace", str(out))
     for series in ("obj", "constraint"):
         run_cli(capsys, "fit", "--trace", str(out), "--series", series, "--model", "power")
     reads.append((lambda name: True, read_all(out)))
     assert len(reads) == 4
-    entry = cli._last_written[1]
+    entry = csvtext._last_written[1]
     for columns, hit in reads:
         assert all(col is entry[name] for name, col in hit.items())
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_last_written", None)
-            assert_same_columns(hit, _read_trace_csv(out, columns))
+            patch.setattr(csvtext, "_last_written", None)
+            assert_same_columns(hit, read_trace(out, columns))
     assert (entry["f_err"] is None) == (solve == "no-reference")
 
 
@@ -718,7 +719,7 @@ def test_the_entry_follows_the_bytes_not_the_path(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "solve", "--builtin", "qp_6_2", "--iters", "200",
                          "--out", str(tmp_path / "missing" / "qp.csv"))
     assert code == 2
-    assert cli._last_written is None
+    assert csvtext._last_written is None
 
 
 def test_only_the_whole_of_the_bytes_written_is_a_hit(tmp_path, capsys, monkeypatch):
@@ -748,7 +749,7 @@ def test_only_the_whole_of_the_bytes_written_is_a_hit(tmp_path, capsys, monkeypa
     assert_same_columns(got, {name: col[:-1] for name, col in want.items()})
     out.write_bytes(raw.replace(b"qnorm", b"Qnorm", 1))
     assert list(read_all(out)) == [name.replace("qnorm", "Qnorm") for name in want]
-    monkeypatch.setattr(cli, "_last_written", None)
+    monkeypatch.setattr(csvtext, "_last_written", None)
     out.write_bytes(b"")
     with pytest.raises(ValueError, match="empty"):
         read_all(out)
@@ -798,14 +799,14 @@ def test_a_hit_holds_one_piece_at_a_time(tmp_path, capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(col is cli._last_written[1][name] for name, col in hit.items())
+    assert all(col is csvtext._last_written[1][name] for name, col in hit.items())
     assert peak < 0.25 * 2 ** 20
 
 
 def test_read_columns_are_read_only(tmp_path, capsys, monkeypatch):
     out, _ = solve_qp(tmp_path, capsys, iters=200)
     hit = read_all(out)
-    monkeypatch.setattr(cli, "_last_written", None)
+    monkeypatch.setattr(csvtext, "_last_written", None)
     for cols in (hit, read_all(out)):
         for col in cols.values():
             with pytest.raises(ValueError, match="read-only"):
@@ -814,7 +815,7 @@ def test_read_columns_are_read_only(tmp_path, capsys, monkeypatch):
 
 def test_lines_end_as_in_text_mode(tmp_path, capsys, monkeypatch):
     out, _ = solve_qp(tmp_path, capsys, iters=200)
-    monkeypatch.setattr(cli, "_last_written", None)
+    monkeypatch.setattr(csvtext, "_last_written", None)
     want, crlf = read_all(out), out.read_bytes()
     copy = tmp_path / "copy.csv"
     for end in (b"\n", b"\r"):
@@ -1017,12 +1018,12 @@ def test_a_failed_write_leaves_the_bytes_that_reached_the_file(tmp_path, capsys,
                 raise OSError(28, "No space left on device")
             return super().write(data)
 
-    monkeypatch.setattr(cli, "open", lambda fd, mode: Full(io.FileIO(fd, "w")),
+    monkeypatch.setattr(csvtext, "open", lambda fd, mode: Full(io.FileIO(fd, "w")),
                         raising=False)
     code, stdout, err = run_cli(capsys, *DENSE_NUM, "--iters", "100", "--out", str(out))
     assert (code, stdout, err) == (2, "", "error: [Errno 28] No space left on device\n")
     assert out.read_bytes() == header
-    assert cli._last_written is None
+    assert csvtext._last_written is None
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")

@@ -120,6 +120,20 @@ def test_audit_trace_without_required_columns(tmp_path, capsys):
     assert (code, stdout, err) == (2, "", "error: trace CSV lacks required columns\n")
 
 
+@pytest.mark.parametrize("last", ["num_6_1", "qp_6_2"], ids=["cached", "parsed"])
+def test_audit_trace_with_more_constraints_than_its_problem(tmp_path, capsys, last):
+    # num_6_1's trace (g_1..g_3) with qp_6_2's summary, audited as qp_6_2
+    # (m = 2): its first two g columns are not read as qp_6_2's
+    for tag in sorted({"num_6_1", "qp_6_2"} - {last}) + [last]:
+        assert run_cli(capsys, "solve", "--builtin", tag, "--iters", 500,
+                       "--out", tmp_path / f"{tag}.csv")[0] == 0
+    code, stdout, err = run_cli(capsys, "audit", "--builtin", "qp_6_2",
+                                "--trace", tmp_path / "num_6_1.csv",
+                                "--summary", tmp_path / "qp_6_2.csv.summary.json")
+    assert (code, stdout, err) == (
+        2, "", "error: trace CSV has a column 'g_3', but the problem has m = 2\n")
+
+
 # ||A||_F^2 = 1e400 overflows, though A is finite
 BIG_A = {"kind": "qp", "P": [[1.0]], "c": [0.0], "A": [[1e200]], "b": [1.0]}
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from driftopt import cli, problems, solver
+from driftopt import cli, csvtext, problems, solver
 from driftopt.problems import BUILTINS
 from test_perfbench_checks import load
 
@@ -193,7 +193,7 @@ def test_reads_of_the_trace_just_written_print_what_a_fresh_process_does(
     assert cli.main(["solve", "--builtin", tag, "--iters", "2000", "--sample", "linear:7",
                      "--out", trace]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(cli, "_parse_trace_csv", None)  # a parse would raise
+    monkeypatch.setattr(csvtext, "_parse_trace", None)  # a parse would raise
     for argv in (["audit", "--builtin", tag, "--trace", trace],
                  *(["fit", "--trace", trace, "--series", series, "--model", "power"]
                    for series in ("obj", "constraint"))):
